@@ -122,15 +122,24 @@ impl<const L: usize> MontCtx<L> {
     }
 
     /// Montgomery reduction: given `t = t_hi·2^(64L) + t_lo < p·R`,
-    /// returns `t·R^{-1} mod p` in `[0, p − 1]`. Constant time.
+    /// returns `t·R^{-1} mod p` in `[0, p − 1]`.
+    ///
+    /// Constant time and allocation-free. `t` is reduced in place in a
+    /// `[t_lo, t_hi]` stack buffer. Row `i` adds `m_i·p·2^(64i)`, which
+    /// clears digit `i`. It then adds its carry-out, plus the `pending`
+    /// bit left by row `i − 1`, into digit `i + L`. The one-bit overflow
+    /// of that addition becomes the new `pending` and is added one digit
+    /// higher by the next row. Every row therefore does the same `L + 1`
+    /// word additions whatever the data, with no carry ripple of
+    /// data-dependent length. The last `pending` is the `2^(64L)` bit of
+    /// the result, which one masked subtraction of `p` folds away.
     ///
     /// This is the operation of the paper's "Montgomery reduction" row
     /// in Table 4.
     pub fn redc(&self, t_lo: &Uint<L>, t_hi: &Uint<L>) -> Uint<L> {
-        let mut t = vec![0u64; 2 * L + 1];
-        t[..L].copy_from_slice(t_lo.limbs());
-        t[L..2 * L].copy_from_slice(t_hi.limbs());
-
+        let mut buf = [*t_lo.limbs(), *t_hi.limbs()];
+        let t = buf.as_flattened_mut();
+        let mut pending = 0u64;
         for i in 0..L {
             let m = t[i].wrapping_mul(self.p_inv);
             let mut carry = 0u64;
@@ -139,29 +148,18 @@ impl<const L: usize> MontCtx<L> {
                 t[i + j] = wide as u64;
                 carry = (wide >> 64) as u64;
             }
-            // Propagate the column carry upwards.
-            let mut k = i + L;
-            while carry != 0 {
-                let wide = t[k] as u128 + carry as u128;
-                t[k] = wide as u64;
-                carry = (wide >> 64) as u64;
-                k += 1;
-            }
+            (t[i + L], pending) = crate::ct::adc(t[i + L], carry, pending);
         }
         debug_assert!(t[..L].iter().all(|&w| w == 0));
 
-        let mut r_limbs = [0u64; L];
-        r_limbs.copy_from_slice(&t[L..2 * L]);
-        let r = Uint::from_limbs(r_limbs);
-        let extra = t[2 * L]; // 0 or 1: the 2^(64L) overflow bit
-
-        // Result value is extra·2^(64L) + r < 2p. Subtract p when the
+        let r = Uint::from_limbs(buf[1]);
+        // Result value is pending·2^(64L) + r < 2p. Subtract p when the
         // value is ≥ p, in constant time.
         let (sub, borrow) = r.sbb(&self.p, 0);
-        // If extra == 1 the true value is ≥ 2^(64L) > p: always subtract
-        // (the borrow is "paid" by the extra bit). Otherwise subtract
-        // only when no borrow occurred.
-        let keep_sub = crate::ct::mask_from_bit(extra | (1 - borrow));
+        // If pending == 1 the true value is ≥ 2^(64L) > p: always
+        // subtract (the borrow is "paid" by the pending bit). Otherwise
+        // subtract only when no borrow occurred.
+        let keep_sub = crate::ct::mask_from_bit(pending | (1 - borrow));
         let mut out = [0u64; L];
         crate::ct::select_limbs(keep_sub, sub.limbs(), r.limbs(), &mut out);
         Uint::from_limbs(out)
@@ -233,7 +231,7 @@ impl<const L: usize> MontCtx<L> {
     /// Converts into the Montgomery domain: `a·R mod p`.
     pub fn to_mont(&self, a: &Uint<L>) -> Uint<L> {
         // Reduce a first so the precondition a < p holds for any input.
-        let a = fast_reduce_swap(&a.clone(), &self.p);
+        let a = fast_reduce_swap(a, &self.p);
         self.mul(&a, &self.r2)
     }
 
@@ -343,7 +341,7 @@ mod tests {
 
     #[test]
     fn redc_handles_maximal_product() {
-        // t = (p-1)^2 exercises the extra carry path.
+        // t = (p-1)^2 exercises the pending-carry path.
         let p = p25519();
         let ctx = MontCtx::new(p).unwrap();
         let pm1 = p.wrapping_sub(&U256::ONE);

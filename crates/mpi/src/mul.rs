@@ -73,6 +73,7 @@ impl Acc192 {
 /// # Panics
 ///
 /// Panics if `out.len() != a.len() + b.len()`.
+#[inline]
 pub fn mul_ps_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
     assert_eq!(out.len(), a.len() + b.len());
     let mut acc = Acc192::ZERO;
@@ -107,33 +108,41 @@ pub fn mul_os_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Product-scanning squaring on slices, with the usual halving of the
-/// cross-product count: each `a_i·a_j` (i<j) is accumulated twice and
-/// each `a_i²` once.
+/// Product-scanning squaring on slices with the cross products halved:
+/// each `a_i·a_j` (i<j) is multiplied once into an off-diagonal
+/// triangle, the triangle is doubled by a one-bit shift, and the
+/// diagonal squares `a_i²` are added in the same pass — `n(n+1)/2`
+/// word products in all, against `n²` for a general multiplication.
+/// The trip counts depend only on `a.len()`.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != 2 * a.len()`.
+#[inline]
 pub fn square_ps_slices(a: &[u64], out: &mut [u64]) {
     assert_eq!(out.len(), 2 * a.len());
     let n = a.len();
+    // Off-diagonal triangle Σ_{i<j} a_i·a_j, column by column: column k
+    // holds the pairs i < k − i.
     let mut acc = Acc192::ZERO;
     for k in 0..out.len() {
-        let lo = k.saturating_sub(n - 1);
-        let hi = k.min(n - 1);
-        let mut i = lo;
-        // Cross terms (i < k-i): accumulate twice.
-        while i < k - i && i <= hi {
+        for i in k.saturating_sub(n - 1)..k.div_ceil(2) {
             acc.mac(a[i], a[k - i]);
-            acc.mac(a[i], a[k - i]);
-            i += 1;
-        }
-        // Diagonal term when k is even.
-        if k % 2 == 0 && k / 2 < n {
-            acc.mac(a[k / 2], a[k / 2]);
         }
         out[k] = acc.shift_out();
     }
+    // out ← 2·out + Σ a_i²·2^(128i). The triangle is below a²/2, so the
+    // shift loses no bit and the final carry is zero.
+    let (mut shifted, mut carry) = (0u64, 0u64);
+    for i in 0..n {
+        let sq = a[i] as u128 * a[i] as u128;
+        for (k, half) in [(2 * i, sq as u64), (2 * i + 1, (sq >> 64) as u64)] {
+            let doubled = out[k] << 1 | shifted;
+            shifted = out[k] >> 63;
+            (out[k], carry) = crate::ct::adc(doubled, half, carry);
+        }
+    }
+    debug_assert_eq!((shifted, carry), (0, 0));
 }
 
 /// One-level Karatsuba multiplication on slices (equal, even lengths).
@@ -143,69 +152,51 @@ pub fn square_ps_slices(a: &[u64], out: &mut [u64]) {
 /// measured this against plain product scanning and found product
 /// scanning faster on RV64GC for 512-bit operands (§4).
 ///
+/// The two outer products land directly in `out`; the half sums and
+/// the middle product use `scratch`, so nothing is allocated. Carries
+/// are folded in with masks and fixed-length chains.
+///
 /// # Panics
 ///
 /// Panics if the operand lengths differ, are odd, or
-/// `out.len() != a.len() + b.len()`.
-pub fn mul_karatsuba_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
+/// `out.len()` or `scratch.len()` differs from `a.len() + b.len()`.
+pub fn mul_karatsuba_slices(a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len() % 2, 0, "Karatsuba needs an even digit count");
     assert_eq!(out.len(), a.len() + b.len());
+    assert_eq!(scratch.len(), out.len());
     let n = a.len();
     let h = n / 2;
     let (a0, a1) = a.split_at(h);
     let (b0, b1) = b.split_at(h);
-
-    // z0 = a0*b0, z2 = a1*b1.
-    let mut z0 = vec![0u64; n];
-    let mut z2 = vec![0u64; n];
-    mul_ps_slices(a0, b0, &mut z0);
-    mul_ps_slices(a1, b1, &mut z2);
+    let (sums, z1) = scratch.split_at_mut(n);
+    let (sa, sb) = sums.split_at_mut(h);
 
     // (a0+a1) and (b0+b1), each h digits + carry bit.
-    let mut sa = vec![0u64; h];
-    let mut sb = vec![0u64; h];
-    let mut ca = 0u64;
-    let mut cb = 0u64;
+    let (mut ca, mut cb) = (0u64, 0u64);
     for i in 0..h {
-        let (s, c) = crate::ct::adc(a0[i], a1[i], ca);
-        sa[i] = s;
-        ca = c;
-        let (s, c) = crate::ct::adc(b0[i], b1[i], cb);
-        sb[i] = s;
-        cb = c;
+        (sa[i], ca) = crate::ct::adc(a0[i], a1[i], ca);
+        (sb[i], cb) = crate::ct::adc(b0[i], b1[i], cb);
     }
 
-    // z1 = (a0+a1)(b0+b1): (h+1)-digit operands handled as h-digit
-    // product plus the carry cross terms.
-    let mut z1 = vec![0u64; 2 * h + 2];
-    {
-        let mut base = vec![0u64; n];
-        mul_ps_slices(&sa, &sb, &mut base);
-        z1[..n].copy_from_slice(&base);
-        // + ca * sb << (64h) and + cb * sa << (64h) and + ca*cb << (128h)
-        let mut carry = 0u64;
-        if ca == 1 {
-            for i in 0..h {
-                let t = z1[h + i] as u128 + sb[i] as u128 + carry as u128;
-                z1[h + i] = t as u64;
-                carry = (t >> 64) as u64;
-            }
-        }
-        let mut carry2 = 0u64;
-        if cb == 1 {
-            for i in 0..h {
-                let t = z1[h + i] as u128 + sa[i] as u128 + carry2 as u128;
-                z1[h + i] = t as u64;
-                carry2 = (t >> 64) as u64;
-            }
-        }
-        let top = z1[2 * h] as u128 + carry as u128 + carry2 as u128 + (ca * cb) as u128;
-        z1[2 * h] = top as u64;
-        z1[2 * h + 1] = (top >> 64) as u64;
+    // z1 = (a0+a1)(b0+b1) = sa·sb + (ca·sb + cb·sa)·B^h + ca·cb·B^n,
+    // held as n digits plus a top digit (at most 3).
+    mul_ps_slices(sa, sb, z1);
+    let (mask_a, mask_b) = (crate::ct::mask_from_bit(ca), crate::ct::mask_from_bit(cb));
+    let mut carry = 0u64;
+    for i in 0..h {
+        let t = z1[h + i] as u128 + (sb[i] & mask_a) as u128 + (sa[i] & mask_b) as u128;
+        let t = t + carry as u128;
+        z1[h + i] = t as u64;
+        carry = (t >> 64) as u64;
     }
+    let mut top = carry + (ca & cb);
 
-    // z1 -= z0 + z2 (never underflows).
+    // z0 = a0·b0 and z2 = a1·b1 in their final places; z1 -= z0 + z2
+    // (never underflows).
+    let (z0, z2) = out.split_at_mut(n);
+    mul_ps_slices(a0, b0, z0);
+    mul_ps_slices(a1, b1, z2);
     let mut borrow = 0u64;
     for i in 0..n {
         let (d, b1) = crate::ct::sbb(z1[i], z0[i], borrow);
@@ -213,51 +204,39 @@ pub fn mul_karatsuba_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
         z1[i] = d;
         borrow = b1 + b2;
     }
-    for i in n..2 * h + 2 {
-        let (d, b1) = crate::ct::sbb(z1[i], borrow, 0);
-        z1[i] = d;
-        borrow = b1;
-    }
-    debug_assert_eq!(borrow, 0);
+    top -= borrow;
 
-    // out = z0 + z1 << (64h) + z2 << (128h).
-    out[..n].copy_from_slice(&z0);
-    out[n..].copy_from_slice(&z2);
+    // out += z1·B^h; the top digit and the carry ripple through the
+    // remaining h digits.
     let mut carry = 0u64;
-    for (i, &z) in z1.iter().enumerate() {
-        if h + i >= out.len() {
-            debug_assert_eq!(z + carry, 0);
-            break;
-        }
-        let t = out[h + i] as u128 + z as u128 + carry as u128;
-        out[h + i] = t as u64;
-        carry = (t >> 64) as u64;
+    for i in 0..n {
+        (out[h + i], carry) = crate::ct::adc(out[h + i], z1[i], carry);
     }
-    if carry > 0 {
-        let mut i = h + z1.len();
-        while carry > 0 && i < out.len() {
-            let t = out[i] as u128 + carry as u128;
-            out[i] = t as u64;
-            carry = (t >> 64) as u64;
-            i += 1;
-        }
-        debug_assert_eq!(carry, 0);
+    let mut carry = carry + top;
+    for w in &mut out[h + n..] {
+        (*w, carry) = crate::ct::adc(*w, carry, 0);
     }
+    debug_assert_eq!(carry, 0);
+}
+
+/// Runs a slice multiplier on a `[[u64; L]; 2]` stack buffer and
+/// returns the `(low, high)` halves of its `2L`-digit result.
+fn halves<const L: usize>(fill: impl FnOnce(&mut [u64])) -> (Uint<L>, Uint<L>) {
+    let mut out = [[0u64; L]; 2];
+    fill(out.as_flattened_mut());
+    let [lo, hi] = out;
+    (Uint::from_limbs(lo), Uint::from_limbs(hi))
 }
 
 /// Product-scanning multiplication: returns `(low, high)` halves of the
 /// `2L`-digit product.
 pub fn mul_ps<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    mul_ps_slices(a.limbs(), b.limbs(), &mut out);
-    split(&out)
+    halves(|out| mul_ps_slices(a.limbs(), b.limbs(), out))
 }
 
 /// Operand-scanning multiplication: returns `(low, high)`.
 pub fn mul_os<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    mul_os_slices(a.limbs(), b.limbs(), &mut out);
-    split(&out)
+    halves(|out| mul_os_slices(a.limbs(), b.limbs(), out))
 }
 
 /// One-level Karatsuba multiplication: returns `(low, high)`.
@@ -266,24 +245,13 @@ pub fn mul_os<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
 ///
 /// Panics if `L` is odd.
 pub fn mul_karatsuba<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    mul_karatsuba_slices(a.limbs(), b.limbs(), &mut out);
-    split(&out)
+    let mut scratch = [[0u64; L]; 2];
+    halves(|out| mul_karatsuba_slices(a.limbs(), b.limbs(), out, scratch.as_flattened_mut()))
 }
 
 /// Product-scanning squaring: returns `(low, high)`.
 pub fn square_ps<const L: usize>(a: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut out = vec![0u64; 2 * L];
-    square_ps_slices(a.limbs(), &mut out);
-    split(&out)
-}
-
-fn split<const L: usize>(wide: &[u64]) -> (Uint<L>, Uint<L>) {
-    let mut lo = [0u64; L];
-    let mut hi = [0u64; L];
-    lo.copy_from_slice(&wide[..L]);
-    hi.copy_from_slice(&wide[L..]);
-    (Uint::from_limbs(lo), Uint::from_limbs(hi))
+    halves(|out| square_ps_slices(a.limbs(), out))
 }
 
 #[cfg(test)]
@@ -337,6 +305,18 @@ mod tests {
         ] {
             let a = U256::from_hex(hex).unwrap();
             assert_eq!(square_ps(&a), mul_ps(&a, &a), "a={a}");
+        }
+    }
+
+    #[test]
+    fn halved_squaring_matches_product_on_every_length() {
+        // All-ones digits put a carry into every doubled word.
+        for n in 1..=9 {
+            let a = vec![u64::MAX; n];
+            let (mut sq, mut ml) = (vec![0u64; 2 * n], vec![0u64; 2 * n]);
+            square_ps_slices(&a, &mut sq);
+            mul_ps_slices(&a, &a, &mut ml);
+            assert_eq!(sq, ml, "n={n}");
         }
     }
 

@@ -4,8 +4,9 @@ use mpise::fp::{Fp, FpFull, FpRed};
 use mpise::isa::intrinsics;
 use mpise::mpi::fast::{fast_reduce_add, fast_reduce_swap, mod_add, mod_sub};
 use mpise::mpi::mul::{mul_karatsuba, mul_os, mul_ps, square_ps};
+use mpise::mpi::reduced::{mul_ps_slices_57, MASK};
 use mpise::mpi::reference::RefInt;
-use mpise::mpi::{Reduced, U512};
+use mpise::mpi::{Reduced, Uint, U512};
 use mpise::sim::decode::decode;
 use mpise::sim::encode::encode;
 use mpise::sim::ext::IsaExtension;
@@ -267,6 +268,91 @@ proptest! {
         let ctx = &mpise::fp::params::Csidh512::get().mont;
         prop_assert_eq!(ctx.mul(&a, &b), ctx.mul_cios(&a, &b));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn redc_full_radix_matches_reference(lo in arb_u512(), hi in arb_residue()) {
+        // hi < p, so t = hi·2^512 + lo < p·R.
+        check_redc_full(lo, hi)?;
+    }
+
+    #[test]
+    fn redc_reduced_radix_matches_reference(
+        lo in prop::array::uniform9(0..=MASK),
+        hi in arb_residue(),
+    ) {
+        // hi < p, so t = hi·2^513 + lo < p·R in radix 2^57.
+        check_redc_57([lo, *Reduced::<9>::from_uint(&hi).limbs()])?;
+    }
+}
+
+/// The inputs that used to take the data-dependent carry ripple in the
+/// full-radix redc: an all-ones low half under a maximal high half, and
+/// the largest product of two residues.
+#[test]
+fn redc_full_radix_carry_worst_cases() {
+    let pm1 = mpise::fp::params::Csidh512::get()
+        .p
+        .wrapping_sub(&U512::ONE);
+    let (sq_lo, sq_hi) = mul_ps(&pm1, &pm1);
+    for (lo, hi) in [(U512::MAX, pm1), (sq_lo, sq_hi), (U512::MAX, U512::ZERO)] {
+        check_redc_full(lo, hi).unwrap();
+    }
+}
+
+/// Radix-2^57 counterparts: every low limb at 2^57 − 1 under p − 1,
+/// (p − 1)², and products of an operand whose limbs below the top one
+/// are all 2^57 − 1.
+#[test]
+fn redc_reduced_radix_carry_worst_cases() {
+    let p = mpise::fp::params::Csidh512::get().p;
+    let pm1 = Reduced::<9>::from_uint(&p.wrapping_sub(&U512::ONE));
+    let mut ones = [MASK; 9];
+    ones[8] = pm1.limb(8);
+    let product = |a: &Reduced<9>, b: &Reduced<9>| {
+        let mut t = [[0u64; 9]; 2];
+        mul_ps_slices_57(a.limbs(), b.limbs(), t.as_flattened_mut());
+        t
+    };
+    let ones = Reduced::from_limbs(ones);
+    for t in [
+        [[MASK; 9], *pm1.limbs()],
+        product(&pm1, &pm1),
+        product(&ones, &ones),
+        product(&ones, &pm1),
+    ] {
+        check_redc_57(t).unwrap();
+    }
+}
+
+/// Checks that `r` is `t·2^(-r_bits) mod p`: `r < p` and
+/// `r·2^r_bits ≡ t (mod p)`.
+fn check_redc(r: &RefInt, t: &RefInt, r_bits: usize) -> Result<(), TestCaseError> {
+    let p = RefInt::from_limbs(mpise::fp::params::Csidh512::get().p.limbs());
+    prop_assert!(r.cmp_ref(&p).is_lt(), "redc result not canonical");
+    prop_assert_eq!(r.shl(r_bits).rem(&p), t.rem(&p));
+    Ok(())
+}
+
+fn check_redc_full(lo: U512, hi: U512) -> Result<(), TestCaseError> {
+    let r = mpise::fp::params::Csidh512::get().mont.redc(&lo, &hi);
+    let t = RefInt::from_limbs(hi.limbs())
+        .shl(512)
+        .add(&RefInt::from_limbs(lo.limbs()));
+    check_redc(&RefInt::from_limbs(r.limbs()), &t, 512)
+}
+
+fn check_redc_57(t: [[u64; 9]; 2]) -> Result<(), TestCaseError> {
+    let r = mpise::fp::params::Csidh512::get()
+        .mont57
+        .redc(t.as_flattened());
+    prop_assert!(r.is_canonical());
+    let r = RefInt::from_limbs(r.to_uint::<9>().limbs());
+    let wide: Uint<17> = Reduced::<18>::from_limbs(t.as_flattened().try_into().unwrap()).to_uint();
+    check_redc(&r, &RefInt::from_limbs(wide.limbs()), 513)
 }
 
 fn field_axioms<F: Fp>(f: &F, a: U512, b: U512, c: U512) -> Result<(), TestCaseError> {
