@@ -205,6 +205,12 @@ pub fn group_action<F: Fp, R: Rng>(
     }
 }
 
+/// Bits of proven point order at which [`validate`] accepts. A point
+/// whose order `d` divides `p + 1` and exceeds `4√p` leaves `p + 1` as
+/// the only group order the Hasse bound allows. `p < 2^511` gives
+/// `4√p < 2^257.5`, and a `d` of 259 bits is at least `2^258`.
+pub const ACCEPT_ORDER_BITS: u32 = 259;
+
 /// Verifies that a public key is a supersingular Montgomery curve
 /// (§2's implicit requirement; the reference software ships the same
 /// check).
@@ -212,6 +218,16 @@ pub fn group_action<F: Fp, R: Rng>(
 /// Finds a point of provably large order dividing `p + 1`: if a point
 /// of order `d > 4√p` with `d | p + 1` exists, the group order is
 /// exactly `p + 1` (Hasse), hence the curve is supersingular.
+///
+/// This is the product-tree check of the CSIDH reference software
+/// (Castryck–Lange–Martindale–Panny–Renes 2018, public-key
+/// validation). A random point, with the factor 4 cleared, is split
+/// recursively over the primes: a node for `[lo, hi)` holds
+/// `[4·∏_{i∉[lo,hi)} ℓᵢ]P`, so each leaf sees `[(p+1)/ℓᵢ]P`, the same
+/// point a per-prime cofactor ladder would give, at O(log n) ladder
+/// depth instead of one ~500-bit ladder per prime. A finite leaf point
+/// not killed by `[ℓᵢ]` rejects the key; otherwise `ℓᵢ` joins the
+/// proven order. Up to three points are tried, one field draw each.
 pub fn validate<F: Fp, R: Rng>(f: &F, rng: &mut R, key: &PublicKey) -> bool {
     let _span = mpise_obs::span("csidh.validate");
     let c = Csidh512::get();
@@ -226,36 +242,49 @@ pub fn validate<F: Fp, R: Rng>(f: &F, rng: &mut R, key: &PublicKey) -> bool {
     let curve = Curve::from_affine(f, f.from_uint(&key.a));
 
     for _attempt in 0..3 {
-        let x = random_fp(f, rng);
-        let pt = Point { x, z: f.one() };
-        // Clear the factor 4 once.
+        let pt = Point {
+            x: random_fp(f, rng),
+            z: f.one(),
+        };
         let q4 = xmul(f, &curve, &pt, &U512::from_u64(4));
-        if is_infinity(f, &q4) {
-            continue;
-        }
-        // Accumulate proven order d.
-        let mut order_bits = 2u32; // the factor 4 may or may not be present; be conservative: 1
         let mut proven = U512::ONE;
-        for i in 0..NUM_PRIMES {
-            let cof = scalar::product((0..NUM_PRIMES).filter(|&j| j != i));
-            let q = xmul(f, &curve, &q4, &cof);
-            if !is_infinity(f, &q) {
-                // q must have order exactly ℓᵢ if the curve is
-                // supersingular; otherwise the structure is wrong.
-                if !is_infinity(f, &xmul(f, &curve, &q, &U512::from_u64(PRIMES[i]))) {
-                    return false;
-                }
-                proven = scalar::mul_u64(&proven, PRIMES[i]);
-                order_bits = proven.bit_length();
-                // d > 4√p once d ≥ 2^259 (p < 2^511 ⇒ 4√p < 2^257.5).
-                if order_bits >= 259 {
-                    return true;
-                }
-            }
+        if let Some(verdict) = order_tree(f, &curve, &q4, 0, NUM_PRIMES, &mut proven) {
+            return verdict;
         }
-        let _ = order_bits;
     }
     false
+}
+
+/// One node of [`validate`]'s product tree: `q` is the point for the
+/// primes `[lo, hi)`. Returns the verdict once one is reached, `None`
+/// while the check is inconclusive. The right half (larger primes,
+/// more order per leaf) goes first, and the left half's point is only
+/// computed if the right half leaves the check open.
+fn order_tree<F: Fp>(
+    f: &F,
+    curve: &Curve<F::Elem>,
+    q: &Point<F::Elem>,
+    lo: usize,
+    hi: usize,
+    proven: &mut U512,
+) -> Option<bool> {
+    if is_infinity(f, q) {
+        return None;
+    }
+    if hi - lo == 1 {
+        if !is_infinity(f, &xmul(f, curve, q, &U512::from_u64(PRIMES[lo]))) {
+            // Order not dividing p + 1: not supersingular.
+            return Some(false);
+        }
+        *proven = scalar::mul_u64(proven, PRIMES[lo]);
+        return (proven.bit_length() >= ACCEPT_ORDER_BITS).then_some(true);
+    }
+    let mid = lo + (hi - lo).div_ceil(2);
+    let right = xmul(f, curve, q, &scalar::product(lo..mid));
+    order_tree(f, curve, &right, mid, hi, proven).or_else(|| {
+        let left = xmul(f, curve, q, &scalar::product(mid..hi));
+        order_tree(f, curve, &left, lo, mid, proven)
+    })
 }
 
 #[cfg(test)]

@@ -1,421 +1,28 @@
-//! Lane-parallel Montgomery-ladder kernels over independent requests.
+//! Public-key validation over a batch of independent requests.
 //!
-//! A key-exchange service validating many public keys runs the *same
-//! public scalar sequence* (`4`, the 74 cofactors `(p+1)/4ℓᵢ`, the
-//! primes `ℓᵢ`) over per-request curves and points. Because the
-//! scalars are shared, every lane takes the same branch in every
-//! ladder step, so independent requests can execute in lockstep on
-//! the [`FpBatch`] structure-of-arrays kernels — the lane-parallel
-//! batching the engine's worker pool uses for
-//! `ValidatePublicKey` traffic.
-//!
-//! Two layers:
-//!
-//! * [`xmul_many`] — `[k]Pᵢ` on curve `Eᵢ` for every lane `i`, one
-//!   shared scalar `k`, mirroring [`crate::mont::xmul`] exactly
-//!   (results are bit-identical per lane);
-//! * [`validate_many`] — the supersingularity check of
-//!   [`crate::action::validate`] over a batch of keys, with per-lane
-//!   deterministic randomness and per-lane early exit (decided lanes
-//!   are compacted out so the remaining lanes keep full batch width).
+//! [`validate_many`] is the entry point the engine's workers use for
+//! `ValidatePublicKey` traffic. It runs [`crate::action::validate`]
+//! once per lane: a lockstep lane-parallel ladder measured no faster
+//! than this loop, and the product-tree check branches on per-lane
+//! points, so lanes would not stay in step anyway.
 
-use crate::action::{random_fp, PublicKey};
-use crate::mont::{Curve, Point};
-use crate::scalar;
-use mpise_fp::params::{Csidh512, NUM_PRIMES, PRIMES};
-use mpise_fp::FpBatch;
-use mpise_mpi::U512;
+use crate::action::{validate, PublicKey};
+use mpise_fp::Fp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Scratch buffers shared by the batched ladder steps (allocated once
-/// per [`xmul_many`] call, reused across all ladder iterations).
-struct Scratch<E> {
-    t0: Vec<E>,
-    t1: Vec<E>,
-    t2: Vec<E>,
-    t3: Vec<E>,
-    t4: Vec<E>,
-    t5: Vec<E>,
-}
-
-impl<E: Copy> Scratch<E> {
-    fn new(fill: E, n: usize) -> Self {
-        Scratch {
-            t0: vec![fill; n],
-            t1: vec![fill; n],
-            t2: vec![fill; n],
-            t3: vec![fill; n],
-            t4: vec![fill; n],
-            t5: vec![fill; n],
-        }
-    }
-}
-
-/// Batched `xDBL`: `(ox, oz) = [2](px, pz)` per lane (4M + 2S per
-/// lane, amortised over the batch).
-#[allow(clippy::too_many_arguments)]
-fn xdbl_n<F: FpBatch>(
-    f: &F,
-    px: &[F::Elem],
-    pz: &[F::Elem],
-    a24_plus: &[F::Elem],
-    c24: &[F::Elem],
-    s: &mut Scratch<F::Elem>,
-    ox: &mut [F::Elem],
-    oz: &mut [F::Elem],
-) {
-    f.sub_n(px, pz, &mut s.t0);
-    f.add_n(px, pz, &mut s.t1);
-    f.sqr_n(&s.t0, &mut s.t2);
-    f.sqr_n(&s.t1, &mut s.t3);
-    f.mul_n(c24, &s.t2, oz);
-    f.mul_n(oz, &s.t3, ox);
-    f.sub_n(&s.t3, &s.t2, &mut s.t1);
-    f.mul_n(a24_plus, &s.t1, &mut s.t0);
-    f.add_n(oz, &s.t0, &mut s.t2);
-    f.mul_n(&s.t2, &s.t1, oz);
-}
-
-/// Batched `xADD`: `(ox, oz) = P + Q` given `P − Q` per lane.
-#[allow(clippy::too_many_arguments)]
-fn xadd_n<F: FpBatch>(
-    f: &F,
-    px: &[F::Elem],
-    pz: &[F::Elem],
-    qx: &[F::Elem],
-    qz: &[F::Elem],
-    diffx: &[F::Elem],
-    diffz: &[F::Elem],
-    s: &mut Scratch<F::Elem>,
-    ox: &mut [F::Elem],
-    oz: &mut [F::Elem],
-) {
-    f.add_n(px, pz, &mut s.t0);
-    f.sub_n(px, pz, &mut s.t1);
-    f.add_n(qx, qz, &mut s.t2);
-    f.sub_n(qx, qz, &mut s.t3);
-    f.mul_n(&s.t0, &s.t3, &mut s.t4);
-    f.mul_n(&s.t1, &s.t2, &mut s.t5);
-    f.add_n(&s.t4, &s.t5, &mut s.t0);
-    f.sub_n(&s.t4, &s.t5, &mut s.t1);
-    f.sqr_n(&s.t0, &mut s.t2);
-    f.sqr_n(&s.t1, &mut s.t3);
-    f.mul_n(diffz, &s.t2, ox);
-    f.mul_n(diffx, &s.t3, oz);
-}
-
-/// Lane-parallel Montgomery ladder: `[k]Pᵢ` on curve `Eᵢ` for each
-/// lane, with one **shared public scalar** `k`.
-///
-/// Sharing the scalar is what makes lockstep execution possible: the
-/// per-bit branch of the ladder is identical across lanes, so every
-/// step is two batched curve operations. Per lane the result is
-/// bit-identical to [`crate::mont::xmul`] with the same inputs.
-///
-/// # Panics
-///
-/// Panics when `curves.len() != points.len()`.
-pub fn xmul_many<F: FpBatch>(
-    f: &F,
-    curves: &[Curve<F::Elem>],
-    points: &[Point<F::Elem>],
-    k: &U512,
-) -> Vec<Point<F::Elem>> {
-    assert_eq!(curves.len(), points.len(), "one curve per lane");
-    let n = curves.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let bits = k.bit_length();
-    if bits == 0 {
-        return (0..n)
-            .map(|_| Point {
-                x: f.one(),
-                z: f.zero(),
-            })
-            .collect();
-    }
-
-    // Per-lane doubling constants (A + 2C : 4C), batched.
-    let ca: Vec<F::Elem> = curves.iter().map(|e| e.a).collect();
-    let cc: Vec<F::Elem> = curves.iter().map(|e| e.c).collect();
-    let mut c2 = vec![f.zero(); n];
-    let mut a24_plus = vec![f.zero(); n];
-    let mut c24 = vec![f.zero(); n];
-    f.add_n(&cc, &cc, &mut c2);
-    f.add_n(&ca, &c2, &mut a24_plus);
-    f.add_n(&c2, &c2, &mut c24);
-
-    let px: Vec<F::Elem> = points.iter().map(|p| p.x).collect();
-    let pz: Vec<F::Elem> = points.iter().map(|p| p.z).collect();
-    let mut s = Scratch::new(f.zero(), n);
-
-    // (r0, r1) = (P, [2]P), invariant r1 − r0 = P.
-    let mut r0x = px.clone();
-    let mut r0z = pz.clone();
-    let mut r1x = vec![f.zero(); n];
-    let mut r1z = vec![f.zero(); n];
-    xdbl_n(f, &px, &pz, &a24_plus, &c24, &mut s, &mut r1x, &mut r1z);
-
-    let mut nax = vec![f.zero(); n];
-    let mut naz = vec![f.zero(); n];
-    let mut ndx = vec![f.zero(); n];
-    let mut ndz = vec![f.zero(); n];
-    for i in (0..bits as usize - 1).rev() {
-        if k.bit(i) == 1 {
-            xadd_n(
-                f, &r1x, &r1z, &r0x, &r0z, &px, &pz, &mut s, &mut nax, &mut naz,
-            );
-            xdbl_n(f, &r1x, &r1z, &a24_plus, &c24, &mut s, &mut ndx, &mut ndz);
-            std::mem::swap(&mut r0x, &mut nax);
-            std::mem::swap(&mut r0z, &mut naz);
-            std::mem::swap(&mut r1x, &mut ndx);
-            std::mem::swap(&mut r1z, &mut ndz);
-        } else {
-            xadd_n(
-                f, &r0x, &r0z, &r1x, &r1z, &px, &pz, &mut s, &mut nax, &mut naz,
-            );
-            xdbl_n(f, &r0x, &r0z, &a24_plus, &c24, &mut s, &mut ndx, &mut ndz);
-            std::mem::swap(&mut r1x, &mut nax);
-            std::mem::swap(&mut r1z, &mut naz);
-            std::mem::swap(&mut r0x, &mut ndx);
-            std::mem::swap(&mut r0z, &mut ndz);
-        }
-    }
-
-    (0..n)
-        .map(|i| Point {
-            x: r0x[i],
-            z: r0z[i],
-        })
-        .collect()
-}
-
-/// Lane-parallel public-key validation: the supersingularity check of
-/// [`crate::action::validate`] over a batch of independent keys.
-///
-/// `seeds[i]` seeds lane `i`'s point sampling, so a request's verdict
-/// never depends on which other requests happened to share its batch
-/// (the engine's determinism guarantee). Decided lanes are compacted
-/// out after every prime, so early-exiting lanes stop paying for the
-/// remaining ladder work exactly as in the scalar path.
+/// Validates `keys[i]` with an RNG seeded by `seeds[i]`, so a request's
+/// verdict never depends on which other requests share its batch (the
+/// engine's determinism guarantee).
 ///
 /// # Panics
 ///
 /// Panics when `keys.len() != seeds.len()`.
-pub fn validate_many<F: FpBatch>(f: &F, keys: &[PublicKey], seeds: &[u64]) -> Vec<bool> {
+pub fn validate_many<F: Fp>(f: &F, keys: &[PublicKey], seeds: &[u64]) -> Vec<bool> {
     let _span = mpise_obs::span("csidh.batch.validate");
     assert_eq!(keys.len(), seeds.len(), "one seed per key");
-    let c = Csidh512::get();
-    let two = U512::from_u64(2);
-    let n = keys.len();
-
-    let mut decided: Vec<Option<bool>> = vec![None; n];
-    let mut curves: Vec<Option<Curve<F::Elem>>> = Vec::with_capacity(n);
-    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    for (i, key) in keys.iter().enumerate() {
-        // Non-canonical and singular (A = ±2) curves are rejected
-        // before any field arithmetic, as in the scalar path.
-        if key.a >= c.p || key.a == two || key.a == c.p.wrapping_sub(&two) {
-            decided[i] = Some(false);
-            curves.push(None);
-        } else {
-            curves.push(Some(Curve::from_affine(f, f.from_uint(&key.a))));
-        }
-    }
-
-    for _attempt in 0..3 {
-        let pending: Vec<usize> = (0..n).filter(|&i| decided[i].is_none()).collect();
-        if pending.is_empty() {
-            break;
-        }
-
-        // Sample one point per pending lane and clear the factor 4.
-        let cvs: Vec<Curve<F::Elem>> = pending.iter().map(|&i| curves[i].expect("lane")).collect();
-        let pts: Vec<Point<F::Elem>> = pending
-            .iter()
-            .map(|&i| Point {
-                x: random_fp(f, &mut rngs[i]),
-                z: f.one(),
-            })
-            .collect();
-        let q4 = xmul_many(f, &cvs, &pts, &U512::from_u64(4));
-
-        // Lanes whose point died in the 4-torsion retry next attempt.
-        let mut lanes: Vec<usize> = Vec::new();
-        let mut qpts: Vec<Point<F::Elem>> = Vec::new();
-        let mut proven: Vec<U512> = Vec::new();
-        for (pos, &i) in pending.iter().enumerate() {
-            if !f.is_zero(&q4[pos].z) {
-                lanes.push(i);
-                qpts.push(q4[pos]);
-                proven.push(U512::ONE);
-            }
-        }
-
-        for pi in 0..NUM_PRIMES {
-            if lanes.is_empty() {
-                break;
-            }
-            let cof = scalar::product((0..NUM_PRIMES).filter(|&j| j != pi));
-            let cvs: Vec<Curve<F::Elem>> =
-                lanes.iter().map(|&i| curves[i].expect("lane")).collect();
-            let q = xmul_many(f, &cvs, &qpts, &cof);
-
-            // Lanes whose q is finite must see it die under [ℓᵢ].
-            let tor: Vec<usize> = (0..lanes.len()).filter(|&p| !f.is_zero(&q[p].z)).collect();
-            if !tor.is_empty() {
-                let tcvs: Vec<Curve<F::Elem>> = tor
-                    .iter()
-                    .map(|&p| curves[lanes[p]].expect("lane"))
-                    .collect();
-                let tq: Vec<Point<F::Elem>> = tor.iter().map(|&p| q[p]).collect();
-                let r = xmul_many(f, &tcvs, &tq, &U512::from_u64(PRIMES[pi]));
-                for (tpos, &p) in tor.iter().enumerate() {
-                    if !f.is_zero(&r[tpos].z) {
-                        // Order not dividing p + 1: not supersingular.
-                        decided[lanes[p]] = Some(false);
-                    } else {
-                        proven[p] = scalar::mul_u64(&proven[p], PRIMES[pi]);
-                        // d > 4√p once d ≥ 2^259 (p < 2^511).
-                        if proven[p].bit_length() >= 259 {
-                            decided[lanes[p]] = Some(true);
-                        }
-                    }
-                }
-            }
-
-            // Compact decided lanes out so survivors keep batch width.
-            let mut w = 0;
-            for rpos in 0..lanes.len() {
-                if decided[lanes[rpos]].is_none() {
-                    lanes[w] = lanes[rpos];
-                    qpts[w] = qpts[rpos];
-                    proven[w] = proven[rpos];
-                    w += 1;
-                }
-            }
-            lanes.truncate(w);
-            qpts.truncate(w);
-            proven.truncate(w);
-        }
-    }
-
-    decided.into_iter().map(|d| d.unwrap_or(false)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::action::{group_action, validate, PrivateKey};
-    use crate::mont::xmul;
-    use mpise_fp::{Fp, FpFull, FpRed, ScalarFallback};
-
-    #[allow(clippy::type_complexity)]
-    fn lane_setup<F: Fp>(f: &F, n: usize) -> (Vec<Curve<F::Elem>>, Vec<Point<F::Elem>>) {
-        let curves: Vec<Curve<F::Elem>> = (0..n)
-            .map(|i| Curve::from_affine(f, f.from_uint(&U512::from_u64(10 + i as u64))))
-            .collect();
-        let points: Vec<Point<F::Elem>> = (0..n)
-            .map(|i| Point {
-                x: f.from_uint(&U512::from_u64(3 + 7 * i as u64)),
-                z: f.one(),
-            })
-            .collect();
-        (curves, points)
-    }
-
-    fn check_xmul_many<F: FpBatch>(f: &F) {
-        for n in [1usize, 2, 5] {
-            let (curves, points) = lane_setup(f, n);
-            for k in [
-                U512::ZERO,
-                U512::ONE,
-                U512::from_u64(4),
-                U512::from_u64(0xdead_beef),
-            ] {
-                let batched = xmul_many(f, &curves, &points, &k);
-                for i in 0..n {
-                    let scalar = xmul(f, &curves[i], &points[i], &k);
-                    assert_eq!(
-                        f.to_uint(&batched[i].x),
-                        f.to_uint(&scalar.x),
-                        "lane {i} x, k={k:?}"
-                    );
-                    assert_eq!(
-                        f.to_uint(&batched[i].z),
-                        f.to_uint(&scalar.z),
-                        "lane {i} z, k={k:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_ladder_is_bit_identical_to_scalar_full() {
-        check_xmul_many(&FpFull::new());
-    }
-
-    #[test]
-    fn batched_ladder_is_bit_identical_to_scalar_red() {
-        check_xmul_many(&FpRed::new());
-    }
-
-    #[test]
-    fn batched_ladder_matches_on_fallback_path() {
-        check_xmul_many(&ScalarFallback(FpFull::new()));
-    }
-
-    #[test]
-    fn batched_validation_agrees_with_scalar() {
-        let f = FpFull::new();
-        let mut rng = StdRng::seed_from_u64(31);
-        // One derived (valid) key, the base curve, one ordinary curve
-        // (invalid), one singular and one non-canonical key.
-        let mut exponents = [0i8; NUM_PRIMES];
-        exponents[5] = 1;
-        let derived = group_action(&f, &mut rng, &PublicKey::BASE, &PrivateKey { exponents });
-        let keys = [
-            derived,
-            PublicKey::BASE,
-            PublicKey { a: U512::ONE },
-            PublicKey {
-                a: U512::from_u64(2),
-            },
-            PublicKey {
-                a: Csidh512::get().p,
-            },
-        ];
-        let seeds = [101u64, 102, 103, 104, 105];
-        let batched = validate_many(&f, &keys, &seeds);
-        for (i, key) in keys.iter().enumerate() {
-            let mut srng = StdRng::seed_from_u64(seeds[i]);
-            assert_eq!(batched[i], validate(&f, &mut srng, key), "lane {i} verdict");
-        }
-        assert_eq!(batched, vec![true, true, false, false, false]);
-    }
-
-    #[test]
-    fn batch_width_does_not_change_verdicts() {
-        // A lane's verdict must not depend on its batch-mates: the
-        // engine batches opportunistically, so the same request can
-        // land in batches of any width.
-        let f = FpFull::new();
-        let keys = [PublicKey::BASE, PublicKey { a: U512::ONE }];
-        let seeds = [7u64, 8];
-        let wide = validate_many(&f, &keys, &seeds);
-        let narrow: Vec<bool> = (0..keys.len())
-            .map(|i| validate_many(&f, &keys[i..=i], &seeds[i..=i])[0])
-            .collect();
-        assert_eq!(wide, narrow);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let f = FpFull::new();
-        assert!(xmul_many(&f, &[], &[], &U512::from_u64(5)).is_empty());
-        assert!(validate_many(&f, &[], &[]).is_empty());
-    }
+    keys.iter()
+        .zip(seeds)
+        .map(|(key, &seed)| validate(f, &mut StdRng::seed_from_u64(seed), key))
+        .collect()
 }

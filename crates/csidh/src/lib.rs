@@ -10,7 +10,8 @@
 //! * odd-degree Vélu isogenies with the Meyer–Reith twisted-Edwards
 //!   codomain computation ([`isogeny`]);
 //! * the class group action, key generation, key exchange and public
-//!   key validation ([`action`]);
+//!   key validation ([`action`]), with [`batch`] validating a batch of
+//!   independently seeded keys;
 //!
 //! mirroring the structure of the authors' software: one shared
 //! high-level implementation, swappable constant-time field arithmetic
@@ -47,5 +48,5 @@ pub mod mont;
 pub mod scalar;
 
 pub use action::{group_action, validate, CsidhKeypair, PrivateKey, PublicKey};
-pub use batch::{validate_many, xmul_many};
+pub use batch::validate_many;
 pub use ct_action::{group_action_ct, CtPrivateKey, CtStats};

@@ -21,11 +21,10 @@
 //!   graceful drain — everything already accepted completes, nothing
 //!   is dropped, and later submissions fail with
 //!   [`EngineError::ShutDown`].
-//! * Workers serve `ValidatePublicKey` traffic through the
-//!   lane-parallel batch layer ([`mpise_csidh::batch::validate_many`]
-//!   over [`FpBatch`]): consecutive validation requests are taken
-//!   from the queue front and share lockstep Montgomery-ladder
-//!   kernels.
+//! * Workers serve `ValidatePublicKey` traffic in batches:
+//!   consecutive validation requests are taken from the queue front
+//!   and answered by one [`mpise_csidh::batch::validate_many`] call,
+//!   which runs the product-tree check once per request.
 //! * [`Engine::stats`] returns an [`EngineStats`] snapshot (per-op
 //!   counts, queue depth, p50/p99 latency, throughput); the
 //!   [`loadgen`] module drives N concurrent clients against the
@@ -37,7 +36,7 @@ pub mod queue;
 pub mod stats;
 
 use mpise_csidh::batch::validate_many;
-use mpise_csidh::{CsidhKeypair, PrivateKey, PublicKey};
+use mpise_csidh::{validate, CsidhKeypair, PrivateKey, PublicKey};
 use mpise_fp::FpBatch;
 use queue::{Bounded, TryPushError};
 use stats::StatsInner;
@@ -141,7 +140,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Bounded submission-queue capacity (back-pressure bound).
     pub queue_capacity: usize,
-    /// Maximum validation requests served per lane-parallel batch;
+    /// Maximum validation requests served per `validate_many` batch;
     /// `1` disables batching.
     pub batch_lanes: usize,
 }
@@ -516,8 +515,8 @@ fn worker_loop<F: FpBatch>(
 ) {
     while let Some(job) = queue.pop() {
         let answered = if matches!(job.request, Request::ValidatePublicKey { .. }) {
-            // Take a run of validation requests from the queue front:
-            // independent requests share lockstep ladder kernels.
+            // Take a run of validation requests from the queue front
+            // and answer them with one `validate_many` call.
             let mut batch = vec![job];
             if lanes > 1 {
                 batch.extend(queue.drain_front_matching(lanes - 1, |j| {
@@ -561,9 +560,7 @@ fn run_single<F: FpBatch>(f: &F, job: Job, stats: &StatsInner) {
             private,
             their_public,
         } => Outcome::SharedSecret(private.shared_secret(f, &mut rng, &their_public)),
-        Request::ValidatePublicKey { key } => {
-            Outcome::Validated(validate_many(f, &[key], &[job.seed])[0])
-        }
+        Request::ValidatePublicKey { key } => Outcome::Validated(validate(f, &mut rng, &key)),
     };
     respond(stats, &job, Ok(outcome));
 }

@@ -121,7 +121,7 @@ pub struct EngineStats {
     pub expired: u64,
     /// Requests cancelled before a worker took them.
     pub cancelled: u64,
-    /// Validation batches executed on the lane-parallel path
+    /// Validation batches served by one `validate_many` call
     /// (including width-1 batches).
     pub batches: u64,
     /// Validation requests served through those batches.

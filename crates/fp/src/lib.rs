@@ -11,7 +11,7 @@
 //! * [`batch`]: the [`batch::FpBatch`] lane-parallel extension —
 //!   element-wise `add_n`/`sub_n`/`mul_n`/`sqr_n` over 8–32
 //!   independent lanes, hand-batched for both host backends (the
-//!   engine's worker pool drives these);
+//!   engine's worker pool is generic over it);
 //! * [`kernels`]: generators that emit the fully unrolled RV64
 //!   assembly kernels for every Table 4 operation in all four
 //!   configurations (full/reduced radix × ISA-only/ISE-supported) —

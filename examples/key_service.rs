@@ -9,7 +9,7 @@
 //! and public-key validation) from the client side, and prints the
 //! engine's statistics snapshot — operation counts, batching, latency
 //! percentiles and throughput. Validation requests queued together are
-//! served lane-parallel through the `FpBatch` kernels.
+//! served as one batch.
 //!
 //! The example also turns on the `mpise-obs` telemetry layer and
 //! finishes with a `/metrics`-style Prometheus dump plus the
@@ -69,8 +69,7 @@ fn main() {
             None,
         ),
     ));
-    // A burst of validations: adjacent requests batch into the
-    // lane-parallel path.
+    // A burst of validations: adjacent requests share one batch.
     for seed in 3..9 {
         tickets.push((
             "validate",
