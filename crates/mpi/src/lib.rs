@@ -27,12 +27,14 @@
 //! limb count).
 //!
 //! The host Montgomery paths are also allocation-free and fixed-trip,
-//! like the paper's unrolled register-resident kernels: `mul_ps`,
-//! `square_ps`, and `mul`/`sqr`/`redc`/`to_mont`/`from_mont` of both
-//! [`MontCtx`] and [`reduced::MontCtx57`] keep their double-length
-//! values in `[[_; L]; 2]` stack buffers, and every carry chain runs a
-//! trip count fixed by the limb count ([`MontCtx::redc`] describes the
-//! pending-carry scheme that makes this so).
+//! like the paper's unrolled register-resident kernels. `mul_ps`,
+//! `square_ps` and the `redc` of both [`MontCtx`] and
+//! [`reduced::MontCtx57`] keep their double-length values in
+//! `[[_; L]; 2]` stack buffers. The `mul`/`sqr` of both contexts are
+//! integrated Montgomery multiplications, which form no double-length
+//! value at all. Every carry chain runs a trip count fixed by the limb
+//! count ([`MontCtx::redc`] describes the pending-carry scheme that
+//! makes this so).
 
 // Carry-chain and multi-array arithmetic code indexes several slices in
 // lockstep; iterator rewrites of those loops obscure the digit algebra.

@@ -4,7 +4,6 @@
 //! do not have a special form").
 
 use crate::fast::{fast_reduce_swap, mod_add};
-use crate::mul::{mul_ps, square_ps};
 use crate::uint::Uint;
 use std::fmt;
 
@@ -59,10 +58,11 @@ pub struct MontCtx<const L: usize> {
 }
 
 /// Computes `-m^{-1} mod 2^64` for odd `m` by Newton iteration
-/// (5 steps double the precision from 5 to 64+ bits).
+/// (5 steps double the precision from 3 to 96 bits).
 pub fn neg_inv_u64(m: u64) -> u64 {
     debug_assert!(m & 1 == 1, "inverse needs an odd modulus");
-    let mut inv = m; // correct to 5 bits (for odd m: m*m ≡ 1 mod 8... seed is fine)
+    // An odd m is its own inverse mod 8, so the seed is correct to 3 bits.
+    let mut inv = m;
     for _ in 0..5 {
         inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
     }
@@ -166,23 +166,21 @@ impl<const L: usize> MontCtx<L> {
     }
 
     /// Montgomery multiplication: `a·b·R^{-1} mod p` for residues in
-    /// `[0, p − 1]`. Constant time. Separated form: product scanning
-    /// followed by [`MontCtx::redc`].
-    pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        let (lo, hi) = mul_ps(a, b);
-        self.redc(&lo, &hi)
-    }
-
-    /// Montgomery multiplication in the Coarsely Integrated Operand
-    /// Scanning (CIOS) form of Koç–Acar–Kaliski: multiplication rows
-    /// and reduction steps interleaved in one loop nest.
+    /// `[0, p − 1]`.
     ///
-    /// §3.1 observes that with a large register file and full
-    /// unrolling, the separated and integrated techniques "are very
-    /// similar in performance"; this variant exists so that claim can
-    /// be benchmarked (see the `mpi_ops` bench). Identical results to
-    /// [`MontCtx::mul`].
-    pub fn mul_cios(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+    /// Integrated form: the Coarsely Integrated Operand Scanning (CIOS)
+    /// loop of Koç–Acar–Kaliski. Row `i` adds `a·b_i` into an `L`-word
+    /// accumulator plus two overflow words, then adds `m·p` with
+    /// `m = t_0·p' mod 2^64` and shifts one word down, so the
+    /// multiplication and the reduction share one pass and no
+    /// `2L`-word product is ever formed. The result is below `2p`, and
+    /// one masked subtraction of `p` makes it canonical. Every loop has
+    /// a trip count fixed by `L` and there is no data-dependent branch.
+    ///
+    /// Gives the same residue as [`MontCtx::redc`] of
+    /// [`mul_ps`](crate::mul::mul_ps), the separated form that the
+    /// paper's Table 4 times as two rows.
+    pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         let mut tl = [0u64; L];
         let (mut t_hi, mut t_hi2) = (0u64, 0u64); // the two overflow words
         for i in 0..L {
@@ -221,11 +219,12 @@ impl<const L: usize> MontCtx<L> {
         Uint::from_limbs(out)
     }
 
-    /// Montgomery squaring, using the dedicated squaring routine
-    /// (Table 4's "Integer squaring" path).
+    /// Montgomery squaring: [`MontCtx::mul`] of `a` by itself. On the
+    /// host the integrated pass beats the separated
+    /// [`square_ps`](crate::mul::square_ps) + [`MontCtx::redc`], even
+    /// though that path halves the word products (DESIGN.md §9.8).
     pub fn sqr(&self, a: &Uint<L>) -> Uint<L> {
-        let (lo, hi) = square_ps(a);
-        self.redc(&lo, &hi)
+        self.mul(a, a)
     }
 
     /// Converts into the Montgomery domain: `a·R mod p`.
@@ -260,9 +259,16 @@ impl<const L: usize> MontCtx<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mul::{mul_ps, square_ps};
     use crate::reference::RefInt;
 
     type U256 = Uint<4>;
+
+    /// The separated form: product scanning, then [`MontCtx::redc`].
+    fn separated_mul(ctx: &MontCtx<4>, a: &U256, b: &U256) -> U256 {
+        let (lo, hi) = mul_ps(a, b);
+        ctx.redc(&lo, &hi)
+    }
 
     fn p25519() -> U256 {
         U256::from_hex("0x7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed")
@@ -330,13 +336,14 @@ mod tests {
     }
 
     #[test]
-    fn sqr_equals_mul_self() {
+    fn sqr_equals_separated_squaring() {
         let ctx = MontCtx::new(p25519()).unwrap();
         let a = ctx.to_mont(
             &U256::from_hex("0x3141592653589793238462643383279502884197169399375105820974944592")
                 .unwrap(),
         );
-        assert_eq!(ctx.sqr(&a), ctx.mul(&a, &a));
+        let (lo, hi) = square_ps(&a);
+        assert_eq!(ctx.sqr(&a), ctx.redc(&lo, &hi));
     }
 
     #[test]
@@ -393,7 +400,7 @@ mod tests {
             ),
         ];
         for (a, b) in cases {
-            assert_eq!(ctx.mul(&a, &b), ctx.mul_cios(&a, &b), "a={a} b={b}");
+            assert_eq!(ctx.mul(&a, &b), separated_mul(&ctx, &a, &b), "a={a} b={b}");
         }
     }
 
@@ -413,7 +420,7 @@ mod tests {
                 &U256::from_limbs(std::array::from_fn(|_| rng.gen())).shr(1),
                 &p,
             );
-            assert_eq!(ctx.mul(&a, &b), ctx.mul_cios(&a, &b));
+            assert_eq!(ctx.mul(&a, &b), separated_mul(&ctx, &a, &b));
         }
     }
 

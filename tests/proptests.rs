@@ -4,7 +4,7 @@ use mpise::fp::{Fp, FpFull, FpRed};
 use mpise::isa::intrinsics;
 use mpise::mpi::fast::{fast_reduce_add, fast_reduce_swap, mod_add, mod_sub};
 use mpise::mpi::mul::{mul_karatsuba, mul_os, mul_ps, square_ps};
-use mpise::mpi::reduced::{mul_ps_slices_57, MASK};
+use mpise::mpi::reduced::{mul_ps_slices_57, square_ps_slices_57, MASK};
 use mpise::mpi::reference::RefInt;
 use mpise::mpi::{Reduced, Uint, U512};
 use mpise::sim::decode::decode;
@@ -264,10 +264,62 @@ proptest! {
     }
 
     #[test]
-    fn cios_matches_separated_montgomery(a in arb_residue(), b in arb_residue()) {
-        let ctx = &mpise::fp::params::Csidh512::get().mont;
-        prop_assert_eq!(ctx.mul(&a, &b), ctx.mul_cios(&a, &b));
+    fn integrated_matches_separated_montgomery(a in arb_residue(), b in arb_residue()) {
+        check_integrated_full(a, b)?;
+        check_integrated_57(Reduced::from_uint(&a), Reduced::from_uint(&b))?;
     }
+}
+
+/// The integrated Montgomery mul/sqr on fixed operands: 0, 1, `R mod p`,
+/// `p − 1`, and in radix 2^57 the operand whose limbs below the top one
+/// are all 2^57 − 1.
+#[test]
+fn integrated_montgomery_edge_operands() {
+    let c = mpise::fp::params::Csidh512::get();
+    let pm1 = c.p.wrapping_sub(&U512::ONE);
+    let full = [U512::ZERO, U512::ONE, *c.mont.one(), pm1];
+    for a in full {
+        for b in full {
+            check_integrated_full(a, b).unwrap();
+        }
+    }
+    let pm1 = Reduced::<9>::from_uint(&pm1);
+    let mut ones = [MASK; 9];
+    ones[8] = pm1.limb(8);
+    let reduced = [
+        Reduced::ZERO,
+        Reduced::ONE,
+        *c.mont57.one(),
+        pm1,
+        Reduced::from_limbs(ones),
+    ];
+    for a in reduced {
+        for b in reduced {
+            check_integrated_57(a, b).unwrap();
+        }
+    }
+}
+
+/// `mont.mul`/`sqr` equal `redc` of the separated `mul_ps`/`square_ps`.
+fn check_integrated_full(a: U512, b: U512) -> Result<(), TestCaseError> {
+    let ctx = &mpise::fp::params::Csidh512::get().mont;
+    let (lo, hi) = mul_ps(&a, &b);
+    prop_assert_eq!(ctx.mul(&a, &b), ctx.redc(&lo, &hi));
+    let (lo, hi) = square_ps(&a);
+    prop_assert_eq!(ctx.sqr(&a), ctx.redc(&lo, &hi));
+    Ok(())
+}
+
+/// `mont57.mul`/`sqr` equal `redc` of the separated
+/// `mul_ps_slices_57`/`square_ps_slices_57`.
+fn check_integrated_57(a: Reduced<9>, b: Reduced<9>) -> Result<(), TestCaseError> {
+    let ctx = &mpise::fp::params::Csidh512::get().mont57;
+    let mut t = [[0u64; 9]; 2];
+    mul_ps_slices_57(a.limbs(), b.limbs(), t.as_flattened_mut());
+    prop_assert_eq!(ctx.mul(&a, &b), ctx.redc(t.as_flattened()));
+    square_ps_slices_57(a.limbs(), t.as_flattened_mut());
+    prop_assert_eq!(ctx.sqr(&a), ctx.redc(t.as_flattened()));
+    Ok(())
 }
 
 proptest! {
