@@ -14,65 +14,39 @@
 //!   counts taken from an instrumented run of the real group action
 //!   (exponent bound ±5, fixed seed);
 //! * `--quick`: exponent bound ±1 for the instrumented run;
-//! * `--full-sim`: additionally runs the group action with *every
+//! * `--full-sim`: additionally runs the same group action with *every
 //!   field operation executed on the simulator* (slow; minutes) and
 //!   reports the directly simulated cycle counts.
+//!
+//! Every figure comes from the `bench` pipeline
+//! ([`mpise_bench::pipeline`]); this binary only prints them next to
+//! the paper's and checks the orderings Table 4 reports. It exits 1
+//! when that shape check fails.
 
+use mpise_bench::pipeline::{
+    cycles_of, estimate_actions, instrument_action, kernel_matrix, simulate_action, ActionEstimate,
+};
 use mpise_bench::{paper_cycles, ratio, rule, PAPER_ACTION_MCYCLES};
-use mpise_csidh::{group_action, PrivateKey, PublicKey};
 use mpise_fp::kernels::{Config, OpKind};
-use mpise_fp::measure::measure_config;
-use mpise_fp::simfp::SimFp;
-use mpise_fp::{CountingFp, FpFull, OpCounts};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::process::ExitCode;
 
-#[allow(clippy::needless_range_loop)] // cfg indexes two parallel tables
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let full_sim = args.iter().any(|a| a == "--full-sim");
     let bound = if quick { 1 } else { 5 };
 
     eprintln!("measuring kernels on the Rocket pipeline model ...");
-    let measurements: Vec<Vec<(OpKind, u64)>> = Config::ALL
-        .iter()
-        .map(|&c| {
-            measure_config(c, 2)
-                .into_iter()
-                .map(|m| (m.op, m.cycles))
-                .collect()
-        })
-        .collect();
-    let cycles = |cfg: usize, op: OpKind| -> u64 {
-        measurements[cfg]
-            .iter()
-            .find(|(o, _)| *o == op)
-            .expect("measured")
-            .1
-    };
+    let matrix = kernel_matrix(2);
+    let cycles = |cfg: usize, op: OpKind| cycles_of(&matrix, Config::ALL[cfg], op);
 
     eprintln!("instrumenting the group action (exponent bound ±{bound}) ...");
-    let counting = CountingFp::new(FpFull::new());
-    let mut rng = StdRng::seed_from_u64(0xC51D);
-    let key = PrivateKey::random_with_bound(&mut rng, bound);
-    let pk = group_action(&counting, &mut rng, &PublicKey::BASE, &key);
-    let counts = counting.counts();
+    let counts = instrument_action(bound);
     eprintln!(
-        "  group action: {} mul, {} sqr, {} add, {} sub (public key {:.16}...)",
-        counts.mul,
-        counts.sqr,
-        counts.add,
-        counts.sub,
-        pk.a.to_hex()
+        "  group action: {} mul, {} sqr, {} add, {} sub",
+        counts.mul, counts.sqr, counts.add, counts.sub
     );
-
-    let action_cycles = |cfg: usize| -> u64 {
-        counts.mul * cycles(cfg, OpKind::FpMul)
-            + counts.sqr * cycles(cfg, OpKind::FpSqr)
-            + counts.add * cycles(cfg, OpKind::FpAdd)
-            + counts.sub * cycles(cfg, OpKind::FpSub)
-    };
+    let estimates = estimate_actions(&matrix, &counts);
 
     println!("Table 4: execution times of CSIDH-512 operations (clock cycles)");
     println!("measured = this reproduction (Rocket pipeline model); paper = DAC'24 Table 4");
@@ -90,21 +64,15 @@ fn main() {
         println!();
     }
     println!("{}", rule(100));
-    let base = action_cycles(0) as f64;
     print!("{:28}", "CSIDH group action (est.)");
-    for cfg in 0..4 {
-        let c = action_cycles(cfg);
-        print!(
-            " {:>9.1}M ({:>3.0}M)",
-            c as f64 / 1e6,
-            PAPER_ACTION_MCYCLES[cfg]
-        );
+    for (e, paper) in estimates.iter().zip(PAPER_ACTION_MCYCLES) {
+        print!(" {:>9.1}M ({:>3.0}M)", e.cycles as f64 / 1e6, paper);
     }
     println!();
     print!("{:28}", "  speedup vs full ISA-only");
-    for cfg in 0..4 {
-        let r = ratio(base, action_cycles(cfg) as f64);
-        let p = ratio(PAPER_ACTION_MCYCLES[0], PAPER_ACTION_MCYCLES[cfg]);
+    for (e, paper) in estimates.iter().zip(PAPER_ACTION_MCYCLES) {
+        let r = ratio(estimates[0].cycles as f64, e.cycles as f64);
+        let p = ratio(PAPER_ACTION_MCYCLES[0], paper);
         print!(" {:>10} ({:>4})", r, p);
     }
     println!();
@@ -115,33 +83,36 @@ fn main() {
     if full_sim {
         println!();
         println!("direct full simulation of the group action (every Fp op on the simulator):");
-        for (cfg_idx, &config) in Config::ALL.iter().enumerate() {
-            let sim = SimFp::new(config);
-            let mut rng = StdRng::seed_from_u64(0xC51D);
-            let t0 = std::time::Instant::now();
-            let pk_sim = group_action(&sim, &mut rng, &PublicKey::BASE, &key);
-            assert_eq!(pk_sim, pk, "simulated action disagrees with host action");
+        for config in Config::ALL {
+            let sim = simulate_action(config, bound);
             println!(
-                "  {:32} {:>10.1}M cycles  ({} kernel calls, host time {:.1?})",
+                "  {:32} {:>10.1}M cycles  ({} kernel calls, host time {:.1}s)",
                 config.to_string(),
-                sim.cycles() as f64 / 1e6,
-                sim.calls(),
-                t0.elapsed()
+                sim.cycles as f64 / 1e6,
+                sim.calls,
+                sim.host_secs
             );
-            let _ = cfg_idx;
         }
     }
 
     // Shape assertions (the reproduction's success criteria).
-    let verdict = check_shape(&counts, &|cfg, op| cycles(cfg, op));
     println!();
-    match verdict {
-        Ok(()) => println!("shape check: PASS (all Table 4 orderings hold)"),
-        Err(e) => println!("shape check: FAIL — {e}"),
+    match check_shape(&cycles, &estimates) {
+        Ok(()) => {
+            println!("shape check: PASS (all Table 4 orderings hold)");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            println!("shape check: FAIL — {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn check_shape(counts: &OpCounts, cycles: &dyn Fn(usize, OpKind) -> u64) -> Result<(), String> {
+fn check_shape(
+    cycles: &dyn Fn(usize, OpKind) -> u64,
+    estimates: &[ActionEstimate],
+) -> Result<(), String> {
     // ISA-only: full radix wins Fp-mul/sqr, loses add/sub.
     if cycles(0, OpKind::FpMul) >= cycles(2, OpKind::FpMul) {
         return Err("full-radix ISA-only Fp-mul should beat reduced-radix".into());
@@ -154,12 +125,7 @@ fn check_shape(counts: &OpCounts, cycles: &dyn Fn(usize, OpKind) -> u64) -> Resu
         return Err("reduced-radix ISE Fp-sqr should beat full-radix ISE".into());
     }
     // Group action speedups in the paper's ballpark.
-    let act = |cfg: usize| {
-        (counts.mul * cycles(cfg, OpKind::FpMul)
-            + counts.sqr * cycles(cfg, OpKind::FpSqr)
-            + counts.add * cycles(cfg, OpKind::FpAdd)
-            + counts.sub * cycles(cfg, OpKind::FpSub)) as f64
-    };
+    let act = |cfg: usize| estimates[cfg].cycles as f64;
     let speedup_red = act(0) / act(3);
     if !(1.3..2.4).contains(&speedup_red) {
         return Err(format!(

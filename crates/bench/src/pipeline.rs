@@ -37,6 +37,7 @@ use mpise_fp::kernels::{Config, IseMode, OpKind};
 use mpise_fp::measure::{measure_matrix_parallel, KernelRunner, OpMeasurement};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{CountingFp, FpFull, OpCounts};
+use mpise_obs::time::utc_date_string;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -158,7 +159,12 @@ pub fn kernel_matrix(iterations: usize) -> Vec<(Config, Vec<OpMeasurement>)> {
     measure_matrix_parallel(iterations)
 }
 
-fn cycles_of(matrix: &[(Config, Vec<OpMeasurement>)], config: Config, op: OpKind) -> u64 {
+/// Looks up the measured cycles of `op` on `config` in a kernel matrix.
+///
+/// # Panics
+///
+/// Panics if the matrix lacks that configuration or operation.
+pub fn cycles_of(matrix: &[(Config, Vec<OpMeasurement>)], config: Config, op: OpKind) -> u64 {
     matrix
         .iter()
         .find(|(c, _)| *c == config)
@@ -401,7 +407,7 @@ pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> String {
                 out.push_str(",\n");
             }
             first = false;
-            let baseline = cycles_from(matrix, isa_baseline(*config), m.op);
+            let baseline = cycles_of(matrix, isa_baseline(*config), m.op);
             out.push_str(&format!(
                 "    {{\"config\": \"{config}\", \"radix\": \"{}\", \"ise\": {}, \
                  \"op\": \"{:?}\", \"label\": \"{}\", \"cycles\": {}, \"instret\": {}, \
@@ -422,10 +428,6 @@ pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> String {
     }
     out.push_str("\n  ]");
     out
-}
-
-fn cycles_from(matrix: &[(Config, Vec<OpMeasurement>)], config: Config, op: OpKind) -> u64 {
-    cycles_of(matrix, config, op)
 }
 
 /// Serializes the deterministic action-estimate section.
@@ -525,13 +527,6 @@ pub fn report_json(report: &BenchReport) -> String {
     ));
     out.push_str("}\n");
     out
-}
-
-/// `YYYY-MM-DD` in UTC (kept as a re-export shim — the civil-from-days
-/// implementation moved to [`mpise_obs::time`] so every artifact writer
-/// stamps dates the same way).
-pub fn utc_date_string() -> String {
-    mpise_obs::time::utc_date_string()
 }
 
 /// Command-line entry point shared by the `bench` binaries; returns the
@@ -655,13 +650,5 @@ mod tests {
         swapped[1].0 = a;
         let bad_estimates = estimate_actions(&swapped, &counts);
         assert!(check_gate(&swapped, &bad_estimates).is_err());
-    }
-
-    #[test]
-    fn date_is_well_formed() {
-        let d = utc_date_string();
-        assert_eq!(d.len(), 10);
-        assert_eq!(&d[4..5], "-");
-        assert_eq!(&d[7..8], "-");
     }
 }

@@ -105,17 +105,7 @@ impl GateReport {
 }
 
 fn json_strings(v: &[String]) -> String {
-    let items: Vec<String> = v
-        .iter()
-        .map(|s| {
-            format!(
-                "\"{}\"",
-                s.replace('\\', "\\\\")
-                    .replace('"', "\\\"")
-                    .replace('\n', "\\n")
-            )
-        })
-        .collect();
+    let items: Vec<String> = v.iter().map(|s| mpise_obs::json_string(s)).collect();
     format!("[{}]", items.join(", "))
 }
 
@@ -142,5 +132,7 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"pass\": false"));
         assert!(j.contains("bad \\\"thing\\\"\\nline2"));
+        r.kat_failures.push("tab\there\u{1}".to_owned());
+        assert!(r.to_json().contains(r#"["tab\there\u0001"]"#));
     }
 }

@@ -17,11 +17,12 @@
 //! * only the point-sampling retries depend on randomness (never on
 //!   the key), as in all published constant-time CSIDH variants.
 
+use crate::action::random_fp;
 use crate::isogeny::isogeny;
 use crate::mont::{is_infinity, normalize, rhs, xmul, Curve, Point};
 use crate::scalar;
 use crate::{PrivateKey, PublicKey};
-use mpise_fp::params::{Csidh512, NUM_PRIMES, PRIMES};
+use mpise_fp::params::{NUM_PRIMES, PRIMES};
 use mpise_fp::Fp;
 use mpise_mpi::ct::mask_from_bit;
 use mpise_mpi::U512;
@@ -186,16 +187,6 @@ pub fn group_action_ct<F: Fp, R: Rng>(
         },
         stats,
     )
-}
-
-fn random_fp<F: Fp, R: Rng>(f: &F, rng: &mut R) -> F::Elem {
-    let p = &Csidh512::get().p;
-    loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
-        if cand < *p {
-            return f.from_uint(&cand);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 //!
 //! On top of both representations the crate provides:
 //!
-//! * schoolbook multiplication in both scanning orders plus Karatsuba
-//!   ([`mul`]),
+//! * product-scanning multiplication and squaring ([`mul`]),
 //! * Montgomery reduction and multiplication ([`mont`]),
 //! * the two fast modulo-`p` reduction algorithms of the paper
 //!   (addition-based Algorithm 1 and swap-based Algorithm 2, [`fast`]),
@@ -41,7 +40,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod ct;
-pub mod div;
 pub mod fast;
 pub mod mont;
 pub mod mul;

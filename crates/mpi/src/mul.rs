@@ -1,9 +1,10 @@
-//! MPI multiplication and squaring: operand scanning, product scanning
-//! and Karatsuba (§3.1, "High-level techniques").
+//! MPI multiplication and squaring by product scanning (§3.1,
+//! "High-level techniques").
 //!
 //! The paper found product scanning more efficient than Karatsuba on
-//! RV64GC and used it everywhere; all three are implemented here so the
-//! claim can be re-checked (see the `bench` crate's ablations).
+//! RV64GC and used it everywhere. The claim is re-checked on the
+//! pipeline model by the one-level Karatsuba kernel of
+//! `mpise_fp::kernels::ablation` (the `ablation` binary).
 //!
 //! The central building block is the Multiply-and-ACcumulate (MAC)
 //! operation `S ← S + a·b` on a 192-bit accumulator `(e ‖ h ‖ l)` —
@@ -89,25 +90,6 @@ pub fn mul_ps_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Operand-scanning (row-wise / schoolbook) multiplication on slices.
-///
-/// # Panics
-///
-/// Panics if `out.len() != a.len() + b.len()`.
-pub fn mul_os_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert_eq!(out.len(), a.len() + b.len());
-    out.fill(0);
-    for (i, &ai) in a.iter().enumerate() {
-        let mut carry = 0u64;
-        for (j, &bj) in b.iter().enumerate() {
-            let t = ai as u128 * bj as u128 + out[i + j] as u128 + carry as u128;
-            out[i + j] = t as u64;
-            carry = (t >> 64) as u64;
-        }
-        out[i + b.len()] = carry;
-    }
-}
-
 /// Product-scanning squaring on slices with the cross products halved:
 /// each `a_i·a_j` (i<j) is multiplied once into an off-diagonal
 /// triangle, the triangle is doubled by a one-bit shift, and the
@@ -145,80 +127,6 @@ pub fn square_ps_slices(a: &[u64], out: &mut [u64]) {
     debug_assert_eq!((shifted, carry), (0, 0));
 }
 
-/// One-level Karatsuba multiplication on slices (equal, even lengths).
-///
-/// Splits each operand in half, computes three half-size
-/// product-scanning multiplications, and combines them. The paper
-/// measured this against plain product scanning and found product
-/// scanning faster on RV64GC for 512-bit operands (§4).
-///
-/// The two outer products land directly in `out`; the half sums and
-/// the middle product use `scratch`, so nothing is allocated. Carries
-/// are folded in with masks and fixed-length chains.
-///
-/// # Panics
-///
-/// Panics if the operand lengths differ, are odd, or
-/// `out.len()` or `scratch.len()` differs from `a.len() + b.len()`.
-pub fn mul_karatsuba_slices(a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len() % 2, 0, "Karatsuba needs an even digit count");
-    assert_eq!(out.len(), a.len() + b.len());
-    assert_eq!(scratch.len(), out.len());
-    let n = a.len();
-    let h = n / 2;
-    let (a0, a1) = a.split_at(h);
-    let (b0, b1) = b.split_at(h);
-    let (sums, z1) = scratch.split_at_mut(n);
-    let (sa, sb) = sums.split_at_mut(h);
-
-    // (a0+a1) and (b0+b1), each h digits + carry bit.
-    let (mut ca, mut cb) = (0u64, 0u64);
-    for i in 0..h {
-        (sa[i], ca) = crate::ct::adc(a0[i], a1[i], ca);
-        (sb[i], cb) = crate::ct::adc(b0[i], b1[i], cb);
-    }
-
-    // z1 = (a0+a1)(b0+b1) = sa·sb + (ca·sb + cb·sa)·B^h + ca·cb·B^n,
-    // held as n digits plus a top digit (at most 3).
-    mul_ps_slices(sa, sb, z1);
-    let (mask_a, mask_b) = (crate::ct::mask_from_bit(ca), crate::ct::mask_from_bit(cb));
-    let mut carry = 0u64;
-    for i in 0..h {
-        let t = z1[h + i] as u128 + (sb[i] & mask_a) as u128 + (sa[i] & mask_b) as u128;
-        let t = t + carry as u128;
-        z1[h + i] = t as u64;
-        carry = (t >> 64) as u64;
-    }
-    let mut top = carry + (ca & cb);
-
-    // z0 = a0·b0 and z2 = a1·b1 in their final places; z1 -= z0 + z2
-    // (never underflows).
-    let (z0, z2) = out.split_at_mut(n);
-    mul_ps_slices(a0, b0, z0);
-    mul_ps_slices(a1, b1, z2);
-    let mut borrow = 0u64;
-    for i in 0..n {
-        let (d, b1) = crate::ct::sbb(z1[i], z0[i], borrow);
-        let (d, b2) = crate::ct::sbb(d, z2[i], 0);
-        z1[i] = d;
-        borrow = b1 + b2;
-    }
-    top -= borrow;
-
-    // out += z1·B^h; the top digit and the carry ripple through the
-    // remaining h digits.
-    let mut carry = 0u64;
-    for i in 0..n {
-        (out[h + i], carry) = crate::ct::adc(out[h + i], z1[i], carry);
-    }
-    let mut carry = carry + top;
-    for w in &mut out[h + n..] {
-        (*w, carry) = crate::ct::adc(*w, carry, 0);
-    }
-    debug_assert_eq!(carry, 0);
-}
-
 /// Runs a slice multiplier on a `[[u64; L]; 2]` stack buffer and
 /// returns the `(low, high)` halves of its `2L`-digit result.
 fn halves<const L: usize>(fill: impl FnOnce(&mut [u64])) -> (Uint<L>, Uint<L>) {
@@ -232,21 +140,6 @@ fn halves<const L: usize>(fill: impl FnOnce(&mut [u64])) -> (Uint<L>, Uint<L>) {
 /// `2L`-digit product.
 pub fn mul_ps<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
     halves(|out| mul_ps_slices(a.limbs(), b.limbs(), out))
-}
-
-/// Operand-scanning multiplication: returns `(low, high)`.
-pub fn mul_os<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    halves(|out| mul_os_slices(a.limbs(), b.limbs(), out))
-}
-
-/// One-level Karatsuba multiplication: returns `(low, high)`.
-///
-/// # Panics
-///
-/// Panics if `L` is odd.
-pub fn mul_karatsuba<const L: usize>(a: &Uint<L>, b: &Uint<L>) -> (Uint<L>, Uint<L>) {
-    let mut scratch = [[0u64; L]; 2];
-    halves(|out| mul_karatsuba_slices(a.limbs(), b.limbs(), out, scratch.as_flattened_mut()))
 }
 
 /// Product-scanning squaring: returns `(low, high)`.
@@ -266,12 +159,10 @@ mod tests {
         let rb = RefInt::from_limbs(b.limbs());
         let expect = ra.mul(&rb).to_limbs(8);
 
-        for f in [mul_ps::<4>, mul_os::<4>, mul_karatsuba::<4>] {
-            let (lo, hi) = f(&a, &b);
-            let mut got = lo.limbs().to_vec();
-            got.extend_from_slice(hi.limbs());
-            assert_eq!(got, expect, "a={a} b={b}");
-        }
+        let (lo, hi) = mul_ps(&a, &b);
+        let mut got = lo.limbs().to_vec();
+        got.extend_from_slice(hi.limbs());
+        assert_eq!(got, expect, "a={a} b={b}");
     }
 
     #[test]
@@ -357,19 +248,9 @@ mod tests {
     fn asymmetric_slice_lengths() {
         let a = [u64::MAX, u64::MAX, u64::MAX];
         let b = [u64::MAX];
-        let mut out_ps = [0u64; 4];
-        let mut out_os = [0u64; 4];
-        mul_ps_slices(&a, &b, &mut out_ps);
-        mul_os_slices(&a, &b, &mut out_os);
-        assert_eq!(out_ps, out_os);
+        let mut out = [0u64; 4];
+        mul_ps_slices(&a, &b, &mut out);
         let ra = RefInt::from_limbs(&a).mul(&RefInt::from_limbs(&b));
-        assert_eq!(out_ps.to_vec(), ra.to_limbs(4));
-    }
-
-    #[test]
-    fn karatsuba_eight_limbs() {
-        let a = Uint::<8>::from_hex("0x8f40e1c9a3b5d7f0_1122334455667788_99aabbccddeeff00_deadbeefcafef00d_0123456789abcdef_fedcba9876543210_aaaaaaaaaaaaaaaa_5555555555555555").unwrap();
-        let b = Uint::<8>::MAX;
-        assert_eq!(mul_karatsuba(&a, &b), mul_ps(&a, &b));
+        assert_eq!(out.to_vec(), ra.to_limbs(4));
     }
 }

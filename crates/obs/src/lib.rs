@@ -64,6 +64,28 @@ pub fn enable_from_env() -> bool {
     enabled()
 }
 
+/// Renders `s` as a JSON string literal: quoted, with `"`, `\` and
+/// every control character U+0000–U+001F escaped, as RFC 8259 §7
+/// requires.
+pub fn json_string(s: &str) -> String {
+    use std::fmt::Write;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => write!(out, "\\u{:04x}", c as u32).expect("writing to a String"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// A complete `mpise-obs/v1` snapshot: provenance + metrics + span
 /// forest, serialized by [`Snapshot::to_json`].
 #[derive(Debug)]
@@ -130,6 +152,16 @@ mod tests {
         assert!(json.contains("\"git_commit\": \"deadbeef\""));
         assert!(json.contains("\"metrics\": []"));
         assert!(json.contains("\"spans\": {}"));
+    }
+
+    #[test]
+    fn json_string_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_string("plain é"), "\"plain é\"");
+        assert_eq!(json_string("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(
+            json_string("l1\nl2\tx\r\u{1}\u{1f}\u{0}"),
+            r#""l1\nl2\tx\r\u0001\u001f\u0000""#
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! `.git/`), and every field degrades to `"unknown"` rather than
 //! failing the run.
 
+use crate::json_string;
 use crate::time::{unix_secs, utc_datetime_string};
 use std::path::{Path, PathBuf};
 
@@ -41,18 +42,13 @@ impl Provenance {
     /// The provenance as a JSON object (one line, no trailing newline).
     pub fn json(&self) -> String {
         format!(
-            "{{\"git_commit\": \"{}\", \"host\": \"{}\", \"timestamp\": \"{}\", \
-             \"unix_secs\": {}}}",
-            escape(&self.git_commit),
-            escape(&self.host),
-            escape(&self.timestamp),
+            "{{\"git_commit\": {}, \"host\": {}, \"timestamp\": {}, \"unix_secs\": {}}}",
+            json_string(&self.git_commit),
+            json_string(&self.host),
+            json_string(&self.timestamp),
             self.unix_secs,
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Finds the enclosing `.git` directory, walking up from the current
@@ -148,13 +144,13 @@ mod tests {
     fn json_escapes_and_shapes() {
         let p = Provenance {
             git_commit: "abc".to_owned(),
-            host: "a\"b".to_owned(),
+            host: "a\"b\tc\nd\re\u{1}".to_owned(),
             timestamp: "2026-08-07T00:00:00Z".to_owned(),
             unix_secs: 1,
         };
         let j = p.json();
         assert!(j.contains("\"git_commit\": \"abc\""));
-        assert!(j.contains("a\\\"b"));
+        assert!(j.contains(r#""host": "a\"b\tc\nd\re\u0001""#));
         assert!(j.contains("\"unix_secs\": 1"));
     }
 }
