@@ -25,9 +25,15 @@
 //!   consecutive validation requests are taken from the queue front
 //!   and answered by one [`mpise_csidh::batch::validate_many`] call,
 //!   which runs the product-tree check once per request.
-//! * [`Engine::stats`] returns an [`EngineStats`] snapshot (per-op
-//!   counts, queue depth, p50/p99 latency, throughput); the
-//!   [`loadgen`] module drives N concurrent clients against the
+//! * Each engine records into its own `mpise-obs` registry
+//!   ([`Engine::metrics`]): per-op counters, per-worker completion
+//!   counters and a fixed-bucket latency histogram, updated with
+//!   relaxed atomics as requests are answered, so memory stays
+//!   bounded however long the engine runs. [`Engine::stats`] reads
+//!   those instruments back as an [`EngineStats`] snapshot (per-op
+//!   counts, queue depth, bucket-resolution p50/p99 latency,
+//!   throughput).
+//! * The [`loadgen`] module drives N concurrent clients against the
 //!   engine and writes a machine-readable `LOAD_<date>.json` report
 //!   with a multi-worker throughput gate.
 
@@ -116,6 +122,9 @@ pub enum EngineError {
     Cancelled,
     /// The engine dropped the response channel (worker panic).
     Disconnected,
+    /// No worker could serve the request (a negative keygen bound);
+    /// nothing was queued.
+    InvalidRequest,
 }
 
 impl std::fmt::Display for EngineError {
@@ -126,6 +135,7 @@ impl std::fmt::Display for EngineError {
             EngineError::DeadlineExceeded => "deadline exceeded before execution",
             EngineError::Cancelled => "request cancelled",
             EngineError::Disconnected => "engine dropped the response channel",
+            EngineError::InvalidRequest => "invalid request",
         };
         write!(out, "{text}")
     }
@@ -258,7 +268,18 @@ impl Engine {
         }
     }
 
-    fn make_job(&self, seed: u64, request: Request, deadline: Option<Duration>) -> (Job, Ticket) {
+    /// Builds the job and its ticket, or refuses a request no worker
+    /// could serve (counted in `rejected`).
+    fn make_job(
+        &self,
+        seed: u64,
+        request: Request,
+        deadline: Option<Duration>,
+    ) -> Result<(Job, Ticket), EngineError> {
+        if matches!(request, Request::Keygen { bound } if bound < 0) {
+            self.stats.rejected.inc();
+            return Err(EngineError::InvalidRequest);
+        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         let cancelled = Arc::new(AtomicBool::new(false));
@@ -270,29 +291,30 @@ impl Engine {
             cancelled: Arc::clone(&cancelled),
             tx,
         };
-        (job, Ticket { id, rx, cancelled })
+        Ok((job, Ticket { id, rx, cancelled }))
     }
 
     /// Submits a request, blocking while the queue is full.
     ///
     /// # Errors
     ///
-    /// [`EngineError::ShutDown`] after [`Engine::shutdown`] — the
-    /// request is not queued.
+    /// [`EngineError::ShutDown`] after [`Engine::shutdown`],
+    /// [`EngineError::InvalidRequest`] for a negative keygen bound —
+    /// the request is not queued.
     pub fn submit(
         &self,
         seed: u64,
         request: Request,
         deadline: Option<Duration>,
     ) -> Result<Ticket, EngineError> {
-        let (job, ticket) = self.make_job(seed, request, deadline);
+        let (job, ticket) = self.make_job(seed, request, deadline)?;
         match self.queue.push(job) {
             Ok(()) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                self.stats.submitted.inc();
                 Ok(ticket)
             }
             Err(_) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejected.inc();
                 Err(EngineError::ShutDown)
             }
         }
@@ -303,21 +325,22 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::QueueFull`] at capacity, [`EngineError::ShutDown`]
-    /// after shutdown; the request is not queued in either case.
+    /// after shutdown, [`EngineError::InvalidRequest`] for a negative
+    /// keygen bound; the request is not queued in any case.
     pub fn try_submit(
         &self,
         seed: u64,
         request: Request,
         deadline: Option<Duration>,
     ) -> Result<Ticket, EngineError> {
-        let (job, ticket) = self.make_job(seed, request, deadline);
+        let (job, ticket) = self.make_job(seed, request, deadline)?;
         match self.queue.try_push(job) {
             Ok(()) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                self.stats.submitted.inc();
                 Ok(ticket)
             }
             Err(err) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejected.inc();
                 Err(match err {
                     TryPushError::Closed(_) => EngineError::ShutDown,
                     TryPushError::Full(_) => EngineError::QueueFull,
@@ -336,107 +359,17 @@ impl Engine {
         self.config
     }
 
-    /// Publishes the current counters into an `mpise-obs` metrics
-    /// registry (typically [`mpise_obs::global`]): request counters by
-    /// op, queue/throughput gauges, per-worker completion gauges, and
-    /// the full latency reservoir as a histogram. Idempotent — each
-    /// call overwrites the previous export, so periodic publication
-    /// always reflects the snapshot, not a double count.
-    pub fn publish_metrics(&self, reg: &mpise_obs::Registry) {
-        let s = self.stats();
-        let latencies = self.stats.latencies();
-        let ops = "Requests answered, by operation";
-        reg.counter(
-            "mpise_engine_requests_submitted_total",
-            "Requests accepted into the queue",
-            &[],
-        )
-        .set(s.submitted);
-        reg.counter(
-            "mpise_engine_requests_rejected_total",
-            "Submissions refused",
-            &[],
-        )
-        .set(s.rejected);
-        reg.counter(
-            "mpise_engine_requests_completed_total",
-            ops,
-            &[("op", "keygen")],
-        )
-        .set(s.keygen);
-        reg.counter(
-            "mpise_engine_requests_completed_total",
-            ops,
-            &[("op", "derive")],
-        )
-        .set(s.derive);
-        reg.counter(
-            "mpise_engine_requests_completed_total",
-            ops,
-            &[("op", "validate")],
-        )
-        .set(s.validate);
-        reg.counter(
-            "mpise_engine_requests_expired_total",
-            "Requests that missed their deadline",
-            &[],
-        )
-        .set(s.expired);
-        reg.counter(
-            "mpise_engine_requests_cancelled_total",
-            "Requests cancelled before execution",
-            &[],
-        )
-        .set(s.cancelled);
-        reg.counter(
-            "mpise_engine_validate_batches_total",
-            "Lane-parallel validation batches executed",
-            &[],
-        )
-        .set(s.batches);
-        reg.counter(
-            "mpise_engine_batched_requests_total",
-            "Validation requests served through batches",
-            &[],
-        )
-        .set(s.batched_requests);
-        reg.gauge(
-            "mpise_engine_queue_depth",
-            "Requests queued but not yet claimed",
-            &[],
-        )
-        .set(s.queue_depth as f64);
-        reg.gauge(
-            "mpise_engine_throughput_rps",
-            "Completed requests per second since start",
-            &[],
-        )
-        .set(s.throughput_rps);
-        if let Some(w) = s.mean_batch_width() {
-            reg.gauge(
-                "mpise_engine_mean_batch_width",
-                "Mean lanes per validation batch",
-                &[],
-            )
-            .set(w);
-        }
-        let worker_help = "Jobs answered, by worker";
-        for (i, &n) in s.worker_completed.iter().enumerate() {
-            let id = i.to_string();
-            reg.gauge(
-                "mpise_engine_worker_completed",
-                worker_help,
-                &[("worker", &id)],
-            )
-            .set(n as f64);
-        }
-        reg.histogram(
-            "mpise_engine_latency_us",
-            "Submit-to-response latency (microseconds)",
-            &[],
-            &mpise_obs::metrics::LATENCY_BUCKETS_US,
-        )
-        .replace_with_samples(&latencies);
+    /// The engine's metrics registry, with the queue-depth gauge
+    /// refreshed. The request path records into it directly: the
+    /// `mpise_engine_*` request counters (by `op`), per-worker
+    /// `mpise_engine_worker_completed_total{worker="i"}` and the
+    /// `mpise_engine_latency_us` histogram. Render it with
+    /// [`mpise_obs::Registry::render_prometheus`] or
+    /// [`mpise_obs::Registry::metrics_json`]; rendering never changes
+    /// a value. Clone the `Arc` to keep the registry past the engine.
+    pub fn metrics(&self) -> &Arc<mpise_obs::Registry> {
+        self.stats.queue_depth.set(self.queue.len() as f64);
+        &self.stats.registry
     }
 
     /// Graceful drain: refuses new submissions, lets the workers
@@ -480,13 +413,13 @@ impl Drop for Engine {
 /// Responds to a job and records its latency and op counter.
 fn respond(stats: &StatsInner, job: &Job, result: Result<Outcome, EngineError>) {
     match &result {
-        Ok(Outcome::Keypair { .. }) => stats.keygen.fetch_add(1, Ordering::Relaxed),
-        Ok(Outcome::SharedSecret(_)) => stats.derive.fetch_add(1, Ordering::Relaxed),
-        Ok(Outcome::Validated(_)) => stats.validate.fetch_add(1, Ordering::Relaxed),
-        Err(EngineError::DeadlineExceeded) => stats.expired.fetch_add(1, Ordering::Relaxed),
-        Err(EngineError::Cancelled) => stats.cancelled.fetch_add(1, Ordering::Relaxed),
-        Err(_) => 0,
-    };
+        Ok(Outcome::Keypair { .. }) => stats.keygen.inc(),
+        Ok(Outcome::SharedSecret(_)) => stats.derive.inc(),
+        Ok(Outcome::Validated(_)) => stats.validate.inc(),
+        Err(EngineError::DeadlineExceeded) => stats.expired.inc(),
+        Err(EngineError::Cancelled) => stats.cancelled.inc(),
+        Err(_) => {}
+    }
     stats.record_latency(job.submitted.elapsed().as_micros() as u64);
     // A dropped ticket makes the send fail; that is fine.
     let _ = job.tx.send(result);
@@ -530,7 +463,7 @@ fn worker_loop<F: FpBatch>(
             run_single(&f, job, stats);
             1
         };
-        stats.worker_completed[worker].fetch_add(answered, Ordering::Relaxed);
+        stats.worker_completed[worker].add(answered);
     }
     // Spans are thread-local; hand this worker's finished tree to the
     // engine before the thread exits.
@@ -586,10 +519,8 @@ fn run_validate_batch<F: FpBatch>(f: &F, batch: Vec<Job>, stats: &StatsInner) {
         .collect();
     let seeds: Vec<u64> = live.iter().map(|j| j.seed).collect();
     let verdicts = validate_many(f, &keys, &seeds);
-    stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats
-        .batched_requests
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
+    stats.batches.inc();
+    stats.batched_requests.add(live.len() as u64);
     for (job, verdict) in live.iter().zip(verdicts) {
         respond(stats, job, Ok(Outcome::Validated(verdict)));
     }
@@ -747,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_metrics_exports_the_snapshot() {
+    fn metrics_registry_exports_the_engine_counters() {
         let engine = Engine::start(
             EngineConfig {
                 workers: 2,
@@ -761,18 +692,16 @@ mod tests {
                 .unwrap()
                 .wait();
         }
-        let reg = mpise_obs::Registry::new();
-        engine.publish_metrics(&reg);
-        // Publishing twice must not double-count (counters are set,
-        // the histogram is replaced).
-        engine.publish_metrics(&reg);
-        let text = reg.render_prometheus();
+        // After the drain no worker is still adding to its counter.
+        engine.shutdown();
+        let text = engine.metrics().render_prometheus();
+        // Rendering reads the instruments; it never adds to them.
+        assert_eq!(engine.metrics().render_prometheus(), text);
         assert!(text.contains("mpise_engine_requests_submitted_total 4"));
         assert!(text.contains("mpise_engine_requests_completed_total{op=\"validate\"} 4"));
-        assert!(text.contains("mpise_engine_worker_completed{worker=\"0\"}"));
-        assert!(text.contains("mpise_engine_worker_completed{worker=\"1\"}"));
+        assert!(text.contains("mpise_engine_worker_completed_total{worker=\"0\"}"));
+        assert!(text.contains("mpise_engine_worker_completed_total{worker=\"1\"}"));
         assert!(text.contains("mpise_engine_latency_us_count 4"));
         mpise_obs::prom::validate(&text).expect("exported text must parse");
-        engine.shutdown();
     }
 }

@@ -32,6 +32,7 @@ use mpise_mpi::U512;
 use mpise_obs::time::utc_date_string;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default base seed ("load" + a suffix picked so the default full
@@ -199,6 +200,8 @@ pub struct PassResult {
     pub requests_per_sec: f64,
     /// Engine stats snapshot at the end of the pass.
     pub stats: EngineStats,
+    /// The pass's engine metrics registry, after the drain.
+    pub metrics: Arc<mpise_obs::Registry>,
     /// Result payloads concatenated in `(client, index)` order.
     pub payloads: Vec<u8>,
     /// Worker span forest (empty unless telemetry was enabled).
@@ -264,12 +267,8 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
     });
     let elapsed_secs = t0.elapsed().as_secs_f64();
     let stats = engine.stats();
-    if mpise_obs::enabled() {
-        // Publication is idempotent set/replace, so the registry ends
-        // up describing whichever pass published last (the loaded one).
-        engine.publish_metrics(mpise_obs::global());
-    }
     engine.shutdown();
+    let metrics = Arc::clone(engine.metrics());
     let spans = engine.take_worker_spans();
 
     PassResult {
@@ -284,6 +283,7 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
             0.0
         },
         stats,
+        metrics,
         payloads: client_payloads.concat(),
         spans,
     }
@@ -617,26 +617,30 @@ pub fn run_cli(args: &[String]) -> i32 {
     }
     println!("\nwrote {path}");
 
-    if mpise_obs::enabled() {
-        if let Some(path) = &opts.metrics_out {
-            if let Err(e) = std::fs::write(path, mpise_obs::global().render_prometheus()) {
-                eprintln!("loadgen: failed to write {path}: {e}");
-                return 2;
-            }
-            println!("wrote {path} (Prometheus text)");
+    // Both dumps export the loaded pass's registry.
+    let metrics = &report.passes.last().expect("loaded pass").metrics;
+    if let Some(path) = &opts.metrics_out {
+        if let Err(e) = std::fs::write(path, metrics.render_prometheus()) {
+            eprintln!("loadgen: failed to write {path}: {e}");
+            return 2;
         }
-        if let Some(path) = &opts.obs_out {
-            let mut spans = mpise_obs::SpanTree::default();
-            for pass in &report.passes {
-                spans.merge(pass.spans.clone());
-            }
-            let snapshot = mpise_obs::Snapshot::capture_with_spans(spans);
-            if let Err(e) = std::fs::write(path, snapshot.to_json()) {
-                eprintln!("loadgen: failed to write {path}: {e}");
-                return 2;
-            }
-            println!("wrote {path} (mpise-obs/v1 snapshot)");
+        println!("wrote {path} (Prometheus text)");
+    }
+    if let Some(path) = &opts.obs_out {
+        let mut spans = mpise_obs::SpanTree::default();
+        for pass in &report.passes {
+            spans.merge(pass.spans.clone());
         }
+        let snapshot = mpise_obs::Snapshot {
+            provenance: mpise_obs::Provenance::collect(),
+            metrics_json: metrics.metrics_json(),
+            spans,
+        };
+        if let Err(e) = std::fs::write(path, snapshot.to_json()) {
+            eprintln!("loadgen: failed to write {path}: {e}");
+            return 2;
+        }
+        println!("wrote {path} (mpise-obs/v1 snapshot)");
     }
 
     if report.gate.pass {

@@ -1,85 +1,140 @@
-//! Engine observability: operation counters and latency percentiles.
+//! Engine observability: the engine's own `mpise-obs` registry, the
+//! instrument handles the request path records into, and the
+//! [`EngineStats`] snapshot read back from them.
 
+use mpise_obs::metrics::{Counter, Gauge, Histogram, LATENCY_BUCKETS_US};
+use mpise_obs::{Registry, SpanTree};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Shared mutable counters behind the engine (relaxed atomics; the
-/// latency reservoir is a mutex because percentile extraction needs
-/// the whole population).
+/// The engine's instruments: handles into its registry. Recording is
+/// a relaxed atomic add (plus one `fetch_max` per response); the
+/// registry lock is only taken to render an export.
 pub(crate) struct StatsInner {
-    pub(crate) started: Instant,
-    pub(crate) submitted: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) keygen: AtomicU64,
-    pub(crate) derive: AtomicU64,
-    pub(crate) validate: AtomicU64,
-    pub(crate) expired: AtomicU64,
-    pub(crate) cancelled: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
+    pub(crate) registry: Arc<Registry>,
+    started: Instant,
+    pub(crate) submitted: Counter,
+    pub(crate) rejected: Counter,
+    pub(crate) keygen: Counter,
+    pub(crate) derive: Counter,
+    pub(crate) validate: Counter,
+    pub(crate) expired: Counter,
+    pub(crate) cancelled: Counter,
+    pub(crate) batches: Counter,
+    pub(crate) batched_requests: Counter,
     /// Jobs answered per worker, indexed by worker id.
-    pub(crate) worker_completed: Vec<AtomicU64>,
-    pub(crate) latencies_us: Mutex<Vec<u64>>,
+    pub(crate) worker_completed: Vec<Counter>,
+    pub(crate) queue_depth: Gauge,
+    latency_us: Histogram,
+    /// Worst latency seen; quantiles are clamped to it, so a quantile
+    /// in the open-ended top bucket still reads as a number.
+    max_us: AtomicU64,
     /// Telemetry span trees handed in by exiting workers (spans are
     /// thread-local, so each worker merges its tree here on shutdown).
-    pub(crate) spans: Mutex<mpise_obs::SpanTree>,
+    pub(crate) spans: Mutex<SpanTree>,
 }
 
 impl StatsInner {
     pub(crate) fn new(workers: usize) -> Self {
+        let registry = Arc::new(Registry::new());
+        let r = &registry;
+        let completed = |op| {
+            r.counter(
+                "mpise_engine_requests_completed_total",
+                "Requests answered, by operation",
+                &[("op", op)],
+            )
+        };
         StatsInner {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            keygen: AtomicU64::new(0),
-            derive: AtomicU64::new(0),
-            validate: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            worker_completed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            latencies_us: Mutex::new(Vec::new()),
-            spans: Mutex::new(mpise_obs::SpanTree::default()),
+            submitted: r.counter(
+                "mpise_engine_requests_submitted_total",
+                "Requests accepted into the queue",
+                &[],
+            ),
+            rejected: r.counter(
+                "mpise_engine_requests_rejected_total",
+                "Submissions refused",
+                &[],
+            ),
+            keygen: completed("keygen"),
+            derive: completed("derive"),
+            validate: completed("validate"),
+            expired: r.counter(
+                "mpise_engine_requests_expired_total",
+                "Requests that missed their deadline",
+                &[],
+            ),
+            cancelled: r.counter(
+                "mpise_engine_requests_cancelled_total",
+                "Requests cancelled before execution",
+                &[],
+            ),
+            batches: r.counter(
+                "mpise_engine_validate_batches_total",
+                "Validation batches executed (one validate_many call each)",
+                &[],
+            ),
+            batched_requests: r.counter(
+                "mpise_engine_batched_requests_total",
+                "Validation requests served through batches",
+                &[],
+            ),
+            worker_completed: (0..workers)
+                .map(|i| {
+                    r.counter(
+                        "mpise_engine_worker_completed_total",
+                        "Jobs answered, by worker",
+                        &[("worker", &i.to_string())],
+                    )
+                })
+                .collect(),
+            queue_depth: r.gauge(
+                "mpise_engine_queue_depth",
+                "Requests queued but not yet claimed",
+                &[],
+            ),
+            latency_us: r.histogram(
+                "mpise_engine_latency_us",
+                "Submit-to-response latency (microseconds)",
+                &[],
+                &LATENCY_BUCKETS_US,
+            ),
+            max_us: AtomicU64::new(0),
+            spans: Mutex::new(SpanTree::default()),
+            registry,
         }
     }
 
     pub(crate) fn record_latency(&self, micros: u64) {
-        self.latencies_us.lock().expect("stats lock").push(micros);
-    }
-
-    /// A copy of the retained latency population (microseconds).
-    pub(crate) fn latencies(&self) -> Vec<u64> {
-        self.latencies_us.lock().expect("stats lock").clone()
+        self.max_us.fetch_max(micros, Ordering::Relaxed);
+        self.latency_us.observe(micros as f64);
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize) -> EngineStats {
-        let latencies = self.latencies_us.lock().expect("stats lock").clone();
-        let completed = self.keygen.load(Ordering::Relaxed)
-            + self.derive.load(Ordering::Relaxed)
-            + self.validate.load(Ordering::Relaxed);
+        let (keygen, derive, validate) =
+            (self.keygen.get(), self.derive.get(), self.validate.get());
+        let completed = keygen + derive + validate;
+        let max_us = (self.latency_us.count() > 0).then(|| self.max_us.load(Ordering::Relaxed));
+        let quantile = |q: f64| Some(self.latency_us.quantile(q)?.min(max_us? as f64) as u64);
         let elapsed_secs = self.started.elapsed().as_secs_f64();
         EngineStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
+            submitted: self.submitted.get(),
+            rejected: self.rejected.get(),
             completed,
-            keygen: self.keygen.load(Ordering::Relaxed),
-            derive: self.derive.load(Ordering::Relaxed),
-            validate: self.validate.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            worker_completed: self
-                .worker_completed
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
+            keygen,
+            derive,
+            validate,
+            expired: self.expired.get(),
+            cancelled: self.cancelled.get(),
+            batches: self.batches.get(),
+            batched_requests: self.batched_requests.get(),
+            worker_completed: self.worker_completed.iter().map(Counter::get).collect(),
             queue_depth,
-            p50_us: percentile(&latencies, 50.0),
-            p99_us: percentile(&latencies, 99.0),
-            max_us: latencies.iter().copied().max(),
+            p50_us: quantile(0.50),
+            p99_us: quantile(0.99),
+            max_us,
             elapsed_secs,
             throughput_rps: if elapsed_secs > 0.0 {
                 completed as f64 / elapsed_secs
@@ -88,18 +143,6 @@ impl StatsInner {
             },
         }
     }
-}
-
-/// Nearest-rank percentile over the recorded latencies (`None` when the
-/// series is empty — an idle engine has no latency, not a zero one).
-fn percentile(samples: &[u64], pct: f64) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
 /// A point-in-time snapshot of the engine's counters.
@@ -132,10 +175,15 @@ pub struct EngineStats {
     /// Requests queued but not yet claimed at snapshot time.
     pub queue_depth: usize,
     /// Median submit-to-response latency (microseconds); `None` until a
-    /// first response exists.
+    /// first response exists. Read from the latency histogram: the
+    /// upper bound of the bucket holding the median, clamped to
+    /// `max_us`. That never underestimates, and overestimates by at
+    /// most 2.5× (the widest bucket ratio); a value under the first
+    /// bound (100 µs) reads as at most 100 µs.
     pub p50_us: Option<u64>,
-    /// 99th-percentile submit-to-response latency (microseconds);
-    /// `None` until a first response exists.
+    /// 99th-percentile submit-to-response latency (microseconds), read
+    /// from the histogram like `p50_us`; `None` until a first response
+    /// exists.
     pub p99_us: Option<u64>,
     /// Worst-case submit-to-response latency (microseconds); `None`
     /// until a first response exists.
@@ -200,20 +248,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_nearest_rank() {
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 50.0), Some(50));
-        assert_eq!(percentile(&samples, 99.0), Some(99));
-        assert_eq!(percentile(&samples, 100.0), Some(100));
-        assert_eq!(percentile(&[42], 50.0), Some(42));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
     fn snapshot_aggregates() {
         let s = StatsInner::new(2);
-        s.keygen.store(2, Ordering::Relaxed);
-        s.validate.store(3, Ordering::Relaxed);
+        s.keygen.add(2);
+        s.validate.add(3);
         s.record_latency(1000);
         s.record_latency(3000);
         let snap = s.snapshot(7);
@@ -244,8 +282,8 @@ mod tests {
     #[test]
     fn batch_width_mean() {
         let s = StatsInner::new(1);
-        s.batches.store(4, Ordering::Relaxed);
-        s.batched_requests.store(10, Ordering::Relaxed);
+        s.batches.add(4);
+        s.batched_requests.add(10);
         assert_eq!(s.snapshot(0).mean_batch_width(), Some(2.5));
     }
 

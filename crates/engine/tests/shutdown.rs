@@ -1,5 +1,5 @@
 //! Queue-shutdown edge cases: graceful drain, post-shutdown
-//! submissions, cancellation, and idempotence.
+//! submissions, cancellation, idempotence, and refused requests.
 
 use mpise_csidh::PublicKey;
 use mpise_engine::{Engine, EngineConfig, EngineError, Outcome, Request};
@@ -136,4 +136,33 @@ fn shutdown_is_idempotent() {
     engine.shutdown();
     assert!(engine.is_shut_down());
     // Drop runs shutdown a third time; it must not panic or hang.
+}
+
+#[test]
+fn negative_keygen_bound_is_refused_and_workers_survive() {
+    // Regression: a negative bound is an empty exponent range, which
+    // used to panic the worker that claimed it; with every worker dead
+    // the engine answered nothing more.
+    let engine = Engine::start(
+        EngineConfig {
+            workers: 1,
+            ..Default::default()
+        },
+        FpFull::new,
+    );
+    assert_eq!(
+        engine
+            .try_submit(1, Request::Keygen { bound: -1 }, None)
+            .map(|_| ()),
+        Err(EngineError::InvalidRequest)
+    );
+    let ticket = engine
+        .submit(2, Request::ValidatePublicKey { key: bogus_key() }, None)
+        .unwrap();
+    assert_eq!(ticket.wait(), Ok(Outcome::Validated(false)));
+
+    let stats = engine.stats();
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.submitted, 1);
+    engine.shutdown();
 }

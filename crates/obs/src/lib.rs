@@ -13,7 +13,11 @@
 //! * **Metrics** ([`metrics::Registry`]) — counters, gauges and
 //!   fixed-bucket histograms with Prometheus labels, exported as
 //!   Prometheus text ([`metrics::Registry::render_prometheus`]) or as
-//!   the versioned [`Snapshot`] JSON (`mpise-obs/v1`);
+//!   the versioned [`Snapshot`] JSON (`mpise-obs/v1`). There is no
+//!   process-wide registry: each owner builds one (the engine keeps
+//!   one per instance and records into it directly), and histograms
+//!   answer bucket-resolution quantiles
+//!   ([`metrics::Histogram::quantile`]);
 //! * **Provenance** ([`provenance::Provenance`]) — git commit, host
 //!   and timestamp stamped into every artifact;
 //! * **Validation** ([`prom::validate`], the `obscheck` binary) — the
@@ -34,7 +38,7 @@ pub mod provenance;
 pub mod span;
 pub mod time;
 
-pub use metrics::{global, Registry};
+pub use metrics::Registry;
 pub use provenance::Provenance;
 pub use span::{add_sim_cost, span, take_spans, SpanGuard, SpanNode, SpanTree};
 
@@ -87,7 +91,9 @@ pub fn json_string(s: &str) -> String {
 }
 
 /// A complete `mpise-obs/v1` snapshot: provenance + metrics + span
-/// forest, serialized by [`Snapshot::to_json`].
+/// forest, serialized by [`Snapshot::to_json`]. The exporter builds it
+/// from its own registry and span forest (`loadgen --obs-out` uses the
+/// loaded pass's engine registry and the merged worker spans).
 #[derive(Debug)]
 pub struct Snapshot {
     /// Run provenance.
@@ -99,26 +105,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures the global registry plus the calling thread's finished
-    /// spans. Drains the span tree ([`take_spans`]).
-    pub fn capture() -> Self {
-        Snapshot {
-            provenance: Provenance::collect(),
-            metrics_json: global().metrics_json(),
-            spans: take_spans(),
-        }
-    }
-
-    /// Captures the global registry with an explicit span forest
-    /// (e.g. merged from several worker threads).
-    pub fn capture_with_spans(spans: SpanTree) -> Self {
-        Snapshot {
-            provenance: Provenance::collect(),
-            metrics_json: global().metrics_json(),
-            spans,
-        }
-    }
-
     /// Serializes the versioned snapshot document.
     pub fn to_json(&self) -> String {
         format!(

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotone counter handle.
 #[derive(Debug, Clone)]
@@ -37,12 +37,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value (for absorbing an externally maintained
-    /// counter, e.g. an `EngineStats` snapshot).
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -86,9 +80,10 @@ struct HistogramInner {
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
-/// Default latency buckets in microseconds: 100 µs … 10 s, roughly
-/// one bucket per 1–2–5 decade step.
-pub const LATENCY_BUCKETS_US: [f64; 12] = [
+/// Latency buckets in microseconds: the 1–2.5–5 series from 100 µs to
+/// 10 s. Adjacent bounds are at most 2.5× apart, which is the
+/// resolution of [`Histogram::quantile`] over them.
+pub const LATENCY_BUCKETS_US: [f64; 16] = [
     100.0,
     250.0,
     500.0,
@@ -97,9 +92,13 @@ pub const LATENCY_BUCKETS_US: [f64; 12] = [
     5_000.0,
     10_000.0,
     25_000.0,
+    50_000.0,
     100_000.0,
+    250_000.0,
     500_000.0,
-    2_000_000.0,
+    1_000_000.0,
+    2_500_000.0,
+    5_000_000.0,
     10_000_000.0,
 ];
 
@@ -119,19 +118,33 @@ impl Histogram {
         inner.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Clears all buckets, then records every sample — for absorbing a
-    /// retained sample population (e.g. an engine's latency reservoir)
-    /// into the export.
-    pub fn replace_with_samples(&self, samples: &[u64]) {
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) by nearest rank over the bucket
+    /// counts: the upper bound of the bucket holding the observation of
+    /// rank `⌈q · count⌉`, `f64::INFINITY` when that is the `+Inf`
+    /// bucket, and `None` when nothing was observed. The ranked
+    /// observation lies in that bucket: at most the result and above
+    /// the bound below it.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         let inner = &self.0;
-        for b in &inner.buckets {
-            b.store(0, Ordering::Relaxed);
+        let counts: Vec<u64> = inner
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return None;
         }
-        inner.sum_milli.store(0, Ordering::Relaxed);
-        inner.count.store(0, Ordering::Relaxed);
-        for &s in samples {
-            self.observe(s as f64);
-        }
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0;
+        let bucket = counts
+            .iter()
+            .position(|n| {
+                seen += n;
+                seen >= rank
+            })
+            .expect("rank ≤ total");
+        Some(inner.bounds.get(bucket).copied().unwrap_or(f64::INFINITY))
     }
 
     /// Total observations.
@@ -172,10 +185,9 @@ struct Family {
     series: BTreeMap<String, Series>,
 }
 
-/// A thread-safe registry of metric families.
-///
-/// Use [`global`] for the process-wide registry the binaries export,
-/// or [`Registry::new`] for an isolated one (tests).
+/// A thread-safe registry of metric families. Each owner builds its
+/// own (the engine keeps one per instance); there is no process-wide
+/// registry.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
@@ -410,14 +422,6 @@ fn labels_to_json(labels: &str) -> String {
     out
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry exported by the `loadgen`, `bench` and
-/// `key_service` binaries.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,15 +478,33 @@ mod tests {
     }
 
     #[test]
-    fn histogram_replace_with_samples() {
+    fn histogram_quantile_is_nearest_rank_over_buckets() {
         let r = Registry::new();
-        let h = r.histogram("lat", "latency", &[], &[10.0]);
-        h.observe(1.0);
-        h.replace_with_samples(&[5, 20, 30]);
-        assert_eq!(h.count(), 3);
-        let text = r.render_prometheus();
-        assert!(text.contains("lat_bucket{le=\"10\"} 1"));
-        assert!(text.contains("lat_bucket{le=\"+Inf\"} 3"));
+        let h = r.histogram("lat", "latency", &[], &[10.0, 100.0, 1000.0]);
+        assert_eq!(h.quantile(0.5), None, "empty histogram");
+        h.observe(42.0);
+        assert_eq!(h.quantile(0.0), Some(100.0), "one sample");
+        assert_eq!(h.quantile(0.5), Some(100.0));
+        assert_eq!(h.quantile(1.0), Some(100.0));
+        // 100 samples: 50 at 5, 49 at 500, one beyond the last bound.
+        let h = r.histogram("lat2", "latency", &[], &[10.0, 100.0, 1000.0]);
+        for _ in 0..50 {
+            h.observe(5.0);
+        }
+        for _ in 0..49 {
+            h.observe(500.0);
+        }
+        h.observe(5000.0);
+        assert_eq!(h.quantile(0.50), Some(10.0));
+        assert_eq!(h.quantile(0.51), Some(1000.0));
+        assert_eq!(h.quantile(0.99), Some(1000.0));
+        assert_eq!(h.quantile(1.0), Some(f64::INFINITY), "rank in +Inf");
+        let mut last = 0.0;
+        for i in 0..=100 {
+            let v = h.quantile(f64::from(i) / 100.0).unwrap();
+            assert!(v >= last, "quantile must not decrease in q");
+            last = v;
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! percentiles and throughput. Validation requests queued together are
 //! served as one batch.
 //!
-//! The example also turns on the `mpise-obs` telemetry layer and
-//! finishes with a `/metrics`-style Prometheus dump plus the
-//! per-worker span tree, the same exposition `loadgen --metrics-out`
-//! writes to disk.
+//! The example also turns on the `mpise-obs` span telemetry and
+//! finishes with a `/metrics`-style Prometheus dump of the engine's
+//! own registry (`Engine::metrics`, the same exposition `loadgen
+//! --metrics-out` writes to disk) plus the per-worker span tree.
 
 use mpise::csidh::{CsidhKeypair, PublicKey};
 use mpise::engine::{Engine, EngineConfig, Outcome, Request};
@@ -24,8 +24,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    // Telemetry is disabled by default; the service opts in so the run
-    // ends with a scrape-ready metrics dump.
+    // Span telemetry is disabled by default; the service opts in so the
+    // run ends with the worker span tree. The engine's metrics registry
+    // records either way.
     mpise::obs::set_enabled(true);
 
     let engine = Engine::start(
@@ -101,12 +102,11 @@ fn main() {
 
     println!("\nengine statistics:");
     println!("{}", engine.stats());
-    engine.publish_metrics(mpise::obs::global());
     engine.shutdown();
     println!("engine drained and shut down.");
 
     println!("\n/metrics (Prometheus text exposition):");
-    print!("{}", mpise::obs::global().render_prometheus());
+    print!("{}", engine.metrics().render_prometheus());
 
     let spans = engine.take_worker_spans();
     if !spans.is_empty() {
