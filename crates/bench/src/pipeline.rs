@@ -38,6 +38,7 @@ use mpise_fp::measure::{measure_matrix_parallel, KernelRunner, OpMeasurement};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{CountingFp, FpFull, OpCounts};
 use mpise_obs::time::utc_date_string;
+use mpise_obs::{object, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -392,141 +393,81 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
     }
 }
 
-/// Serializes the deterministic kernel-matrix section (the part the
-/// golden test compares byte-for-byte).
-pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
-    for (config, measurements) in matrix {
-        let col = Config::ALL
-            .iter()
-            .position(|c| c == config)
-            .expect("known config");
-        for m in measurements {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let baseline = cycles_of(matrix, isa_baseline(*config), m.op);
-            out.push_str(&format!(
-                "    {{\"config\": \"{config}\", \"radix\": \"{}\", \"ise\": {}, \
-                 \"op\": \"{:?}\", \"label\": \"{}\", \"cycles\": {}, \"instret\": {}, \
-                 \"stall_cycles\": {}, \"flush_cycles\": {}, \
-                 \"speedup_vs_rv64gc\": {:.4}, \"paper_cycles\": {}}}",
-                config.radix,
-                config.ise == IseMode::IseSupported,
-                m.op,
-                m.op.label(),
-                m.cycles,
-                m.instret,
-                m.timing.stall_cycles,
-                m.timing.flush_cycles,
-                baseline as f64 / m.cycles as f64,
-                crate::paper_cycles(m.op, col),
-            ));
-        }
-    }
-    out.push_str("\n  ]");
-    out
+/// The deterministic kernel-matrix section (the part the golden test
+/// compares byte-for-byte).
+pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> Value {
+    matrix
+        .iter()
+        .flat_map(|(config, measurements)| {
+            let col = Config::ALL
+                .iter()
+                .position(|c| c == config)
+                .expect("known config");
+            measurements.iter().map(move |m| {
+                let baseline = cycles_of(matrix, isa_baseline(*config), m.op);
+                object! {
+                    "config": config.to_string(), "radix": config.radix.to_string(),
+                    "ise": config.ise == IseMode::IseSupported, "op": format!("{:?}", m.op),
+                    "label": m.op.label(), "cycles": m.cycles, "instret": m.instret,
+                    "stall_cycles": m.timing.stall_cycles, "flush_cycles": m.timing.flush_cycles,
+                    "speedup_vs_rv64gc": baseline as f64 / m.cycles as f64,
+                    "paper_cycles": crate::paper_cycles(m.op, col),
+                }
+            })
+        })
+        .collect()
 }
 
-/// Serializes the deterministic action-estimate section.
-pub fn action_json(counts: &OpCounts, estimates: &[ActionEstimate], sims: &[ActionSim]) -> String {
+/// The deterministic action-estimate section.
+pub fn action_json(counts: &OpCounts, estimates: &[ActionEstimate], sims: &[ActionSim]) -> Value {
     let base = estimates
         .iter()
         .find(|e| e.config == Config::ALL[0])
         .expect("full-ISA estimate")
         .cycles;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n    \"op_counts\": {{\"mul\": {}, \"sqr\": {}, \"add\": {}, \"sub\": {}}},\n",
-        counts.mul, counts.sqr, counts.add, counts.sub
-    ));
-    out.push_str("    \"estimated\": [\n");
-    for (i, e) in estimates.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"config\": \"{}\", \"cycles\": {}, \"mcycles\": {:.2}, \
-             \"speedup_vs_full_isa\": {:.4}}}{}\n",
-            e.config,
-            e.cycles,
-            e.cycles as f64 / 1e6,
-            base as f64 / e.cycles as f64,
-            if i + 1 < estimates.len() { "," } else { "" },
-        ));
+    let estimated = estimates.iter().map(|e| {
+        object! {
+            "config": e.config.to_string(), "cycles": e.cycles, "mcycles": e.cycles as f64 / 1e6,
+            "speedup_vs_full_isa": base as f64 / e.cycles as f64,
+        }
+    });
+    let direct_sim = sims.iter().map(|s| {
+        object! {
+            "config": s.config.to_string(), "cycles": s.cycles, "kernel_calls": s.calls,
+            "host_secs": s.host_secs, "validated_vs_host": true,
+            "span_cycles": s.span_cycles, "span_reconciled_1pct": true,
+        }
+    });
+    object! {
+        "op_counts": object! {
+            "mul": counts.mul, "sqr": counts.sqr, "add": counts.add, "sub": counts.sub,
+        },
+        "estimated": estimated.collect::<Value>(),
+        "direct_sim": direct_sim.collect::<Value>(),
     }
-    out.push_str("    ],\n    \"direct_sim\": [\n");
-    for (i, s) in sims.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"config\": \"{}\", \"cycles\": {}, \"kernel_calls\": {}, \
-             \"host_secs\": {:.2}, \"validated_vs_host\": true, \
-             \"span_cycles\": {}, \"span_reconciled_1pct\": true}}{}\n",
-            s.config,
-            s.cycles,
-            s.calls,
-            s.host_secs,
-            s.span_cycles,
-            if i + 1 < sims.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    ]\n  }");
-    out
 }
 
-/// Serializes the whole report (see DESIGN.md §9 for the schema).
-pub fn report_json(report: &BenchReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mpise-bench/v1\",\n");
-    out.push_str(&format!("  \"date\": \"{}\",\n", utc_date_string()));
-    out.push_str(&format!(
-        "  \"provenance\": {},\n",
-        mpise_obs::Provenance::collect().json()
-    ));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if report.options.smoke {
-            "smoke"
-        } else {
-            "full"
+/// The whole report (see DESIGN.md §9 for the schema).
+pub fn report_json(report: &BenchReport) -> Value {
+    let host = report.host.iter().map(|h| {
+        object! {
+            "config": h.config.to_string(), "sim_instret": h.sim_instret,
+            "kernel_calls": h.calls, "host_secs": h.host_secs,
+            "sim_insts_per_sec": h.sim_instret as f64 / h.host_secs,
         }
-    ));
-    out.push_str(&format!("  \"seed\": {BENCH_SEED},\n"));
-    out.push_str(&format!(
-        "  \"iterations\": {},\n  \"action_exponent_bound\": {},\n",
-        report.options.iterations(),
-        report.options.action_bound()
-    ));
-    out.push_str(&format!(
-        "  \"kernels\": {},\n",
-        kernels_json(&report.matrix)
-    ));
-    out.push_str(&format!(
-        "  \"action\": {},\n",
-        action_json(
-            &report.action_counts,
-            &report.action_estimates,
-            &report.action_sims
-        )
-    ));
-    out.push_str("  \"host\": [\n");
-    for (i, h) in report.host.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"sim_instret\": {}, \"kernel_calls\": {}, \
-             \"host_secs\": {:.3}, \"sim_insts_per_sec\": {:.0}}}{}\n",
-            h.config,
-            h.sim_instret,
-            h.calls,
-            h.host_secs,
-            h.sim_instret as f64 / h.host_secs,
-            if i + 1 < report.host.len() { "," } else { "" },
-        ));
+    });
+    let (counts, sims) = (&report.action_counts, &report.action_sims);
+    object! {
+        "schema": "mpise-bench/v1", "date": utc_date_string(),
+        "provenance": mpise_obs::Provenance::collect().json(),
+        "mode": if report.options.smoke { "smoke" } else { "full" },
+        "seed": BENCH_SEED, "iterations": report.options.iterations(),
+        "action_exponent_bound": report.options.action_bound(),
+        "kernels": kernels_json(&report.matrix),
+        "action": action_json(counts, &report.action_estimates, sims),
+        "host": host.collect::<Value>(),
+        "gate": object! { "ise_faster_than_rv64gc": report.gate.is_ok() },
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"gate\": {{\"ise_faster_than_rv64gc\": {}}}\n",
-        report.gate.is_ok()
-    ));
-    out.push_str("}\n");
-    out
 }
 
 /// Command-line entry point shared by the `bench` binaries; returns the
@@ -570,8 +511,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         .out
         .clone()
         .unwrap_or_else(|| format!("BENCH_{}.json", utc_date_string()));
-    let json = report_json(&report);
-    if let Err(e) = std::fs::write(&path, &json) {
+    if let Err(e) = std::fs::write(&path, format!("{}\n", report_json(&report))) {
         eprintln!("bench: failed to write {path}: {e}");
         return 2;
     }
@@ -650,5 +590,44 @@ mod tests {
         swapped[1].0 = a;
         let bad_estimates = estimate_actions(&swapped, &counts);
         assert!(check_gate(&swapped, &bad_estimates).is_err());
+    }
+
+    #[test]
+    fn report_json_passes_the_artifact_schema_check() {
+        let options = BenchOptions {
+            smoke: true,
+            ..BenchOptions::default()
+        };
+        let matrix = kernel_matrix(1);
+        let action_counts = instrument_action(options.action_bound());
+        let action_estimates = estimate_actions(&matrix, &action_counts);
+        let config = Config::ALL[3];
+        let report = BenchReport {
+            gate: check_gate(&matrix, &action_estimates),
+            options,
+            matrix,
+            action_counts,
+            action_estimates,
+            action_sims: vec![ActionSim {
+                config,
+                cycles: 10,
+                calls: 1,
+                host_secs: 0.5,
+                span_cycles: 10,
+            }],
+            host: vec![host_throughput(config, 0.0)],
+        };
+        let doc = mpise_obs::json::parse(&report_json(&report).to_string()).expect("valid JSON");
+        assert_eq!(mpise_obs::json::check_artifact(&doc), Ok("mpise-bench/v1"));
+        assert_eq!(doc["kernels"], kernels_json(&report.matrix));
+        assert_eq!(
+            doc["kernels"][0]["cycles"],
+            report.matrix[0].1[0].cycles.into()
+        );
+        assert_eq!(
+            doc["action"]["op_counts"]["mul"],
+            report.action_counts.mul.into()
+        );
+        assert_eq!(doc["gate"]["ise_faster_than_rv64gc"], Value::Bool(true));
     }
 }

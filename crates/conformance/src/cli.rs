@@ -193,7 +193,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     let out_path = o
         .out
         .unwrap_or_else(|| format!("DIFFTEST_{}.json", mpise_obs::time::utc_date_string()));
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
+    if let Err(e) = std::fs::write(&out_path, format!("{}\n", report.to_json())) {
         eprintln!("difftest: cannot write {out_path}: {e}");
         return 2;
     }

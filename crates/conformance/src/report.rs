@@ -19,7 +19,7 @@
 //! }
 //! ```
 
-use mpise_obs::Provenance;
+use mpise_obs::{object, Provenance, Value};
 
 /// Per-mode counters and failures feeding the artifact.
 #[derive(Debug, Clone, Default)]
@@ -64,49 +64,29 @@ impl GateReport {
             .chain(self.kat_failures.iter())
     }
 
-    /// Renders the `mpise-difftest/v1` artifact.
-    pub fn to_json(&self) -> String {
-        let prov = Provenance::collect();
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mpise-difftest/v1\",\n");
-        out.push_str(&format!(
-            "  \"date\": \"{}\",\n",
-            mpise_obs::time::utc_date_string()
-        ));
-        out.push_str(&format!("  \"provenance\": {},\n", prov.json()));
-        out.push_str("  \"modes\": {\n");
-        out.push_str(&format!(
-            "    \"isa_fuzz\": {{\"programs\": {}, \"exts\": {}, \"failures\": {}}},\n",
-            self.fuzz_programs,
-            self.fuzz_exts,
-            json_strings(&self.fuzz_failures)
-        ));
-        out.push_str(&format!(
-            "    \"kernel_difftest\": {{\"combos\": {}, \"cases\": {}, \
-             \"lane_widths\": {}, \"failures\": {}}},\n",
-            self.kernel_combos,
-            self.kernel_cases,
-            self.lane_widths,
-            json_strings(&self.kernel_failures)
-        ));
-        out.push_str(&format!(
-            "    \"kat_corpus\": {{\"kat_vectors\": {}, \"kat_backends\": {}, \
-             \"corpus_files\": {}, \"failures\": {}}}\n",
-            self.kat_vectors,
-            self.kat_backends,
-            self.corpus_files,
-            json_strings(&self.kat_failures)
-        ));
-        out.push_str("  },\n");
-        out.push_str(&format!("  \"pass\": {}\n", self.pass()));
-        out.push_str("}\n");
-        out
+    /// The `mpise-difftest/v1` artifact.
+    pub fn to_json(&self) -> Value {
+        let failures = |v: &[String]| v.iter().map(String::as_str).collect::<Value>();
+        object! {
+            "schema": "mpise-difftest/v1", "date": mpise_obs::time::utc_date_string(),
+            "provenance": Provenance::collect().json(),
+            "modes": object! {
+                "isa_fuzz": object! {
+                    "programs": self.fuzz_programs, "exts": self.fuzz_exts,
+                    "failures": failures(&self.fuzz_failures),
+                },
+                "kernel_difftest": object! {
+                    "combos": self.kernel_combos, "cases": self.kernel_cases,
+                    "lane_widths": self.lane_widths, "failures": failures(&self.kernel_failures),
+                },
+                "kat_corpus": object! {
+                    "kat_vectors": self.kat_vectors, "kat_backends": self.kat_backends,
+                    "corpus_files": self.corpus_files, "failures": failures(&self.kat_failures),
+                },
+            },
+            "pass": self.pass(),
+        }
     }
-}
-
-fn json_strings(v: &[String]) -> String {
-    let items: Vec<String> = v.iter().map(|s| mpise_obs::json_string(s)).collect();
-    format!("[{}]", items.join(", "))
 }
 
 #[cfg(test)]
@@ -115,24 +95,36 @@ mod tests {
 
     #[test]
     fn artifact_has_schema_provenance_and_modes() {
+        let parse =
+            |r: &GateReport| mpise_obs::json::parse(&r.to_json().to_string()).expect("valid JSON");
         let mut r = GateReport {
             fuzz_programs: 10,
             fuzz_exts: 3,
             ..GateReport::default()
         };
-        let j = r.to_json();
-        assert!(j.contains("\"schema\": \"mpise-difftest/v1\""));
-        assert!(j.contains("\"provenance\""));
-        assert!(j.contains("\"git_commit\""));
-        assert!(j.contains("\"isa_fuzz\""));
-        assert!(j.contains("\"kernel_difftest\""));
-        assert!(j.contains("\"kat_corpus\""));
-        assert!(j.contains("\"pass\": true"));
+        let j = parse(&r);
+        assert_eq!(mpise_obs::json::check_artifact(&j), Ok("mpise-difftest/v1"));
+        assert_eq!(j["schema"], Value::from("mpise-difftest/v1"));
+        assert!(matches!(j["provenance"]["git_commit"], Value::String(_)));
+        assert_eq!(j["modes"]["isa_fuzz"]["programs"], Value::from(10u64));
+        assert_eq!(
+            j["modes"]["kernel_difftest"]["failures"],
+            Value::Array(vec![])
+        );
+        assert_eq!(j["modes"]["kat_corpus"]["failures"], Value::Array(vec![]));
+        assert_eq!(j["pass"], Value::Bool(true));
         r.kernel_failures.push("bad \"thing\"\nline2".to_owned());
-        let j = r.to_json();
-        assert!(j.contains("\"pass\": false"));
-        assert!(j.contains("bad \\\"thing\\\"\\nline2"));
+        let j = parse(&r);
+        assert_eq!(j["pass"], Value::Bool(false));
+        assert_eq!(
+            j["modes"]["kernel_difftest"]["failures"][0],
+            Value::from("bad \"thing\"\nline2")
+        );
         r.kat_failures.push("tab\there\u{1}".to_owned());
-        assert!(r.to_json().contains(r#"["tab\there\u0001"]"#));
+        assert!(r.to_json().to_string().contains(r#"["tab\there\u0001"]"#));
+        assert_eq!(
+            parse(&r)["modes"]["kat_corpus"]["failures"],
+            ["tab\there\u{1}"].into_iter().collect()
+        );
     }
 }

@@ -363,8 +363,9 @@ impl Engine {
     /// refreshed. The request path records into it directly: the
     /// `mpise_engine_*` request counters (by `op`), per-worker
     /// `mpise_engine_worker_completed_total{worker="i"}` and the
-    /// `mpise_engine_latency_us` histogram. Render it with
-    /// [`mpise_obs::Registry::render_prometheus`] or
+    /// `mpise_engine_latency_us` histogram. Render it as Prometheus text
+    /// with [`mpise_obs::Registry::render_prometheus`], or as a
+    /// [`mpise_obs::Value`] array with
     /// [`mpise_obs::Registry::metrics_json`]; rendering never changes
     /// a value. Clone the `Arc` to keep the registry past the engine.
     pub fn metrics(&self) -> &Arc<mpise_obs::Registry> {

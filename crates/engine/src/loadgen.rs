@@ -30,6 +30,7 @@ use mpise_fp::params::NUM_PRIMES;
 use mpise_fp::FpFull;
 use mpise_mpi::U512;
 use mpise_obs::time::utc_date_string;
+use mpise_obs::{object, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -384,106 +385,45 @@ pub fn run(opts: &LoadgenOptions) -> LoadReport {
     }
 }
 
-/// `Option` latency/width fields serialize as JSON `null` when absent
-/// (an idle pass measured nothing; `0` would read as a measurement).
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_owned(), |x| x.to_string())
-}
-
-fn pass_json(pass: &PassResult) -> String {
-    format!(
-        "    {{\"workers\": {}, \"requests\": {}, \"ok\": {}, \"errors\": {}, \
-         \"elapsed_secs\": {:.4}, \"requests_per_sec\": {:.4}, \
-         \"keygen\": {}, \"derive\": {}, \"validate\": {}, \
-         \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}, \
-         \"batches\": {}, \"batched_requests\": {}, \"mean_batch_width\": {}, \
-         \"worker_completed\": [{}]}}",
-        pass.workers,
-        pass.requests,
-        pass.ok,
-        pass.errors,
-        pass.elapsed_secs,
-        pass.requests_per_sec,
-        pass.stats.keygen,
-        pass.stats.derive,
-        pass.stats.validate,
-        json_opt_u64(pass.stats.p50_us),
-        json_opt_u64(pass.stats.p99_us),
-        json_opt_u64(pass.stats.max_us),
-        pass.stats.batches,
-        pass.stats.batched_requests,
-        pass.stats
-            .mean_batch_width()
-            .map_or_else(|| "null".to_owned(), |w| format!("{w:.3}")),
-        pass.stats
-            .worker_completed
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-    )
-}
-
-/// Serializes the whole report (see DESIGN.md §10 for the schema).
-pub fn report_json(report: &LoadReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mpise-loadgen/v1\",\n");
-    out.push_str(&format!("  \"date\": \"{}\",\n", utc_date_string()));
-    out.push_str(&format!(
-        "  \"provenance\": {},\n",
-        mpise_obs::Provenance::collect().json()
-    ));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if report.options.smoke {
-            "smoke"
-        } else {
-            "full"
-        }
-    ));
-    out.push_str(&format!(
-        "  \"seed\": {},\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \
-         \"batch_lanes\": {},\n  \"host_parallelism\": {},\n",
-        report.options.seed,
-        report.options.clients,
-        report.options.requests_per_client,
-        report.options.batch_lanes,
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    ));
-    out.push_str("  \"passes\": [\n");
-    for (i, pass) in report.passes.iter().enumerate() {
-        out.push_str(&pass_json(pass));
-        out.push_str(if i + 1 < report.passes.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+/// One pass as JSON. The latency and width fields are `null` when
+/// absent (an idle pass measured nothing; `0` would read as a
+/// measurement).
+fn pass_json(pass: &PassResult) -> Value {
+    let stats = &pass.stats;
+    object! {
+        "workers": pass.workers, "requests": pass.requests, "ok": pass.ok, "errors": pass.errors,
+        "elapsed_secs": pass.elapsed_secs, "requests_per_sec": pass.requests_per_sec,
+        "keygen": stats.keygen, "derive": stats.derive, "validate": stats.validate,
+        "p50_us": stats.p50_us, "p99_us": stats.p99_us, "max_us": stats.max_us,
+        "batches": stats.batches, "batched_requests": stats.batched_requests,
+        "mean_batch_width": stats.mean_batch_width(),
+        "worker_completed": stats.worker_completed.iter().copied().collect::<Value>(),
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"payloads\": {{\"digest_fnv1a64\": \"{:#018x}\", \"bytes\": {}, \
-         \"identical_across_passes\": {}}},\n",
-        report.payload_digest,
-        report.passes.last().map_or(0, |p| p.payloads.len()),
-        report.payloads_identical,
-    ));
-    out.push_str(&format!(
-        "  \"gate\": {{\"baseline_workers\": {}, \"loaded_workers\": {}, \
-         \"baseline_rps\": {:.4}, \"loaded_rps\": {:.4}, \"ratio\": {:.4}, \
-         \"effective_parallelism\": {}, \"required_ratio\": {:.2}, \"pass\": {}}}\n",
-        report.options.baseline_workers,
-        report.options.workers,
-        report.gate.baseline_rps,
-        report.gate.loaded_rps,
-        report.gate.ratio,
-        report.gate.effective_parallelism,
-        report.gate.required_ratio,
-        report.gate.pass,
-    ));
-    out.push_str("}\n");
-    out
+}
+
+/// The whole report (see DESIGN.md §10 for the schema).
+pub fn report_json(report: &LoadReport) -> Value {
+    let (opts, gate) = (&report.options, &report.gate);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    object! {
+        "schema": "mpise-loadgen/v1", "date": utc_date_string(),
+        "provenance": mpise_obs::Provenance::collect().json(),
+        "mode": if opts.smoke { "smoke" } else { "full" },
+        "seed": opts.seed, "clients": opts.clients, "requests_per_client": opts.requests_per_client,
+        "batch_lanes": opts.batch_lanes, "host_parallelism": cores,
+        "passes": report.passes.iter().map(pass_json).collect::<Value>(),
+        "payloads": object! {
+            "digest_fnv1a64": format!("{:#018x}", report.payload_digest),
+            "bytes": report.passes.last().map_or(0, |p| p.payloads.len()),
+            "identical_across_passes": report.payloads_identical,
+        },
+        "gate": object! {
+            "baseline_workers": opts.baseline_workers, "loaded_workers": opts.workers,
+            "baseline_rps": gate.baseline_rps, "loaded_rps": gate.loaded_rps, "ratio": gate.ratio,
+            "effective_parallelism": gate.effective_parallelism,
+            "required_ratio": gate.required_ratio, "pass": gate.pass,
+        },
+    }
 }
 
 fn print_summary(report: &LoadReport) {
@@ -611,7 +551,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         .out
         .clone()
         .unwrap_or_else(|| format!("LOAD_{}.json", utc_date_string()));
-    if let Err(e) = std::fs::write(&path, report_json(&report)) {
+    if let Err(e) = std::fs::write(&path, format!("{}\n", report_json(&report))) {
         eprintln!("loadgen: failed to write {path}: {e}");
         return 2;
     }
@@ -633,10 +573,10 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
         let snapshot = mpise_obs::Snapshot {
             provenance: mpise_obs::Provenance::collect(),
-            metrics_json: metrics.metrics_json(),
+            metrics: metrics.metrics_json(),
             spans,
         };
-        if let Err(e) = std::fs::write(path, snapshot.to_json()) {
+        if let Err(e) = std::fs::write(path, format!("{}\n", snapshot.to_json())) {
             eprintln!("loadgen: failed to write {path}: {e}");
             return 2;
         }
@@ -703,6 +643,31 @@ mod tests {
         let (r4, eff4) = required_ratio(4);
         assert!(eff4 >= 1);
         assert!((0.75..=2.0).contains(&r4));
+    }
+
+    #[test]
+    fn report_json_passes_the_artifact_schema_check() {
+        let opts = LoadgenOptions {
+            workers: 2,
+            clients: 2,
+            requests_per_client: 2,
+            ..LoadgenOptions::smoke()
+        };
+        let report = run(&opts);
+        let doc = mpise_obs::json::parse(&report_json(&report).to_string()).expect("valid JSON");
+        assert_eq!(
+            mpise_obs::json::check_artifact(&doc),
+            Ok("mpise-loadgen/v1")
+        );
+        assert_eq!(doc["passes"][1]["requests"], Value::from(4u64));
+        assert_eq!(
+            doc["payloads"]["digest_fnv1a64"],
+            Value::from(format!("{:#018x}", report.payload_digest))
+        );
+        assert_eq!(
+            doc["payloads"]["identical_across_passes"],
+            Value::Bool(true)
+        );
     }
 
     #[test]

@@ -6,48 +6,26 @@
 //!
 //! Arguments are classified by extension. `.prom` files must parse as
 //! Prometheus text (non-empty, well-formed sample lines, no duplicate
-//! metric families or series). `.json` files must declare one of the
-//! known artifact schemas and carry that schema's required keys:
+//! metric families or series). `.json` files must parse as strict
+//! RFC 8259 JSON ([`json::parse`]), declare one of the known artifact
+//! schemas, and carry that schema's required keys with their types
+//! ([`json::check_artifact`], one table for all schemas):
 //!
 //! * `mpise-obs/v1` — telemetry snapshot (`metrics`, `spans`);
 //! * `mpise-bench/v1` — pipeline benchmark (`kernels`, `action`, `host`);
 //! * `mpise-loadgen/v1` — load-generator run (`passes`, `payloads`);
-//! * `mpise-difftest/v1` — conformance gate (`modes`, `isa_fuzz`,
-//!   `kernel_difftest`, `kat_corpus`, `pass`).
+//! * `mpise-difftest/v1` — conformance gate (`modes.*.failures`, `pass`).
 //!
-//! Every JSON artifact must embed provenance (`git_commit`). Exit code
-//! 0 = all checks pass, 1 = an artifact is invalid, 2 = usage/IO.
-//! CI's `obs-smoke` job runs this over the `loadgen --smoke` telemetry
-//! output and `difftest-smoke` over the gate artifact.
+//! Every JSON artifact must embed provenance (`provenance.git_commit`
+//! and the rest of the block). Exit code 0 = all checks pass, 1 = an
+//! artifact is invalid, 2 = usage/IO. CI runs it over every artifact
+//! its smoke jobs write.
 
-use mpise_obs::prom;
+use mpise_obs::{json, prom};
 
 fn main() {
     std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));
 }
-
-/// Known JSON artifact schemas with per-schema required keys.
-const SCHEMAS: &[(&str, &[&str])] = &[
-    ("mpise-obs/v1", &["\"metrics\"", "\"spans\""]),
-    (
-        "mpise-bench/v1",
-        &["\"mode\"", "\"kernels\"", "\"action\"", "\"host\""],
-    ),
-    (
-        "mpise-loadgen/v1",
-        &["\"mode\"", "\"passes\"", "\"payloads\""],
-    ),
-    (
-        "mpise-difftest/v1",
-        &[
-            "\"modes\"",
-            "\"isa_fuzz\"",
-            "\"kernel_difftest\"",
-            "\"kat_corpus\"",
-            "\"pass\"",
-        ],
-    ),
-];
 
 fn run(args: &[String]) -> i32 {
     if args.is_empty() {
@@ -62,66 +40,29 @@ fn run(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        let code = if path.ends_with(".json") {
-            check_json(path, &text)
+        let checked = if path.ends_with(".json") {
+            json::parse(&text)
+                .and_then(|doc| json::check_artifact(&doc).map(|s| format!("{s} artifact")))
         } else {
-            check_prom(path, &text)
+            prom::validate(&text).map(|s| format!("{} families, {} samples", s.families, s.samples))
         };
-        if code != 0 {
-            return code;
+        match checked {
+            Ok(summary) => println!("obscheck: {path}: {summary} — OK"),
+            Err(e) => {
+                eprintln!("obscheck: {path}: INVALID — {e}");
+                return 1;
+            }
         }
     }
-    0
-}
-
-fn check_prom(path: &str, text: &str) -> i32 {
-    match prom::validate(text) {
-        Ok(summary) => {
-            println!(
-                "obscheck: {path}: {} families, {} samples — OK",
-                summary.families, summary.samples
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("obscheck: {path}: INVALID — {e}");
-            1
-        }
-    }
-}
-
-fn check_json(path: &str, json: &str) -> i32 {
-    let Some((schema, required)) = SCHEMAS
-        .iter()
-        .find(|(name, _)| json.contains(&format!("\"schema\": \"{name}\"")))
-    else {
-        eprintln!(
-            "obscheck: {path}: INVALID — no known schema declaration \
-             (expected one of: {})",
-            SCHEMAS
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return 1;
-    };
-    for key in required
-        .iter()
-        .chain(["\"provenance\"", "\"git_commit\""].iter())
-    {
-        if !json.contains(key) {
-            eprintln!("obscheck: {path}: INVALID — {schema} artifact missing {key}");
-            return 1;
-        }
-    }
-    println!("obscheck: {path}: {schema} artifact — OK");
     0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PROV: &str =
+        r#"{"git_commit": "x", "host": "h", "timestamp": "2026-08-07T00:00:00Z", "unix_secs": 1}"#;
 
     fn write(dir: &std::path::Path, name: &str, body: &str) -> String {
         let p = dir.join(name);
@@ -136,15 +77,21 @@ mod tests {
         let obs = write(
             &dir,
             "obs.json",
-            r#"{"schema": "mpise-obs/v1", "provenance": {"git_commit": "x"},
-                "metrics": {}, "spans": []}"#,
+            &format!(
+                r#"{{"schema": "mpise-obs/v1", "provenance": {PROV},
+                    "metrics": [], "spans": {{}}}}"#
+            ),
         );
         let diff = write(
             &dir,
             "difftest.json",
-            r#"{"schema": "mpise-difftest/v1", "provenance": {"git_commit": "x"},
-                "modes": {"isa_fuzz": {}, "kernel_difftest": {}, "kat_corpus": {}},
-                "pass": true}"#,
+            &format!(
+                r#"{{"schema": "mpise-difftest/v1", "provenance": {PROV},
+                    "modes": {{"isa_fuzz": {{"failures": []}},
+                              "kernel_difftest": {{"failures": []}},
+                              "kat_corpus": {{"failures": []}}}},
+                    "pass": true}}"#
+            ),
         );
         let prom = write(&dir, "m.prom", "mpise_test_total 1\n");
         assert_eq!(run(&[prom.clone(), obs.clone(), diff.clone()]), 0);
@@ -154,8 +101,10 @@ mod tests {
         let bad = write(
             &dir,
             "bad.json",
-            r#"{"schema": "mpise-difftest/v1", "provenance": {"git_commit": "x"},
-                "modes": {"isa_fuzz": {}}}"#,
+            &format!(
+                r#"{{"schema": "mpise-difftest/v1", "provenance": {PROV},
+                    "modes": {{"isa_fuzz": {{"failures": []}}}}}}"#
+            ),
         );
         assert_eq!(run(&[bad]), 1);
         let unknown = write(&dir, "unknown.json", r#"{"schema": "other/v9"}"#);

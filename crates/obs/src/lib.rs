@@ -20,8 +20,11 @@
 //!   ([`metrics::Histogram::quantile`]);
 //! * **Provenance** ([`provenance::Provenance`]) — git commit, host
 //!   and timestamp stamped into every artifact;
-//! * **Validation** ([`prom::validate`], the `obscheck` binary) — the
-//!   CI gate over the exported Prometheus text.
+//! * **JSON** ([`json`]) — the [`Value`] every artifact writer builds,
+//!   its strict parser and the per-schema key table;
+//! * **Validation** ([`prom::validate`], [`json::check_artifact`], the
+//!   `obscheck` binary) — the CI gate over the exported Prometheus
+//!   text and every JSON artifact.
 //!
 //! The whole layer is **disabled by default**: every instrumentation
 //! point is gated on one relaxed atomic ([`enabled`]), so the
@@ -32,12 +35,14 @@
 //! The crate depends on `std` only — it sits below every runtime
 //! crate in the workspace graph.
 
+pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod provenance;
 pub mod span;
 pub mod time;
 
+pub use json::Value;
 pub use metrics::Registry;
 pub use provenance::Provenance;
 pub use span::{add_sim_cost, span, take_spans, SpanGuard, SpanNode, SpanTree};
@@ -68,28 +73,6 @@ pub fn enable_from_env() -> bool {
     enabled()
 }
 
-/// Renders `s` as a JSON string literal: quoted, with `"`, `\` and
-/// every control character U+0000–U+001F escaped, as RFC 8259 §7
-/// requires.
-pub fn json_string(s: &str) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c < ' ' => write!(out, "\\u{:04x}", c as u32).expect("writing to a String"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A complete `mpise-obs/v1` snapshot: provenance + metrics + span
 /// forest, serialized by [`Snapshot::to_json`]. The exporter builds it
 /// from its own registry and span forest (`loadgen --obs-out` uses the
@@ -98,22 +81,19 @@ pub fn json_string(s: &str) -> String {
 pub struct Snapshot {
     /// Run provenance.
     pub provenance: Provenance,
-    /// Metrics JSON array (from [`metrics::Registry::metrics_json`]).
-    pub metrics_json: String,
+    /// Metrics array (from [`metrics::Registry::metrics_json`]).
+    pub metrics: Value,
     /// The span forest.
     pub spans: SpanTree,
 }
 
 impl Snapshot {
-    /// Serializes the versioned snapshot document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"mpise-obs/v1\",\n  \"provenance\": {},\n  \
-             \"metrics\": {},\n  \"spans\": {}\n}}\n",
-            self.provenance.json(),
-            self.metrics_json,
-            self.spans.to_json(),
-        )
+    /// The versioned snapshot document.
+    pub fn to_json(&self) -> Value {
+        crate::object! {
+            "schema": "mpise-obs/v1", "provenance": self.provenance.json(),
+            "metrics": self.metrics.clone(), "spans": self.spans.to_json(),
+        }
     }
 }
 
@@ -130,24 +110,15 @@ mod tests {
                 timestamp: "2026-08-07T00:00:00Z".to_owned(),
                 unix_secs: 1,
             },
-            metrics_json: String::from("[]"),
+            metrics: Value::Array(vec![]),
             spans: SpanTree::default(),
         };
-        let json = snap.to_json();
-        assert!(json.contains("\"schema\": \"mpise-obs/v1\""));
-        assert!(json.contains("\"git_commit\": \"deadbeef\""));
-        assert!(json.contains("\"metrics\": []"));
-        assert!(json.contains("\"spans\": {}"));
-    }
-
-    #[test]
-    fn json_string_escapes_quotes_backslashes_and_control_characters() {
-        assert_eq!(json_string("plain é"), "\"plain é\"");
-        assert_eq!(json_string("a\"b\\c"), r#""a\"b\\c""#);
-        assert_eq!(
-            json_string("l1\nl2\tx\r\u{1}\u{1f}\u{0}"),
-            r#""l1\nl2\tx\r\u0001\u001f\u0000""#
-        );
+        let json = json::parse(&snap.to_json().to_string()).expect("valid JSON");
+        assert_eq!(json["schema"], Value::from("mpise-obs/v1"));
+        assert_eq!(json["provenance"]["git_commit"], Value::from("deadbeef"));
+        assert_eq!(json["metrics"], Value::Array(vec![]));
+        assert_eq!(json["spans"], Value::Object(vec![]));
+        assert_eq!(json::check_artifact(&json), Ok("mpise-obs/v1"));
     }
 
     #[test]

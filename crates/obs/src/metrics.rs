@@ -20,6 +20,7 @@
 //! assert!(text.contains("queue_depth 7"));
 //! ```
 
+use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -76,6 +77,20 @@ struct HistogramInner {
     count: AtomicU64,
 }
 
+impl HistogramInner {
+    /// Per-bucket counts, `+Inf` bucket last.
+    fn counts(&self) -> Vec<u64> {
+        self.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    fn sum(&self) -> f64 {
+        self.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0
+    }
+}
+
 /// A fixed-bucket histogram handle.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
@@ -126,11 +141,7 @@ impl Histogram {
     /// the bound below it.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         let inner = &self.0;
-        let counts: Vec<u64> = inner
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = inner.counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return None;
@@ -181,9 +192,12 @@ enum Series {
 struct Family {
     help: String,
     kind: Kind,
-    /// Series keyed by their rendered label set (`{k="v",…}` or "").
-    series: BTreeMap<String, Series>,
+    /// Series keyed by their label set, sorted by name.
+    series: BTreeMap<Labels, Series>,
 }
+
+/// A series' `(name, value)` label pairs, sorted.
+type Labels = Vec<(String, String)>;
 
 /// A thread-safe registry of metric families. Each owner builds its
 /// own (the engine keeps one per instance); there is no process-wide
@@ -193,16 +207,26 @@ pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
 }
 
-fn label_key(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut pairs: Vec<String> = labels
+fn label_key(labels: &[(&str, &str)]) -> Labels {
+    let mut key: Labels = labels.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+    key.sort();
+    key
+}
+
+/// Renders a label set plus an optional extra label as `{k="v",…}`
+/// (empty when there are none).
+fn render_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
+    let pairs: Vec<String> = labels
         .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain(extra)
         .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
         .collect();
-    pairs.sort();
-    format!("{{{}}}", pairs.join(","))
+    if pairs.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs.join(","))
+    }
 }
 
 impl Registry {
@@ -289,7 +313,8 @@ impl Registry {
                 "# TYPE {name} {}\n",
                 family.kind.prometheus_type()
             ));
-            for (labels, series) in &family.series {
+            for (key, series) in &family.series {
+                let labels = render_labels(key, None);
                 match series {
                     Series::Counter(c) => {
                         out.push_str(&format!("{name}{labels} {}\n", c.get()));
@@ -298,29 +323,15 @@ impl Registry {
                         out.push_str(&format!("{name}{labels} {}\n", fmt_f64(g.get())));
                     }
                     Series::Histogram(h) => {
-                        let inner = &h.0;
-                        let base = labels.trim_start_matches('{').trim_end_matches('}');
+                        let bounds = h.0.bounds.iter().map(|b| fmt_f64(*b));
                         let mut cumulative = 0u64;
-                        for (i, bound) in inner.bounds.iter().enumerate() {
-                            cumulative += inner.buckets[i].load(Ordering::Relaxed);
-                            out.push_str(&format!(
-                                "{name}_bucket{} {cumulative}\n",
-                                join_labels(base, &format!("le=\"{}\"", fmt_f64(*bound))),
-                            ));
+                        for (bound, n) in bounds.chain(["+Inf".to_owned()]).zip(h.0.counts()) {
+                            cumulative += n;
+                            let le = render_labels(key, Some(("le", &bound)));
+                            out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
                         }
-                        cumulative += inner.buckets[inner.bounds.len()].load(Ordering::Relaxed);
-                        out.push_str(&format!(
-                            "{name}_bucket{} {cumulative}\n",
-                            join_labels(base, "le=\"+Inf\""),
-                        ));
-                        out.push_str(&format!(
-                            "{name}_sum{labels} {}\n",
-                            fmt_f64(inner.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0)
-                        ));
-                        out.push_str(&format!(
-                            "{name}_count{labels} {}\n",
-                            inner.count.load(Ordering::Relaxed)
-                        ));
+                        out.push_str(&format!("{name}_sum{labels} {}\n", fmt_f64(h.0.sum())));
+                        out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
                     }
                 }
             }
@@ -328,67 +339,34 @@ impl Registry {
         out
     }
 
-    /// The `"metrics"` JSON array of the `mpise-obs/v1` snapshot.
-    pub fn metrics_json(&self) -> String {
+    /// The `"metrics"` array of the `mpise-obs/v1` snapshot.
+    pub fn metrics_json(&self) -> Value {
         let families = self.families.lock().expect("metrics registry lock");
-        let mut out = String::from("[");
-        for (fi, (name, family)) in families.iter().enumerate() {
-            if fi > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{name}\", \"type\": \"{}\", \"help\": \"{}\", \"series\": [",
-                family.kind.prometheus_type(),
-                family.help,
-            ));
-            for (si, (labels, series)) in family.series.iter().enumerate() {
-                if si > 0 {
-                    out.push_str(", ");
-                }
-                let labels_json = labels_to_json(labels);
-                match series {
-                    Series::Counter(c) => out.push_str(&format!(
-                        "{{\"labels\": {labels_json}, \"value\": {}}}",
-                        c.get()
-                    )),
-                    Series::Gauge(g) => out.push_str(&format!(
-                        "{{\"labels\": {labels_json}, \"value\": {}}}",
-                        fmt_f64(g.get())
-                    )),
-                    Series::Histogram(h) => {
-                        let inner = &h.0;
-                        let counts: Vec<String> = inner
-                            .buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed).to_string())
-                            .collect();
-                        let bounds: Vec<String> =
-                            inner.bounds.iter().map(|b| fmt_f64(*b)).collect();
-                        out.push_str(&format!(
-                            "{{\"labels\": {labels_json}, \"bounds\": [{}], \
-                             \"buckets\": [{}], \"sum\": {}, \"count\": {}}}",
-                            bounds.join(", "),
-                            counts.join(", "),
-                            fmt_f64(inner.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0),
-                            inner.count.load(Ordering::Relaxed),
-                        ));
+        families
+            .iter()
+            .map(|(name, family)| {
+                let series = family.series.iter().map(|(key, series)| {
+                    let labels =
+                        Value::object(key.iter().map(|(k, v)| (k.as_str(), v.as_str().into())));
+                    match series {
+                        Series::Counter(c) => crate::object! { "labels": labels, "value": c.get() },
+                        Series::Gauge(g) => crate::object! { "labels": labels, "value": g.get() },
+                        Series::Histogram(h) => {
+                            let bounds: Value = h.0.bounds.iter().copied().collect();
+                            crate::object! {
+                                "labels": labels, "bounds": bounds,
+                                "buckets": h.0.counts().into_iter().collect::<Value>(),
+                                "sum": h.0.sum(), "count": h.count(),
+                            }
+                        }
                     }
+                });
+                crate::object! {
+                    "name": name.as_str(), "type": family.kind.prometheus_type(),
+                    "help": family.help.as_str(), "series": series.collect::<Value>(),
                 }
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-        out
-    }
-}
-
-/// Joins a base label string (no braces, possibly empty) with one
-/// extra label into a rendered `{...}` set.
-fn join_labels(base: &str, extra: &str) -> String {
-    if base.is_empty() {
-        format!("{{{extra}}}")
-    } else {
-        format!("{{{base},{extra}}}")
+            })
+            .collect()
     }
 }
 
@@ -400,26 +378,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Parses a rendered label set back into a JSON object.
-fn labels_to_json(labels: &str) -> String {
-    if labels.is_empty() {
-        return String::from("{}");
-    }
-    let inner = labels.trim_start_matches('{').trim_end_matches('}');
-    let mut out = String::from("{");
-    for (i, pair) in inner.split(',').enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match pair.split_once('=') {
-            Some((k, v)) => out.push_str(&format!("\"{k}\": {v}")),
-            None => out.push_str(&format!("\"{pair}\": \"\"")),
-        }
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -512,16 +470,24 @@ mod tests {
         let r = Registry::new();
         r.counter("a_total", "a", &[("k", "v")]).inc();
         r.histogram("h", "h", &[], &[1.0]).observe(0.5);
-        let json = r.metrics_json();
-        assert!(json.contains("\"name\": \"a_total\""));
-        assert!(json.contains("\"labels\": {\"k\": \"v\"}"));
-        assert!(json.contains("\"bounds\": [1]"));
-        assert!(json.contains("\"count\": 1"));
+        let json = crate::json::parse(&r.metrics_json().to_string()).expect("valid JSON");
+        assert_eq!(json[0]["name"], Value::from("a_total"));
+        assert_eq!(
+            json[0]["series"][0]["labels"],
+            Value::object([("k", "v".into())])
+        );
+        assert_eq!(json[1]["series"][0]["bounds"], [1.0].into_iter().collect());
+        assert_eq!(json[1]["series"][0]["count"], Value::from(1u64));
     }
 
     #[test]
     fn label_order_is_canonical() {
-        assert_eq!(label_key(&[("b", "2"), ("a", "1")]), "{a=\"1\",b=\"2\"}");
-        assert_eq!(label_key(&[]), "");
+        let key = label_key(&[("b", "2"), ("a", "1")]);
+        assert_eq!(render_labels(&key, None), "{a=\"1\",b=\"2\"}");
+        assert_eq!(render_labels(&label_key(&[]), None), "");
+        assert_eq!(
+            render_labels(&key, Some(("le", "+Inf"))),
+            "{a=\"1\",b=\"2\",le=\"+Inf\"}"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! `.git/`), and every field degrades to `"unknown"` rather than
 //! failing the run.
 
-use crate::json_string;
+use crate::json::Value;
 use crate::time::{unix_secs, utc_datetime_string};
 use std::path::{Path, PathBuf};
 
@@ -39,15 +39,12 @@ impl Provenance {
         }
     }
 
-    /// The provenance as a JSON object (one line, no trailing newline).
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"git_commit\": {}, \"host\": {}, \"timestamp\": {}, \"unix_secs\": {}}}",
-            json_string(&self.git_commit),
-            json_string(&self.host),
-            json_string(&self.timestamp),
-            self.unix_secs,
-        )
+    /// The provenance as a JSON object.
+    pub fn json(&self) -> Value {
+        crate::object! {
+            "git_commit": self.git_commit.as_str(), "host": self.host.as_str(),
+            "timestamp": self.timestamp.as_str(), "unix_secs": self.unix_secs,
+        }
     }
 }
 
@@ -142,15 +139,18 @@ mod tests {
 
     #[test]
     fn json_escapes_and_shapes() {
+        let host = "a\"b\tc\nd\re\u{1}";
         let p = Provenance {
             git_commit: "abc".to_owned(),
-            host: "a\"b\tc\nd\re\u{1}".to_owned(),
+            host: host.to_owned(),
             timestamp: "2026-08-07T00:00:00Z".to_owned(),
             unix_secs: 1,
         };
-        let j = p.json();
-        assert!(j.contains("\"git_commit\": \"abc\""));
-        assert!(j.contains(r#""host": "a\"b\tc\nd\re\u0001""#));
-        assert!(j.contains("\"unix_secs\": 1"));
+        let text = p.json().to_string();
+        assert!(text.contains(r#""host": "a\"b\tc\nd\re\u0001""#));
+        let j = crate::json::parse(&text).expect("valid JSON");
+        assert_eq!(j["git_commit"], Value::from("abc"));
+        assert_eq!(j["host"], Value::from(host));
+        assert_eq!(j["unix_secs"], Value::from(1u64));
     }
 }

@@ -38,6 +38,7 @@
 //! mpise_obs::set_enabled(false);
 //! ```
 
+use crate::json::Value;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -149,56 +150,20 @@ impl SpanTree {
         out
     }
 
-    /// Folded-stack (flamegraph-compatible) lines weighted by
-    /// simulated cycles: `a;b;c <cycles>` per node with nonzero direct
-    /// cycles.
-    pub fn folded(&self) -> String {
-        fn walk(out: &mut String, path: &str, node: &SpanNode) {
-            if node.cycles > 0 {
-                out.push_str(&format!("{path} {}\n", node.cycles));
-            }
-            for (name, child) in &node.children {
-                walk(out, &format!("{path};{name}"), child);
-            }
-        }
-        let mut out = String::new();
-        for (name, node) in &self.roots {
-            walk(&mut out, name, node);
-        }
-        out
-    }
-
     /// JSON value of the forest (an object keyed by span name), as
     /// embedded in the `mpise-obs/v1` snapshot.
-    pub fn to_json(&self) -> String {
-        fn node_json(node: &SpanNode) -> String {
-            let mut out = format!(
-                "{{\"count\": {}, \"wall_ns\": {}, \"cycles\": {}, \"instret\": {}, \
-                 \"total_cycles\": {}, \"children\": {{",
-                node.count,
-                node.wall_ns,
-                node.cycles,
-                node.instret,
-                node.total_cycles(),
-            );
-            for (i, (name, child)) in node.children.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{name}\": {}", node_json(child)));
-            }
-            out.push_str("}}");
-            out
+    pub fn to_json(&self) -> Value {
+        fn forest(nodes: &BTreeMap<&'static str, SpanNode>) -> Value {
+            Value::object(nodes.iter().map(|(name, node)| {
+                let fields = crate::object! {
+                    "count": node.count, "wall_ns": node.wall_ns, "cycles": node.cycles,
+                    "instret": node.instret, "total_cycles": node.total_cycles(),
+                    "children": forest(&node.children),
+                };
+                (*name, fields)
+            }))
         }
-        let mut out = String::from("{");
-        for (i, (name, node)) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {}", node_json(node)));
-        }
-        out.push('}');
-        out
+        forest(&self.roots)
     }
 }
 
@@ -379,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn render_folded_and_json_shapes() {
+    fn render_and_json_shapes() {
         let tree = with_telemetry(|| {
             let _a = span("a");
             {
@@ -391,9 +356,8 @@ mod tests {
         });
         assert!(tree.render().contains("a:"));
         assert!(tree.render().contains("  b:"));
-        assert_eq!(tree.folded(), "a;b 4\n");
-        let json = tree.to_json();
-        assert!(json.contains("\"a\""));
-        assert!(json.contains("\"total_cycles\": 4"));
+        let json = crate::json::parse(&tree.to_json().to_string()).expect("valid JSON");
+        assert_eq!(json["a"]["total_cycles"], Value::from(4u64));
+        assert_eq!(json["a"]["children"]["b"]["cycles"], Value::from(4u64));
     }
 }

@@ -5,7 +5,6 @@ use crate::cpu::{Cpu, Trap};
 use crate::ext::{CustomArgs, IsaExtension};
 use crate::inst::Inst;
 use crate::mem::Memory;
-use crate::profile::PcProfiler;
 use crate::reg::Reg;
 use crate::timing::{PipelineModel, PreDecoded, TimingConfig, TimingStats};
 use crate::trace::Tracer;
@@ -128,7 +127,6 @@ pub struct Machine {
     pipeline: PipelineModel,
     fuel: u64,
     tracer: Option<Tracer>,
-    profiler: Option<PcProfiler>,
 }
 
 /// How an instruction interacts with the fetch stream, pre-classified
@@ -186,7 +184,6 @@ impl Machine {
             pipeline: PipelineModel::new(TimingConfig::default()),
             fuel: DEFAULT_FUEL,
             tracer: None,
-            profiler: None,
         }
     }
 
@@ -208,16 +205,6 @@ impl Machine {
     /// Takes the tracer back out, with whatever it recorded.
     pub fn take_tracer(&mut self) -> Option<Tracer> {
         self.tracer.take()
-    }
-
-    /// Attaches a sampling PC profiler (see [`crate::profile`]).
-    pub fn set_profiler(&mut self, profiler: Option<PcProfiler>) {
-        self.profiler = profiler;
-    }
-
-    /// Takes the profiler back out, with whatever it sampled.
-    pub fn take_profiler(&mut self) -> Option<PcProfiler> {
-        self.profiler.take()
     }
 
     /// The attached extension registry.
@@ -279,17 +266,16 @@ impl Machine {
     /// [`RunError::Trap`] on faults, [`RunError::OutOfFuel`] when the
     /// instruction budget is exhausted.
     pub fn run(&mut self) -> Result<RunStats, RunError> {
-        // Monomorphise the loop on tracer/profiler presence so the
-        // common uninstrumented path pays nothing for either hook.
-        match (self.tracer.is_some(), self.profiler.is_some()) {
-            (false, false) => self.run_loop::<false, false>(),
-            (false, true) => self.run_loop::<false, true>(),
-            (true, false) => self.run_loop::<true, false>(),
-            (true, true) => self.run_loop::<true, true>(),
+        // Monomorphise the loop on tracer presence so the common
+        // untraced path pays nothing for the hook.
+        if self.tracer.is_some() {
+            self.run_loop::<true>()
+        } else {
+            self.run_loop::<false>()
         }
     }
 
-    fn run_loop<const TRACE: bool, const PROF: bool>(&mut self) -> Result<RunStats, RunError> {
+    fn run_loop<const TRACE: bool>(&mut self) -> Result<RunStats, RunError> {
         let start_timing = *self.pipeline.stats();
         let start_cycles = self.pipeline.cycles();
         let sentinel = self.return_sentinel();
@@ -359,11 +345,6 @@ impl Machine {
             if TRACE {
                 if let Some(t) = &mut self.tracer {
                     t.record(pc, &inst, &self.cpu);
-                }
-            }
-            if PROF {
-                if let Some(p) = &mut self.profiler {
-                    p.record(pc, &inst, &self.ext);
                 }
             }
 

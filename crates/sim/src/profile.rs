@@ -1,16 +1,6 @@
-//! Instruction-mix and PC profiling.
-//!
-//! Two complementary views of where a kernel's instructions go:
-//!
-//! * [`InstMix`] — per-mnemonic retirement counts ("how many
-//!   `mulhu`/`sltu`/`add` does a Montgomery multiplication really
-//!   execute", the instruction-count arguments of §3.1);
-//! * [`PcProfiler`] — a sampling PC profiler attached to a
-//!   [`crate::Machine`]: every `interval`-th retired PC is bucketed
-//!   into caller-named code regions (kernel symbolization) and the
-//!   result renders as folded-stack (flamegraph-compatible) lines.
-//!   The profiler owns an [`InstMix`] as its exhaustive (non-sampled)
-//!   companion view, so one machine hook feeds both.
+//! Instruction mix: per-mnemonic counts ([`InstMix`]) — "how many
+//! `mulhu`/`sltu`/`add` does a Montgomery multiplication really
+//! execute", the instruction-count arguments of §3.1.
 
 use crate::ext::IsaExtension;
 use crate::inst::Inst;
@@ -91,180 +81,6 @@ fn mnemonic_of(inst: &Inst, ext: &IsaExtension) -> String {
     }
 }
 
-/// One named PC range `[start, end)` of a loaded program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Region {
-    /// Symbol name of the region (kernel, phase, loop body, …).
-    pub name: String,
-    /// First PC of the region.
-    pub start: u64,
-    /// One past the last PC of the region.
-    pub end: u64,
-}
-
-/// A sampling PC profiler for [`crate::Machine`].
-///
-/// Attach with [`crate::Machine::set_profiler`]; recover with
-/// [`crate::Machine::take_profiler`]. Every `interval`-th retired
-/// instruction's PC is attributed to the innermost-fitting registered
-/// [`Region`] (ties broken toward the later-starting, i.e. more
-/// specific, region); PCs outside every region land in the implicit
-/// `<other>` bucket. The profiler also maintains an exhaustive
-/// [`InstMix`] over *all* retirements, so the per-mnemonic histogram
-/// needs no second hook.
-///
-/// # Examples
-///
-/// ```
-/// use mpise_sim::{Assembler, Machine, Reg, profile::PcProfiler};
-/// let mut a = Assembler::new();
-/// a.li(Reg::T0, 7);
-/// a.mul(Reg::T0, Reg::T0, Reg::T0);
-/// a.ebreak();
-/// let mut m = Machine::new();
-/// m.load_program(&a.finish());
-/// let mut p = PcProfiler::new(1);
-/// p.add_region("kernel", m.prog_base(), m.return_sentinel());
-/// m.set_profiler(Some(p));
-/// m.run().unwrap();
-/// let p = m.take_profiler().unwrap();
-/// assert_eq!(p.samples_taken(), 3);
-/// assert_eq!(p.mix().count("mul"), 1);
-/// assert!(p.folded("sim").starts_with("sim;kernel 3"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PcProfiler {
-    interval: u64,
-    tick: u64,
-    regions: Vec<Region>,
-    region_samples: Vec<u64>,
-    other_samples: u64,
-    total_retired: u64,
-    mix: InstMix,
-}
-
-impl PcProfiler {
-    /// Creates a profiler sampling every `interval`-th retirement
-    /// (1 = exhaustive; clamped to ≥ 1).
-    pub fn new(interval: u64) -> Self {
-        PcProfiler {
-            interval: interval.max(1),
-            tick: 0,
-            regions: Vec::new(),
-            region_samples: Vec::new(),
-            other_samples: 0,
-            total_retired: 0,
-            mix: InstMix::new(),
-        }
-    }
-
-    /// Registers a named PC region `[start, end)`. Overlapping regions
-    /// are allowed; samples go to the latest-starting region that
-    /// contains the PC.
-    pub fn add_region(&mut self, name: impl Into<String>, start: u64, end: u64) {
-        self.regions.push(Region {
-            name: name.into(),
-            start,
-            end,
-        });
-        self.region_samples.push(0);
-    }
-
-    /// Records one retired instruction (called by the machine).
-    pub fn record(&mut self, pc: u64, inst: &Inst, ext: &IsaExtension) {
-        self.total_retired += 1;
-        self.mix.record(inst, ext);
-        self.tick += 1;
-        if self.tick < self.interval {
-            return;
-        }
-        self.tick = 0;
-        let mut best: Option<usize> = None;
-        for (i, r) in self.regions.iter().enumerate() {
-            if pc >= r.start && pc < r.end {
-                best = match best {
-                    Some(b) if self.regions[b].start >= r.start => Some(b),
-                    _ => Some(i),
-                };
-            }
-        }
-        match best {
-            Some(i) => self.region_samples[i] += 1,
-            None => self.other_samples += 1,
-        }
-    }
-
-    /// Total instructions seen (sampled or not).
-    pub fn total_retired(&self) -> u64 {
-        self.total_retired
-    }
-
-    /// Samples actually taken.
-    pub fn samples_taken(&self) -> u64 {
-        self.region_samples.iter().sum::<u64>() + self.other_samples
-    }
-
-    /// The sampling interval.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// `(region name, samples)` pairs in registration order, plus a
-    /// final `("<other>", n)` bucket when any PC fell outside every
-    /// region.
-    pub fn region_samples(&self) -> Vec<(&str, u64)> {
-        let mut out: Vec<(&str, u64)> = self
-            .regions
-            .iter()
-            .zip(&self.region_samples)
-            .map(|(r, &n)| (r.name.as_str(), n))
-            .collect();
-        if self.other_samples > 0 {
-            out.push(("<other>", self.other_samples));
-        }
-        out
-    }
-
-    /// The exhaustive per-mnemonic mix (every retirement, unsampled).
-    pub fn mix(&self) -> &InstMix {
-        &self.mix
-    }
-
-    /// Folded-stack (flamegraph-compatible) lines, one per non-empty
-    /// bucket: `root;region samples`.
-    pub fn folded(&self, root: &str) -> String {
-        let mut out = String::new();
-        for (name, n) in self.region_samples() {
-            if n > 0 {
-                out.push_str(&format!("{root};{name} {n}\n"));
-            }
-        }
-        out
-    }
-
-    /// Renders the sample histogram as text.
-    pub fn render(&self) -> String {
-        let taken = self.samples_taken().max(1);
-        let mut out = String::new();
-        for (name, n) in self.region_samples() {
-            out.push_str(&format!(
-                "{:24} {:>10}  ({:5.1}%)\n",
-                name,
-                n,
-                100.0 * n as f64 / taken as f64
-            ));
-        }
-        out.push_str(&format!(
-            "{:24} {:>10}  (interval {}, {} retired)\n",
-            "samples",
-            self.samples_taken(),
-            self.interval,
-            self.total_retired
-        ));
-        out
-    }
-}
-
 /// Computes the static instruction mix of a program (no execution).
 pub fn static_mix(program: &crate::asm::Program, ext: &IsaExtension) -> InstMix {
     let mut mix = InstMix::new();
@@ -319,104 +135,6 @@ mod tests {
         let mix = static_mix(&a.finish(), &IsaExtension::new("none"));
         assert_eq!(mix.count("custom.123"), 1);
         assert!(mix.render().contains("custom.123"));
-    }
-
-    #[test]
-    fn custom_mnemonics_resolved_during_execution() {
-        // The dynamic path: the machine hook feeds the profiler's
-        // InstMix through the same `ext.by_id` resolution as the
-        // static view.
-        let ext = mpise_core_free_test_ext();
-        let mut a = Assembler::new();
-        a.custom_r4(crate::ext::CustomId(77), Reg::A0, Reg::A1, Reg::A2, Reg::A3);
-        a.ebreak();
-        let mut m = crate::Machine::with_ext(ext);
-        m.load_program(&a.finish());
-        m.set_profiler(Some(PcProfiler::new(1)));
-        m.run().unwrap();
-        let p = m.take_profiler().unwrap();
-        assert_eq!(p.mix().count("frob"), 1);
-        assert_eq!(p.mix().count("ebreak"), 1);
-        assert_eq!(p.mix().total(), 2);
-    }
-
-    #[test]
-    fn profiler_buckets_pcs_into_regions() {
-        // 4 insts in "head" [base, base+16), 6 in "tail", ebreak
-        // outside both regions.
-        let mut a = Assembler::new();
-        for _ in 0..10 {
-            a.addi(Reg::T0, Reg::T0, 1);
-        }
-        a.ebreak();
-        let mut m = crate::Machine::new();
-        m.load_program(&a.finish());
-        let base = m.prog_base();
-        let mut p = PcProfiler::new(1);
-        p.add_region("head", base, base + 16);
-        p.add_region("tail", base + 16, base + 40);
-        m.set_profiler(Some(p));
-        m.run().unwrap();
-        let p = m.take_profiler().unwrap();
-        assert_eq!(p.total_retired(), 11);
-        assert_eq!(p.samples_taken(), 11);
-        assert_eq!(
-            p.region_samples(),
-            vec![("head", 4), ("tail", 6), ("<other>", 1)]
-        );
-        let folded = p.folded("run");
-        assert!(folded.contains("run;head 4\n"));
-        assert!(folded.contains("run;tail 6\n"));
-        assert!(folded.contains("run;<other> 1\n"));
-        assert!(p.render().contains("head"));
-    }
-
-    #[test]
-    fn sampling_interval_thins_samples_but_not_mix() {
-        let mut a = Assembler::new();
-        for _ in 0..99 {
-            a.addi(Reg::T0, Reg::T0, 1);
-        }
-        a.ebreak();
-        let mut m = crate::Machine::new();
-        m.load_program(&a.finish());
-        let mut p = PcProfiler::new(10);
-        p.add_region("all", m.prog_base(), m.return_sentinel());
-        m.set_profiler(Some(p));
-        m.run().unwrap();
-        let p = m.take_profiler().unwrap();
-        // 100 retirements at interval 10 → exactly 10 samples, but the
-        // mix still sees every retirement.
-        assert_eq!(p.total_retired(), 100);
-        assert_eq!(p.samples_taken(), 10);
-        assert_eq!(p.region_samples(), vec![("all", 10)]);
-        assert_eq!(p.mix().count("addi"), 99);
-        assert_eq!(p.mix().total(), 100);
-    }
-
-    #[test]
-    fn overlapping_regions_prefer_the_inner_symbol() {
-        let mut a = Assembler::new();
-        for _ in 0..4 {
-            a.addi(Reg::T0, Reg::T0, 1);
-        }
-        a.ebreak();
-        let mut m = crate::Machine::new();
-        m.load_program(&a.finish());
-        let base = m.prog_base();
-        let mut p = PcProfiler::new(1);
-        p.add_region("outer", base, base + 20);
-        p.add_region("inner", base + 4, base + 12);
-        m.set_profiler(Some(p));
-        m.run().unwrap();
-        let p = m.take_profiler().unwrap();
-        assert_eq!(p.region_samples(), vec![("outer", 3), ("inner", 2)]);
-    }
-
-    #[test]
-    fn interval_zero_is_clamped() {
-        let p = PcProfiler::new(0);
-        assert_eq!(p.interval(), 1);
     }
 
     fn mpise_core_free_test_ext() -> IsaExtension {

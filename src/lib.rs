@@ -18,7 +18,7 @@
 //! * [`hw`] — the structural hardware cost model (`mpise-hw`);
 //! * [`engine`] — the batched multi-worker key-exchange service and
 //!   its load generator (`mpise-engine`);
-//! * [`obs`] — spans, metrics and the sampling profiler behind every
+//! * [`obs`] — spans, metrics, provenance and the artifact JSON behind every
 //!   runtime crate's telemetry (`mpise-obs`);
 //! * [`conformance`] — the differential conformance subsystem: the
 //!   pure reference executor, the ISA fuzzer, the cross-backend
