@@ -26,6 +26,7 @@ use mpise_sim::decode::decode;
 use mpise_sim::encode::encode;
 use mpise_sim::ext::{
     decode_custom_operands, encode_custom, CustomFormat, CustomInstDef, IsaExtension,
+    CUSTOM_OPCODES,
 };
 use mpise_sim::inst::Inst;
 use mpise_sim::Reg;
@@ -46,14 +47,6 @@ pub const BASE_RV64_OPCODES: [u8; 13] = [
     0b0111011, // op-32
     0b0001111, // fence
     0b1110011, // system
-];
-
-/// The four major opcodes RISC-V reserves for custom extensions.
-pub const CUSTOM_OPCODES: [u8; 4] = [
-    0b0001011, // custom-0
-    0b0101011, // custom-1
-    0b1011011, // custom-2
-    0b1111011, // custom-3
 ];
 
 /// The paper's Table 1: expected encoding per mnemonic. `cadd` and

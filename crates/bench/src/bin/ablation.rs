@@ -16,18 +16,27 @@
 use mpise_bench::rule;
 use mpise_fp::kernels::ablation::{karatsuba_int_mul, rolled_int_mul};
 use mpise_fp::kernels::{Config, IseMode, KernelSet, OpKind, Radix};
-use mpise_fp::measure::KernelRunner;
+use mpise_fp::measure::{call_kernel, kernel_machine, KernelRunner};
 use mpise_hw::depth::analyze;
 use mpise_hw::xmul::{base_multiplier, full_radix_xmul, reduced_radix_xmul};
 use mpise_mpi::U512;
-use mpise_sim::machine::DATA_BASE;
-use mpise_sim::{Machine, Reg, TimingConfig};
+use mpise_sim::asm::Program;
+use mpise_sim::TimingConfig;
 
 fn main() {
     karatsuba_vs_product_scanning();
     unrolling();
     critical_path();
     timing_sensitivity();
+}
+
+/// Cycles of one call to a 512×512-bit multiplication `program` on
+/// `config`'s machine.
+fn int_mul_cycles(config: Config, program: &Program, a: &U512, b: &U512) -> u64 {
+    let mut m = kernel_machine(config, program);
+    let (_, out_words) = OpKind::IntMul.shape(&config);
+    let (_, stats) = call_kernel(&mut m, &[a.limbs(), b.limbs()], out_words).expect("kernel runs");
+    stats.cycles
 }
 
 /// Measures what full unrolling buys (§3: "we also unroll the loops
@@ -45,24 +54,13 @@ fn unrolling() {
         let b = U512::from_u64(5);
         let (_, unrolled) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
 
-        let prog = rolled_int_mul(ise);
-        let mut m = Machine::with_ext(config.extension());
-        m.load_program(&prog);
-        m.mem.write_limbs(DATA_BASE + 0x100, a.limbs()).unwrap();
-        m.mem.write_limbs(DATA_BASE + 0x200, b.limbs()).unwrap();
-        let stats = m
-            .call(&[
-                (Reg::A0, DATA_BASE),
-                (Reg::A1, DATA_BASE + 0x100),
-                (Reg::A2, DATA_BASE + 0x200),
-            ])
-            .unwrap();
+        let rolled = int_mul_cycles(config, &rolled_int_mul(ise), &a, &b);
         println!(
             "{:24} unrolled {:>5} cycles, rolled {:>5} cycles ({:.2}x)",
             config.ise.to_string(),
             unrolled,
-            stats.cycles,
-            stats.cycles as f64 / unrolled as f64
+            rolled,
+            rolled as f64 / unrolled as f64
         );
     }
     println!("{}", rule(72));
@@ -87,19 +85,7 @@ fn karatsuba_vs_product_scanning() {
         let b = U512::from_u64(5);
         let (_, ps) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
 
-        let prog = karatsuba_int_mul(ise);
-        let mut m = Machine::with_ext(config.extension());
-        m.load_program(&prog);
-        m.mem.write_limbs(DATA_BASE + 0x100, a.limbs()).unwrap();
-        m.mem.write_limbs(DATA_BASE + 0x200, b.limbs()).unwrap();
-        let stats = m
-            .call(&[
-                (Reg::A0, DATA_BASE),
-                (Reg::A1, DATA_BASE + 0x100),
-                (Reg::A2, DATA_BASE + 0x200),
-            ])
-            .unwrap();
-        let kara = stats.cycles;
+        let kara = int_mul_cycles(config, &karatsuba_int_mul(ise), &a, &b);
         println!(
             "{:24} {:>16} {:>16} {:>10}",
             config.ise.to_string(),
@@ -166,29 +152,11 @@ fn timing_sensitivity() {
         print!("{:34}", name);
         for config in [Config::ALL[0], Config::ALL[1], Config::ALL[3]] {
             let set = KernelSet::build(config);
-            let mut m = Machine::with_ext(config.extension());
+            let mut m = kernel_machine(config, set.kernel(OpKind::FpMul));
             m.set_timing(timing);
-            m.load_program(set.kernel(OpKind::FpMul));
-            let pool = match config.radix {
-                Radix::Full => mpise_fp::kernels::const_pool_full(),
-                Radix::Reduced => mpise_fp::kernels::const_pool_red(),
-            };
-            m.mem.write_limbs(DATA_BASE + 0x300, &pool).unwrap();
             let n = config.elem_words();
-            m.mem
-                .write_limbs(DATA_BASE + 0x100, &vec![3u64; n])
-                .unwrap();
-            m.mem
-                .write_limbs(DATA_BASE + 0x200, &vec![5u64; n])
-                .unwrap();
-            let stats = m
-                .call(&[
-                    (Reg::A0, DATA_BASE),
-                    (Reg::A1, DATA_BASE + 0x100),
-                    (Reg::A2, DATA_BASE + 0x200),
-                    (Reg::A3, DATA_BASE + 0x300),
-                ])
-                .unwrap();
+            let (_, stats) =
+                call_kernel(&mut m, &[&vec![3u64; n], &vec![5u64; n]], n).expect("kernel runs");
             print!(" {:>11}", stats.cycles);
         }
         println!();

@@ -1,5 +1,5 @@
-//! The reproducible benchmark pipeline (kernel matrix + CSIDH action +
-//! interpreter throughput → `BENCH_<date>.json`). See
+//! The reproducible benchmark pipeline (kernel matrix + CSIDH action →
+//! `BENCH_<date>.json`). See
 //! [`mpise_bench::pipeline`] and DESIGN.md §9.
 
 fn main() {

@@ -14,10 +14,6 @@
 //!    Σ op-count × per-op cycles with op counts from an instrumented
 //!    host run, plus (in full mode) a direct full-simulation run whose
 //!    public key is validated against the host backend.
-//! 3. **Host throughput** — wall-clock simulated-instructions-per-
-//!    second of the interpreter itself, so regressions in the
-//!    simulator's own hot path are visible, not just regressions in the
-//!    simulated cycle counts.
 //!
 //! The pipeline doubles as a regression gate: it exits non-zero when
 //! any ISE-supported configuration fails to beat its radix-matched
@@ -29,12 +25,12 @@
 //! All simulated numbers are deterministic: fixed seeds, constant-time
 //! kernels. Two runs with the same options produce byte-identical
 //! `kernels` and `action_estimate` sections (the golden test in
-//! `tests/bench_golden.rs` enforces this); only the `host` section
-//! varies with the machine the pipeline runs on.
+//! `tests/bench_golden.rs` enforces this). Host wall time is measured
+//! by the separate `perfbench` benchmark, not here.
 
 use mpise_csidh::{group_action, PrivateKey, PublicKey};
 use mpise_fp::kernels::{Config, IseMode, OpKind};
-use mpise_fp::measure::{measure_matrix_parallel, KernelRunner, OpMeasurement};
+use mpise_fp::measure::{measure_matrix_parallel, OpMeasurement};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{CountingFp, FpFull, OpCounts};
 use mpise_obs::time::utc_date_string;
@@ -50,8 +46,8 @@ pub const BENCH_SEED: u64 = 0xC51D;
 #[derive(Debug, Clone, Default)]
 pub struct BenchOptions {
     /// Reduced matrix for CI: one validation iteration per kernel,
-    /// exponent bound ±1 for the instrumented action, a short host
-    /// throughput window, and no direct-simulation action run.
+    /// exponent bound ±1 for the instrumented action, and no
+    /// direct-simulation action run.
     pub smoke: bool,
     /// Additionally run the direct-simulation group action on *all*
     /// four configurations (slow) instead of only the headline one.
@@ -77,15 +73,6 @@ impl BenchOptions {
             1
         } else {
             5
-        }
-    }
-
-    /// Host-throughput measurement window per configuration (seconds).
-    pub fn throughput_secs(&self) -> f64 {
-        if self.smoke {
-            0.15
-        } else {
-            1.0
         }
     }
 }
@@ -115,26 +102,6 @@ pub struct ActionSim {
     pub span_cycles: u64,
 }
 
-/// Host-side interpreter throughput for one configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HostThroughput {
-    /// The configuration.
-    pub config: Config,
-    /// Simulated instructions retired during the window.
-    pub sim_instret: u64,
-    /// Kernel calls during the window.
-    pub calls: u64,
-    /// Host seconds elapsed.
-    pub host_secs: f64,
-}
-
-impl HostThroughput {
-    /// Simulated instructions per host second (millions).
-    pub fn mips(&self) -> f64 {
-        self.sim_instret as f64 / self.host_secs / 1e6
-    }
-}
-
 /// Everything one pipeline run produced.
 #[derive(Debug)]
 pub struct BenchReport {
@@ -148,8 +115,6 @@ pub struct BenchReport {
     pub action_estimates: Vec<ActionEstimate>,
     /// Direct-simulation action runs (empty in smoke mode).
     pub action_sims: Vec<ActionSim>,
-    /// Interpreter throughput per configuration.
-    pub host: Vec<HostThroughput>,
     /// `Ok(())` when every ISE config beats its RV64GC baseline.
     pub gate: Result<(), String>,
 }
@@ -263,36 +228,6 @@ pub fn simulate_action(config: Config, bound: i8) -> ActionSim {
     }
 }
 
-/// Measures host-side interpreter throughput for one configuration by
-/// running the Fp-multiplication kernel back-to-back for at least
-/// `min_secs`.
-pub fn host_throughput(config: Config, min_secs: f64) -> HostThroughput {
-    let mut runner = KernelRunner::new(config);
-    let n = config.elem_words();
-    let a = vec![3u64; n];
-    let b = vec![5u64; n];
-    let inputs: [&[u64]; 2] = [&a, &b];
-    // Warm-up call (machine construction, cache warming).
-    let _ = runner.run_full(OpKind::FpMul, &inputs);
-    let mut sim_instret = 0u64;
-    let mut calls = 0u64;
-    let t0 = Instant::now();
-    loop {
-        let (_, stats) = runner.run_full(OpKind::FpMul, &inputs);
-        sim_instret += stats.instret;
-        calls += 1;
-        if t0.elapsed().as_secs_f64() >= min_secs {
-            break;
-        }
-    }
-    HostThroughput {
-        config,
-        sim_instret,
-        calls,
-        host_secs: t0.elapsed().as_secs_f64(),
-    }
-}
-
 /// The regression gate: every ISE-supported configuration must beat its
 /// radix-matched RV64GC (ISA-only) baseline in simulated cycles, both
 /// summed over the kernel matrix and on the group-action estimate.
@@ -372,15 +307,6 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
         }
     }
 
-    eprintln!(
-        "bench: measuring interpreter host throughput ({:.2}s per config) ...",
-        options.throughput_secs()
-    );
-    let host: Vec<HostThroughput> = Config::ALL
-        .iter()
-        .map(|&c| host_throughput(c, options.throughput_secs()))
-        .collect();
-
     let gate = check_gate(&matrix, &action_estimates);
     BenchReport {
         options,
@@ -388,7 +314,6 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
         action_counts,
         action_estimates,
         action_sims,
-        host,
         gate,
     }
 }
@@ -449,13 +374,6 @@ pub fn action_json(counts: &OpCounts, estimates: &[ActionEstimate], sims: &[Acti
 
 /// The whole report (see DESIGN.md §9 for the schema).
 pub fn report_json(report: &BenchReport) -> Value {
-    let host = report.host.iter().map(|h| {
-        object! {
-            "config": h.config.to_string(), "sim_instret": h.sim_instret,
-            "kernel_calls": h.calls, "host_secs": h.host_secs,
-            "sim_insts_per_sec": h.sim_instret as f64 / h.host_secs,
-        }
-    });
     let (counts, sims) = (&report.action_counts, &report.action_sims);
     object! {
         "schema": "mpise-bench/v1", "date": utc_date_string(),
@@ -465,7 +383,6 @@ pub fn report_json(report: &BenchReport) -> Value {
         "action_exponent_bound": report.options.action_bound(),
         "kernels": kernels_json(&report.matrix),
         "action": action_json(counts, &report.action_estimates, sims),
-        "host": host.collect::<Value>(),
         "gate": object! { "ise_faster_than_rv64gc": report.gate.is_ok() },
     }
 }
@@ -555,15 +472,6 @@ fn print_summary(report: &BenchReport) {
             s.host_secs
         );
     }
-    println!();
-    for h in &report.host {
-        println!(
-            "interpreter throughput, {:32} {:>8.2}M sim insts/sec ({} calls)",
-            format!("{}:", h.config),
-            h.mips(),
-            h.calls
-        );
-    }
 }
 
 #[cfg(test)]
@@ -615,7 +523,6 @@ mod tests {
                 host_secs: 0.5,
                 span_cycles: 10,
             }],
-            host: vec![host_throughput(config, 0.0)],
         };
         let doc = mpise_obs::json::parse(&report_json(&report).to_string()).expect("valid JSON");
         assert_eq!(mpise_obs::json::check_artifact(&doc), Ok("mpise-bench/v1"));
@@ -629,5 +536,6 @@ mod tests {
             report.action_counts.mul.into()
         );
         assert_eq!(doc["gate"]["ise_faster_than_rv64gc"], Value::Bool(true));
+        assert_eq!(doc["host"], Value::Null, "host time belongs to perfbench");
     }
 }

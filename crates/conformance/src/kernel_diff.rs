@@ -5,23 +5,25 @@
 //!
 //! 1. **Kernel layer** — every Table 4 kernel in every configuration
 //!    (4 configs × 8 ops = 32 combinations) runs on the simulator and
-//!    is checked against a [`RefInt`] schoolbook oracle reimplemented
-//!    here, on shared seeded random inputs *plus* adversarial edges:
-//!    0, 1, p−1, p, 2p−1 and limb-boundary carry patterns.
+//!    is checked against the `RefInt` schoolbook oracle
+//!    ([`oracle_accepts`]), on every adversarial edge — 0, 1, p−1, p,
+//!    2p−1 and limb-boundary carry patterns — *plus* seeded random
+//!    inputs from the shared generator ([`random_inputs`]).
 //! 2. **Field layer** — `FpFull`, `FpRed`, the four `SimFp`
 //!    configurations and the `FpBatch` lane kernels (lanes 1..=32) all
 //!    evaluate the same operations, and their **canonical byte
 //!    encodings** (`to_uint().to_le_bytes()`) are diffed pairwise.
 
 use mpise_fp::kernels::{Config, OpKind, Radix};
-use mpise_fp::measure::KernelRunner;
-use mpise_fp::params::{Csidh512, FULL_LIMBS, RED_LIMBS};
+use mpise_fp::measure::{
+    element_words, oracle_accepts, product_words, random_inputs, random_residue, KernelRunner,
+};
+use mpise_fp::params::{Csidh512, FULL_LIMBS};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{Fp, FpBatch, FpFull, FpRed};
-use mpise_mpi::reference::RefInt;
-use mpise_mpi::{mul as mpi_mul, Reduced, U512};
+use mpise_mpi::U512;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Outcome of the kernel + field difftest pass.
 #[derive(Debug, Clone, Default)]
@@ -40,34 +42,6 @@ impl KernelDiffOutcome {
     /// Whether every comparison agreed.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
-    }
-}
-
-fn ref_p() -> RefInt {
-    RefInt::from_limbs(Csidh512::get().p.limbs())
-}
-
-fn words_to_int(words: &[u64], radix: Radix) -> RefInt {
-    match radix {
-        Radix::Full => RefInt::from_limbs(words),
-        Radix::Reduced => {
-            let mut acc = RefInt::zero();
-            for (i, &w) in words.iter().enumerate() {
-                acc = acc.add(&RefInt::from_limbs(&[w]).shl(57 * i));
-            }
-            acc
-        }
-    }
-}
-
-/// Encodes a canonical value (`< 2^512`) in the element word layout.
-fn int_to_words(v: &RefInt, radix: Radix) -> Vec<u64> {
-    match radix {
-        Radix::Full => v.to_limbs(FULL_LIMBS),
-        Radix::Reduced => {
-            let u = U512::from_limbs(v.to_limbs(FULL_LIMBS).try_into().expect("8 limbs"));
-            Reduced::<RED_LIMBS>::from_uint(&u).limbs().to_vec()
-        }
     }
 }
 
@@ -94,131 +68,43 @@ fn edge_residues() -> Vec<U512> {
     ]
 }
 
-fn random_residue(rng: &mut StdRng) -> U512 {
-    let p = Csidh512::get().p;
-    loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
-        if cand < p {
-            return cand;
-        }
-    }
-}
-
-/// Expected result of `op` (value, compare-mod) from the schoolbook
-/// oracle. `MontRedc` kernels may return any representative in
-/// `[0, 2p)`, so those compare mod `p` with a range check.
-fn oracle(op: OpKind, radix: Radix, inputs: &[&[u64]]) -> (RefInt, Option<RefInt>) {
-    let rp = ref_p();
-    let r_bits = match radix {
-        Radix::Full => 64 * FULL_LIMBS,
-        Radix::Reduced => 57 * RED_LIMBS,
-    };
-    let r_inv = || {
-        let pm2 = RefInt::from_limbs(Csidh512::get().p_minus_2.limbs());
-        RefInt::one().shl(r_bits).powmod(&pm2, &rp)
-    };
-    let a = words_to_int(inputs[0], radix);
-    match op {
-        OpKind::IntMul => (a.mul(&words_to_int(inputs[1], radix)), None),
-        OpKind::IntSqr => (a.mul(&a), None),
-        OpKind::MontRedc => (a.mulmod(&r_inv(), &rp), Some(rp)),
-        OpKind::FastReduce => (a.rem(&rp), None),
-        OpKind::FpAdd => (a.add(&words_to_int(inputs[1], radix)).rem(&rp), None),
-        OpKind::FpSub => (
-            a.add(&rp).sub(&words_to_int(inputs[1], radix)).rem(&rp),
-            None,
-        ),
-        OpKind::FpMul => (
-            a.mulmod(&words_to_int(inputs[1], radix), &rp)
-                .mulmod(&r_inv(), &rp),
-            None,
-        ),
-        OpKind::FpSqr => (a.mulmod(&a, &rp).mulmod(&r_inv(), &rp), None),
-    }
-}
-
-/// Builds the input case list for one op: per-op adversarial edges
-/// first, then seeded random cases up to `cases` total.
+/// Builds the input case list for one op: every per-op adversarial
+/// edge first, then `cases` seeded random cases.
 fn build_cases(op: OpKind, radix: Radix, cases: usize, rng: &mut StdRng) -> Vec<Vec<Vec<u64>>> {
-    let p = ref_p();
+    let p = Csidh512::get().p;
     let edges = edge_residues();
-    let residue_pairs: Vec<(U512, U512)> = {
-        let mut v: Vec<(U512, U512)> = edges
-            .iter()
-            .map(|&e| (e, *edges.last().expect("non-empty")))
-            .collect();
-        v.extend(edges.iter().map(|&e| (e, e)));
-        v
+    // Every edge times the last edge (2^256 − 1), then every edge squared.
+    let top = *edges.last().expect("non-empty");
+    let residue_pairs = edges
+        .iter()
+        .map(|&e| (e, top))
+        .chain(edges.iter().map(|&e| (e, e)));
+    let words = |v: &U512| element_words(radix, v);
+    let mut out: Vec<Vec<Vec<u64>>> = match op {
+        OpKind::IntMul | OpKind::FpAdd | OpKind::FpSub | OpKind::FpMul => residue_pairs
+            .map(|(a, b)| vec![words(&a), words(&b)])
+            .collect(),
+        OpKind::IntSqr | OpKind::FpSqr => edges.iter().map(|e| vec![words(e)]).collect(),
+        // Inputs range over [0, 2p): include the boundary values p and
+        // 2p−1 that no canonical-residue generator produces.
+        OpKind::FastReduce => [
+            U512::ZERO,
+            U512::ONE,
+            p.wrapping_sub(&U512::ONE),
+            p,
+            p.wrapping_add(&U512::ONE),
+            p.wrapping_add(&p).wrapping_sub(&U512::ONE),
+        ]
+        .iter()
+        .map(|v| vec![words(v)])
+        .collect(),
+        // Double-length products of the edge pairs: 0·0, (p−1)², the
+        // saturated-limb squares, and each edge times 2^256 − 1.
+        OpKind::MontRedc => residue_pairs
+            .map(|(a, b)| vec![product_words(radix, &a, &b)])
+            .collect(),
     };
-    let to_words = |v: &U512| int_to_words(&RefInt::from_limbs(v.limbs()), radix);
-    let mut out: Vec<Vec<Vec<u64>>> = Vec::new();
-    match op {
-        OpKind::IntMul | OpKind::FpAdd | OpKind::FpSub | OpKind::FpMul => {
-            for (a, b) in &residue_pairs {
-                out.push(vec![to_words(a), to_words(b)]);
-            }
-            while out.len() < cases {
-                out.push(vec![
-                    to_words(&random_residue(rng)),
-                    to_words(&random_residue(rng)),
-                ]);
-            }
-        }
-        OpKind::IntSqr | OpKind::FpSqr => {
-            for e in &edges {
-                out.push(vec![to_words(e)]);
-            }
-            while out.len() < cases {
-                out.push(vec![to_words(&random_residue(rng))]);
-            }
-        }
-        OpKind::FastReduce => {
-            // Inputs range over [0, 2p): include the boundary values p
-            // and 2p−1 that no canonical-residue generator produces.
-            let two_p_m1 = p.add(&p).sub(&RefInt::one());
-            for v in [
-                RefInt::zero(),
-                RefInt::one(),
-                p.sub(&RefInt::one()),
-                p.clone(),
-                p.add(&RefInt::one()),
-                two_p_m1,
-            ] {
-                out.push(vec![int_to_words(&v, radix)]);
-            }
-            while out.len() < cases {
-                let r = RefInt::from_limbs(random_residue(rng).limbs());
-                let v = if rng.gen::<bool>() { r.add(&p) } else { r };
-                out.push(vec![int_to_words(&v, radix)]);
-            }
-        }
-        OpKind::MontRedc => {
-            // Double-length products, including products of the edges
-            // (0·0, 1·(p−1), (p−1)·(p−1), saturated-limb patterns).
-            let mut pairs: Vec<(U512, U512)> = residue_pairs;
-            while pairs.len() < cases {
-                pairs.push((random_residue(rng), random_residue(rng)));
-            }
-            for (a, b) in pairs.into_iter().take(cases.max(1)) {
-                let t = match radix {
-                    Radix::Full => {
-                        let (lo, hi) = mpi_mul::mul_ps(&a, &b);
-                        let mut t = lo.limbs().to_vec();
-                        t.extend_from_slice(hi.limbs());
-                        t
-                    }
-                    Radix::Reduced => {
-                        let ra = Reduced::<RED_LIMBS>::from_uint(&a);
-                        let rb = Reduced::<RED_LIMBS>::from_uint(&b);
-                        let mut t = vec![0u64; 2 * RED_LIMBS];
-                        mpise_mpi::reduced::mul_ps_slices_57(ra.limbs(), rb.limbs(), &mut t);
-                        t
-                    }
-                };
-                out.push(vec![t]);
-            }
-        }
-    }
+    out.extend((0..cases).map(|_| random_inputs(rng, op, radix)));
     out
 }
 
@@ -236,16 +122,7 @@ pub fn run_kernel_layer(cases_per_combo: usize, seed: u64) -> KernelDiffOutcome 
                 outcome.cases += 1;
                 let refs: Vec<&[u64]> = inputs.iter().map(|v| v.as_slice()).collect();
                 let (out, _cycles) = runner.run(op, &refs);
-                let got = words_to_int(&out, config.radix);
-                let (want, modulus) = oracle(op, config.radix, &refs);
-                let ok = match &modulus {
-                    None => got == want,
-                    Some(m) => {
-                        got.rem(m) == want.rem(m)
-                            && got.cmp_ref(&m.add(m)) == std::cmp::Ordering::Less
-                    }
-                };
-                if !ok {
+                if !oracle_accepts(op, config.radix, &refs, &out) {
                     outcome.failures.push(format!(
                         "{config}: {op:?} diverges from schoolbook oracle on case {case_idx}"
                     ));
@@ -414,6 +291,7 @@ pub fn merge(a: KernelDiffOutcome, b: KernelDiffOutcome) -> KernelDiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpise_mpi::reference::RefInt;
 
     #[test]
     fn kernel_layer_covers_all_32_combos() {
@@ -430,14 +308,25 @@ mod tests {
     }
 
     #[test]
-    fn oracle_matches_known_small_values() {
-        // 3 · 5 = 15 through the IntMul oracle in both radices.
+    fn every_op_runs_all_its_edges_then_the_random_cases() {
+        let edges = |op| match op {
+            OpKind::IntSqr | OpKind::FpSqr => 8,
+            OpKind::FastReduce => 6,
+            _ => 16,
+        };
+        let pm1 = RefInt::from_limbs(Csidh512::get().p.limbs()).sub(&RefInt::one());
         for radix in [Radix::Full, Radix::Reduced] {
-            let a = int_to_words(&RefInt::from_u64(3), radix);
-            let b = int_to_words(&RefInt::from_u64(5), radix);
-            let (want, m) = oracle(OpKind::IntMul, radix, &[&a, &b]);
-            assert!(m.is_none());
-            assert_eq!(want, RefInt::from_u64(15));
+            for op in OpKind::ALL {
+                let mut rng = StdRng::seed_from_u64(0xD1FF);
+                let cases = build_cases(op, radix, 3, &mut rng);
+                assert_eq!(cases.len(), edges(op) + 3, "{radix}: {op:?}");
+                if op == OpKind::MontRedc {
+                    assert!(
+                        cases.iter().any(|c| radix.value(&c[0]) == pm1.mul(&pm1)),
+                        "{radix}: MontRedc never reduces (p-1)^2"
+                    );
+                }
+            }
         }
     }
 

@@ -16,11 +16,7 @@
 //! of the chosen encodings and is checked here, together with encoding
 //! hygiene rules (custom opcode space only, no overlap).
 
-use mpise_sim::ext::{CustomFormat, IsaExtension};
-
-/// RISC-V major opcodes reserved for custom extensions
-/// (custom-0/1/2/3 of the unprivileged spec).
-pub const CUSTOM_OPCODES: [u8; 4] = [0b0001011, 0b0101011, 0b1011011, 0b1111011];
+use mpise_sim::ext::{CustomFormat, IsaExtension, CUSTOM_OPCODES};
 
 /// One violated design rule.
 #[derive(Debug, Clone, PartialEq, Eq)]

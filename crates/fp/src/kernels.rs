@@ -18,6 +18,10 @@
 //!   per-digit Montgomery constant; see [`const_pool_full`] /
 //!   [`const_pool_red`]).
 //!
+//! [`crate::measure::call_kernel`] is the one place that sets these up
+//! (operand memory layout included); [`mac`] builds Listings 1–4 from
+//! the kernels' own MAC and carry emitters.
+//!
 //! Kernels end with `ret` and respect the standard ABI (callee-saved
 //! registers are saved/restored; this overhead is part of the measured
 //! cycle counts, as it was on the paper's hardware).
@@ -27,8 +31,12 @@ pub mod full;
 pub mod mac;
 pub mod red;
 
-use mpise_sim::asm::Program;
+use crate::params::{FULL_LIMBS, RED_LIMBS};
+use mpise_mpi::reference::RefInt;
+use mpise_mpi::{Reduced, U512};
+use mpise_sim::asm::{Assembler, Program};
 use mpise_sim::ext::IsaExtension;
+use mpise_sim::Reg;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,6 +47,58 @@ pub enum Radix {
     Full,
     /// Radix 2^57: 9 limbs for CSIDH-512.
     Reduced,
+}
+
+impl Radix {
+    /// Words per field element in the kernel memory layout (one digit
+    /// per 64-bit word): 8 full-radix digits or 9 reduced-radix limbs.
+    pub(crate) fn words(self) -> usize {
+        match self {
+            Radix::Full => FULL_LIMBS,
+            Radix::Reduced => RED_LIMBS,
+        }
+    }
+
+    /// Bits per digit: 64, or 57 for the reduced radix.
+    pub(crate) fn digit_bits(self) -> usize {
+        match self {
+            Radix::Full => 64,
+            Radix::Reduced => 57,
+        }
+    }
+
+    /// Writes `v` in this radix's word layout to `words[..self.words()]`.
+    pub(crate) fn pack(self, v: &U512, words: &mut [u64]) {
+        match self {
+            Radix::Full => words[..FULL_LIMBS].copy_from_slice(v.limbs()),
+            Radix::Reduced => {
+                words[..RED_LIMBS].copy_from_slice(Reduced::<RED_LIMBS>::from_uint(v).limbs())
+            }
+        }
+    }
+
+    /// Reads the element in `words[..self.words()]` (canonical limbs).
+    pub(crate) fn unpack(self, words: &[u64]) -> U512 {
+        match self {
+            Radix::Full => U512::from_limbs(words[..FULL_LIMBS].try_into().expect("8 digits")),
+            Radix::Reduced => {
+                Reduced::<RED_LIMBS>::from_limbs(words[..RED_LIMBS].try_into().expect("9 limbs"))
+                    .to_uint()
+            }
+        }
+    }
+
+    /// The value `Σ words[i] · 2^(digit_bits · i)` of a word array of
+    /// any length (elements, double-length products), computed with
+    /// the reference big-integer arithmetic alone.
+    pub fn value(self, words: &[u64]) -> RefInt {
+        words
+            .iter()
+            .enumerate()
+            .fold(RefInt::zero(), |acc, (i, &w)| {
+                acc.add(&RefInt::from_u64(w).shl(self.digit_bits() * i))
+            })
+    }
 }
 
 impl fmt::Display for Radix {
@@ -111,10 +171,7 @@ impl Config {
     /// Words per field element in kernel memory layout (one limb per
     /// 64-bit word in both radices).
     pub fn elem_words(&self) -> usize {
-        match self.radix {
-            Radix::Full => crate::params::FULL_LIMBS,
-            Radix::Reduced => crate::params::RED_LIMBS,
-        }
+        self.radix.words()
     }
 }
 
@@ -239,6 +296,29 @@ impl KernelSet {
     pub fn iter(&self) -> impl Iterator<Item = (OpKind, &Program)> {
         self.kernels.iter().map(|(k, v)| (*k, v))
     }
+}
+
+/// Wraps `body` in a standard prologue/epilogue saving `saved`
+/// callee-saved registers, with `extra_words` of scratch stack below
+/// them (at `0(sp) .. 8*extra_words-8(sp)`).
+fn with_frame(saved: &[Reg], extra_words: usize, body: impl FnOnce(&mut Assembler)) -> Program {
+    let mut a = Assembler::new();
+    let frame = 8 * (saved.len() + extra_words) as i32;
+    if frame > 0 {
+        a.addi(Reg::Sp, Reg::Sp, -frame);
+        for (i, &r) in saved.iter().enumerate() {
+            a.sd(r, 8 * (extra_words + i) as i32, Reg::Sp);
+        }
+    }
+    body(&mut a);
+    if frame > 0 {
+        for (i, &r) in saved.iter().enumerate() {
+            a.ld(r, 8 * (extra_words + i) as i32, Reg::Sp);
+        }
+        a.addi(Reg::Sp, Reg::Sp, frame);
+    }
+    a.ret();
+    a.finish()
 }
 
 /// Builds the constant pool for full-radix kernels: the 8 digits of `p`

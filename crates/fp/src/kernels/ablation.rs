@@ -9,34 +9,14 @@
 //! on the same pipeline model — see the `ablation` binary in
 //! `mpise-bench`.
 
-use super::full::{A_REGS, B_REGS};
+use super::full::{mac, A_REGS, B_REGS};
+use super::with_frame;
 use mpise_core::full_radix::{CADD, MADDHU, MADDLU};
 use mpise_sim::asm::{Assembler, Program};
 use mpise_sim::Reg;
 
 const L: usize = crate::params::FULL_LIMBS; // 8
 const H: usize = L / 2; // 4
-
-/// One full-radix MAC on the 192-bit accumulator (same sequences as
-/// the main kernels).
-fn mac(a: &mut Assembler, ise: bool, acc: [Reg; 3], x: Reg, y: Reg, t1: Reg, t2: Reg) {
-    let [l, h, e] = acc;
-    if ise {
-        a.custom_r4(MADDHU, t2, x, y, l);
-        a.custom_r4(MADDLU, l, x, y, l);
-        a.custom_r4(CADD, e, h, t2, e);
-        a.add(h, h, t2);
-    } else {
-        a.mulhu(t2, x, y);
-        a.mul(t1, x, y);
-        a.add(l, l, t1);
-        a.sltu(t1, l, t1);
-        a.add(t2, t2, t1);
-        a.add(h, h, t2);
-        a.sltu(t2, h, t2);
-        a.add(e, e, t2);
-    }
-}
 
 /// Emits a 4×4 product-scanning multiply of register operands into
 /// `dst[8*word_off ..]`.
@@ -66,7 +46,6 @@ fn ps4x4(a: &mut Assembler, ise: bool, x: &[Reg; H], y: &[Reg; H], dst: Reg, wor
 /// Calling convention identical to the `IntMul` kernel
 /// (`a0 = dst[16]`, `a1 = a[8]`, `a2 = b[8]`).
 pub fn karatsuba_int_mul(ise: bool) -> Program {
-    let mut asm = Assembler::new();
     let saved = [
         Reg::S0,
         Reg::S1,
@@ -78,149 +57,138 @@ pub fn karatsuba_int_mul(ise: bool) -> Program {
     ];
     // Frame: 10 words for z1 (8 + carry words).
     let z1_words = 2 * H + 2;
-    let frame = 8 * (saved.len() + z1_words) as i32;
-    asm.addi(Reg::Sp, Reg::Sp, -frame);
-    for (i, &r) in saved.iter().enumerate() {
-        asm.sd(r, 8 * (z1_words + i) as i32, Reg::Sp);
-    }
-
-    // Load both operands fully (pointer-clobber trick for the last
-    // digit, as in the main kernels).
-    let mut a_regs = A_REGS;
-    a_regs[L - 1] = Reg::A1;
-    let mut b_regs = B_REGS;
-    b_regs[L - 1] = Reg::A2;
-    for (i, &r) in a_regs.iter().enumerate() {
-        asm.ld(r, 8 * i as i32, Reg::A1);
-    }
-    for (i, &r) in b_regs.iter().enumerate() {
-        asm.ld(r, 8 * i as i32, Reg::A2);
-    }
-    let a_lo: [Reg; H] = a_regs[..H].try_into().expect("half");
-    let a_hi: [Reg; H] = a_regs[H..].try_into().expect("half");
-    let b_lo: [Reg; H] = b_regs[..H].try_into().expect("half");
-    let b_hi: [Reg; H] = b_regs[H..].try_into().expect("half");
-
-    // z0 -> dst[0..8], z2 -> dst[8..16].
-    ps4x4(&mut asm, ise, &a_lo, &b_lo, Reg::A0, 0);
-    ps4x4(&mut asm, ise, &a_hi, &b_hi, Reg::A0, L);
-
-    // sa = a_lo + a_hi (into a_lo regs, carry in sa_c), likewise sb.
-    let (sa_c, sb_c) = (a_hi[0], b_hi[0]); // high-half regs become carries
-    let (u, v) = (Reg::A4, Reg::A5);
-    for i in 0..H {
-        if i == 0 {
-            asm.add(a_lo[0], a_lo[0], a_hi[0]);
-            asm.sltu(u, a_lo[0], a_hi[0]);
-        } else {
-            asm.add(a_lo[i], a_lo[i], a_hi[i]);
-            asm.sltu(v, a_lo[i], a_hi[i]);
-            asm.add(a_lo[i], a_lo[i], u);
-            asm.sltu(u, a_lo[i], u);
-            asm.add(u, u, v);
+    with_frame(&saved, z1_words, |asm| {
+        // Load both operands fully (pointer-clobber trick for the last
+        // digit, as in the main kernels).
+        let mut a_regs = A_REGS;
+        a_regs[L - 1] = Reg::A1;
+        let mut b_regs = B_REGS;
+        b_regs[L - 1] = Reg::A2;
+        for (i, &r) in a_regs.iter().enumerate() {
+            asm.ld(r, 8 * i as i32, Reg::A1);
         }
-    }
-    asm.mv(sa_c, u);
-    for i in 0..H {
-        if i == 0 {
-            asm.add(b_lo[0], b_lo[0], b_hi[0]);
-            asm.sltu(u, b_lo[0], b_hi[0]);
-        } else {
-            asm.add(b_lo[i], b_lo[i], b_hi[i]);
-            asm.sltu(v, b_lo[i], b_hi[i]);
-            asm.add(b_lo[i], b_lo[i], u);
-            asm.sltu(u, b_lo[i], u);
-            asm.add(u, u, v);
+        for (i, &r) in b_regs.iter().enumerate() {
+            asm.ld(r, 8 * i as i32, Reg::A2);
         }
-    }
-    asm.mv(sb_c, u);
+        let a_lo: [Reg; H] = a_regs[..H].try_into().expect("half");
+        let a_hi: [Reg; H] = a_regs[H..].try_into().expect("half");
+        let b_lo: [Reg; H] = b_regs[..H].try_into().expect("half");
+        let b_hi: [Reg; H] = b_regs[H..].try_into().expect("half");
 
-    // z1_base = sa * sb -> stack[0..8].
-    ps4x4(&mut asm, ise, &a_lo, &b_lo, Reg::Sp, 0);
-    asm.sd(Reg::Zero, 8 * (2 * H) as i32, Reg::Sp);
-    asm.sd(Reg::Zero, 8 * (2 * H + 1) as i32, Reg::Sp);
+        // z0 -> dst[0..8], z2 -> dst[8..16].
+        ps4x4(asm, ise, &a_lo, &b_lo, Reg::A0, 0);
+        ps4x4(asm, ise, &a_hi, &b_hi, Reg::A0, L);
 
-    // Carry cross terms: += sa_c * sb << 256, += sb_c * sa << 256,
-    // += (sa_c & sb_c) << 512 — masked adds since carries are 0/1.
-    let m = Reg::A6;
-    let (w, c) = (Reg::A4, Reg::A5);
-    for (carry_reg, operand) in [(sb_c, &a_lo), (sa_c, &b_lo)] {
-        asm.neg(m, carry_reg);
-        asm.li(c, 0);
+        // sa = a_lo + a_hi (into a_lo regs, carry in sa_c), likewise sb.
+        let (sa_c, sb_c) = (a_hi[0], b_hi[0]); // high-half regs become carries
+        let (u, v) = (Reg::A4, Reg::A5);
         for i in 0..H {
-            asm.ld(w, 8 * (H + i) as i32, Reg::Sp);
-            asm.and(Reg::A7, operand[i], m);
-            asm.add(w, w, Reg::A7);
-            asm.sltu(Reg::A7, w, Reg::A7);
+            if i == 0 {
+                asm.add(a_lo[0], a_lo[0], a_hi[0]);
+                asm.sltu(u, a_lo[0], a_hi[0]);
+            } else {
+                asm.add(a_lo[i], a_lo[i], a_hi[i]);
+                asm.sltu(v, a_lo[i], a_hi[i]);
+                asm.add(a_lo[i], a_lo[i], u);
+                asm.sltu(u, a_lo[i], u);
+                asm.add(u, u, v);
+            }
+        }
+        asm.mv(sa_c, u);
+        for i in 0..H {
+            if i == 0 {
+                asm.add(b_lo[0], b_lo[0], b_hi[0]);
+                asm.sltu(u, b_lo[0], b_hi[0]);
+            } else {
+                asm.add(b_lo[i], b_lo[i], b_hi[i]);
+                asm.sltu(v, b_lo[i], b_hi[i]);
+                asm.add(b_lo[i], b_lo[i], u);
+                asm.sltu(u, b_lo[i], u);
+                asm.add(u, u, v);
+            }
+        }
+        asm.mv(sb_c, u);
+
+        // z1_base = sa * sb -> stack[0..8].
+        ps4x4(asm, ise, &a_lo, &b_lo, Reg::Sp, 0);
+        asm.sd(Reg::Zero, 8 * (2 * H) as i32, Reg::Sp);
+        asm.sd(Reg::Zero, 8 * (2 * H + 1) as i32, Reg::Sp);
+
+        // Carry cross terms: += sa_c * sb << 256, += sb_c * sa << 256,
+        // += (sa_c & sb_c) << 512 — masked adds since carries are 0/1.
+        let m = Reg::A6;
+        let (w, c) = (Reg::A4, Reg::A5);
+        for (carry_reg, operand) in [(sb_c, &a_lo), (sa_c, &b_lo)] {
+            asm.neg(m, carry_reg);
+            asm.li(c, 0);
+            for i in 0..H {
+                asm.ld(w, 8 * (H + i) as i32, Reg::Sp);
+                asm.and(Reg::A7, operand[i], m);
+                asm.add(w, w, Reg::A7);
+                asm.sltu(Reg::A7, w, Reg::A7);
+                asm.add(w, w, c);
+                asm.sltu(c, w, c);
+                asm.add(c, c, Reg::A7);
+                asm.sd(w, 8 * (H + i) as i32, Reg::Sp);
+            }
+            // ripple the carry into word 2H (and potentially 2H+1)
+            asm.ld(w, 8 * (2 * H) as i32, Reg::Sp);
             asm.add(w, w, c);
             asm.sltu(c, w, c);
-            asm.add(c, c, Reg::A7);
-            asm.sd(w, 8 * (H + i) as i32, Reg::Sp);
+            asm.sd(w, 8 * (2 * H) as i32, Reg::Sp);
+            asm.ld(w, 8 * (2 * H + 1) as i32, Reg::Sp);
+            asm.add(w, w, c);
+            asm.sd(w, 8 * (2 * H + 1) as i32, Reg::Sp);
         }
-        // ripple the carry into word 2H (and potentially 2H+1)
+        // += (sa_c & sb_c) << 512
+        asm.and(m, sa_c, sb_c);
         asm.ld(w, 8 * (2 * H) as i32, Reg::Sp);
-        asm.add(w, w, c);
-        asm.sltu(c, w, c);
+        asm.add(w, w, m);
+        asm.sltu(c, w, m);
         asm.sd(w, 8 * (2 * H) as i32, Reg::Sp);
         asm.ld(w, 8 * (2 * H + 1) as i32, Reg::Sp);
         asm.add(w, w, c);
         asm.sd(w, 8 * (2 * H + 1) as i32, Reg::Sp);
-    }
-    // += (sa_c & sb_c) << 512
-    asm.and(m, sa_c, sb_c);
-    asm.ld(w, 8 * (2 * H) as i32, Reg::Sp);
-    asm.add(w, w, m);
-    asm.sltu(c, w, m);
-    asm.sd(w, 8 * (2 * H) as i32, Reg::Sp);
-    asm.ld(w, 8 * (2 * H + 1) as i32, Reg::Sp);
-    asm.add(w, w, c);
-    asm.sd(w, 8 * (2 * H + 1) as i32, Reg::Sp);
 
-    // z1 -= z0; z1 -= z2 (10-word borrows against 8-word values).
-    let (x, bor, b1, b2) = (Reg::T0, Reg::T1, Reg::T2, Reg::T3);
-    for z_off in [0usize, L] {
-        asm.li(bor, 0);
-        for i in 0..z1_words {
-            asm.ld(w, 8 * i as i32, Reg::Sp);
-            if i < L {
-                asm.ld(x, 8 * (z_off + i) as i32, Reg::A0);
-            } else {
-                asm.li(x, 0);
+        // z1 -= z0; z1 -= z2 (10-word borrows against 8-word values).
+        let (x, bor, b1, b2) = (Reg::T0, Reg::T1, Reg::T2, Reg::T3);
+        for z_off in [0usize, L] {
+            asm.li(bor, 0);
+            for i in 0..z1_words {
+                asm.ld(w, 8 * i as i32, Reg::Sp);
+                if i < L {
+                    asm.ld(x, 8 * (z_off + i) as i32, Reg::A0);
+                } else {
+                    asm.li(x, 0);
+                }
+                asm.sltu(b1, w, x);
+                asm.sub(w, w, x);
+                asm.sltu(b2, w, bor);
+                asm.sub(w, w, bor);
+                asm.or(bor, b1, b2);
+                asm.sd(w, 8 * i as i32, Reg::Sp);
             }
-            asm.sltu(b1, w, x);
-            asm.sub(w, w, x);
-            asm.sltu(b2, w, bor);
-            asm.sub(w, w, bor);
-            asm.or(bor, b1, b2);
-            asm.sd(w, 8 * i as i32, Reg::Sp);
         }
-    }
 
-    // dst[4..14] += z1 (10 words), rippling into dst[14], dst[15].
-    asm.li(c, 0);
-    for i in 0..z1_words {
-        asm.ld(w, 8 * (H + i) as i32, Reg::A0);
-        asm.ld(x, 8 * i as i32, Reg::Sp);
-        asm.add(w, w, x);
-        asm.sltu(b1, w, x);
-        asm.add(w, w, c);
-        asm.sltu(c, w, c);
-        asm.add(c, c, b1);
-        asm.sd(w, 8 * (H + i) as i32, Reg::A0);
-    }
-    for i in H + z1_words..2 * L {
-        asm.ld(w, 8 * i as i32, Reg::A0);
-        asm.add(w, w, c);
-        asm.sltu(c, w, c);
-        asm.sd(w, 8 * i as i32, Reg::A0);
-    }
-
-    for (i, &r) in saved.iter().enumerate() {
-        asm.ld(r, 8 * (z1_words + i) as i32, Reg::Sp);
-    }
-    asm.addi(Reg::Sp, Reg::Sp, frame);
-    asm.ret();
-    asm.finish()
+        // dst[4..14] += z1 (10 words), rippling into dst[14], dst[15].
+        asm.li(c, 0);
+        for i in 0..z1_words {
+            asm.ld(w, 8 * (H + i) as i32, Reg::A0);
+            asm.ld(x, 8 * i as i32, Reg::Sp);
+            asm.add(w, w, x);
+            asm.sltu(b1, w, x);
+            asm.add(w, w, c);
+            asm.sltu(c, w, c);
+            asm.add(c, c, b1);
+            asm.sd(w, 8 * (H + i) as i32, Reg::A0);
+        }
+        for i in H + z1_words..2 * L {
+            asm.ld(w, 8 * i as i32, Reg::A0);
+            asm.add(w, w, c);
+            asm.sltu(c, w, c);
+            asm.sd(w, 8 * i as i32, Reg::A0);
+        }
+    })
 }
 
 /// A *rolled* (looped) operand-scanning multiplication kernel:
@@ -233,179 +201,132 @@ pub fn karatsuba_int_mul(ise: bool) -> Program {
 /// buys (see the `ablation` binary): per inner MAC it pays two pointer
 /// increments, two extra loads, a store and the loop branch.
 pub fn rolled_int_mul(ise: bool) -> Program {
-    let mut a = Assembler::new();
-    // No callee-saved registers needed: everything fits in temporaries.
-    // Register roles:
+    // Register roles (only `s0` is callee-saved):
     let (i, j) = (Reg::T0, Reg::T1); // loop counters (down-counting)
     let (pa, pd) = (Reg::T2, Reg::T3); // running &a[j], &dst[i+j]
     let bi = Reg::T4; // current b digit
     let carry = Reg::T5;
     let (aj, w, lo, hi, c1) = (Reg::T6, Reg::A4, Reg::A5, Reg::A6, Reg::A7);
     let pb = Reg::A3; // running &b[i]
-    let pd_row = Reg::S0; // &dst[i] — caller-saved? s0 must be saved.
+    let pd_row = Reg::S0; // &dst[i]
 
-    a.addi(Reg::Sp, Reg::Sp, -8);
-    a.sd(Reg::S0, 0, Reg::Sp);
+    with_frame(&[Reg::S0], 0, |a| {
+        // Zero the destination (2L words).
+        a.li(i, (2 * L) as i64);
+        a.mv(pd, Reg::A0);
+        let zloop = a.new_label();
+        a.bind(zloop);
+        a.sd(Reg::Zero, 0, pd);
+        a.addi(pd, pd, 8);
+        a.addi(i, i, -1);
+        a.bnez(i, zloop);
 
-    // Zero the destination (2L words).
-    a.li(i, (2 * L) as i64);
-    a.mv(pd, Reg::A0);
-    let zloop = a.new_label();
-    a.bind(zloop);
-    a.sd(Reg::Zero, 0, pd);
-    a.addi(pd, pd, 8);
-    a.addi(i, i, -1);
-    a.bnez(i, zloop);
-
-    // Outer loop over the digits of b.
-    a.li(i, L as i64);
-    a.mv(pb, Reg::A2);
-    a.mv(pd_row, Reg::A0);
-    let outer = a.new_label();
-    a.bind(outer);
-    a.ld(bi, 0, pb);
-    a.li(carry, 0);
-    a.mv(pa, Reg::A1);
-    a.mv(pd, pd_row);
-    a.li(j, L as i64);
-    let inner = a.new_label();
-    a.bind(inner);
-    a.ld(aj, 0, pa);
-    a.ld(w, 0, pd);
-    if ise {
-        // hi' = maddhu(aj, bi, w); w' = maddlu(aj, bi, w); then +carry.
-        a.custom_r4(MADDHU, hi, aj, bi, w);
-        a.custom_r4(MADDLU, w, aj, bi, w);
-        a.custom_r4(CADD, hi, w, carry, hi);
-        a.add(w, w, carry);
-    } else {
-        a.mulhu(hi, aj, bi);
-        a.mul(lo, aj, bi);
-        a.add(w, w, lo);
-        a.sltu(c1, w, lo);
-        a.add(hi, hi, c1);
-        a.add(w, w, carry);
-        a.sltu(c1, w, carry);
-        a.add(hi, hi, c1);
-    }
-    a.mv(carry, hi);
-    a.sd(w, 0, pd);
-    a.addi(pa, pa, 8);
-    a.addi(pd, pd, 8);
-    a.addi(j, j, -1);
-    a.bnez(j, inner);
-    // dst[i + L] = carry (pd already points there).
-    a.sd(carry, 0, pd);
-    a.addi(pb, pb, 8);
-    a.addi(pd_row, pd_row, 8);
-    a.addi(i, i, -1);
-    a.bnez(i, outer);
-
-    a.ld(Reg::S0, 0, Reg::Sp);
-    a.addi(Reg::Sp, Reg::Sp, 8);
-    a.ret();
-    a.finish()
+        // Outer loop over the digits of b.
+        a.li(i, L as i64);
+        a.mv(pb, Reg::A2);
+        a.mv(pd_row, Reg::A0);
+        let outer = a.new_label();
+        a.bind(outer);
+        a.ld(bi, 0, pb);
+        a.li(carry, 0);
+        a.mv(pa, Reg::A1);
+        a.mv(pd, pd_row);
+        a.li(j, L as i64);
+        let inner = a.new_label();
+        a.bind(inner);
+        a.ld(aj, 0, pa);
+        a.ld(w, 0, pd);
+        if ise {
+            // hi' = maddhu(aj, bi, w); w' = maddlu(aj, bi, w); then +carry.
+            a.custom_r4(MADDHU, hi, aj, bi, w);
+            a.custom_r4(MADDLU, w, aj, bi, w);
+            a.custom_r4(CADD, hi, w, carry, hi);
+            a.add(w, w, carry);
+        } else {
+            a.mulhu(hi, aj, bi);
+            a.mul(lo, aj, bi);
+            a.add(w, w, lo);
+            a.sltu(c1, w, lo);
+            a.add(hi, hi, c1);
+            a.add(w, w, carry);
+            a.sltu(c1, w, carry);
+            a.add(hi, hi, c1);
+        }
+        a.mv(carry, hi);
+        a.sd(w, 0, pd);
+        a.addi(pa, pa, 8);
+        a.addi(pd, pd, 8);
+        a.addi(j, j, -1);
+        a.bnez(j, inner);
+        // dst[i + L] = carry (pd already points there).
+        a.sd(carry, 0, pd);
+        a.addi(pb, pb, 8);
+        a.addi(pd_row, pd_row, 8);
+        a.addi(i, i, -1);
+        a.bnez(i, outer);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::{Config, IseMode, OpKind, Radix};
-    use crate::measure::KernelRunner;
-    use mpise_mpi::mul::mul_ps;
+    use crate::measure::{call_kernel, kernel_machine, product_words, KernelRunner};
     use mpise_mpi::U512;
-    use mpise_sim::machine::DATA_BASE;
-    use mpise_sim::Machine;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn run_karatsuba(ise: bool, a: &U512, b: &U512) -> (Vec<u64>, u64) {
-        let prog = karatsuba_int_mul(ise);
-        let ext = if ise {
-            mpise_core::full_radix_ext()
-        } else {
-            mpise_sim::ext::IsaExtension::new("rv64im")
-        };
-        let mut m = Machine::with_ext(ext);
-        m.load_program(&prog);
-        m.mem.write_limbs(DATA_BASE + 0x100, a.limbs()).unwrap();
-        m.mem.write_limbs(DATA_BASE + 0x200, b.limbs()).unwrap();
-        let stats = m
-            .call(&[
-                (Reg::A0, DATA_BASE),
-                (Reg::A1, DATA_BASE + 0x100),
-                (Reg::A2, DATA_BASE + 0x200),
-            ])
-            .unwrap();
-        (m.mem.read_limbs(DATA_BASE, 16).unwrap(), stats.cycles)
+    /// The ISA-only and ISE-supported full-radix configurations.
+    const FULL: [Config; 2] = [Config::ALL[0], Config::ALL[1]];
+
+    /// Runs a full-radix 512×512-bit multiplication `kernel` under the
+    /// kernel-call ABI; returns the 16 product words and the cycles.
+    fn run_mul(kernel: fn(bool) -> Program, config: Config, a: &U512, b: &U512) -> (Vec<u64>, u64) {
+        let mut m = kernel_machine(config, &kernel(config.ise == IseMode::IseSupported));
+        let (out, stats) = call_kernel(&mut m, &[a.limbs(), b.limbs()], 2 * L).unwrap();
+        (out, stats.cycles)
     }
 
     #[test]
     fn karatsuba_kernel_is_correct() {
         let mut rng = StdRng::seed_from_u64(1);
-        for ise in [false, true] {
+        for config in FULL {
             for _ in 0..5 {
                 let a = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
                 let b = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
-                let (got, _) = run_karatsuba(ise, &a, &b);
-                let (lo, hi) = mul_ps(&a, &b);
-                let mut expect = lo.limbs().to_vec();
-                expect.extend_from_slice(hi.limbs());
-                assert_eq!(got, expect, "ise={ise} a={a} b={b}");
+                let (got, _) = run_mul(karatsuba_int_mul, config, &a, &b);
+                assert_eq!(
+                    got,
+                    product_words(Radix::Full, &a, &b),
+                    "{config} a={a} b={b}"
+                );
             }
         }
     }
 
     #[test]
     fn karatsuba_edge_values() {
-        for ise in [false, true] {
+        for config in FULL {
             for (a, b) in [
                 (U512::ZERO, U512::MAX),
                 (U512::MAX, U512::MAX),
                 (U512::ONE, U512::MAX),
             ] {
-                let (got, _) = run_karatsuba(ise, &a, &b);
-                let (lo, hi) = mul_ps(&a, &b);
-                let mut expect = lo.limbs().to_vec();
-                expect.extend_from_slice(hi.limbs());
-                assert_eq!(got, expect, "ise={ise}");
+                let (got, _) = run_mul(karatsuba_int_mul, config, &a, &b);
+                assert_eq!(got, product_words(Radix::Full, &a, &b), "{config}");
             }
         }
-    }
-
-    fn run_rolled(ise: bool, a: &U512, b: &U512) -> (Vec<u64>, u64) {
-        let prog = rolled_int_mul(ise);
-        let ext = if ise {
-            mpise_core::full_radix_ext()
-        } else {
-            mpise_sim::ext::IsaExtension::new("rv64im")
-        };
-        let mut m = Machine::with_ext(ext);
-        m.load_program(&prog);
-        m.mem.write_limbs(DATA_BASE + 0x100, a.limbs()).unwrap();
-        m.mem.write_limbs(DATA_BASE + 0x200, b.limbs()).unwrap();
-        let stats = m
-            .call(&[
-                (Reg::A0, DATA_BASE),
-                (Reg::A1, DATA_BASE + 0x100),
-                (Reg::A2, DATA_BASE + 0x200),
-            ])
-            .unwrap();
-        (m.mem.read_limbs(DATA_BASE, 16).unwrap(), stats.cycles)
     }
 
     #[test]
     fn rolled_kernel_is_correct() {
         let mut rng = StdRng::seed_from_u64(2);
-        for ise in [false, true] {
+        for config in FULL {
             for _ in 0..4 {
                 let a = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
                 let b = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
-                let (got, _) = run_rolled(ise, &a, &b);
-                let (lo, hi) = mul_ps(&a, &b);
-                let mut expect = lo.limbs().to_vec();
-                expect.extend_from_slice(hi.limbs());
-                assert_eq!(got, expect, "ise={ise}");
+                let (got, _) = run_mul(rolled_int_mul, config, &a, &b);
+                assert_eq!(got, product_words(Radix::Full, &a, &b), "{config}");
             }
         }
     }
@@ -416,16 +337,13 @@ mod tests {
         // operands. The rolled kernel must be substantially slower.
         let a = U512::from_u64(7);
         let b = U512::from_u64(9);
-        for (ise, mode) in [(false, IseMode::IsaOnly), (true, IseMode::IseSupported)] {
-            let mut runner = KernelRunner::new(Config {
-                radix: Radix::Full,
-                ise: mode,
-            });
+        for config in FULL {
+            let mut runner = KernelRunner::new(config);
             let (_, unrolled) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
-            let (_, rolled) = run_rolled(ise, &a, &b);
+            let (_, rolled) = run_mul(rolled_int_mul, config, &a, &b);
             assert!(
                 rolled as f64 > unrolled as f64 * 1.3,
-                "ise={ise}: rolled {rolled} not >1.3x unrolled {unrolled}"
+                "{config}: rolled {rolled} not >1.3x unrolled {unrolled}"
             );
         }
     }
@@ -435,18 +353,15 @@ mod tests {
         // The §4 claim, measured: with the register file large enough
         // for full operands, one-level Karatsuba's recombination
         // traffic outweighs the 16 saved MACs.
-        for (ise, mode) in [(false, IseMode::IsaOnly), (true, IseMode::IseSupported)] {
-            let mut runner = KernelRunner::new(Config {
-                radix: Radix::Full,
-                ise: mode,
-            });
-            let a = U512::from_u64(3);
-            let b = U512::from_u64(5);
+        let a = U512::from_u64(3);
+        let b = U512::from_u64(5);
+        for config in FULL {
+            let mut runner = KernelRunner::new(config);
             let (_, ps_cycles) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
-            let (_, kara_cycles) = run_karatsuba(ise, &a, &b);
+            let (_, kara_cycles) = run_mul(karatsuba_int_mul, config, &a, &b);
             assert!(
                 ps_cycles < kara_cycles,
-                "ise={ise}: product scanning {ps_cycles} !< karatsuba {kara_cycles}"
+                "{config}: product scanning {ps_cycles} !< karatsuba {kara_cycles}"
             );
         }
     }

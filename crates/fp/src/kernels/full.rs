@@ -13,7 +13,7 @@
 //!   `FastReduce`/`FpAdd`/`FpSub` are identical in both modes — which
 //!   is why Table 4 reports 107/163/143 cycles for both columns.
 
-use super::OpKind;
+use super::{with_frame, OpKind};
 use mpise_core::full_radix::{CADD, MADDHU, MADDLU};
 use mpise_sim::asm::{Assembler, Program};
 use mpise_sim::Reg;
@@ -85,29 +85,6 @@ pub fn generate(op: OpKind, ise: bool) -> Program {
     }
 }
 
-/// Wraps `body` in a standard prologue/epilogue saving `saved`
-/// callee-saved registers, with `extra_words` of scratch stack below
-/// them (at `0(sp) .. 8*extra_words-8(sp)`).
-fn with_frame(saved: &[Reg], extra_words: usize, body: impl FnOnce(&mut Assembler)) -> Program {
-    let mut a = Assembler::new();
-    let frame = 8 * (saved.len() + extra_words) as i32;
-    if frame > 0 {
-        a.addi(Reg::Sp, Reg::Sp, -frame);
-        for (i, &r) in saved.iter().enumerate() {
-            a.sd(r, 8 * (extra_words + i) as i32, Reg::Sp);
-        }
-    }
-    body(&mut a);
-    if frame > 0 {
-        for (i, &r) in saved.iter().enumerate() {
-            a.ld(r, 8 * (extra_words + i) as i32, Reg::Sp);
-        }
-        a.addi(Reg::Sp, Reg::Sp, frame);
-    }
-    a.ret();
-    a.finish()
-}
-
 /// Loads `regs.len()` consecutive digits from `base` into `regs`.
 /// `base` itself may be the last destination (pointer-clobber trick).
 fn load_words(a: &mut Assembler, regs: &[Reg], base: Reg) {
@@ -118,7 +95,7 @@ fn load_words(a: &mut Assembler, regs: &[Reg], base: Reg) {
 }
 
 /// One MAC `(e‖h‖l) += x*y` — Listing 1 (ISA) or Listing 3 (ISE).
-fn mac(a: &mut Assembler, ise: bool, acc: [Reg; 3], x: Reg, y: Reg, t1: Reg, t2: Reg) {
+pub(super) fn mac(a: &mut Assembler, ise: bool, acc: [Reg; 3], x: Reg, y: Reg, t1: Reg, t2: Reg) {
     let [l, h, e] = acc;
     if ise {
         // maddhu z,a,b,l ; maddlu l,a,b,l ; cadd e,h,z,e ; add h,h,z

@@ -1,13 +1,15 @@
 //! The four MAC micro-kernels of Listings 1–4 and the two
 //! carry-propagation sequences of §3.2, as standalone programs.
 //!
-//! These exist to reproduce the instruction-count claims of the paper
-//! (8 → 4 for the full-radix MAC, 6 → 2 for the reduced-radix MAC,
-//! 3 → 2 for the final carry propagation) and to measure the latency
-//! of each snippet in isolation.
+//! Each snippet is emitted by the very generator the Table 4 kernels
+//! call for their inner loops (`full::mac`, `red::mac`,
+//! `red::propagate`), so the
+//! instruction-count claims of the paper (8 → 4 for the full-radix MAC,
+//! 6 → 2 for the reduced-radix MAC, 3 → 2 for the final carry
+//! propagation) are checked on the code the kernels run. The snippets
+//! also measure the latency of each sequence in isolation.
 
-use mpise_core::full_radix::{CADD, MADDHU, MADDLU};
-use mpise_core::reduced_radix::{MADD57HU, MADD57LU, SRAIADD};
+use super::{full, red};
 use mpise_sim::asm::{Assembler, Program};
 use mpise_sim::Reg;
 
@@ -26,70 +28,45 @@ pub const ACC_E: Reg = Reg::A4;
 const Y: Reg = Reg::A5;
 const Z: Reg = Reg::A6;
 
+fn snippet(emit: impl FnOnce(&mut Assembler)) -> Program {
+    let mut asm = Assembler::new();
+    emit(&mut asm);
+    asm.finish()
+}
+
 /// Listing 1: ISA-only full-radix MAC,
 /// `(e ‖ h ‖ l) ← (e ‖ h ‖ l) + a·b`. Exactly 8 instructions.
 pub fn listing1_full_isa() -> Program {
-    let mut asm = Assembler::new();
-    asm.mulhu(Z, A, B);
-    asm.mul(Y, A, B);
-    asm.add(ACC_L, ACC_L, Y);
-    asm.sltu(Y, ACC_L, Y);
-    asm.add(Z, Z, Y);
-    asm.add(ACC_H, ACC_H, Z);
-    asm.sltu(Z, ACC_H, Z);
-    asm.add(ACC_E, ACC_E, Z);
-    asm.finish()
+    snippet(|a| full::mac(a, false, [ACC_L, ACC_H, ACC_E], A, B, Y, Z))
 }
 
 /// Listing 2: ISA-only reduced-radix MAC,
 /// `(h ‖ l) ← (h ‖ l) + a·b`. Exactly 6 instructions.
 pub fn listing2_red_isa() -> Program {
-    let mut asm = Assembler::new();
-    asm.mulhu(Z, A, B);
-    asm.mul(Y, A, B);
-    asm.add(ACC_L, ACC_L, Y);
-    asm.sltu(Y, ACC_L, Y);
-    asm.add(Z, Z, Y);
-    asm.add(ACC_H, ACC_H, Z);
-    asm.finish()
+    snippet(|a| red::mac(a, false, ACC_L, ACC_H, A, B, Y, Z))
 }
 
 /// Listing 3: ISE-supported full-radix MAC. Exactly 4 instructions.
 pub fn listing3_full_ise() -> Program {
-    let mut asm = Assembler::new();
-    asm.custom_r4(MADDHU, Z, A, B, ACC_L);
-    asm.custom_r4(MADDLU, ACC_L, A, B, ACC_L);
-    asm.custom_r4(CADD, ACC_E, ACC_H, Z, ACC_E);
-    asm.add(ACC_H, ACC_H, Z);
-    asm.finish()
+    snippet(|a| full::mac(a, true, [ACC_L, ACC_H, ACC_E], A, B, Y, Z))
 }
 
 /// Listing 4: ISE-supported reduced-radix MAC. Exactly 2 instructions.
 pub fn listing4_red_ise() -> Program {
-    let mut asm = Assembler::new();
-    asm.custom_r4(MADD57HU, ACC_H, A, B, ACC_H);
-    asm.custom_r4(MADD57LU, ACC_L, A, B, ACC_L);
-    asm.finish()
+    snippet(|a| red::mac(a, true, ACC_L, ACC_H, A, B, Y, Z))
 }
 
 /// ISA-only carry propagation from limb `x = a0` into limb `y = a1`
 /// with mask register `m = a2`: `srai z,x,57 ; add y,y,z ; and x,x,m`.
 /// 3 instructions.
 pub fn carry_prop_isa() -> Program {
-    let mut asm = Assembler::new();
-    asm.srai(Z, Reg::A0, 57);
-    asm.add(Reg::A1, Reg::A1, Z);
-    asm.and(Reg::A0, Reg::A0, Reg::A2);
-    asm.finish()
+    snippet(|a| red::propagate(a, false, &[Reg::A0, Reg::A1], Reg::A2, Z))
 }
 
 /// ISE-supported carry propagation:
 /// `sraiadd y,y,x,57 ; and x,x,m`. 2 instructions.
 pub fn carry_prop_ise() -> Program {
-    let mut asm = Assembler::new();
-    asm.custom_shamt(SRAIADD, Reg::A1, Reg::A1, Reg::A0, 57);
-    asm.and(Reg::A0, Reg::A0, Reg::A2);
-    asm.finish()
+    snippet(|a| red::propagate(a, true, &[Reg::A0, Reg::A1], Reg::A2, Z))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!   (Algorithm 1), which avoids having to bring the un-reduced sum
 //!   into canonical form first.
 
-use super::OpKind;
+use super::{with_frame, OpKind};
 use mpise_core::reduced_radix::{MADD57HU, MADD57LU, SRAIADD};
 use mpise_sim::asm::{Assembler, Program};
 use mpise_sim::Reg;
@@ -86,26 +86,6 @@ pub fn generate(op: OpKind, ise: bool) -> Program {
     }
 }
 
-fn with_frame(saved: &[Reg], extra_words: usize, body: impl FnOnce(&mut Assembler)) -> Program {
-    let mut a = Assembler::new();
-    let frame = 8 * (saved.len() + extra_words) as i32;
-    if frame > 0 {
-        a.addi(Reg::Sp, Reg::Sp, -frame);
-        for (i, &r) in saved.iter().enumerate() {
-            a.sd(r, 8 * (extra_words + i) as i32, Reg::Sp);
-        }
-    }
-    body(&mut a);
-    if frame > 0 {
-        for (i, &r) in saved.iter().enumerate() {
-            a.ld(r, 8 * (extra_words + i) as i32, Reg::Sp);
-        }
-        a.addi(Reg::Sp, Reg::Sp, frame);
-    }
-    a.ret();
-    a.finish()
-}
-
 /// Materializes the limb mask `2^57 − 1` into `rd` (two instructions).
 fn load_mask(a: &mut Assembler, rd: Reg) {
     a.addi(rd, Reg::Zero, -1);
@@ -115,7 +95,7 @@ fn load_mask(a: &mut Assembler, rd: Reg) {
 /// One reduced-radix MAC — Listing 2 (ISA: `(h‖l) += a·b` as a 128-bit
 /// value) or Listing 4 (ISE: `l += lo57(a·b)`, `h += (a·b) >> 57`).
 #[allow(clippy::too_many_arguments)]
-fn mac(a: &mut Assembler, ise: bool, l: Reg, h: Reg, x: Reg, y: Reg, t1: Reg, t2: Reg) {
+pub(super) fn mac(a: &mut Assembler, ise: bool, l: Reg, h: Reg, x: Reg, y: Reg, t1: Reg, t2: Reg) {
     if ise {
         a.custom_r4(MADD57HU, h, x, y, h);
         a.custom_r4(MADD57LU, l, x, y, l);
@@ -175,7 +155,7 @@ fn mac_init(a: &mut Assembler, ise: bool, l: Reg, h: Reg, x: Reg, y: Reg) {
 
 /// Carry propagation of `regs` (§3.2): `srai/add/and` per limb, or
 /// `sraiadd/and` with the ISE. The top limb keeps its overflow/sign.
-fn propagate(a: &mut Assembler, ise: bool, regs: &[Reg], mask: Reg, t: Reg) {
+pub(super) fn propagate(a: &mut Assembler, ise: bool, regs: &[Reg], mask: Reg, t: Reg) {
     for i in 0..regs.len() - 1 {
         if ise {
             a.custom_shamt(SRAIADD, regs[i + 1], regs[i + 1], regs[i], SHIFT);

@@ -16,10 +16,12 @@
 //!   assembly kernels for every Table 4 operation in all four
 //!   configurations (full/reduced radix × ISA-only/ISE-supported) —
 //!   the Rust equivalent of the hand-written assembler functions the
-//!   authors wrote "from scratch";
-//! * [`measure`]: executes those kernels on the `mpise-sim` Rocket
-//!   model, checks them against the host backends, and reports cycle
-//!   counts;
+//!   authors wrote "from scratch". Listings 1–4 ([`kernels::mac`]) are
+//!   built by the same MAC and carry emitters the kernels call;
+//! * [`measure`]: the one home of the kernel-call ABI (memory layout,
+//!   argument registers, constant pool per radix); executes the
+//!   kernels on the `mpise-sim` Rocket model, checks them against a
+//!   `RefInt` oracle, and reports cycle counts;
 //! * [`simfp`]: an [`backend::Fp`] backend whose every operation
 //!   runs on the simulator — used for the direct (full-simulation)
 //!   reproduction of the CSIDH group-action row.

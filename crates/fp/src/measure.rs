@@ -2,25 +2,77 @@
 //!
 //! This module is the software-evaluation harness of §4: it loads each
 //! generated kernel into a simulated machine, validates its result
-//! against the host backends on random inputs, checks the
+//! against a reference big-integer oracle on random inputs, checks the
 //! constant-time property (identical cycle counts across inputs), and
 //! reports the cycle counts that populate Table 4.
+//!
+//! It is the one home of the kernel-call ABI ([`kernel_machine`],
+//! [`call_kernel`]) and of the kernels' test inputs and oracle
+//! ([`random_inputs`], [`oracle_accepts`]), which the conformance
+//! difftest and the ablation kernels reuse.
 
 use crate::kernels::{const_pool_full, const_pool_red, Config, KernelSet, OpKind, Radix};
-use crate::params::{Csidh512, FULL_LIMBS, RED_LIMBS};
+use crate::params::{Csidh512, RED_LIMBS};
 use mpise_mpi::reference::RefInt;
-use mpise_mpi::{mul as mpi_mul, Reduced, U512};
-use mpise_sim::machine::{RunStats, DATA_BASE};
+use mpise_mpi::{mul as mpi_mul, U512};
+use mpise_sim::asm::Program;
+use mpise_sim::machine::{RunError, RunStats, DATA_BASE};
 use mpise_sim::timing::TimingStats;
 use mpise_sim::{Machine, Reg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
-/// Memory layout offsets (relative to [`DATA_BASE`]).
-const RESULT_OFF: u64 = 0x000;
-const OP1_OFF: u64 = 0x100;
-const OP2_OFF: u64 = 0x200;
-const CONST_OFF: u64 = 0x300;
+/// Kernel-call ABI memory layout: the result, the two operands and the
+/// constant pool each get a slot in the machine's data memory.
+const RESULT_ADDR: u64 = DATA_BASE;
+const OP1_ADDR: u64 = DATA_BASE + 0x100;
+const OP2_ADDR: u64 = DATA_BASE + 0x200;
+const CONST_ADDR: u64 = DATA_BASE + 0x300;
+
+/// Builds a machine for `config` — its ISA extension, its radix's
+/// constant pool in place — with `program` loaded.
+pub fn kernel_machine(config: Config, program: &Program) -> Machine {
+    let pool = match config.radix {
+        Radix::Full => const_pool_full(),
+        Radix::Reduced => const_pool_red(),
+    };
+    let mut m = Machine::with_ext(config.extension());
+    m.load_program(program);
+    m.mem
+        .write_limbs(CONST_ADDR, &pool)
+        .expect("constant pool fits");
+    m
+}
+
+/// Calls the loaded kernel under the kernel-call ABI (see
+/// [`crate::kernels`]): writes one or two operands, passes the result,
+/// operand and constant-pool pointers in `a0..a3`, and returns the first
+/// `out_words` result words with the stats of the call.
+///
+/// # Errors
+///
+/// Propagates the [`RunError`] of a trapping kernel.
+pub fn call_kernel(
+    m: &mut Machine,
+    inputs: &[&[u64]],
+    out_words: usize,
+) -> Result<(Vec<u64>, RunStats), RunError> {
+    for (&addr, words) in [OP1_ADDR, OP2_ADDR].iter().zip(inputs) {
+        m.mem.write_limbs(addr, words).expect("operand fits");
+    }
+    let stats = m.call(&[
+        (Reg::A0, RESULT_ADDR),
+        (Reg::A1, OP1_ADDR),
+        (Reg::A2, OP2_ADDR),
+        (Reg::A3, CONST_ADDR),
+    ])?;
+    let out = m
+        .mem
+        .read_limbs(RESULT_ADDR, out_words)
+        .expect("result readable");
+    Ok((out, stats))
+}
 
 /// Executes the kernels of one configuration.
 #[derive(Debug)]
@@ -30,7 +82,7 @@ pub struct KernelRunner {
     /// One pre-loaded machine per operation, indexed by `op as usize`
     /// (a fixed array, not a map — [`KernelRunner::run`] sits on the
     /// full-simulation hot path of [`crate::simfp::SimFp`]).
-    machines: [Option<Machine>; OpKind::ALL.len()],
+    machines: [Machine; OpKind::ALL.len()],
 }
 
 impl KernelRunner {
@@ -38,19 +90,7 @@ impl KernelRunner {
     /// for every kernel of `config`.
     pub fn new(config: Config) -> Self {
         let set = KernelSet::build(config);
-        let pool = match config.radix {
-            Radix::Full => const_pool_full(),
-            Radix::Reduced => const_pool_red(),
-        };
-        let mut machines: [Option<Machine>; OpKind::ALL.len()] = std::array::from_fn(|_| None);
-        for (op, prog) in set.iter() {
-            let mut m = Machine::with_ext(config.extension());
-            m.load_program(prog);
-            m.mem
-                .write_limbs(DATA_BASE + CONST_OFF, &pool)
-                .expect("constant pool fits");
-            machines[op as usize] = Some(m);
-        }
+        let machines = OpKind::ALL.map(|op| kernel_machine(config, set.kernel(op)));
         KernelRunner { config, machines }
     }
 
@@ -76,27 +116,8 @@ impl KernelRunner {
     pub fn run_full(&mut self, op: OpKind, inputs: &[&[u64]]) -> (Vec<u64>, RunStats) {
         assert_eq!(inputs.len(), op.arity(), "wrong operand count for {op:?}");
         let (_, out_words) = op.shape(&self.config);
-        let m = self.machines[op as usize].as_mut().expect("kernel exists");
-        m.mem
-            .write_limbs(DATA_BASE + OP1_OFF, inputs[0])
-            .expect("operand fits");
-        if inputs.len() > 1 {
-            m.mem
-                .write_limbs(DATA_BASE + OP2_OFF, inputs[1])
-                .expect("operand fits");
-        }
-        let stats = m
-            .call(&[
-                (Reg::A0, DATA_BASE + RESULT_OFF),
-                (Reg::A1, DATA_BASE + OP1_OFF),
-                (Reg::A2, DATA_BASE + OP2_OFF),
-                (Reg::A3, DATA_BASE + CONST_OFF),
-            ])
+        let (out, stats) = call_kernel(&mut self.machines[op as usize], inputs, out_words)
             .unwrap_or_else(|e| panic!("{:?} kernel trapped: {e}", op));
-        let out = m
-            .mem
-            .read_limbs(DATA_BASE + RESULT_OFF, out_words)
-            .expect("result readable");
         // Sole choke point for simulated-cost attribution: every
         // simulator-backed field op funnels through here, so the cycles
         // are charged to the innermost open telemetry span exactly once.
@@ -118,158 +139,112 @@ pub struct OpMeasurement {
     pub timing: TimingStats,
 }
 
-/// Generates a random canonical residue (`< p`) in the word layout of
-/// `radix`.
-fn random_residue(rng: &mut StdRng, radix: Radix) -> Vec<u64> {
-    let c = Csidh512::get();
-    let v = loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
-        // Clear the top bit so cand < 2^511; then reject >= p.
-        let cand = cand.and(&U512::MAX.shr(1));
-        if cand < c.p {
-            break cand;
+/// Draws a random canonical residue (`< p`): eight random words with
+/// the top bit cleared, rejected until below `p`.
+pub fn random_residue(rng: &mut StdRng) -> U512 {
+    let p = Csidh512::get().p;
+    loop {
+        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
+        if cand < p {
+            return cand;
         }
-    };
-    match radix {
-        Radix::Full => v.limbs().to_vec(),
-        Radix::Reduced => Reduced::<RED_LIMBS>::from_uint(&v).limbs().to_vec(),
     }
 }
 
-fn words_to_refint(words: &[u64], radix: Radix) -> RefInt {
+/// Encodes `v` (`< 2^512`) in the element word layout of `radix`.
+pub fn element_words(radix: Radix, v: &U512) -> Vec<u64> {
+    let mut words = vec![0; radix.words()];
+    radix.pack(v, &mut words);
+    words
+}
+
+/// The double-length product `a · b` in the word layout of `radix` (a
+/// valid `MontRedc` input).
+pub fn product_words(radix: Radix, a: &U512, b: &U512) -> Vec<u64> {
     match radix {
-        Radix::Full => RefInt::from_limbs(words),
+        Radix::Full => {
+            let (lo, hi) = mpi_mul::mul_ps(a, b);
+            [*lo.limbs(), *hi.limbs()].concat()
+        }
         Radix::Reduced => {
-            let mut acc = RefInt::zero();
-            for (i, &w) in words.iter().enumerate() {
-                acc = acc.add(&RefInt::from_limbs(&[w]).shl(57 * i));
-            }
-            acc
+            let mut t = vec![0u64; 2 * RED_LIMBS];
+            mpise_mpi::reduced::mul_ps_slices_57(
+                &element_words(radix, a),
+                &element_words(radix, b),
+                &mut t,
+            );
+            t
         }
     }
 }
 
-/// Computes the expected result of `op` on `inputs` using the host
-/// arithmetic, as (value, modulus-to-compare-under).
-///
-/// `MontRedc` results are only defined modulo `p` (kernels return
-/// `[0, 2p)`), so those are compared mod `p`; everything else must
-/// match exactly.
-fn expected(op: OpKind, config: &Config, inputs: &[&[u64]]) -> (RefInt, Option<RefInt>) {
-    let c = Csidh512::get();
-    let rp = RefInt::from_limbs(c.p.limbs());
-    let radix = config.radix;
-    let a_int = words_to_refint(inputs[0], radix);
-    match op {
-        OpKind::IntMul => {
-            let b_int = words_to_refint(inputs[1], radix);
-            (a_int.mul(&b_int), None)
-        }
-        OpKind::IntSqr => (a_int.mul(&a_int), None),
-        OpKind::MontRedc => {
-            // result * R ≡ t (mod p), result in [0, 2p)
-            let r_bits = match radix {
-                Radix::Full => 64 * FULL_LIMBS,
-                Radix::Reduced => 57 * RED_LIMBS,
-            };
-            // Compute t * R^{-1} mod p via: find x with x*R ≡ t.
-            // x = t * Rinv mod p; Rinv = R^(p-2)?? Simpler: use host
-            // Montgomery contexts through the integer route:
-            let t = a_int;
-            // x = t * (R^{-1} mod p) mod p, computed as
-            // t * R^{p-2 mod ...}: cheaper: x = (t * R_inv) where
-            // R_inv = modpow(R, p-2, p).
-            let r_big = RefInt::one().shl(r_bits);
-            let pm2 = RefInt::from_limbs(c.p_minus_2.limbs());
-            let r_inv = r_big.powmod(&pm2, &rp);
-            (t.mulmod(&r_inv, &rp), Some(rp))
-        }
-        OpKind::FastReduce => (a_int.rem(&rp), None),
-        OpKind::FpAdd => {
-            let b_int = words_to_refint(inputs[1], radix);
-            (a_int.add(&b_int).rem(&rp), None)
-        }
-        OpKind::FpSub => {
-            let b_int = words_to_refint(inputs[1], radix);
-            (a_int.add(&rp).sub(&b_int).rem(&rp), None)
-        }
-        OpKind::FpMul => {
-            // Montgomery-domain multiply: a*b*R^{-1} mod p, canonical.
-            let b_int = words_to_refint(inputs[1], radix);
-            let r_bits = match radix {
-                Radix::Full => 64 * FULL_LIMBS,
-                Radix::Reduced => 57 * RED_LIMBS,
-            };
-            let r_big = RefInt::one().shl(r_bits);
-            let pm2 = RefInt::from_limbs(c.p_minus_2.limbs());
-            let r_inv = r_big.powmod(&pm2, &rp);
-            (a_int.mulmod(&b_int, &rp).mulmod(&r_inv, &rp), None)
-        }
-        OpKind::FpSqr => {
-            let r_bits = match radix {
-                Radix::Full => 64 * FULL_LIMBS,
-                Radix::Reduced => 57 * RED_LIMBS,
-            };
-            let r_big = RefInt::one().shl(r_bits);
-            let pm2 = RefInt::from_limbs(c.p_minus_2.limbs());
-            let r_inv = r_big.powmod(&pm2, &rp);
-            (a_int.mulmod(&a_int, &rp).mulmod(&r_inv, &rp), None)
-        }
-    }
-}
-
-/// Generates valid random inputs for `op`.
-fn random_inputs(rng: &mut StdRng, op: OpKind, config: &Config) -> Vec<Vec<u64>> {
-    let radix = config.radix;
-    let c = Csidh512::get();
+/// Generates valid random inputs for `op`: canonical residues, a value
+/// in `[0, 2p)` for `FastReduce`, and a product of two residues for
+/// `MontRedc`.
+pub fn random_inputs(rng: &mut StdRng, op: OpKind, radix: Radix) -> Vec<Vec<u64>> {
+    let residue = |rng: &mut StdRng| element_words(radix, &random_residue(rng));
     match op {
         OpKind::IntMul | OpKind::FpAdd | OpKind::FpSub | OpKind::FpMul => {
-            vec![random_residue(rng, radix), random_residue(rng, radix)]
+            vec![residue(rng), residue(rng)]
         }
-        OpKind::IntSqr | OpKind::FpSqr => vec![random_residue(rng, radix)],
+        OpKind::IntSqr | OpKind::FpSqr => vec![residue(rng)],
         OpKind::FastReduce => {
-            // Value in [0, 2p): residue plus possibly p.
-            let a = random_residue(rng, radix);
-            if rng.gen::<bool>() {
-                let v = words_to_refint(&a, radix).add(&RefInt::from_limbs(c.p.limbs()));
-                let words = match radix {
-                    Radix::Full => v.to_limbs(FULL_LIMBS),
-                    Radix::Reduced => Reduced::<RED_LIMBS>::from_uint(&U512::from_limbs(
-                        v.to_limbs(FULL_LIMBS).try_into().expect("8 limbs"),
-                    ))
-                    .limbs()
-                    .to_vec(),
-                };
-                vec![words]
+            let a = random_residue(rng);
+            let v = if rng.gen::<bool>() {
+                a.wrapping_add(&Csidh512::get().p)
             } else {
-                vec![a]
-            }
+                a
+            };
+            vec![element_words(radix, &v)]
         }
         OpKind::MontRedc => {
-            // A double-length product of two residues.
-            let a = random_residue(rng, radix);
-            let b = random_residue(rng, radix);
-            match radix {
-                Radix::Full => {
-                    let ua = U512::from_limbs(a.as_slice().try_into().expect("8 limbs"));
-                    let ub = U512::from_limbs(b.as_slice().try_into().expect("8 limbs"));
-                    let (lo, hi) = mpi_mul::mul_ps(&ua, &ub);
-                    let mut t = lo.limbs().to_vec();
-                    t.extend_from_slice(hi.limbs());
-                    vec![t]
-                }
-                Radix::Reduced => {
-                    let mut t = vec![0u64; 2 * RED_LIMBS];
-                    mpise_mpi::reduced::mul_ps_slices_57(&a, &b, &mut t);
-                    vec![t]
-                }
-            }
+            let (a, b) = (random_residue(rng), random_residue(rng));
+            vec![product_words(radix, &a, &b)]
         }
     }
+}
+
+/// The reference oracle for the Table 4 kernels, in [`RefInt`]
+/// arithmetic alone: whether `out` is a correct result of `op` on
+/// `inputs` in the word layout of `radix`.
+///
+/// Every result must match exactly, except `MontRedc`: its kernels
+/// return any representative in `[0, 2p)`, so it is compared mod `p`
+/// with a range check.
+pub fn oracle_accepts(op: OpKind, radix: Radix, inputs: &[&[u64]], out: &[u64]) -> bool {
+    // R^{-1} mod p for R = 2^512 (full) or 2^513 (reduced), by Fermat.
+    static R_INV: OnceLock<[RefInt; 2]> = OnceLock::new();
+    let p = RefInt::from_limbs(Csidh512::get().p.limbs());
+    let r_inv = &R_INV.get_or_init(|| {
+        let pm2 = RefInt::from_limbs(Csidh512::get().p_minus_2.limbs());
+        [Radix::Full, Radix::Reduced].map(|r| {
+            RefInt::one()
+                .shl(r.digit_bits() * r.words())
+                .powmod(&pm2, &p)
+        })
+    })[radix as usize];
+    let a = radix.value(inputs[0]);
+    let b = || radix.value(inputs[1]);
+    let got = radix.value(out);
+    let want = match op {
+        OpKind::IntMul => a.mul(&b()),
+        OpKind::IntSqr => a.mul(&a),
+        OpKind::MontRedc => {
+            let two_p = p.add(&p);
+            return got.rem(&p) == a.mulmod(r_inv, &p)
+                && got.cmp_ref(&two_p) == std::cmp::Ordering::Less;
+        }
+        OpKind::FastReduce => a.rem(&p),
+        OpKind::FpAdd => a.add(&b()).rem(&p),
+        OpKind::FpSub => a.add(&p).sub(&b()).rem(&p),
+        OpKind::FpMul => a.mulmod(&b(), &p).mulmod(r_inv, &p),
+        OpKind::FpSqr => a.mulmod(&a, &p).mulmod(r_inv, &p),
+    };
+    got == want
 }
 
 /// Validates one kernel on `iterations` random inputs and returns its
-/// (constant) cycle count.
+/// (constant) cost.
 ///
 /// # Errors
 ///
@@ -280,40 +255,16 @@ pub fn validate_and_measure(
     op: OpKind,
     iterations: usize,
     seed: u64,
-) -> Result<u64, String> {
-    validate_and_measure_full(runner, op, iterations, seed).map(|m| m.cycles)
-}
-
-/// Like [`validate_and_measure`] but returns the full
-/// [`OpMeasurement`] (cycles, instret, per-class timing).
-///
-/// # Errors
-///
-/// Returns a description of the first mismatch: wrong value, value out
-/// of canonical range, or input-dependent timing.
-pub fn validate_and_measure_full(
-    runner: &mut KernelRunner,
-    op: OpKind,
-    iterations: usize,
-    seed: u64,
 ) -> Result<OpMeasurement, String> {
     let _span = mpise_obs::span(op.span_name());
     let mut rng = StdRng::seed_from_u64(seed);
     let config = runner.config;
     let mut seen: Option<OpMeasurement> = None;
     for it in 0..iterations {
-        let inputs = random_inputs(&mut rng, op, &config);
+        let inputs = random_inputs(&mut rng, op, config.radix);
         let input_refs: Vec<&[u64]> = inputs.iter().map(|v| v.as_slice()).collect();
         let (out, stats) = runner.run_full(op, &input_refs);
-        let got = words_to_refint(&out, config.radix);
-        let (want, modulus) = expected(op, &config, &input_refs);
-        let ok = match &modulus {
-            None => got == want,
-            Some(m) => {
-                got.rem(m) == want.rem(m) && got.cmp_ref(&m.add(m)) == std::cmp::Ordering::Less
-            }
-        };
-        if !ok {
+        if !oracle_accepts(op, config.radix, &input_refs, &out) {
             return Err(format!("{config}: {op:?} wrong result on iteration {it}"));
         }
         match &seen {
@@ -349,7 +300,7 @@ pub fn measure_config(config: Config, iterations: usize) -> Vec<OpMeasurement> {
     OpKind::ALL
         .iter()
         .map(|&op| {
-            validate_and_measure_full(&mut runner, op, iterations, 0xC51D + op as u64)
+            validate_and_measure(&mut runner, op, iterations, 0xC51D + op as u64)
                 .unwrap_or_else(|e| panic!("{e}"))
         })
         .collect()
@@ -412,6 +363,29 @@ mod tests {
         let mut runner = KernelRunner::new(Config::ALL[3]);
         for op in OpKind::ALL {
             validate_and_measure(&mut runner, op, 3, 4).unwrap();
+        }
+    }
+
+    #[test]
+    fn oracle_accepts_known_small_values() {
+        // 3 · 5 = 15 through the IntMul oracle in both radices.
+        for radix in [Radix::Full, Radix::Reduced] {
+            let w = |v| element_words(radix, &U512::from_u64(v));
+            let (a, b) = (w(3), w(5));
+            let product = |v| [w(v), vec![0; radix.words()]].concat();
+            let accepts = |v| oracle_accepts(OpKind::IntMul, radix, &[&a, &b], &product(v));
+            assert!(accepts(15) && !accepts(16));
+        }
+    }
+
+    #[test]
+    fn radix_codec_round_trips() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for radix in [Radix::Full, Radix::Reduced] {
+            let v = random_residue(&mut rng);
+            let words = element_words(radix, &v);
+            assert_eq!(radix.unpack(&words), v);
+            assert_eq!(radix.value(&words), RefInt::from_limbs(v.limbs()));
         }
     }
 

@@ -109,24 +109,12 @@ impl SimFp {
 
     fn pack(&self, v: &U512) -> SimElem {
         let mut words = [0u64; RED_LIMBS];
-        match self.config.radix {
-            Radix::Full => words[..FULL_LIMBS].copy_from_slice(v.limbs()),
-            Radix::Reduced => {
-                words.copy_from_slice(Reduced::<RED_LIMBS>::from_uint(v).limbs());
-            }
-        }
+        self.config.radix.pack(v, &mut words);
         SimElem { words }
     }
 
     fn unpack(&self, e: &SimElem) -> U512 {
-        match self.config.radix {
-            Radix::Full => {
-                let mut limbs = [0u64; FULL_LIMBS];
-                limbs.copy_from_slice(&e.words[..FULL_LIMBS]);
-                U512::from_limbs(limbs)
-            }
-            Radix::Reduced => Reduced::<RED_LIMBS>::from_limbs(e.words).to_uint(),
-        }
+        self.config.radix.unpack(&e.words)
     }
 }
 
@@ -144,11 +132,9 @@ impl Fp for SimFp {
         let c = Csidh512::get();
         match self.config.radix {
             Radix::Full => self.pack(c.mont.one()),
-            Radix::Reduced => {
-                let mut words = [0u64; RED_LIMBS];
-                words.copy_from_slice(c.mont57.one().limbs());
-                SimElem { words }
-            }
+            Radix::Reduced => SimElem {
+                words: *c.mont57.one().limbs(),
+            },
         }
     }
 
@@ -159,12 +145,9 @@ impl Fp for SimFp {
         let c = Csidh512::get();
         match self.config.radix {
             Radix::Full => self.pack(&c.mont.to_mont(v)),
-            Radix::Reduced => {
-                let m = c.mont57.to_mont(&Reduced::from_uint(v));
-                let mut words = [0u64; RED_LIMBS];
-                words.copy_from_slice(m.limbs());
-                SimElem { words }
-            }
+            Radix::Reduced => SimElem {
+                words: *c.mont57.to_mont(&Reduced::from_uint(v)).limbs(),
+            },
         }
     }
 
@@ -172,13 +155,10 @@ impl Fp for SimFp {
         let c = Csidh512::get();
         match self.config.radix {
             Radix::Full => c.mont.from_mont(&self.unpack(a)),
-            Radix::Reduced => {
-                let mut limbs = [0u64; RED_LIMBS];
-                limbs.copy_from_slice(&a.words);
-                c.mont57
-                    .from_mont(&Reduced::from_limbs(limbs))
-                    .to_uint::<FULL_LIMBS>()
-            }
+            Radix::Reduced => c
+                .mont57
+                .from_mont(&Reduced::from_limbs(a.words))
+                .to_uint::<FULL_LIMBS>(),
         }
     }
 

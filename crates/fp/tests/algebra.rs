@@ -12,22 +12,13 @@
 //!   must agree, byte for byte, on 10 000 seeded random elements per
 //!   radix-pair operation.
 
+use mpise_fp::measure::random_residue;
 use mpise_fp::params::Csidh512;
 use mpise_fp::{Fp, FpFull, FpRed};
 use mpise_mpi::reference::RefInt;
 use mpise_mpi::U512;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn random_residue(rng: &mut StdRng) -> U512 {
-    let p = Csidh512::get().p;
-    loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
-        if cand < p {
-            return cand;
-        }
-    }
-}
+use rand::SeedableRng;
 
 /// Schoolbook `a · b mod p` built from `u128` partial products — no
 /// Montgomery arithmetic, no mpi multiply routines.

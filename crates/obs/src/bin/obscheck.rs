@@ -12,7 +12,7 @@
 //! ([`json::check_artifact`], one table for all schemas):
 //!
 //! * `mpise-obs/v1` — telemetry snapshot (`metrics`, `spans`);
-//! * `mpise-bench/v1` — pipeline benchmark (`kernels`, `action`, `host`);
+//! * `mpise-bench/v1` — pipeline benchmark (`kernels`, `action`, `gate`);
 //! * `mpise-loadgen/v1` — load-generator run (`passes`, `payloads`);
 //! * `mpise-difftest/v1` — conformance gate (`modes.*.failures`, `pass`).
 //!

@@ -434,7 +434,6 @@ const SCHEMA_KEYS: &[(&str, &str, Type)] = &[
     ("mpise-bench/v1", "action.op_counts", Type::Object),
     ("mpise-bench/v1", "action.estimated", Type::Array),
     ("mpise-bench/v1", "action.direct_sim", Type::Array),
-    ("mpise-bench/v1", "host", Type::Array),
     ("mpise-bench/v1", "gate.ise_faster_than_rv64gc", Type::Bool),
     ("mpise-loadgen/v1", "mode", Type::String),
     ("mpise-loadgen/v1", "passes", Type::Array),

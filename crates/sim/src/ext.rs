@@ -25,6 +25,15 @@
 use crate::reg::Reg;
 use std::fmt;
 
+/// The four major opcodes RISC-V reserves for custom extensions
+/// (custom-0/1/2/3 of the unprivileged spec).
+pub const CUSTOM_OPCODES: [u8; 4] = [
+    0b0001011, // custom-0
+    0b0101011, // custom-1
+    0b1011011, // custom-2
+    0b1111011, // custom-3
+];
+
 /// Identifier for a custom instruction, unique within a process.
 ///
 /// Extension crates allocate stable ids for their instructions (see
