@@ -20,10 +20,18 @@
 //!    `rs3` sets bit 31), and the full [`encode`]/[`decode`] pipeline
 //!    reproduces the instruction;
 //! 4. **Table 1 contract** — the paper's six mnemonics carry exactly
-//!    the encodings of Table 1 / Figures 1–3.
+//!    the encodings of Table 1 / Figures 1–3;
+//! 5. **§3.2 guideline 3** — at most two sources and one destination,
+//!    except for the performance-critical MAC: only the `madd*` family
+//!    and `cadd` (which folds into the MAC sequence of Listing 3 and
+//!    shares XMUL's third read port) may use the R4 format (warning
+//!    otherwise). Guidelines 1 and 2 — GPR operands only, no extra
+//!    architectural state — hold by construction for any
+//!    [`IsaExtension`]: [`CustomInstDef::exec`] is a pure function from
+//!    GPR values to one GPR value.
 
 use mpise_sim::decode::decode;
-use mpise_sim::encode::encode;
+use mpise_sim::encode::{encode, BASE_OPCODES};
 use mpise_sim::ext::{
     decode_custom_operands, encode_custom, CustomFormat, CustomInstDef, IsaExtension,
     CUSTOM_OPCODES,
@@ -31,23 +39,6 @@ use mpise_sim::ext::{
 use mpise_sim::inst::Inst;
 use mpise_sim::Reg;
 use std::fmt;
-
-/// Base RV64IM major opcodes claimed by `mpise_sim::decode`.
-pub const BASE_RV64_OPCODES: [u8; 13] = [
-    0b0110111, // lui
-    0b0010111, // auipc
-    0b1101111, // jal
-    0b1100111, // jalr
-    0b1100011, // branches
-    0b0000011, // loads
-    0b0100011, // stores
-    0b0010011, // op-imm
-    0b0011011, // op-imm-32
-    0b0110011, // op
-    0b0111011, // op-32
-    0b0001111, // fence
-    0b1110011, // system
-];
 
 /// The paper's Table 1: expected encoding per mnemonic. `cadd` and
 /// `madd57lu` intentionally share an encoding point — they belong to
@@ -177,6 +168,7 @@ pub fn lint_extension(ext: &IsaExtension) -> LintReport {
         lint_opcode_space(def, &mut findings);
         lint_round_trip(ext, def, &mut findings);
         lint_table1(def, &mut findings);
+        lint_r4_is_mac(def, &mut findings);
     }
     lint_cross_format(ext, &mut findings);
     findings.sort_by_key(|f| f.level == LintLevel::Warning);
@@ -236,7 +228,7 @@ fn lint_fields(def: &CustomInstDef, findings: &mut Vec<LintFinding>) {
 
 fn lint_opcode_space(def: &CustomInstDef, findings: &mut Vec<LintFinding>) {
     let opcode = def.format.opcode();
-    if BASE_RV64_OPCODES.contains(&opcode) {
+    if BASE_OPCODES.contains(&opcode) {
         findings.push(err(
             def,
             format!(
@@ -369,6 +361,18 @@ fn lint_table1(def: &CustomInstDef, findings: &mut Vec<LintFinding>) {
     }
 }
 
+fn lint_r4_is_mac(def: &CustomInstDef, findings: &mut Vec<LintFinding>) {
+    let is_mac_family = def.mnemonic.contains("madd") || def.mnemonic == "cadd";
+    if def.format.has_rs3() && !is_mac_family {
+        findings.push(warn(
+            def,
+            "uses the R4 format but is not a multiply-add; §3.2 guideline 3 \
+             reserves a third source register for the MAC"
+                .to_owned(),
+        ));
+    }
+}
+
 /// R4 and RShamt definitions sharing (opcode, funct3) are structurally
 /// ambiguous: an R4 `rs3` with its top bit equal to the RShamt `bit31`
 /// produces a word matching both patterns. The sampled round-trip also
@@ -450,7 +454,7 @@ mod tests {
         let mut e = IsaExtension::new("clean");
         e.define(def(
             100,
-            "alpha",
+            "maddalpha",
             CustomFormat::R4 {
                 opcode: 0b1111011,
                 funct3: 0b111,
@@ -469,7 +473,7 @@ mod tests {
         ))
         .unwrap();
         let report = lint_extension(&e);
-        assert!(report.passed(), "{}", report.render());
+        assert!(report.findings.is_empty(), "{}", report.render());
         assert_eq!(report.checked, 2);
     }
 
@@ -561,6 +565,30 @@ mod tests {
         let report = lint_extension(&e);
         assert!(!report.passed());
         assert!(report.render().contains("Table 1"), "{}", report.render());
+    }
+
+    #[test]
+    fn r4_non_mac_is_flagged() {
+        let mut e = IsaExtension::new("bad");
+        e.define(def(
+            900,
+            "frobnicate",
+            CustomFormat::R4 {
+                opcode: 0b1111011,
+                funct3: 0b001,
+                funct2: 0b00,
+            },
+        ))
+        .unwrap();
+        let report = lint_extension(&e);
+        assert!(report.passed(), "a warning, not an error");
+        assert!(
+            report.findings.iter().any(|f| f.level == LintLevel::Warning
+                && f.mnemonic == "frobnicate"
+                && f.message.contains("guideline 3")),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -12,62 +12,45 @@
 //! ```text
 //! cargo run --release -p mpise-bench --bin ablation
 //! ```
+//!
+//! Exits 1 when [`IntMulCycles::check`] or [`check_xmul_depths`] finds
+//! a claim of 1 or 2 violated.
 
 use mpise_bench::rule;
-use mpise_fp::kernels::ablation::{karatsuba_int_mul, rolled_int_mul};
-use mpise_fp::kernels::{Config, IseMode, KernelSet, OpKind, Radix};
-use mpise_fp::measure::{call_kernel, kernel_machine, KernelRunner};
-use mpise_hw::depth::analyze;
-use mpise_hw::xmul::{base_multiplier, full_radix_xmul, reduced_radix_xmul};
-use mpise_mpi::U512;
-use mpise_sim::asm::Program;
+use mpise_fp::kernels::ablation::{int_mul_cycles, IntMulCycles};
+use mpise_fp::kernels::{Config, KernelSet, OpKind};
+use mpise_fp::measure::{call_kernel, kernel_machine};
+use mpise_hw::depth::{check_xmul_depths, xmul_depths, DepthReport};
 use mpise_sim::TimingConfig;
+use std::process::ExitCode;
 
-fn main() {
-    karatsuba_vs_product_scanning();
-    unrolling();
-    critical_path();
+fn main() -> ExitCode {
+    let techniques = [Config::ALL[0], Config::ALL[1]].map(int_mul_cycles);
+    karatsuba_vs_product_scanning(&techniques);
+    unrolling(&techniques);
+    let depths = xmul_depths();
+    critical_path(&depths);
     timing_sensitivity();
-}
 
-/// Cycles of one call to a 512×512-bit multiplication `program` on
-/// `config`'s machine.
-fn int_mul_cycles(config: Config, program: &Program, a: &U512, b: &U512) -> u64 {
-    let mut m = kernel_machine(config, program);
-    let (_, out_words) = OpKind::IntMul.shape(&config);
-    let (_, stats) = call_kernel(&mut m, &[a.limbs(), b.limbs()], out_words).expect("kernel runs");
-    stats.cycles
-}
-
-/// Measures what full unrolling buys (§3: "we also unroll the loops
-/// fully").
-fn unrolling() {
-    println!("ablation 1b: fully unrolled vs rolled (looped) 512-bit multiplication");
-    println!("{}", rule(72));
-    for (mode, ise) in [(IseMode::IsaOnly, false), (IseMode::IseSupported, true)] {
-        let config = Config {
-            radix: Radix::Full,
-            ise: mode,
-        };
-        let mut runner = KernelRunner::new(config);
-        let a = U512::from_u64(3);
-        let b = U512::from_u64(5);
-        let (_, unrolled) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
-
-        let rolled = int_mul_cycles(config, &rolled_int_mul(ise), &a, &b);
-        println!(
-            "{:24} unrolled {:>5} cycles, rolled {:>5} cycles ({:.2}x)",
-            config.ise.to_string(),
-            unrolled,
-            rolled,
-            rolled as f64 / unrolled as f64
-        );
+    let mut ok = true;
+    for check in techniques
+        .iter()
+        .map(IntMulCycles::check)
+        .chain([check_xmul_depths(&depths)])
+    {
+        if let Err(e) = check {
+            eprintln!("ablation: claim check FAILED — {e}");
+            ok = false;
+        }
     }
-    println!("{}", rule(72));
-    println!("(register-resident, fully unrolled kernels are what Table 4 measures)\n");
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
-fn karatsuba_vs_product_scanning() {
+fn karatsuba_vs_product_scanning(techniques: &[IntMulCycles]) {
     println!("ablation 1: 512-bit integer multiplication technique (cycles)");
     println!("{}", rule(72));
     println!(
@@ -75,20 +58,11 @@ fn karatsuba_vs_product_scanning() {
         "configuration", "product-scanning", "karatsuba (1 lvl)", "winner"
     );
     println!("{}", rule(72));
-    for (mode, ise) in [(IseMode::IsaOnly, false), (IseMode::IseSupported, true)] {
-        let config = Config {
-            radix: Radix::Full,
-            ise: mode,
-        };
-        let mut runner = KernelRunner::new(config);
-        let a = U512::from_u64(3);
-        let b = U512::from_u64(5);
-        let (_, ps) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
-
-        let kara = int_mul_cycles(config, &karatsuba_int_mul(ise), &a, &b);
+    for t in techniques {
+        let (ps, kara) = (t.product_scanning, t.karatsuba);
         println!(
             "{:24} {:>16} {:>16} {:>10}",
-            config.ise.to_string(),
+            t.config.ise.to_string(),
             ps,
             kara,
             if ps < kara { "PS" } else { "Karatsuba" }
@@ -98,15 +72,29 @@ fn karatsuba_vs_product_scanning() {
     println!("(paper §4 used product scanning for the same reason)\n");
 }
 
-fn critical_path() {
+/// Measures what full unrolling buys (§3: "we also unroll the loops
+/// fully").
+fn unrolling(techniques: &[IntMulCycles]) {
+    println!("ablation 1b: fully unrolled vs rolled (looped) 512-bit multiplication");
+    println!("{}", rule(72));
+    for t in techniques {
+        let (unrolled, rolled) = (t.product_scanning, t.rolled);
+        println!(
+            "{:24} unrolled {:>5} cycles, rolled {:>5} cycles ({:.2}x)",
+            t.config.ise.to_string(),
+            unrolled,
+            rolled,
+            rolled as f64 / unrolled as f64
+        );
+    }
+    println!("{}", rule(72));
+    println!("(register-resident, fully unrolled kernels are what Table 4 measures)\n");
+}
+
+fn critical_path(depths: &[(&str, DepthReport)]) {
     println!("ablation 2: combinational depth of the multiplier datapath variants");
     println!("{}", rule(72));
-    for (name, netlist) in [
-        ("base multiplier", base_multiplier().netlist),
-        ("XMUL full-radix", full_radix_xmul().netlist),
-        ("XMUL reduced-radix", reduced_radix_xmul().netlist),
-    ] {
-        let d = analyze(&netlist);
+    for (name, d) in depths {
         println!(
             "{:22} critical path {:>6.1} unit delays ({} nets)",
             name, d.critical_path, d.nets

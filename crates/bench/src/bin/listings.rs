@@ -4,13 +4,16 @@
 //! ```text
 //! cargo run -p mpise-bench --bin listings
 //! ```
+//!
+//! Exits 1 when [`mac::check_counts`] finds an instruction count that
+//! differs from the paper's.
 
 use mpise_bench::rule;
-use mpise_core::{full_radix_ext, reduced_radix_ext};
-use mpise_fp::kernels::mac;
+use mpise_fp::kernels::mac::{self, SNIPPETS};
 use mpise_sim::asm::Program;
 use mpise_sim::ext::IsaExtension;
 use mpise_sim::{Inst, Machine, Reg};
+use std::process::ExitCode;
 
 /// Runs a MAC snippet `reps` times back-to-back and reports the cycle
 /// count, showing throughput including pipelining effects.
@@ -28,46 +31,7 @@ fn latency(prog: &Program, ext: IsaExtension, reps: usize) -> u64 {
     stats.cycles - 1 // exclude the ebreak
 }
 
-fn main() {
-    let plain = || IsaExtension::new("rv64im");
-    let rows = [
-        (
-            "Listing 1: full-radix MAC, ISA-only",
-            mac::listing1_full_isa(),
-            plain(),
-            8usize,
-        ),
-        (
-            "Listing 2: reduced-radix MAC, ISA-only",
-            mac::listing2_red_isa(),
-            plain(),
-            6,
-        ),
-        (
-            "Listing 3: full-radix MAC, ISE",
-            mac::listing3_full_ise(),
-            full_radix_ext(),
-            4,
-        ),
-        (
-            "Listing 4: reduced-radix MAC, ISE",
-            mac::listing4_red_ise(),
-            reduced_radix_ext(),
-            2,
-        ),
-        (
-            "carry propagation, ISA-only",
-            mac::carry_prop_isa(),
-            plain(),
-            3,
-        ),
-        (
-            "carry propagation, ISE (sraiadd)",
-            mac::carry_prop_ise(),
-            reduced_radix_ext(),
-            2,
-        ),
-    ];
+fn main() -> ExitCode {
     println!("MAC and carry-propagation micro-kernels (paper §3.1/§3.2)");
     println!("{}", rule(92));
     println!(
@@ -75,29 +39,32 @@ fn main() {
         "Snippet", "#insts", "paper", "1x cycles", "8x cycles"
     );
     println!("{}", rule(92));
-    for (name, prog, ext, paper_count) in rows {
-        let got = prog.len();
-        let c1 = latency(&prog, ext.clone(), 1);
-        let c8 = latency(&prog, ext, 8);
-        println!(
-            "{:42} {:>7} {:>7} {:>11} {:>11}",
-            name, got, paper_count, c1, c8
-        );
-        assert_eq!(got, paper_count, "{name}: instruction count mismatch");
+    for (name, build, ext, paper) in SNIPPETS {
+        let prog = build();
+        let (c1, c8) = (latency(&prog, ext(), 1), latency(&prog, ext(), 8));
+        println!("{name:42} {:>7} {paper:>7} {c1:>11} {c8:>11}", prog.len());
     }
     println!("{}", rule(92));
-    println!("instruction counts match the paper: 8 -> 4 (full-radix MAC),");
-    println!("6 -> 2 (reduced-radix MAC), 3 -> 2 (carry propagation)");
+    let check = mac::check_counts(&SNIPPETS);
+    if check.is_ok() {
+        let [l1, l2, l3, l4, isa, ise] = SNIPPETS.map(|(.., paper)| paper);
+        println!("instruction counts match the paper: {l1} -> {l3} (full-radix MAC),");
+        println!("{l2} -> {l4} (reduced-radix MAC), {isa} -> {ise} (carry propagation)");
+    }
 
     // Disassembly of the four listings for the record.
     println!();
-    for (name, prog, ext) in [
-        ("Listing 1", mac::listing1_full_isa(), plain()),
-        ("Listing 2", mac::listing2_red_isa(), plain()),
-        ("Listing 3", mac::listing3_full_ise(), full_radix_ext()),
-        ("Listing 4", mac::listing4_red_ise(), reduced_radix_ext()),
-    ] {
-        println!("{name}:");
-        print!("{}", prog.disassemble(&ext));
+    for (name, build, ext, _) in SNIPPETS {
+        if let Some((listing, _)) = name.split_once(':') {
+            println!("{listing}:");
+            print!("{}", build().disassemble(&ext()));
+        }
+    }
+    match check {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("listings: instruction count check FAILED — {e}");
+            ExitCode::FAILURE
+        }
     }
 }

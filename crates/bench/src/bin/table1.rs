@@ -4,12 +4,17 @@
 //! ```text
 //! cargo run -p mpise-bench --bin table1
 //! ```
+//!
+//! An extension complies with the §3.2 design guidelines when
+//! [`lint_extension`] reports no finding, warnings included; the binary
+//! exits 1 otherwise.
 
+use mpise_analyze::lint::lint_extension;
 use mpise_bench::rule;
-use mpise_core::guidelines::check;
 use mpise_core::{full_radix_ext, reduced_radix_ext};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let full = full_radix_ext();
     let red = reduced_radix_ext();
 
@@ -50,18 +55,28 @@ fn main() {
     );
     println!("{}", rule(70));
 
+    let mut compliant = true;
     for (name, e) in [("full-radix", &full), ("reduced-radix", &red)] {
-        let report = check(e);
+        let report = lint_extension(e);
+        let r4 = e.defs().iter().filter(|d| d.format.has_rs3()).count();
+        let two_source = e.defs().len() - r4;
         println!(
-            "{name}: {} instructions ({} R4-format, {} two-source), design guidelines: {}",
+            "{name}: {} instructions ({r4} R4-format, {two_source} two-source), design guidelines: {}",
             e.defs().len(),
-            report.r4_count,
-            report.two_source_count,
-            if report.is_compliant() {
+            if report.findings.is_empty() {
                 "compliant"
             } else {
                 "VIOLATED"
             }
         );
+        for f in &report.findings {
+            eprintln!("table1: {name}: {f}");
+        }
+        compliant &= report.findings.is_empty();
+    }
+    if compliant {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -20,11 +20,11 @@
 //!
 //! Every figure comes from the `bench` pipeline
 //! ([`mpise_bench::pipeline`]); this binary only prints them next to
-//! the paper's and checks the orderings Table 4 reports. It exits 1
-//! when that shape check fails.
+//! the paper's and runs the Table 4 check ([`check_gate`]). It exits 1
+//! when that check fails.
 
 use mpise_bench::pipeline::{
-    cycles_of, estimate_actions, instrument_action, kernel_matrix, simulate_action, ActionEstimate,
+    check_gate, cycles_of, estimate_actions, instrument_action, kernel_matrix, simulate_action,
 };
 use mpise_bench::{paper_cycles, ratio, rule, PAPER_ACTION_MCYCLES};
 use mpise_fp::kernels::{Config, OpKind};
@@ -95,51 +95,16 @@ fn main() -> ExitCode {
         }
     }
 
-    // Shape assertions (the reproduction's success criteria).
+    // The reproduction's success criteria.
     println!();
-    match check_shape(&cycles, &estimates) {
+    match check_gate(&matrix, &estimates) {
         Ok(()) => {
             println!("shape check: PASS (all Table 4 orderings hold)");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            println!("shape check: FAIL — {e}");
+            eprintln!("shape check: FAIL — {e}");
             ExitCode::FAILURE
         }
     }
-}
-
-fn check_shape(
-    cycles: &dyn Fn(usize, OpKind) -> u64,
-    estimates: &[ActionEstimate],
-) -> Result<(), String> {
-    // ISA-only: full radix wins Fp-mul/sqr, loses add/sub.
-    if cycles(0, OpKind::FpMul) >= cycles(2, OpKind::FpMul) {
-        return Err("full-radix ISA-only Fp-mul should beat reduced-radix".into());
-    }
-    // ISE: reduced radix wins Fp-mul/sqr.
-    if cycles(3, OpKind::FpMul) >= cycles(1, OpKind::FpMul) {
-        return Err("reduced-radix ISE Fp-mul should beat full-radix ISE".into());
-    }
-    if cycles(3, OpKind::FpSqr) >= cycles(1, OpKind::FpSqr) {
-        return Err("reduced-radix ISE Fp-sqr should beat full-radix ISE".into());
-    }
-    // Group action speedups in the paper's ballpark.
-    let act = |cfg: usize| estimates[cfg].cycles as f64;
-    let speedup_red = act(0) / act(3);
-    if !(1.3..2.4).contains(&speedup_red) {
-        return Err(format!(
-            "reduced-ISE speedup {speedup_red:.2}x outside the expected 1.3-2.4x window (paper: 1.71x)"
-        ));
-    }
-    let speedup_full = act(0) / act(1);
-    if !(1.1..2.0).contains(&speedup_full) {
-        return Err(format!(
-            "full-ISE speedup {speedup_full:.2}x outside the expected 1.1-2.0x window (paper: 1.39x)"
-        ));
-    }
-    if speedup_red <= speedup_full {
-        return Err("reduced-radix ISE must be the faster option (paper's conclusion)".into());
-    }
-    Ok(())
 }

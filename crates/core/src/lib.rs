@@ -30,11 +30,11 @@
 //!
 //! The [`related`] module provides executable reference models of the
 //! pre-existing ARM and AVX-512 fused multiply-add instructions the
-//! paper compares against (Table 2), and [`guidelines`] checks an
-//! extension against the ISE design principles of §3.2.
+//! paper compares against (Table 2). The ISE design principles of §3.2
+//! are checked by `mpise_analyze::lint::lint_extension`, which the
+//! `table1` binary runs.
 
 pub mod full_radix;
-pub mod guidelines;
 pub mod intrinsics;
 pub mod reduced_radix;
 pub mod related;

@@ -42,7 +42,6 @@
 pub mod action;
 pub mod batch;
 pub mod ct_action;
-pub mod elligator;
 pub mod isogeny;
 pub mod mont;
 pub mod scalar;

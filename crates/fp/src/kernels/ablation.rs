@@ -7,11 +7,15 @@
 //! multiplication kernel (three 256-bit product-scanning multiplies
 //! plus the recombination arithmetic) so the claim can be re-measured
 //! on the same pipeline model — see the `ablation` binary in
-//! `mpise-bench`.
+//! `mpise-bench`. [`int_mul_cycles`] measures it, and the rolled-loop
+//! kernel, next to the Table 4 kernel; [`IntMulCycles::check`] judges
+//! both claims.
 
 use super::full::{mac, A_REGS, B_REGS};
-use super::with_frame;
+use super::{with_frame, Config, IseMode, KernelSet, OpKind};
+use crate::measure::{call_kernel, kernel_machine};
 use mpise_core::full_radix::{CADD, MADDHU, MADDLU};
+use mpise_mpi::U512;
 use mpise_sim::asm::{Assembler, Program};
 use mpise_sim::Reg;
 
@@ -267,12 +271,75 @@ pub fn rolled_int_mul(ise: bool) -> Program {
     })
 }
 
+/// Cycles of one 512×512-bit multiplication on a full-radix
+/// configuration, by technique.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntMulCycles {
+    /// The configuration measured.
+    pub config: Config,
+    /// The fully unrolled product-scanning `IntMul` kernel of Table 4.
+    pub product_scanning: u64,
+    /// [`karatsuba_int_mul`].
+    pub karatsuba: u64,
+    /// [`rolled_int_mul`].
+    pub rolled: u64,
+}
+
+impl IntMulCycles {
+    /// The two ablation claims: product scanning beats one-level
+    /// Karatsuba (§4), and the rolled loop costs more than 1.3× the
+    /// unrolled kernel (§3: "we also unroll the loops fully").
+    ///
+    /// # Errors
+    ///
+    /// Returns every violated claim, `; `-separated.
+    pub fn check(&self) -> Result<(), String> {
+        let (config, ps) = (self.config, self.product_scanning);
+        let mut violations = Vec::new();
+        if ps >= self.karatsuba {
+            let kara = self.karatsuba;
+            violations.push(format!(
+                "{config}: product scanning {ps}, not below Karatsuba {kara}"
+            ));
+        }
+        if self.rolled as f64 <= ps as f64 * 1.3 {
+            let rolled = self.rolled;
+            violations.push(format!(
+                "{config}: rolled {rolled}, not above 1.3x unrolled {ps}"
+            ));
+        }
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(violations.join("; "))
+        }
+    }
+}
+
+/// Measures the three 512×512-bit multiplication techniques on the
+/// full-radix `config` under the kernel-call ABI. The kernels are
+/// constant time, so the operands are arbitrary.
+pub fn int_mul_cycles(config: Config) -> IntMulCycles {
+    let ise = config.ise == IseMode::IseSupported;
+    let (a, b) = (U512::from_u64(3), U512::from_u64(5));
+    let cycles = |program: &Program| {
+        let mut m = kernel_machine(config, program);
+        let (_, stats) = call_kernel(&mut m, &[a.limbs(), b.limbs()], 2 * L).expect("kernel runs");
+        stats.cycles
+    };
+    IntMulCycles {
+        config,
+        product_scanning: cycles(KernelSet::build(config).kernel(OpKind::IntMul)),
+        karatsuba: cycles(&karatsuba_int_mul(ise)),
+        rolled: cycles(&rolled_int_mul(ise)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{Config, IseMode, OpKind, Radix};
-    use crate::measure::{call_kernel, kernel_machine, product_words, KernelRunner};
-    use mpise_mpi::U512;
+    use crate::kernels::Radix;
+    use crate::measure::product_words;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -280,11 +347,11 @@ mod tests {
     const FULL: [Config; 2] = [Config::ALL[0], Config::ALL[1]];
 
     /// Runs a full-radix 512×512-bit multiplication `kernel` under the
-    /// kernel-call ABI; returns the 16 product words and the cycles.
-    fn run_mul(kernel: fn(bool) -> Program, config: Config, a: &U512, b: &U512) -> (Vec<u64>, u64) {
+    /// kernel-call ABI; returns the 16 product words.
+    fn run_mul(kernel: fn(bool) -> Program, config: Config, a: &U512, b: &U512) -> Vec<u64> {
         let mut m = kernel_machine(config, &kernel(config.ise == IseMode::IseSupported));
-        let (out, stats) = call_kernel(&mut m, &[a.limbs(), b.limbs()], 2 * L).unwrap();
-        (out, stats.cycles)
+        let (out, _) = call_kernel(&mut m, &[a.limbs(), b.limbs()], 2 * L).unwrap();
+        out
     }
 
     #[test]
@@ -294,7 +361,7 @@ mod tests {
             for _ in 0..5 {
                 let a = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
                 let b = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
-                let (got, _) = run_mul(karatsuba_int_mul, config, &a, &b);
+                let got = run_mul(karatsuba_int_mul, config, &a, &b);
                 assert_eq!(
                     got,
                     product_words(Radix::Full, &a, &b),
@@ -312,7 +379,7 @@ mod tests {
                 (U512::MAX, U512::MAX),
                 (U512::ONE, U512::MAX),
             ] {
-                let (got, _) = run_mul(karatsuba_int_mul, config, &a, &b);
+                let got = run_mul(karatsuba_int_mul, config, &a, &b);
                 assert_eq!(got, product_words(Radix::Full, &a, &b), "{config}");
             }
         }
@@ -325,44 +392,22 @@ mod tests {
             for _ in 0..4 {
                 let a = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
                 let b = U512::from_limbs(std::array::from_fn(|_| rng.gen()));
-                let (got, _) = run_mul(rolled_int_mul, config, &a, &b);
+                let got = run_mul(rolled_int_mul, config, &a, &b);
                 assert_eq!(got, product_words(Radix::Full, &a, &b), "{config}");
             }
         }
     }
 
     #[test]
-    fn unrolling_pays_off() {
-        // §3: the paper unrolls fully because registers hold the whole
-        // operands. The rolled kernel must be substantially slower.
-        let a = U512::from_u64(7);
-        let b = U512::from_u64(9);
-        for config in FULL {
-            let mut runner = KernelRunner::new(config);
-            let (_, unrolled) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
-            let (_, rolled) = run_mul(rolled_int_mul, config, &a, &b);
-            assert!(
-                rolled as f64 > unrolled as f64 * 1.3,
-                "{config}: rolled {rolled} not >1.3x unrolled {unrolled}"
-            );
-        }
-    }
-
-    #[test]
-    fn product_scanning_beats_karatsuba_on_this_core() {
-        // The §4 claim, measured: with the register file large enough
-        // for full operands, one-level Karatsuba's recombination
-        // traffic outweighs the 16 saved MACs.
-        let a = U512::from_u64(3);
-        let b = U512::from_u64(5);
-        for config in FULL {
-            let mut runner = KernelRunner::new(config);
-            let (_, ps_cycles) = runner.run(OpKind::IntMul, &[a.limbs(), b.limbs()]);
-            let (_, kara_cycles) = run_mul(karatsuba_int_mul, config, &a, &b);
-            assert!(
-                ps_cycles < kara_cycles,
-                "{config}: product scanning {ps_cycles} !< karatsuba {kara_cycles}"
-            );
-        }
+    fn a_slow_product_scanning_kernel_fails_the_check() {
+        let good = int_mul_cycles(Config::ALL[1]);
+        assert_eq!(good.check(), Ok(()));
+        let slow = IntMulCycles {
+            product_scanning: good.karatsuba,
+            ..good
+        };
+        let err = slow.check().expect_err("a tie is no win");
+        assert!(err.contains("not below Karatsuba"), "{err}");
+        assert!(!err.contains("1.3x"), "{err}");
     }
 }

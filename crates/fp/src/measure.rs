@@ -388,43 +388,4 @@ mod tests {
             assert_eq!(radix.value(&words), RefInt::from_limbs(v.limbs()));
         }
     }
-
-    #[test]
-    fn ise_is_faster_where_it_matters() {
-        // The headline shape of Table 4 at the kernel level.
-        let isa = measure_config(Config::ALL[0], 2);
-        let ise = measure_config(Config::ALL[1], 2);
-        let red_isa = measure_config(Config::ALL[2], 2);
-        let red_ise = measure_config(Config::ALL[3], 2);
-        let get = |v: &[OpMeasurement], op: OpKind| {
-            v.iter().find(|m| m.op == op).expect("measured").cycles
-        };
-        for op in [
-            OpKind::IntMul,
-            OpKind::IntSqr,
-            OpKind::MontRedc,
-            OpKind::FpMul,
-            OpKind::FpSqr,
-        ] {
-            assert!(
-                get(&ise, op) < get(&isa, op),
-                "{op:?}: full ISE {} !< ISA {}",
-                get(&ise, op),
-                get(&isa, op)
-            );
-            assert!(
-                get(&red_ise, op) < get(&red_isa, op),
-                "{op:?}: red ISE {} !< ISA {}",
-                get(&red_ise, op),
-                get(&red_isa, op)
-            );
-        }
-        // With ISEs, reduced radix overtakes full radix on Fp-mul/sqr
-        // (§4: "the reduced-radix multiplication and squaring in Fp
-        // become faster than the full-radix versions").
-        assert!(get(&red_ise, OpKind::FpMul) < get(&ise, OpKind::FpMul));
-        assert!(get(&red_ise, OpKind::FpSqr) < get(&ise, OpKind::FpSqr));
-        // ISA-only: full radix wins on Fp-mul (§4).
-        assert!(get(&isa, OpKind::FpMul) < get(&red_isa, OpKind::FpMul));
-    }
 }

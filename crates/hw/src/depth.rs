@@ -9,6 +9,7 @@
 //! ISE logic stays below it.
 
 use crate::netlist::{CellKind, Net, Netlist, ONE, ZERO};
+use crate::xmul::{base_multiplier, full_radix_xmul, reduced_radix_xmul};
 use std::collections::HashMap;
 
 /// Unit delays per cell class (normalized to one 2-input gate = 1.0).
@@ -82,11 +83,48 @@ pub fn analyze(netlist: &Netlist) -> DepthReport {
     }
 }
 
+/// Depth reports of the base multiplier and of the full-radix and
+/// reduced-radix XMUL datapaths, in that order.
+pub fn xmul_depths() -> [(&'static str, DepthReport); 3] {
+    [
+        ("base multiplier", analyze(&base_multiplier().netlist)),
+        ("XMUL full-radix", analyze(&full_radix_xmul().netlist)),
+        ("XMUL reduced-radix", analyze(&reduced_radix_xmul().netlist)),
+    ]
+}
+
+/// The §3.3 claim on [`xmul_depths`]: the ISE additions do not extend
+/// the critical path beyond a small margin over the base multiplier
+/// stage. The extended paths add the wide adder but stay below 2.2×
+/// the base path, consistent with the paper's "no impact on clock
+/// frequency" after its pipeline register placement.
+///
+/// # Errors
+///
+/// Returns every datapath over budget, `; `-separated.
+pub fn check_xmul_depths(depths: &[(&str, DepthReport); 3]) -> Result<(), String> {
+    let [(_, base), xmuls @ ..] = depths;
+    let over: Vec<String> = xmuls
+        .iter()
+        .filter(|(_, d)| d.critical_path >= base.critical_path * 2.2)
+        .map(|(name, d)| {
+            format!(
+                "{name}: critical path {} is not below 2.2x the base multiplier's {}",
+                d.critical_path, base.critical_path
+            )
+        })
+        .collect();
+    if over.is_empty() {
+        Ok(())
+    } else {
+        Err(over.join("; "))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{kogge_stone_adder, ripple_adder};
-    use crate::xmul::{base_multiplier, full_radix_xmul, reduced_radix_xmul};
 
     #[test]
     fn ripple_depth_is_linear_kogge_stone_logarithmic() {
@@ -133,28 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn xmul_stage_depth_within_multiplier_budget() {
-        // The §3.3 claim: the ISE additions do not extend the critical
-        // path beyond (a small margin over) the base multiplier stage.
-        let base = analyze(&base_multiplier().netlist);
-        let full = analyze(&full_radix_xmul().netlist);
-        let red = analyze(&reduced_radix_xmul().netlist);
-        // The multiplier macro plus sign handling dominates the base
-        // stage; the extended paths add the wide adder but remain in
-        // the same order of magnitude (< 2.2x), consistent with the
-        // paper's "no impact on clock frequency" after its pipeline
-        // register placement.
-        assert!(
-            full.critical_path < base.critical_path * 2.2,
-            "full {} vs base {}",
-            full.critical_path,
-            base.critical_path
-        );
-        assert!(
-            red.critical_path < base.critical_path * 2.2,
-            "reduced {} vs base {}",
-            red.critical_path,
-            base.critical_path
-        );
+    fn a_deep_xmul_fails_the_check() {
+        let mut depths = xmul_depths();
+        assert_eq!(check_xmul_depths(&depths), Ok(()));
+        depths[2].1.critical_path = depths[0].1.critical_path * 2.2;
+        let err = check_xmul_depths(&depths).expect_err("2.2x is over budget");
+        assert!(err.starts_with("XMUL reduced-radix"), "{err}");
     }
 }

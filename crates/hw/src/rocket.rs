@@ -79,17 +79,57 @@ impl Table3 {
         (row.regs as f64 - self.base.regs as f64) / self.base.regs as f64 * 100.0
     }
 
-    /// Renders the table in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str("Components                        LUTs   Regs  DSPs    CMOS\n");
-        for row in [&self.base, &self.full, &self.reduced] {
-            s.push_str(&format!(
-                "{:32} {:>5}  {:>5}  {:>4}  {:>6}\n",
-                row.name, row.luts, row.regs, row.dsps, row.cmos
-            ));
+    /// The Table 3 claims (§4): the DSP count is unchanged at the base
+    /// core's 16; both extensions cost LUTs, registers and CMOS area;
+    /// the reduced radix costs the most LUTs and CMOS (barrel shifter
+    /// and mask network; paper: +9% vs +4% LUTs); the overheads stay in
+    /// the paper's range (LUTs 1–12% full, 2–18% reduced; registers
+    /// 3–20%).
+    ///
+    /// # Errors
+    ///
+    /// Returns every violated claim, `; `-separated.
+    pub fn check(&self) -> Result<(), String> {
+        let mut violations = Vec::new();
+        let (base, full, red) = (&self.base, &self.full, &self.reduced);
+        for row in [base, full, red] {
+            if row.dsps != BASE_CORE.dsps {
+                violations.push(format!(
+                    "{}: {} DSPs, not the base core's {}",
+                    row.name, row.dsps, BASE_CORE.dsps
+                ));
+            }
         }
-        s
+        for (what, smaller, larger) in [
+            ("LUTs", base.luts, full.luts),
+            ("LUTs", full.luts, red.luts),
+            ("Regs", base.regs, full.regs),
+            ("Regs", base.regs, red.regs),
+            ("CMOS", base.cmos, full.cmos),
+            ("CMOS", full.cmos, red.cmos),
+        ] {
+            if smaller >= larger {
+                violations.push(format!("{what}: {smaller} is not below {larger}"));
+            }
+        }
+        for (what, percent, band) in [
+            ("full LUT", self.lut_overhead_percent(full), 1.0..12.0),
+            ("reduced LUT", self.lut_overhead_percent(red), 2.0..18.0),
+            ("full reg", self.reg_overhead_percent(full), 3.0..20.0),
+            ("reduced reg", self.reg_overhead_percent(red), 3.0..20.0),
+        ] {
+            if !band.contains(&percent) {
+                violations.push(format!(
+                    "{what} overhead {percent:.1}% outside {}-{}%",
+                    band.start, band.end
+                ));
+            }
+        }
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(violations.join("; "))
+        }
     }
 }
 
@@ -135,50 +175,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dsps_unchanged() {
-        let t = table3();
-        assert_eq!(t.base.dsps, 16);
-        assert_eq!(t.full.dsps, 16);
-        assert_eq!(t.reduced.dsps, 16);
-    }
-
-    #[test]
-    fn overheads_have_the_papers_shape() {
-        let t = table3();
-        // Both extensions cost something.
-        assert!(t.full.luts > t.base.luts);
-        assert!(t.reduced.luts > t.base.luts);
-        assert!(t.full.regs > t.base.regs);
-        assert!(t.reduced.regs > t.base.regs);
-        // Reduced-radix needs more LUTs than full-radix (barrel
-        // shifter + mask network; paper: +9% vs +4%).
-        assert!(
-            t.reduced.luts > t.full.luts,
-            "reduced {} !> full {}",
-            t.reduced.luts,
-            t.full.luts
-        );
-        // LUT overheads in the paper's range: ~2–15%.
-        let f = t.lut_overhead_percent(&t.full);
-        let r = t.lut_overhead_percent(&t.reduced);
-        assert!((1.0..12.0).contains(&f), "full LUT overhead {f:.1}%");
-        assert!((2.0..18.0).contains(&r), "reduced LUT overhead {r:.1}%");
-        // Register overheads ~5–15%.
-        let fr = t.reg_overhead_percent(&t.full);
-        let rr = t.reg_overhead_percent(&t.reduced);
-        assert!((3.0..20.0).contains(&fr), "full reg overhead {fr:.1}%");
-        assert!((3.0..20.0).contains(&rr), "reduced reg overhead {rr:.1}%");
-        // CMOS overhead ~8–20% (paper: 12.7% / 15.5%).
-        assert!(t.full.cmos > t.base.cmos);
-        assert!(t.reduced.cmos > t.full.cmos);
-    }
-
-    #[test]
-    fn render_contains_all_rows() {
-        let t = table3();
-        let s = t.render();
-        assert!(s.contains("Base core"));
-        assert!(s.contains("full-radix"));
-        assert!(s.contains("reduced-radix"));
+    fn a_changed_dsp_count_fails_the_check() {
+        let mut t = table3();
+        t.reduced.dsps += 1;
+        let err = t.check().expect_err("17 DSPs break the claim");
+        assert!(err.contains("17 DSPs"), "{err}");
     }
 }

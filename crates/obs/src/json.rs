@@ -434,7 +434,7 @@ const SCHEMA_KEYS: &[(&str, &str, Type)] = &[
     ("mpise-bench/v1", "action.op_counts", Type::Object),
     ("mpise-bench/v1", "action.estimated", Type::Array),
     ("mpise-bench/v1", "action.direct_sim", Type::Array),
-    ("mpise-bench/v1", "gate.ise_faster_than_rv64gc", Type::Bool),
+    ("mpise-bench/v1", "gate.table4_claims", Type::Bool),
     ("mpise-loadgen/v1", "mode", Type::String),
     ("mpise-loadgen/v1", "passes", Type::Array),
     ("mpise-loadgen/v1", "passes.*.elapsed_secs", Type::Number),

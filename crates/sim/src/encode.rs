@@ -57,21 +57,22 @@ const OPC_OP_32: u32 = 0b0111011;
 const OPC_MISC_MEM: u32 = 0b0001111;
 const OPC_SYSTEM: u32 = 0b1110011;
 
-#[allow(dead_code)]
-pub(crate) const OPCODES: [u32; 13] = [
-    OPC_LUI,
-    OPC_AUIPC,
-    OPC_JAL,
-    OPC_JALR,
-    OPC_BRANCH,
-    OPC_LOAD,
-    OPC_STORE,
-    OPC_OP_IMM,
-    OPC_OP_IMM_32,
-    OPC_OP,
-    OPC_OP_32,
-    OPC_MISC_MEM,
-    OPC_SYSTEM,
+/// The base RV64IM major opcodes the encoder and decoder claim; a
+/// custom instruction on one of them is unreachable.
+pub const BASE_OPCODES: [u8; 13] = [
+    OPC_LUI as u8,
+    OPC_AUIPC as u8,
+    OPC_JAL as u8,
+    OPC_JALR as u8,
+    OPC_BRANCH as u8,
+    OPC_LOAD as u8,
+    OPC_STORE as u8,
+    OPC_OP_IMM as u8,
+    OPC_OP_IMM_32 as u8,
+    OPC_OP as u8,
+    OPC_OP_32 as u8,
+    OPC_MISC_MEM as u8,
+    OPC_SYSTEM as u8,
 ];
 
 fn fits_signed(v: i64, bits: u32) -> bool {

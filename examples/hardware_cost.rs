@@ -14,7 +14,13 @@ use mpise::hw::table3;
 
 fn main() {
     let t = table3();
-    print!("{}", t.render());
+    println!("Components                        LUTs   Regs  DSPs    CMOS");
+    for row in [&t.base, &t.full, &t.reduced] {
+        println!(
+            "{:32} {:>5}  {:>5}  {:>4}  {:>6}",
+            row.name, row.luts, row.regs, row.dsps, row.cmos
+        );
+    }
     println!();
     println!(
         "full-radix ISE overhead:    {:+5.1}% LUTs, {:+5.1}% Regs",

@@ -1,117 +1,90 @@
-//! The reproduction's success criteria: the qualitative shapes of
-//! every table and listing in the paper, asserted as tests.
+//! The reproduction's success criteria: each claim of the paper's
+//! tables, listings and ablations, judged by the one check function
+//! its binary and CI run as well.
 
-use mpise::fp::kernels::mac;
+use mpise::fp::kernels::ablation::int_mul_cycles;
+use mpise::fp::kernels::mac::{check_counts, SNIPPETS};
 use mpise::fp::kernels::{Config, OpKind};
-use mpise::fp::measure::measure_config;
+use mpise::fp::measure::OpMeasurement;
+use mpise::hw::depth::{check_xmul_depths, xmul_depths};
 use mpise::hw::table3;
+use mpise::isa::{full_radix_ext, reduced_radix_ext};
+use mpise_analyze::lint::lint_extension;
+use mpise_bench::pipeline::{
+    check_gate, cycles_of, estimate_actions, instrument_action, kernel_matrix, ActionEstimate,
+};
+use std::sync::OnceLock;
 
-fn cycles(col: &[mpise::fp::measure::OpMeasurement], op: OpKind) -> u64 {
-    col.iter().find(|m| m.op == op).expect("measured").cycles
+type Table4Inputs = (Vec<(Config, Vec<OpMeasurement>)>, Vec<ActionEstimate>);
+
+/// One measurement of the four configurations, shared by the Table 4
+/// tests.
+fn table4_inputs() -> &'static Table4Inputs {
+    static INPUTS: OnceLock<Table4Inputs> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let matrix = kernel_matrix(2);
+        let estimates = estimate_actions(&matrix, &instrument_action(1));
+        (matrix, estimates)
+    })
 }
 
 #[test]
-fn table4_shape() {
-    let cols: Vec<_> = Config::ALL.iter().map(|&c| measure_config(c, 2)).collect();
-    let (f_isa, f_ise, r_isa, r_ise) = (&cols[0], &cols[1], &cols[2], &cols[3]);
-
-    // §4: "In the ISA-only case, the full-radix implementation is
-    // faster for multiplication and squaring in Fp ... but slower for
-    // addition/subtraction".
-    assert!(cycles(f_isa, OpKind::FpMul) < cycles(r_isa, OpKind::FpMul));
-    assert!(cycles(f_isa, OpKind::FpAdd) > cycles(r_isa, OpKind::FpAdd));
-
-    // "But when using our ISEs, the reduced-radix multiplication and
-    // squaring in Fp become faster than the full-radix versions."
-    assert!(cycles(r_ise, OpKind::FpMul) < cycles(f_ise, OpKind::FpMul));
-    assert!(cycles(r_ise, OpKind::FpSqr) < cycles(f_ise, OpKind::FpSqr));
-
-    // The ISEs accelerate every multiplicative kernel.
-    for op in [
-        OpKind::IntMul,
-        OpKind::IntSqr,
-        OpKind::MontRedc,
-        OpKind::FpMul,
-        OpKind::FpSqr,
-    ] {
-        assert!(cycles(f_ise, op) < cycles(f_isa, op), "{op:?} full");
-        assert!(cycles(r_ise, op) < cycles(r_isa, op), "{op:?} reduced");
+fn table1_design_guidelines() {
+    // Three instructions per set; R4 for all of the full-radix set and
+    // for the reduced-radix multiply-adds, `sraiadd` two-source.
+    for (ext, r4) in [(full_radix_ext(), 3), (reduced_radix_ext(), 2)] {
+        let report = lint_extension(&ext);
+        assert!(report.findings.is_empty(), "{}", report.render());
+        let formats = ext.defs().iter().map(|d| d.format.has_rs3());
+        assert_eq!((ext.defs().len(), formats.filter(|&r| r).count()), (3, r4));
     }
-
-    // The full-radix ISE does not change the additive kernels
-    // (Table 4 reports identical 107/163/143 in both columns).
-    for op in [OpKind::FastReduce, OpKind::FpAdd, OpKind::FpSub] {
-        assert_eq!(cycles(f_ise, op), cycles(f_isa, op), "{op:?}");
-    }
-
-    // Squaring never loses to multiplication (Table 4: strictly
-    // cheaper in three columns, equal for full-radix ISE where the
-    // squaring reuses the multiplication routine).
-    for col in &cols {
-        assert!(cycles(col, OpKind::IntSqr) <= cycles(col, OpKind::IntMul));
-        assert!(cycles(col, OpKind::FpSqr) <= cycles(col, OpKind::FpMul));
-    }
-
-    // Fp-mul decomposes into its three component rows plus small
-    // staging overhead (the paper's rows sum the same way:
-    // 608 + 730 + 107 ≈ 1446).
-    for col in &cols {
-        let parts = cycles(col, OpKind::IntMul)
-            + cycles(col, OpKind::MontRedc)
-            + cycles(col, OpKind::FastReduce);
-        let whole = cycles(col, OpKind::FpMul);
-        let ratio = whole as f64 / parts as f64;
-        assert!(
-            (0.85..1.15).contains(&ratio),
-            "FpMul {whole} vs components {parts}"
-        );
-    }
-}
-
-#[test]
-fn table4_speedup_band() {
-    // Fp-mul speedups drive the group action; the paper's end-to-end
-    // factors are 1.39x (full) and 1.71x (reduced). Assert the field
-    // multiplication improvements fall in bands around those.
-    let cols: Vec<_> = Config::ALL.iter().map(|&c| measure_config(c, 2)).collect();
-    let base = cycles(&cols[0], OpKind::FpMul) as f64;
-    let full = base / cycles(&cols[1], OpKind::FpMul) as f64;
-    let red = base / cycles(&cols[3], OpKind::FpMul) as f64;
-    assert!(
-        (1.2..2.2).contains(&full),
-        "full-radix ISE Fp-mul speedup {full:.2}"
-    );
-    assert!(
-        (1.5..2.6).contains(&red),
-        "reduced-radix ISE Fp-mul speedup {red:.2}"
-    );
-    assert!(
-        red > full,
-        "reduced radix must profit more (the paper's conclusion)"
-    );
 }
 
 #[test]
 fn table3_shape() {
-    let t = table3();
-    // DSPs unchanged; both extensions cost LUTs and Regs; reduced
-    // radix needs the most LUTs; overheads stay around 10%.
-    assert_eq!(t.base.dsps, t.full.dsps);
-    assert_eq!(t.base.dsps, t.reduced.dsps);
-    assert!(t.reduced.luts > t.full.luts);
-    assert!(t.full.luts > t.base.luts);
-    assert!(t.lut_overhead_percent(&t.reduced) < 20.0);
-    assert!(t.reg_overhead_percent(&t.full) < 20.0);
-    assert!(t.reduced.cmos > t.full.cmos);
-    assert!(t.full.cmos > t.base.cmos);
+    assert_eq!(table3().check(), Ok(()));
+}
+
+#[test]
+fn table4_shape() {
+    let (matrix, estimates) = table4_inputs();
+    assert_eq!(check_gate(matrix, estimates), Ok(()));
+}
+
+#[test]
+fn table4_speedup_band() {
+    // The Fp-mul speedup bands (1.2–2.2× full, 1.5–2.6× reduced) hold
+    // on the measurement, and an ISE Fp-mul slowed to the ISA-only
+    // cost falls out of both.
+    let (matrix, estimates) = table4_inputs();
+    let verdict = check_gate(matrix, estimates).err().unwrap_or_default();
+    assert!(!verdict.contains("Fp-mul speedup"), "{verdict}");
+    let base = cycles_of(matrix, Config::ALL[0], OpKind::FpMul);
+    let mut slow = matrix.clone();
+    for ise in [1, 3] {
+        let fp_mul = slow[ise].1.iter_mut().find(|m| m.op == OpKind::FpMul);
+        fp_mul.expect("measured").cycles = base;
+    }
+    let err = check_gate(&slow, estimates).unwrap_err();
+    for what in ["full-ISE", "reduced-ISE"] {
+        let band = format!("{what} Fp-mul speedup 1.00 outside");
+        assert!(err.contains(&band), "{err}");
+    }
 }
 
 #[test]
 fn listings_instruction_counts() {
-    assert_eq!(mac::listing1_full_isa().len(), 8);
-    assert_eq!(mac::listing2_red_isa().len(), 6);
-    assert_eq!(mac::listing3_full_ise().len(), 4);
-    assert_eq!(mac::listing4_red_ise().len(), 2);
-    assert_eq!(mac::carry_prop_isa().len(), 3);
-    assert_eq!(mac::carry_prop_ise().len(), 2);
+    assert_eq!(check_counts(&SNIPPETS), Ok(()));
+}
+
+#[test]
+fn multiplication_technique_ablation() {
+    for config in [Config::ALL[0], Config::ALL[1]] {
+        assert_eq!(int_mul_cycles(config).check(), Ok(()));
+    }
+}
+
+#[test]
+fn xmul_critical_path() {
+    assert_eq!(check_xmul_depths(&xmul_depths()), Ok(()));
 }
