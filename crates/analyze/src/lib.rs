@@ -11,7 +11,7 @@
 //!   instructions and reports secret-dependent branches,
 //!   secret-addressed memory accesses, and secret operands reaching
 //!   the variable-latency divider as structured
-//!   [`Diagnostic`](report::Diagnostic)s.
+//!   [`Diagnostic`]s.
 //! * [`lint`] — encoding lints over an
 //!   [`IsaExtension`](mpise_sim::ext::IsaExtension): Table 1
 //!   conformance, base-opcode collisions, intra-extension ambiguity,

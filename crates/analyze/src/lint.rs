@@ -31,12 +31,12 @@
 //!    GPR values to one GPR value.
 
 use mpise_sim::decode::decode;
-use mpise_sim::encode::{encode, BASE_OPCODES};
+use mpise_sim::encode::encode;
 use mpise_sim::ext::{
     decode_custom_operands, encode_custom, CustomFormat, CustomInstDef, IsaExtension,
     CUSTOM_OPCODES,
 };
-use mpise_sim::inst::Inst;
+use mpise_sim::inst::{Inst, BASE_OPCODES};
 use mpise_sim::Reg;
 use std::fmt;
 

@@ -13,7 +13,7 @@
 //! buffers re-derived with `addi rX, sp, off`.
 //!
 //! Three violation classes are reported (see
-//! [`ViolationKind`](crate::report::ViolationKind)):
+//! [`ViolationKind`]):
 //!
 //! 1. **secret-dependent branches** — any `Branch` whose operand is
 //!    tainted, and any `Jalr` whose target register is tainted;

@@ -89,7 +89,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(t) = machine.take_tracer() {
-        print!("{}", t.render());
+        print!("{}", t.render(machine.ext()));
     }
     if dump_regs {
         for r in Reg::ALL {

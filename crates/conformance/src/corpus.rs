@@ -76,13 +76,12 @@ pub fn parse_entry(name: &str, src: &str) -> Result<CorpusEntry, String> {
         }
         if trimmed == "prog:" {
             in_prog = true;
-        } else if let Some(e) = trimmed.strip_prefix("ext:") {
-            ext = match e.trim() {
-                "full" => ExtChoice::FullRadix,
-                "red" => ExtChoice::ReducedRadix,
-                "none" => ExtChoice::Base,
-                other => return Err(format!("{name}: unknown ext `{other}`")),
-            };
+        } else if let Some(tag) = trimmed.strip_prefix("ext:") {
+            let tag = tag.trim();
+            ext = ExtChoice::ALL
+                .into_iter()
+                .find(|e| e.tag() == tag)
+                .ok_or_else(|| format!("{name}: unknown ext `{tag}`"))?;
         } else if let Some(rest) = trimmed.strip_prefix("init ") {
             let (reg, val) = rest
                 .split_once('=')

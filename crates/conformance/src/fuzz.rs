@@ -23,7 +23,7 @@
 //! (typically 1–3 instructions plus `ebreak`).
 
 use crate::refexec::{RefExit, RefMachine};
-use mpise_sim::asm::Program;
+use mpise_sim::asm::{display_with_ext, Program};
 use mpise_sim::ext::{CustomId, IsaExtension};
 use mpise_sim::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use mpise_sim::machine::{Halt, RunError, DATA_BASE};
@@ -65,6 +65,15 @@ impl ExtChoice {
             ExtChoice::Base => IsaExtension::new("rv64im"),
             ExtChoice::FullRadix => mpise_core::full_radix_ext(),
             ExtChoice::ReducedRadix => mpise_core::reduced_radix_ext(),
+        }
+    }
+
+    /// The `ext:` tag naming this choice in a corpus file.
+    pub fn tag(self) -> &'static str {
+        match self {
+            ExtChoice::Base => "none",
+            ExtChoice::FullRadix => "full",
+            ExtChoice::ReducedRadix => "red",
         }
     }
 
@@ -155,16 +164,20 @@ impl FuzzProgram {
         out
     }
 
-    /// A readable listing of the materialised program.
+    /// The materialised program as a corpus entry (see
+    /// [`crate::corpus`]): its `ext:` tag, the nonzero initial
+    /// registers, then the body as the disassembler prints it.
     pub fn listing(&self) -> String {
-        let mut s = String::new();
-        for (i, inst) in self.materialize().iter().enumerate() {
-            s.push_str(&format!("{i:3}: {inst}\n"));
-        }
+        let mut s = format!("ext: {}\n", self.ext.tag());
         for &(r, v) in &self.init {
             if v != 0 {
                 s.push_str(&format!("init {r} = {v:#x}\n"));
             }
+        }
+        s.push_str("prog:\n");
+        let ext = self.ext.extension();
+        for inst in self.materialize() {
+            s.push_str(&format!("    {}\n", display_with_ext(&inst, &ext)));
         }
         s
     }
@@ -613,7 +626,7 @@ pub struct FailureRepro {
     pub divergence: String,
     /// Instructions in the shrunk body (excluding the final `ebreak`).
     pub shrunk_len: usize,
-    /// Listing of the shrunk program.
+    /// The shrunk program as a corpus entry.
     pub listing: String,
 }
 
@@ -692,6 +705,22 @@ mod tests {
                 if let Some(d) = runner.run(&prog) {
                     panic!("{} seed {seed}: {d}\n{}", ext.label(), prog.listing());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn listing_is_a_corpus_entry() {
+        for ext in ExtChoice::ALL {
+            for seed in 0..20 {
+                let prog = gen_program(ext, seed);
+                let listing = prog.listing();
+                let entry = crate::corpus::parse_entry("listing", &listing)
+                    .unwrap_or_else(|e| panic!("{e}\n{listing}"));
+                assert_eq!(entry.ext, ext);
+                assert_eq!(entry.insts, prog.materialize(), "{listing}");
+                let nonzero: Vec<_> = prog.init.iter().filter(|r| r.1 != 0).copied().collect();
+                assert_eq!(entry.init, nonzero, "{listing}");
             }
         }
     }

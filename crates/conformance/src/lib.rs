@@ -7,7 +7,7 @@
 //!   Table 1 custom instructions, written directly from the paper's
 //!   semantics in `u128` arithmetic, independent of `crates/sim`'s
 //!   decode/dispatch.
-//! * [`fuzz`] — a deterministic seed-driven random-program fuzzer that
+//! * [`fuzz`](mod@fuzz) — a deterministic seed-driven random-program fuzzer that
 //!   runs the simulator and the reference executor in lockstep and
 //!   shrinks any divergence to a minimal failing program.
 //! * [`kernel_diff`] — the cross-backend kernel difftest: all 32

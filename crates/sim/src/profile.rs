@@ -2,6 +2,7 @@
 //! `mulhu`/`sltu`/`add` does a Montgomery multiplication really
 //! execute", the instruction-count arguments of §3.1.
 
+use crate::asm::display_with_ext;
 use crate::ext::IsaExtension;
 use crate::inst::Inst;
 use std::collections::BTreeMap;
@@ -19,11 +20,12 @@ impl InstMix {
         Self::default()
     }
 
-    /// Records one retired instruction (custom mnemonics resolved via
-    /// `ext`).
+    /// Records one retired instruction under the mnemonic the
+    /// disassembler prints for it (custom mnemonics resolved via `ext`).
     pub fn record(&mut self, inst: &Inst, ext: &IsaExtension) {
-        let mnemonic = mnemonic_of(inst, ext);
-        *self.counts.entry(mnemonic).or_insert(0) += 1;
+        let text = display_with_ext(inst, ext);
+        let mnemonic = text.split(' ').next().unwrap_or_default();
+        *self.counts.entry(mnemonic.to_owned()).or_insert(0) += 1;
         self.total += 1;
     }
 
@@ -57,27 +59,6 @@ impl InstMix {
         }
         out.push_str(&format!("{:10} {:>8}\n", "total", self.total));
         out
-    }
-}
-
-fn mnemonic_of(inst: &Inst, ext: &IsaExtension) -> String {
-    match inst {
-        Inst::Lui { .. } => "lui".to_owned(),
-        Inst::Auipc { .. } => "auipc".to_owned(),
-        Inst::Jal { .. } => "jal".to_owned(),
-        Inst::Jalr { .. } => "jalr".to_owned(),
-        Inst::Branch { op, .. } => op.mnemonic().to_owned(),
-        Inst::Load { op, .. } => op.mnemonic().to_owned(),
-        Inst::Store { op, .. } => op.mnemonic().to_owned(),
-        Inst::OpImm { op, .. } => op.mnemonic().to_owned(),
-        Inst::Op { op, .. } => op.mnemonic().to_owned(),
-        Inst::Fence => "fence".to_owned(),
-        Inst::Ecall => "ecall".to_owned(),
-        Inst::Ebreak => "ebreak".to_owned(),
-        Inst::Custom { id, .. } => ext
-            .by_id(*id)
-            .map(|d| d.mnemonic.to_owned())
-            .unwrap_or_else(|| format!("custom.{}", id.0)),
     }
 }
 

@@ -1,6 +1,8 @@
 //! Execution tracing for debugging kernels.
 
+use crate::asm::display_with_ext;
 use crate::cpu::Cpu;
+use crate::ext::IsaExtension;
 use crate::inst::Inst;
 use crate::reg::Reg;
 
@@ -71,19 +73,18 @@ impl Tracer {
         &self.entries
     }
 
-    /// Renders the trace as text, one line per instruction.
-    pub fn render(&self) -> String {
+    /// Renders the trace as text, one line per instruction, with custom
+    /// mnemonics resolved via `ext` (the traced machine's
+    /// [`crate::Machine::ext`]).
+    pub fn render(&self, ext: &IsaExtension) -> String {
         let mut out = String::new();
         for e in &self.entries {
+            let inst = display_with_ext(&e.inst, ext);
             match e.wrote {
                 Some((rd, v)) => {
-                    out.push_str(&format!(
-                        "{:#8x}: {:32} {rd} = {v:#018x}\n",
-                        e.pc,
-                        e.inst.to_string()
-                    ));
+                    out.push_str(&format!("{:#8x}: {inst:32} {rd} = {v:#018x}\n", e.pc));
                 }
-                None => out.push_str(&format!("{:#8x}: {}\n", e.pc, e.inst)),
+                None => out.push_str(&format!("{:#8x}: {inst}\n", e.pc)),
             }
         }
         if self.total > self.entries.len() as u64 {
@@ -116,7 +117,7 @@ mod tests {
         let t = m.take_tracer().unwrap();
         assert_eq!(t.entries().len(), 3);
         assert_eq!(t.total, 11);
-        assert!(t.render().contains("more instructions"));
+        assert!(t.render(m.ext()).contains("more instructions"));
     }
 
     #[test]
@@ -146,11 +147,26 @@ mod tests {
 
     #[test]
     fn records_writes() {
+        use crate::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit};
+        let mut ext = IsaExtension::new("t");
+        ext.define(CustomInstDef {
+            id: CustomId(77),
+            mnemonic: "frob",
+            format: CustomFormat::R4 {
+                opcode: 0b1111011,
+                funct3: 0,
+                funct2: 0,
+            },
+            exec: |a| a.rs1,
+            unit: ExecUnit::Alu,
+        })
+        .unwrap();
         let mut a = Assembler::new();
         a.li(Reg::A0, 5);
         a.sd(Reg::A0, 0, Reg::Sp); // no def
+        a.custom_r4(CustomId(77), Reg::A1, Reg::A0, Reg::A0, Reg::A0);
         a.ebreak();
-        let mut m = Machine::new();
+        let mut m = Machine::with_ext(ext);
         m.cpu.write_reg(Reg::Sp, crate::machine::DATA_BASE + 64);
         m.load_program(&a.finish());
         m.set_tracer(Some(Tracer::new(8)));
@@ -158,5 +174,9 @@ mod tests {
         let t = m.take_tracer().unwrap();
         assert_eq!(t.entries()[0].wrote, Some((Reg::A0, 5)));
         assert_eq!(t.entries()[1].wrote, None);
+        assert_eq!(t.entries()[2].wrote, Some((Reg::A1, 5)));
+        // A custom instruction renders under its extension mnemonic.
+        let text = t.render(m.ext());
+        assert!(text.contains("frob a1, a0, a0, a0"), "{text}");
     }
 }

@@ -10,7 +10,9 @@ use mpise::mpi::{Reduced, Uint, U512};
 use mpise::sim::decode::decode;
 use mpise::sim::encode::encode;
 use mpise::sim::ext::IsaExtension;
-use mpise::sim::inst::{AluImmOp, AluOp, Inst};
+use mpise::sim::inst::{
+    AluImmOp, AluOp, Inst, ALU_IMM_OPS, ALU_OPS, BRANCH_OPS, LOAD_OPS, STORE_OPS,
+};
 use mpise::sim::Reg;
 use proptest::prelude::*;
 
@@ -39,6 +41,94 @@ fn arb_noncanonical() -> impl Strategy<Value = U512> {
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(|n| Reg::from_number(n).expect("in range"))
+}
+
+/// Any instruction the disassembler prints, custom ones from `ext`'s
+/// definitions: a family, a table row or definition, four registers and
+/// a value from which each family takes an in-range immediate.
+fn arb_inst(ext: IsaExtension) -> impl Strategy<Value = Inst> {
+    let defs = ext.defs().to_vec();
+    let parts = (arb_reg(), arb_reg(), arb_reg(), arb_reg());
+    ((0u8..13, any::<usize>()), parts, any::<i32>()).prop_map(
+        move |((family, pick), (rd, rs1, rs2, rs3), v)| {
+            let imm12 = v.rem_euclid(1 << 12) - (1 << 11);
+            let imm20 = v.rem_euclid(1 << 20) - (1 << 19);
+            match family {
+                0 => Inst::Lui { rd, imm20 },
+                1 => Inst::Auipc { rd, imm20 },
+                2 => Inst::Jal {
+                    rd,
+                    offset: 2 * imm20,
+                },
+                3 => Inst::Jalr {
+                    rd,
+                    rs1,
+                    offset: imm12,
+                },
+                4 => {
+                    let op = BRANCH_OPS[pick % BRANCH_OPS.len()].0;
+                    Inst::Branch {
+                        op,
+                        rs1,
+                        rs2,
+                        offset: 2 * imm12,
+                    }
+                }
+                5 => {
+                    let op = LOAD_OPS[pick % LOAD_OPS.len()].0;
+                    Inst::Load {
+                        op,
+                        rd,
+                        rs1,
+                        offset: imm12,
+                    }
+                }
+                6 => {
+                    let op = STORE_OPS[pick % STORE_OPS.len()].0;
+                    Inst::Store {
+                        op,
+                        rs1,
+                        rs2,
+                        offset: imm12,
+                    }
+                }
+                7 => {
+                    let op = ALU_IMM_OPS[pick % ALU_IMM_OPS.len()].0;
+                    let imm = if op.is_shift() {
+                        v.rem_euclid(1 << op.shamt_bits())
+                    } else {
+                        imm12
+                    };
+                    Inst::OpImm { op, rd, rs1, imm }
+                }
+                8 => Inst::Op {
+                    op: ALU_OPS[pick % ALU_OPS.len()].0,
+                    rd,
+                    rs1,
+                    rs2,
+                },
+                9 => Inst::Fence,
+                10 => Inst::Ecall,
+                11 => Inst::Ebreak,
+                _ => {
+                    let def = &defs[pick % defs.len()];
+                    let (rs3, imm) = if def.format.has_rs3() {
+                        (rs3, 0)
+                    } else {
+                        (Reg::Zero, v.rem_euclid(64) as u8)
+                    };
+                    Inst::Custom {
+                        id: def.id,
+                        rd,
+                        rs1,
+                        rs2,
+                        rs3,
+                        imm,
+                    }
+                }
+            }
+        },
+    )
 }
 
 proptest! {
@@ -230,28 +320,24 @@ proptest! {
 
     #[test]
     fn disassemble_reparse_round_trip(
-        ops in prop::collection::vec((arb_reg(), arb_reg(), arb_reg(), 0u8..4), 1..20)
+        full in prop::collection::vec(arb_inst(mpise::isa::full_radix_ext()), 1..24),
+        reduced in prop::collection::vec(arb_inst(mpise::isa::reduced_radix_ext()), 1..24),
     ) {
-        // Random straight-line programs survive disassemble -> parse.
-        let ext = mpise::isa::full_radix_ext();
-        let mut asm = mpise::sim::Assembler::new();
-        for (rd, rs1, rs2, kind) in ops {
-            match kind {
-                0 => asm.add(rd, rs1, rs2),
-                1 => asm.mulhu(rd, rs1, rs2),
-                2 => asm.sltu(rd, rs1, rs2),
-                _ => asm.custom_r4(mpise::isa::full_radix::MADDLU, rd, rs1, rs2, rs2),
-            }
+        // Random programs of every instruction family survive
+        // disassemble -> parse.
+        for (ext, insts) in [
+            (mpise::isa::full_radix_ext(), full),
+            (mpise::isa::reduced_radix_ext(), reduced),
+        ] {
+            let p = mpise::sim::asm::Program::from_insts(insts);
+            let text: String = p
+                .disassemble(&ext)
+                .lines()
+                .map(|l| l.split(": ").nth(1).unwrap().to_owned() + "\n")
+                .collect();
+            let p2 = mpise::sim::asm::parse_program(&text, &ext).expect("reparses");
+            prop_assert_eq!(p, p2);
         }
-        asm.ebreak();
-        let p = asm.finish();
-        let text: String = p
-            .disassemble(&ext)
-            .lines()
-            .map(|l| l.split(": ").nth(1).unwrap().to_owned() + "\n")
-            .collect();
-        let p2 = mpise::sim::asm::parse_program(&text, &ext).expect("reparses");
-        prop_assert_eq!(p, p2);
     }
 
     #[test]
