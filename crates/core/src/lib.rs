@@ -14,19 +14,17 @@
 //!
 //! (Table 1 of the paper.)
 //!
-//! Each instruction exists in three coupled forms, all defined here:
+//! Each instruction exists in two coupled forms, both defined here:
 //!
 //! 1. **Intrinsics** ([`intrinsics`]): pure-Rust functions with the exact
 //!    architectural semantics, usable by host-speed software backends.
 //! 2. **Simulator definitions** ([`full_radix`], [`reduced_radix`]):
 //!    [`mpise_sim::ext::CustomInstDef`]s with the binary encodings of
 //!    Figures 1–3, pluggable into a [`mpise_sim::Machine`].
-//! 3. **Datapath model** ([`xmul`]): a functional model of the unified
-//!    XMUL execution unit of §3.3, demonstrating that all six
-//!    instructions (plus the base `mul`/`mulhu`) share one 64×64
-//!    multiplier, one wide adder and one shift/mask network. The
-//!    structural hardware-cost model in `mpise-hw` is derived from the
-//!    same decomposition.
+//!
+//! The XMUL datapaths that execute them in hardware (§3.3) are the
+//! netlists of `mpise-hw`, whose tests check them against the
+//! intrinsics.
 //!
 //! The [`related`] module provides executable reference models of the
 //! pre-existing ARM and AVX-512 fused multiply-add instructions the
@@ -38,7 +36,6 @@ pub mod full_radix;
 pub mod intrinsics;
 pub mod reduced_radix;
 pub mod related;
-pub mod xmul;
 
 pub use full_radix::full_radix_ext;
 pub use reduced_radix::reduced_radix_ext;

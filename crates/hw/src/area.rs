@@ -11,11 +11,8 @@ use crate::netlist::{CellKind, Netlist};
 /// Gate-equivalent cost of one cell.
 pub fn cell_ge(kind: CellKind, width: u32) -> f64 {
     match kind {
-        CellKind::Inv => 0.67,
-        CellKind::Nand2 | CellKind::Nor2 => 1.0,
         CellKind::And2 | CellKind::Or2 => 1.33,
-        CellKind::Xor2 | CellKind::Xnor2 => 2.33,
-        CellKind::Mux2 => 2.33,
+        CellKind::Xor2 | CellKind::Mux2 => 2.33,
         CellKind::HalfAdder => 3.0,
         CellKind::FullAdder => 6.33,
         CellKind::Dff => 5.33,
@@ -38,8 +35,7 @@ mod tests {
 
     #[test]
     fn weights_are_ordered_sensibly() {
-        assert!(cell_ge(CellKind::Inv, 0) < cell_ge(CellKind::Nand2, 0));
-        assert!(cell_ge(CellKind::Nand2, 0) < cell_ge(CellKind::Xor2, 0));
+        assert!(cell_ge(CellKind::And2, 0) < cell_ge(CellKind::Xor2, 0));
         assert!(cell_ge(CellKind::HalfAdder, 0) < cell_ge(CellKind::FullAdder, 0));
     }
 

@@ -15,9 +15,8 @@ use std::collections::HashMap;
 /// Unit delays per cell class (normalized to one 2-input gate = 1.0).
 pub fn cell_delay(kind: CellKind, width: u32) -> f64 {
     match kind {
-        CellKind::Inv => 0.5,
-        CellKind::And2 | CellKind::Or2 | CellKind::Nand2 | CellKind::Nor2 => 1.0,
-        CellKind::Xor2 | CellKind::Xnor2 | CellKind::Mux2 => 1.5,
+        CellKind::And2 | CellKind::Or2 => 1.0,
+        CellKind::Xor2 | CellKind::Mux2 => 1.5,
         CellKind::HalfAdder => 1.5,
         // A full adder in a carry chain contributes ~1 gate of carry
         // delay; the first sum costs more but the chain dominates.

@@ -62,82 +62,6 @@ pub fn kogge_stone_adder(n: &mut Netlist, a: &[Net], b: &[Net]) -> (Bus, Net) {
     (sum, g[w - 1])
 }
 
-/// One carry-save 3:2 compressor row: reduces three buses to two
-/// (`sum`, `carry << 1`). Buses must share a width; the carry bus is
-/// returned already shifted (low bit zero).
-///
-/// # Panics
-///
-/// Panics if widths differ.
-pub fn csa_row(n: &mut Netlist, a: &[Net], b: &[Net], c: &[Net]) -> (Bus, Bus) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), c.len());
-    let mut sum = Vec::with_capacity(a.len());
-    let mut carry = vec![ZERO; a.len()];
-    for i in 0..a.len() {
-        let (s, co) = n.full_adder(a[i], b[i], c[i]);
-        sum.push(s);
-        if i + 1 < a.len() {
-            carry[i + 1] = co;
-        }
-    }
-    (sum, carry)
-}
-
-/// Wallace-style carry-save reduction of many addends to two, followed
-/// by no final adder (the caller picks one). All addends must share a
-/// width.
-///
-/// # Panics
-///
-/// Panics if fewer than two addends are given or widths differ.
-pub fn csa_tree(n: &mut Netlist, addends: Vec<Bus>) -> (Bus, Bus) {
-    assert!(addends.len() >= 2);
-    let w = addends[0].len();
-    assert!(addends.iter().all(|a| a.len() == w));
-    let mut layer = addends;
-    while layer.len() > 2 {
-        let mut next = Vec::new();
-        let mut it = layer.chunks_exact(3);
-        for chunk in &mut it {
-            let (s, c) = csa_row(n, &chunk[0], &chunk[1], &chunk[2]);
-            next.push(s);
-            next.push(c);
-        }
-        next.extend(it.remainder().iter().cloned());
-        layer = next;
-    }
-    let mut it = layer.into_iter();
-    let a = it.next().expect("two rows");
-    let b = it.next().expect("two rows");
-    (a, b)
-}
-
-/// Unsigned array multiplier built from an AND partial-product array,
-/// a carry-save reduction tree, and a Kogge–Stone final adder.
-/// Returns the `2w`-bit product.
-///
-/// The [`crate::netlist::Netlist::dsp_mul`] macro should be preferred
-/// when modelling FPGA mapping; this generator exists for the CMOS
-/// (ASIC) view and for sanity checks of the reduction tree.
-pub fn array_multiplier(n: &mut Netlist, a: &[Net], b: &[Net]) -> Bus {
-    assert_eq!(a.len(), b.len());
-    let w = a.len();
-    let out_w = 2 * w;
-    // Partial products, each aligned into a 2w-bit row.
-    let mut rows: Vec<Bus> = Vec::with_capacity(w);
-    for (j, &bj) in b.iter().enumerate() {
-        let mut row = vec![ZERO; out_w];
-        for (i, &ai) in a.iter().enumerate() {
-            row[i + j] = n.and2(ai, bj);
-        }
-        rows.push(row);
-    }
-    let (s, c) = csa_tree(n, rows);
-    let (sum, _) = kogge_stone_adder(n, &s, &c);
-    sum
-}
-
 /// Logarithmic barrel shifter: shifts `a` right by the binary amount
 /// `sh` (little-endian select bus). `arithmetic` selects sign fill.
 pub fn barrel_shifter_right(n: &mut Netlist, a: &[Net], sh: &[Net], arithmetic: bool) -> Bus {
@@ -207,35 +131,6 @@ mod tests {
             let vals = eval(&n, &iv);
             let got = bus_val(&s, &vals) | ((vals[&co] as u64) << 16);
             assert_eq!(got, x + y, "{x}+{y}");
-        }
-    }
-
-    #[test]
-    fn csa_tree_preserves_sums() {
-        let mut n = Netlist::new("t");
-        let buses: Vec<_> = (0..5).map(|_| n.input_bus(12)).collect();
-        let (s, c) = csa_tree(&mut n, buses.clone());
-        let vals_in = [100u64, 200, 300, 55, 1000];
-        let mut iv = Vec::new();
-        for (bus, &v) in buses.iter().zip(&vals_in) {
-            iv.extend(set_bus(bus, v));
-        }
-        let vals = eval(&n, &iv);
-        let total = (bus_val(&s, &vals) + bus_val(&c, &vals)) & 0xfff;
-        assert_eq!(total, vals_in.iter().sum::<u64>() & 0xfff);
-    }
-
-    #[test]
-    fn array_multiplier_multiplies() {
-        for (x, y) in [(0u64, 7u64), (13, 11), (255, 255), (200, 100)] {
-            let mut n = Netlist::new("t");
-            let a = n.input_bus(8);
-            let b = n.input_bus(8);
-            let p = array_multiplier(&mut n, &a, &b);
-            let mut iv = set_bus(&a, x);
-            iv.extend(set_bus(&b, y));
-            let vals = eval(&n, &iv);
-            assert_eq!(bus_val(&p, &vals), x * y, "{x}*{y}");
         }
     }
 

@@ -7,15 +7,14 @@
 //! structural model (documented in DESIGN.md):
 //!
 //! * [`netlist`]: a gate-level netlist representation with a builder
-//!   API (cells: inverters, 2-input gates, muxes, half/full adders,
-//!   flip-flops, DSP-mapped multiplier macros);
+//!   API (cells: 2-input gates, muxes, half/full adders, flip-flops,
+//!   DSP-mapped multiplier macros) and a combinational evaluator;
 //! * [`generators`]: parameterized RTL generators — ripple and
-//!   parallel-prefix (Kogge–Stone) adders, carry-save reduction trees,
-//!   an array multiplier, barrel shifters, mask networks;
+//!   parallel-prefix (Kogge–Stone) adders and barrel shifters;
 //! * [`xmul`]: the three multiplier-datapath variants of the paper
 //!   (base RV64M multiplier, + full-radix ISE, + reduced-radix ISE),
-//!   built from the same datapath decomposition as the functional
-//!   model in `mpise-core::xmul`;
+//!   whose tests check every op against the simulator's RV64M
+//!   semantics and the `mpise-core` intrinsics;
 //! * [`map`]: a greedy 6-input LUT technology mapper with
 //!   carry-chain-aware adder handling, a flip-flop census, and
 //!   DSP-block inference for the multiplier array;

@@ -9,20 +9,12 @@ use std::fmt;
 /// LUTs, the way Vivado infers DSP48E1s for multiplier arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
-    /// Inverter.
-    Inv,
     /// 2-input AND.
     And2,
     /// 2-input OR.
     Or2,
-    /// 2-input NAND.
-    Nand2,
-    /// 2-input NOR.
-    Nor2,
     /// 2-input XOR.
     Xor2,
-    /// 2-input XNOR.
-    Xnor2,
     /// 2:1 multiplexer (inputs: sel, a, b; output = sel ? a : b).
     Mux2,
     /// Half adder (outputs: sum, carry).
@@ -40,14 +32,8 @@ impl CellKind {
     /// Number of logic inputs the cell consumes.
     pub fn arity(self) -> usize {
         match self {
-            CellKind::Inv | CellKind::Dff => 1,
-            CellKind::And2
-            | CellKind::Or2
-            | CellKind::Nand2
-            | CellKind::Nor2
-            | CellKind::Xor2
-            | CellKind::Xnor2
-            | CellKind::HalfAdder => 2,
+            CellKind::Dff => 1,
+            CellKind::And2 | CellKind::Or2 | CellKind::Xor2 | CellKind::HalfAdder => 2,
             CellKind::Mux2 | CellKind::FullAdder => 3,
             CellKind::DspMul => 0, // bus-level macro; inputs tracked separately
         }
@@ -175,11 +161,6 @@ impl Netlist {
         out
     }
 
-    /// Inverter.
-    pub fn inv(&mut self, a: Net) -> Net {
-        self.gate(CellKind::Inv, &[a])
-    }
-
     /// 2-input AND.
     pub fn and2(&mut self, a: Net, b: Net) -> Net {
         self.gate(CellKind::And2, &[a, b])
@@ -251,16 +232,6 @@ impl Netlist {
         bus.iter().map(|&n| self.and2(n, ctrl)).collect()
     }
 
-    /// Bitwise XOR of two buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buses differ in width.
-    pub fn xor_bus(&mut self, a: &[Net], b: &[Net]) -> Bus {
-        assert_eq!(a.len(), b.len());
-        (0..a.len()).map(|i| self.xor2(a[i], b[i])).collect()
-    }
-
     /// A DSP-mapped `width × width` unsigned multiplier macro producing
     /// a `2·width` bus.
     pub fn dsp_mul(&mut self, a: &[Net], b: &[Net]) -> Bus {
@@ -324,26 +295,14 @@ impl Netlist {
                 })
                 .collect();
             match cell.kind {
-                CellKind::Inv => {
-                    vals.insert(cell.outputs[0], !ins[0]);
-                }
                 CellKind::And2 => {
                     vals.insert(cell.outputs[0], ins[0] && ins[1]);
                 }
                 CellKind::Or2 => {
                     vals.insert(cell.outputs[0], ins[0] || ins[1]);
                 }
-                CellKind::Nand2 => {
-                    vals.insert(cell.outputs[0], !(ins[0] && ins[1]));
-                }
-                CellKind::Nor2 => {
-                    vals.insert(cell.outputs[0], !(ins[0] || ins[1]));
-                }
                 CellKind::Xor2 => {
                     vals.insert(cell.outputs[0], ins[0] ^ ins[1]);
-                }
-                CellKind::Xnor2 => {
-                    vals.insert(cell.outputs[0], !(ins[0] ^ ins[1]));
                 }
                 CellKind::Mux2 => {
                     vals.insert(cell.outputs[0], if ins[0] { ins[1] } else { ins[2] });

@@ -1,17 +1,16 @@
 //! Netlists for the three multiplier-datapath variants of §3.3.
 //!
-//! The structure follows the datapath decomposition of
-//! `mpise-core::xmul` (the executable specification): a 64×64
-//! multiplier core, sign-handling, a wide adder, a shift/mask network
-//! and operand-select muxes, wrapped in the 2-stage pipeline the paper
-//! describes ("one register stage at input operands and another at the
-//! output result").
+//! Each variant is a 64×64 multiplier core, sign handling, a wide
+//! adder, a shift/mask network and operand-select muxes, wrapped in the
+//! 2-stage pipeline the paper describes ("one register stage at input
+//! operands and another at the output result").
 //!
 //! Each generator returns an [`XmulNetlist`] exposing its operand,
-//! control and result buses, so the netlists are *functionally
-//! verified* bit-for-bit against both the RV64M semantics and the
-//! custom-instruction intrinsics (see the tests) — the hardware model
-//! is not just an area estimate.
+//! control and result buses, so the tests verify the netlists
+//! bit-for-bit against the semantics the simulator executes:
+//! `mpise_sim::cpu::eval_alu` for the RV64M multiplies and
+//! `mpise_core::intrinsics` for the custom instructions. The hardware
+//! model is not just an area estimate.
 //!
 //! The wide adders are ripple chains of full-adder cells: the LUT
 //! mapper prices those at one LUT per bit, modelling the dedicated
@@ -252,8 +251,15 @@ pub fn reduced_radix_xmul() -> XmulNetlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::depth::xmul_depths;
     use crate::netlist::{assign_bus, bus_value, CellKind};
-    use mpise_core::xmul::{Xmul, XmulOp};
+    use crate::{table3, CoreCost};
+    use mpise_core::intrinsics;
+    use mpise_sim::cpu::eval_alu;
+    use mpise_sim::inst::AluOp;
+
+    /// The RV64M multiplies every variant executes.
+    const BASE_OPS: [AluOp; 4] = [AluOp::Mul, AluOp::Mulh, AluOp::Mulhsu, AluOp::Mulhu];
 
     fn regs(n: &Netlist) -> usize {
         n.count(CellKind::Dff)
@@ -289,18 +295,40 @@ mod tests {
         assert!((100..400).contains(&d_red), "reduced reg delta {d_red}");
     }
 
+    /// The exact structural figures behind Table 3 and the §3.3 depth
+    /// claim, so any change to a netlist or to the mapper, area or
+    /// delay model shows here, not only when it leaves a claim's band.
+    #[test]
+    fn structural_figures_are_pinned() {
+        let t = table3();
+        let row = |c: &CoreCost| (c.luts, c.regs, c.dsps, c.cmos);
+        assert_eq!(row(&t.full), (5087, 2392, 16, 490_790));
+        assert_eq!(row(&t.reduced), (5365, 2393, 16, 492_979));
+        let reports = t.xmul_reports.map(|m| (m.luts, m.regs, m.dsps, m.cells));
+        assert_eq!(
+            reports,
+            [
+                (320, 196, 16, 773),
+                (576, 424, 16, 1513),
+                (854, 425, 16, 1777)
+            ]
+        );
+        let depths = xmul_depths().map(|(_, d)| (d.critical_path, d.nets));
+        assert_eq!(depths, [(310.5, 1290), (314.5, 2322), (312.0, 2466)]);
+    }
+
     /// Control-word encodings for the functional tests (the job of the
     /// modified instruction decoder in §3.3). Sign-negate enables are
     /// computed from the operand sign bits like the real datapath's
     /// sign logic would.
-    fn base_ctrl(op: XmulOp, x: u64, y: u64) -> u64 {
+    fn base_ctrl(op: AluOp, x: u64, y: u64) -> u64 {
         let (xs, ys) = ((x >> 63) & 1, (y >> 63) & 1);
         match op {
-            XmulOp::Mul => xs | (ys << 1) | ((xs ^ ys) << 2),
-            XmulOp::Mulh => xs | (ys << 1) | ((xs ^ ys) << 2) | (1 << 3),
-            XmulOp::Mulhsu => xs | (xs << 2) | (1 << 3),
-            XmulOp::Mulhu => 1 << 3,
-            _ => unreachable!("base op"),
+            AluOp::Mul => xs | (ys << 1) | ((xs ^ ys) << 2),
+            AluOp::Mulh => xs | (ys << 1) | ((xs ^ ys) << 2) | (1 << 3),
+            AluOp::Mulhsu => xs | (xs << 2) | (1 << 3),
+            AluOp::Mulhu => 1 << 3,
+            _ => unreachable!("{op:?} is not an RV64M multiply"),
         }
     }
 
@@ -325,24 +353,25 @@ mod tests {
         bus_value(&x.result, &vals)
     }
 
-    const CASES: [(u64, u64, u64); 6] = [
+    const CASES: [(u64, u64, u64); 9] = [
         (0, 0, 0),
         (3, 5, 7),
         (u64::MAX, u64::MAX, u64::MAX),
         (0x8000_0000_0000_0000, 2, 1),
         (0x1234_5678_9abc_def0, 0xfedc_ba98_7654_3210, 0xdead_beef),
         ((1 << 57) + 12345, (1 << 56) + 999, (1 << 62) + 7),
+        (1 << 63, 1 << 63, 0), // mulh's i64::MIN² corner
+        (u64::MAX, 1, 1),
+        (1, 1, 1),
     ];
 
     #[test]
     fn base_netlist_matches_rv64m() {
         let bm = base_multiplier();
-        let spec = Xmul::new();
         for &(xv, yv, _) in &CASES {
-            for op in XmulOp::BASE {
+            for op in BASE_OPS {
                 let got = run(&bm, base_ctrl(op, xv, yv), xv, yv, 0, 0);
-                let want = spec.execute(op, xv, yv, 0, 0);
-                assert_eq!(got, want, "{op:?} x={xv:#x} y={yv:#x}");
+                assert_eq!(got, eval_alu(op, xv, yv), "{op:?} x={xv:#x} y={yv:#x}");
             }
         }
     }
@@ -350,20 +379,19 @@ mod tests {
     #[test]
     fn full_radix_netlist_matches_intrinsics() {
         let fx = full_radix_xmul();
-        let spec = Xmul::new();
         for &(xv, yv, zv) in &CASES {
             // Base ops still work on the extended datapath
             // (pre-add disabled).
-            for op in XmulOp::BASE {
+            for op in BASE_OPS {
                 let got = run(&fx, base_ctrl(op, xv, yv), xv, yv, zv, 0);
-                assert_eq!(got, spec.execute(op, xv, yv, 0, 0), "{op:?}");
+                assert_eq!(got, eval_alu(op, xv, yv), "{op:?}");
             }
             // maddlu: pre-add z (bit 6), low half.
             let got = run(&fx, 1 << 6, xv, yv, zv, 0);
-            assert_eq!(got, spec.execute(XmulOp::Maddlu, xv, yv, zv, 0), "maddlu");
+            assert_eq!(got, intrinsics::maddlu(xv, yv, zv), "maddlu");
             // maddhu: pre-add z, high half (bit 3).
             let got = run(&fx, (1 << 6) | (1 << 3), xv, yv, zv, 0);
-            assert_eq!(got, spec.execute(XmulOp::Maddhu, xv, yv, zv, 0), "maddhu");
+            assert_eq!(got, intrinsics::maddhu(xv, yv, zv), "maddhu");
             // cadd: main = x zext (4), pre-add y (5,6), out = post (7).
             let got = run(
                 &fx,
@@ -373,37 +401,28 @@ mod tests {
                 zv,
                 0,
             );
-            assert_eq!(got, spec.execute(XmulOp::Cadd, xv, yv, zv, 0), "cadd");
+            assert_eq!(got, intrinsics::cadd(xv, yv, zv), "cadd");
         }
     }
 
     #[test]
     fn reduced_radix_netlist_matches_intrinsics() {
         let rx = reduced_radix_xmul();
-        let spec = Xmul::new();
         for &(xv, yv, zv) in &CASES {
-            for op in XmulOp::BASE {
+            for op in BASE_OPS {
                 let ctrl = match op {
-                    XmulOp::Mul => base_ctrl(op, xv, yv) & 0b111,
+                    AluOp::Mul => base_ctrl(op, xv, yv) & 0b111,
                     _ => (base_ctrl(op, xv, yv) & 0b111) | (1 << 9),
                 };
                 let got = run(&rx, ctrl, xv, yv, zv, 0);
-                assert_eq!(got, spec.execute(op, xv, yv, 0, 0), "{op:?}");
+                assert_eq!(got, eval_alu(op, xv, yv), "{op:?}");
             }
             // madd57lu: mask (5), post-add z (7), out = post (8).
             let got = run(&rx, (1 << 5) | (1 << 7) | (1 << 8), xv, yv, zv, 0);
-            assert_eq!(
-                got,
-                spec.execute(XmulOp::Madd57lu, xv, yv, zv, 0),
-                "madd57lu"
-            );
+            assert_eq!(got, intrinsics::madd57lu(xv, yv, zv), "madd57lu");
             // madd57hu: product>>57 (3), post-add z (7), out = post (8).
             let got = run(&rx, (1 << 3) | (1 << 7) | (1 << 8), xv, yv, zv, 0);
-            assert_eq!(
-                got,
-                spec.execute(XmulOp::Madd57hu, xv, yv, zv, 0),
-                "madd57hu"
-            );
+            assert_eq!(got, intrinsics::madd57hu(xv, yv, zv), "madd57hu");
             // sraiadd: main = y>>imm (4), post-add x (6,7), out (8).
             for imm in [0u64, 1, 57, 63] {
                 let got = run(
@@ -416,7 +435,7 @@ mod tests {
                 );
                 assert_eq!(
                     got,
-                    spec.execute(XmulOp::Sraiadd, xv, yv, 0, imm as u8),
+                    intrinsics::sraiadd(xv, yv, imm as u32),
                     "sraiadd imm={imm}"
                 );
             }

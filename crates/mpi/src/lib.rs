@@ -54,7 +54,3 @@ pub use uint::Uint;
 /// A 512-bit full-radix integer (8 digits) — the operand size of the
 /// CSIDH-512 case study.
 pub type U512 = Uint<8>;
-
-/// A 1024-bit full-radix integer (16 digits), used for double-length
-/// products.
-pub type U1024 = Uint<16>;

@@ -43,9 +43,6 @@ impl<const L: usize> Uint<L> {
         limbs: [u64::MAX; L],
     };
 
-    /// Number of digits.
-    pub const LIMBS: usize = L;
-
     /// Width in bits.
     pub const BITS: u32 = 64 * L as u32;
 

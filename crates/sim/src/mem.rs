@@ -136,11 +136,6 @@ impl Memory {
         self.load(addr, 1).map(|v| v as u8)
     }
 
-    /// Loads a 32-bit word.
-    pub fn load_u32(&self, addr: u64) -> Result<u32, MemError> {
-        self.load(addr, 4).map(|v| v as u32)
-    }
-
     /// Loads a 64-bit double-word.
     pub fn load_u64(&self, addr: u64) -> Result<u64, MemError> {
         self.load(addr, 8)

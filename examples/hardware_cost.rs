@@ -1,7 +1,7 @@
 //! Explore the hardware cost model: map the three XMUL datapath
-//! variants, print the full Table 3, and show how the cost scales if
-//! the reduced radix were 52 bits (an AVX-512-IFMA-style design
-//! point) by re-running the mapper on a tweaked barrel-shifter width.
+//! variants and print the full Table 3, compare a ripple-carry with a
+//! Kogge-Stone 128-bit adder, and show how the `sraiadd` barrel
+//! shifter's cost scales with its width (32, 64 and 128 bits).
 //!
 //! ```text
 //! cargo run --release --example hardware_cost
