@@ -1,5 +1,5 @@
-//! The reproducible benchmark pipeline (kernel matrix + CSIDH action →
-//! `BENCH_<date>.json`). See
+//! Reproduces Table 4 and writes `BENCH_<date>.json`: the kernel
+//! matrix, the CSIDH action estimate and its direct simulation. See
 //! [`mpise_bench::pipeline`] and DESIGN.md §9.
 
 fn main() {

@@ -8,12 +8,11 @@
 //! | `table1`          | Table 1 — overview of the two ISE sets         |
 //! | `table2`          | Table 2 — existing ARM/AVX-512 fused multiply-adds |
 //! | `table3`          | Table 3 — hardware cost (LUTs/Regs/DSPs/CMOS)  |
-//! | `table4`          | Table 4 — cycle counts of all operations + group action |
 //! | `listings`        | Listings 1–4 — MAC instruction counts and latencies |
 //! | `figures`         | Figures 1–3 — instruction encodings and semantics |
 //! | `ablation`        | §3/§4 ablations — Karatsuba, unrolling, XMUL depth, core timing |
 //! | `instruction_mix` | §2/§3.1 — static instruction mix, the `sltu` carry tax |
-//! | `bench`           | Full benchmark pipeline → `BENCH_<date>.json`  |
+//! | `bench`           | Table 4 — cycle counts of all operations + group action, estimated and simulated → `BENCH_<date>.json` |
 //! | `ctcheck`         | Constant-time gate (lint + taint + constant work) |
 //! | `rvsim`           | Standalone simulator front-end for `.s` files  |
 //!

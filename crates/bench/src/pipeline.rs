@@ -1,8 +1,9 @@
-//! `bench` — the reproducible benchmark pipeline.
+//! `bench` — Table 4 and the reproducible benchmark pipeline.
 //!
-//! One binary (`cargo run --release --bin bench`) measures everything
-//! the paper's evaluation (Tables 4–5) is built from and writes a
-//! machine-readable `BENCH_<date>.json`:
+//! One binary (`cargo run --release -p mpise-bench --bin bench`)
+//! measures everything the paper's Table 4 is built from, prints the
+//! table next to the paper's numbers and writes a machine-readable
+//! `BENCH_<date>.json`:
 //!
 //! 1. **Kernel matrix** — all four configurations × all eight Fp
 //!    operations, executed on the Rocket pipeline model with one worker
@@ -12,16 +13,18 @@
 //!    checked to be constant-time before its cycle count is reported.
 //! 2. **CSIDH-512 group action** — the Table 4 bottom row, estimated as
 //!    Σ op-count × per-op cycles with op counts from an instrumented
-//!    host run, plus (in full mode) a direct full-simulation run whose
-//!    public key is validated against the host backend.
+//!    host run of the action, and the same action simulated directly
+//!    (every field operation on the simulator), its public key checked
+//!    against the host run's.
 //!
 //! The pipeline doubles as a regression gate: it exits non-zero when
 //! [`check_gate`] finds a Table 4 claim violated — among them, every
 //! ISE-supported configuration must beat its radix-matched RV64GC
 //! (ISA-only) baseline in simulated cycles, both summed over the kernel
-//! matrix and on the group-action estimate. CI runs
-//! `bench --smoke` (reduced iteration counts, no direct simulation)
-//! and archives the JSON as an artifact.
+//! matrix and on the group-action estimate, and every direct simulation
+//! must spend exactly the estimated cycles. CI runs `bench --smoke`
+//! (one iteration, bound ±1, the headline configuration simulated) and
+//! archives the JSON as an artifact.
 //!
 //! All simulated numbers are deterministic: fixed seeds, constant-time
 //! kernels. Two runs with the same options produce byte-identical
@@ -29,11 +32,12 @@
 //! `tests/bench_golden.rs` enforces this). Host wall time is measured
 //! by the separate `perfbench` benchmark, not here.
 
+use crate::{paper_cycles, ratio, rule, PAPER_ACTION_MCYCLES};
 use mpise_csidh::{group_action, PrivateKey, PublicKey};
 use mpise_fp::kernels::{Config, IseMode, OpKind};
 use mpise_fp::measure::{measure_matrix_parallel, OpMeasurement};
 use mpise_fp::simfp::SimFp;
-use mpise_fp::{CountingFp, FpFull, OpCounts};
+use mpise_fp::{CountingFp, Fp, FpFull, OpCounts};
 use mpise_obs::time::utc_date_string;
 use mpise_obs::{object, Value};
 use rand::rngs::StdRng;
@@ -46,13 +50,11 @@ pub const BENCH_SEED: u64 = 0xC51D;
 /// What to run and where to put the result.
 #[derive(Debug, Clone, Default)]
 pub struct BenchOptions {
-    /// Reduced matrix for CI: one validation iteration per kernel,
-    /// exponent bound ±1 for the instrumented action, and no
-    /// direct-simulation action run.
+    /// Reduced run for CI: one validation iteration per kernel,
+    /// exponent bound ±1, and the action simulated directly on the
+    /// headline configuration only (reduced-radix ISE) instead of all
+    /// four.
     pub smoke: bool,
-    /// Additionally run the direct-simulation group action on *all*
-    /// four configurations (slow) instead of only the headline one.
-    pub full_sim: bool,
     /// Output path; `None` = `BENCH_<utc-date>.json` in the working
     /// directory.
     pub out: Option<String>,
@@ -68,12 +70,21 @@ impl BenchOptions {
         }
     }
 
-    /// Exponent bound of the instrumented group action.
+    /// Exponent bound of the group action, instrumented and simulated.
     pub fn action_bound(&self) -> i8 {
         if self.smoke {
             1
         } else {
             5
+        }
+    }
+
+    /// Configurations whose action is simulated directly.
+    pub fn sim_configs(&self) -> &'static [Config] {
+        if self.smoke {
+            &Config::ALL[3..]
+        } else {
+            &Config::ALL
         }
     }
 }
@@ -114,7 +125,8 @@ pub struct BenchReport {
     pub action_counts: OpCounts,
     /// Estimated action cost per configuration.
     pub action_estimates: Vec<ActionEstimate>,
-    /// Direct-simulation action runs (empty in smoke mode).
+    /// Direct-simulation action runs, one per
+    /// [`BenchOptions::sim_configs`] entry.
     pub action_sims: Vec<ActionSim>,
     /// [`check_gate`]'s verdict on the Table 4 claims.
     pub gate: Result<(), String>,
@@ -140,6 +152,16 @@ pub fn cycles_of(matrix: &[(Config, Vec<OpMeasurement>)], config: Config, op: Op
         .expect("matrix covers every config × op")
 }
 
+/// Looks up the estimated action cycles of `config`.
+///
+/// # Panics
+///
+/// Panics if `estimates` lacks that configuration.
+fn estimated_cycles(estimates: &[ActionEstimate], config: Config) -> u64 {
+    let e = estimates.iter().find(|e| e.config == config);
+    e.expect("estimate per config").cycles
+}
+
 fn isa_baseline(config: Config) -> Config {
     Config {
         radix: config.radix,
@@ -147,18 +169,24 @@ fn isa_baseline(config: Config) -> Config {
     }
 }
 
-/// Instruments the group action on the host backend (fixed seed) and
-/// returns its field-operation counts.
-pub fn instrument_action(bound: i8) -> OpCounts {
-    let counting = CountingFp::new(FpFull::new());
+/// The benchmark's action instance: a key drawn at exponent bound
+/// `bound` from [`BENCH_SEED`], applied to the base curve on `f`.
+fn bench_action<F: Fp>(f: &F, bound: i8) -> PublicKey {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let key = PrivateKey::random_with_bound(&mut rng, bound);
-    let _ = group_action(&counting, &mut rng, &PublicKey::BASE, &key);
-    counting.counts()
+    group_action(f, &mut rng, &PublicKey::BASE, &key)
+}
+
+/// Instruments the group action on the host backend and returns its
+/// field-operation counts and resulting public key.
+pub fn instrument_action(bound: i8) -> (OpCounts, PublicKey) {
+    let counting = CountingFp::new(FpFull::new());
+    let public = bench_action(&counting, bound);
+    (counting.counts(), public)
 }
 
 /// Estimates the action cost of every configuration from the kernel
-/// matrix and the instrumented op counts (the default Table 4 mode).
+/// matrix and the instrumented op counts.
 pub fn estimate_actions(
     matrix: &[(Config, Vec<OpMeasurement>)],
     counts: &OpCounts,
@@ -175,9 +203,9 @@ pub fn estimate_actions(
         .collect()
 }
 
-/// Runs the group action with every field operation executed on the
-/// simulator and validates the resulting public key against the host
-/// backend.
+/// Runs the action [`instrument_action`] counts with every field
+/// operation executed on the simulator, and checks its public key
+/// against `host_key`, the instrumented run's.
 ///
 /// Telemetry is enabled for the duration of the run so the action
 /// decomposes into phase spans; the span tree's attributed cycles must
@@ -188,26 +216,18 @@ pub fn estimate_actions(
 /// Panics when the simulated action disagrees with the host action — a
 /// simulator or kernel bug — or when the span attribution fails to
 /// reconcile with the cycle counter.
-pub fn simulate_action(config: Config, bound: i8) -> ActionSim {
-    let host = FpFull::new();
-    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
-    let key = PrivateKey::random_with_bound(&mut rng, bound);
-    let pk_host = group_action(&host, &mut rng, &PublicKey::BASE, &key);
-
+pub fn simulate_action(config: Config, bound: i8, host_key: &PublicKey) -> ActionSim {
     let sim = SimFp::new(config);
-    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
-    let key2 = PrivateKey::random_with_bound(&mut rng, bound);
-    assert_eq!(key, key2, "deterministic key derivation");
     let was_enabled = mpise_obs::enabled();
     mpise_obs::set_enabled(true);
     let _ = mpise_obs::take_spans(); // start from a clean thread-local tree
     let t0 = Instant::now();
-    let pk_sim = group_action(&sim, &mut rng, &PublicKey::BASE, &key2);
+    let pk_sim = bench_action(&sim, bound);
     let host_secs = t0.elapsed().as_secs_f64();
     mpise_obs::set_enabled(was_enabled);
     let spans = mpise_obs::take_spans();
     assert_eq!(
-        pk_sim, pk_host,
+        pk_sim, *host_key,
         "{config}: simulated action disagrees with the host action"
     );
     let span_cycles = spans.total_cycles();
@@ -229,9 +249,10 @@ pub fn simulate_action(config: Config, bound: i8) -> ActionSim {
     }
 }
 
-/// The one Table 4 check: `bench`'s gate, `table4`'s shape check and
-/// the tier-1 `table4_shape` test. Columns as in [`Config::ALL`] (full
-/// ISA-only, full ISE, reduced ISA-only, reduced ISE). Claims:
+/// The one Table 4 check: `bench`'s gate and the tier-1 `table4_shape`
+/// test (which passes no direct simulations). Columns as in
+/// [`Config::ALL`] (full ISA-only, full ISE, reduced ISA-only, reduced
+/// ISE). Claims:
 ///
 /// - ISA-only, the full radix wins Fp-mul but loses Fp-add; with the
 ///   ISEs, the reduced radix wins Fp-mul and Fp-sqr (§4);
@@ -243,7 +264,9 @@ pub fn simulate_action(config: Config, bound: i8) -> ActionSim {
 ///   the action estimate;
 /// - speedups over full ISA-only, the reduced ISE's the larger: Fp-mul
 ///   1.2–2.2× (full ISE) and 1.5–2.6× (reduced ISE); action 1.1–2.0×
-///   and 1.3–2.4× (paper: 1.39× and 1.71×).
+///   and 1.3–2.4× (paper: 1.39× and 1.71×);
+/// - the estimate is exact: each of `sims` spent exactly its
+///   configuration's estimated cycles.
 ///
 /// # Errors
 ///
@@ -251,16 +274,13 @@ pub fn simulate_action(config: Config, bound: i8) -> ActionSim {
 pub fn check_gate(
     matrix: &[(Config, Vec<OpMeasurement>)],
     estimates: &[ActionEstimate],
+    sims: &[ActionSim],
 ) -> Result<(), String> {
     use OpKind::*;
     let c = |(col, op): (usize, OpKind)| cycles_of(matrix, Config::ALL[col], op);
     let name = |(col, op): (usize, OpKind)| format!("{} {op:?}", Config::ALL[col]);
     let total = |col| OpKind::ALL.iter().map(|&op| c((col, op))).sum::<u64>();
-    let act = |col| {
-        let config = Config::ALL[col];
-        let e = estimates.iter().find(|e| e.config == config);
-        e.expect("estimate per config").cycles
-    };
+    let act = |col| estimated_cycles(estimates, Config::ALL[col]);
     let (mut violations, mut bands) = (Vec::new(), Vec::new());
     let mut orderings = vec![
         ((0, FpMul), "<", (2, FpMul)),
@@ -306,6 +326,15 @@ pub fn check_gate(
             violations.push(format!("{a} < {b} {what} fails: {x} vs {y} cycles"));
         }
     }
+    for s in sims {
+        let (x, y) = (s.cycles, estimated_cycles(estimates, s.config));
+        if x != y {
+            let a = s.config;
+            violations.push(format!(
+                "{a} direct-sim == estimated action fails: {x} vs {y} cycles"
+            ));
+        }
+    }
     let mul = |col| c((0, FpMul)) as f64 / c((col, FpMul)) as f64;
     let action = |col| act(0) as f64 / act(col) as f64;
     bands.extend([
@@ -336,28 +365,21 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
     let matrix = kernel_matrix(options.iterations());
     eprintln!("bench: kernel matrix done in {:.2?}", t0.elapsed());
 
-    eprintln!(
-        "bench: instrumenting the group action (exponent bound +/-{}) ...",
-        options.action_bound()
-    );
-    let action_counts = instrument_action(options.action_bound());
+    let bound = options.action_bound();
+    eprintln!("bench: instrumenting the group action (exponent bound +/-{bound}) ...");
+    let (action_counts, host_key) = instrument_action(bound);
     let action_estimates = estimate_actions(&matrix, &action_counts);
 
-    let mut action_sims = Vec::new();
-    if !options.smoke {
-        let sim_configs: Vec<Config> = if options.full_sim {
-            Config::ALL.to_vec()
-        } else {
-            // The paper's headline configuration (reduced-radix ISE).
-            vec![Config::ALL[3]]
-        };
-        for config in sim_configs {
-            eprintln!("bench: direct-simulating the group action on {config} (bound +/-1) ...");
-            action_sims.push(simulate_action(config, 1));
-        }
-    }
+    let action_sims: Vec<ActionSim> = options
+        .sim_configs()
+        .iter()
+        .map(|&config| {
+            eprintln!("bench: direct-simulating the group action on {config} ...");
+            simulate_action(config, bound, &host_key)
+        })
+        .collect();
 
-    let gate = check_gate(&matrix, &action_estimates);
+    let gate = check_gate(&matrix, &action_estimates, &action_sims);
     BenchReport {
         options,
         matrix,
@@ -395,11 +417,7 @@ pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> Value {
 
 /// The deterministic action-estimate section.
 pub fn action_json(counts: &OpCounts, estimates: &[ActionEstimate], sims: &[ActionSim]) -> Value {
-    let base = estimates
-        .iter()
-        .find(|e| e.config == Config::ALL[0])
-        .expect("full-ISA estimate")
-        .cycles;
+    let base = estimated_cycles(estimates, Config::ALL[0]);
     let estimated = estimates.iter().map(|e| {
         object! {
             "config": e.config.to_string(), "cycles": e.cycles, "mcycles": e.cycles as f64 / 1e6,
@@ -437,15 +455,92 @@ pub fn report_json(report: &BenchReport) -> Value {
     }
 }
 
-/// Command-line entry point shared by the `bench` binaries; returns the
-/// process exit code (0 = gate passed).
+/// Prints Table 4 from a report: every kernel row and the action
+/// estimate next to the paper's numbers, one row per direct
+/// simulation, and the Fp-mul instruction, stall and flush breakdown.
+fn print_table4(report: &BenchReport) {
+    let (matrix, estimates) = (&report.matrix, &report.action_estimates);
+    println!("Table 4: execution times of CSIDH-512 operations (clock cycles)");
+    println!("measured = this reproduction (Rocket pipeline model); paper = DAC'24 Table 4");
+    println!("{}", rule(100));
+    println!(
+        "{:28} {:>16} {:>16} {:>16} {:>16}",
+        "Operation", "Full ISA-only", "Full ISE-sup.", "Red. ISA-only", "Red. ISE-sup."
+    );
+    println!("{}", rule(100));
+    for op in OpKind::ALL {
+        print!("{:28}", op.label());
+        for (col, &config) in Config::ALL.iter().enumerate() {
+            print!(
+                " {:>9} ({:>4})",
+                cycles_of(matrix, config, op),
+                paper_cycles(op, col)
+            );
+        }
+        println!();
+    }
+    println!("{}", rule(100));
+    print!("{:28}", "CSIDH group action (est.)");
+    for (e, paper) in estimates.iter().zip(PAPER_ACTION_MCYCLES) {
+        print!(" {:>9.1}M ({:>3.0}M)", e.cycles as f64 / 1e6, paper);
+    }
+    println!();
+    print!("{:28}", "  speedup vs full ISA-only");
+    for (e, paper) in estimates.iter().zip(PAPER_ACTION_MCYCLES) {
+        let r = ratio(estimates[0].cycles as f64, e.cycles as f64);
+        let p = ratio(PAPER_ACTION_MCYCLES[0], paper);
+        print!(" {:>10} ({:>4})", r, p);
+    }
+    println!();
+    let rows = [
+        "Fp-mul instructions retired",
+        "Fp-mul stall cycles",
+        "Fp-mul flush cycles",
+    ];
+    for (row, what) in rows.into_iter().enumerate() {
+        print!("{what:28}");
+        for (_, ms) in matrix {
+            let m = ms.iter().find(|m| m.op == OpKind::FpMul).expect("measured");
+            let v = [m.instret, m.timing.stall_cycles, m.timing.flush_cycles][row];
+            print!(" {v:>16}");
+        }
+        println!();
+    }
+    println!("{}", rule(100));
+    let c = &report.action_counts;
+    println!("(values in parentheses: the paper's numbers; the group-action row is");
+    println!(" op-count x per-op-cycles with counts from the instrumented action:");
+    println!(
+        " {} mul, {} sqr, {} add, {} sub at exponent bound +/-{})",
+        c.mul,
+        c.sqr,
+        c.add,
+        c.sub,
+        report.options.action_bound()
+    );
+    println!();
+    println!("direct simulation of the same action (every Fp op on the simulator):");
+    for s in &report.action_sims {
+        let e = estimated_cycles(estimates, s.config);
+        let rel = if s.cycles == e { "==" } else { "!=" };
+        println!(
+            "  {:28} {:>12} cycles {rel} estimate {e:>12} ({} kernel calls, {:.1}s host)",
+            s.config.to_string(),
+            s.cycles,
+            s.calls,
+            s.host_secs
+        );
+    }
+}
+
+/// Command-line entry point of the `bench` binary; returns the process
+/// exit code (0 = gate passed).
 pub fn run_cli(args: &[String]) -> i32 {
     let mut options = BenchOptions::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--smoke" => options.smoke = true,
-            "--full-sim" => options.full_sim = true,
             "--out" => match iter.next() {
                 Some(path) => options.out = Some(path.clone()),
                 None => {
@@ -455,10 +550,9 @@ pub fn run_cli(args: &[String]) -> i32 {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: bench [--smoke] [--full-sim] [--out PATH]\n\
+                    "usage: bench [--smoke] [--out PATH]\n\
                      \n\
-                     --smoke     reduced CI matrix (1 iteration, bound +/-1, no direct sim)\n\
-                     --full-sim  direct-simulate the group action on all four configs\n\
+                     --smoke     CI-sized run (1 iteration, bound +/-1, reduced-radix ISE simulated)\n\
                      --out PATH  output path (default BENCH_<utc-date>.json)"
                 );
                 return 0;
@@ -470,8 +564,8 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     }
 
-    let report = run_pipeline(options.clone());
-    print_summary(&report);
+    let report = run_pipeline(options);
+    print_table4(&report);
 
     let path = report
         .options
@@ -496,44 +590,35 @@ pub fn run_cli(args: &[String]) -> i32 {
     }
 }
 
-fn print_summary(report: &BenchReport) {
-    println!(
-        "{:28} {:>14} {:>14} {:>14} {:>14}",
-        "Operation (cycles)", "full ISA", "full ISE", "reduced ISA", "reduced ISE"
-    );
-    for op in OpKind::ALL {
-        print!("{:28}", op.label());
-        for &config in &Config::ALL {
-            print!(" {:>14}", cycles_of(&report.matrix, config, op));
-        }
-        println!();
-    }
-    print!("{:28}", "CSIDH action (est. Mcycles)");
-    for e in &report.action_estimates {
-        print!(" {:>14.1}", e.cycles as f64 / 1e6);
-    }
-    println!();
-    for s in &report.action_sims {
-        println!(
-            "direct sim action on {}: {:.1}M cycles ({} kernel calls, {:.1}s host, matches host)",
-            s.config,
-            s.cycles as f64 / 1e6,
-            s.calls,
-            s.host_secs
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    type Measured = (Vec<(Config, Vec<OpMeasurement>)>, OpCounts);
+
+    /// The smoke-sized kernel matrix and action counts, shared by the
+    /// tests.
+    fn measured() -> &'static Measured {
+        static MEASURED: OnceLock<Measured> = OnceLock::new();
+        MEASURED.get_or_init(|| (kernel_matrix(1), instrument_action(1).0))
+    }
+
+    fn sim_of(estimate: &ActionEstimate) -> ActionSim {
+        ActionSim {
+            config: estimate.config,
+            cycles: estimate.cycles,
+            calls: 1,
+            host_secs: 0.5,
+            span_cycles: estimate.cycles,
+        }
+    }
 
     #[test]
     fn gate_passes_on_real_kernels_and_catches_inversions() {
-        let matrix = kernel_matrix(1);
-        let counts = instrument_action(1);
-        let estimates = estimate_actions(&matrix, &counts);
-        check_gate(&matrix, &estimates).expect("the Table 4 claims hold");
+        let (matrix, counts) = measured();
+        let estimates = estimate_actions(matrix, counts);
+        check_gate(matrix, &estimates, &[]).expect("the Table 4 claims hold");
 
         // Swapping the ISE and ISA columns must trip the gate.
         let mut swapped = matrix.clone();
@@ -541,16 +626,16 @@ mod tests {
         let (a, b) = (swapped[0].0, swapped[1].0);
         swapped[0].0 = b;
         swapped[1].0 = a;
-        let bad_estimates = estimate_actions(&swapped, &counts);
-        assert!(check_gate(&swapped, &bad_estimates).is_err());
+        let bad_estimates = estimate_actions(&swapped, counts);
+        assert!(check_gate(&swapped, &bad_estimates, &[]).is_err());
 
         // A reduced-radix ISE Fp-mul no faster than the full-radix one
         // breaks the paper's headline ordering, and the report says so.
-        let mut tied = matrix;
+        let mut tied = matrix.clone();
         let full_ise = cycles_of(&tied, Config::ALL[1], OpKind::FpMul);
         let red_ise = tied[3].1.iter_mut().find(|m| m.op == OpKind::FpMul);
         red_ise.expect("measured").cycles = full_ise;
-        let err = check_gate(&tied, &estimate_actions(&tied, &counts)).unwrap_err();
+        let err = check_gate(&tied, &estimate_actions(&tied, counts), &[]).unwrap_err();
         let ordering = format!(
             "{} FpMul < {} FpMul fails: {full_ise} vs {full_ise} cycles",
             Config::ALL[3],
@@ -560,28 +645,41 @@ mod tests {
     }
 
     #[test]
+    fn gate_reports_a_direct_sim_that_differs_from_its_estimate() {
+        let (matrix, counts) = measured();
+        let estimates = estimate_actions(matrix, counts);
+        let sims: Vec<ActionSim> = estimates.iter().map(sim_of).collect();
+        assert_eq!(check_gate(matrix, &estimates, &sims), Ok(()));
+
+        // One simulated cycle more than the estimate on the headline
+        // configuration fails that configuration, and only that one.
+        let mut off = sims;
+        off[3].cycles += 1;
+        let (x, y) = (off[3].cycles, estimates[3].cycles);
+        let err = check_gate(matrix, &estimates, &off).unwrap_err();
+        let claim = format!(
+            "{} direct-sim == estimated action fails: {x} vs {y} cycles",
+            Config::ALL[3]
+        );
+        assert_eq!(err, claim);
+    }
+
+    #[test]
     fn report_json_passes_the_artifact_schema_check() {
         let options = BenchOptions {
             smoke: true,
             ..BenchOptions::default()
         };
-        let matrix = kernel_matrix(1);
-        let action_counts = instrument_action(options.action_bound());
+        let (matrix, action_counts) = measured().clone();
         let action_estimates = estimate_actions(&matrix, &action_counts);
-        let config = Config::ALL[3];
+        let action_sims = vec![sim_of(&action_estimates[3])];
         let report = BenchReport {
-            gate: check_gate(&matrix, &action_estimates),
+            gate: check_gate(&matrix, &action_estimates, &action_sims),
             options,
             matrix,
             action_counts,
             action_estimates,
-            action_sims: vec![ActionSim {
-                config,
-                cycles: 10,
-                calls: 1,
-                host_secs: 0.5,
-                span_cycles: 10,
-            }],
+            action_sims,
         };
         let doc = mpise_obs::json::parse(&report_json(&report).to_string()).expect("valid JSON");
         assert_eq!(mpise_obs::json::check_artifact(&doc), Ok("mpise-bench/v1"));
@@ -593,6 +691,10 @@ mod tests {
         assert_eq!(
             doc["action"]["op_counts"]["mul"],
             report.action_counts.mul.into()
+        );
+        assert_eq!(
+            doc["action"]["direct_sim"][0]["cycles"],
+            report.action_estimates[3].cycles.into()
         );
         assert_eq!(doc["gate"]["table4_claims"], Value::Bool(true));
         assert_eq!(doc["host"], Value::Null, "host time belongs to perfbench");

@@ -16,9 +16,9 @@
 
 use mpise_fp::kernels::{Config, OpKind, Radix};
 use mpise_fp::measure::{
-    element_words, oracle_accepts, product_words, random_inputs, random_residue, KernelRunner,
+    element_words, oracle_accepts, product_words, random_inputs, KernelRunner,
 };
-use mpise_fp::params::{Csidh512, FULL_LIMBS};
+use mpise_fp::params::{random_residue, Csidh512, FULL_LIMBS};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{Fp, FpBatch, FpFull, FpRed};
 use mpise_mpi::U512;

@@ -20,8 +20,8 @@
 //! * [`corpus`] — the regression corpus of hand-written differential
 //!   programs under `tests/corpus/`, replayed by the gate.
 //! * [`report`] — the `mpise-difftest/v1` JSON artifact.
-//! * [`cli`] — the `difftest` gate binary (also aliased at the
-//!   workspace root), the correctness analogue of `ctcheck`.
+//! * [`cli`] — the `difftest` gate binary, the correctness analogue
+//!   of `ctcheck`.
 
 pub mod cli;
 pub mod corpus;

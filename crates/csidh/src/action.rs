@@ -12,7 +12,7 @@
 use crate::isogeny::isogeny;
 use crate::mont::{is_infinity, normalize, rhs, xmul, Curve, Point};
 use crate::scalar;
-use mpise_fp::params::{Csidh512, NUM_PRIMES, PRIMES};
+use mpise_fp::params::{random_residue, Csidh512, NUM_PRIMES, PRIMES};
 use mpise_fp::Fp;
 use mpise_mpi::U512;
 use rand::Rng;
@@ -113,17 +113,6 @@ impl CsidhKeypair {
     }
 }
 
-/// Samples a uniform field element (rejection from 512-bit strings).
-pub(crate) fn random_fp<F: Fp, R: Rng>(f: &F, rng: &mut R) -> F::Elem {
-    let p = &Csidh512::get().p;
-    loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
-        if cand < *p {
-            return f.from_uint(&cand);
-        }
-    }
-}
-
 /// Evaluates the class group action `[𝔩₁^{e₁}⋯𝔩₇₄^{e₇₄}] ⋆ E_A`.
 ///
 /// This is the operation whose cycle count dominates CSIDH (Table 4's
@@ -144,7 +133,7 @@ pub fn group_action<F: Fp, R: Rng>(
         // Sample a point and learn its side (curve vs. twist).
         let (x, sign, todo) = {
             let _s = mpise_obs::span("csidh.sample");
-            let x = random_fp(f, rng);
+            let x = f.from_uint(&random_residue(rng));
             let r = rhs(f, &curve, &x);
             let s = f.legendre(&r);
             if s == 0 {
@@ -243,7 +232,7 @@ pub fn validate<F: Fp, R: Rng>(f: &F, rng: &mut R, key: &PublicKey) -> bool {
 
     for _attempt in 0..3 {
         let pt = Point {
-            x: random_fp(f, rng),
+            x: f.from_uint(&random_residue(rng)),
             z: f.one(),
         };
         let q4 = xmul(f, &curve, &pt, &U512::from_u64(4));

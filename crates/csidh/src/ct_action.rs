@@ -17,12 +17,11 @@
 //! * only the point-sampling retries depend on randomness (never on
 //!   the key), as in all published constant-time CSIDH variants.
 
-use crate::action::random_fp;
 use crate::isogeny::isogeny;
 use crate::mont::{is_infinity, normalize, rhs, xmul, Curve, Point};
 use crate::scalar;
 use crate::{PrivateKey, PublicKey};
-use mpise_fp::params::{NUM_PRIMES, PRIMES};
+use mpise_fp::params::{random_residue, NUM_PRIMES, PRIMES};
 use mpise_fp::Fp;
 use mpise_mpi::ct::mask_from_bit;
 use mpise_mpi::U512;
@@ -121,7 +120,7 @@ pub fn group_action_ct<F: Fp, R: Rng>(
         // Sample an on-curve point (one-sided keys walk one direction).
         let (x, todo) = {
             let _s = mpise_obs::span("csidh.sample");
-            let x = random_fp(f, rng);
+            let x = f.from_uint(&random_residue(rng));
             if f.legendre(&rhs(f, &curve, &x)) != 1 {
                 continue;
             }

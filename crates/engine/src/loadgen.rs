@@ -1,11 +1,12 @@
 //! `loadgen` — drives concurrent clients against the engine and gates
 //! multi-worker throughput.
 //!
-//! One binary (`cargo run --release --bin loadgen`) runs the same
-//! deterministic request mix through two engine instances — a
-//! single-worker baseline and the multi-worker configuration under
-//! test — and writes a machine-readable `LOAD_<date>.json` report
-//! (schema in DESIGN.md §10). The run doubles as two gates:
+//! One binary (`cargo run --release -p mpise-engine --bin loadgen`)
+//! runs the same deterministic request mix through two engine
+//! instances — a single-worker baseline and the multi-worker
+//! configuration under test — and writes a machine-readable
+//! `LOAD_<date>.json` report (schema in DESIGN.md §10). The run
+//! doubles as two gates:
 //!
 //! * **throughput** — the multi-worker pass must beat the baseline by
 //!   a sanity margin. With ≥ 3 effective cores the requirement is the

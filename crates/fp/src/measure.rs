@@ -12,7 +12,7 @@
 //! difftest and the ablation kernels reuse.
 
 use crate::kernels::{const_pool_full, const_pool_red, Config, KernelSet, OpKind, Radix};
-use crate::params::{Csidh512, RED_LIMBS};
+use crate::params::{random_residue, Csidh512, RED_LIMBS};
 use mpise_mpi::reference::RefInt;
 use mpise_mpi::{mul as mpi_mul, U512};
 use mpise_sim::asm::Program;
@@ -137,18 +137,6 @@ pub struct OpMeasurement {
     pub instret: u64,
     /// Per-class retirement and stall counters for one call.
     pub timing: TimingStats,
-}
-
-/// Draws a random canonical residue (`< p`): eight random words with
-/// the top bit cleared, rejected until below `p`.
-pub fn random_residue(rng: &mut StdRng) -> U512 {
-    let p = Csidh512::get().p;
-    loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
-        if cand < p {
-            return cand;
-        }
-    }
 }
 
 /// Encodes `v` (`< 2^512`) in the element word layout of `radix`.

@@ -7,6 +7,7 @@
 
 use mpise_mpi::reduced::MontCtx57;
 use mpise_mpi::{MontCtx, Reduced, Uint, U512};
+use rand::Rng;
 use std::sync::OnceLock;
 
 /// Number of small odd primes dividing `(p + 1) / 4`.
@@ -77,6 +78,18 @@ impl Csidh512 {
                 mont57,
             }
         })
+    }
+}
+
+/// Draws a uniform canonical residue (`< p`): eight random words with
+/// the top bit cleared, redrawn until below `p`.
+pub fn random_residue<R: Rng>(rng: &mut R) -> U512 {
+    let p = &Csidh512::get().p;
+    loop {
+        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
+        if cand < *p {
+            return cand;
+        }
     }
 }
 

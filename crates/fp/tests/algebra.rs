@@ -12,8 +12,7 @@
 //!   must agree, byte for byte, on 10 000 seeded random elements per
 //!   radix-pair operation.
 
-use mpise_fp::measure::random_residue;
-use mpise_fp::params::Csidh512;
+use mpise_fp::params::{random_residue, Csidh512};
 use mpise_fp::{Fp, FpFull, FpRed};
 use mpise_mpi::reference::RefInt;
 use mpise_mpi::U512;

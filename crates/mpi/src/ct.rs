@@ -42,22 +42,6 @@ pub fn select_limbs(mask: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Branch-free conditional swap of two limb slices when `mask` is
-/// all-ones.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn cswap_limbs(mask: u64, a: &mut [u64], b: &mut [u64]) {
-    assert_eq!(a.len(), b.len());
-    for i in 0..a.len() {
-        let t = mask & (a[i] ^ b[i]);
-        a[i] ^= t;
-        b[i] ^= t;
-    }
-}
-
 /// Constant-time equality of limb slices: returns 1 when equal, else 0.
 ///
 /// # Panics
@@ -126,16 +110,6 @@ mod tests {
         assert_eq!(out, [1, 2, 3]);
         select_limbs(0, &[1, 2, 3], &[4, 5, 6], &mut out);
         assert_eq!(out, [4, 5, 6]);
-    }
-
-    #[test]
-    fn cswap() {
-        let mut a = [1u64, 2];
-        let mut b = [3u64, 4];
-        cswap_limbs(0, &mut a, &mut b);
-        assert_eq!((a, b), ([1, 2], [3, 4]));
-        cswap_limbs(u64::MAX, &mut a, &mut b);
-        assert_eq!((a, b), ([3, 4], [1, 2]));
     }
 
     #[test]

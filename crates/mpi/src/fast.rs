@@ -75,11 +75,6 @@ pub fn mod_sub<const L: usize>(a: &Uint<L>, b: &Uint<L>, p: &Uint<L>) -> Uint<L>
     t.wrapping_add(&p.mask(m))
 }
 
-/// Modular negation `−a mod p` for `a ∈ [0, p − 1]`.
-pub fn mod_neg<const L: usize>(a: &Uint<L>, p: &Uint<L>) -> Uint<L> {
-    mod_sub(&Uint::ZERO, a, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,15 +142,6 @@ mod tests {
         assert_eq!(got.limbs().to_vec(), expect.to_limbs(4));
         // and the easy direction
         assert_eq!(mod_sub(&b, &a, &p), U256::from_u64(4));
-    }
-
-    #[test]
-    fn mod_neg_roundtrip() {
-        let p = p256();
-        let a = U256::from_hex("0xdeadbeef").unwrap();
-        let n = mod_neg(&a, &p);
-        assert_eq!(mod_add(&a, &n, &p), U256::ZERO);
-        assert_eq!(mod_neg(&U256::ZERO, &p), U256::ZERO);
     }
 
     #[test]

@@ -238,22 +238,6 @@ impl<const L: usize> MontCtx<L> {
     pub fn from_mont(&self, a: &Uint<L>) -> Uint<L> {
         self.redc(a, &Uint::ZERO)
     }
-
-    /// Modular exponentiation of a Montgomery-form base by a plain
-    /// exponent, returning Montgomery form. The sequence of operations
-    /// depends only on `exp.bit_length()`, which is public for every
-    /// use in this project (`p`-derived exponents).
-    pub fn pow(&self, base_mont: &Uint<L>, exp: &Uint<L>) -> Uint<L> {
-        let mut acc = self.r; // Montgomery 1
-        let bits = exp.bit_length();
-        for i in (0..bits as usize).rev() {
-            acc = self.sqr(&acc);
-            if exp.bit(i) == 1 {
-                acc = self.mul(&acc, base_mont);
-            }
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -360,28 +344,6 @@ mod tests {
         let lhs = RefInt::from_limbs(m.limbs()).mulmod(&RefInt::one().shl(256), &rp);
         let rhs = RefInt::from_limbs(pm1.limbs()).mulmod(&RefInt::from_limbs(pm1.limbs()), &rp);
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn pow_fermat_little_theorem() {
-        let p = p25519();
-        let ctx = MontCtx::new(p).unwrap();
-        let a = ctx.to_mont(&U256::from_u64(7));
-        let e = p.wrapping_sub(&U256::ONE);
-        let r = ctx.pow(&a, &e);
-        assert_eq!(r, *ctx.one(), "a^(p-1) = 1 mod p");
-    }
-
-    #[test]
-    fn pow_small_exponents() {
-        let ctx = MontCtx::new(p25519()).unwrap();
-        let a = ctx.to_mont(&U256::from_u64(3));
-        assert_eq!(ctx.from_mont(&ctx.pow(&a, &U256::ZERO)), U256::ONE);
-        assert_eq!(ctx.from_mont(&ctx.pow(&a, &U256::ONE)), U256::from_u64(3));
-        assert_eq!(
-            ctx.from_mont(&ctx.pow(&a, &U256::from_u64(5))),
-            U256::from_u64(243)
-        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! Re-exports the whole stack:
 //!
-//! * [`isa`] — the proposed custom instructions, intrinsics and the
-//!   XMUL datapath model (`mpise-core`);
+//! * [`isa`] — the proposed custom instructions, their intrinsics and
+//!   encodings, and reference models of the related ARM/AVX-512
+//!   instructions (`mpise-core`);
 //! * [`sim`] — the RV64 simulator with the Rocket pipeline timing
 //!   model (`mpise-sim`);
 //! * [`mpi`] — multi-precision integer arithmetic in both radices

@@ -23,7 +23,7 @@ fn table4_inputs() -> &'static Table4Inputs {
     static INPUTS: OnceLock<Table4Inputs> = OnceLock::new();
     INPUTS.get_or_init(|| {
         let matrix = kernel_matrix(2);
-        let estimates = estimate_actions(&matrix, &instrument_action(1));
+        let estimates = estimate_actions(&matrix, &instrument_action(1).0);
         (matrix, estimates)
     })
 }
@@ -48,7 +48,7 @@ fn table3_shape() {
 #[test]
 fn table4_shape() {
     let (matrix, estimates) = table4_inputs();
-    assert_eq!(check_gate(matrix, estimates), Ok(()));
+    assert_eq!(check_gate(matrix, estimates, &[]), Ok(()));
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn table4_speedup_band() {
     // on the measurement, and an ISE Fp-mul slowed to the ISA-only
     // cost falls out of both.
     let (matrix, estimates) = table4_inputs();
-    let verdict = check_gate(matrix, estimates).err().unwrap_or_default();
+    let verdict = check_gate(matrix, estimates, &[]).err().unwrap_or_default();
     assert!(!verdict.contains("Fp-mul speedup"), "{verdict}");
     let base = cycles_of(matrix, Config::ALL[0], OpKind::FpMul);
     let mut slow = matrix.clone();
@@ -65,7 +65,7 @@ fn table4_speedup_band() {
         let fp_mul = slow[ise].1.iter_mut().find(|m| m.op == OpKind::FpMul);
         fp_mul.expect("measured").cycles = base;
     }
-    let err = check_gate(&slow, estimates).unwrap_err();
+    let err = check_gate(&slow, estimates, &[]).unwrap_err();
     for what in ["full-ISE", "reduced-ISE"] {
         let band = format!("{what} Fp-mul speedup 1.00 outside");
         assert!(err.contains(&band), "{err}");

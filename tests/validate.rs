@@ -7,7 +7,7 @@
 
 use mpise::csidh::mont::{is_infinity, xmul, Curve, Point};
 use mpise::csidh::{scalar, validate, validate_many, CsidhKeypair, PublicKey};
-use mpise::fp::params::{Csidh512, NUM_PRIMES, PRIMES};
+use mpise::fp::params::{random_residue, Csidh512, NUM_PRIMES, PRIMES};
 use mpise::fp::{CountingFp, Fp, FpFull, FpRed};
 use mpise::mpi::U512;
 use rand::rngs::StdRng;
@@ -15,18 +15,6 @@ use rand::{Rng, SeedableRng};
 
 /// Seeds per input class.
 const SEEDS: u64 = 64;
-
-/// A uniform field element, drawn as `validate` draws it: rejection
-/// sampling from 511-bit strings.
-fn random_fp<F: Fp, R: Rng>(f: &F, rng: &mut R) -> F::Elem {
-    let p = &Csidh512::get().p;
-    loop {
-        let cand = U512::from_limbs(std::array::from_fn(|_| rng.gen())).and(&U512::MAX.shr(1));
-        if cand < *p {
-            return f.from_uint(&cand);
-        }
-    }
-}
 
 /// The reference oracle: the per-prime check `validate` ran before the
 /// product tree, one full cofactor ladder `[(p+1)/4ℓᵢ]` per prime.
@@ -39,7 +27,7 @@ fn per_prime_validate<F: Fp, R: Rng>(f: &F, rng: &mut R, key: &PublicKey) -> boo
     let curve = Curve::from_affine(f, f.from_uint(&key.a));
     for _attempt in 0..3 {
         let pt = Point {
-            x: random_fp(f, rng),
+            x: f.from_uint(&random_residue(rng)),
             z: f.one(),
         };
         let q4 = xmul(f, &curve, &pt, &U512::from_u64(4));
@@ -92,9 +80,8 @@ fn derived_key<F: Fp>(f: &F, seed: u64) -> PublicKey {
 /// A uniformly random canonical `A`: an ordinary curve with
 /// overwhelming probability.
 fn random_a(seed: u64) -> PublicKey {
-    let f = FpFull::new();
     PublicKey {
-        a: f.to_uint(&random_fp(&f, &mut StdRng::seed_from_u64(seed))),
+        a: random_residue(&mut StdRng::seed_from_u64(seed)),
     }
 }
 
