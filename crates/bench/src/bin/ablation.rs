@@ -143,8 +143,8 @@ fn timing_sensitivity() {
             let mut m = kernel_machine(config, set.kernel(OpKind::FpMul));
             m.set_timing(timing);
             let n = config.elem_words();
-            let (_, stats) =
-                call_kernel(&mut m, &[&vec![3u64; n], &vec![5u64; n]], n).expect("kernel runs");
+            let stats = call_kernel(&mut m, &[&vec![3u64; n], &vec![5u64; n]], &mut vec![0; n])
+                .expect("kernel runs");
             print!(" {:>11}", stats.cycles);
         }
         println!();

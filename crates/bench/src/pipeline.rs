@@ -204,27 +204,44 @@ pub fn estimate_actions(
 }
 
 /// Runs the action [`instrument_action`] counts with every field
-/// operation executed on the simulator, and checks its public key
+/// operation executed on the simulator, once per configuration in
+/// `configs`, each on a thread of its own, and checks each public key
 /// against `host_key`, the instrumented run's.
 ///
-/// Telemetry is enabled for the duration of the run so the action
-/// decomposes into phase spans; the span tree's attributed cycles must
-/// reconcile with the machine's cycle counter within 1%.
+/// Telemetry is enabled for the duration of the runs so each action
+/// decomposes into phase spans (spans are thread-local, so each run's
+/// tree is its own); the span tree's attributed cycles must reconcile
+/// with the machine's cycle counter within 1%.
 ///
 /// # Panics
 ///
-/// Panics when the simulated action disagrees with the host action — a
+/// Panics when a simulated action disagrees with the host action — a
 /// simulator or kernel bug — or when the span attribution fails to
 /// reconcile with the cycle counter.
-pub fn simulate_action(config: Config, bound: i8, host_key: &PublicKey) -> ActionSim {
-    let sim = SimFp::new(config);
+pub fn simulate_actions(configs: &[Config], bound: i8, host_key: &PublicKey) -> Vec<ActionSim> {
     let was_enabled = mpise_obs::enabled();
     mpise_obs::set_enabled(true);
+    let sims = std::thread::scope(|scope| {
+        let workers: Vec<_> = configs
+            .iter()
+            .map(|&config| scope.spawn(move || simulate_action(config, bound, host_key)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("direct simulation worker panicked"))
+            .collect()
+    });
+    mpise_obs::set_enabled(was_enabled);
+    sims
+}
+
+/// One configuration's run of [`simulate_actions`], with telemetry on.
+fn simulate_action(config: Config, bound: i8, host_key: &PublicKey) -> ActionSim {
+    let sim = SimFp::new(config);
     let _ = mpise_obs::take_spans(); // start from a clean thread-local tree
     let t0 = Instant::now();
     let pk_sim = bench_action(&sim, bound);
     let host_secs = t0.elapsed().as_secs_f64();
-    mpise_obs::set_enabled(was_enabled);
     let spans = mpise_obs::take_spans();
     assert_eq!(
         pk_sim, *host_key,
@@ -238,8 +255,7 @@ pub fn simulate_action(config: Config, bound: i8, host_key: &PublicKey) -> Actio
         "{config}: span-attributed cycles ({span_cycles}) drift more than 1% \
          from the machine cycle counter ({cycles})"
     );
-    eprintln!("bench: action span tree ({config}):");
-    eprint!("{}", spans.render());
+    eprint!("bench: action span tree ({config}):\n{}", spans.render());
     ActionSim {
         config,
         cycles,
@@ -370,14 +386,14 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
     let (action_counts, host_key) = instrument_action(bound);
     let action_estimates = estimate_actions(&matrix, &action_counts);
 
-    let action_sims: Vec<ActionSim> = options
-        .sim_configs()
-        .iter()
-        .map(|&config| {
-            eprintln!("bench: direct-simulating the group action on {config} ...");
-            simulate_action(config, bound, &host_key)
-        })
-        .collect();
+    let configs = options.sim_configs();
+    eprintln!(
+        "bench: direct-simulating the group action on {} configuration(s), parallel ...",
+        configs.len()
+    );
+    let t0 = Instant::now();
+    let action_sims = simulate_actions(configs, bound, &host_key);
+    eprintln!("bench: direct simulations done in {:.2?}", t0.elapsed());
 
     let gate = check_gate(&matrix, &action_estimates, &action_sims);
     BenchReport {

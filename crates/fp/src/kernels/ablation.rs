@@ -324,7 +324,9 @@ pub fn int_mul_cycles(config: Config) -> IntMulCycles {
     let (a, b) = (U512::from_u64(3), U512::from_u64(5));
     let cycles = |program: &Program| {
         let mut m = kernel_machine(config, program);
-        let (_, stats) = call_kernel(&mut m, &[a.limbs(), b.limbs()], 2 * L).expect("kernel runs");
+        let mut product = [0u64; 2 * L];
+        let stats =
+            call_kernel(&mut m, &[a.limbs(), b.limbs()], &mut product).expect("kernel runs");
         stats.cycles
     };
     IntMulCycles {
@@ -350,7 +352,8 @@ mod tests {
     /// kernel-call ABI; returns the 16 product words.
     fn run_mul(kernel: fn(bool) -> Program, config: Config, a: &U512, b: &U512) -> Vec<u64> {
         let mut m = kernel_machine(config, &kernel(config.ise == IseMode::IseSupported));
-        let (out, _) = call_kernel(&mut m, &[a.limbs(), b.limbs()], 2 * L).unwrap();
+        let mut out = vec![0; 2 * L];
+        call_kernel(&mut m, &[a.limbs(), b.limbs()], &mut out).unwrap();
         out
     }
 

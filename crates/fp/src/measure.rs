@@ -47,8 +47,8 @@ pub fn kernel_machine(config: Config, program: &Program) -> Machine {
 
 /// Calls the loaded kernel under the kernel-call ABI (see
 /// [`crate::kernels`]): writes one or two operands, passes the result,
-/// operand and constant-pool pointers in `a0..a3`, and returns the first
-/// `out_words` result words with the stats of the call.
+/// operand and constant-pool pointers in `a0..a3`, and reads the first
+/// `out.len()` result words into `out`. Returns the stats of the call.
 ///
 /// # Errors
 ///
@@ -56,8 +56,8 @@ pub fn kernel_machine(config: Config, program: &Program) -> Machine {
 pub fn call_kernel(
     m: &mut Machine,
     inputs: &[&[u64]],
-    out_words: usize,
-) -> Result<(Vec<u64>, RunStats), RunError> {
+    out: &mut [u64],
+) -> Result<RunStats, RunError> {
     for (&addr, words) in [OP1_ADDR, OP2_ADDR].iter().zip(inputs) {
         m.mem.write_limbs(addr, words).expect("operand fits");
     }
@@ -67,11 +67,8 @@ pub fn call_kernel(
         (Reg::A2, OP2_ADDR),
         (Reg::A3, CONST_ADDR),
     ])?;
-    let out = m
-        .mem
-        .read_limbs(RESULT_ADDR, out_words)
-        .expect("result readable");
-    Ok((out, stats))
+    m.mem.read_limbs(RESULT_ADDR, out).expect("result readable");
+    Ok(stats)
 }
 
 /// Executes the kernels of one configuration.
@@ -114,15 +111,30 @@ impl KernelRunner {
     /// Panics if the kernel traps — generated kernels are straight-line
     /// and must not fault.
     pub fn run_full(&mut self, op: OpKind, inputs: &[&[u64]]) -> (Vec<u64>, RunStats) {
+        let mut out = vec![0; op.shape(&self.config).1];
+        let stats = self.run_into(op, inputs, &mut out);
+        (out, stats)
+    }
+
+    /// Like [`KernelRunner::run_full`] but writes the result words into
+    /// `out`, which must be exactly as long as the kernel's result, and
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a wrong operand count or result length, or if the
+    /// kernel traps — generated kernels are straight-line and must not
+    /// fault.
+    pub fn run_into(&mut self, op: OpKind, inputs: &[&[u64]], out: &mut [u64]) -> RunStats {
         assert_eq!(inputs.len(), op.arity(), "wrong operand count for {op:?}");
-        let (_, out_words) = op.shape(&self.config);
-        let (out, stats) = call_kernel(&mut self.machines[op as usize], inputs, out_words)
+        assert_eq!(out.len(), op.shape(&self.config).1, "wrong result length");
+        let stats = call_kernel(&mut self.machines[op as usize], inputs, out)
             .unwrap_or_else(|e| panic!("{:?} kernel trapped: {e}", op));
         // Sole choke point for simulated-cost attribution: every
         // simulator-backed field op funnels through here, so the cycles
         // are charged to the innermost open telemetry span exactly once.
         mpise_obs::add_sim_cost(stats.cycles, stats.instret);
-        (out, stats)
+        stats
     }
 }
 

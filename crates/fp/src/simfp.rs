@@ -83,27 +83,19 @@ impl SimFp {
         self.config.elem_words()
     }
 
-    fn run2(&self, op: OpKind, a: &SimElem, b: &SimElem) -> SimElem {
+    fn run(&self, op: OpKind, operands: &[&SimElem]) -> SimElem {
         let _span = mpise_obs::span(op.span_name());
         let n = self.words();
+        let mut words = [0u64; RED_LIMBS];
+        let out = &mut words[..n];
         let mut runner = self.runner.borrow_mut();
-        let (out, stats) = runner.run_full(op, &[&a.words[..n], &b.words[..n]]);
+        let stats = match *operands {
+            [a] => runner.run_into(op, &[&a.words[..n]], out),
+            [a, b] => runner.run_into(op, &[&a.words[..n], &b.words[..n]], out),
+            _ => unreachable!("field kernels take one or two operands"),
+        };
         self.cycles.set(self.cycles.get() + stats.cycles);
         self.calls.set(self.calls.get() + 1);
-        let mut words = [0u64; RED_LIMBS];
-        words[..n].copy_from_slice(&out);
-        SimElem { words }
-    }
-
-    fn run1(&self, op: OpKind, a: &SimElem) -> SimElem {
-        let _span = mpise_obs::span(op.span_name());
-        let n = self.words();
-        let mut runner = self.runner.borrow_mut();
-        let (out, stats) = runner.run_full(op, &[&a.words[..n]]);
-        self.cycles.set(self.cycles.get() + stats.cycles);
-        self.calls.set(self.calls.get() + 1);
-        let mut words = [0u64; RED_LIMBS];
-        words[..n].copy_from_slice(&out);
         SimElem { words }
     }
 
@@ -163,19 +155,19 @@ impl Fp for SimFp {
     }
 
     fn add(&self, a: &SimElem, b: &SimElem) -> SimElem {
-        self.run2(OpKind::FpAdd, a, b)
+        self.run(OpKind::FpAdd, &[a, b])
     }
 
     fn sub(&self, a: &SimElem, b: &SimElem) -> SimElem {
-        self.run2(OpKind::FpSub, a, b)
+        self.run(OpKind::FpSub, &[a, b])
     }
 
     fn mul(&self, a: &SimElem, b: &SimElem) -> SimElem {
-        self.run2(OpKind::FpMul, a, b)
+        self.run(OpKind::FpMul, &[a, b])
     }
 
     fn sqr(&self, a: &SimElem) -> SimElem {
-        self.run1(OpKind::FpSqr, a)
+        self.run(OpKind::FpSqr, &[a])
     }
 
     fn is_zero(&self, a: &SimElem) -> bool {

@@ -1,11 +1,14 @@
-//! Pins that the host field arithmetic never touches the heap.
+//! Pins that the field arithmetic never touches the heap.
 //!
 //! A counting global allocator tallies the allocations made by the
-//! current thread. Every `FpFull`/`FpRed` operation and both
-//! Montgomery reductions must leave that tally unchanged, so a `vec!`
-//! or `collect` reintroduced on a mul/sqr/redc path fails here.
+//! current thread. Every `FpFull`/`FpRed` operation, both Montgomery
+//! reductions and the simulated `SimFp` add/sub/mul/sqr must leave that
+//! tally unchanged, so a `vec!` or `collect` reintroduced on a
+//! mul/sqr/redc path or on the simulator's kernel-call path fails here.
 
+use mpise_fp::kernels::Config;
 use mpise_fp::params::RED_LIMBS;
+use mpise_fp::simfp::SimFp;
 use mpise_fp::{Csidh512, Fp, FpFull, FpRed};
 use mpise_mpi::reduced::mul_ps_slices_57;
 use mpise_mpi::{Reduced, U512};
@@ -131,4 +134,29 @@ fn montgomery_reductions_do_not_allocate() {
     assert_no_alloc("MontCtx57::redc", || {
         black_box(params.mont57.redc(black_box(t.as_flattened())));
     });
+}
+
+#[test]
+fn simulated_field_ops_do_not_allocate() {
+    let _ = Csidh512::get();
+    for (k, config) in Config::ALL.into_iter().enumerate() {
+        let f = SimFp::new(config);
+        let elems = inputs(10 + k as u64).map(|v| f.from_uint(&v));
+        for a in &elems {
+            for b in &elems {
+                assert_no_alloc("SimFp add", || {
+                    black_box(f.add(black_box(a), black_box(b)));
+                });
+                assert_no_alloc("SimFp sub", || {
+                    black_box(f.sub(black_box(a), black_box(b)));
+                });
+                assert_no_alloc("SimFp mul", || {
+                    black_box(f.mul(black_box(a), black_box(b)));
+                });
+            }
+            assert_no_alloc("SimFp sqr", || {
+                black_box(f.sqr(black_box(a)));
+            });
+        }
+    }
 }

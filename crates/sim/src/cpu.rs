@@ -1,7 +1,7 @@
 //! Architectural CPU state and single-instruction semantics.
 
 use crate::ext::{CustomArgs, IsaExtension};
-use crate::inst::{AluImmOp, AluOp, Inst, LoadOp};
+use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp};
 use crate::mem::{MemError, Memory};
 use crate::reg::Reg;
 use std::fmt;
@@ -90,7 +90,9 @@ impl Cpu {
         self.regs
     }
 
-    /// Executes one instruction, updating registers, memory and the PC.
+    /// Executes one instruction, updating registers, memory and the PC:
+    /// translates it into a micro-op, as `Machine::load_program` does,
+    /// and executes that.
     ///
     /// Returns `Ok(())` when execution may continue, or the [`Trap`]
     /// that stopped it. `ebreak`/`ecall` report themselves as traps —
@@ -101,73 +103,175 @@ impl Cpu {
     ///
     /// Any [`Trap`] other than normal continuation.
     pub fn step(&mut self, inst: &Inst, mem: &mut Memory, ext: &IsaExtension) -> Result<(), Trap> {
-        let next_pc = self.pc.wrapping_add(4);
-        match *inst {
-            Inst::Lui { rd, imm20 } => {
-                self.write_reg(rd, ((imm20 as i64) << 12) as u64);
+        self.exec(&MicroOp::new(inst, ext), mem)
+    }
+
+    #[inline(always)]
+    fn reg(&self, r: u8) -> u64 {
+        self.regs[(r & 31) as usize]
+    }
+
+    #[inline(always)]
+    fn set_reg(&mut self, r: u8, v: u64) {
+        if r != 0 {
+            self.regs[(r & 31) as usize] = v;
+        }
+    }
+
+    /// Executes one micro-op at the PC — the one home of instruction
+    /// semantics. On a trap the PC stays at the faulting instruction
+    /// and nothing is written.
+    ///
+    /// # Errors
+    ///
+    /// Any [`Trap`] other than normal continuation, as for
+    /// [`Cpu::step`].
+    #[inline(always)]
+    pub(crate) fn exec(&mut self, u: &MicroOp, mem: &mut Memory) -> Result<(), Trap> {
+        let pc = self.pc;
+        let mut next_pc = pc.wrapping_add(4);
+        let imm = u.imm as u64;
+        match u.kind {
+            Kind::Op(op) => self.set_reg(u.rd, eval_alu(op, self.reg(u.rs1), self.reg(u.rs2))),
+            Kind::OpImm(op) => self.set_reg(u.rd, eval_alu_imm(op, self.reg(u.rs1), u.imm as i32)),
+            Kind::Custom(exec) => {
+                let v = exec(CustomArgs {
+                    rs1: self.reg(u.rs1),
+                    rs2: self.reg(u.rs2),
+                    rs3: self.reg(u.rs3),
+                    imm: u.imm as u8,
+                });
+                self.set_reg(u.rd, v);
             }
-            Inst::Auipc { rd, imm20 } => {
-                self.write_reg(rd, self.pc.wrapping_add(((imm20 as i64) << 12) as u64));
-            }
-            Inst::Jal { rd, offset } => {
-                self.write_reg(rd, next_pc);
-                self.pc = self.pc.wrapping_add(offset as i64 as u64);
-                return Ok(());
-            }
-            Inst::Jalr { rd, rs1, offset } => {
-                let target = self.read_reg(rs1).wrapping_add(offset as i64 as u64) & !1;
-                self.write_reg(rd, next_pc);
-                self.pc = target;
-                return Ok(());
-            }
-            Inst::Branch {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                if op.taken(self.read_reg(rs1), self.read_reg(rs2)) {
-                    self.pc = self.pc.wrapping_add(offset as i64 as u64);
-                    return Ok(());
-                }
-            }
-            Inst::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.read_reg(rs1).wrapping_add(offset as i64 as u64);
-                let raw = mem.load(addr, op.width())?;
+            Kind::Load(op) => {
+                let raw = mem.load(self.reg(u.rs1).wrapping_add(imm), u.width as u64)?;
                 let v = match op {
                     LoadOp::Lb => raw as u8 as i8 as i64 as u64,
                     LoadOp::Lh => raw as u16 as i16 as i64 as u64,
                     LoadOp::Lw => raw as u32 as i32 as i64 as u64,
                     LoadOp::Ld | LoadOp::Lbu | LoadOp::Lhu | LoadOp::Lwu => raw,
                 };
-                self.write_reg(rd, v);
+                self.set_reg(u.rd, v);
             }
+            Kind::Store => {
+                let addr = self.reg(u.rs1).wrapping_add(imm);
+                mem.store(addr, self.reg(u.rs2), u.width as u64)?;
+            }
+            Kind::Lui => self.set_reg(u.rd, imm),
+            Kind::Auipc => self.set_reg(u.rd, pc.wrapping_add(imm)),
+            Kind::Jal => {
+                self.set_reg(u.rd, next_pc);
+                next_pc = pc.wrapping_add(imm);
+            }
+            Kind::Jalr => {
+                let target = self.reg(u.rs1).wrapping_add(imm) & !1;
+                self.set_reg(u.rd, next_pc);
+                next_pc = target;
+            }
+            Kind::Branch(op) => {
+                if op.taken(self.reg(u.rs1), self.reg(u.rs2)) {
+                    next_pc = pc.wrapping_add(imm);
+                }
+            }
+            Kind::Fence => {}
+            Kind::Ecall => return Err(Trap::EnvironmentCall),
+            Kind::Ebreak => return Err(Trap::Breakpoint),
+            Kind::Illegal => return Err(Trap::IllegalInstruction),
+        }
+        self.pc = next_pc;
+        Ok(())
+    }
+}
+
+/// What a [`MicroOp`] does: the instruction's operation with every
+/// lookup already made.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Op(AluOp),
+    OpImm(AluImmOp),
+    /// A registered custom instruction, with its execution function.
+    Custom(fn(CustomArgs) -> u64),
+    Load(LoadOp),
+    Store,
+    Lui,
+    Auipc,
+    Jal,
+    Jalr,
+    Branch(BranchOp),
+    Fence,
+    Ecall,
+    Ebreak,
+    /// A custom instruction whose id the extension does not register.
+    Illegal,
+}
+
+/// One instruction translated for execution: register numbers, the
+/// sign-extended immediate (`lui`/`auipc`'s already shifted, a custom
+/// instruction's shift amount), the memory access width and a custom
+/// instruction's execution function are all resolved, so [`Cpu::exec`]
+/// does no decoding or registry lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MicroOp {
+    kind: Kind,
+    rd: u8,
+    rs1: u8,
+    rs2: u8,
+    rs3: u8,
+    /// Access width in bytes (loads and stores; 0 otherwise).
+    width: u8,
+    imm: i64,
+}
+
+impl MicroOp {
+    /// Translates `inst`, resolving a custom id against `ext`.
+    pub(crate) fn new(inst: &Inst, ext: &IsaExtension) -> Self {
+        let r = Reg::number;
+        let (kind, rd, rs1, rs2, rs3, width, imm) = match *inst {
+            Inst::Lui { rd, imm20 } => (Kind::Lui, r(rd), 0, 0, 0, 0, (imm20 as i64) << 12),
+            Inst::Auipc { rd, imm20 } => (Kind::Auipc, r(rd), 0, 0, 0, 0, (imm20 as i64) << 12),
+            Inst::Jal { rd, offset } => (Kind::Jal, r(rd), 0, 0, 0, 0, offset.into()),
+            Inst::Jalr { rd, rs1, offset } => (Kind::Jalr, r(rd), r(rs1), 0, 0, 0, offset.into()),
+            Inst::Branch {
+                op,
+                rs1,
+                rs2,
+                offset,
+            } => (Kind::Branch(op), 0, r(rs1), r(rs2), 0, 0, offset.into()),
+            Inst::Load {
+                op,
+                rd,
+                rs1,
+                offset,
+            } => (
+                Kind::Load(op),
+                r(rd),
+                r(rs1),
+                0,
+                0,
+                op.width() as u8,
+                offset.into(),
+            ),
             Inst::Store {
                 op,
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let addr = self.read_reg(rs1).wrapping_add(offset as i64 as u64);
-                mem.store(addr, self.read_reg(rs2), op.width())?;
-            }
+            } => (
+                Kind::Store,
+                0,
+                r(rs1),
+                r(rs2),
+                0,
+                op.width() as u8,
+                offset.into(),
+            ),
             Inst::OpImm { op, rd, rs1, imm } => {
-                let x = self.read_reg(rs1);
-                let v = eval_alu_imm(op, x, imm);
-                self.write_reg(rd, v);
+                (Kind::OpImm(op), r(rd), r(rs1), 0, 0, 0, imm.into())
             }
-            Inst::Op { op, rd, rs1, rs2 } => {
-                let v = eval_alu(op, self.read_reg(rs1), self.read_reg(rs2));
-                self.write_reg(rd, v);
-            }
-            Inst::Fence => {}
-            Inst::Ecall => return Err(Trap::EnvironmentCall),
-            Inst::Ebreak => return Err(Trap::Breakpoint),
+            Inst::Op { op, rd, rs1, rs2 } => (Kind::Op(op), r(rd), r(rs1), r(rs2), 0, 0, 0),
+            Inst::Fence => (Kind::Fence, 0, 0, 0, 0, 0, 0),
+            Inst::Ecall => (Kind::Ecall, 0, 0, 0, 0, 0, 0),
+            Inst::Ebreak => (Kind::Ebreak, 0, 0, 0, 0, 0, 0),
             Inst::Custom {
                 id,
                 rd,
@@ -176,18 +280,42 @@ impl Cpu {
                 rs3,
                 imm,
             } => {
-                let def = ext.by_id(id).ok_or(Trap::IllegalInstruction)?;
-                let v = (def.exec)(CustomArgs {
-                    rs1: self.read_reg(rs1),
-                    rs2: self.read_reg(rs2),
-                    rs3: self.read_reg(rs3),
-                    imm,
-                });
-                self.write_reg(rd, v);
+                let kind = ext
+                    .by_id(id)
+                    .map_or(Kind::Illegal, |def| Kind::Custom(def.exec));
+                (kind, r(rd), r(rs1), r(rs2), r(rs3), 0, imm.into())
             }
+        };
+        MicroOp {
+            kind,
+            rd,
+            rs1,
+            rs2,
+            rs3,
+            width,
+            imm,
         }
-        self.pc = next_pc;
-        Ok(())
+    }
+
+    /// Whether the micro-op ends a straight-line run: it may transfer
+    /// control (`jal`, `jalr`, a branch) or is a system instruction.
+    pub(crate) fn ends_block(&self) -> bool {
+        matches!(
+            self.kind,
+            Kind::Jal | Kind::Jalr | Kind::Branch(_) | Kind::Fence | Kind::Ecall | Kind::Ebreak
+        )
+    }
+
+    /// Whether executing the micro-op at `pc` and continuing at
+    /// `next_pc` redirected fetch. Jumps always do on Rocket, even to
+    /// the fall-through address; a conditional branch does when it
+    /// leaves the fall-through path.
+    pub(crate) fn redirects(&self, pc: u64, next_pc: u64) -> bool {
+        match self.kind {
+            Kind::Jal | Kind::Jalr => true,
+            Kind::Branch(_) => next_pc != pc.wrapping_add(4),
+            _ => false,
+        }
     }
 }
 
@@ -198,6 +326,7 @@ impl Cpu {
 // The divide-by-zero cases mirror the RISC-V spec text (quotient of
 // all ones, remainder = dividend); spelling them out beats checked_div.
 #[allow(clippy::manual_checked_ops)]
+#[inline(always)]
 pub fn eval_alu(op: AluOp, x: u64, y: u64) -> u64 {
     use AluOp::*;
     match op {
@@ -289,6 +418,7 @@ pub fn eval_alu(op: AluOp, x: u64, y: u64) -> u64 {
 }
 
 /// Pure evaluation of a register–immediate ALU operation.
+#[inline(always)]
 pub fn eval_alu_imm(op: AluImmOp, x: u64, imm: i32) -> u64 {
     use AluImmOp::*;
     let simm = imm as i64 as u64;

@@ -1,12 +1,12 @@
 //! The top-level simulator: CPU + memory + program + extensions + timing.
 
 use crate::asm::Program;
-use crate::cpu::{Cpu, Trap};
-use crate::ext::{CustomArgs, IsaExtension};
+use crate::cpu::{Cpu, MicroOp, Trap};
+use crate::ext::IsaExtension;
 use crate::inst::Inst;
 use crate::mem::Memory;
 use crate::reg::Reg;
-use crate::timing::{PipelineModel, PreDecoded, TimingConfig, TimingStats};
+use crate::timing::{BlockTiming, PipelineModel, PreDecoded, TimingConfig, TimingStats};
 use crate::trace::Tracer;
 
 /// Default base address of loaded programs.
@@ -117,44 +117,27 @@ pub struct Machine {
     /// Data memory.
     pub mem: Memory,
     ext: IsaExtension,
+    /// The loaded program as written (what a [`Tracer`] records).
     program: Vec<Inst>,
-    /// Per-instruction metadata pre-computed at [`Machine::load_program`]
-    /// time (timing facts, control-flow kind, resolved custom handler),
-    /// parallel to `program`. This is what keeps the fetch→step→retire
-    /// loop free of allocation and extension-registry lookups.
-    pre: Vec<PreInst>,
+    /// `program` translated at [`Machine::load_program`] time, so the
+    /// run loop does no decoding or extension-registry lookup.
+    uops: Vec<MicroOp>,
+    /// Timing facts per instruction, parallel to `program`, consumed by
+    /// [`PipelineModel::retire_pre`] without allocation.
+    timing: Vec<PreDecoded>,
+    /// Per instruction index: the index of the instruction that ends
+    /// the block starting there (the next control or system
+    /// instruction, or the program's last).
+    block_end: Vec<u32>,
+    /// Per block start: 1 + its index in `blocks`, or 0 while the block
+    /// has not run.
+    block_of: Vec<u32>,
+    /// Timing summaries of the blocks run so far, minus terminators.
+    blocks: Vec<BlockTiming>,
     prog_base: u64,
     pipeline: PipelineModel,
     fuel: u64,
     tracer: Option<Tracer>,
-}
-
-/// How an instruction interacts with the fetch stream, pre-classified
-/// so the run loop's taken-branch decision is branch-free on the type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ControlKind {
-    /// Not a control-transfer instruction.
-    None,
-    /// Conditional branch: redirects fetch only when its target differs
-    /// from the fall-through address.
-    CondBranch,
-    /// Unconditional jump (`jal`/`jalr`): always redirects fetch on
-    /// Rocket, even when the target happens to be the fall-through
-    /// address.
-    Jump,
-}
-
-/// One pre-decoded program slot (see [`Machine::load_program`]).
-#[derive(Debug, Clone, Copy)]
-struct PreInst {
-    /// Timing facts consumed by [`PipelineModel::retire_pre`].
-    timing: PreDecoded,
-    /// Control-flow classification for the taken heuristic.
-    control: ControlKind,
-    /// Resolved execution function for registered custom instructions;
-    /// `None` for base-ISA instructions (executed by [`Cpu::step`]) and
-    /// unregistered ids (which trap there).
-    custom_exec: Option<fn(CustomArgs) -> u64>,
 }
 
 impl Default for Machine {
@@ -179,7 +162,11 @@ impl Machine {
             mem: Memory::new(DATA_BASE, DATA_SIZE),
             ext,
             program: Vec::new(),
-            pre: Vec::new(),
+            uops: Vec::new(),
+            timing: Vec::new(),
+            block_end: Vec::new(),
+            block_of: Vec::new(),
+            blocks: Vec::new(),
             prog_base: PROG_BASE,
             pipeline: PipelineModel::new(TimingConfig::default()),
             fuel: DEFAULT_FUEL,
@@ -190,6 +177,7 @@ impl Machine {
     /// Replaces the timing configuration (resets the pipeline clock).
     pub fn set_timing(&mut self, config: TimingConfig) {
         self.pipeline = PipelineModel::new(config);
+        self.forget_blocks();
     }
 
     /// Sets the instruction budget for subsequent runs.
@@ -213,35 +201,49 @@ impl Machine {
     }
 
     /// Loads `program` at [`PROG_BASE`], points the PC at its first
-    /// instruction, and pre-decodes every instruction (timing facts,
-    /// control-flow kind, resolved custom-instruction handler) so the
-    /// run loop does no per-step lookup or allocation work.
+    /// instruction, and translates every instruction into a micro-op
+    /// (register numbers, immediate, access width and custom execution
+    /// function resolved) with its timing facts, so the run loop does
+    /// no per-step lookup or allocation work.
     pub fn load_program(&mut self, program: &Program) {
         self.program = program.insts().to_vec();
-        self.pre = self
+        self.uops = self
+            .program
+            .iter()
+            .map(|inst| MicroOp::new(inst, &self.ext))
+            .collect();
+        self.timing = self
             .program
             .iter()
             .map(|inst| {
-                let (unit, custom_exec) = match inst {
-                    Inst::Custom { id, .. } => match self.ext.by_id(*id) {
-                        Some(def) => (Some(def.unit), Some(def.exec)),
-                        None => (None, None),
-                    },
-                    _ => (None, None),
+                let unit = match inst {
+                    Inst::Custom { id, .. } => self.ext.by_id(*id).map(|def| def.unit),
+                    _ => None,
                 };
-                let control = match inst {
-                    Inst::Jal { .. } | Inst::Jalr { .. } => ControlKind::Jump,
-                    Inst::Branch { .. } => ControlKind::CondBranch,
-                    _ => ControlKind::None,
-                };
-                PreInst {
-                    timing: PreDecoded::of(inst, unit),
-                    control,
-                    custom_exec,
-                }
+                PreDecoded::of(inst, unit)
             })
             .collect();
+        let n = self.uops.len();
+        self.block_end = vec![0; n];
+        for i in (0..n).rev() {
+            self.block_end[i] = if i + 1 == n || self.uops[i].ends_block() {
+                i as u32
+            } else {
+                self.block_end[i + 1]
+            };
+        }
+        self.forget_blocks();
         self.cpu.pc = self.prog_base;
+    }
+
+    /// Drops every block summary. Room is kept for one per statically
+    /// known block start (the entry, each fall-through after a
+    /// terminator, each taken direction), so summarising a block on
+    /// the run path allocates only after a `jalr` into mid-block.
+    fn forget_blocks(&mut self) {
+        self.block_of = vec![0; self.uops.len()];
+        let terminators = self.uops.iter().filter(|u| u.ends_block()).count();
+        self.blocks = Vec::with_capacity(1 + 2 * terminators);
     }
 
     /// Base address of the loaded program.
@@ -261,26 +263,22 @@ impl Machine {
     /// returned [`RunStats`] (`instret`, `cycles` *and* `timing`) are
     /// all deltas covering this run only.
     ///
+    /// The run goes a block at a time: the straight-line instructions
+    /// up to the next control or system instruction execute in one
+    /// loop, their timing is replayed from the block's summary when its
+    /// entry is clean (DESIGN.md §9.5), and the terminator is
+    /// retired on its own, so branch outcomes are costed exactly. With
+    /// a tracer attached, or fuel for less than the block, every
+    /// instruction is executed and retired on its own.
+    ///
     /// # Errors
     ///
     /// [`RunError::Trap`] on faults, [`RunError::OutOfFuel`] when the
     /// instruction budget is exhausted.
     pub fn run(&mut self) -> Result<RunStats, RunError> {
-        // Monomorphise the loop on tracer presence so the common
-        // untraced path pays nothing for the hook.
-        if self.tracer.is_some() {
-            self.run_loop::<true>()
-        } else {
-            self.run_loop::<false>()
-        }
-    }
-
-    fn run_loop<const TRACE: bool>(&mut self) -> Result<RunStats, RunError> {
         let start_timing = *self.pipeline.stats();
         let start_cycles = self.pipeline.cycles();
         let sentinel = self.return_sentinel();
-        let prog_base = self.prog_base;
-        let prog_len = self.program.len();
         let mut fuel = self.fuel;
         loop {
             let pc = self.cpu.pc;
@@ -290,78 +288,81 @@ impl Machine {
             if fuel == 0 {
                 return Err(RunError::OutOfFuel { fuel: self.fuel });
             }
-            fuel -= 1;
 
             // Fetch: one wrapping subtraction covers the below-base,
             // misaligned and past-the-end cases at once.
-            let off = pc.wrapping_sub(prog_base);
-            let idx = (off >> 2) as usize;
-            if off & 3 != 0 || idx >= prog_len {
+            let off = pc.wrapping_sub(self.prog_base);
+            let mut idx = (off >> 2) as usize;
+            if off & 3 != 0 || idx >= self.uops.len() {
                 return Err(RunError::Trap(Trap::PcOutOfProgram { pc }));
             }
-            let inst = self.program[idx];
-            let pre = self.pre[idx];
-
-            // Execute. Registered custom instructions take the resolved
-            // fast path (no registry lookup); everything else — base
-            // ISA and unregistered customs, which must trap — goes
-            // through the full `Cpu::step`.
-            let result = match (pre.custom_exec, inst) {
-                (
-                    Some(exec),
-                    Inst::Custom {
-                        rd,
-                        rs1,
-                        rs2,
-                        rs3,
-                        imm,
-                        ..
-                    },
-                ) => {
-                    let v = exec(CustomArgs {
-                        rs1: self.cpu.read_reg(rs1),
-                        rs2: self.cpu.read_reg(rs2),
-                        rs3: self.cpu.read_reg(rs3),
-                        imm,
-                    });
-                    self.cpu.write_reg(rd, v);
-                    self.cpu.pc = pc.wrapping_add(4);
-                    Ok(())
-                }
-                _ => self.cpu.step(&inst, &mut self.mem, &self.ext),
-            };
-
-            // Timing: every attempted instruction that architecturally
-            // retires (including the trapping ebreak/ecall) is costed.
-            // Unconditional jumps always redirect fetch on Rocket, even
-            // to the fall-through address; only conditional branches
-            // use the fall-through comparison.
-            let taken = match pre.control {
-                ControlKind::None => false,
-                ControlKind::CondBranch => self.cpu.pc != pc.wrapping_add(4),
-                ControlKind::Jump => true,
-            };
-            self.pipeline.retire_pre(&pre.timing, taken);
-            if TRACE {
-                if let Some(t) = &mut self.tracer {
-                    t.record(pc, &inst, &self.cpu);
-                }
+            let end = self.block_end[idx] as usize;
+            if end > idx && self.tracer.is_none() && fuel > (end - idx) as u64 {
+                self.run_straight(idx, end)?;
+                fuel -= (end - idx) as u64;
+                idx = end;
             }
-
-            match result {
-                Ok(()) => {}
-                Err(Trap::Breakpoint) => {
-                    return Ok(self.finish_stats(&start_timing, start_cycles, Halt::Breakpoint));
-                }
-                Err(Trap::EnvironmentCall) => {
-                    return Ok(self.finish_stats(
-                        &start_timing,
-                        start_cycles,
-                        Halt::EnvironmentCall,
-                    ));
-                }
-                Err(t) => return Err(RunError::Trap(t)),
+            fuel -= 1;
+            if let Some(halt) = self.step(idx)? {
+                return Ok(self.finish_stats(&start_timing, start_cycles, halt));
             }
+        }
+    }
+
+    /// Executes the straight-line instructions `first..end` (no control
+    /// or system instruction among them; the PC at `first`), then
+    /// accounts for their timing: replayed from the block's summary
+    /// when its entry is clean, else retired one by one. A trapping
+    /// instruction is retired with those before it, as in
+    /// [`Machine::step`], and the earlier writes stay committed.
+    fn run_straight(&mut self, first: usize, end: usize) -> Result<(), Trap> {
+        let entry_pc = self.cpu.pc;
+        for u in &self.uops[first..end] {
+            if let Err(trap) = self.cpu.exec(u, &mut self.mem) {
+                let faulting = first + ((self.cpu.pc - entry_pc) / 4) as usize;
+                for pre in &self.timing[first..=faulting] {
+                    self.pipeline.retire_pre(pre, false);
+                }
+                return Err(trap);
+            }
+        }
+        let slot = match self.block_of[first] {
+            0 => {
+                let config = *self.pipeline.config();
+                self.blocks
+                    .push(BlockTiming::of(config, &self.timing[first..end]));
+                self.block_of[first] = self.blocks.len() as u32;
+                self.blocks.len() - 1
+            }
+            k => k as usize - 1,
+        };
+        if !self.pipeline.replay(&self.blocks[slot]) {
+            for pre in &self.timing[first..end] {
+                self.pipeline.retire_pre(pre, false);
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes and retires the instruction at index `idx` (the PC's),
+    /// recording it when a tracer is attached. Returns the halt an
+    /// `ebreak`/`ecall` causes.
+    fn step(&mut self, idx: usize) -> Result<Option<Halt>, Trap> {
+        let pc = self.cpu.pc;
+        let u = &self.uops[idx];
+        let result = self.cpu.exec(u, &mut self.mem);
+        // Every attempted instruction that architecturally retires
+        // (including the trapping ebreak/ecall) is costed.
+        let taken = u.redirects(pc, self.cpu.pc);
+        self.pipeline.retire_pre(&self.timing[idx], taken);
+        if let Some(t) = &mut self.tracer {
+            t.record(pc, &self.program[idx], &self.cpu);
+        }
+        match result {
+            Ok(()) => Ok(None),
+            Err(Trap::Breakpoint) => Ok(Some(Halt::Breakpoint)),
+            Err(Trap::EnvironmentCall) => Ok(Some(Halt::EnvironmentCall)),
+            Err(t) => Err(t),
         }
     }
 
@@ -406,6 +407,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
+    use crate::mem::MemError;
 
     #[test]
     fn run_to_ebreak() {
@@ -601,6 +603,165 @@ mod tests {
         let stats = m.run().unwrap();
         assert_eq!(m.cpu.read_reg(Reg::A0), 42);
         assert_eq!(stats.timing.custom_xmul, 1);
+    }
+
+    /// Runs the machine `make` builds twice: as is (a block at a time)
+    /// and with a tracer attached (an instruction at a time, every one
+    /// retired on its own). Requires the same outcome, registers, PC
+    /// and data, and returns the block-at-a-time machine and outcome.
+    fn run_both(make: impl Fn() -> Machine) -> (Machine, Result<RunStats, RunError>) {
+        let mut blocks = make();
+        let got = blocks.run();
+        let mut single = make();
+        single.set_tracer(Some(Tracer::new(0)));
+        let want = single.run();
+        assert_eq!(got, want);
+        assert_eq!(blocks.cpu.regs(), single.cpu.regs());
+        assert_eq!(blocks.cpu.pc, single.cpu.pc);
+        let data = |m: &Machine| m.mem.read_bytes(DATA_BASE, 256).unwrap().to_vec();
+        assert_eq!(data(&blocks), data(&single));
+        (blocks, got)
+    }
+
+    #[test]
+    fn fuel_running_out_mid_block_stops_at_the_same_instruction() {
+        let make = || {
+            let mut a = Assembler::new();
+            for _ in 0..100 {
+                a.addi(Reg::T0, Reg::T0, 1);
+            }
+            a.ebreak();
+            let mut m = Machine::new();
+            m.load_program(&a.finish());
+            m.set_fuel(37);
+            m
+        };
+        let (m, result) = run_both(make);
+        assert_eq!(result, Err(RunError::OutOfFuel { fuel: 37 }));
+        assert_eq!(m.cpu.read_reg(Reg::T0), 37, "37 instructions retired");
+        assert_eq!(m.cpu.pc, PROG_BASE + 4 * 37);
+    }
+
+    #[test]
+    fn memory_fault_mid_block_commits_the_earlier_writes() {
+        for (addr, fault) in [
+            (
+                DATA_BASE + 4,
+                MemError::Misaligned {
+                    addr: DATA_BASE + 4,
+                    width: 8,
+                },
+            ),
+            (0, MemError::OutOfBounds { addr: 0, width: 8 }),
+        ] {
+            let make = || {
+                let mut a = Assembler::new();
+                a.addi(Reg::T0, Reg::T0, 1);
+                a.sd(Reg::T0, 0, Reg::A1);
+                a.mul(Reg::A2, Reg::A0, Reg::T0); // a2 = a0, two cycles on
+                a.ld(Reg::T2, 0, Reg::A2); // stalls a cycle, then faults
+                a.addi(Reg::T0, Reg::T0, 1);
+                a.ebreak();
+                let mut m = Machine::new();
+                m.load_program(&a.finish());
+                m.cpu.write_reg(Reg::A0, addr);
+                m.cpu.write_reg(Reg::A1, DATA_BASE + 64);
+                m
+            };
+            let (mut m, result) = run_both(make);
+            assert_eq!(result, Err(RunError::Trap(Trap::Memory(fault))));
+            assert_eq!(m.cpu.read_reg(Reg::T0), 1);
+            assert_eq!(m.cpu.read_reg(Reg::A2), addr);
+            assert_eq!(m.mem.load_u64(DATA_BASE + 64).unwrap(), 1);
+            assert_eq!(m.cpu.pc, PROG_BASE + 12, "the PC stays at the load");
+
+            // The faulting load was retired, so resuming it (now at a
+            // good address) issues after it, when `a2` is long ready.
+            m.cpu.write_reg(Reg::A2, DATA_BASE);
+            let resumed = m.run().unwrap();
+            assert_eq!(resumed.instret, 3);
+            assert_eq!(resumed.timing.stall_cycles, 0);
+        }
+    }
+
+    #[test]
+    fn jalr_into_mid_block_starts_at_its_target() {
+        let make = || {
+            let mut a = Assembler::new();
+            a.push(Inst::Auipc {
+                rd: Reg::T0,
+                imm20: 0,
+            });
+            a.jalr(Reg::Zero, 12, Reg::T0); // to the second addi
+            a.addi(Reg::A0, Reg::A0, 1);
+            a.addi(Reg::A0, Reg::A0, 2);
+            a.mul(Reg::A1, Reg::A0, Reg::A0);
+            a.addi(Reg::A0, Reg::A1, 4);
+            a.ebreak();
+            let mut m = Machine::new();
+            m.load_program(&a.finish());
+            m
+        };
+        let (mut m, result) = run_both(make);
+        let stats = result.unwrap();
+        assert_eq!(m.cpu.read_reg(Reg::A0), 8);
+        assert_eq!(stats.instret, 6);
+        // Entered again at the block's natural start, then mid-block
+        // once more: each entry point gets its own summary.
+        m.cpu.pc = PROG_BASE + 8;
+        m.cpu.write_reg(Reg::A0, 0);
+        assert_eq!(m.run().unwrap().instret, 5);
+        assert_eq!(m.cpu.read_reg(Reg::A0), 13);
+        m.cpu.pc = PROG_BASE;
+        assert_eq!(m.run().unwrap(), stats);
+    }
+
+    #[test]
+    fn unregistered_custom_mid_block_is_illegal() {
+        let make = || {
+            let mut a = Assembler::new();
+            a.addi(Reg::A0, Reg::A0, 1);
+            a.custom_r4(
+                crate::ext::CustomId(999),
+                Reg::A1,
+                Reg::A0,
+                Reg::A0,
+                Reg::A0,
+            );
+            a.addi(Reg::A0, Reg::A0, 1);
+            a.ebreak();
+            let mut m = Machine::new();
+            m.load_program(&a.finish());
+            m
+        };
+        let (m, result) = run_both(make);
+        assert_eq!(result, Err(RunError::Trap(Trap::IllegalInstruction)));
+        assert_eq!(m.cpu.read_reg(Reg::A0), 1);
+        assert_eq!(m.cpu.pc, PROG_BASE + 4);
+    }
+
+    #[test]
+    fn set_timing_drops_the_block_summaries() {
+        let make = |timing| {
+            let mut a = Assembler::new();
+            a.mul(Reg::A0, Reg::A0, Reg::A1);
+            a.add(Reg::A0, Reg::A0, Reg::A1);
+            a.ret();
+            let mut m = Machine::new();
+            m.set_timing(timing);
+            m.load_program(&a.finish());
+            m
+        };
+        let slow = TimingConfig {
+            mul_latency: 4,
+            ..TimingConfig::default()
+        };
+        let mut m = make(TimingConfig::default());
+        let fast = m.call(&[]).unwrap();
+        m.set_timing(slow);
+        let want = make(slow).call(&[]).unwrap();
+        assert_eq!(m.call(&[]).unwrap(), want);
+        assert_eq!(want.cycles, fast.cycles + 2);
     }
 
     #[test]

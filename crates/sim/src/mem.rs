@@ -81,6 +81,7 @@ impl Memory {
         self.bytes.is_empty()
     }
 
+    #[inline(always)]
     fn offset(&self, addr: u64, width: u64) -> Result<usize, MemError> {
         if width > 1 && !addr.is_multiple_of(width) {
             return Err(MemError::Misaligned { addr, width });
@@ -103,14 +104,17 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline(always)]
     pub fn load(&self, addr: u64, width: u64) -> Result<u64, MemError> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
         let off = self.offset(addr, width)?;
-        let mut v = 0u64;
-        for i in (0..width as usize).rev() {
-            v = (v << 8) | self.bytes[off + i] as u64;
-        }
-        Ok(v)
+        let b = &self.bytes[off..];
+        Ok(match width {
+            1 => u64::from(b[0]),
+            2 => u64::from(u16::from_le_bytes([b[0], b[1]])),
+            4 => u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            _ => u64::from_le_bytes(b[..8].try_into().expect("8 bytes in bounds")),
+        })
     }
 
     /// Stores the low `width` bytes of `value` (width 1, 2, 4 or 8).
@@ -122,11 +126,16 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline(always)]
     pub fn store(&mut self, addr: u64, value: u64, width: u64) -> Result<(), MemError> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
         let off = self.offset(addr, width)?;
-        for i in 0..width as usize {
-            self.bytes[off + i] = (value >> (8 * i)) as u8;
+        let b = &mut self.bytes[off..];
+        match width {
+            1 => b[0] = value as u8,
+            2 => b[..2].copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => b[..4].copy_from_slice(&(value as u32).to_le_bytes()),
+            _ => b[..8].copy_from_slice(&value.to_le_bytes()),
         }
         Ok(())
     }
@@ -184,9 +193,12 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads `n` 64-bit limbs starting at `addr`.
-    pub fn read_limbs(&self, addr: u64, n: usize) -> Result<Vec<u64>, MemError> {
-        (0..n).map(|i| self.load_u64(addr + 8 * i as u64)).collect()
+    /// Reads `out.len()` 64-bit limbs starting at `addr` into `out`.
+    pub fn read_limbs(&self, addr: u64, out: &mut [u64]) -> Result<(), MemError> {
+        for (i, l) in out.iter_mut().enumerate() {
+            *l = self.load_u64(addr + 8 * i as u64)?;
+        }
+        Ok(())
     }
 }
 
@@ -230,7 +242,9 @@ mod tests {
         let mut m = Memory::new(0x1000, 128);
         let limbs = [1u64, u64::MAX, 0x1234_5678_9abc_def0, 42];
         m.write_limbs(0x1000, &limbs).unwrap();
-        assert_eq!(m.read_limbs(0x1000, 4).unwrap(), limbs);
+        let mut back = [0u64; 4];
+        m.read_limbs(0x1000, &mut back).unwrap();
+        assert_eq!(back, limbs);
     }
 
     #[test]

@@ -154,6 +154,23 @@ impl TimingStats {
     }
 }
 
+impl std::ops::AddAssign for TimingStats {
+    /// Field-wise sum: one add per counter.
+    fn add_assign(&mut self, d: TimingStats) {
+        self.alu += d.alu;
+        self.mul += d.mul;
+        self.div += d.div;
+        self.load += d.load;
+        self.store += d.store;
+        self.control += d.control;
+        self.custom_alu += d.custom_alu;
+        self.custom_xmul += d.custom_xmul;
+        self.system += d.system;
+        self.stall_cycles += d.stall_cycles;
+        self.flush_cycles += d.flush_cycles;
+    }
+}
+
 /// Timing-relevant facts about one instruction, computed once.
 ///
 /// [`PipelineModel::retire`] re-derives these on every call (allocating
@@ -255,6 +272,30 @@ impl PipelineModel {
         self.retire_pre(&PreDecoded::of(inst, custom_unit), taken);
     }
 
+    /// Accounts for a whole summarised run at once, exactly as retiring
+    /// its instructions one by one would, when its entry is clean:
+    /// every live-in register is ready by the next issue slot. Returns
+    /// `false`, changing nothing, when it is not.
+    pub(crate) fn replay(&mut self, block: &BlockTiming) -> bool {
+        let t0 = self.next_issue;
+        let mut live = block.live_in;
+        while live != 0 {
+            if self.ready[live.trailing_zeros() as usize] > t0 {
+                return false;
+            }
+            live &= live - 1;
+        }
+        let mut defs = block.defs;
+        while defs != 0 {
+            let r = defs.trailing_zeros() as usize;
+            self.ready[r] = t0 + block.ready[r];
+            defs &= defs - 1;
+        }
+        self.next_issue = t0 + block.cycles;
+        self.stats += block.stats;
+        true
+    }
+
     /// Accounts for one retired, pre-decoded instruction.
     ///
     /// Identical semantics to [`PipelineModel::retire`] but without the
@@ -306,6 +347,58 @@ impl PipelineModel {
             InstClass::CustomAlu => self.stats.custom_alu += 1,
             InstClass::CustomXmul => self.stats.custom_xmul += 1,
             InstClass::System => self.stats.system += 1,
+        }
+    }
+}
+
+/// The timing of a straight-line run of non-control instructions,
+/// relative to the cycle it is entered at.
+///
+/// The model has no cache and no value-dependent latency, so timing
+/// depends on data only through control flow. A run without control
+/// transfers therefore issues each instruction at a fixed offset from
+/// its entry cycle `t0`, provided every register it reads before
+/// writing (its live-ins) is ready by `t0`: an instruction never issues
+/// before `t0`, so such a source never stalls it. [`Self::of`] records
+/// that timing once by retiring the run on a fresh model (where every
+/// register is ready at cycle 0), and [`PipelineModel::replay`] applies
+/// it with one add per counter instead of one [`PipelineModel::retire_pre`]
+/// per instruction.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockTiming {
+    /// Registers read before the run writes them (bit `r` = `x{r}`).
+    live_in: u32,
+    /// Scoreboard slots the run writes (slot 0 included: instructions
+    /// without a destination write it, see `retire_pre`).
+    defs: u32,
+    /// Per written slot: cycle its value becomes ready, minus `t0`.
+    ready: [u64; 32],
+    /// Cycles from entry to the next issue slot after the run.
+    cycles: u64,
+    /// The run's counters.
+    stats: TimingStats,
+}
+
+impl BlockTiming {
+    /// Summarises `run`, which must hold no control instruction (a
+    /// branch's cost depends on its outcome).
+    pub(crate) fn of(config: TimingConfig, run: &[PreDecoded]) -> Self {
+        let mut model = PipelineModel::new(config);
+        let (mut live_in, mut defs) = (0u32, 0u32);
+        for pre in run {
+            debug_assert!(pre.class != InstClass::Control, "runs end at control");
+            for &src in &pre.uses[..pre.nuses as usize] {
+                live_in |= (1 << src) & !defs;
+            }
+            model.retire_pre(pre, false);
+            defs |= 1 << pre.def;
+        }
+        BlockTiming {
+            live_in,
+            defs,
+            ready: model.ready,
+            cycles: model.next_issue,
+            stats: model.stats,
         }
     }
 }
@@ -455,6 +548,43 @@ mod tests {
         p.retire(&op(AluOp::Add, Reg::T0, Reg::Zero, Reg::A1), false, None);
         assert_eq!(p.cycles(), 2);
         assert_eq!(p.stats().stall_cycles, 0);
+    }
+
+    #[test]
+    fn replay_equals_retiring_on_clean_entry_and_refuses_dirty_entry() {
+        let ld = |rd| Inst::Load {
+            op: LoadOp::Ld,
+            rd,
+            rs1: Reg::A0,
+            offset: 0,
+        };
+        let run = [
+            op(AluOp::Mulhu, Reg::T0, Reg::A1, Reg::A2),
+            op(AluOp::Add, Reg::T1, Reg::T0, Reg::A1),
+            ld(Reg::T2),
+            op(AluOp::Divu, Reg::T3, Reg::T2, Reg::T1),
+            op(AluOp::Add, Reg::T1, Reg::T3, Reg::A3),
+        ];
+        let pre = run.map(|i| PreDecoded::of(&i, None));
+        let block = BlockTiming::of(TimingConfig::default(), &pre);
+        // Entered after an unrelated load, whose result stays pending.
+        let mut retired = PipelineModel::new(TimingConfig::default());
+        retired.retire(&ld(Reg::S1), false, None);
+        let mut replayed = retired.clone();
+        for i in &run {
+            retired.retire(i, false, None);
+        }
+        assert!(replayed.replay(&block));
+        assert_eq!(replayed.cycles(), retired.cycles());
+        assert_eq!(replayed.stats(), retired.stats());
+        assert_eq!(replayed.ready, retired.ready);
+        // A live-in (`a1`) still in flight makes the entry dirty.
+        let mut dirty = PipelineModel::new(TimingConfig::default());
+        dirty.retire(&op(AluOp::Mul, Reg::A1, Reg::A2, Reg::A2), false, None);
+        let before = dirty.clone();
+        assert!(!dirty.replay(&block));
+        assert_eq!(dirty.cycles(), before.cycles());
+        assert_eq!(dirty.stats(), before.stats());
     }
 
     #[test]
