@@ -23,14 +23,14 @@
 //! ## Example
 //!
 //! ```
-//! use mpise_analyze::taint::{analyze_program, AnalysisOptions, Secrecy, TaintSpec};
+//! use mpise_analyze::taint::{analyze_program, Secrecy, TaintSpec};
 //! use mpise_sim::asm::Program;
 //! use mpise_sim::ext::IsaExtension;
 //! use mpise_sim::inst::{BranchOp, Inst, LoadOp};
 //! use mpise_sim::Reg;
 //!
 //! let mut spec = TaintSpec::new();
-//! let key = spec.region("key", Secrecy::Secret);
+//! let key = spec.region(Secrecy::Secret);
 //! spec.entry_pointer(Reg::A1, key);
 //!
 //! let leaky = Program::from_insts(vec![
@@ -42,7 +42,6 @@
 //!     &leaky,
 //!     &IsaExtension::new("rv64im"),
 //!     &spec,
-//!     &AnalysisOptions::default(),
 //! );
 //! assert!(!report.passed());
 //! assert_eq!(report.diagnostics[0].pc, 4);
@@ -54,4 +53,4 @@ pub mod taint;
 
 pub use lint::{lint_extension, LintFinding, LintLevel, LintReport};
 pub use report::{Diagnostic, TaintReport, ViolationKind};
-pub use taint::{analyze_program, AnalysisOptions, RegionId, Secrecy, TaintSpec};
+pub use taint::{analyze_program, RegionId, Secrecy, TaintSpec};

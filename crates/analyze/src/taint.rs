@@ -49,20 +49,13 @@ pub enum Secrecy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RegionId(usize);
 
-#[derive(Debug, Clone)]
-struct RegionInfo {
-    name: String,
-    secrecy: Secrecy,
-}
-
 /// What the caller tells the analyzer about the program's entry state:
-/// which registers hold pointers to which memory regions, which regions
-/// hold secret data, and which plain registers are secret.
+/// which registers hold pointers to which memory regions, and which
+/// regions hold secret data.
 #[derive(Debug, Clone, Default)]
 pub struct TaintSpec {
-    regions: Vec<RegionInfo>,
+    regions: Vec<Secrecy>,
     pointers: Vec<(Reg, RegionId)>,
-    secret_regs: Vec<Reg>,
 }
 
 impl TaintSpec {
@@ -73,11 +66,8 @@ impl TaintSpec {
 
     /// Declares a memory region whose initial contents have the given
     /// secrecy.
-    pub fn region(&mut self, name: &str, secrecy: Secrecy) -> RegionId {
-        self.regions.push(RegionInfo {
-            name: name.to_owned(),
-            secrecy,
-        });
+    pub fn region(&mut self, secrecy: Secrecy) -> RegionId {
+        self.regions.push(secrecy);
         RegionId(self.regions.len() - 1)
     }
 
@@ -87,27 +77,6 @@ impl TaintSpec {
         self.pointers.push((reg, region));
         self
     }
-
-    /// Declares that `reg` itself holds a secret value at entry.
-    pub fn secret_reg(&mut self, reg: Reg) -> &mut Self {
-        self.secret_regs.push(reg);
-        self
-    }
-
-    /// The name a region was declared with.
-    pub fn region_name(&self, id: RegionId) -> &str {
-        &self.regions[id.0].name
-    }
-}
-
-/// Tunable analysis strictness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalysisOptions {
-    /// Also flag tainted operands reaching multiply instructions. The
-    /// Rocket model (and the paper's XMUL datapath) multiplies in a
-    /// fixed 2 cycles, so this is off by default; enable it when
-    /// targeting cores with early-out multipliers.
-    pub flag_multiplies: bool,
 }
 
 impl Secrecy {
@@ -142,11 +111,6 @@ struct AbsVal {
 impl AbsVal {
     const PUBLIC: AbsVal = AbsVal {
         taint: Secrecy::Public,
-        ptr: None,
-    };
-
-    const SECRET: AbsVal = AbsVal {
-        taint: Secrecy::Secret,
         ptr: None,
     };
 
@@ -196,14 +160,11 @@ impl State {
                 }),
             };
         }
-        for &reg in &spec.secret_regs {
-            regs[reg.number() as usize] = AbsVal::SECRET;
-        }
         regs[Reg::Zero.number() as usize] = AbsVal::PUBLIC;
         State {
             regs,
             mem: BTreeMap::new(),
-            region_taint: spec.regions.iter().map(|r| r.secrecy).collect(),
+            region_taint: spec.regions.clone(),
         }
     }
 
@@ -304,17 +265,11 @@ const MAX_VISITS_PER_INST: usize = 128;
 /// `ext` resolves custom instructions (needed to know they exist; all
 /// registered customs are fixed-latency register-to-register ops that
 /// propagate taint). `spec` describes the entry state.
-pub fn analyze_program(
-    program: &Program,
-    ext: &IsaExtension,
-    spec: &TaintSpec,
-    opts: &AnalysisOptions,
-) -> TaintReport {
+pub fn analyze_program(program: &Program, ext: &IsaExtension, spec: &TaintSpec) -> TaintReport {
     Analysis {
         insts: program.insts(),
         ext,
         spec,
-        opts,
         diagnostics: Vec::new(),
         seen: HashSet::new(),
     }
@@ -325,7 +280,6 @@ struct Analysis<'a> {
     insts: &'a [Inst],
     ext: &'a IsaExtension,
     spec: &'a TaintSpec,
-    opts: &'a AnalysisOptions,
     diagnostics: Vec<Diagnostic>,
     seen: HashSet<(usize, ViolationKind)>,
 }
@@ -598,21 +552,6 @@ impl Analysis<'_> {
                         );
                     }
                 }
-                if self.opts.flag_multiplies && op.is_multiply() {
-                    let tainted = self.secret_operands(state, &[rs1, rs2]);
-                    if !tainted.is_empty() {
-                        self.report(
-                            index,
-                            ViolationKind::VariableLatency,
-                            format!(
-                                "multiplier ({}) consumes secret register(s) {} \
-                                 (flag_multiplies is on)",
-                                op.mnemonic(),
-                                Self::describe(&tainted)
-                            ),
-                        );
-                    }
-                }
                 let ptr = match (op, a.ptr, b.ptr) {
                     // pointer + scalar displacement (unknown amount).
                     (AluOp::Add, Some(p), None) | (AluOp::Add, None, Some(p)) => Some(Ptr {
@@ -680,20 +619,15 @@ mod tests {
 
     fn spec_one_secret_region() -> (TaintSpec, RegionId, RegionId) {
         let mut spec = TaintSpec::new();
-        let sec = spec.region("secret-in", Secrecy::Secret);
-        let out = spec.region("out", Secrecy::Public);
+        let sec = spec.region(Secrecy::Secret);
+        let out = spec.region(Secrecy::Public);
         spec.entry_pointer(Reg::A1, sec);
         spec.entry_pointer(Reg::A0, out);
         (spec, sec, out)
     }
 
     fn analyze(insts: Vec<Inst>, spec: &TaintSpec) -> TaintReport {
-        analyze_program(
-            &Program::from_insts(insts),
-            &ext(),
-            spec,
-            &AnalysisOptions::default(),
-        )
+        analyze_program(&Program::from_insts(insts), &ext(), spec)
     }
 
     const LD: fn(Reg, Reg, i32) -> Inst = |rd, rs1, offset| Inst::Load {
@@ -815,7 +749,9 @@ mod tests {
     }
 
     #[test]
-    fn multiply_on_secret_is_clean_by_default_but_optable() {
+    fn multiply_on_secret_is_clean() {
+        // Multiplies are fixed-latency on the Rocket model: they only
+        // propagate taint.
         let (spec, ..) = spec_one_secret_region();
         let insts = vec![
             LD(Reg::T0, Reg::A1, 0),
@@ -827,19 +763,8 @@ mod tests {
             },
             Inst::Ebreak,
         ];
-        let report = analyze(insts.clone(), &spec);
+        let report = analyze(insts, &spec);
         assert!(report.passed(), "{}", report.render());
-
-        let strict = analyze_program(
-            &Program::from_insts(insts),
-            &ext(),
-            &spec,
-            &AnalysisOptions {
-                flag_multiplies: true,
-            },
-        );
-        assert_eq!(strict.diagnostics.len(), 1);
-        assert_eq!(strict.diagnostics[0].kind, ViolationKind::VariableLatency);
     }
 
     #[test]
@@ -847,8 +772,8 @@ mod tests {
         // Secret limb parked in a stack slot, reloaded, then branched
         // on: the frame discipline must not launder taint.
         let mut spec = TaintSpec::new();
-        let sec = spec.region("in", Secrecy::Secret);
-        let stack = spec.region("stack", Secrecy::Public);
+        let sec = spec.region(Secrecy::Secret);
+        let stack = spec.region(Secrecy::Public);
         spec.entry_pointer(Reg::A1, sec);
         spec.entry_pointer(Reg::Sp, stack);
         let report = analyze(
@@ -878,9 +803,9 @@ mod tests {
         // The fp_mul idiom: save a0 to the frame, clobber it, reload
         // it, and store through it — must stay clean.
         let mut spec = TaintSpec::new();
-        let sec = spec.region("in", Secrecy::Secret);
-        let out = spec.region("out", Secrecy::Public);
-        let stack = spec.region("stack", Secrecy::Public);
+        let sec = spec.region(Secrecy::Secret);
+        let out = spec.region(Secrecy::Public);
+        let stack = spec.region(Secrecy::Public);
         spec.entry_pointer(Reg::A1, sec);
         spec.entry_pointer(Reg::A0, out);
         spec.entry_pointer(Reg::Sp, stack);
@@ -983,7 +908,6 @@ mod tests {
             ]),
             &e,
             &spec,
-            &AnalysisOptions::default(),
         );
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].index, 2);

@@ -9,7 +9,7 @@
 //!   --ise full|reduced   attach an ISE (default: base RV64IM only)
 //!   --trace N            print the first N retired instructions
 //!   --regs               dump nonzero registers on exit
-//!   --mix                print the executed instruction mix
+//!   --mix                print the static instruction mix
 //! ```
 //!
 //! Programs stop at `ebreak`/`ecall`. Registers `a0..a7` start at 0;
@@ -18,7 +18,7 @@
 use mpise_core::{full_radix_ext, reduced_radix_ext};
 use mpise_sim::asm::parse_program;
 use mpise_sim::ext::IsaExtension;
-use mpise_sim::profile::InstMix;
+use mpise_sim::profile::static_mix;
 use mpise_sim::trace::Tracer;
 use mpise_sim::{Machine, Reg};
 use std::process::ExitCode;
@@ -100,15 +100,8 @@ fn main() -> ExitCode {
         }
     }
     if show_mix {
-        // Re-run with a mix collector (cheap: programs are small).
-        let mut mix = InstMix::new();
-        let ext2 = machine.ext().clone();
-        for inst in program.insts() {
-            // static mix; dynamic counts require the trace
-            mix.record(inst, &ext2);
-        }
         println!("static instruction mix:");
-        print!("{}", mix.render());
+        print!("{}", static_mix(&program, machine.ext()).render());
     }
     println!(
         "halted: {:?}, {} instructions, {} cycles (CPI {:.2})",

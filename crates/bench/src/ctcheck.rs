@@ -19,7 +19,7 @@
 //! negative fixture is caught.
 
 use mpise_analyze::lint::lint_extension;
-use mpise_analyze::taint::{analyze_program, AnalysisOptions, Secrecy, TaintSpec};
+use mpise_analyze::taint::{analyze_program, Secrecy, TaintSpec};
 use mpise_analyze::ViolationKind;
 use mpise_csidh::ct_action::{group_action_ct, CtPrivateKey};
 use mpise_csidh::PublicKey;
@@ -161,14 +161,9 @@ fn check_negative_fixture() -> bool {
         Inst::Ebreak,
     ]);
     let mut spec = TaintSpec::new();
-    let key = spec.region("key-limbs", Secrecy::Secret);
+    let key = spec.region(Secrecy::Secret);
     spec.entry_pointer(Reg::A1, key);
-    let report = analyze_program(
-        &fixture,
-        &IsaExtension::new("rv64im"),
-        &spec,
-        &AnalysisOptions::default(),
-    );
+    let report = analyze_program(&fixture, &IsaExtension::new("rv64im"), &spec);
 
     let caught = report
         .diagnostics

@@ -6,13 +6,14 @@
 //! uninitialised state, racy parallel measurement) shows up here as a
 //! diff.
 
-use mpise_bench::pipeline::{kernel_matrix, kernels_json};
+use mpise_bench::pipeline::kernels_json;
 use mpise_fp::kernels::{Config, OpKind};
+use mpise_fp::measure::measure_matrix_parallel;
 
 #[test]
 fn kernel_matrix_is_byte_identical_across_runs() {
-    let first = kernel_matrix(1);
-    let second = kernel_matrix(1);
+    let first = measure_matrix_parallel();
+    let second = measure_matrix_parallel();
 
     // Full coverage: 4 configs x 8 ops, in Config::ALL order.
     assert_eq!(first.len(), Config::ALL.len());

@@ -4,21 +4,20 @@
 //! with the implementations under test:
 //!
 //! 1. **Kernel layer** — every Table 4 kernel in every configuration
-//!    (4 configs × 8 ops = 32 combinations) runs on the simulator and
-//!    is checked against the `RefInt` schoolbook oracle
-//!    ([`oracle_accepts`]), on every adversarial edge — 0, 1, p−1, p,
-//!    2p−1 and limb-boundary carry patterns — *plus* seeded random
-//!    inputs from the shared generator ([`random_inputs`]).
+//!    (4 configs × 8 ops = 32 combinations) runs on the simulator
+//!    through the one kernel validator `bench` runs too
+//!    ([`check_kernel`]): the `RefInt` schoolbook oracle on every
+//!    adversarial edge — 0, 1, p−1, p, 2p−1 and limb-boundary carry
+//!    patterns — *plus* seeded random inputs ([`build_cases`]), and
+//!    identical cycles, `instret` and timing counters across them.
 //! 2. **Field layer** — `FpFull`, `FpRed`, the four `SimFp`
 //!    configurations and the `FpBatch` lane kernels (lanes 1..=32) all
 //!    evaluate the same operations, and their **canonical byte
 //!    encodings** (`to_uint().to_le_bytes()`) are diffed pairwise.
 
-use mpise_fp::kernels::{Config, OpKind, Radix};
-use mpise_fp::measure::{
-    element_words, oracle_accepts, product_words, random_inputs, KernelRunner,
-};
-use mpise_fp::params::{random_residue, Csidh512, FULL_LIMBS};
+use mpise_fp::kernels::{Config, OpKind};
+use mpise_fp::measure::{build_cases, check_kernel, edge_residues, KernelRunner};
+use mpise_fp::params::{random_residue, Csidh512};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{Fp, FpBatch, FpFull, FpRed};
 use mpise_mpi::U512;
@@ -45,89 +44,20 @@ impl KernelDiffOutcome {
     }
 }
 
-/// Adversarial canonical residues: identities, the top of the range and
-/// limb-boundary carry patterns (all limbs saturated, the 57-bit radix
-/// boundary, a single bit straddling limb 4).
-fn edge_residues() -> Vec<U512> {
-    let p = Csidh512::get().p;
-    let pm1 = p.wrapping_sub(&U512::ONE);
-    let mut low_ones = [0u64; FULL_LIMBS];
-    for l in low_ones.iter_mut().take(FULL_LIMBS / 2) {
-        *l = u64::MAX;
-    }
-    let mask57 = (1u64 << 57) - 1;
-    vec![
-        U512::ZERO,
-        U512::ONE,
-        pm1,
-        U512::from_limbs(low_ones),
-        U512::from_limbs([mask57; FULL_LIMBS]),
-        U512::ONE.shl(57),
-        U512::ONE.shl(57 * 4),
-        U512::ONE.shl(256).wrapping_sub(&U512::ONE),
-    ]
-}
-
-/// Builds the input case list for one op: every per-op adversarial
-/// edge first, then `cases` seeded random cases.
-fn build_cases(op: OpKind, radix: Radix, cases: usize, rng: &mut StdRng) -> Vec<Vec<Vec<u64>>> {
-    let p = Csidh512::get().p;
-    let edges = edge_residues();
-    // Every edge times the last edge (2^256 − 1), then every edge squared.
-    let top = *edges.last().expect("non-empty");
-    let residue_pairs = edges
-        .iter()
-        .map(|&e| (e, top))
-        .chain(edges.iter().map(|&e| (e, e)));
-    let words = |v: &U512| element_words(radix, v);
-    let mut out: Vec<Vec<Vec<u64>>> = match op {
-        OpKind::IntMul | OpKind::FpAdd | OpKind::FpSub | OpKind::FpMul => residue_pairs
-            .map(|(a, b)| vec![words(&a), words(&b)])
-            .collect(),
-        OpKind::IntSqr | OpKind::FpSqr => edges.iter().map(|e| vec![words(e)]).collect(),
-        // Inputs range over [0, 2p): include the boundary values p and
-        // 2p−1 that no canonical-residue generator produces.
-        OpKind::FastReduce => [
-            U512::ZERO,
-            U512::ONE,
-            p.wrapping_sub(&U512::ONE),
-            p,
-            p.wrapping_add(&U512::ONE),
-            p.wrapping_add(&p).wrapping_sub(&U512::ONE),
-        ]
-        .iter()
-        .map(|v| vec![words(v)])
-        .collect(),
-        // Double-length products of the edge pairs: 0·0, (p−1)², the
-        // saturated-limb squares, and each edge times 2^256 − 1.
-        OpKind::MontRedc => residue_pairs
-            .map(|(a, b)| vec![product_words(radix, &a, &b)])
-            .collect(),
-    };
-    out.extend((0..cases).map(|_| random_inputs(rng, op, radix)));
-    out
-}
-
-/// Runs all 32 kernel × configuration combinations against the
-/// schoolbook oracle.
+/// Runs all 32 kernel × configuration combinations through
+/// [`check_kernel`]: the schoolbook oracle on every edge and
+/// `cases_per_combo` random cases, and constant cost across them.
 pub fn run_kernel_layer(cases_per_combo: usize, seed: u64) -> KernelDiffOutcome {
     let mut outcome = KernelDiffOutcome::default();
     for (ci, &config) in Config::ALL.iter().enumerate() {
         let mut runner = KernelRunner::new(config);
         for (oi, &op) in OpKind::ALL.iter().enumerate() {
             outcome.combos += 1;
-            let mut rng = StdRng::seed_from_u64(seed ^ ((ci as u64) << 32) ^ ((oi as u64) << 16));
-            let cases = build_cases(op, config.radix, cases_per_combo, &mut rng);
-            for (case_idx, inputs) in cases.iter().enumerate() {
-                outcome.cases += 1;
-                let refs: Vec<&[u64]> = inputs.iter().map(|v| v.as_slice()).collect();
-                let (out, _cycles) = runner.run(op, &refs);
-                if !oracle_accepts(op, config.radix, &refs, &out) {
-                    outcome.failures.push(format!(
-                        "{config}: {op:?} diverges from schoolbook oracle on case {case_idx}"
-                    ));
-                    break;
-                }
+            let seed = seed ^ ((ci as u64) << 32) ^ ((oi as u64) << 16);
+            let cases = build_cases(op, config.radix, cases_per_combo, seed);
+            outcome.cases += cases.len() as u64;
+            if let Err(e) = check_kernel(&mut runner, op, &cases) {
+                outcome.failures.push(e);
             }
         }
     }
@@ -291,12 +221,13 @@ pub fn merge(a: KernelDiffOutcome, b: KernelDiffOutcome) -> KernelDiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpise_mpi::reference::RefInt;
 
     #[test]
     fn kernel_layer_covers_all_32_combos() {
         let out = run_kernel_layer(3, 0xD1FF);
         assert_eq!(out.combos, 32);
+        // Per radix: 102 edge cases over the eight ops, then 3 random each.
+        assert_eq!(out.cases, 4 * (102 + 8 * 3));
         assert!(out.passed(), "{:?}", out.failures);
     }
 
@@ -305,36 +236,5 @@ mod tests {
         let out = run_field_layer(12, 1, 0xD1FF);
         assert_eq!(out.lane_widths, 32);
         assert!(out.passed(), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn every_op_runs_all_its_edges_then_the_random_cases() {
-        let edges = |op| match op {
-            OpKind::IntSqr | OpKind::FpSqr => 8,
-            OpKind::FastReduce => 6,
-            _ => 16,
-        };
-        let pm1 = RefInt::from_limbs(Csidh512::get().p.limbs()).sub(&RefInt::one());
-        for radix in [Radix::Full, Radix::Reduced] {
-            for op in OpKind::ALL {
-                let mut rng = StdRng::seed_from_u64(0xD1FF);
-                let cases = build_cases(op, radix, 3, &mut rng);
-                assert_eq!(cases.len(), edges(op) + 3, "{radix}: {op:?}");
-                if op == OpKind::MontRedc {
-                    assert!(
-                        cases.iter().any(|c| radix.value(&c[0]) == pm1.mul(&pm1)),
-                        "{radix}: MontRedc never reduces (p-1)^2"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn edge_residues_are_canonical() {
-        let p = Csidh512::get().p;
-        for e in edge_residues() {
-            assert!(e < p);
-        }
     }
 }

@@ -63,7 +63,7 @@ pub struct LoadgenOptions {
     /// Output path; `None` = `LOAD_<utc-date>.json`.
     pub out: Option<String>,
     /// Where to dump the Prometheus text exposition; setting this (or
-    /// `obs_out`, or `MPISE_OBS=1`) enables telemetry for the run.
+    /// `obs_out`) enables telemetry for the run.
     pub metrics_out: Option<String>,
     /// Where to dump the `mpise-obs/v1` JSON snapshot (metrics plus the
     /// worker span forest).
@@ -526,7 +526,7 @@ pub fn run_cli(args: &[String]) -> i32 {
                      Runs the deterministic client mix against a 1-worker baseline\n\
                      and an N-worker engine, writes LOAD_<utc-date>.json, and exits\n\
                      non-zero when the multi-worker throughput gate fails.\n\
-                     --metrics-out / --obs-out (or MPISE_OBS=1) enable telemetry and\n\
+                     --metrics-out / --obs-out enable telemetry and\n\
                      dump the Prometheus text / mpise-obs/v1 JSON snapshot."
                 );
                 return 0;
@@ -538,9 +538,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     }
 
-    // Telemetry is opt-in: either output flag turns it on, and the
-    // MPISE_OBS environment switch works even without a dump path.
-    mpise_obs::enable_from_env();
+    // Telemetry is opt-in: either output flag turns it on.
     if opts.metrics_out.is_some() || opts.obs_out.is_some() {
         mpise_obs::set_enabled(true);
     }

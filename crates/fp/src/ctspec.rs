@@ -10,7 +10,7 @@
 //! or variable-latency execution.
 
 use crate::kernels::{Config, KernelSet, OpKind};
-use mpise_analyze::taint::{analyze_program, AnalysisOptions, Secrecy, TaintSpec};
+use mpise_analyze::taint::{analyze_program, Secrecy, TaintSpec};
 use mpise_analyze::TaintReport;
 use mpise_sim::Reg;
 
@@ -19,16 +19,16 @@ use mpise_sim::Reg;
 /// only for binary ops), `a3` public constant pool, `sp` stack.
 pub fn kernel_taint_spec(op: OpKind) -> TaintSpec {
     let mut spec = TaintSpec::new();
-    let out = spec.region("result", Secrecy::Public);
-    let op1 = spec.region("operand-1", Secrecy::Secret);
-    let consts = spec.region("constants", Secrecy::Public);
-    let stack = spec.region("stack", Secrecy::Public);
+    let out = spec.region(Secrecy::Public);
+    let op1 = spec.region(Secrecy::Secret);
+    let consts = spec.region(Secrecy::Public);
+    let stack = spec.region(Secrecy::Public);
     spec.entry_pointer(Reg::A0, out);
     spec.entry_pointer(Reg::A1, op1);
     spec.entry_pointer(Reg::A3, consts);
     spec.entry_pointer(Reg::Sp, stack);
     if op.arity() > 1 {
-        let op2 = spec.region("operand-2", Secrecy::Secret);
+        let op2 = spec.region(Secrecy::Secret);
         spec.entry_pointer(Reg::A2, op2);
     }
     spec
@@ -37,12 +37,7 @@ pub fn kernel_taint_spec(op: OpKind) -> TaintSpec {
 /// Runs the taint analysis on one kernel of one configuration.
 pub fn verify_kernel(config: Config, op: OpKind) -> TaintReport {
     let set = KernelSet::build(config);
-    analyze_program(
-        set.kernel(op),
-        &config.extension(),
-        &kernel_taint_spec(op),
-        &AnalysisOptions::default(),
-    )
+    analyze_program(set.kernel(op), &config.extension(), &kernel_taint_spec(op))
 }
 
 #[cfg(test)]

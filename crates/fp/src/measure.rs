@@ -2,17 +2,20 @@
 //!
 //! This module is the software-evaluation harness of §4: it loads each
 //! generated kernel into a simulated machine, validates its result
-//! against a reference big-integer oracle on random inputs, checks the
-//! constant-time property (identical cycle counts across inputs), and
-//! reports the cycle counts that populate Table 4.
+//! against a reference big-integer oracle on adversarial edges and
+//! random inputs, checks the constant-time property (identical cycles,
+//! `instret` and timing counters across inputs), and reports the cycle
+//! counts that populate Table 4.
 //!
 //! It is the one home of the kernel-call ABI ([`kernel_machine`],
-//! [`call_kernel`]) and of the kernels' test inputs and oracle
-//! ([`random_inputs`], [`oracle_accepts`]), which the conformance
-//! difftest and the ablation kernels reuse.
+//! [`call_kernel`]), of the kernels' test inputs and oracle
+//! ([`build_cases`], [`oracle_accepts`]) and of the one kernel
+//! validator ([`check_kernel`]), which `bench`'s kernel matrix and the
+//! conformance difftest both run; the ablation kernels reuse the
+//! operand encodings.
 
 use crate::kernels::{const_pool_full, const_pool_red, Config, KernelSet, OpKind, Radix};
-use crate::params::{random_residue, Csidh512, RED_LIMBS};
+use crate::params::{random_residue, Csidh512, FULL_LIMBS, RED_LIMBS};
 use mpise_mpi::reference::RefInt;
 use mpise_mpi::{mul as mpi_mul, U512};
 use mpise_sim::asm::Program;
@@ -181,7 +184,7 @@ pub fn product_words(radix: Radix, a: &U512, b: &U512) -> Vec<u64> {
 /// Generates valid random inputs for `op`: canonical residues, a value
 /// in `[0, 2p)` for `FastReduce`, and a product of two residues for
 /// `MontRedc`.
-pub fn random_inputs(rng: &mut StdRng, op: OpKind, radix: Radix) -> Vec<Vec<u64>> {
+fn random_inputs(rng: &mut StdRng, op: OpKind, radix: Radix) -> Vec<Vec<u64>> {
     let residue = |rng: &mut StdRng| element_words(radix, &random_residue(rng));
     match op {
         OpKind::IntMul | OpKind::FpAdd | OpKind::FpSub | OpKind::FpMul => {
@@ -243,65 +246,130 @@ pub fn oracle_accepts(op: OpKind, radix: Radix, inputs: &[&[u64]], out: &[u64]) 
     got == want
 }
 
-/// Validates one kernel on `iterations` random inputs and returns its
-/// (constant) cost.
+/// Adversarial canonical residues: identities, the top of the range and
+/// limb-boundary carry patterns (all limbs saturated, the 57-bit radix
+/// boundary, a single bit straddling limb 4).
+pub fn edge_residues() -> Vec<U512> {
+    let p = Csidh512::get().p;
+    let pm1 = p.wrapping_sub(&U512::ONE);
+    let mut low_ones = [0u64; FULL_LIMBS];
+    for l in low_ones.iter_mut().take(FULL_LIMBS / 2) {
+        *l = u64::MAX;
+    }
+    let mask57 = (1u64 << 57) - 1;
+    vec![
+        U512::ZERO,
+        U512::ONE,
+        pm1,
+        U512::from_limbs(low_ones),
+        U512::from_limbs([mask57; FULL_LIMBS]),
+        U512::ONE.shl(57),
+        U512::ONE.shl(57 * 4),
+        U512::ONE.shl(256).wrapping_sub(&U512::ONE),
+    ]
+}
+
+/// Builds the input case list for one op: every per-op adversarial
+/// edge first, then `random` valid random cases drawn from `seed`.
+pub fn build_cases(op: OpKind, radix: Radix, random: usize, seed: u64) -> Vec<Vec<Vec<u64>>> {
+    let p = Csidh512::get().p;
+    let edges = edge_residues();
+    // Every edge times the last edge (2^256 − 1), then every edge squared.
+    let top = *edges.last().expect("non-empty");
+    let residue_pairs = edges
+        .iter()
+        .map(|&e| (e, top))
+        .chain(edges.iter().map(|&e| (e, e)));
+    let words = |v: &U512| element_words(radix, v);
+    let mut out: Vec<Vec<Vec<u64>>> = match op {
+        OpKind::IntMul | OpKind::FpAdd | OpKind::FpSub | OpKind::FpMul => residue_pairs
+            .map(|(a, b)| vec![words(&a), words(&b)])
+            .collect(),
+        OpKind::IntSqr | OpKind::FpSqr => edges.iter().map(|e| vec![words(e)]).collect(),
+        // Inputs range over [0, 2p): include the boundary values p and
+        // 2p−1 that no canonical-residue generator produces.
+        OpKind::FastReduce => [
+            U512::ZERO,
+            U512::ONE,
+            p.wrapping_sub(&U512::ONE),
+            p,
+            p.wrapping_add(&U512::ONE),
+            p.wrapping_add(&p).wrapping_sub(&U512::ONE),
+        ]
+        .iter()
+        .map(|v| vec![words(v)])
+        .collect(),
+        // Double-length products of the edge pairs: 0·0, (p−1)², the
+        // saturated-limb squares, and each edge times 2^256 − 1.
+        OpKind::MontRedc => residue_pairs
+            .map(|(a, b)| vec![product_words(radix, &a, &b)])
+            .collect(),
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    out.extend((0..random).map(|_| random_inputs(&mut rng, op, radix)));
+    out
+}
+
+/// The one kernel validator: runs `op` on every case of `cases` (see
+/// [`build_cases`]) and returns its cost, which must be constant.
 ///
 /// # Errors
 ///
-/// Returns a description of the first mismatch: wrong value, value out
-/// of canonical range, or input-dependent timing.
-pub fn validate_and_measure(
+/// Returns a description of the first failure: a result the
+/// [`oracle_accepts`] oracle rejects, or cycles, `instret` or
+/// [`TimingStats`] that differ from the first case's.
+pub fn check_kernel(
     runner: &mut KernelRunner,
     op: OpKind,
-    iterations: usize,
-    seed: u64,
+    cases: &[Vec<Vec<u64>>],
 ) -> Result<OpMeasurement, String> {
     let _span = mpise_obs::span(op.span_name());
-    let mut rng = StdRng::seed_from_u64(seed);
     let config = runner.config;
     let mut seen: Option<OpMeasurement> = None;
-    for it in 0..iterations {
-        let inputs = random_inputs(&mut rng, op, config.radix);
-        let input_refs: Vec<&[u64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let (out, stats) = runner.run_full(op, &input_refs);
-        if !oracle_accepts(op, config.radix, &input_refs, &out) {
-            return Err(format!("{config}: {op:?} wrong result on iteration {it}"));
+    for (case, inputs) in cases.iter().enumerate() {
+        let refs: Vec<&[u64]> = inputs.iter().map(|v| v.as_slice()).collect();
+        let (out, stats) = runner.run_full(op, &refs);
+        if !oracle_accepts(op, config.radix, &refs, &out) {
+            return Err(format!("{config}: {op:?} wrong result on case {case}"));
         }
-        match &seen {
-            None => {
-                seen = Some(OpMeasurement {
-                    op,
-                    cycles: stats.cycles,
-                    instret: stats.instret,
-                    timing: stats.timing,
-                });
-            }
-            Some(m) if m.cycles != stats.cycles => {
+        let m = OpMeasurement {
+            op,
+            cycles: stats.cycles,
+            instret: stats.instret,
+            timing: stats.timing,
+        };
+        match seen {
+            Some(first) if first != m => {
                 return Err(format!(
-                    "{config}: {op:?} is not constant-time ({} vs {} cycles)",
-                    m.cycles, stats.cycles
+                    "{config}: {op:?} is not constant-time on case {case} \
+                     ({first:?} vs {m:?})"
                 ));
             }
-            _ => {}
+            _ => seen = Some(m),
         }
     }
-    Ok(seen.expect("at least one iteration"))
+    Ok(seen.expect("at least one case"))
 }
 
-/// Measures all eight Table 4 operations for one configuration,
-/// validating each against the host arithmetic.
+/// Random validation cases per kernel, after its edge cases, in every
+/// [`measure_config`] run.
+pub const VALIDATION_CASES: usize = 2;
+
+/// Measures all eight Table 4 operations for one configuration, each
+/// checked by [`check_kernel`] on its edge cases and
+/// [`VALIDATION_CASES`] random ones.
 ///
 /// # Panics
 ///
 /// Panics on any validation failure (a kernel bug).
-pub fn measure_config(config: Config, iterations: usize) -> Vec<OpMeasurement> {
+pub fn measure_config(config: Config) -> Vec<OpMeasurement> {
     let _span = mpise_obs::span("fp.measure");
     let mut runner = KernelRunner::new(config);
     OpKind::ALL
         .iter()
         .map(|&op| {
-            validate_and_measure(&mut runner, op, iterations, 0xC51D + op as u64)
-                .unwrap_or_else(|e| panic!("{e}"))
+            let cases = build_cases(op, config.radix, VALIDATION_CASES, 0xC51D + op as u64);
+            check_kernel(&mut runner, op, &cases).unwrap_or_else(|e| panic!("{e}"))
         })
         .collect()
 }
@@ -317,11 +385,11 @@ pub fn measure_config(config: Config, iterations: usize) -> Vec<OpMeasurement> {
 ///
 /// Panics on any validation failure (a kernel bug) or if a worker
 /// thread panics.
-pub fn measure_matrix_parallel(iterations: usize) -> Vec<(Config, Vec<OpMeasurement>)> {
+pub fn measure_matrix_parallel() -> Vec<(Config, Vec<OpMeasurement>)> {
     std::thread::scope(|scope| {
         let workers: Vec<_> = Config::ALL
             .iter()
-            .map(|&config| scope.spawn(move || (config, measure_config(config, iterations))))
+            .map(|&config| scope.spawn(move || (config, measure_config(config))))
             .collect();
         workers
             .into_iter()
@@ -335,35 +403,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_isa_kernels_validate() {
-        let mut runner = KernelRunner::new(Config::ALL[0]);
-        for op in OpKind::ALL {
-            validate_and_measure(&mut runner, op, 3, 1).unwrap();
+    fn every_op_runs_all_its_edges_then_the_random_cases() {
+        let edges = |op| match op {
+            OpKind::IntSqr | OpKind::FpSqr => 8,
+            OpKind::FastReduce => 6,
+            _ => 16,
+        };
+        let pm1 = RefInt::from_limbs(Csidh512::get().p.limbs()).sub(&RefInt::one());
+        for radix in [Radix::Full, Radix::Reduced] {
+            for op in OpKind::ALL {
+                let cases = build_cases(op, radix, 3, 0xD1FF);
+                assert_eq!(cases.len(), edges(op) + 3, "{radix}: {op:?}");
+                if op == OpKind::MontRedc {
+                    assert!(
+                        cases.iter().any(|c| radix.value(&c[0]) == pm1.mul(&pm1)),
+                        "{radix}: MontRedc never reduces (p-1)^2"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn full_ise_kernels_validate() {
-        let mut runner = KernelRunner::new(Config::ALL[1]);
-        for op in OpKind::ALL {
-            validate_and_measure(&mut runner, op, 3, 2).unwrap();
+    fn edge_residues_are_canonical() {
+        let p = Csidh512::get().p;
+        for e in edge_residues() {
+            assert!(e < p);
         }
     }
 
     #[test]
-    fn red_isa_kernels_validate() {
-        let mut runner = KernelRunner::new(Config::ALL[2]);
-        for op in OpKind::ALL {
-            validate_and_measure(&mut runner, op, 3, 3).unwrap();
-        }
-    }
-
-    #[test]
-    fn red_ise_kernels_validate() {
-        let mut runner = KernelRunner::new(Config::ALL[3]);
-        for op in OpKind::ALL {
-            validate_and_measure(&mut runner, op, 3, 4).unwrap();
-        }
+    fn check_kernel_reports_the_first_rejected_case() {
+        let config = Config::ALL[0];
+        let mut runner = KernelRunner::new(config);
+        let mut cases = build_cases(OpKind::FastReduce, config.radix, 1, 7);
+        check_kernel(&mut runner, OpKind::FastReduce, &cases).expect("valid cases pass");
+        // 2p + 1 is outside FastReduce's [0, 2p) contract: one
+        // conditional subtraction of p leaves p + 1, not 1.
+        let p = Csidh512::get().p;
+        let beyond = p.wrapping_add(&p).wrapping_add(&U512::ONE);
+        cases.push(vec![element_words(config.radix, &beyond)]);
+        let err = check_kernel(&mut runner, OpKind::FastReduce, &cases).unwrap_err();
+        let last = cases.len() - 1;
+        assert_eq!(
+            err,
+            format!("{config}: FastReduce wrong result on case {last}")
+        );
     }
 
     #[test]

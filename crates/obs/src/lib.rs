@@ -29,8 +29,7 @@
 //! The whole layer is **disabled by default**: every instrumentation
 //! point is gated on one relaxed atomic ([`enabled`]), so the
 //! instrumented hot paths cost one predictable branch when telemetry
-//! is off. Binaries opt in with [`set_enabled`] (or the
-//! `MPISE_OBS=1` environment variable via [`enable_from_env`]).
+//! is off. Binaries opt in with [`set_enabled`].
 //!
 //! The crate depends on `std` only — it sits below every runtime
 //! crate in the workspace graph.
@@ -60,17 +59,6 @@ pub fn enabled() -> bool {
 /// Turns telemetry collection on or off, process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Enables telemetry when the `MPISE_OBS` environment variable is set
-/// to anything but `0`/empty; returns the resulting state.
-pub fn enable_from_env() -> bool {
-    if let Ok(v) = std::env::var("MPISE_OBS") {
-        if !v.is_empty() && v != "0" {
-            set_enabled(true);
-        }
-    }
-    enabled()
 }
 
 /// A complete `mpise-obs/v1` snapshot: provenance + metrics + span
@@ -119,19 +107,5 @@ mod tests {
         assert_eq!(json["metrics"], Value::Array(vec![]));
         assert_eq!(json["spans"], Value::Object(vec![]));
         assert_eq!(json::check_artifact(&json), Ok("mpise-obs/v1"));
-    }
-
-    #[test]
-    fn env_opt_in() {
-        // Only exercises the parsing contract for values already in
-        // the environment; never mutates the process environment.
-        let was = enabled();
-        let _ = enable_from_env();
-        if std::env::var("MPISE_OBS").map_or(true, |v| v.is_empty() || v == "0") {
-            assert_eq!(enabled(), was, "unset/0 must not change the state");
-        } else {
-            assert!(enabled());
-        }
-        set_enabled(was);
     }
 }

@@ -5,26 +5,23 @@
 use mpise::fp::kernels::ablation::int_mul_cycles;
 use mpise::fp::kernels::mac::{check_counts, SNIPPETS};
 use mpise::fp::kernels::{Config, OpKind};
-use mpise::fp::measure::OpMeasurement;
 use mpise::hw::depth::{check_xmul_depths, xmul_depths};
 use mpise::hw::table3;
 use mpise::isa::{full_radix_ext, reduced_radix_ext};
 use mpise_analyze::lint::lint_extension;
-use mpise_bench::pipeline::{
-    check_gate, cycles_of, estimate_actions, instrument_action, kernel_matrix, ActionEstimate,
-};
+use mpise_bench::pipeline::{check_gate, cycles_of, run_pipeline, BenchOptions, BenchReport};
 use std::sync::OnceLock;
 
-type Table4Inputs = (Vec<(Config, Vec<OpMeasurement>)>, Vec<ActionEstimate>);
-
-/// One measurement of the four configurations, shared by the Table 4
-/// tests.
-fn table4_inputs() -> &'static Table4Inputs {
-    static INPUTS: OnceLock<Table4Inputs> = OnceLock::new();
-    INPUTS.get_or_init(|| {
-        let matrix = kernel_matrix(2);
-        let estimates = estimate_actions(&matrix, &instrument_action(1).0);
-        (matrix, estimates)
+/// One smoke-sized `bench` run — the kernel matrix, the bound-1 action
+/// estimate and its direct simulation on all four configurations —
+/// shared by the Table 4 tests.
+fn table4_report() -> &'static BenchReport {
+    static REPORT: OnceLock<BenchReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        run_pipeline(BenchOptions {
+            smoke: true,
+            ..BenchOptions::default()
+        })
     })
 }
 
@@ -47,8 +44,11 @@ fn table3_shape() {
 
 #[test]
 fn table4_shape() {
-    let (matrix, estimates) = table4_inputs();
-    assert_eq!(check_gate(matrix, estimates, &[]), Ok(()));
+    // Every claim, including each configuration's direct simulation
+    // spending exactly its estimated cycles.
+    let report = table4_report();
+    assert_eq!(report.action_sims.len(), Config::ALL.len());
+    assert_eq!(report.gate, Ok(()));
 }
 
 #[test]
@@ -56,8 +56,9 @@ fn table4_speedup_band() {
     // The Fp-mul speedup bands (1.2–2.2× full, 1.5–2.6× reduced) hold
     // on the measurement, and an ISE Fp-mul slowed to the ISA-only
     // cost falls out of both.
-    let (matrix, estimates) = table4_inputs();
-    let verdict = check_gate(matrix, estimates, &[]).err().unwrap_or_default();
+    let report = table4_report();
+    let (matrix, estimates) = (&report.matrix, &report.action_estimates);
+    let verdict = report.gate.clone().err().unwrap_or_default();
     assert!(!verdict.contains("Fp-mul speedup"), "{verdict}");
     let base = cycles_of(matrix, Config::ALL[0], OpKind::FpMul);
     let mut slow = matrix.clone();
