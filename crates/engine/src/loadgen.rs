@@ -31,7 +31,7 @@ use mpise_fp::params::NUM_PRIMES;
 use mpise_fp::FpFull;
 use mpise_mpi::U512;
 use mpise_obs::time::utc_date_string;
-use mpise_obs::{object, Value};
+use mpise_obs::{fnv1a64, object, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -335,16 +335,6 @@ pub struct LoadReport {
     pub payload_digest: u64,
     /// The throughput-gate verdict.
     pub gate: GateResult,
-}
-
-/// FNV-1a 64-bit digest (no external hashing crates).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Runs the baseline and loaded passes and evaluates the gate.
@@ -667,11 +657,5 @@ mod tests {
             doc["payloads"]["identical_across_passes"],
             Value::Bool(true)
         );
-    }
-
-    #[test]
-    fn fnv_digest_vectors() {
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 }

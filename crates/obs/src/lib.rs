@@ -61,6 +61,17 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// FNV-1a 64-bit digest (no external hashing crates): the loadgen
+/// payload digest and the kernel-word pins.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// A complete `mpise-obs/v1` snapshot: provenance + metrics + span
 /// forest, serialized by [`Snapshot::to_json`]. The exporter builds it
 /// from its own registry and span forest (`loadgen --obs-out` uses the
@@ -107,5 +118,11 @@ mod tests {
         assert_eq!(json["metrics"], Value::Array(vec![]));
         assert_eq!(json["spans"], Value::Object(vec![]));
         assert_eq!(json::check_artifact(&json), Ok("mpise-obs/v1"));
+    }
+
+    #[test]
+    fn fnv_digest_vectors() {
+        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 }
