@@ -15,8 +15,9 @@
 //!    on a secret limb — which must FAIL with the offending
 //!    pc/instruction, proving the analysis actually bites.
 //!
-//! Exit status is 0 only if every positive check passes *and* the
-//! negative fixture is caught.
+//! [`check`] returns `Ok` — and the binary exits 0 — only if every
+//! positive check passes *and* the negative fixture is caught; a unit
+//! test requires the same, so `cargo test` runs the gate too.
 
 use mpise_analyze::lint::lint_extension;
 use mpise_analyze::taint::{analyze_program, Secrecy, TaintSpec};
@@ -34,10 +35,14 @@ use mpise_sim::Reg;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs every check, printing the report to stdout; returns the process
-/// exit code (0 = gate passed).
-pub fn run() -> i32 {
-    let mut ok = true;
+/// Runs every check, printing the report to stdout (all of it but the
+/// closing `overall:` line, which [`run`] prints).
+///
+/// # Errors
+///
+/// Names every failed check, `; `-separated.
+pub fn check() -> Result<(), String> {
+    let mut failed = Vec::new();
 
     println!("== ISA encoding lint ==");
     for ext in [
@@ -50,12 +55,12 @@ pub fn run() -> i32 {
             "  {:<10} ({} instructions) {:.<40} {verdict}",
             report.ext_name, report.checked, ""
         );
-        if !report.findings.is_empty() {
-            for f in &report.findings {
-                println!("      {f}");
-            }
+        for f in &report.findings {
+            println!("      {f}");
         }
-        ok &= report.passed();
+        if !report.passed() {
+            failed.push(format!("lint of {}", report.ext_name));
+        }
     }
 
     println!();
@@ -74,21 +79,41 @@ pub fn run() -> i32 {
             for d in &report.diagnostics {
                 println!("      {d}");
             }
-            ok &= report.passed();
+            if !report.passed() {
+                failed.push(format!("taint of {config} {op:?}"));
+            }
         }
     }
 
     println!();
     println!("== Constant-time group action (dummy isogenies, host backend) ==");
-    ok &= check_ct_action();
+    if !check_ct_action() {
+        failed.push("constant-work group action".to_owned());
+    }
 
     println!();
     println!("== Negative fixture: secret-dependent branch must be caught ==");
-    ok &= check_negative_fixture();
+    if !check_negative_fixture() {
+        failed.push("negative fixture not caught".to_owned());
+    }
 
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(failed.join("; "))
+    }
+}
+
+/// Runs [`check`] and prints the overall verdict; returns the process
+/// exit code (0 = gate passed).
+pub fn run() -> i32 {
+    let verdict = check();
     println!();
-    println!("overall: {}", if ok { "PASS" } else { "FAIL" });
-    i32::from(!ok)
+    println!("overall: {}", if verdict.is_ok() { "PASS" } else { "FAIL" });
+    if let Err(e) = &verdict {
+        eprintln!("ctcheck: {e}");
+    }
+    i32::from(verdict.is_err())
 }
 
 /// Evaluates the CT action for keys at both extremes of the exponent
@@ -182,5 +207,13 @@ fn check_negative_fixture() -> bool {
             report.diagnostics
         );
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn the_constant_time_gate_passes() {
+        assert_eq!(super::check(), Ok(()));
     }
 }

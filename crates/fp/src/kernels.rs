@@ -22,6 +22,18 @@
 //! (operand memory layout included); [`mac`] builds Listings 1–4 from
 //! the kernels' own MAC and carry emitters.
 //!
+//! Each idea of Table 4 is written once, here, for both radices: one
+//! column walk for products (`product_scan`: the integer
+//! multiplications, the full-radix ISE squaring and the Karatsuba
+//! ablation's half products), one for Montgomery reduction
+//! (`montgomery_scan`), and one FpMul/FpSqr composer (`fp_mul`: front
+//! end into a stack buffer, then MontRedc, then FastReduce, with the
+//! frame derived from the radix's word count). A radix module
+//! ([`full`], [`red`]) supplies its accumulator — its MAC, column end
+//! and carry handling — its register assignment, the squaring trick
+//! where it pays, the additive kernels and the staging of its fast
+//! reduction.
+//!
 //! Kernels end with `ret` and respect the standard ABI (callee-saved
 //! registers are saved/restored; this overhead is part of the measured
 //! cycle counts, as it was on the paper's hardware).
@@ -39,6 +51,7 @@ use mpise_sim::ext::IsaExtension;
 use mpise_sim::Reg;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Operand radix representation (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -298,12 +311,30 @@ impl KernelSet {
     }
 }
 
-/// Wraps `body` in a standard prologue/epilogue saving `saved`
-/// callee-saved registers, with `extra_words` of scratch stack below
-/// them (at `0(sp) .. 8*extra_words-8(sp)`).
-fn with_frame(saved: &[Reg], extra_words: usize, body: impl FnOnce(&mut Assembler)) -> Program {
+/// The callee-saved registers `s0..s11`. Every kernel frame saves a
+/// prefix of them ([`with_frame`]).
+const ALL_S: [Reg; 12] = [
+    Reg::S0,
+    Reg::S1,
+    Reg::S2,
+    Reg::S3,
+    Reg::S4,
+    Reg::S5,
+    Reg::S6,
+    Reg::S7,
+    Reg::S8,
+    Reg::S9,
+    Reg::S10,
+    Reg::S11,
+];
+
+/// Wraps `body` in a standard prologue/epilogue saving the first
+/// `saved` registers of [`ALL_S`], with `extra_words` of scratch stack
+/// below them (at `0(sp) .. 8*extra_words-8(sp)`).
+fn with_frame(saved: usize, extra_words: usize, body: impl FnOnce(&mut Assembler)) -> Program {
     let mut a = Assembler::new();
-    let frame = 8 * (saved.len() + extra_words) as i32;
+    let frame = 8 * (saved + extra_words) as i32;
+    let saved = &ALL_S[..saved];
     if frame > 0 {
         a.addi(Reg::Sp, Reg::Sp, -frame);
         for (i, &r) in saved.iter().enumerate() {
@@ -319,6 +350,132 @@ fn with_frame(saved: &[Reg], extra_words: usize, body: impl FnOnce(&mut Assemble
     }
     a.ret();
     a.finish()
+}
+
+/// Loads `regs.len()` consecutive words from `base` into `regs`.
+/// `base` itself may be the last destination (pointer-clobber trick).
+fn load_words(a: &mut Assembler, regs: &[Reg], base: Reg) {
+    for (i, &r) in regs.iter().enumerate() {
+        debug_assert!(r != base || i == regs.len() - 1, "pointer clobbered early");
+        a.ld(r, 8 * i as i32, base);
+    }
+}
+
+/// Loads the operand at `ptr` into `regs`, its last word into `ptr`
+/// itself (the pointer is dead after the loads); returns the registers
+/// that hold it.
+fn load_operand<const N: usize>(a: &mut Assembler, mut regs: [Reg; N], ptr: Reg) -> [Reg; N] {
+    regs[N - 1] = ptr;
+    load_words(a, &regs, ptr);
+    regs
+}
+
+/// One radix's product-scanning accumulator: its MAC, column end and
+/// carry handling, over registers it owns. [`product_scan`] and
+/// [`montgomery_scan`] walk the columns for both radices.
+trait Accumulator {
+    /// Zeroes the accumulator (and sets up any constant it needs).
+    fn zero(&mut self, a: &mut Assembler);
+    /// `acc += x·y`: the MAC of Listings 1–4.
+    fn mac(&mut self, a: &mut Assembler, x: Reg, y: Reg);
+    /// `acc += v` for one word `v`.
+    fn add_word(&mut self, a: &mut Assembler, v: Reg);
+    /// `m ← (low digit · pinv) mod 2^digit_bits`: the Montgomery digit
+    /// that clears the low digit.
+    fn montgomery_digit(&mut self, a: &mut Assembler, m: Reg, pinv: Reg);
+    /// Ends a column: stores the low digit to word `word` of `dst` when
+    /// `store` is given, then shifts the accumulator down one digit.
+    fn end_column(&mut self, a: &mut Assembler, store: Option<(Reg, usize)>);
+    /// Stores what remains after the last column to word `word` of `dst`.
+    fn store_carry(&mut self, a: &mut Assembler, dst: Reg, word: usize);
+}
+
+/// The indices `i` of the partial products `x_i · y_{k−i}` in column
+/// `k` of an `n`-digit product scan.
+fn column(k: usize, n: usize) -> RangeInclusive<usize> {
+    k.saturating_sub(n - 1)..=k.min(n - 1)
+}
+
+/// Product scanning: `dst[word_off .. word_off + 2n] = x · y` for the
+/// `n`-digit register operands `x` and `y` (`y` may be `x`).
+fn product_scan(
+    a: &mut Assembler,
+    acc: &mut impl Accumulator,
+    x: &[Reg],
+    y: &[Reg],
+    dst: Reg,
+    word_off: usize,
+) {
+    let n = x.len();
+    acc.zero(a);
+    for k in 0..2 * n - 1 {
+        for i in column(k, n) {
+            acc.mac(a, x[i], y[k - i]);
+        }
+        acc.end_column(a, Some((dst, word_off + k)));
+    }
+    acc.store_carry(a, dst, word_off + 2 * n - 1);
+}
+
+/// Product-scanning Montgomery reduction under the kernel ABI:
+/// `a0[0..n] = a1[0..2n] · R^{-1}`, result in `[0, 2p)`. Loads the
+/// modulus digits into `p` and the per-digit constant into `pinv` from
+/// the pool at `a3`, and derives the Montgomery digits into `m`.
+/// Clobbers `a2` (each word of the input in turn).
+fn montgomery_scan(a: &mut Assembler, acc: &mut impl Accumulator, p: &[Reg], m: &[Reg], pinv: Reg) {
+    let n = p.len();
+    load_words(a, p, Reg::A3);
+    a.ld(pinv, 8 * n as i32, Reg::A3);
+    acc.zero(a);
+    for k in 0..2 * n {
+        a.ld(Reg::A2, 8 * k as i32, Reg::A1);
+        acc.add_word(a, Reg::A2);
+        for j in column(k, n) {
+            if j == k {
+                acc.montgomery_digit(a, m[k], pinv);
+            }
+            acc.mac(a, m[j], p[k - j]);
+        }
+        // Columns below n end in a zero digit by construction: dropped.
+        acc.end_column(a, (k >= n).then(|| (Reg::A0, k - n)));
+    }
+}
+
+/// Reloads a caller register (`a0` or `a3`) saved by [`fp_mul`].
+type Reload<'r> = &'r dyn Fn(&mut Assembler, Reg);
+
+/// FpMul or FpSqr, composed from one radix's bodies (each under the
+/// kernel ABI): `front` writes the integer product of the operands at
+/// `a1`/`a2` to `a0`, `redc` Montgomery-reduces `a1` into `a0`, and
+/// `fast_reduce` reduces `a1` into the caller's result, reloading `a0`
+/// (and `a3`, if its staging clobbered it) with the [`Reload`] it is
+/// given at the point its staging allows. The frame holds the
+/// double-length product, the reduction, then the caller's `a0`/`a3`,
+/// and saves the first `saved` callee-saved registers.
+fn fp_mul(
+    radix: Radix,
+    saved: usize,
+    front: impl FnOnce(&mut Assembler),
+    redc: impl FnOnce(&mut Assembler),
+    fast_reduce: impl FnOnce(&mut Assembler, Reload),
+) -> Program {
+    // Frame words: the product at 0, the reduction at 2n, then the
+    // caller's a0 and a3.
+    let n = radix.words() as i32;
+    let (t_off, r_off) = (0, 2 * n);
+    let slot = |r: Reg| 8 * (3 * n + i32::from(r == Reg::A3));
+    with_frame(saved, 3 * radix.words() + 2, |a| {
+        a.sd(Reg::A0, slot(Reg::A0), Reg::Sp);
+        a.sd(Reg::A3, slot(Reg::A3), Reg::Sp); // the front ends use a3 as a temp
+        a.addi(Reg::A0, Reg::Sp, 8 * t_off);
+        front(a);
+        a.addi(Reg::A1, Reg::Sp, 8 * t_off);
+        a.addi(Reg::A0, Reg::Sp, 8 * r_off);
+        a.ld(Reg::A3, slot(Reg::A3), Reg::Sp);
+        redc(a);
+        a.addi(Reg::A1, Reg::Sp, 8 * r_off);
+        fast_reduce(a, &|a, r| a.ld(r, slot(r), Reg::Sp));
+    })
 }
 
 /// Builds the constant pool for full-radix kernels: the 8 digits of `p`
@@ -401,6 +558,21 @@ mod tests {
                     isa.kernel(op).len()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn columns_visit_every_partial_product_once() {
+        for n in [4, 8, 9] {
+            let mut seen = vec![vec![0; n]; n];
+            for k in 0..2 * n - 1 {
+                for i in column(k, n) {
+                    seen[i][k - i] += 1;
+                }
+            }
+            assert!(seen.iter().flatten().all(|&c| c == 1), "n = {n}");
+            // The Montgomery walk's last column has no product.
+            assert!(column(2 * n - 1, n).is_empty(), "n = {n}");
         }
     }
 

@@ -130,11 +130,39 @@ mod tests {
     }
 
     #[test]
-    fn git_commit_resolves_in_this_repo() {
-        // The workspace is a git repository, so the commit must
-        // resolve to a real hash here (not the "unknown" fallback).
-        let commit = git_commit().expect("repo has a HEAD");
-        assert!(is_hash(&commit), "{commit} is not a hash");
+    fn git_commit_is_a_hash_in_a_checkout_and_unknown_outside() {
+        // In a git checkout the commit resolves to a real hash; in an
+        // export without `.git` (e.g. `git archive`) `collect` falls
+        // back to the documented "unknown".
+        let collected = Provenance::collect().git_commit;
+        if find_git_dir().is_some() {
+            let commit = git_commit().expect("a checkout has a HEAD");
+            assert!(is_hash(&commit), "{commit} is not a hash");
+            assert_eq!(collected, commit);
+        } else {
+            assert_eq!(git_commit(), None);
+            assert_eq!(collected, "unknown");
+        }
+    }
+
+    #[test]
+    fn resolve_head_reads_detached_loose_and_packed_refs() {
+        let dir = std::env::temp_dir().join(format!("mpise-git-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("refs/heads")).unwrap();
+        let write = |path: &str, text: String| std::fs::write(dir.join(path), text).unwrap();
+        let (packed, loose) = ("0123456789abcdef".repeat(3), "fedcba9876543210".repeat(3));
+        write("HEAD", format!("{packed}\n"));
+        assert_eq!(resolve_head(&dir), Some(packed.clone()), "detached");
+        write("HEAD", "ref: refs/heads/main\n".to_owned());
+        assert_eq!(resolve_head(&dir), None, "unborn branch");
+        write(
+            "packed-refs",
+            format!("# pack-refs\n{packed} refs/heads/main\n"),
+        );
+        assert_eq!(resolve_head(&dir), Some(packed), "packed ref");
+        write("refs/heads/main", format!("{loose}\n"));
+        assert_eq!(resolve_head(&dir), Some(loose), "loose ref first");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
