@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Programs stop at `ebreak`/`ecall`. Registers `a0..a7` start at 0;
-//! data memory starts at 0x8000_0000 (`sp` points at its top).
+//! data memory starts at 0x8000_0000 (`sp` points at its top). A missing
+//! or unparsable option value prints the usage line and exits non-zero.
 
 use mpise_core::{full_radix_ext, reduced_radix_ext};
 use mpise_sim::asm::parse_program;
@@ -22,6 +23,11 @@ use mpise_sim::profile::static_mix;
 use mpise_sim::trace::Tracer;
 use mpise_sim::{Machine, Reg};
 use std::process::ExitCode;
+
+fn usage() -> ExitCode {
+    eprintln!("usage: rvsim [--ise full|reduced] [--trace N] [--regs] [--mix] <file.s>");
+    ExitCode::FAILURE
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,8 +40,14 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--ise" => ise = it.next().cloned(),
-            "--trace" => trace = it.next().and_then(|s| s.parse().ok()).unwrap_or(32),
+            "--ise" => match it.next().filter(|v| !v.starts_with("--")) {
+                Some(v) => ise = Some(v.clone()),
+                None => return usage(),
+            },
+            "--trace" => match it.next().and_then(|s| s.parse().ok()) {
+                Some(n) => trace = n,
+                None => return usage(),
+            },
             "--regs" => dump_regs = true,
             "--mix" => show_mix = true,
             other if !other.starts_with("--") => file = Some(other.to_owned()),
@@ -46,8 +58,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(file) = file else {
-        eprintln!("usage: rvsim [--ise full|reduced] [--trace N] [--regs] [--mix] <file.s>");
-        return ExitCode::FAILURE;
+        return usage();
     };
 
     let ext: IsaExtension = match ise.as_deref() {

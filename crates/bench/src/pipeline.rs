@@ -15,8 +15,9 @@
 //! 2. **CSIDH-512 group action** — the Table 4 bottom row, estimated as
 //!    Σ op-count × per-op cycles with op counts from an instrumented
 //!    host run of the action, and the same action simulated directly
-//!    (every field operation on the simulator) on all four
-//!    configurations, each public key checked against the host run's.
+//!    (every Fp add/sub/mul/sqr a simulated kernel, the control code on
+//!    the host at zero cycles) on all four configurations, each public
+//!    key checked against the host run's.
 //!
 //! The pipeline doubles as a regression gate: it exits non-zero when
 //! [`check_gate`] finds a Table 4 claim violated — among them, every
@@ -78,7 +79,10 @@ pub struct ActionEstimate {
     pub cycles: u64,
 }
 
-/// Direct full-simulation group-action measurement.
+/// Direct-simulation group-action measurement: every Fp add/sub/mul/sqr
+/// of the action runs as a simulated kernel. The control code, point
+/// bookkeeping, RNG and domain conversions run on the host and are
+/// charged zero cycles.
 #[derive(Debug, Clone, Copy)]
 pub struct ActionSim {
     /// The configuration.

@@ -11,8 +11,7 @@
 //!    (RV64IM, full-radix ISE, reduced-radix ISE), simulator vs
 //!    reference executor, with shrinking on divergence.
 //! 2. **Kernel difftest** — all 32 kernel × configuration combos vs
-//!    the schoolbook oracle, plus field-level and batch-lane byte
-//!    diffs.
+//!    the schoolbook oracle, plus field-level byte diffs.
 //! 3. **KAT + corpus** — the committed CSIDH-512 known-answer vectors
 //!    on both host backends, and the regression corpus replay.
 //!
@@ -140,13 +139,11 @@ pub fn run_cli(args: &[String]) -> i32 {
     );
     report.kernel_combos = kd.combos;
     report.kernel_cases = kd.cases;
-    report.lane_widths = kd.lane_widths;
     report.kernel_failures = kd.failures.clone();
     println!(
-        "difftest: kernel-difftest       {} combos, {} cases, {} lane widths, {} failures",
+        "difftest: kernel-difftest       {} combos, {} cases, {} failures",
         kd.combos,
         kd.cases,
-        kd.lane_widths,
         kd.failures.len()
     );
 

@@ -10,8 +10,7 @@
 //!   "provenance": { "git_commit": "...", ... },
 //!   "modes": {
 //!     "isa_fuzz": { "programs": 100000, "exts": 3, "failures": [] },
-//!     "kernel_difftest": { "combos": 32, "cases": 1234,
-//!                          "lane_widths": 32, "failures": [] },
+//!     "kernel_difftest": { "combos": 32, "cases": 1234, "failures": [] },
 //!     "kat_corpus": { "kat_vectors": 14, "kat_backends": 2,
 //!                     "corpus_files": 7, "failures": [] }
 //!   },
@@ -34,8 +33,6 @@ pub struct GateReport {
     pub kernel_combos: u64,
     /// Total kernel + field cases diffed.
     pub kernel_cases: u64,
-    /// Batch lane widths exercised.
-    pub lane_widths: u64,
     /// Kernel/field divergences.
     pub kernel_failures: Vec<String>,
     /// KAT vectors checked (summed over backends).
@@ -77,7 +74,7 @@ impl GateReport {
                 },
                 "kernel_difftest": object! {
                     "combos": self.kernel_combos, "cases": self.kernel_cases,
-                    "lane_widths": self.lane_widths, "failures": failures(&self.kernel_failures),
+                    "failures": failures(&self.kernel_failures),
                 },
                 "kat_corpus": object! {
                     "kat_vectors": self.kat_vectors, "kat_backends": self.kat_backends,

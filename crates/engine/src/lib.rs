@@ -11,7 +11,7 @@
 //!   [`Request::ValidatePublicKey`] through a bounded submission
 //!   queue ([`queue::Bounded`]) and executes them on a configurable
 //!   worker pool — one field-backend instance per worker, generic
-//!   over any [`FpBatch`] backend.
+//!   over any [`Fp`] backend.
 //! * Every request carries a **deterministic seed**: outcomes depend
 //!   only on `(seed, request)`, never on scheduling, batching or
 //!   worker count (the loadgen determinism test enforces this
@@ -43,7 +43,7 @@ pub mod stats;
 
 use mpise_csidh::batch::validate_many;
 use mpise_csidh::{validate, CsidhKeypair, PrivateKey, PublicKey};
-use mpise_fp::FpBatch;
+use mpise_fp::Fp;
 use queue::{Bounded, TryPushError};
 use stats::StatsInner;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -242,7 +242,7 @@ impl Engine {
     /// Panics when `config.workers` or `config.batch_lanes` is zero.
     pub fn start<F, B>(config: EngineConfig, backend: B) -> Engine
     where
-        F: FpBatch,
+        F: Fp,
         B: Fn() -> F + Send + Sync + 'static,
     {
         assert!(config.workers > 0, "need at least one worker");
@@ -440,13 +440,7 @@ fn refusal(job: &Job) -> Option<EngineError> {
     None
 }
 
-fn worker_loop<F: FpBatch>(
-    f: F,
-    queue: &Bounded<Job>,
-    stats: &StatsInner,
-    lanes: usize,
-    worker: usize,
-) {
+fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, lanes: usize, worker: usize) {
     while let Some(job) = queue.pop() {
         let answered = if matches!(job.request, Request::ValidatePublicKey { .. }) {
             // Take a run of validation requests from the queue front
@@ -474,7 +468,7 @@ fn worker_loop<F: FpBatch>(
     }
 }
 
-fn run_single<F: FpBatch>(f: &F, job: Job, stats: &StatsInner) {
+fn run_single<F: Fp>(f: &F, job: Job, stats: &StatsInner) {
     if let Some(err) = refusal(&job) {
         respond(stats, &job, Err(err));
         return;
@@ -499,7 +493,7 @@ fn run_single<F: FpBatch>(f: &F, job: Job, stats: &StatsInner) {
     respond(stats, &job, Ok(outcome));
 }
 
-fn run_validate_batch<F: FpBatch>(f: &F, batch: Vec<Job>, stats: &StatsInner) {
+fn run_validate_batch<F: Fp>(f: &F, batch: Vec<Job>, stats: &StatsInner) {
     // Refusals answered up front; survivors share the batch.
     let mut live: Vec<Job> = Vec::with_capacity(batch.len());
     for job in batch {

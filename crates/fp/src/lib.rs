@@ -8,10 +8,8 @@
 //! * [`backend`]: the [`backend::Fp`] trait and the two host-speed
 //!   backends ([`backend::FpFull`] on radix-2^64,
 //!   [`backend::FpRed`] on radix-2^57), plus an op-counting adapter;
-//! * [`batch`]: the [`batch::FpBatch`] lane-parallel extension —
-//!   element-wise `add_n`/`sub_n`/`mul_n`/`sqr_n` over 8–32
-//!   independent lanes, hand-batched for both host backends (the
-//!   engine's worker pool is generic over it);
+//! * [`batch`]: a lane trait with scalar default methods only, kept
+//!   for the benchmark that implements it (no workspace code calls it);
 //! * [`kernels`]: generators that emit the fully unrolled RV64
 //!   assembly kernels for every Table 4 operation in all four
 //!   configurations (full/reduced radix × ISA-only/ISE-supported) —
@@ -22,9 +20,10 @@
 //!   argument registers, constant pool per radix); executes the
 //!   kernels on the `mpise-sim` Rocket model, checks them against a
 //!   `RefInt` oracle, and reports cycle counts;
-//! * [`simfp`]: an [`backend::Fp`] backend whose every operation
-//!   runs on the simulator — used for the direct (full-simulation)
-//!   reproduction of the CSIDH group-action row.
+//! * [`simfp`]: an [`backend::Fp`] backend whose add/sub/mul/sqr each
+//!   run as a simulated kernel — used for the direct simulation of the
+//!   CSIDH group-action row, whose control code runs on the host and is
+//!   charged zero cycles.
 
 // Carry-chain and multi-array arithmetic code indexes several slices in
 // lockstep; iterator rewrites of those loops obscure the digit algebra.
@@ -39,5 +38,5 @@ pub mod params;
 pub mod simfp;
 
 pub use backend::{CountingFp, Fp, FpFull, FpRed, OpCounts};
-pub use batch::{FpBatch, ScalarFallback};
+pub use batch::FpBatch;
 pub use params::Csidh512;

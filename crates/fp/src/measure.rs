@@ -81,7 +81,7 @@ pub struct KernelRunner {
     pub config: Config,
     /// One pre-loaded machine per operation, indexed by `op as usize`
     /// (a fixed array, not a map — [`KernelRunner::run`] sits on the
-    /// full-simulation hot path of [`crate::simfp::SimFp`]).
+    /// direct-simulation hot path of [`crate::simfp::SimFp`]).
     machines: [Machine; OpKind::ALL.len()],
 }
 

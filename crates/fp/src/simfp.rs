@@ -1,12 +1,15 @@
-//! A field backend that executes every operation on the simulator.
+//! A field backend that runs every add, sub, mul and sqr on the simulator.
 //!
 //! [`SimFp`] implements [`Fp`] by running the generated kernels of one
 //! configuration on the Rocket pipeline model for every `add`, `sub`,
-//! `mul` and `sqr`, accumulating the total simulated cycle count. With
-//! it, the entire CSIDH group action runs "on" the simulated core —
-//! the direct-mode reproduction of the last row of Table 4 (the
-//! op-count × per-op-cost estimate is the fast mode; both are reported
-//! in EXPERIMENTS.md).
+//! `mul` and `sqr`, accumulating the total simulated cycle count. Run
+//! under a CSIDH group action, every Fp add/sub/mul/sqr of the action is
+//! a simulated kernel call: the direct-mode reproduction of the last row
+//! of Table 4 (the op-count × per-op-cost estimate is the fast mode;
+//! both are reported in EXPERIMENTS.md). The rest of the action — its
+//! control code, point bookkeeping, RNG draws and the Montgomery-domain
+//! conversions of [`Fp::from_uint`]/[`Fp::to_uint`] — runs on the host
+//! and is charged zero cycles, so the count covers field kernels only.
 
 use crate::backend::Fp;
 use crate::kernels::{Config, OpKind, Radix};

@@ -298,7 +298,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn binary_gcd_inverse_matches_fermat(a in arb_residue()) {
+    fn fermat_inverse_matches_reference(a in arb_residue()) {
         // `Fp::inv` (Fermat) against the independent reference integers:
         // a · a⁻¹ ≡ 1 (mod p).
         prop_assume!(!a.is_zero());
