@@ -433,9 +433,9 @@ fn lint_cross_format(ext: &IsaExtension, findings: &mut Vec<LintFinding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpise_sim::ext::{CustomArgs, CustomId, ExecUnit};
+    use mpise_sim::ext::{CustomId, ExecUnit};
 
-    fn nop_exec(_: CustomArgs) -> u64 {
+    fn nop_exec(_: u64, _: u64, _: u64, _: u8) -> u64 {
         0
     }
 

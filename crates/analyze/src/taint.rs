@@ -881,7 +881,7 @@ mod tests {
                 funct3: 0b111,
                 funct2: 0b00,
             },
-            exec: |a| a.rs1.wrapping_mul(a.rs2).wrapping_add(a.rs3),
+            exec: |rs1, rs2, rs3, _| rs1.wrapping_mul(rs2).wrapping_add(rs3),
             unit: mpise_sim::ext::ExecUnit::Xmul,
         })
         .unwrap();

@@ -356,19 +356,25 @@ fn dest(rng: &mut StdRng) -> Reg {
     CLOBBERABLE[rng.gen_range(0..CLOBBERABLE.len())]
 }
 
-/// Interesting 64-bit seeds: carry/borrow boundaries dominate the bug
-/// surface of multi-precision arithmetic, so initial register values
-/// are biased toward them.
+/// Carry/borrow boundary values: they dominate the bug surface of
+/// multi-precision arithmetic (64-bit and 57-bit limb edges, the sign
+/// bit).
+pub const BOUNDARY_U64: [u64; 7] = [
+    0,
+    1,
+    u64::MAX,
+    u64::MAX - 1,
+    (1 << 57) - 1,
+    1 << 57,
+    1 << 63,
+];
+
+/// Interesting 64-bit seeds: initial register values are biased toward
+/// [`BOUNDARY_U64`], each drawn with probability 1/8, else uniform.
 fn interesting_u64(rng: &mut StdRng) -> u64 {
-    match rng.gen_range(0u8..8) {
-        0 => 0,
-        1 => 1,
-        2 => u64::MAX,
-        3 => u64::MAX - 1,
-        4 => (1 << 57) - 1,
-        5 => 1 << 57,
-        6 => 1 << 63,
-        _ => rng.gen(),
+    match BOUNDARY_U64.get(usize::from(rng.gen_range(0u8..8))) {
+        Some(&v) => v,
+        None => rng.gen(),
     }
 }
 

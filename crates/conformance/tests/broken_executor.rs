@@ -19,7 +19,7 @@ fn broken_cadd_ext() -> IsaExtension {
     for def in mpise_core::full_radix_ext().defs() {
         let mut def = def.clone();
         if def.id == CustomId(3) {
-            def.exec = |a| a.rs3;
+            def.exec = |_, _, rs3, _| rs3;
         }
         ext.define(def).expect("cloned definitions cannot conflict");
     }

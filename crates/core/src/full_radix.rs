@@ -12,7 +12,7 @@
 //! | `cadd`      | `10`   | `rd ← ((rs1 + rs2) >> 64) + rs3`           |
 
 use crate::intrinsics;
-use mpise_sim::ext::{CustomArgs, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
+use mpise_sim::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
 
 /// Major opcode shared by all R4-type custom instructions of the paper
 /// (RISC-V custom-3 space).
@@ -28,16 +28,16 @@ pub const MADDHU: CustomId = CustomId(2);
 /// Stable id of `cadd`.
 pub const CADD: CustomId = CustomId(3);
 
-fn exec_maddlu(a: CustomArgs) -> u64 {
-    intrinsics::maddlu(a.rs1, a.rs2, a.rs3)
+fn exec_maddlu(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+    intrinsics::maddlu(rs1, rs2, rs3)
 }
 
-fn exec_maddhu(a: CustomArgs) -> u64 {
-    intrinsics::maddhu(a.rs1, a.rs2, a.rs3)
+fn exec_maddhu(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+    intrinsics::maddhu(rs1, rs2, rs3)
 }
 
-fn exec_cadd(a: CustomArgs) -> u64 {
-    intrinsics::cadd(a.rs1, a.rs2, a.rs3)
+fn exec_cadd(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+    intrinsics::cadd(rs1, rs2, rs3)
 }
 
 fn r4(funct2: u8) -> CustomFormat {

@@ -11,7 +11,7 @@
 //! intentional — see `tests::encoding_overlap_with_full_radix_is_by_design`.
 
 use crate::intrinsics;
-use mpise_sim::ext::{CustomArgs, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
+use mpise_sim::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
 
 /// Major opcode of `sraiadd` (RISC-V custom-1 space).
 pub const CUSTOM1_OPCODE: u8 = 0b0101011;
@@ -23,16 +23,16 @@ pub const MADD57HU: CustomId = CustomId(5);
 /// Stable id of `sraiadd`.
 pub const SRAIADD: CustomId = CustomId(6);
 
-fn exec_madd57lu(a: CustomArgs) -> u64 {
-    intrinsics::madd57lu(a.rs1, a.rs2, a.rs3)
+fn exec_madd57lu(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+    intrinsics::madd57lu(rs1, rs2, rs3)
 }
 
-fn exec_madd57hu(a: CustomArgs) -> u64 {
-    intrinsics::madd57hu(a.rs1, a.rs2, a.rs3)
+fn exec_madd57hu(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+    intrinsics::madd57hu(rs1, rs2, rs3)
 }
 
-fn exec_sraiadd(a: CustomArgs) -> u64 {
-    intrinsics::sraiadd(a.rs1, a.rs2, a.imm as u32)
+fn exec_sraiadd(rs1: u64, rs2: u64, _: u64, imm: u8) -> u64 {
+    intrinsics::sraiadd(rs1, rs2, u32::from(imm))
 }
 
 /// Builds the reduced-radix ISE as a pluggable extension.

@@ -1,7 +1,7 @@
 //! Architectural CPU state and single-instruction semantics.
 
-use crate::ext::{CustomArgs, IsaExtension};
-use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp};
+use crate::ext::IsaExtension;
+use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
 use crate::reg::Reg;
 use std::fmt;
@@ -117,99 +117,161 @@ impl Cpu {
             self.regs[(r & 31) as usize] = v;
         }
     }
+}
 
-    /// Executes one micro-op at the PC — the one home of instruction
-    /// semantics. On a trap the PC stays at the faulting instruction
-    /// and nothing is written.
-    ///
-    /// # Errors
-    ///
-    /// Any [`Trap`] other than normal continuation, as for
-    /// [`Cpu::step`].
-    #[inline(always)]
-    pub(crate) fn exec(&mut self, u: &MicroOp, mem: &mut Memory) -> Result<(), Trap> {
-        let pc = self.pc;
-        let mut next_pc = pc.wrapping_add(4);
-        let imm = u.imm as u64;
-        match u.kind {
-            Kind::Op(op) => self.set_reg(u.rd, eval_alu(op, self.reg(u.rs1), self.reg(u.rs2))),
-            Kind::OpImm(op) => self.set_reg(u.rd, eval_alu_imm(op, self.reg(u.rs1), u.imm as i32)),
-            Kind::Custom(exec) => {
-                let v = exec(CustomArgs {
-                    rs1: self.reg(u.rs1),
-                    rs2: self.reg(u.rs2),
-                    rs3: self.reg(u.rs3),
-                    imm: u.imm as u8,
-                });
-                self.set_reg(u.rd, v);
-            }
-            Kind::Load(op) => {
-                let raw = mem.load(self.reg(u.rs1).wrapping_add(imm), u.width as u64)?;
-                let v = match op {
-                    LoadOp::Lb => raw as u8 as i8 as i64 as u64,
-                    LoadOp::Lh => raw as u16 as i16 as i64 as u64,
-                    LoadOp::Lw => raw as u32 as i32 as i64 as u64,
-                    LoadOp::Ld | LoadOp::Lbu | LoadOp::Lhu | LoadOp::Lwu => raw,
-                };
-                self.set_reg(u.rd, v);
-            }
-            Kind::Store => {
-                let addr = self.reg(u.rs1).wrapping_add(imm);
-                mem.store(addr, self.reg(u.rs2), u.width as u64)?;
-            }
-            Kind::Lui => self.set_reg(u.rd, imm),
-            Kind::Auipc => self.set_reg(u.rd, pc.wrapping_add(imm)),
-            Kind::Jal => {
-                self.set_reg(u.rd, next_pc);
-                next_pc = pc.wrapping_add(imm);
-            }
-            Kind::Jalr => {
-                let target = self.reg(u.rs1).wrapping_add(imm) & !1;
-                self.set_reg(u.rd, next_pc);
-                next_pc = target;
-            }
-            Kind::Branch(op) => {
-                if op.taken(self.reg(u.rs1), self.reg(u.rs2)) {
-                    next_pc = pc.wrapping_add(imm);
-                }
-            }
-            Kind::Fence => {}
-            Kind::Ecall => return Err(Trap::EnvironmentCall),
-            Kind::Ebreak => return Err(Trap::Breakpoint),
-            Kind::Illegal => return Err(Trap::IllegalInstruction),
+/// Declares [`Kind`], with one variant per base operation named as in
+/// its op enum, the translations into it from the op enums, and
+/// [`Cpu::exec`]. Each arm of `exec`'s one `match` calls its family's
+/// evaluator ([`eval_alu`], [`eval_alu_imm`], [`extend_load`],
+/// [`BranchOp::taken`]) with the op as a constant, and [`Memory::load`]
+/// or [`Memory::store`] with the width as a constant, so one jump per
+/// instruction reaches code specialised to it while the semantics stay
+/// stated once. A list that misses an op fails the translation's
+/// exhaustive `match` at compile time.
+macro_rules! flat_dispatch {
+    (
+        alu: [$($alu:ident),+],
+        alu_imm: [$($imm:ident),+],
+        load: [$($load:ident),+],
+        store: [$($store:ident),+],
+        branch: [$($branch:ident),+] $(,)?
+    ) => {
+        /// What a [`MicroOp`] does: the instruction's operation with
+        /// every lookup already made.
+        #[derive(Debug, Clone, Copy)]
+        enum Kind {
+            $($alu,)+
+            $($imm,)+
+            $($load,)+
+            $($store,)+
+            $($branch,)+
+            /// A registered custom instruction, with its execution
+            /// function.
+            Custom(fn(u64, u64, u64, u8) -> u64),
+            Lui,
+            Auipc,
+            Jal,
+            Jalr,
+            Fence,
+            Ecall,
+            Ebreak,
+            /// A custom instruction whose id the extension does not
+            /// register.
+            Illegal,
         }
-        self.pc = next_pc;
-        Ok(())
-    }
+
+        impl Kind {
+            fn alu(op: AluOp) -> Kind {
+                match op { $(AluOp::$alu => Kind::$alu,)+ }
+            }
+
+            fn alu_imm(op: AluImmOp) -> Kind {
+                match op { $(AluImmOp::$imm => Kind::$imm,)+ }
+            }
+
+            fn load(op: LoadOp) -> Kind {
+                match op { $(LoadOp::$load => Kind::$load,)+ }
+            }
+
+            fn store(op: StoreOp) -> Kind {
+                match op { $(StoreOp::$store => Kind::$store,)+ }
+            }
+
+            fn branch(op: BranchOp) -> Kind {
+                match op { $(BranchOp::$branch => Kind::$branch,)+ }
+            }
+
+            fn is_branch(self) -> bool {
+                matches!(self, $(Kind::$branch)|+)
+            }
+        }
+
+        impl Cpu {
+            /// Executes one micro-op at the PC — the one home of
+            /// instruction semantics. On a trap the PC stays at the
+            /// faulting instruction and nothing is written.
+            ///
+            /// # Errors
+            ///
+            /// Any [`Trap`] other than normal continuation, as for
+            /// [`Cpu::step`].
+            #[inline(always)]
+            pub(crate) fn exec(&mut self, u: &MicroOp, mem: &mut Memory) -> Result<(), Trap> {
+                let pc = self.pc;
+                let mut next_pc = pc.wrapping_add(4);
+                let imm = u.imm as u64;
+                match u.kind {
+                    $(Kind::$alu => self.set_reg(
+                        u.rd,
+                        eval_alu(AluOp::$alu, self.reg(u.rs1), self.reg(u.rs2)),
+                    ),)+
+                    $(Kind::$imm => self.set_reg(
+                        u.rd,
+                        eval_alu_imm(AluImmOp::$imm, self.reg(u.rs1), u.imm as i32),
+                    ),)+
+                    $(Kind::$load => {
+                        let addr = self.reg(u.rs1).wrapping_add(imm);
+                        let raw = mem.load(addr, LoadOp::$load.width())?;
+                        self.set_reg(u.rd, extend_load(LoadOp::$load, raw));
+                    })+
+                    $(Kind::$store => {
+                        let addr = self.reg(u.rs1).wrapping_add(imm);
+                        mem.store(addr, self.reg(u.rs2), StoreOp::$store.width())?;
+                    })+
+                    $(Kind::$branch => {
+                        if BranchOp::$branch.taken(self.reg(u.rs1), self.reg(u.rs2)) {
+                            next_pc = pc.wrapping_add(imm);
+                        }
+                    })+
+                    Kind::Custom(exec) => {
+                        let v = exec(
+                            self.reg(u.rs1),
+                            self.reg(u.rs2),
+                            self.reg(u.rs3),
+                            u.imm as u8,
+                        );
+                        self.set_reg(u.rd, v);
+                    }
+                    Kind::Lui => self.set_reg(u.rd, imm),
+                    Kind::Auipc => self.set_reg(u.rd, pc.wrapping_add(imm)),
+                    Kind::Jal => {
+                        self.set_reg(u.rd, next_pc);
+                        next_pc = pc.wrapping_add(imm);
+                    }
+                    Kind::Jalr => {
+                        let target = self.reg(u.rs1).wrapping_add(imm) & !1;
+                        self.set_reg(u.rd, next_pc);
+                        next_pc = target;
+                    }
+                    Kind::Fence => {}
+                    Kind::Ecall => return Err(Trap::EnvironmentCall),
+                    Kind::Ebreak => return Err(Trap::Breakpoint),
+                    Kind::Illegal => return Err(Trap::IllegalInstruction),
+                }
+                self.pc = next_pc;
+                Ok(())
+            }
+        }
+    };
 }
 
-/// What a [`MicroOp`] does: the instruction's operation with every
-/// lookup already made.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
-    Op(AluOp),
-    OpImm(AluImmOp),
-    /// A registered custom instruction, with its execution function.
-    Custom(fn(CustomArgs) -> u64),
-    Load(LoadOp),
-    Store,
-    Lui,
-    Auipc,
-    Jal,
-    Jalr,
-    Branch(BranchOp),
-    Fence,
-    Ecall,
-    Ebreak,
-    /// A custom instruction whose id the extension does not register.
-    Illegal,
+flat_dispatch! {
+    alu: [
+        Add, Sub, Sll, Slt, Sltu, Xor, Srl, Sra, Or, And, Addw, Subw, Sllw, Srlw, Sraw, Mul,
+        Mulh, Mulhsu, Mulhu, Div, Divu, Rem, Remu, Mulw, Divw, Divuw, Remw, Remuw
+    ],
+    alu_imm: [Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Addiw, Slliw, Srliw, Sraiw],
+    load: [Lb, Lh, Lw, Ld, Lbu, Lhu, Lwu],
+    store: [Sb, Sh, Sw, Sd],
+    branch: [Beq, Bne, Blt, Bge, Bltu, Bgeu],
 }
 
-/// One instruction translated for execution: register numbers, the
+/// One instruction translated for execution: its flat [`Kind`] (which
+/// fixes the operation and any access width), register numbers, the
 /// sign-extended immediate (`lui`/`auipc`'s already shifted, a custom
-/// instruction's shift amount), the memory access width and a custom
-/// instruction's execution function are all resolved, so [`Cpu::exec`]
-/// does no decoding or registry lookup.
+/// instruction's shift amount) and a custom instruction's execution
+/// function are all resolved, so [`Cpu::exec`] does no decoding or
+/// registry lookup.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroOp {
     kind: Kind,
@@ -217,8 +279,6 @@ pub(crate) struct MicroOp {
     rs1: u8,
     rs2: u8,
     rs3: u8,
-    /// Access width in bytes (loads and stores; 0 otherwise).
-    width: u8,
     imm: i64,
 }
 
@@ -226,52 +286,36 @@ impl MicroOp {
     /// Translates `inst`, resolving a custom id against `ext`.
     pub(crate) fn new(inst: &Inst, ext: &IsaExtension) -> Self {
         let r = Reg::number;
-        let (kind, rd, rs1, rs2, rs3, width, imm) = match *inst {
-            Inst::Lui { rd, imm20 } => (Kind::Lui, r(rd), 0, 0, 0, 0, (imm20 as i64) << 12),
-            Inst::Auipc { rd, imm20 } => (Kind::Auipc, r(rd), 0, 0, 0, 0, (imm20 as i64) << 12),
-            Inst::Jal { rd, offset } => (Kind::Jal, r(rd), 0, 0, 0, 0, offset.into()),
-            Inst::Jalr { rd, rs1, offset } => (Kind::Jalr, r(rd), r(rs1), 0, 0, 0, offset.into()),
+        let (kind, rd, rs1, rs2, rs3, imm) = match *inst {
+            Inst::Lui { rd, imm20 } => (Kind::Lui, r(rd), 0, 0, 0, (imm20 as i64) << 12),
+            Inst::Auipc { rd, imm20 } => (Kind::Auipc, r(rd), 0, 0, 0, (imm20 as i64) << 12),
+            Inst::Jal { rd, offset } => (Kind::Jal, r(rd), 0, 0, 0, offset.into()),
+            Inst::Jalr { rd, rs1, offset } => (Kind::Jalr, r(rd), r(rs1), 0, 0, offset.into()),
             Inst::Branch {
                 op,
                 rs1,
                 rs2,
                 offset,
-            } => (Kind::Branch(op), 0, r(rs1), r(rs2), 0, 0, offset.into()),
+            } => (Kind::branch(op), 0, r(rs1), r(rs2), 0, offset.into()),
             Inst::Load {
                 op,
                 rd,
                 rs1,
                 offset,
-            } => (
-                Kind::Load(op),
-                r(rd),
-                r(rs1),
-                0,
-                0,
-                op.width() as u8,
-                offset.into(),
-            ),
+            } => (Kind::load(op), r(rd), r(rs1), 0, 0, offset.into()),
             Inst::Store {
                 op,
                 rs1,
                 rs2,
                 offset,
-            } => (
-                Kind::Store,
-                0,
-                r(rs1),
-                r(rs2),
-                0,
-                op.width() as u8,
-                offset.into(),
-            ),
+            } => (Kind::store(op), 0, r(rs1), r(rs2), 0, offset.into()),
             Inst::OpImm { op, rd, rs1, imm } => {
-                (Kind::OpImm(op), r(rd), r(rs1), 0, 0, 0, imm.into())
+                (Kind::alu_imm(op), r(rd), r(rs1), 0, 0, imm.into())
             }
-            Inst::Op { op, rd, rs1, rs2 } => (Kind::Op(op), r(rd), r(rs1), r(rs2), 0, 0, 0),
-            Inst::Fence => (Kind::Fence, 0, 0, 0, 0, 0, 0),
-            Inst::Ecall => (Kind::Ecall, 0, 0, 0, 0, 0, 0),
-            Inst::Ebreak => (Kind::Ebreak, 0, 0, 0, 0, 0, 0),
+            Inst::Op { op, rd, rs1, rs2 } => (Kind::alu(op), r(rd), r(rs1), r(rs2), 0, 0),
+            Inst::Fence => (Kind::Fence, 0, 0, 0, 0, 0),
+            Inst::Ecall => (Kind::Ecall, 0, 0, 0, 0, 0),
+            Inst::Ebreak => (Kind::Ebreak, 0, 0, 0, 0, 0),
             Inst::Custom {
                 id,
                 rd,
@@ -283,7 +327,7 @@ impl MicroOp {
                 let kind = ext
                     .by_id(id)
                     .map_or(Kind::Illegal, |def| Kind::Custom(def.exec));
-                (kind, r(rd), r(rs1), r(rs2), r(rs3), 0, imm.into())
+                (kind, r(rd), r(rs1), r(rs2), r(rs3), imm.into())
             }
         };
         MicroOp {
@@ -292,7 +336,6 @@ impl MicroOp {
             rs1,
             rs2,
             rs3,
-            width,
             imm,
         }
     }
@@ -300,10 +343,11 @@ impl MicroOp {
     /// Whether the micro-op ends a straight-line run: it may transfer
     /// control (`jal`, `jalr`, a branch) or is a system instruction.
     pub(crate) fn ends_block(&self) -> bool {
-        matches!(
-            self.kind,
-            Kind::Jal | Kind::Jalr | Kind::Branch(_) | Kind::Fence | Kind::Ecall | Kind::Ebreak
-        )
+        self.kind.is_branch()
+            || matches!(
+                self.kind,
+                Kind::Jal | Kind::Jalr | Kind::Fence | Kind::Ecall | Kind::Ebreak
+            )
     }
 
     /// Whether executing the micro-op at `pc` and continuing at
@@ -313,9 +357,20 @@ impl MicroOp {
     pub(crate) fn redirects(&self, pc: u64, next_pc: u64) -> bool {
         match self.kind {
             Kind::Jal | Kind::Jalr => true,
-            Kind::Branch(_) => next_pc != pc.wrapping_add(4),
-            _ => false,
+            k => k.is_branch() && next_pc != pc.wrapping_add(4),
         }
+    }
+}
+
+/// The register value a load writes from the `raw` bytes it read:
+/// sign-extended for `lb`, `lh` and `lw`, zero-extended otherwise.
+#[inline(always)]
+fn extend_load(op: LoadOp, raw: u64) -> u64 {
+    match op {
+        LoadOp::Lb => raw as u8 as i8 as i64 as u64,
+        LoadOp::Lh => raw as u16 as i16 as i64 as u64,
+        LoadOp::Lw => raw as u32 as i32 as i64 as u64,
+        LoadOp::Ld | LoadOp::Lbu | LoadOp::Lhu | LoadOp::Lwu => raw,
     }
 }
 
@@ -442,7 +497,6 @@ pub fn eval_alu_imm(op: AluImmOp, x: u64, imm: i32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::StoreOp;
 
     fn cpu_with(pairs: &[(Reg, u64)]) -> Cpu {
         let mut c = Cpu::new();

@@ -10,7 +10,10 @@
 //! All of the paper's instructions are pure register-to-register
 //! computations — `rd ← f(rs1, rs2, rs3)` or `rd ← f(rs1, rs2, imm)` —
 //! so a pure-function model is sufficient and keeps the instructions
-//! trivially testable in isolation. The design-rule checks of
+//! trivially testable in isolation. The function takes the four
+//! operands as plain arguments, `fn(rs1, rs2, rs3, imm) -> u64`, so the
+//! simulator passes them in host registers rather than through a
+//! struct in memory. The design-rule checks of
 //! `mpise-core` enforce exactly this shape (no memory access, no extra
 //! architectural state), mirroring the ISE guidelines the paper adopts
 //! from Marshall et al. (CHES 2021).
@@ -96,23 +99,6 @@ impl CustomFormat {
     }
 }
 
-/// Source operand values handed to a custom instruction's execution
-/// function.
-///
-/// `rs3` is zero for [`CustomFormat::RShamt`] instructions and `imm` is
-/// zero for [`CustomFormat::R4`] instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CustomArgs {
-    /// Value of the first source register.
-    pub rs1: u64,
-    /// Value of the second source register.
-    pub rs2: u64,
-    /// Value of the third source register (R4 format only).
-    pub rs3: u64,
-    /// Immediate shift amount (RShamt format only).
-    pub imm: u8,
-}
-
 /// Functional unit a custom instruction executes on, which selects its
 /// timing class in [`crate::timing::PipelineModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,9 +120,11 @@ pub struct CustomInstDef {
     pub mnemonic: &'static str,
     /// Binary encoding format.
     pub format: CustomFormat,
-    /// Pure execution function: computes the `rd` value from the source
-    /// operands.
-    pub exec: fn(CustomArgs) -> u64,
+    /// Pure execution function: computes the `rd` value from the values
+    /// of `rs1`, `rs2` and `rs3` and the immediate. `rs3` is the value
+    /// of `x0`, zero, for [`CustomFormat::RShamt`] instructions, and
+    /// `imm` is zero for [`CustomFormat::R4`] instructions.
+    pub exec: fn(rs1: u64, rs2: u64, rs3: u64, imm: u8) -> u64,
     /// Functional unit / timing class.
     pub unit: ExecUnit,
 }
@@ -158,10 +146,10 @@ impl fmt::Debug for CustomInstDef {
 /// # Examples
 ///
 /// ```
-/// use mpise_sim::ext::{CustomArgs, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
+/// use mpise_sim::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
 ///
-/// fn addx3(a: CustomArgs) -> u64 {
-///     a.rs1.wrapping_add(a.rs2).wrapping_add(a.rs3)
+/// fn addx3(rs1: u64, rs2: u64, rs3: u64, _imm: u8) -> u64 {
+///     rs1.wrapping_add(rs2).wrapping_add(rs3)
 /// }
 ///
 /// let mut ext = IsaExtension::new("demo");
@@ -172,7 +160,9 @@ impl fmt::Debug for CustomInstDef {
 ///     exec: addx3,
 ///     unit: ExecUnit::Alu,
 /// }).unwrap();
-/// assert_eq!(ext.by_mnemonic("addx3").unwrap().id, CustomId(100));
+/// let def = ext.by_mnemonic("addx3").unwrap();
+/// assert_eq!(def.id, CustomId(100));
+/// assert_eq!((def.exec)(1, 20, 300, 0), 321);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IsaExtension {
@@ -362,8 +352,8 @@ pub fn decode_custom_operands(format: CustomFormat, raw: u32) -> (Reg, Reg, Reg,
 mod tests {
     use super::*;
 
-    fn dummy(a: CustomArgs) -> u64 {
-        a.rs1 ^ a.rs2 ^ a.rs3 ^ a.imm as u64
+    fn dummy(rs1: u64, rs2: u64, rs3: u64, imm: u8) -> u64 {
+        rs1 ^ rs2 ^ rs3 ^ u64::from(imm)
     }
 
     fn r4(funct2: u8) -> CustomFormat {

@@ -57,7 +57,7 @@ pub mod trace;
 
 pub use asm::Assembler;
 pub use cpu::{Cpu, Trap};
-pub use ext::{CustomArgs, CustomFormat, CustomInstDef, ExecUnit, IsaExtension};
+pub use ext::{CustomFormat, CustomInstDef, ExecUnit, IsaExtension};
 pub use inst::Inst;
 pub use machine::{Machine, RunStats};
 pub use mem::Memory;

@@ -568,41 +568,78 @@ mod tests {
 
     #[test]
     fn custom_fast_path_matches_step_semantics() {
-        use crate::ext::{CustomArgs, CustomFormat, CustomId, CustomInstDef, ExecUnit};
-        fn addx3(a: CustomArgs) -> u64 {
-            a.rs1.wrapping_add(a.rs2).wrapping_add(a.rs3)
+        use crate::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit};
+        // Weights that differ per operand, so any swap of the executor's
+        // arguments changes the result.
+        fn weigh3(rs1: u64, rs2: u64, rs3: u64, _imm: u8) -> u64 {
+            rs1 + 2 * rs2 + 3 * rs3
+        }
+        fn shift_add(rs1: u64, rs2: u64, rs3: u64, imm: u8) -> u64 {
+            rs1 + 2 * (rs2 >> imm) + 3 * rs3
         }
         let mut ext = IsaExtension::new("t");
-        ext.define(CustomInstDef {
+        for (id, mnemonic, format, exec) in [
+            (
+                900,
+                "weigh3",
+                CustomFormat::R4 {
+                    opcode: 0b1111011,
+                    funct3: 0b111,
+                    funct2: 0b00,
+                },
+                weigh3 as fn(u64, u64, u64, u8) -> u64,
+            ),
+            (
+                901,
+                "shiftadd",
+                CustomFormat::RShamt {
+                    opcode: 0b0101011,
+                    funct3: 0b111,
+                    bit31: true,
+                },
+                shift_add,
+            ),
+        ] {
+            ext.define(CustomInstDef {
+                id: CustomId(id),
+                mnemonic,
+                format,
+                exec,
+                unit: ExecUnit::Xmul,
+            })
+            .unwrap();
+        }
+        let make = || {
+            let mut a = Assembler::new();
+            a.custom_r4(CustomId(900), Reg::A0, Reg::A1, Reg::A2, Reg::A3);
+            a.custom_shamt(CustomId(901), Reg::A4, Reg::A1, Reg::A2, 3);
+            a.custom_shamt(CustomId(901), Reg::A5, Reg::A1, Reg::A2, 5);
+            a.ebreak();
+            let mut m = Machine::with_ext(ext.clone());
+            m.load_program(&a.finish());
+            m.cpu.write_reg(Reg::A1, 1000);
+            m.cpu.write_reg(Reg::A2, 640);
+            m.cpu.write_reg(Reg::A3, 7);
+            m
+        };
+        let (m, stats) = run_both(make);
+        assert_eq!(m.cpu.read_reg(Reg::A0), 1000 + 2 * 640 + 3 * 7);
+        assert_eq!(m.cpu.read_reg(Reg::A4), 1000 + 2 * 80, "imm = 3");
+        assert_eq!(m.cpu.read_reg(Reg::A5), 1000 + 2 * 20, "imm = 5");
+        assert_eq!(stats.unwrap().timing.custom_xmul, 3);
+        // `Cpu::step` runs the same semantics on one instruction.
+        let mut cpu = m.cpu.clone();
+        let mut mem = Memory::new(0, 8);
+        let inst = Inst::Custom {
             id: CustomId(900),
-            mnemonic: "addx3",
-            format: CustomFormat::R4 {
-                opcode: 0b1111011,
-                funct3: 0b111,
-                funct2: 0b00,
-            },
-            exec: addx3,
-            unit: ExecUnit::Xmul,
-        })
-        .unwrap();
-        let mut a = Assembler::new();
-        a.push(crate::inst::Inst::Custom {
-            id: CustomId(900),
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            rs2: Reg::A2,
-            rs3: Reg::A3,
+            rd: Reg::T0,
+            rs1: Reg::A3,
+            rs2: Reg::A1,
+            rs3: Reg::A2,
             imm: 0,
-        });
-        a.ebreak();
-        let mut m = Machine::with_ext(ext);
-        m.load_program(&a.finish());
-        m.cpu.write_reg(Reg::A1, 10);
-        m.cpu.write_reg(Reg::A2, 20);
-        m.cpu.write_reg(Reg::A3, 12);
-        let stats = m.run().unwrap();
-        assert_eq!(m.cpu.read_reg(Reg::A0), 42);
-        assert_eq!(stats.timing.custom_xmul, 1);
+        };
+        cpu.step(&inst, &mut mem, &ext).unwrap();
+        assert_eq!(cpu.read_reg(Reg::T0), 7 + 2 * 1000 + 3 * 640);
     }
 
     /// Runs the machine `make` builds twice: as is (a block at a time)

@@ -128,7 +128,7 @@ mod tests {
                 funct3: 0,
                 funct2: 0,
             },
-            exec: |a| a.rs1,
+            exec: |rs1, _, _, _| rs1,
             unit: crate::ext::ExecUnit::Alu,
         })
         .unwrap();

@@ -157,7 +157,7 @@ mod tests {
                 funct3: 0,
                 funct2: 0,
             },
-            exec: |a| a.rs1,
+            exec: |rs1, _, _, _| rs1,
             unit: ExecUnit::Alu,
         })
         .unwrap();
