@@ -8,7 +8,7 @@
 //! 1. **Kernel matrix** — all four configurations × all eight Fp
 //!    operations, executed on the Rocket pipeline model with one worker
 //!    thread per configuration
-//!    ([`mpise_fp::measure::measure_matrix_parallel`]). Every kernel is
+//!    ([`mpise_fp::measure::kernel_matrix`]). Every kernel is
 //!    validated by [`mpise_fp::measure::check_kernel`] — the reference
 //!    oracle on adversarial edges and random inputs, and constant cost
 //!    across them — before its cycle count is reported.
@@ -37,7 +37,7 @@
 use crate::{paper_cycles, ratio, rule, PAPER_ACTION_MCYCLES};
 use mpise_csidh::{group_action, PrivateKey, PublicKey};
 use mpise_fp::kernels::{Config, IseMode, OpKind};
-use mpise_fp::measure::{measure_matrix_parallel, OpMeasurement, VALIDATION_CASES};
+use mpise_fp::measure::{kernel_matrix, OpMeasurement, VALIDATION_CASES};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{CountingFp, Fp, FpFull, OpCounts};
 use mpise_obs::time::utc_date_string;
@@ -348,6 +348,25 @@ pub fn check_gate(
     }
 }
 
+/// The kernel matrix `bench` reports: [`kernel_matrix`] with
+/// [`VALIDATION_CASES`] random cases per kernel, drawn from
+/// [`BENCH_SEED`].
+///
+/// # Panics
+///
+/// Panics on any validation failure (a kernel bug).
+pub fn measure_kernels() -> Vec<(Config, Vec<OpMeasurement>)> {
+    kernel_matrix(VALIDATION_CASES, BENCH_SEED)
+        .into_iter()
+        .map(|(config, cells)| {
+            let measured = cells
+                .into_iter()
+                .map(|cell| cell.result.unwrap_or_else(|e| panic!("{e}")));
+            (config, measured.collect())
+        })
+        .collect()
+}
+
 /// Runs the whole pipeline with the given options.
 pub fn run_pipeline(options: BenchOptions) -> BenchReport {
     eprintln!(
@@ -355,7 +374,7 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
          random cases each, parallel) ..."
     );
     let t0 = Instant::now();
-    let matrix = measure_matrix_parallel();
+    let matrix = measure_kernels();
     eprintln!("bench: kernel matrix done in {:.2?}", t0.elapsed());
 
     let bound = options.action_bound();
@@ -590,7 +609,7 @@ mod tests {
     /// tests.
     fn measured() -> &'static Measured {
         static MEASURED: OnceLock<Measured> = OnceLock::new();
-        MEASURED.get_or_init(|| (measure_matrix_parallel(), instrument_action(1).0))
+        MEASURED.get_or_init(|| (measure_kernels(), instrument_action(1).0))
     }
 
     fn sim_of(estimate: &ActionEstimate) -> ActionSim {

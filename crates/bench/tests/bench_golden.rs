@@ -5,8 +5,9 @@
 //! pipeline-model change, nondeterminism in the simulator hot path —
 //! fails here and names the cells that moved.
 
+use mpise_bench::pipeline::BENCH_SEED;
 use mpise_fp::kernels::{Config, OpKind};
-use mpise_fp::measure::measure_matrix_parallel;
+use mpise_fp::measure::{kernel_matrix, VALIDATION_CASES};
 
 /// `(cycles, instret)` per kernel: one row per [`OpKind::ALL`] entry
 /// (Table 4's rows), one column per [`Config::ALL`] entry (full-radix
@@ -24,13 +25,14 @@ const GOLDEN: [[(u64, u64); 4]; 8] = [
 
 #[test]
 fn kernel_matrix_matches_committed_table() {
-    let matrix = measure_matrix_parallel();
+    let matrix = kernel_matrix(VALIDATION_CASES, BENCH_SEED);
     assert_eq!(matrix.len(), Config::ALL.len());
     let mut moved = Vec::new();
-    for (col, (config, measurements)) in matrix.iter().enumerate() {
+    for (col, (config, cells)) in matrix.iter().enumerate() {
         assert_eq!(*config, Config::ALL[col]);
-        assert_eq!(measurements.len(), OpKind::ALL.len());
-        for (row, m) in measurements.iter().enumerate() {
+        assert_eq!(cells.len(), OpKind::ALL.len());
+        for (row, cell) in cells.iter().enumerate() {
+            let m = cell.result.as_ref().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(m.op, OpKind::ALL[row]);
             let (got, want) = ((m.cycles, m.instret), GOLDEN[row][col]);
             if got != want {

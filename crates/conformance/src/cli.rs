@@ -21,8 +21,9 @@
 use crate::corpus;
 use crate::fuzz::{self, ExtChoice};
 use crate::kat;
-use crate::kernel_diff;
+use crate::kernel_diff::{self, KernelDiffOutcome};
 use crate::report::GateReport;
+use mpise_fp::measure::kernel_matrix;
 use mpise_fp::{FpFull, FpRed};
 use std::time::{Duration, Instant};
 
@@ -134,7 +135,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     // Mode 2: kernel + field difftest.
     let (kernel_cases, field_cases, sim_cases) = if o.smoke { (3, 12, 1) } else { (10, 32, 3) };
     let kd = kernel_diff::merge(
-        kernel_diff::run_kernel_layer(kernel_cases, DIFFTEST_SEED),
+        KernelDiffOutcome::of_matrix(&kernel_matrix(kernel_cases, DIFFTEST_SEED)),
         kernel_diff::run_field_layer(field_cases, sim_cases, DIFFTEST_SEED),
     );
     report.kernel_combos = kd.combos;

@@ -148,7 +148,7 @@ pub fn replay(entries: &[CorpusEntry]) -> (u64, Vec<String>) {
     let mut failures = Vec::new();
     for entry in entries {
         let mut runner = DiffRunner::new(entry.ext);
-        if let Some(d) = runner.run_insts(&entry.insts, &entry.init) {
+        if let Some(d) = runner.run_insts(&entry.insts, &entry.init, &[]) {
             failures.push(format!("corpus {}: {d}", entry.name));
         }
     }

@@ -1,10 +1,12 @@
 //! Seed-driven random-program ISA fuzzing with input shrinking.
 //!
-//! Programs mix RV64IM and Table 1 custom instructions, run through the
-//! pipelined [`Machine`] and the independent [`RefMachine`] in
-//! lockstep, and have their **full architectural state** diffed at the
-//! end: all 32 registers, every word of the data window the program
-//! could touch, the retired-instruction count, and the exit reason.
+//! Programs mix RV64IM and Table 1 custom instructions, run through
+//! [`DiffRunner`] — the pipelined [`Machine`] a block at a time, the
+//! same machine traced one instruction at a time, and the independent
+//! [`RefMachine`] — and have their **full architectural state** diffed
+//! at the end: all 32 registers, every word of the data window the
+//! program could touch, the retired-instruction count, and the exit
+//! reason; the two machine runs must also cost the same cycles.
 //!
 //! Generated programs are trap-free by construction so both executors
 //! always reach the final `ebreak`:
@@ -26,7 +28,8 @@ use crate::refexec::{RefExit, RefMachine};
 use mpise_sim::asm::{display_with_ext, Program};
 use mpise_sim::ext::{CustomId, IsaExtension};
 use mpise_sim::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
-use mpise_sim::machine::{Halt, RunError, DATA_BASE};
+use mpise_sim::machine::{Halt, RunError, RunStats, DATA_BASE};
+use mpise_sim::trace::Tracer;
 use mpise_sim::{Machine, Reg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -202,15 +205,24 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Reusable differential runner: one pre-built [`Machine`] (reset
-/// between programs) plus a fresh [`RefMachine`] per run.
+/// The differential runner: the one piece of code that runs a program
+/// on the simulator and on the reference and compares them.
+///
+/// Each program runs three times from the same registers and data
+/// words: on a [`Machine`] a block at a time, on a second [`Machine`]
+/// with a [`Tracer`] attached (so every instruction takes the
+/// per-instruction path), and on a fresh [`RefMachine`]. Both machines
+/// must match the reference's exit reason, registers, data window and
+/// `instret`, and each other's [`RunStats`] (cycles and
+/// [`mpise_sim::timing::TimingStats`] included).
 #[derive(Debug)]
 pub struct DiffRunner {
-    machine: Machine,
+    blocks: Machine,
+    traced: Machine,
 }
 
 impl DiffRunner {
-    /// A runner whose machine executes the true extension semantics.
+    /// A runner whose machines execute the true extension semantics.
     pub fn new(ext: ExtChoice) -> Self {
         Self::with_machine_ext(ext.extension())
     }
@@ -220,99 +232,132 @@ impl DiffRunner {
     /// broken executors (the reference side always uses the paper
     /// semantics).
     pub fn with_machine_ext(machine_ext: IsaExtension) -> Self {
-        let mut machine = Machine::with_ext(machine_ext);
-        machine.set_fuel(FUEL);
-        DiffRunner { machine }
-    }
-
-    /// Runs `prog` on both executors and reports the first divergence.
-    pub fn run(&mut self, prog: &FuzzProgram) -> Option<Divergence> {
-        self.run_insts(&prog.materialize(), &prog.init)
-    }
-
-    /// Lockstep-runs an already-materialised instruction sequence (used
-    /// by both the fuzzer and the corpus replayer).
-    pub fn run_insts(&mut self, insts: &[Inst], init: &[(Reg, u64)]) -> Option<Divergence> {
-        // Reset the machine: zero the data window and every register,
-        // then apply the program's initial state to both sides.
-        let zeros = [0u64; (WINDOW / 8) as usize];
-        self.machine
-            .mem
-            .write_limbs(DATA_BASE, &zeros)
-            .expect("window fits");
-        self.machine
-            .load_program(&Program::from_insts(insts.to_vec()));
-        for r in Reg::ALL {
-            self.machine.cpu.write_reg(r, 0);
+        let machine = |tracer: Option<Tracer>| {
+            let mut m = Machine::with_ext(machine_ext.clone());
+            m.set_fuel(FUEL);
+            m.set_tracer(tracer);
+            m
+        };
+        DiffRunner {
+            blocks: machine(None),
+            traced: machine(Some(Tracer::new(0))),
         }
+    }
+
+    /// Runs `prog` on all three executors and reports the first
+    /// divergence.
+    pub fn run(&mut self, prog: &FuzzProgram) -> Option<Divergence> {
+        self.run_insts(&prog.materialize(), &prog.init, &[])
+    }
+
+    /// Runs `insts` from the registers `init` (every other register
+    /// zero) and the data words `data` at [`DATA_BASE`] (the rest of
+    /// the window zero) on all three executors, and reports the first
+    /// divergence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than the [`WINDOW`].
+    pub fn run_insts(
+        &mut self,
+        insts: &[Inst],
+        init: &[(Reg, u64)],
+        data: &[u64],
+    ) -> Option<Divergence> {
+        let mut window = [0u64; (WINDOW / 8) as usize];
+        window[..data.len()].copy_from_slice(data);
+        let program = Program::from_insts(insts.to_vec());
+        let [blocks, traced] = [&mut self.blocks, &mut self.traced].map(|m| {
+            m.mem.write_limbs(DATA_BASE, &window).expect("window fits");
+            m.load_program(&program);
+            m.reset_clock();
+            for r in Reg::ALL {
+                m.cpu.write_reg(r, 0);
+            }
+            for &(r, v) in init {
+                m.cpu.write_reg(r, v);
+            }
+            m.run()
+        });
+
         let mut reference = RefMachine::new();
         reference.load(insts);
+        for (i, &w) in data.iter().enumerate() {
+            reference
+                .store_mem(DATA_BASE + 8 * i as u64, w, 8)
+                .expect("in window");
+        }
         for &(r, v) in init {
-            self.machine.cpu.write_reg(r, v);
             reference.write_reg(r, v);
         }
-
-        let sim_result = self.machine.run();
         let ref_exit = reference.run(FUEL);
 
-        // Exit reasons must correspond exactly.
-        let exits_match = matches!(
-            (&sim_result, &ref_exit),
-            (Ok(stats), RefExit::Breakpoint) if stats.halt == Halt::Breakpoint
-        ) || matches!(
-            (&sim_result, &ref_exit),
-            (Ok(stats), RefExit::EnvironmentCall) if stats.halt == Halt::EnvironmentCall
-        ) || matches!(
-            (&sim_result, &ref_exit),
-            (Err(RunError::Trap(_)), RefExit::Fault(_))
-        ) || matches!(
-            (&sim_result, &ref_exit),
-            (Err(RunError::OutOfFuel { .. }), RefExit::OutOfFuel)
-        );
-        if !exits_match {
+        for (path, machine, result) in [
+            ("sim", &self.blocks, &blocks),
+            ("traced", &self.traced, &traced),
+        ] {
+            if let Some(what) = diff_against_reference(path, machine, result, &reference, &ref_exit)
+            {
+                return Some(Divergence { what });
+            }
+        }
+        // Same architectural outcome; the two paths must also cost the
+        // same.
+        if blocks != traced {
             return Some(Divergence {
-                what: format!("exit mismatch: sim {sim_result:?} vs ref {ref_exit:?}"),
+                what: format!("run stats: sim {blocks:?} vs traced {traced:?}"),
             });
         }
-
-        // Registers.
-        let sim_regs = self.machine.cpu.regs();
-        for (i, (&s, &r)) in sim_regs.iter().zip(reference.regs.iter()).enumerate() {
-            if s != r {
-                let reg = Reg::from_number(i as u8).expect("index < 32");
-                return Some(Divergence {
-                    what: format!("reg {reg}: sim {s:#x} vs ref {r:#x}"),
-                });
-            }
-        }
-
-        // The whole data window, word by word.
-        for off in (0..WINDOW).step_by(8) {
-            let s = self
-                .machine
-                .mem
-                .load_u64(DATA_BASE + off)
-                .expect("window readable");
-            let r = reference.load_mem(DATA_BASE + off, 8).expect("in window");
-            if s != r {
-                return Some(Divergence {
-                    what: format!("mem[{:#x}]: sim {s:#x} vs ref {r:#x}", DATA_BASE + off),
-                });
-            }
-        }
-
-        // Retired-instruction counts.
-        if let Ok(stats) = &sim_result {
-            if stats.instret != reference.instret {
-                return Some(Divergence {
-                    what: format!(
-                        "instret: sim {} vs ref {}",
-                        stats.instret, reference.instret
-                    ),
-                });
-            }
-        }
         None
+    }
+}
+
+/// The first difference between one machine run (labelled `path`) and
+/// the reference's: exit reason, a register, a word of the data window,
+/// or `instret`.
+fn diff_against_reference(
+    path: &str,
+    machine: &Machine,
+    result: &Result<RunStats, RunError>,
+    reference: &RefMachine,
+    ref_exit: &RefExit,
+) -> Option<String> {
+    // Exit reasons must correspond exactly.
+    let exits_match = match (result, ref_exit) {
+        (Ok(stats), RefExit::Breakpoint) => stats.halt == Halt::Breakpoint,
+        (Ok(stats), RefExit::EnvironmentCall) => stats.halt == Halt::EnvironmentCall,
+        (Err(RunError::Trap(_)), RefExit::Fault(_)) => true,
+        (Err(RunError::OutOfFuel { .. }), RefExit::OutOfFuel) => true,
+        _ => false,
+    };
+    if !exits_match {
+        return Some(format!(
+            "exit mismatch: {path} {result:?} vs ref {ref_exit:?}"
+        ));
+    }
+
+    for (i, (&s, &r)) in machine.cpu.regs().iter().zip(&reference.regs).enumerate() {
+        if s != r {
+            let reg = Reg::from_number(i as u8).expect("index < 32");
+            return Some(format!("reg {reg}: {path} {s:#x} vs ref {r:#x}"));
+        }
+    }
+
+    // The whole data window, word by word.
+    for addr in (DATA_BASE..DATA_BASE + WINDOW).step_by(8) {
+        let s = machine.mem.load_u64(addr).expect("window readable");
+        let r = reference.load_mem(addr, 8).expect("in window");
+        if s != r {
+            return Some(format!("mem[{addr:#x}]: {path} {s:#x} vs ref {r:#x}"));
+        }
+    }
+
+    match result {
+        Ok(stats) if stats.instret != reference.instret => Some(format!(
+            "instret: {path} {} vs ref {}",
+            stats.instret, reference.instret
+        )),
+        _ => None,
     }
 }
 

@@ -4,19 +4,21 @@
 //! with the implementations under test:
 //!
 //! 1. **Kernel layer** — every Table 4 kernel in every configuration
-//!    (4 configs × 8 ops = 32 combinations) runs on the simulator
-//!    through the one kernel validator `bench` runs too
-//!    ([`check_kernel`]): the `RefInt` schoolbook oracle on every
-//!    adversarial edge — 0, 1, p−1, p, 2p−1 and limb-boundary carry
-//!    patterns — *plus* seeded random inputs ([`build_cases`]), and
-//!    identical cycles, `instret` and timing counters across them.
+//!    (4 configs × 8 ops = 32 cells) runs on the simulator through the
+//!    one kernel matrix `bench` runs too
+//!    ([`kernel_matrix`](mpise_fp::measure::kernel_matrix)): the
+//!    `RefInt` schoolbook oracle on every adversarial edge — 0, 1,
+//!    p−1, p, 2p−1 and limb-boundary carry patterns — *plus* seeded
+//!    random inputs, and identical cycles, `instret` and timing
+//!    counters across them. [`KernelDiffOutcome::of_matrix`] tallies
+//!    its cells.
 //! 2. **Field layer** — `FpFull`, `FpRed` and the four `SimFp`
-//!    configurations all evaluate the same operations, and their
-//!    **canonical byte encodings** (`to_uint().to_le_bytes()`) are
-//!    diffed pairwise.
+//!    configurations all evaluate the same operations, `inv` included,
+//!    and their **canonical byte encodings** (`to_uint().to_le_bytes()`)
+//!    are diffed pairwise.
 
-use mpise_fp::kernels::{Config, OpKind};
-use mpise_fp::measure::{build_cases, check_kernel, edge_residues, KernelRunner};
+use mpise_fp::kernels::Config;
+use mpise_fp::measure::{edge_residues, KernelCell};
 use mpise_fp::params::{random_residue, Csidh512};
 use mpise_fp::simfp::SimFp;
 use mpise_fp::{Fp, FpFull, FpRed};
@@ -36,33 +38,26 @@ pub struct KernelDiffOutcome {
 }
 
 impl KernelDiffOutcome {
+    /// The kernel layer's outcome: one combination per cell of a
+    /// [`kernel_matrix`](mpise_fp::measure::kernel_matrix), its cases,
+    /// and each failing cell's message.
+    pub fn of_matrix(matrix: &[(Config, Vec<KernelCell>)]) -> Self {
+        let cells = matrix.iter().flat_map(|(_, cells)| cells);
+        KernelDiffOutcome {
+            combos: cells.clone().count() as u64,
+            cases: cells.clone().map(|c| c.cases as u64).sum(),
+            failures: cells.filter_map(|c| c.result.clone().err()).collect(),
+        }
+    }
+
     /// Whether every comparison agreed.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
 }
 
-/// Runs all 32 kernel × configuration combinations through
-/// [`check_kernel`]: the schoolbook oracle on every edge and
-/// `cases_per_combo` random cases, and constant cost across them.
-pub fn run_kernel_layer(cases_per_combo: usize, seed: u64) -> KernelDiffOutcome {
-    let mut outcome = KernelDiffOutcome::default();
-    for (ci, &config) in Config::ALL.iter().enumerate() {
-        let mut runner = KernelRunner::new(config);
-        for (oi, &op) in OpKind::ALL.iter().enumerate() {
-            outcome.combos += 1;
-            let seed = seed ^ ((ci as u64) << 32) ^ ((oi as u64) << 16);
-            let cases = build_cases(op, config.radix, cases_per_combo, seed);
-            outcome.cases += cases.len() as u64;
-            if let Err(e) = check_kernel(&mut runner, op, &cases) {
-                outcome.failures.push(e);
-            }
-        }
-    }
-    outcome
-}
-
-/// Byte-level agreement of one operation across two backends.
+/// Byte-level agreement of `add`, `sub`, `mul`, `sqr` and `inv` across
+/// two backends.
 fn diff_bytes<F1: Fp, F2: Fp>(
     label1: &str,
     f1: &F1,
@@ -74,7 +69,7 @@ fn diff_bytes<F1: Fp, F2: Fp>(
 ) -> u64 {
     let (a1, b1) = (f1.from_uint(a), f1.from_uint(b));
     let (a2, b2) = (f2.from_uint(a), f2.from_uint(b));
-    let ops: [(&str, U512, U512); 4] = [
+    let ops: [(&str, U512, U512); 5] = [
         (
             "add",
             f1.to_uint(&f1.add(&a1, &b1)),
@@ -91,6 +86,7 @@ fn diff_bytes<F1: Fp, F2: Fp>(
             f2.to_uint(&f2.mul(&a2, &b2)),
         ),
         ("sqr", f1.to_uint(&f1.sqr(&a1)), f2.to_uint(&f2.sqr(&a2))),
+        ("inv", f1.to_uint(&f1.inv(&a1)), f2.to_uint(&f2.inv(&a2))),
     ];
     for (name, r1, r2) in &ops {
         if r1.to_le_bytes() != r2.to_le_bytes() {
@@ -162,10 +158,11 @@ pub fn merge(a: KernelDiffOutcome, b: KernelDiffOutcome) -> KernelDiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpise_fp::measure::kernel_matrix;
 
     #[test]
     fn kernel_layer_covers_all_32_combos() {
-        let out = run_kernel_layer(3, 0xD1FF);
+        let out = KernelDiffOutcome::of_matrix(&kernel_matrix(3, 0xD1FF));
         assert_eq!(out.combos, 32);
         // Per radix: 102 edge cases over the eight ops, then 3 random each.
         assert_eq!(out.cases, 4 * (102 + 8 * 3));
@@ -175,10 +172,10 @@ mod tests {
     #[test]
     fn field_layer_agrees_across_backends() {
         let out = run_field_layer(12, 1, 0xD1FF);
-        // Four ops per input on the host pair (the edges plus p and
+        // Five ops per input on the host pair (the edges plus p and
         // p + 1, padded to 12), then one input on each SimFp.
         let inputs = (edge_residues().len() + 2).max(12) as u64;
-        assert_eq!(out.cases, 4 * (inputs + 4));
+        assert_eq!(out.cases, 5 * (inputs + 4));
         assert!(out.passed(), "{:?}", out.failures);
     }
 }

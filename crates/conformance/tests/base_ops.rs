@@ -2,21 +2,19 @@
 //!
 //! The fuzzer draws its ALU, load and store ops from fixed sublists, so
 //! some rows (`sllw`, the `*w` divides, `slti`, `lh`, `sh`, ...) never
-//! reach [`RefMachine`] through it. Here each row of [`ALU_OPS`],
-//! [`ALU_IMM_OPS`], [`LOAD_OPS`] and [`STORE_OPS`] runs as a one
-//! instruction program over the carry-boundary operands, writing `x0`
-//! and writing a real register, on three executors: [`Machine`] a block
-//! at a time, [`Machine`] traced (an instruction at a time), and
-//! [`RefMachine`]. All 32 registers, the data window and the retired
-//! instruction count must agree.
+//! reach [`RefMachine`](mpise_conformance::RefMachine) through it. Here
+//! each row of [`ALU_OPS`], [`ALU_IMM_OPS`], [`LOAD_OPS`] and
+//! [`STORE_OPS`] runs as a one instruction program over the
+//! carry-boundary operands, writing `x0` and writing a real register,
+//! through [`DiffRunner`]: on the simulator a block at a time, traced
+//! (an instruction at a time), and on the reference. All 32 registers,
+//! the data window and the retired instruction count must agree.
 
 use mpise_conformance::fuzz::BOUNDARY_U64;
-use mpise_conformance::RefMachine;
-use mpise_sim::asm::Program;
+use mpise_conformance::{DiffRunner, ExtChoice};
 use mpise_sim::inst::{ALU_IMM_OPS, ALU_OPS, LOAD_OPS, STORE_OPS};
-use mpise_sim::machine::{Halt, DATA_BASE};
-use mpise_sim::trace::Tracer;
-use mpise_sim::{Inst, Machine, Reg};
+use mpise_sim::machine::DATA_BASE;
+use mpise_sim::{Inst, Reg};
 
 /// The fuzzer's carry boundaries, the 32-bit edges the `*w` forms turn
 /// on, and shift amounts either side of 32.
@@ -26,66 +24,11 @@ fn operands() -> Vec<u64> {
     v
 }
 
-/// Words of data memory each program may read or write.
-const WORDS: usize = 4;
-
-/// Runs the three executors on reusable machines.
-struct Checker {
-    blocks: Machine,
-    traced: Machine,
-}
-
-impl Checker {
-    fn new() -> Self {
-        Checker {
-            blocks: Machine::new(),
-            traced: Machine::new(),
-        }
-    }
-
-    /// Runs `inst`, then `ebreak`, from registers `init` and data words
-    /// `data` at [`DATA_BASE`], and requires the executors to agree.
-    fn check(&mut self, inst: Inst, init: &[(Reg, u64)], data: [u64; WORDS]) {
-        let program = Program::from_insts(vec![inst, Inst::Ebreak]);
-        let mut reference = RefMachine::new();
-        reference.load(program.insts());
-        for (i, &w) in data.iter().enumerate() {
-            reference
-                .store_mem(DATA_BASE + 8 * i as u64, w, 8)
-                .expect("in data memory");
-        }
-        let mut outcomes = Vec::new();
-        for (m, traced) in [(&mut self.blocks, false), (&mut self.traced, true)] {
-            m.load_program(&program);
-            m.mem.write_limbs(DATA_BASE, &data).expect("in data memory");
-            for r in Reg::ALL {
-                m.cpu.write_reg(r, 0);
-            }
-            for &(r, v) in init {
-                m.cpu.write_reg(r, v);
-            }
-            m.set_tracer(traced.then(|| Tracer::new(0)));
-            let stats = m.run().unwrap_or_else(|e| panic!("{inst:?}: {e}"));
-            assert_eq!(stats.halt, Halt::Breakpoint, "{inst:?}");
-            let words: Vec<u64> = (0..WORDS)
-                .map(|i| m.mem.load_u64(DATA_BASE + 8 * i as u64).expect("in window"))
-                .collect();
-            outcomes.push((m.cpu.regs(), words, stats.instret));
-        }
-        for &(r, v) in init {
-            reference.write_reg(r, v);
-        }
-        reference.run(16);
-        let words = (0..WORDS)
-            .map(|i| {
-                reference
-                    .load_mem(DATA_BASE + 8 * i as u64, 8)
-                    .expect("in window")
-            })
-            .collect();
-        let want = (reference.regs, words, reference.instret);
-        assert_eq!(outcomes[0], want, "block path vs reference on {inst:?}");
-        assert_eq!(outcomes[1], want, "traced path vs reference on {inst:?}");
+/// Runs `inst`, then `ebreak`, from registers `init` and data words
+/// `data` at [`DATA_BASE`], and requires the executors to agree.
+fn check(runner: &mut DiffRunner, inst: Inst, init: &[(Reg, u64)], data: &[u64]) {
+    if let Some(d) = runner.run_insts(&[inst, Inst::Ebreak], init, data) {
+        panic!("{inst:?}: {d}");
     }
 }
 
@@ -94,7 +37,7 @@ const DESTS: [Reg; 2] = [Reg::A0, Reg::Zero];
 
 #[test]
 fn every_alu_row_matches_the_reference() {
-    let mut c = Checker::new();
+    let mut runner = DiffRunner::new(ExtChoice::Base);
     let ops = operands();
     for &(op, ..) in &ALU_OPS {
         for rd in DESTS {
@@ -106,7 +49,7 @@ fn every_alu_row_matches_the_reference() {
                         rs1: Reg::A1,
                         rs2: Reg::A2,
                     };
-                    c.check(inst, &[(Reg::A1, x), (Reg::A2, y)], [0; WORDS]);
+                    check(&mut runner, inst, &[(Reg::A1, x), (Reg::A2, y)], &[]);
                 }
             }
         }
@@ -115,7 +58,7 @@ fn every_alu_row_matches_the_reference() {
 
 #[test]
 fn every_alu_imm_row_matches_the_reference() {
-    let mut c = Checker::new();
+    let mut runner = DiffRunner::new(ExtChoice::Base);
     for &(op, ..) in &ALU_IMM_OPS {
         let imms: Vec<i32> = if op.is_shift() {
             (0..1 << op.shamt_bits()).collect()
@@ -131,7 +74,7 @@ fn every_alu_imm_row_matches_the_reference() {
                         rs1: Reg::A1,
                         imm,
                     };
-                    c.check(inst, &[(Reg::A1, x)], [0; WORDS]);
+                    check(&mut runner, inst, &[(Reg::A1, x)], &[]);
                 }
             }
         }
@@ -140,7 +83,7 @@ fn every_alu_imm_row_matches_the_reference() {
 
 #[test]
 fn every_load_row_matches_the_reference() {
-    let mut c = Checker::new();
+    let mut runner = DiffRunner::new(ExtChoice::Base);
     for &(op, ..) in &LOAD_OPS {
         let width = op.width();
         for rd in DESTS {
@@ -155,7 +98,7 @@ fn every_load_row_matches_the_reference() {
                         offset: 8 + offset,
                     };
                     let data = [0, v, !v, 0];
-                    c.check(inst, &[(Reg::A1, DATA_BASE)], data);
+                    check(&mut runner, inst, &[(Reg::A1, DATA_BASE)], &data);
                 }
             }
         }
@@ -166,7 +109,7 @@ fn every_load_row_matches_the_reference() {
 fn every_store_row_matches_the_reference() {
     // A store writes no register; its source is `x0` (storing zero) or
     // a real register.
-    let mut c = Checker::new();
+    let mut runner = DiffRunner::new(ExtChoice::Base);
     for &(op, ..) in &STORE_OPS {
         let width = op.width();
         for rs2 in [Reg::A2, Reg::Zero] {
@@ -181,7 +124,8 @@ fn every_store_row_matches_the_reference() {
                     // Memory that is not zero, so the bytes a store
                     // must leave alone show.
                     let data = [u64::MAX, 0xa5a5_a5a5_a5a5_a5a5, 0x0123_4567_89ab_cdef, 1];
-                    c.check(inst, &[(Reg::A1, DATA_BASE), (Reg::A2, v)], data);
+                    let init = [(Reg::A1, DATA_BASE), (Reg::A2, v)];
+                    check(&mut runner, inst, &init, &data);
                 }
             }
         }

@@ -239,7 +239,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics when `config.workers` or `config.batch_lanes` is zero.
+    /// Panics when `config.workers`, `config.batch_lanes` or
+    /// `config.queue_capacity` is zero.
     pub fn start<F, B>(config: EngineConfig, backend: B) -> Engine
     where
         F: Fp,

@@ -43,7 +43,7 @@ use std::time::Instant;
 pub const LOADGEN_SEED: u64 = 0x10AD2;
 
 /// What to run and where to put the report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadgenOptions {
     /// Worker count of the pass under test.
     pub workers: usize,
@@ -437,96 +437,86 @@ fn print_summary(report: &LoadReport) {
     );
 }
 
-/// Command-line entry point of the `loadgen` binaries; returns the
-/// process exit code (0 = gate passed).
-pub fn run_cli(args: &[String]) -> i32 {
-    let mut opts = LoadgenOptions::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut parse_usize = |name: &str| -> Result<usize, i32> {
-            iter.next().and_then(|v| v.parse().ok()).ok_or_else(|| {
-                eprintln!("loadgen: {name} requires a positive integer");
-                2
-            })
-        };
-        match arg.as_str() {
-            "--smoke" => {
-                let keep = (
-                    opts.out.take(),
-                    opts.metrics_out.take(),
-                    opts.obs_out.take(),
-                );
-                opts = LoadgenOptions::smoke();
-                (opts.out, opts.metrics_out, opts.obs_out) = keep;
-            }
-            "--workers" => match parse_usize("--workers") {
-                Ok(v) => opts.workers = v.max(1),
-                Err(code) => return code,
-            },
-            "--baseline-workers" => match parse_usize("--baseline-workers") {
-                Ok(v) => opts.baseline_workers = v.max(1),
-                Err(code) => return code,
-            },
-            "--clients" => match parse_usize("--clients") {
-                Ok(v) => opts.clients = v.max(1),
-                Err(code) => return code,
-            },
-            "--requests" => match parse_usize("--requests") {
-                Ok(v) => opts.requests_per_client = v.max(1),
-                Err(code) => return code,
-            },
-            "--lanes" => match parse_usize("--lanes") {
-                Ok(v) => opts.batch_lanes = v.max(1),
-                Err(code) => return code,
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.seed = v,
-                None => {
-                    eprintln!("loadgen: --seed requires an integer");
-                    return 2;
-                }
-            },
-            "--out" => match iter.next() {
-                Some(path) => opts.out = Some(path.clone()),
-                None => {
-                    eprintln!("loadgen: --out requires a path");
-                    return 2;
-                }
-            },
-            "--metrics-out" => match iter.next() {
-                Some(path) => opts.metrics_out = Some(path.clone()),
-                None => {
-                    eprintln!("loadgen: --metrics-out requires a path");
-                    return 2;
-                }
-            },
-            "--obs-out" => match iter.next() {
-                Some(path) => opts.obs_out = Some(path.clone()),
-                None => {
-                    eprintln!("loadgen: --obs-out requires a path");
-                    return 2;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: loadgen [--smoke] [--workers N] [--baseline-workers N] \
+const USAGE: &str = "usage: loadgen [--smoke] [--workers N] [--baseline-workers N] \
                      [--clients N] [--requests N] [--lanes N] [--seed N] [--out PATH] \
                      [--metrics-out PATH] [--obs-out PATH]\n\
                      \n\
                      Runs the deterministic client mix against a 1-worker baseline\n\
                      and an N-worker engine, writes LOAD_<utc-date>.json, and exits\n\
                      non-zero when the multi-worker throughput gate fails.\n\
+                     --smoke starts from the CI-sized preset; any other flag\n\
+                     overrides it, before or after --smoke.\n\
                      --metrics-out / --obs-out enable telemetry and\n\
-                     dump the Prometheus text / mpise-obs/v1 JSON snapshot."
-                );
-                return 0;
+                     dump the Prometheus text / mpise-obs/v1 JSON snapshot.";
+
+/// Parses `loadgen`'s arguments. `--smoke` selects
+/// [`LoadgenOptions::smoke`] as the starting point and every other flag
+/// is applied on top of it, so an explicit flag wins in either order.
+///
+/// # Errors
+///
+/// Returns the exit code and the message to print: 0 and the usage
+/// text for `--help`, 2 for a bad argument.
+pub fn parse_args(args: &[String]) -> Result<LoadgenOptions, (i32, String)> {
+    let bad = |msg: String| (2, format!("loadgen: {msg}"));
+    let mut flags = Vec::new();
+    let mut iter = args.iter();
+    while let Some(flag) = iter.next() {
+        let value = match flag.as_str() {
+            "--smoke" => None,
+            "--help" | "-h" => return Err((0, USAGE.to_owned())),
+            "--workers" | "--baseline-workers" | "--clients" | "--requests" | "--lanes"
+            | "--seed" | "--out" | "--metrics-out" | "--obs-out" => Some(
+                iter.next()
+                    .ok_or_else(|| bad(format!("{flag} requires a value")))?,
+            ),
+            other => return Err(bad(format!("unknown argument `{other}` (try --help)"))),
+        };
+        flags.push((flag.as_str(), value));
+    }
+    let mut opts = if flags.iter().any(|&(flag, _)| flag == "--smoke") {
+        LoadgenOptions::smoke()
+    } else {
+        LoadgenOptions::default()
+    };
+    for (flag, value) in flags {
+        let Some(value) = value else { continue };
+        let count = || -> Result<usize, (i32, String)> {
+            let n: usize = value
+                .parse()
+                .map_err(|_| bad(format!("{flag} requires a positive integer")))?;
+            Ok(n.max(1))
+        };
+        match flag {
+            "--workers" => opts.workers = count()?,
+            "--baseline-workers" => opts.baseline_workers = count()?,
+            "--clients" => opts.clients = count()?,
+            "--requests" => opts.requests_per_client = count()?,
+            "--lanes" => opts.batch_lanes = count()?,
+            "--seed" => {
+                opts.seed = value
+                    .parse()
+                    .map_err(|_| bad(format!("{flag} requires an integer")))?;
             }
-            other => {
-                eprintln!("loadgen: unknown argument `{other}` (try --help)");
-                return 2;
-            }
+            "--out" => opts.out = Some(value.clone()),
+            "--metrics-out" => opts.metrics_out = Some(value.clone()),
+            "--obs-out" => opts.obs_out = Some(value.clone()),
+            _ => unreachable!("every flag with a value is listed above"),
         }
     }
+    Ok(opts)
+}
+
+/// Command-line entry point of the `loadgen` binaries; returns the
+/// process exit code (0 = gate passed).
+pub fn run_cli(args: &[String]) -> i32 {
+    let opts = match parse_args(args) {
+        Ok(opts) => opts,
+        Err((code, msg)) => {
+            eprintln!("{msg}");
+            return code;
+        }
+    };
 
     // Telemetry is opt-in: either output flag turns it on.
     if opts.metrics_out.is_some() || opts.obs_out.is_some() {
@@ -587,6 +577,45 @@ pub fn run_cli(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &str) -> Result<LoadgenOptions, (i32, String)> {
+        let args: Vec<String> = args.split_whitespace().map(str::to_owned).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn explicit_flags_win_over_smoke_in_either_order() {
+        for args in ["--workers 8 --smoke", "--smoke --workers 8"] {
+            let opts = parse(args).expect("valid arguments");
+            assert!(opts.smoke, "{args}");
+            assert_eq!(opts.workers, 8, "{args}");
+            assert_eq!(opts.requests_per_client, 3, "{args}");
+        }
+        let opts = parse(
+            "--seed 9 --clients 2 --requests 5 --lanes 1 --baseline-workers 2 \
+             --out x.json --smoke",
+        );
+        let want = LoadgenOptions {
+            seed: 9,
+            clients: 2,
+            requests_per_client: 5,
+            batch_lanes: 1,
+            baseline_workers: 2,
+            out: Some("x.json".to_owned()),
+            ..LoadgenOptions::smoke()
+        };
+        assert_eq!(opts, Ok(want));
+        assert_eq!(parse(""), Ok(LoadgenOptions::default()));
+    }
+
+    #[test]
+    fn rejects_bad_arguments() {
+        let code = |args| parse(args).unwrap_err().0;
+        assert_eq!(code("--workers"), 2);
+        assert_eq!(code("--workers x"), 2);
+        assert_eq!(code("--bogus"), 2);
+        assert_eq!(code("--help"), 0);
+    }
 
     #[test]
     fn seed_stream_is_stable() {

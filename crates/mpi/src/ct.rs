@@ -42,41 +42,6 @@ pub fn select_limbs(mask: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Constant-time equality of limb slices: returns 1 when equal, else 0.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn eq_limbs(a: &[u64], b: &[u64]) -> u64 {
-    assert_eq!(a.len(), b.len());
-    let mut acc = 0u64;
-    for i in 0..a.len() {
-        acc |= a[i] ^ b[i];
-    }
-    // acc == 0 <=> equal; fold to a single bit without branching.
-    let nz = (acc | acc.wrapping_neg()) >> 63;
-    1 ^ nz
-}
-
-/// Constant-time unsigned less-than over limb slices (little-endian):
-/// returns 1 when `a < b`, else 0 — a multi-word `SLTU`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn lt_limbs(a: &[u64], b: &[u64]) -> u64 {
-    assert_eq!(a.len(), b.len());
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let (d, b1) = a[i].overflowing_sub(b[i]);
-        let (_, b2) = d.overflowing_sub(borrow);
-        borrow = (b1 | b2) as u64;
-    }
-    borrow
-}
-
 /// 64-bit add with carry-in; returns `(sum, carry_out)`.
 ///
 /// The software analogue of the `add`/`sltu` pair the paper counts in
@@ -110,25 +75,6 @@ mod tests {
         assert_eq!(out, [1, 2, 3]);
         select_limbs(0, &[1, 2, 3], &[4, 5, 6], &mut out);
         assert_eq!(out, [4, 5, 6]);
-    }
-
-    #[test]
-    fn equality() {
-        assert_eq!(eq_limbs(&[1, 2, 3], &[1, 2, 3]), 1);
-        assert_eq!(eq_limbs(&[1, 2, 3], &[1, 2, 4]), 0);
-        assert_eq!(eq_limbs(&[0], &[0]), 1);
-        assert_eq!(eq_limbs(&[u64::MAX], &[u64::MAX]), 1);
-        assert_eq!(eq_limbs(&[u64::MAX], &[0]), 0);
-    }
-
-    #[test]
-    fn less_than() {
-        assert_eq!(lt_limbs(&[5], &[6]), 1);
-        assert_eq!(lt_limbs(&[6], &[5]), 0);
-        assert_eq!(lt_limbs(&[5], &[5]), 0);
-        // high limb dominates
-        assert_eq!(lt_limbs(&[u64::MAX, 1], &[0, 2]), 1);
-        assert_eq!(lt_limbs(&[0, 2], &[u64::MAX, 1]), 0);
     }
 
     #[test]

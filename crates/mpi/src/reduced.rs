@@ -236,31 +236,6 @@ pub fn mul_ps_slices_57(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert!(out[a.len() + b.len() - 1] <= MASK);
 }
 
-/// Reference ISA-only variant of [`mul_ps_slices_57`]: a 128-bit
-/// `(h ‖ l)` accumulator fed by `mul`/`mulhu` MACs (Listing 2), aligned
-/// at each column with the shift sequence of §3.1. Produces identical
-/// results; exists so tests can pin the two instruction sequences to
-/// the same function.
-pub fn mul_ps_slices_57_isa(a: &[u64], b: &[u64], out: &mut [u64]) {
-    assert_eq!(out.len(), a.len() + b.len());
-    assert!(
-        a.iter().chain(b).all(|&l| l <= MASK),
-        "inputs must be canonical"
-    );
-    let mut acc: u128 = 0;
-    for k in 0..out.len() - 1 {
-        let lo = k.saturating_sub(b.len() - 1);
-        let hi = k.min(a.len() - 1);
-        for i in lo..=hi {
-            acc += a[i] as u128 * b[k - i] as u128;
-        }
-        out[k] = (acc as u64) & MASK;
-        acc >>= RADIX_BITS;
-    }
-    out[a.len() + b.len() - 1] = acc as u64;
-    debug_assert_eq!(acc >> RADIX_BITS, 0);
-}
-
 /// Product-scanning squaring in radix 2^57 with the cross products
 /// halved: each pair `i < j` is one MAC of `2·a_i < 2^58` by `a_j`, and
 /// each diagonal `a_i²` one more, so a square costs `n(n+1)/2` MACs
@@ -650,13 +625,10 @@ mod tests {
         let b = U128x::from_hex("0x7123456789abcdef0123456789abcdef").unwrap();
         let ra: Reduced<3> = Reduced::from_uint(&a);
         let rb: Reduced<3> = Reduced::from_uint(&b);
-        let mut out_ise = [0u64; 6];
-        let mut out_isa = [0u64; 6];
-        mul_ps_slices_57(ra.limbs(), rb.limbs(), &mut out_ise);
-        mul_ps_slices_57_isa(ra.limbs(), rb.limbs(), &mut out_isa);
-        assert_eq!(out_ise, out_isa);
-        // Cross-check the value against the schoolbook reference.
-        let prod: Uint<6> = Reduced::<6>::from_limbs(out_ise).to_uint();
+        let mut out = [0u64; 6];
+        mul_ps_slices_57(ra.limbs(), rb.limbs(), &mut out);
+        // Check the value against the schoolbook reference.
+        let prod: Uint<6> = Reduced::<6>::from_limbs(out).to_uint();
         let expect = RefInt::from_limbs(a.limbs()).mul(&RefInt::from_limbs(b.limbs()));
         assert_eq!(prod.limbs().to_vec(), expect.to_limbs(6));
     }

@@ -1,6 +1,6 @@
 //! Full-radix (radix-2^64) unsigned integers of a fixed digit count.
 
-use crate::ct::{adc, eq_limbs, lt_limbs, sbb};
+use crate::ct::{adc, sbb};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -141,8 +141,7 @@ impl<const L: usize> Uint<L> {
         Ok(Uint { limbs })
     }
 
-    /// Whether the value is zero (not constant time; see
-    /// [`crate::ct::eq_limbs`] for the constant-time version).
+    /// Whether the value is zero (not constant time).
     pub fn is_zero(&self) -> bool {
         self.limbs.iter().all(|&l| l == 0)
     }
@@ -203,16 +202,6 @@ impl<const L: usize> Uint<L> {
     /// Wrapping subtraction.
     pub fn wrapping_sub(&self, other: &Self) -> Self {
         self.sbb(other, 0).0
-    }
-
-    /// Constant-time unsigned less-than: 1 when `self < other`, else 0.
-    pub fn ct_lt(&self, other: &Self) -> u64 {
-        lt_limbs(&self.limbs, &other.limbs)
-    }
-
-    /// Constant-time equality: 1 when equal, else 0.
-    pub fn ct_eq(&self, other: &Self) -> u64 {
-        eq_limbs(&self.limbs, &other.limbs)
     }
 
     /// Bit-wise and.
@@ -288,26 +277,6 @@ impl<const L: usize> Uint<L> {
             out[i] = v;
         }
         Uint { limbs: out }
-    }
-
-    /// Widens into a larger digit count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `M < L`.
-    pub fn widen<const M: usize>(&self) -> Uint<M> {
-        assert!(M >= L, "widen target must not be smaller");
-        let mut limbs = [0u64; M];
-        limbs[..L].copy_from_slice(&self.limbs);
-        Uint::from_limbs(limbs)
-    }
-
-    /// Truncates to a smaller digit count, discarding high digits.
-    pub fn truncate<const M: usize>(&self) -> Uint<M> {
-        let mut limbs = [0u64; M];
-        let n = M.min(L);
-        limbs[..n].copy_from_slice(&self.limbs[..n]);
-        Uint::from_limbs(limbs)
     }
 }
 
@@ -480,15 +449,10 @@ mod tests {
     fn comparisons() {
         let a = U256::from_u64(5);
         let b = U256::from_u64(6);
-        assert_eq!(a.ct_lt(&b), 1);
-        assert_eq!(b.ct_lt(&a), 0);
-        assert_eq!(a.ct_lt(&a), 0);
-        assert_eq!(a.ct_eq(&a), 1);
-        assert_eq!(a.ct_eq(&b), 0);
         assert!(a < b);
+        assert_ne!(a, b);
         let hi = U256::from_limbs([0, 0, 0, 1]);
         assert!(b < hi);
-        assert_eq!(b.ct_lt(&hi), 1);
     }
 
     #[test]
@@ -511,15 +475,6 @@ mod tests {
         assert_eq!(v.bit_length(), 4);
         assert_eq!(U256::ZERO.bit_length(), 0);
         assert_eq!(U256::MAX.bit_length(), 256);
-    }
-
-    #[test]
-    fn widen_truncate() {
-        let v = U256::from_u64(77);
-        let w: Uint<8> = v.widen();
-        assert_eq!(w.limb(0), 77);
-        let t: Uint<2> = w.truncate();
-        assert_eq!(t.limb(0), 77);
     }
 
     #[test]

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn classifies_and_validates_each_schema() {
-        let dir = std::env::temp_dir().join("obscheck-test");
+        let dir = std::env::temp_dir().join(format!("obscheck-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let obs = write(
             &dir,
@@ -110,5 +110,6 @@ mod tests {
         let unknown = write(&dir, "unknown.json", r#"{"schema": "other/v9"}"#);
         assert_eq!(run(&[unknown]), 1);
         assert_eq!(run(&[]), 2);
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
     }
 }

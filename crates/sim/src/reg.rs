@@ -124,45 +124,6 @@ impl Reg {
         Reg::T6,
     ];
 
-    /// The callee-saved registers of the standard RV64 calling convention
-    /// (`s0`–`s11`). Kernels that use them must save and restore them;
-    /// the kernel generators in `mpise-fp` rely on this list for their
-    /// prologues and epilogues.
-    pub const CALLEE_SAVED: [Reg; 12] = [
-        Reg::S0,
-        Reg::S1,
-        Reg::S2,
-        Reg::S3,
-        Reg::S4,
-        Reg::S5,
-        Reg::S6,
-        Reg::S7,
-        Reg::S8,
-        Reg::S9,
-        Reg::S10,
-        Reg::S11,
-    ];
-
-    /// Caller-saved registers freely available to leaf kernels (the
-    /// temporaries and the argument registers).
-    pub const CALLER_SAVED: [Reg; 15] = [
-        Reg::T0,
-        Reg::T1,
-        Reg::T2,
-        Reg::T3,
-        Reg::T4,
-        Reg::T5,
-        Reg::T6,
-        Reg::A0,
-        Reg::A1,
-        Reg::A2,
-        Reg::A3,
-        Reg::A4,
-        Reg::A5,
-        Reg::A6,
-        Reg::A7,
-    ];
-
     /// Returns the architectural register number (0–31).
     #[inline]
     pub const fn number(self) -> u8 {
@@ -291,13 +252,12 @@ mod tests {
 
     #[test]
     fn callee_saved_classification() {
-        for r in Reg::CALLEE_SAVED {
-            assert!(r.is_callee_saved());
+        // The ABI's callee-saved registers are exactly s0–s11.
+        for r in Reg::ALL {
+            let name = r.to_string();
+            let saved = name.starts_with('s') && name != "sp";
+            assert_eq!(r.is_callee_saved(), saved, "{name}");
         }
-        for r in Reg::CALLER_SAVED {
-            assert!(!r.is_callee_saved());
-        }
-        assert!(!Reg::Zero.is_callee_saved());
     }
 
     #[test]
