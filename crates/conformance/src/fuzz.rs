@@ -19,18 +19,25 @@
 //!   never produce a loop or an out-of-program jump;
 //! * only registered custom ids are emitted.
 //!
+//! Beside single custom instructions, programs carry adjacent
+//! high/low MAC pairs on shared `rs1`/`rs2` with random register
+//! aliasing, so both the simulator's fused pair and its refusal to fuse
+//! are diffed.
+//!
 //! On divergence the failing program is shrunk by delta-debugging:
 //! chunks, then single instructions, then initial register values are
 //! removed while the divergence persists, yielding a minimal repro
 //! (typically 1–3 instructions plus `ebreak`).
 
 use crate::refexec::{RefExit, RefMachine};
+use mpise_core::full_radix::{MADDHU, MADDLU};
+use mpise_core::reduced_radix::{MADD57HU, MADD57LU};
 use mpise_sim::asm::{display_with_ext, Program};
 use mpise_sim::ext::{CustomId, IsaExtension};
 use mpise_sim::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use mpise_sim::machine::{Halt, RunError, RunStats, DATA_BASE};
 use mpise_sim::trace::Tracer;
-use mpise_sim::{Machine, Reg};
+use mpise_sim::{Machine, PipelineModel, Reg, TimingConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,6 +102,16 @@ impl ExtChoice {
             ExtChoice::Base => &[],
             ExtChoice::FullRadix => &[1, 2, 3],
             ExtChoice::ReducedRadix => &[4, 5, 6],
+        }
+    }
+
+    /// The ids of the MAC pair the extension registers (high half
+    /// first): `maddhu`, `maddlu` or `madd57hu`, `madd57lu`.
+    fn mac_pair(self) -> Option<(CustomId, CustomId)> {
+        match self {
+            ExtChoice::Base => None,
+            ExtChoice::FullRadix => Some((MADDHU, MADDLU)),
+            ExtChoice::ReducedRadix => Some((MADD57HU, MADD57LU)),
         }
     }
 }
@@ -213,8 +230,11 @@ impl std::fmt::Display for Divergence {
 /// with a [`Tracer`] attached (so every instruction takes the
 /// per-instruction path), and on a fresh [`RefMachine`]. Both machines
 /// must match the reference's exit reason, registers, data window and
-/// `instret`, and each other's [`RunStats`] (cycles and
-/// [`mpise_sim::timing::TimingStats`] included).
+/// `instret`, and each other's [`RunStats`]. The block run's cycles and
+/// [`mpise_sim::timing::TimingStats`] must also equal the [`oracle`]'s
+/// over the traced run, which re-derives every instruction's timing,
+/// control instructions included, from the public
+/// [`PipelineModel::retire`].
 #[derive(Debug)]
 pub struct DiffRunner {
     blocks: Machine,
@@ -232,15 +252,14 @@ impl DiffRunner {
     /// broken executors (the reference side always uses the paper
     /// semantics).
     pub fn with_machine_ext(machine_ext: IsaExtension) -> Self {
-        let machine = |tracer: Option<Tracer>| {
+        let machine = || {
             let mut m = Machine::with_ext(machine_ext.clone());
             m.set_fuel(FUEL);
-            m.set_tracer(tracer);
             m
         };
         DiffRunner {
-            blocks: machine(None),
-            traced: machine(Some(Tracer::new(0))),
+            blocks: machine(),
+            traced: machine(),
         }
     }
 
@@ -267,6 +286,7 @@ impl DiffRunner {
         let mut window = [0u64; (WINDOW / 8) as usize];
         window[..data.len()].copy_from_slice(data);
         let program = Program::from_insts(insts.to_vec());
+        self.traced.set_tracer(Some(Tracer::new(FUEL as usize)));
         let [blocks, traced] = [&mut self.blocks, &mut self.traced].map(|m| {
             m.mem.write_limbs(DATA_BASE, &window).expect("window fits");
             m.load_program(&program);
@@ -302,14 +322,60 @@ impl DiffRunner {
             }
         }
         // Same architectural outcome; the two paths must also cost the
-        // same.
+        // same, and what the oracle re-derives.
         if blocks != traced {
             return Some(Divergence {
                 what: format!("run stats: sim {blocks:?} vs traced {traced:?}"),
             });
         }
-        None
+        let end_pc = self.traced.cpu.pc;
+        let model = oracle(&mut self.traced, TimingConfig::default(), end_pc);
+        match blocks {
+            Ok(stats) if (stats.cycles, stats.timing) != (model.cycles(), *model.stats()) => {
+                Some(Divergence {
+                    what: format!(
+                        "timing: sim {} cycles {:?} vs oracle {} cycles {:?}",
+                        stats.cycles,
+                        stats.timing,
+                        model.cycles(),
+                        model.stats()
+                    ),
+                })
+            }
+            _ => None,
+        }
     }
+}
+
+/// Re-times a finished traced run of `m` under `timing` with the public
+/// [`PipelineModel::retire`], which derives each instruction's timing
+/// facts afresh on every call: the timing oracle for the block-at-a-time
+/// run loop. `end_pc` is where execution continued after the last
+/// instruction; a jump counts as taken, a branch when it left the
+/// fall-through path.
+///
+/// # Panics
+///
+/// Panics if `m` has no tracer or its tracer dropped entries.
+pub fn oracle(m: &mut Machine, timing: TimingConfig, end_pc: u64) -> PipelineModel {
+    let trace = m.take_tracer().expect("tracer attached");
+    let entries = trace.entries();
+    assert_eq!(entries.len() as u64, trace.total, "trace kept every entry");
+    let mut model = PipelineModel::new(timing);
+    for (k, e) in entries.iter().enumerate() {
+        let next_pc = entries.get(k + 1).map_or(end_pc, |n| n.pc);
+        let taken = match e.inst {
+            Inst::Jal { .. } | Inst::Jalr { .. } => true,
+            Inst::Branch { .. } => next_pc != e.pc + 4,
+            _ => false,
+        };
+        let unit = match e.inst {
+            Inst::Custom { id, .. } => m.ext().by_id(id).map(|d| d.unit),
+            _ => None,
+        };
+        model.retire(&e.inst, taken, unit);
+    }
+    model
 }
 
 /// The first difference between one machine run (labelled `path`) and
@@ -471,7 +537,8 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
         BranchOp::Bgeu,
     ];
 
-    for i in 0..len {
+    while ops.len() < len {
+        let i = ops.len();
         let kind = rng.gen_range(0u8..100);
         let op = if kind < 30 {
             FuzzOp::Plain(Inst::Op {
@@ -501,6 +568,12 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
                 imm,
             })
         } else if kind < 75 && !customs.is_empty() {
+            if let Some(pair) = ext.mac_pair().filter(|_| i + 2 <= len) {
+                if rng.gen_range(0u8..3) == 0 {
+                    ops.extend(mac_pair(&mut rng, pair));
+                    continue;
+                }
+            }
             let id = customs[rng.gen_range(0..customs.len())];
             let (rs3, imm) = if id == 6 {
                 // sraiadd carries a shift amount, not a third register.
@@ -569,6 +642,38 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
         init.push((p, DATA_BASE + 8 * rng.gen_range(0..WINDOW / 16)));
     }
     FuzzProgram { ext, init, ops }
+}
+
+/// An adjacent high/low MAC pair on shared `rs1` and `rs2`, as the
+/// kernels issue it, with registers drawn so that every case of the
+/// simulator's pair fusion (DESIGN.md §9.5) comes up: a plain pair,
+/// equal destinations, `x0` destinations, and a low half that reads the
+/// high half's destination as `rs1`, `rs2` or `rs3`, which must not be
+/// fused.
+fn mac_pair(rng: &mut StdRng, (hi, lo): (CustomId, CustomId)) -> [FuzzOp; 2] {
+    let (mut rd1, mut rd2) = (dest(rng), dest(rng));
+    let (mut rs1, mut rs2) = (any_source(rng), any_source(rng));
+    let (rs3a, mut rs3b) = (any_source(rng), any_source(rng));
+    match rng.gen_range(0u8..8) {
+        0 => rd2 = rd1,
+        1 => rd1 = Reg::Zero,
+        2 => rd2 = Reg::Zero,
+        3 => rs1 = rd1,
+        4 => rs2 = rd1,
+        5 => rs3b = rd1,
+        _ => {}
+    }
+    let mac = |id, rd, rs3| {
+        FuzzOp::Plain(Inst::Custom {
+            id,
+            rd,
+            rs1,
+            rs2,
+            rs3,
+            imm: 0,
+        })
+    };
+    [mac(hi, rd1, rs3a), mac(lo, rd2, rs3b)]
 }
 
 /// Width-aligned offset into the second half of the window (pointers
@@ -757,6 +862,52 @@ mod tests {
                     panic!("{} seed {seed}: {d}\n{}", ext.label(), prog.listing());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mac_pairs_cover_every_fusion_case() {
+        for ext in [ExtChoice::FullRadix, ExtChoice::ReducedRadix] {
+            let (hi, lo) = ext.mac_pair().expect("ISE targets register a pair");
+            // fused, equal destinations, x0 destination, and the low
+            // half reading the high half's destination as rs1/rs2/rs3
+            let mut seen = [0u32; 6];
+            for seed in 0..300 {
+                let insts = gen_program(ext, seed).materialize();
+                for w in insts.windows(2) {
+                    let (
+                        Inst::Custom {
+                            id: id1,
+                            rd: rd1,
+                            rs1,
+                            rs2,
+                            ..
+                        },
+                        Inst::Custom {
+                            id: id2,
+                            rd: rd2,
+                            rs1: rs1b,
+                            rs2: rs2b,
+                            rs3: rs3b,
+                            ..
+                        },
+                    ) = (w[0], w[1])
+                    else {
+                        continue;
+                    };
+                    if (id1, id2, rs1, rs2) != (hi, lo, rs1b, rs2b) {
+                        continue;
+                    }
+                    let aliased = [rs1b, rs2b, rs3b].map(|r| r == rd1);
+                    seen[0] += u32::from(!aliased.contains(&true));
+                    seen[1] += u32::from(rd1 == rd2);
+                    seen[2] += u32::from(rd1 == Reg::Zero || rd2 == Reg::Zero);
+                    for (k, a) in aliased.into_iter().enumerate() {
+                        seen[3 + k] += u32::from(a);
+                    }
+                }
+            }
+            assert!(!seen.contains(&0), "{}: {seen:?}", ext.label());
         }
     }
 

@@ -1,12 +1,14 @@
 //! Timing oracle for the block-at-a-time run loop.
 //!
 //! `Machine::run` replays each straight-line block's timing from a
-//! summary instead of retiring its instructions one by one. Here every
-//! program also runs with a tracer attached, and the traced instruction
-//! sequence is fed into the public `PipelineModel::retire`, which
-//! re-derives each instruction's timing facts on every call. The
+//! summary instead of retiring its instructions one by one, and runs
+//! registered custom-instruction pairs as one micro-op. Here every
+//! program also runs with a tracer attached, one instruction at a time
+//! and never fused, and `mpise_conformance::fuzz::oracle` feeds the
+//! traced instruction sequence into the public `PipelineModel::retire`,
+//! which re-derives each instruction's timing facts on every call. The
 //! untraced run's cycles and every `TimingStats` field must equal that
-//! oracle's exactly.
+//! oracle's exactly, and a kernel's result words the traced run's.
 //!
 //! Under the Rocket defaults no result is still in flight when a block
 //! is entered after a control instruction (no latency exceeds 2, and a
@@ -16,14 +18,14 @@
 //! flight when the next block starts; the loops and fuzz programs run
 //! under both, so the per-instruction fallback is checked too.
 
-use mpise_conformance::fuzz::{gen_program, ExtChoice};
+use mpise_conformance::fuzz::{gen_program, oracle, ExtChoice};
 use mpise_fp::kernels::ablation::{karatsuba_int_mul, rolled_int_mul};
 use mpise_fp::kernels::{Config, IseMode, KernelSet, OpKind};
 use mpise_fp::measure::{call_kernel, kernel_machine};
 use mpise_sim::asm::Program;
 use mpise_sim::machine::RunStats;
 use mpise_sim::trace::Tracer;
-use mpise_sim::{Inst, Machine, PipelineModel, TimingConfig};
+use mpise_sim::{Machine, PipelineModel, TimingConfig};
 
 /// The Rocket defaults, and 3-cycle multiplies and loads.
 fn timings() -> [TimingConfig; 2] {
@@ -33,30 +35,6 @@ fn timings() -> [TimingConfig; 2] {
         ..TimingConfig::default()
     };
     [TimingConfig::default(), slow]
-}
-
-/// Re-times a finished traced run of `m` under `timing` with
-/// `PipelineModel::retire`. `end_pc` is where execution continued
-/// after the last instruction.
-fn oracle(m: &mut Machine, timing: TimingConfig, end_pc: u64) -> PipelineModel {
-    let trace = m.take_tracer().expect("tracer attached");
-    let entries = trace.entries();
-    assert_eq!(entries.len() as u64, trace.total, "trace kept every entry");
-    let mut model = PipelineModel::new(timing);
-    for (k, e) in entries.iter().enumerate() {
-        let next_pc = entries.get(k + 1).map_or(end_pc, |n| n.pc);
-        let taken = match e.inst {
-            Inst::Jal { .. } | Inst::Jalr { .. } => true,
-            Inst::Branch { .. } => next_pc != e.pc + 4,
-            _ => false,
-        };
-        let unit = match e.inst {
-            Inst::Custom { id, .. } => m.ext().by_id(id).map(|d| d.unit),
-            _ => None,
-        };
-        model.retire(&e.inst, taken, unit);
-    }
-    model
 }
 
 fn assert_matches(what: &str, stats: &RunStats, model: &PipelineModel) {
@@ -74,21 +52,24 @@ fn check_kernel(
     inputs: &[&[u64]],
     out: usize,
 ) {
-    let mut out = vec![0; out];
     let machine = || {
         let mut m = kernel_machine(config, program);
         m.set_timing(timing);
         m
     };
     let mut m = machine();
-    let first = call_kernel(&mut m, inputs, &mut out).expect("kernel runs");
-    let second = call_kernel(&mut m, inputs, &mut out).expect("kernel runs");
+    let (mut first_out, mut second_out) = (vec![0; out], vec![0; out]);
+    let first = call_kernel(&mut m, inputs, &mut first_out).expect("kernel runs");
+    let second = call_kernel(&mut m, inputs, &mut second_out).expect("kernel runs");
     assert_eq!(first, second, "{what}: second call");
+    assert_eq!(first_out, second_out, "{what}: second call's result");
 
     let mut traced = machine();
     traced.set_tracer(Some(Tracer::new(1 << 20)));
-    let stats = call_kernel(&mut traced, inputs, &mut out).expect("kernel runs");
+    let mut traced_out = vec![0; out];
+    let stats = call_kernel(&mut traced, inputs, &mut traced_out).expect("kernel runs");
     assert_eq!(stats, first, "{what}: traced run");
+    assert_eq!(traced_out, first_out, "{what}: traced run's result");
     let sentinel = traced.return_sentinel();
     assert_matches(what, &first, &oracle(&mut traced, timing, sentinel));
 }

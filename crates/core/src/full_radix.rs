@@ -40,6 +40,15 @@ fn exec_cadd(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
     intrinsics::cadd(rs1, rs2, rs3)
 }
 
+/// `maddhu` then `maddlu` on one `rs1 × rs2` (Listing 3): both halves
+/// of one product, each with its own addend.
+fn exec_maddhu_maddlu(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
+    (
+        intrinsics::maddhu(rs1, rs2, rs3a),
+        intrinsics::maddlu(rs1, rs2, rs3b),
+    )
+}
+
 fn r4(funct2: u8) -> CustomFormat {
     CustomFormat::R4 {
         opcode: CUSTOM3_OPCODE,
@@ -52,7 +61,9 @@ fn r4(funct2: u8) -> CustomFormat {
 ///
 /// All three instructions execute on the XMUL unit: the two MACs use its
 /// multiplier array, and `cadd` uses its wide carry network — the paper
-/// routes every custom instruction through XMUL (§3.3).
+/// routes every custom instruction through XMUL (§3.3). `maddhu`
+/// followed by `maddlu` is registered as a pair, so the simulator runs
+/// the two halves of a MAC from one product.
 ///
 /// # Examples
 ///
@@ -92,6 +103,7 @@ pub fn full_radix_ext() -> IsaExtension {
         e.define(d)
             .expect("full-radix ISE definitions are conflict-free");
     }
+    e.define_pair(MADDHU, MADDLU, exec_maddhu_maddlu);
     e
 }
 

@@ -31,6 +31,15 @@ fn exec_madd57hu(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
     intrinsics::madd57hu(rs1, rs2, rs3)
 }
 
+/// `madd57hu` then `madd57lu` on one `rs1 × rs2` (Listing 4): both
+/// parts of one product, each with its own addend.
+fn exec_madd57hu_madd57lu(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
+    (
+        intrinsics::madd57hu(rs1, rs2, rs3a),
+        intrinsics::madd57lu(rs1, rs2, rs3b),
+    )
+}
+
 fn exec_sraiadd(rs1: u64, rs2: u64, _: u64, imm: u8) -> u64 {
     intrinsics::sraiadd(rs1, rs2, u32::from(imm))
 }
@@ -39,7 +48,9 @@ fn exec_sraiadd(rs1: u64, rs2: u64, _: u64, imm: u8) -> u64 {
 ///
 /// The MACs execute on XMUL; `sraiadd` is a shift-and-add and executes
 /// on the XMUL unit as well (§3.3 routes all custom instructions
-/// through the extended multiplier).
+/// through the extended multiplier). `madd57hu` followed by `madd57lu`
+/// is registered as a pair, so the simulator runs the two parts of a
+/// MAC from one product.
 ///
 /// # Examples
 ///
@@ -90,6 +101,7 @@ pub fn reduced_radix_ext() -> IsaExtension {
         e.define(d)
             .expect("reduced-radix ISE definitions are conflict-free");
     }
+    e.define_pair(MADD57HU, MADD57LU, exec_madd57hu_madd57lu);
     e
 }
 

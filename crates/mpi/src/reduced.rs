@@ -620,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn mul57_matches_reference_and_isa_variant() {
+    fn mul57_matches_reference() {
         let a = U128x::from_hex("0x7edcba9876543210fedcba9876543210").unwrap();
         let b = U128x::from_hex("0x7123456789abcdef0123456789abcdef").unwrap();
         let ra: Reduced<3> = Reduced::from_uint(&a);

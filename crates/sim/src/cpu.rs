@@ -1,6 +1,6 @@
 //! Architectural CPU state and single-instruction semantics.
 
-use crate::ext::IsaExtension;
+use crate::ext::{IsaExtension, PairExec};
 use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
 use crate::reg::Reg;
@@ -148,6 +148,9 @@ macro_rules! flat_dispatch {
             /// A registered custom instruction, with its execution
             /// function.
             Custom(fn(u64, u64, u64, u8) -> u64),
+            /// A registered pair of adjacent custom instructions
+            /// ([`MicroOp::pair`]), with the pair's execution function.
+            CustomPair(PairExec),
             Lui,
             Auipc,
             Jal,
@@ -232,6 +235,17 @@ macro_rules! flat_dispatch {
                         );
                         self.set_reg(u.rd, v);
                     }
+                    Kind::CustomPair(exec) => {
+                        let (v1, v2) = exec(
+                            self.reg(u.rs1),
+                            self.reg(u.rs2),
+                            self.reg(u.rs3),
+                            self.reg(u.rs3b),
+                        );
+                        self.set_reg(u.rd, v1);
+                        self.set_reg(u.rd2, v2);
+                        next_pc = pc.wrapping_add(8);
+                    }
                     Kind::Lui => self.set_reg(u.rd, imm),
                     Kind::Auipc => self.set_reg(u.rd, pc.wrapping_add(imm)),
                     Kind::Jal => {
@@ -272,6 +286,10 @@ flat_dispatch! {
 /// instruction's shift amount) and a custom instruction's execution
 /// function are all resolved, so [`Cpu::exec`] does no decoding or
 /// registry lookup.
+///
+/// A fused pair ([`MicroOp::pair`]) keeps its first instruction's
+/// registers and its second one's destination and `rs3` in `rd2` and
+/// `rs3b`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroOp {
     kind: Kind,
@@ -279,6 +297,8 @@ pub(crate) struct MicroOp {
     rs1: u8,
     rs2: u8,
     rs3: u8,
+    rd2: u8,
+    rs3b: u8,
     imm: i64,
 }
 
@@ -336,8 +356,56 @@ impl MicroOp {
             rs1,
             rs2,
             rs3,
+            rd2: 0,
+            rs3b: 0,
             imm,
         }
+    }
+
+    /// Translates `first` and `second`, adjacent in one straight-line
+    /// run, into one micro-op when `ext` registers them as a pair
+    /// ([`IsaExtension::define_pair`]), they read the same `rs1` and
+    /// `rs2`, and `second` does not read `first`'s destination. The
+    /// micro-op reads all four sources, then writes `first`'s
+    /// destination and then `second`'s, so equal destinations and
+    /// `x0` destinations behave as the two instructions in sequence,
+    /// and advances the PC by 8. It cannot trap.
+    pub(crate) fn pair(first: &Inst, second: &Inst, ext: &IsaExtension) -> Option<Self> {
+        let (
+            &Inst::Custom {
+                id: id1,
+                rd: rd1,
+                rs1,
+                rs2,
+                rs3: rs3a,
+                ..
+            },
+            &Inst::Custom {
+                id: id2,
+                rd: rd2,
+                rs1: rs1b,
+                rs2: rs2b,
+                rs3: rs3b,
+                ..
+            },
+        ) = (first, second)
+        else {
+            return None;
+        };
+        if (rs1, rs2) != (rs1b, rs2b) || [rs1b, rs2b, rs3b].contains(&rd1) {
+            return None;
+        }
+        let r = Reg::number;
+        Some(MicroOp {
+            kind: Kind::CustomPair(ext.pair(id1, id2)?),
+            rd: r(rd1),
+            rs1: r(rs1),
+            rs2: r(rs2),
+            rs3: r(rs3a),
+            rd2: r(rd2),
+            rs3b: r(rs3b),
+            imm: 0,
+        })
     }
 
     /// Whether the micro-op ends a straight-line run: it may transfer

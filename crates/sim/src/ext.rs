@@ -18,6 +18,16 @@
 //! architectural state), mirroring the ISE guidelines the paper adopts
 //! from Marshall et al. (CHES 2021).
 //!
+//! An extension may also register a *pair*: two of its R4
+//! instructions that programs issue back to back on the same `rs1` and
+//! `rs2`, like the high and low halves of the paper's MAC (Listings 3
+//! and 4), which the XMUL datapath computes from one product (§3.3).
+//! The pair's executor, `fn(rs1, rs2, rs3a, rs3b) -> (u64, u64)`,
+//! returns both results, each equal to its instruction's own
+//! executor's. The simulator runs such an adjacent pair as one step
+//! when the first result is not a source of the second (DESIGN.md
+//! §9.5); timing and `instret` still count two instructions.
+//!
 //! Note that the two ISE sets may legitimately reuse the same encodings:
 //! the paper presents them as alternatives, not as a combined extension
 //! (e.g. `cadd` and `madd57lu` both use funct2 = 10 on the custom-3
@@ -173,7 +183,14 @@ pub struct IsaExtension {
     /// custom instruction through [`IsaExtension::by_id`], so this must
     /// not be a linear scan.
     id_index: Vec<u32>,
+    /// Registered pairs: first id, second id, pair executor.
+    pairs: Vec<(CustomId, CustomId, PairExec)>,
 }
+
+/// A pair executor: both results `(rd1, rd2)` of two R4 instructions
+/// issued back to back on the same `rs1` and `rs2`, from those values
+/// and each instruction's `rs3` (see [`IsaExtension::define_pair`]).
+pub type PairExec = fn(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64);
 
 /// Error returned when a custom instruction definition conflicts with an
 /// already-registered one (same encoding point or same mnemonic/id).
@@ -204,6 +221,7 @@ impl IsaExtension {
             name,
             defs: Vec::new(),
             id_index: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -235,6 +253,34 @@ impl IsaExtension {
         self.id_index[slot] = self.defs.len() as u32 + 1;
         self.defs.push(def);
         Ok(())
+    }
+
+    /// Registers `exec` as the executor of `first` followed by
+    /// `second`. It must return what `first`'s and `second`'s own
+    /// executors return for the same operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is not registered or is not an R4
+    /// instruction (a pair executor takes no immediate), or if the pair
+    /// is registered already.
+    pub fn define_pair(&mut self, first: CustomId, second: CustomId, exec: PairExec) {
+        for id in [first, second] {
+            let def = self
+                .by_id(id)
+                .expect("a pair names registered instructions");
+            assert!(def.format.has_rs3(), "`{}` is not R4", def.mnemonic);
+        }
+        assert!(self.pair(first, second).is_none(), "pair registered twice");
+        self.pairs.push((first, second, exec));
+    }
+
+    /// The executor registered for `first` followed by `second`.
+    pub fn pair(&self, first: CustomId, second: CustomId) -> Option<PairExec> {
+        self.pairs
+            .iter()
+            .find(|&&(a, b, _)| (a, b) == (first, second))
+            .map(|&(_, _, exec)| exec)
     }
 
     /// All instruction definitions in registration order.
@@ -277,7 +323,8 @@ impl IsaExtension {
         })
     }
 
-    /// Merges another extension's definitions into this one.
+    /// Merges another extension's definitions, then its pairs, into
+    /// this one.
     ///
     /// # Errors
     ///
@@ -286,6 +333,9 @@ impl IsaExtension {
     pub fn merge(&mut self, other: &IsaExtension) -> Result<(), ConflictError> {
         for d in other.defs() {
             self.define(d.clone())?;
+        }
+        for &(first, second, exec) in &other.pairs {
+            self.define_pair(first, second, exec);
         }
         Ok(())
     }
@@ -465,6 +515,30 @@ mod tests {
         assert_eq!(e.match_encoding(raw_b).unwrap().mnemonic, "b");
         let raw_c = encode_custom(r4(3), Reg::A0, Reg::A1, Reg::A2, Reg::A3, 0);
         assert!(e.match_encoding(raw_c).is_none());
+    }
+
+    #[test]
+    fn pairs_are_looked_up_in_order_and_merged() {
+        fn pair(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
+            (dummy(rs1, rs2, rs3a, 0), dummy(rs1, rs2, rs3b, 0))
+        }
+        let mut a = IsaExtension::new("a");
+        for (id, m, f2) in [(1u16, "x", 0u8), (2, "y", 1)] {
+            a.define(CustomInstDef {
+                id: CustomId(id),
+                mnemonic: m,
+                format: r4(f2),
+                exec: dummy,
+                unit: ExecUnit::Xmul,
+            })
+            .unwrap();
+        }
+        a.define_pair(CustomId(1), CustomId(2), pair);
+        assert!(a.pair(CustomId(1), CustomId(2)).is_some());
+        assert!(a.pair(CustomId(2), CustomId(1)).is_none());
+        let mut merged = IsaExtension::new("m");
+        merged.merge(&a).unwrap();
+        assert!(merged.pair(CustomId(1), CustomId(2)).is_some());
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub const DATA_SIZE: usize = 1 << 20;
 /// runaway loops in tests).
 pub const DEFAULT_FUEL: u64 = 200_000_000;
 
+/// The `Machine::fused_at` entry of a fused pair's second instruction.
+const MID_PAIR: u32 = u32::MAX;
+
 /// How a [`Machine::run`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Halt {
@@ -129,6 +132,14 @@ pub struct Machine {
     /// the block starting there (the next control or system
     /// instruction, or the program's last).
     block_end: Vec<u32>,
+    /// `uops` with each fusable pair of adjacent custom instructions
+    /// before a block's end replaced by one micro-op
+    /// ([`MicroOp::pair`]): what a block executes.
+    fused: Vec<MicroOp>,
+    /// Per instruction index: the index in `fused` of the micro-op
+    /// that starts there, or [`MID_PAIR`] for the second instruction of
+    /// a fused pair.
+    fused_at: Vec<u32>,
     /// Per block start: 1 + its index in `blocks`, or 0 while the block
     /// has not run.
     block_of: Vec<u32>,
@@ -165,6 +176,8 @@ impl Machine {
             uops: Vec::new(),
             timing: Vec::new(),
             block_end: Vec::new(),
+            fused: Vec::new(),
+            fused_at: Vec::new(),
             block_of: Vec::new(),
             blocks: Vec::new(),
             prog_base: PROG_BASE,
@@ -204,7 +217,10 @@ impl Machine {
     /// instruction, and translates every instruction into a micro-op
     /// (register numbers, immediate, access width and custom execution
     /// function resolved) with its timing facts, so the run loop does
-    /// no per-step lookup or allocation work.
+    /// no per-step lookup or allocation work. The list a block executes
+    /// fuses each adjacent pair of custom instructions that the
+    /// extension registers as a pair, such as an ISE MAC's high and low
+    /// halves, into one micro-op (DESIGN.md §9.5).
     pub fn load_program(&mut self, program: &Program) {
         self.program = program.insts().to_vec();
         self.uops = self
@@ -231,6 +247,26 @@ impl Machine {
             } else {
                 self.block_end[i + 1]
             };
+        }
+        self.fused = Vec::with_capacity(n);
+        self.fused_at = Vec::with_capacity(n);
+        let mut i = 0;
+        while i < n {
+            self.fused_at.push(self.fused.len() as u32);
+            let pair = (self.block_end[i] as usize > i + 1)
+                .then(|| MicroOp::pair(&self.program[i], &self.program[i + 1], &self.ext))
+                .flatten();
+            match pair {
+                Some(pair) => {
+                    self.fused.push(pair);
+                    self.fused_at.push(MID_PAIR);
+                    i += 2;
+                }
+                None => {
+                    self.fused.push(self.uops[i]);
+                    i += 1;
+                }
+            }
         }
         self.forget_blocks();
         self.cpu.pc = self.prog_base;
@@ -263,13 +299,15 @@ impl Machine {
     /// returned [`RunStats`] (`instret`, `cycles` *and* `timing`) are
     /// all deltas covering this run only.
     ///
-    /// The run goes a block at a time: the straight-line instructions
+    /// The run goes a block at a time. The straight-line instructions
     /// up to the next control or system instruction execute in one
-    /// loop, their timing is replayed from the block's summary when its
-    /// entry is clean (DESIGN.md §9.5), and the terminator is
-    /// retired on its own, so branch outcomes are costed exactly. With
-    /// a tracer attached, or fuel for less than the block, every
-    /// instruction is executed and retired on its own.
+    /// loop, each registered pair of custom instructions as one
+    /// micro-op. Their timing is then replayed from the block's summary
+    /// when its entry is clean, or retired one instruction at a time
+    /// when it is not (DESIGN.md §9.5). The terminator is retired on its
+    /// own, so branch outcomes are costed exactly. With a tracer
+    /// attached, or fuel for less than the block, every instruction is
+    /// executed and retired on its own.
     ///
     /// # Errors
     ///
@@ -317,7 +355,13 @@ impl Machine {
     /// [`Machine::step`], and the earlier writes stay committed.
     fn run_straight(&mut self, first: usize, end: usize) -> Result<(), Trap> {
         let entry_pc = self.cpu.pc;
-        for u in &self.uops[first..end] {
+        // A block entered between the two halves of a fused pair (a
+        // jump into it) runs unfused. No pair straddles a block's end.
+        let ops = match self.fused_at[first] {
+            MID_PAIR => &self.uops[first..end],
+            k => &self.fused[k as usize..self.fused_at[end] as usize],
+        };
+        for u in ops {
             if let Err(trap) = self.cpu.exec(u, &mut self.mem) {
                 let faulting = first + ((self.cpu.pc - entry_pc) / 4) as usize;
                 for pre in &self.timing[first..=faulting] {
@@ -640,6 +684,95 @@ mod tests {
         };
         cpu.step(&inst, &mut mem, &ext).unwrap();
         assert_eq!(cpu.read_reg(Reg::T0), 7 + 2 * 1000 + 3 * 640);
+    }
+
+    #[test]
+    fn registered_pairs_fuse_only_on_shared_operands_without_aliasing() {
+        use crate::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit};
+        const HI: CustomId = CustomId(900);
+        const LO: CustomId = CustomId(901);
+        const MARK: u64 = 1 << 40;
+        fn hi(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+            rs1 + 2 * rs2 + 3 * rs3
+        }
+        fn lo(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+            5 * rs1 + 7 * rs2 + 11 * rs3
+        }
+        // Marks both results, so a fused pair shows in the registers.
+        fn marked(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
+            (hi(rs1, rs2, rs3a, 0) + MARK, lo(rs1, rs2, rs3b, 0) + MARK)
+        }
+        let mut ext = IsaExtension::new("t");
+        for (id, mnemonic, funct2, exec) in [
+            (HI, "hi", 0, hi as fn(u64, u64, u64, u8) -> u64),
+            (LO, "lo", 1, lo),
+        ] {
+            let format = CustomFormat::R4 {
+                opcode: 0b1111011,
+                funct3: 0b111,
+                funct2,
+            };
+            let unit = ExecUnit::Xmul;
+            ext.define(CustomInstDef {
+                id,
+                mnemonic,
+                format,
+                exec,
+                unit,
+            })
+            .unwrap();
+        }
+        ext.define_pair(HI, LO, marked);
+        let (a1, a2, a3, a5) = (1000, 100, 10, 1);
+        // (hi rd, lo rd, lo rs1, lo rs2, lo rs3, fused?)
+        let cases = [
+            (Reg::A0, Reg::A4, Reg::A1, Reg::A2, Reg::A5, true),
+            (Reg::A0, Reg::A0, Reg::A1, Reg::A2, Reg::A5, true),
+            (Reg::Zero, Reg::A4, Reg::A1, Reg::A2, Reg::A5, true),
+            (Reg::A0, Reg::Zero, Reg::A1, Reg::A2, Reg::A5, true),
+            (Reg::A0, Reg::A4, Reg::A1, Reg::A3, Reg::A5, false),
+            (Reg::A1, Reg::A4, Reg::A1, Reg::A2, Reg::A5, false),
+            (Reg::A2, Reg::A4, Reg::A1, Reg::A2, Reg::A5, false),
+            (Reg::A5, Reg::A4, Reg::A1, Reg::A2, Reg::A5, false),
+        ];
+        for (rd1, rd2, rs1, rs2, rs3b, fused) in cases {
+            let make = |jump_to_second: bool| {
+                let ext = ext.clone();
+                move || {
+                    let mut a = Assembler::new();
+                    a.custom_r4(HI, rd1, Reg::A1, Reg::A2, Reg::A3);
+                    a.custom_r4(LO, rd2, rs1, rs2, rs3b);
+                    a.ebreak();
+                    let mut m = Machine::with_ext(ext.clone());
+                    m.load_program(&a.finish());
+                    for (r, v) in [(Reg::A1, a1), (Reg::A2, a2), (Reg::A3, a3), (Reg::A5, a5)] {
+                        m.cpu.write_reg(r, v);
+                    }
+                    if jump_to_second {
+                        m.cpu.pc = PROG_BASE + 4;
+                    }
+                    m
+                }
+            };
+            let mut blocks = make(false)();
+            let got = blocks.run().unwrap();
+            let mut single = make(false)();
+            single.set_tracer(Some(Tracer::new(0)));
+            let want_stats = single.run().unwrap();
+            let mut want = single.cpu.regs();
+            if fused {
+                let dests = if rd1 == rd2 { &[rd2][..] } else { &[rd1, rd2] };
+                for r in dests.iter().filter(|&&r| r != Reg::Zero) {
+                    want[r.number() as usize] += MARK;
+                }
+            }
+            let what = format!("{rd1} {rd2} {rs1} {rs2} {rs3b}");
+            assert_eq!(blocks.cpu.regs(), want, "{what}");
+            assert_eq!(got, want_stats, "{what}: timing counts two instructions");
+            // Entering between the halves runs the second one alone.
+            let (_, second_alone) = run_both(make(true));
+            assert_eq!(second_alone.unwrap().instret, 2, "{what}");
+        }
     }
 
     /// Runs the machine `make` builds twice: as is (a block at a time)

@@ -158,17 +158,35 @@ impl Memory {
         self.store(addr, value, 8)
     }
 
+    /// The index in `bytes` of the `width` bytes starting at `addr`,
+    /// checked once for the whole range.
+    fn span(&self, addr: u64, width: u64) -> Result<usize, MemError> {
+        let end = addr
+            .checked_add(width)
+            .ok_or(MemError::OutOfBounds { addr, width })?;
+        if addr < self.base || end > self.base + self.bytes.len() as u64 {
+            return Err(MemError::OutOfBounds { addr, width });
+        }
+        Ok((addr - self.base) as usize)
+    }
+
+    /// The index in `bytes` of an array of `words` 64-bit limbs at
+    /// `addr`: its first limb must be 8-byte aligned (then every limb
+    /// is) and the whole array must be mapped.
+    fn limb_span(&self, addr: u64, words: usize) -> Result<usize, MemError> {
+        if addr & 7 != 0 {
+            return Err(MemError::Misaligned { addr, width: 8 });
+        }
+        self.span(addr, 8 * words as u64)
+    }
+
     /// Copies `data` into memory starting at `addr`.
     ///
     /// # Errors
     ///
     /// [`MemError::OutOfBounds`] when the slice does not fit.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        let width = data.len() as u64;
-        if addr < self.base || addr + width > self.base + self.bytes.len() as u64 {
-            return Err(MemError::OutOfBounds { addr, width });
-        }
-        let off = (addr - self.base) as usize;
+        let off = self.span(addr, data.len() as u64)?;
         self.bytes[off..off + data.len()].copy_from_slice(data);
         Ok(())
     }
@@ -179,27 +197,38 @@ impl Memory {
     ///
     /// [`MemError::OutOfBounds`] when the range is not mapped.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<&[u8], MemError> {
-        let width = len as u64;
-        if addr < self.base || addr + width > self.base + self.bytes.len() as u64 {
-            return Err(MemError::OutOfBounds { addr, width });
-        }
-        let off = (addr - self.base) as usize;
+        let off = self.span(addr, len as u64)?;
         Ok(&self.bytes[off..off + len])
     }
 
     /// Writes an array of 64-bit limbs at `addr` (little-endian, limb 0
     /// lowest) — the layout MPI kernels use for operands.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Misaligned`] when `addr` is not 8-byte aligned and
+    /// [`MemError::OutOfBounds`] (with the array's byte length as the
+    /// width) when the array does not fit. Either way the check covers
+    /// the whole array before any byte is written.
     pub fn write_limbs(&mut self, addr: u64, limbs: &[u64]) -> Result<(), MemError> {
-        for (i, &l) in limbs.iter().enumerate() {
-            self.store_u64(addr + 8 * i as u64, l)?;
+        let off = self.limb_span(addr, limbs.len())?;
+        let bytes = &mut self.bytes[off..off + 8 * limbs.len()];
+        for (chunk, l) in bytes.chunks_exact_mut(8).zip(limbs) {
+            chunk.copy_from_slice(&l.to_le_bytes());
         }
         Ok(())
     }
 
     /// Reads `out.len()` 64-bit limbs starting at `addr` into `out`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Memory::write_limbs`]; `out` is left unchanged.
     pub fn read_limbs(&self, addr: u64, out: &mut [u64]) -> Result<(), MemError> {
-        for (i, l) in out.iter_mut().enumerate() {
-            *l = self.load_u64(addr + 8 * i as u64)?;
+        let off = self.limb_span(addr, out.len())?;
+        let bytes = &self.bytes[off..off + 8 * out.len()];
+        for (l, chunk) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *l = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         }
         Ok(())
     }
@@ -248,6 +277,39 @@ mod tests {
         let mut back = [0u64; 4];
         m.read_limbs(0x1000, &mut back).unwrap();
         assert_eq!(back, limbs);
+    }
+
+    #[test]
+    fn limb_arrays_are_checked_whole_before_any_write() {
+        let mut m = Memory::new(0x1000, 64);
+        m.write_limbs(0x1000, &[7; 8]).unwrap();
+        let mut back = [0u64; 8];
+        m.read_limbs(0x1000, &mut back).unwrap();
+        assert_eq!(back, [7; 8]);
+        // Ends exactly at the end of the region.
+        m.write_limbs(0x1030, &[1, 2]).unwrap();
+        let mut tail = [0u64; 2];
+        m.read_limbs(0x1030, &mut tail).unwrap();
+        assert_eq!(tail, [1, 2]);
+
+        let misaligned = MemError::Misaligned {
+            addr: 0x1004,
+            width: 8,
+        };
+        assert_eq!(m.write_limbs(0x1004, &[9, 9]), Err(misaligned));
+        assert_eq!(m.read_limbs(0x1004, &mut tail), Err(misaligned));
+        // Runs one limb past the end: nothing is written, not even the
+        // limbs that would fit.
+        let past = MemError::OutOfBounds {
+            addr: 0x1030,
+            width: 24,
+        };
+        assert_eq!(m.write_limbs(0x1030, &[9, 9, 9]), Err(past));
+        assert_eq!(m.read_limbs(0x1030, &mut [0; 3]), Err(past));
+        m.read_limbs(0x1000, &mut back).unwrap();
+        assert_eq!(back, [7, 7, 7, 7, 7, 7, 1, 2]);
+        // An address so high that the end wraps is out of bounds too.
+        assert!(m.read_limbs(u64::MAX - 7, &mut [0; 2]).is_err());
     }
 
     #[test]

@@ -150,25 +150,6 @@ impl Reg {
         ];
         NAMES[self as usize]
     }
-
-    /// Whether this register is callee-saved under the standard ABI.
-    pub const fn is_callee_saved(self) -> bool {
-        matches!(
-            self,
-            Reg::S0
-                | Reg::S1
-                | Reg::S2
-                | Reg::S3
-                | Reg::S4
-                | Reg::S5
-                | Reg::S6
-                | Reg::S7
-                | Reg::S8
-                | Reg::S9
-                | Reg::S10
-                | Reg::S11
-        )
-    }
 }
 
 impl fmt::Display for Reg {
@@ -248,16 +229,6 @@ mod tests {
     #[test]
     fn fp_aliases_s0() {
         assert_eq!("fp".parse::<Reg>().unwrap(), Reg::S0);
-    }
-
-    #[test]
-    fn callee_saved_classification() {
-        // The ABI's callee-saved registers are exactly s0–s11.
-        for r in Reg::ALL {
-            let name = r.to_string();
-            let saved = name.starts_with('s') && name != "sp";
-            assert_eq!(r.is_callee_saved(), saved, "{name}");
-        }
     }
 
     #[test]
