@@ -21,8 +21,9 @@
 //!
 //! Beside single custom instructions, programs carry adjacent
 //! high/low MAC pairs on shared `rs1`/`rs2` with random register
-//! aliasing, so both the simulator's fused pair and its refusal to fuse
-//! are diffed.
+//! aliasing, chains of MAC pairs on one accumulator pair, and runs of
+//! `ld`/`sd` at consecutive offsets, so both the simulator's fused
+//! micro-ops and its refusals to fuse are diffed.
 //!
 //! On divergence the failing program is shrunk by delta-debugging:
 //! chunks, then single instructions, then initial register values are
@@ -494,6 +495,8 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
     let mut rng = StdRng::seed_from_u64(seed);
     let len = rng.gen_range(4usize..=28);
     let mut ops = Vec::with_capacity(len);
+    // The inner indices of rebasing memory runs (see `mem_run`).
+    let mut rebased = Vec::new();
     let customs = ext.custom_ids();
 
     const ALU: [AluOp; 16] = [
@@ -569,9 +572,17 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
             })
         } else if kind < 75 && !customs.is_empty() {
             if let Some(pair) = ext.mac_pair().filter(|_| i + 2 <= len) {
-                if rng.gen_range(0u8..3) == 0 {
-                    ops.extend(mac_pair(&mut rng, pair));
-                    continue;
+                match rng.gen_range(0u8..6) {
+                    0 | 1 => {
+                        ops.extend(mac_pair(&mut rng, pair));
+                        continue;
+                    }
+                    2 if i + 4 <= len => {
+                        let macs = rng.gen_range(2..=5).min((len - i) / 2);
+                        ops.extend(mac_chain(&mut rng, pair, macs));
+                        continue;
+                    }
+                    _ => {}
                 }
             }
             let id = customs[rng.gen_range(0..customs.len())];
@@ -589,6 +600,13 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
                 rs3,
                 imm,
             })
+        } else if kind < 89 && i + 2 <= len && rng.gen_range(0u8..3) == 0 {
+            let (run, rebase) = mem_run(&mut rng, kind < 82, len - i);
+            if rebase {
+                rebased.push(i + 1..i + run.len());
+            }
+            ops.extend(run);
+            continue;
         } else if kind < 82 {
             let op = LOADS[rng.gen_range(0..LOADS.len())];
             FuzzOp::Plain(Inst::Load {
@@ -629,6 +647,14 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
             }
         };
         ops.push(op);
+    }
+    // A jump into a rebasing run would skip setting up its base.
+    for op in &mut ops {
+        if let FuzzOp::Branch { target, .. } | FuzzOp::Jal { target, .. } = op {
+            if let Some(inner) = rebased.iter().find(|r| r.contains(target)) {
+                *target = inner.start - 1;
+            }
+        }
     }
 
     let mut init: Vec<(Reg, u64)> = CLOBBERABLE
@@ -674,6 +700,141 @@ fn mac_pair(rng: &mut StdRng, (hi, lo): (CustomId, CustomId)) -> [FuzzOp; 2] {
         })
     };
     [mac(hi, rd1, rs3a), mac(lo, rd2, rs3b)]
+}
+
+/// A chain of `macs` MAC pairs accumulating into one `(h, l)` register
+/// pair, as the reduced-radix product-scanning columns issue them, with
+/// registers drawn so that every case of the simulator's chain fusion
+/// (DESIGN.md §9.5) comes up: a clean chain, and the chains that must
+/// not fuse whole: a pair that reads an accumulator as `rs1` or `rs2`,
+/// an `x0` accumulator, and accumulators that change mid-run.
+fn mac_chain(rng: &mut StdRng, (hi, lo): (CustomId, CustomId), macs: usize) -> Vec<FuzzOp> {
+    let accumulators = |rng: &mut StdRng| loop {
+        let (h, l) = (dest(rng), dest(rng));
+        if h != l && h != Reg::Zero && l != Reg::Zero {
+            return (h, l);
+        }
+    };
+    let (mut h, mut l) = accumulators(rng);
+    let case = rng.gen_range(0u8..5);
+    match case {
+        1 => h = Reg::Zero,
+        2 => l = Reg::Zero,
+        _ => {}
+    }
+    let at = rng.gen_range(1..macs);
+    let mut ops = Vec::with_capacity(2 * macs);
+    for k in 0..macs {
+        if case == 4 && k == at {
+            (h, l) = accumulators(rng);
+        }
+        let source = |rng: &mut StdRng| loop {
+            let r = any_source(rng);
+            if r != h && r != l {
+                return r;
+            }
+        };
+        let (mut rs1, mut rs2) = (source(rng), source(rng));
+        if case == 3 && k == at {
+            let acc = if rng.gen() { h } else { l };
+            if rng.gen() {
+                rs1 = acc;
+            } else {
+                rs2 = acc;
+            }
+        }
+        for (id, acc) in [(hi, h), (lo, l)] {
+            ops.push(FuzzOp::Plain(Inst::Custom {
+                id,
+                rd: acc,
+                rs1,
+                rs2,
+                rs3: acc,
+                imm: 0,
+            }));
+        }
+    }
+    ops
+}
+
+/// A run of 2–8 `ld`s (`load`) or `sd`s at consecutive 8-byte offsets
+/// off one pinned pointer, at most `room` instructions long, which the
+/// simulator runs as one micro-op (DESIGN.md §9.5). One load run in
+/// four goes off a copy of the pointer and overwrites that base
+/// mid-run, with a second in-window pointer it has just stored there,
+/// so the rest of the run addresses off the new base; such a run is
+/// reported as `true`.
+fn mem_run(rng: &mut StdRng, load: bool, room: usize) -> (Vec<FuzzOp>, bool) {
+    let pointer = POINTERS[rng.gen_range(0..POINTERS.len())];
+    let rebase = load && room >= 6 && rng.gen_range(0u8..4) == 0;
+    let words = if rebase {
+        rng.gen_range(3..=8).min(room - 3)
+    } else {
+        rng.gen_range(2..=8).min(room)
+    };
+    let first = 8 * rng.gen_range(0..=WINDOW / 16 - words as u64) as i32;
+    let mut ops = Vec::with_capacity(words + 3);
+    let mut base = pointer;
+    let mut rebase_at = None;
+    if rebase {
+        // base = pointer; next = pointer + 8; mem[base + offset k] = next
+        let (b, next) = loop {
+            let (b, next) = (dest(rng), dest(rng));
+            if b != next && b != Reg::Zero && next != Reg::Zero {
+                break (b, next);
+            }
+        };
+        let k = rng.gen_range(1..words - 1); // neither first nor last
+        ops.push(FuzzOp::Plain(Inst::OpImm {
+            op: AluImmOp::Addi,
+            rd: b,
+            rs1: pointer,
+            imm: 0,
+        }));
+        ops.push(FuzzOp::Plain(Inst::OpImm {
+            op: AluImmOp::Addi,
+            rd: next,
+            rs1: pointer,
+            imm: 8,
+        }));
+        ops.push(FuzzOp::Plain(Inst::Store {
+            op: StoreOp::Sd,
+            rs1: b,
+            rs2: next,
+            offset: first + 8 * k as i32,
+        }));
+        base = b;
+        rebase_at = Some(k);
+    }
+    for k in 0..words {
+        let offset = first + 8 * k as i32;
+        ops.push(FuzzOp::Plain(if load {
+            let rd = if rebase_at == Some(k) {
+                base
+            } else {
+                loop {
+                    let r = dest(rng);
+                    if r != base {
+                        break r;
+                    }
+                }
+            };
+            Inst::Load {
+                op: LoadOp::Ld,
+                rd,
+                rs1: base,
+                offset,
+            }
+        } else {
+            Inst::Store {
+                op: StoreOp::Sd,
+                rs1: base,
+                rs2: any_source(rng),
+                offset,
+            }
+        }));
+    }
+    (ops, rebase)
 }
 
 /// Width-aligned offset into the second half of the window (pointers
@@ -908,6 +1069,93 @@ mod tests {
                 }
             }
             assert!(!seen.contains(&0), "{}: {seen:?}", ext.label());
+        }
+    }
+
+    #[test]
+    fn mac_chains_and_memory_runs_cover_every_fusion_case() {
+        // A MAC on one accumulator pair: (h, l, rs1, rs2).
+        let link = |w: &[Inst], (hi, lo): (CustomId, CustomId)| match *w {
+            [Inst::Custom {
+                id: id1,
+                rd: h,
+                rs1,
+                rs2,
+                rs3: h3,
+                ..
+            }, Inst::Custom {
+                id: id2,
+                rd: l,
+                rs1: rs1b,
+                rs2: rs2b,
+                rs3: l3,
+                ..
+            }] if (id1, id2, rs1, rs2, h, l) == (hi, lo, rs1b, rs2b, h3, l3) => {
+                Some((h, l, rs1, rs2))
+            }
+            _ => None,
+        };
+        // An `ld` or `sd`: (is a load, base, offset, rd or rs2).
+        let mem = |inst: &Inst| match *inst {
+            Inst::Load {
+                op: LoadOp::Ld,
+                rd,
+                rs1,
+                offset,
+            } => Some((true, rs1, offset, rd)),
+            Inst::Store {
+                op: StoreOp::Sd,
+                rs1,
+                rs2,
+                offset,
+            } => Some((false, rs1, offset, rs2)),
+            _ => None,
+        };
+        let next = |a: (bool, Reg, i32, Reg), b: (bool, Reg, i32, Reg)| {
+            (a.0, a.1, a.2 + 8) == (b.0, b.1, b.2)
+        };
+        for ext in ExtChoice::ALL {
+            // A clean chain, a source that is an accumulator, an x0
+            // accumulator, new accumulators; a load run, a store run,
+            // and a load that overwrites its base mid-run.
+            let mut seen = [0u32; 7];
+            for seed in 0..300 {
+                let insts = gen_program(ext, seed).materialize();
+                for w in insts.windows(4) {
+                    let Some(pair) = ext.mac_pair() else { break };
+                    let (Some((h, l, ..)), Some((h2, l2, rs1, rs2))) =
+                        (link(&w[..2], pair), link(&w[2..], pair))
+                    else {
+                        continue;
+                    };
+                    let clean = h != l && h != Reg::Zero && l != Reg::Zero;
+                    let aliased = [rs1, rs2].iter().any(|r| [h, l].contains(r));
+                    if (h, l) == (h2, l2) {
+                        seen[0] += u32::from(clean && !aliased);
+                        seen[1] += u32::from(clean && aliased);
+                        seen[2] += u32::from(h == Reg::Zero || l == Reg::Zero);
+                    } else {
+                        seen[3] +=
+                            u32::from(clean && h2 != l2 && h2 != Reg::Zero && l2 != Reg::Zero);
+                    }
+                }
+                for w in insts.windows(3) {
+                    let [Some(a), Some(b), c] = [&w[0], &w[1], &w[2]].map(mem) else {
+                        continue;
+                    };
+                    if next(a, b) {
+                        seen[if a.0 { 4 } else { 5 }] += 1;
+                        let rebased = b.0 && b.3 == b.1 && c.is_some_and(|c| next(b, c));
+                        seen[6] += u32::from(rebased);
+                    }
+                }
+            }
+            let want = if ext.mac_pair().is_some() {
+                &seen[..]
+            } else {
+                &seen[4..]
+            };
+            assert!(!want.contains(&0), "{}: {seen:?}", ext.label());
         }
     }
 

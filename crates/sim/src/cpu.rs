@@ -103,7 +103,21 @@ impl Cpu {
     ///
     /// Any [`Trap`] other than normal continuation.
     pub fn step(&mut self, inst: &Inst, mem: &mut Memory, ext: &IsaExtension) -> Result<(), Trap> {
-        self.exec(&MicroOp::new(inst, ext), mem)
+        self.exec(&MicroOp::new(inst, ext), mem, &[])
+    }
+
+    /// Executes `ops` in order (see [`Cpu::exec`]), stopping at the
+    /// first trap.
+    pub(crate) fn exec_all(
+        &mut self,
+        ops: &[MicroOp],
+        mem: &mut Memory,
+        regs: &[u8],
+    ) -> Result<(), Trap> {
+        for u in ops {
+            self.exec(u, mem, regs)?;
+        }
+        Ok(())
     }
 
     #[inline(always)]
@@ -151,6 +165,17 @@ macro_rules! flat_dispatch {
             /// A registered pair of adjacent custom instructions
             /// ([`MicroOp::pair`]), with the pair's execution function.
             CustomPair(PairExec),
+            /// A chain of `len` registered pairs on one accumulator
+            /// pair ([`MicroOp::mac_chain`]), whose `rs1`/`rs2` register
+            /// numbers sit at `regs[at..at + 2 * len]`.
+            MacChain { exec: PairExec, at: u32, len: u16 },
+            /// `len` `ld`s off one base at consecutive 8-byte offsets
+            /// ([`MicroOp::mem_run`]), destinations at
+            /// `regs[at..at + len]`.
+            LoadRun { at: u32, len: u16 },
+            /// `len` `sd`s off one base at consecutive 8-byte offsets,
+            /// sources at `regs[at..at + len]`.
+            StoreRun { at: u32, len: u16 },
             Lui,
             Auipc,
             Jal,
@@ -191,15 +216,24 @@ macro_rules! flat_dispatch {
 
         impl Cpu {
             /// Executes one micro-op at the PC — the one home of
-            /// instruction semantics. On a trap the PC stays at the
-            /// faulting instruction and nothing is written.
+            /// instruction semantics. `regs` holds the register lists
+            /// of fused runs ([`MicroOp::fuse`]). On a trap the PC
+            /// stays at the micro-op's first instruction and nothing is
+            /// written.
             ///
             /// # Errors
             ///
             /// Any [`Trap`] other than normal continuation, as for
-            /// [`Cpu::step`].
+            /// [`Cpu::step`]. A memory run whose words are not all
+            /// mapped and aligned reports its first address, for the
+            /// caller to find the faulting instruction.
             #[inline(always)]
-            pub(crate) fn exec(&mut self, u: &MicroOp, mem: &mut Memory) -> Result<(), Trap> {
+            pub(crate) fn exec(
+                &mut self,
+                u: &MicroOp,
+                mem: &mut Memory,
+                regs: &[u8],
+            ) -> Result<(), Trap> {
                 let pc = self.pc;
                 let mut next_pc = pc.wrapping_add(4);
                 let imm = u.imm as u64;
@@ -246,6 +280,33 @@ macro_rules! flat_dispatch {
                         self.set_reg(u.rd2, v2);
                         next_pc = pc.wrapping_add(8);
                     }
+                    Kind::MacChain { exec, at, len } => {
+                        let (mut h, mut l) = (self.reg(u.rd), self.reg(u.rd2));
+                        for s in regs[at as usize..][..2 * len as usize].chunks_exact(2) {
+                            (h, l) = exec(self.reg(s[0]), self.reg(s[1]), h, l);
+                        }
+                        self.set_reg(u.rd, h);
+                        self.set_reg(u.rd2, l);
+                        next_pc = pc.wrapping_add(8 * u64::from(len));
+                    }
+                    Kind::LoadRun { at, len } => {
+                        let dests = &regs[at as usize..][..len as usize];
+                        let addr = self.reg(u.rs1).wrapping_add(imm);
+                        let words = mem.words(addr, dests.len())?;
+                        for (&rd, w) in dests.iter().zip(words.chunks_exact(8)) {
+                            self.set_reg(rd, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+                        }
+                        next_pc = pc.wrapping_add(4 * u64::from(len));
+                    }
+                    Kind::StoreRun { at, len } => {
+                        let srcs = &regs[at as usize..][..len as usize];
+                        let addr = self.reg(u.rs1).wrapping_add(imm);
+                        let words = mem.words_mut(addr, srcs.len())?;
+                        for (&rs, w) in srcs.iter().zip(words.chunks_exact_mut(8)) {
+                            w.copy_from_slice(&self.reg(rs).to_le_bytes());
+                        }
+                        next_pc = pc.wrapping_add(4 * u64::from(len));
+                    }
                     Kind::Lui => self.set_reg(u.rd, imm),
                     Kind::Auipc => self.set_reg(u.rd, pc.wrapping_add(imm)),
                     Kind::Jal => {
@@ -289,7 +350,9 @@ flat_dispatch! {
 ///
 /// A fused pair ([`MicroOp::pair`]) keeps its first instruction's
 /// registers and its second one's destination and `rs3` in `rd2` and
-/// `rs3b`.
+/// `rs3b`. A MAC chain keeps its accumulators in `rd` and `rd2`, a
+/// memory run its base and first offset in `rs1` and `imm`; their
+/// other registers are listed in the machine's `regs` table.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroOp {
     kind: Kind,
@@ -362,6 +425,159 @@ impl MicroOp {
         }
     }
 
+    /// The micro-op that runs a prefix of `insts`, straight-line
+    /// instructions before a block's terminator, with the number of
+    /// instructions it covers: a MAC chain ([`MicroOp::mac_chain`]), a
+    /// memory run ([`MicroOp::mem_run`]) or a pair
+    /// ([`MicroOp::pair`]). `None` when the first two do not fuse.
+    /// Register lists are appended to `regs`.
+    pub(crate) fn fuse(
+        insts: &[Inst],
+        ext: &IsaExtension,
+        regs: &mut Vec<u8>,
+    ) -> Option<(Self, usize)> {
+        Self::mac_chain(insts, ext, regs)
+            .or_else(|| Self::mem_run(insts, regs))
+            .or_else(|| Some((Self::pair(insts.first()?, insts.get(1)?, ext)?, 2)))
+    }
+
+    /// Translates the longest run of two or more registered pairs
+    /// ([`IsaExtension::pair`], one pair of ids) at the start of
+    /// `insts` that accumulate into one `(h, l)` register pair: each
+    /// pair reads one `rs1` and `rs2`, its first instruction is
+    /// `h ← f(rs1, rs2, h)` and its second `l ← g(rs1, rs2, l)`, `h`
+    /// and `l` are distinct, neither is `x0`, and neither is any pair's
+    /// `rs1` or `rs2`. Then no pair reads what another writes except
+    /// through `h` and `l`, so the micro-op keeps both in host locals
+    /// and calls the pair executor once per pair.
+    fn mac_chain(insts: &[Inst], ext: &IsaExtension, regs: &mut Vec<u8>) -> Option<(Self, usize)> {
+        let link = |w: &[Inst]| match *w {
+            [Inst::Custom {
+                id: id1,
+                rd: h,
+                rs1,
+                rs2,
+                rs3: h3,
+                ..
+            }, Inst::Custom {
+                id: id2,
+                rd: l,
+                rs1: rs1b,
+                rs2: rs2b,
+                rs3: l3,
+                ..
+            }] if (rs1, rs2, h, l) == (rs1b, rs2b, h3, l3) => Some(((id1, id2), h, l, rs1, rs2)),
+            _ => None,
+        };
+        let (ids, h, l, ..) = link(insts.get(..2)?)?;
+        let exec = ext.pair(ids.0, ids.1)?;
+        if h == l || h == Reg::Zero || l == Reg::Zero {
+            return None;
+        }
+        let at = regs.len();
+        for w in insts.chunks_exact(2).take(u16::MAX.into()) {
+            match link(w) {
+                Some((i, h2, l2, rs1, rs2))
+                    if (i, h2, l2) == (ids, h, l)
+                        && ![h, l].contains(&rs1)
+                        && ![h, l].contains(&rs2) =>
+                {
+                    regs.extend([rs1.number(), rs2.number()]);
+                }
+                _ => break,
+            }
+        }
+        let len = (regs.len() - at) / 2;
+        if len < 2 {
+            regs.truncate(at);
+            return None;
+        }
+        let op = MicroOp {
+            kind: Kind::MacChain {
+                exec,
+                at: at as u32,
+                len: len as u16,
+            },
+            rd: h.number(),
+            rs1: 0,
+            rs2: 0,
+            rs3: 0,
+            rd2: l.number(),
+            rs3b: 0,
+            imm: 0,
+        };
+        Some((op, 2 * len))
+    }
+
+    /// Translates the longest run of two or more `ld`s, or of `sd`s, at
+    /// the start of `insts` that address one base register at
+    /// consecutive 8-byte offsets. A load run ends at the first load
+    /// whose destination is the base, so every address comes from the
+    /// base's value at the run's start. The micro-op checks the whole
+    /// span once; when that fails it writes nothing, and the caller
+    /// runs the instructions one at a time to find the trap.
+    fn mem_run(insts: &[Inst], regs: &mut Vec<u8>) -> Option<(Self, usize)> {
+        let (load, base, first) = match *insts.first()? {
+            Inst::Load {
+                op: LoadOp::Ld,
+                rs1,
+                offset,
+                ..
+            } => (true, rs1, offset),
+            Inst::Store {
+                op: StoreOp::Sd,
+                rs1,
+                offset,
+                ..
+            } => (false, rs1, offset),
+            _ => return None,
+        };
+        let at = regs.len();
+        for (k, inst) in insts.iter().take(u16::MAX.into()).enumerate() {
+            let next = i64::from(first) + 8 * k as i64;
+            let reg = match *inst {
+                Inst::Load {
+                    op: LoadOp::Ld,
+                    rd,
+                    rs1,
+                    offset,
+                } if load && rs1 == base && i64::from(offset) == next => rd,
+                Inst::Store {
+                    op: StoreOp::Sd,
+                    rs1,
+                    rs2,
+                    offset,
+                } if !load && rs1 == base && i64::from(offset) == next => rs2,
+                _ => break,
+            };
+            regs.push(reg.number());
+            if load && reg == base {
+                break;
+            }
+        }
+        let len = regs.len() - at;
+        if len < 2 {
+            regs.truncate(at);
+            return None;
+        }
+        let (at, len16) = (at as u32, len as u16);
+        let op = MicroOp {
+            kind: if load {
+                Kind::LoadRun { at, len: len16 }
+            } else {
+                Kind::StoreRun { at, len: len16 }
+            },
+            rd: 0,
+            rs1: base.number(),
+            rs2: 0,
+            rs3: 0,
+            rd2: 0,
+            rs3b: 0,
+            imm: first.into(),
+        };
+        Some((op, len))
+    }
+
     /// Translates `first` and `second`, adjacent in one straight-line
     /// run, into one micro-op when `ext` registers them as a pair
     /// ([`IsaExtension::define_pair`]), they read the same `rs1` and
@@ -370,7 +586,7 @@ impl MicroOp {
     /// destination and then `second`'s, so equal destinations and
     /// `x0` destinations behave as the two instructions in sequence,
     /// and advances the PC by 8. It cannot trap.
-    pub(crate) fn pair(first: &Inst, second: &Inst, ext: &IsaExtension) -> Option<Self> {
+    fn pair(first: &Inst, second: &Inst, ext: &IsaExtension) -> Option<Self> {
         let (
             &Inst::Custom {
                 id: id1,

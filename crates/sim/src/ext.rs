@@ -25,8 +25,10 @@
 //! The pair's executor, `fn(rs1, rs2, rs3a, rs3b) -> (u64, u64)`,
 //! returns both results, each equal to its instruction's own
 //! executor's. The simulator runs such an adjacent pair as one step
-//! when the first result is not a source of the second (DESIGN.md
-//! §9.5); timing and `instret` still count two instructions.
+//! when the first result is not a source of the second, and a chain of
+//! pairs that accumulate into one `(rs3a, rs3b)` register pair as one
+//! step that calls the executor once per pair (DESIGN.md §9.5); timing
+//! and `instret` still count every instruction.
 //!
 //! Note that the two ISE sets may legitimately reuse the same encodings:
 //! the paper presents them as alternatives, not as a combined extension

@@ -19,8 +19,9 @@ pub const DATA_SIZE: usize = 1 << 20;
 /// runaway loops in tests).
 pub const DEFAULT_FUEL: u64 = 200_000_000;
 
-/// The `Machine::fused_at` entry of a fused pair's second instruction.
-const MID_PAIR: u32 = u32::MAX;
+/// The `Machine::fused_at` entry of every instruction of a fused
+/// micro-op but its first.
+const MID_RUN: u32 = u32::MAX;
 
 /// How a [`Machine::run`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,13 +133,14 @@ pub struct Machine {
     /// the block starting there (the next control or system
     /// instruction, or the program's last).
     block_end: Vec<u32>,
-    /// `uops` with each fusable pair of adjacent custom instructions
+    /// `uops` with each MAC chain, memory run or registered pair
     /// before a block's end replaced by one micro-op
-    /// ([`MicroOp::pair`]): what a block executes.
+    /// ([`MicroOp::fuse`]): what a block executes.
     fused: Vec<MicroOp>,
+    /// The register lists of the fused chains and memory runs.
+    fused_regs: Vec<u8>,
     /// Per instruction index: the index in `fused` of the micro-op
-    /// that starts there, or [`MID_PAIR`] for the second instruction of
-    /// a fused pair.
+    /// that starts there, or [`MID_RUN`] inside a fused micro-op.
     fused_at: Vec<u32>,
     /// Per block start: 1 + its index in `blocks`, or 0 while the block
     /// has not run.
@@ -177,6 +179,7 @@ impl Machine {
             timing: Vec::new(),
             block_end: Vec::new(),
             fused: Vec::new(),
+            fused_regs: Vec::new(),
             fused_at: Vec::new(),
             block_of: Vec::new(),
             blocks: Vec::new(),
@@ -218,9 +221,11 @@ impl Machine {
     /// (register numbers, immediate, access width and custom execution
     /// function resolved) with its timing facts, so the run loop does
     /// no per-step lookup or allocation work. The list a block executes
-    /// fuses each adjacent pair of custom instructions that the
-    /// extension registers as a pair, such as an ISE MAC's high and low
-    /// halves, into one micro-op (DESIGN.md §9.5).
+    /// fuses into one micro-op each chain of MAC pairs on one
+    /// accumulator pair, each run of `ld`s or `sd`s at consecutive
+    /// offsets off one base, and each other adjacent pair of custom
+    /// instructions that the extension registers as a pair, such as an
+    /// ISE MAC's high and low halves (DESIGN.md §9.5).
     pub fn load_program(&mut self, program: &Program) {
         self.program = program.insts().to_vec();
         self.uops = self
@@ -249,24 +254,18 @@ impl Machine {
             };
         }
         self.fused = Vec::with_capacity(n);
+        self.fused_regs = Vec::new();
         self.fused_at = Vec::with_capacity(n);
         let mut i = 0;
         while i < n {
+            // Only the instructions before the block's terminator fuse.
+            let straight = &self.program[i..(self.block_end[i] as usize).max(i)];
+            let (op, len) = MicroOp::fuse(straight, &self.ext, &mut self.fused_regs)
+                .unwrap_or((self.uops[i], 1));
             self.fused_at.push(self.fused.len() as u32);
-            let pair = (self.block_end[i] as usize > i + 1)
-                .then(|| MicroOp::pair(&self.program[i], &self.program[i + 1], &self.ext))
-                .flatten();
-            match pair {
-                Some(pair) => {
-                    self.fused.push(pair);
-                    self.fused_at.push(MID_PAIR);
-                    i += 2;
-                }
-                None => {
-                    self.fused.push(self.uops[i]);
-                    i += 1;
-                }
-            }
+            self.fused_at.extend(std::iter::repeat_n(MID_RUN, len - 1));
+            self.fused.push(op);
+            i += len;
         }
         self.forget_blocks();
         self.cpu.pc = self.prog_base;
@@ -280,6 +279,13 @@ impl Machine {
         self.block_of = vec![0; self.uops.len()];
         let terminators = self.uops.iter().filter(|u| u.ends_block()).count();
         self.blocks = Vec::with_capacity(1 + 2 * terminators);
+    }
+
+    /// The number of micro-ops the loaded program executes when every
+    /// block runs from its start, fused ops counted once: the
+    /// dispatches of one untraced pass through a straight-line kernel.
+    pub fn micro_ops(&self) -> usize {
+        self.fused.len()
     }
 
     /// Base address of the loaded program.
@@ -301,10 +307,10 @@ impl Machine {
     ///
     /// The run goes a block at a time. The straight-line instructions
     /// up to the next control or system instruction execute in one
-    /// loop, each registered pair of custom instructions as one
-    /// micro-op. Their timing is then replayed from the block's summary
-    /// when its entry is clean, or retired one instruction at a time
-    /// when it is not (DESIGN.md §9.5). The terminator is retired on its
+    /// loop, each MAC chain, memory run and registered pair of custom
+    /// instructions as one micro-op. Their timing is then replayed
+    /// from the block's summary when its entry is clean, or retired one
+    /// instruction at a time when it is not (DESIGN.md §9.5). The terminator is retired on its
     /// own, so branch outcomes are costed exactly. With a tracer
     /// attached, or fuel for less than the block, every instruction is
     /// executed and retired on its own.
@@ -355,20 +361,28 @@ impl Machine {
     /// [`Machine::step`], and the earlier writes stay committed.
     fn run_straight(&mut self, first: usize, end: usize) -> Result<(), Trap> {
         let entry_pc = self.cpu.pc;
-        // A block entered between the two halves of a fused pair (a
-        // jump into it) runs unfused. No pair straddles a block's end.
+        let index = |pc: u64| first + ((pc - entry_pc) / 4) as usize;
+        // A block entered inside a fused micro-op (a jump into it) runs
+        // unfused. No fused micro-op straddles a block's end.
         let ops = match self.fused_at[first] {
-            MID_PAIR => &self.uops[first..end],
+            MID_RUN => &self.uops[first..end],
             k => &self.fused[k as usize..self.fused_at[end] as usize],
         };
-        for u in ops {
-            if let Err(trap) = self.cpu.exec(u, &mut self.mem) {
-                let faulting = first + ((self.cpu.pc - entry_pc) / 4) as usize;
-                for pre in &self.timing[first..=faulting] {
-                    self.pipeline.retire_pre(pre, false);
-                }
-                return Err(trap);
+        let regs = &self.fused_regs;
+        let mut result = self.cpu.exec_all(ops, &mut self.mem, regs);
+        if result.is_err() {
+            // The trapping micro-op wrote nothing and left the PC at
+            // its first instruction. Running the rest unfused traps at
+            // the same instruction, after the same writes, as a run
+            // without fusion.
+            let at = index(self.cpu.pc);
+            result = self.cpu.exec_all(&self.uops[at..end], &mut self.mem, regs);
+        }
+        if let Err(trap) = result {
+            for pre in &self.timing[first..=index(self.cpu.pc)] {
+                self.pipeline.retire_pre(pre, false);
             }
+            return Err(trap);
         }
         let slot = match self.block_of[first] {
             0 => {
@@ -394,7 +408,7 @@ impl Machine {
     fn step(&mut self, idx: usize) -> Result<Option<Halt>, Trap> {
         let pc = self.cpu.pc;
         let u = &self.uops[idx];
-        let result = self.cpu.exec(u, &mut self.mem);
+        let result = self.cpu.exec(u, &mut self.mem, &[]);
         // Every attempted instruction that architecturally retires
         // (including the trapping ebreak/ecall) is costed.
         let taken = u.redirects(pc, self.cpu.pc);
@@ -451,6 +465,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
+    use crate::ext::CustomId;
     use crate::mem::MemError;
 
     #[test]
@@ -790,7 +805,331 @@ mod tests {
         assert_eq!(blocks.cpu.pc, single.cpu.pc);
         let data = |m: &Machine| m.mem.read_bytes(DATA_BASE, 256).unwrap().to_vec();
         assert_eq!(data(&blocks), data(&single));
+        // Also after a trap, which `RunError` carries no stats for.
+        assert_eq!(blocks.pipeline.cycles(), single.pipeline.cycles());
+        assert_eq!(blocks.pipeline.stats(), single.pipeline.stats());
         (blocks, got)
+    }
+
+    const T: [Reg; 4] = [Reg::T0, Reg::T1, Reg::T2, Reg::T3];
+
+    /// An extension with a MAC pair: `hi` and `lo` (ids 900 and 901)
+    /// and their pair executor.
+    fn mac_ext() -> IsaExtension {
+        use crate::ext::{CustomFormat, CustomInstDef, ExecUnit};
+        fn hi(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+            rs1.wrapping_add(rs2.wrapping_mul(3)).wrapping_mul(rs3 | 1)
+        }
+        fn lo(rs1: u64, rs2: u64, rs3: u64, _: u8) -> u64 {
+            rs1.wrapping_mul(5).wrapping_add(rs2) ^ rs3.rotate_left(7)
+        }
+        fn pair(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
+            (hi(rs1, rs2, rs3a, 0), lo(rs1, rs2, rs3b, 0))
+        }
+        let mut ext = IsaExtension::new("mac");
+        for (id, mnemonic, funct2, exec) in [
+            (900, "hi", 0, hi as fn(u64, u64, u64, u8) -> u64),
+            (901, "lo", 1, lo),
+        ] {
+            let format = CustomFormat::R4 {
+                opcode: 0b1111011,
+                funct3: 0b111,
+                funct2,
+            };
+            ext.define(CustomInstDef {
+                id: CustomId(id),
+                mnemonic,
+                format,
+                exec,
+                unit: ExecUnit::Xmul,
+            })
+            .unwrap();
+        }
+        ext.define_pair(CustomId(900), CustomId(901), pair);
+        ext
+    }
+
+    /// Emits one MAC: `hi h, rs1, rs2, h ; lo l, rs1, rs2, l`.
+    fn mac(a: &mut Assembler, (h, l): (Reg, Reg), rs1: Reg, rs2: Reg) {
+        a.custom_r4(CustomId(900), h, rs1, rs2, h);
+        a.custom_r4(CustomId(901), l, rs1, rs2, l);
+    }
+
+    #[test]
+    fn mac_chains_fuse_only_on_one_clean_accumulator_pair() {
+        const SRC: [Reg; 6] = [Reg::S0, Reg::S1, Reg::S2, Reg::S3, Reg::S4, Reg::S5];
+        let acc = (Reg::A4, Reg::A5);
+        // Three MACs: their accumulators and sources, and the micro-ops
+        // the program (with its `ebreak`) runs as.
+        type Case = (&'static str, [((Reg, Reg), Reg, Reg); 3], usize);
+        let cases: [Case; 7] = [
+            (
+                "one chain",
+                [
+                    (acc, SRC[0], SRC[1]),
+                    (acc, SRC[2], SRC[3]),
+                    (acc, SRC[4], SRC[5]),
+                ],
+                2,
+            ),
+            // A source that is the high accumulator ends the chain, and
+            // that MAC's halves alias, so they do not even pair.
+            (
+                "rs1 = h",
+                [
+                    (acc, SRC[0], SRC[1]),
+                    (acc, Reg::A4, SRC[3]),
+                    (acc, SRC[4], SRC[5]),
+                ],
+                5,
+            ),
+            (
+                "rs2 = l",
+                [
+                    (acc, SRC[0], SRC[1]),
+                    (acc, SRC[2], Reg::A5),
+                    (acc, SRC[4], SRC[5]),
+                ],
+                4,
+            ),
+            ("h = l", [((Reg::A4, Reg::A4), SRC[0], SRC[1]); 3], 7),
+            ("h = x0", [((Reg::Zero, Reg::A5), SRC[0], SRC[1]); 3], 4),
+            ("l = x0", [((Reg::A4, Reg::Zero), SRC[0], SRC[1]); 3], 4),
+            (
+                "new accumulators",
+                [
+                    (acc, SRC[0], SRC[1]),
+                    (acc, SRC[2], SRC[3]),
+                    ((Reg::A6, Reg::A7), SRC[4], SRC[5]),
+                ],
+                3,
+            ),
+        ];
+        for (what, macs, micro_ops) in cases {
+            let make = || {
+                let mut a = Assembler::new();
+                for &(acc, rs1, rs2) in &macs {
+                    mac(&mut a, acc, rs1, rs2);
+                }
+                a.ebreak();
+                let mut m = Machine::with_ext(mac_ext());
+                m.load_program(&a.finish());
+                for (k, r) in SRC
+                    .into_iter()
+                    .chain([Reg::A4, Reg::A5, Reg::A6, Reg::A7])
+                    .enumerate()
+                {
+                    m.cpu
+                        .write_reg(r, 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(k as u64 + 1));
+                }
+                m
+            };
+            let (m, result) = run_both(make);
+            assert_eq!(result.unwrap().instret, 7, "{what}");
+            assert_eq!(m.micro_ops(), micro_ops, "{what}");
+        }
+    }
+
+    #[test]
+    fn memory_runs_fuse_consecutive_words_off_one_base() {
+        // (program, micro-ops with the `ebreak`)
+        type Emit = fn(&mut Assembler);
+        let cases: [(Emit, usize); 6] = [
+            (
+                |a| (0..4).for_each(|k| a.ld(T[k], 8 * k as i32, Reg::A0)),
+                2,
+            ),
+            (
+                |a| (0..4).for_each(|k| a.sd(T[k], 8 * k as i32 + 16, Reg::A0)),
+                2,
+            ),
+            // A gap, a descending offset, another base, another width.
+            (
+                |a| [0, 16, 8].iter().for_each(|&o| a.ld(Reg::T0, o, Reg::A0)),
+                4,
+            ),
+            (
+                |a| (0..2).for_each(|k| a.ld(Reg::T0, 8 * k as i32, [Reg::A0, Reg::A1][k])),
+                3,
+            ),
+            (|a| (0..2).for_each(|k| a.lw(Reg::T0, 8 * k, Reg::A0)), 3),
+            // The run ends with the load that overwrites its base.
+            (
+                |a| {
+                    a.ld(Reg::T0, 0, Reg::A0);
+                    a.ld(Reg::A0, 8, Reg::A0);
+                    a.ld(Reg::T1, 16, Reg::A0);
+                    a.ld(Reg::T2, 24, Reg::A0);
+                },
+                3,
+            ),
+        ];
+        for (k, (emit, micro_ops)) in cases.into_iter().enumerate() {
+            let make = || {
+                let mut a = Assembler::new();
+                emit(&mut a);
+                a.ebreak();
+                let mut m = Machine::new();
+                m.load_program(&a.finish());
+                let words: Vec<u64> = (0..32).map(|w| DATA_BASE + 8 * w).collect();
+                m.mem.write_limbs(DATA_BASE, &words).unwrap();
+                m.cpu.write_reg(Reg::A0, DATA_BASE);
+                m.cpu.write_reg(Reg::A1, DATA_BASE + 64);
+                m.cpu.write_reg(Reg::T0, 7);
+                m
+            };
+            let (m, result) = run_both(make);
+            assert!(result.is_ok(), "case {k}");
+            assert_eq!(m.micro_ops(), micro_ops, "case {k}");
+        }
+    }
+
+    #[test]
+    fn a_faulting_memory_run_traps_where_its_instructions_would() {
+        let top = DATA_BASE + DATA_SIZE as u64;
+        // (base, faulting word, fault)
+        let cases = [
+            (
+                top - 24,
+                3,
+                MemError::OutOfBounds {
+                    addr: top,
+                    width: 8,
+                },
+            ),
+            (
+                top - 28,
+                0,
+                MemError::Misaligned {
+                    addr: top - 28,
+                    width: 8,
+                },
+            ),
+            (
+                DATA_BASE - 16,
+                0,
+                MemError::OutOfBounds {
+                    addr: DATA_BASE - 16,
+                    width: 8,
+                },
+            ),
+        ];
+        for (base, faulting, fault) in cases {
+            for store in [false, true] {
+                let make = || {
+                    let mut a = Assembler::new();
+                    a.mul(Reg::A1, Reg::A1, Reg::A1); // a pending result
+                    for (k, t) in (0..).zip(T) {
+                        if store {
+                            a.sd(Reg::A1, 8 * k, Reg::A0);
+                        } else {
+                            a.ld(t, 8 * k, Reg::A0);
+                        }
+                    }
+                    a.addi(Reg::A2, Reg::A2, 1);
+                    a.ebreak();
+                    let mut m = Machine::new();
+                    m.load_program(&a.finish());
+                    assert_eq!(m.micro_ops(), 4);
+                    let top_words = [11, 12, 13];
+                    m.mem.write_limbs(top - 24, &top_words).unwrap();
+                    m.cpu.write_reg(Reg::A0, base);
+                    m.cpu.write_reg(Reg::A1, 3);
+                    m
+                };
+                let what = format!("base {base:#x} store {store}");
+                let (m, result) = run_both(make);
+                assert_eq!(result, Err(RunError::Trap(Trap::Memory(fault))), "{what}");
+                assert_eq!(m.cpu.pc, PROG_BASE + 4 * (1 + faulting), "{what}");
+                let mut tail = [0; 3];
+                m.mem.read_limbs(top - 24, &mut tail).unwrap();
+                // The words before the faulting one are committed.
+                let got = if store {
+                    tail
+                } else {
+                    [0, 1, 2].map(|k| m.cpu.read_reg(T[k]))
+                };
+                let written = |k: u64| if store { 9 } else { 11 + k };
+                let kept = |k: u64| if store { 11 + k } else { 0 };
+                let want = [0, 1, 2].map(|k| if k < faulting { written(k) } else { kept(k) });
+                assert_eq!(got, want, "{what}");
+                assert_eq!(m.cpu.read_reg(Reg::A2), 0, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_jump_into_a_fused_run_runs_the_rest_unfused() {
+        let make = |target: i32| {
+            move || {
+                let mut a = Assembler::new();
+                a.push(Inst::Auipc {
+                    rd: Reg::T6,
+                    imm20: 0,
+                });
+                a.jalr(Reg::Zero, target, Reg::T6);
+                for (k, t) in (0..).zip(T) {
+                    a.ld(t, 8 * k, Reg::A0);
+                }
+                for w in T.windows(2) {
+                    mac(&mut a, (Reg::A4, Reg::A5), w[0], w[1]);
+                }
+                a.ebreak();
+                let mut m = Machine::with_ext(mac_ext());
+                m.load_program(&a.finish());
+                m.mem.write_limbs(DATA_BASE, &[5, 6, 7, 8]).unwrap();
+                m.cpu.write_reg(Reg::A0, DATA_BASE);
+                m.cpu.write_reg(Reg::A4, 1);
+                m
+            }
+        };
+        // Into the second load, and into the low half of the first MAC.
+        for (target, instret) in [(12, 12), (28, 8)] {
+            let (m, result) = run_both(make(target));
+            assert_eq!(result.unwrap().instret, instret, "target {target}");
+            assert_eq!(m.micro_ops(), 5, "auipc, jalr, a load run, a chain, ebreak");
+        }
+        let (m, _) = run_both(make(12));
+        assert_eq!(m.cpu.read_reg(Reg::T0), 0, "the first load was jumped over");
+        assert_eq!(m.cpu.read_reg(Reg::T3), 8);
+    }
+
+    #[test]
+    fn no_fused_run_reaches_past_a_block_end() {
+        // The last instruction of a program without a terminator ends
+        // its block and runs on its own: a run of three loads fuses
+        // two, a chain of three MACs only the first two.
+        let mut a = Assembler::new();
+        for (k, t) in (0..3).zip(T) {
+            a.ld(t, 8 * k, Reg::A0);
+        }
+        let mut m = Machine::new();
+        m.load_program(&a.finish());
+        assert_eq!(m.micro_ops(), 2);
+        let mut a = Assembler::new();
+        for _ in 0..3 {
+            mac(&mut a, (Reg::A4, Reg::A5), Reg::T0, Reg::T1);
+        }
+        let mut m = Machine::with_ext(mac_ext());
+        m.load_program(&a.finish());
+        assert_eq!(
+            m.micro_ops(),
+            3,
+            "a chain of two, then the last pair unfused"
+        );
+        // A terminator between two runs keeps them apart.
+        let mut a = Assembler::new();
+        let next = a.new_label();
+        a.ld(Reg::T0, 0, Reg::A0);
+        a.ld(Reg::T1, 8, Reg::A0);
+        a.j(next);
+        a.bind(next);
+        a.ld(Reg::T2, 16, Reg::A0);
+        a.ld(Reg::T3, 24, Reg::A0);
+        a.ebreak();
+        let mut m = Machine::new();
+        m.load_program(&a.finish());
+        assert_eq!(m.micro_ops(), 4, "a run, j, a run, ebreak");
     }
 
     #[test]

@@ -180,6 +180,22 @@ impl Memory {
         self.span(addr, 8 * words as u64)
     }
 
+    /// The `words` 64-bit words at `addr` as bytes, checked once as
+    /// for [`Memory::read_limbs`].
+    #[inline(always)]
+    pub(crate) fn words(&self, addr: u64, words: usize) -> Result<&[u8], MemError> {
+        let off = self.limb_span(addr, words)?;
+        Ok(&self.bytes[off..off + 8 * words])
+    }
+
+    /// The `words` 64-bit words at `addr` as writable bytes, checked
+    /// once as for [`Memory::write_limbs`].
+    #[inline(always)]
+    pub(crate) fn words_mut(&mut self, addr: u64, words: usize) -> Result<&mut [u8], MemError> {
+        let off = self.limb_span(addr, words)?;
+        Ok(&mut self.bytes[off..off + 8 * words])
+    }
+
     /// Copies `data` into memory starting at `addr`.
     ///
     /// # Errors
@@ -211,8 +227,7 @@ impl Memory {
     /// width) when the array does not fit. Either way the check covers
     /// the whole array before any byte is written.
     pub fn write_limbs(&mut self, addr: u64, limbs: &[u64]) -> Result<(), MemError> {
-        let off = self.limb_span(addr, limbs.len())?;
-        let bytes = &mut self.bytes[off..off + 8 * limbs.len()];
+        let bytes = self.words_mut(addr, limbs.len())?;
         for (chunk, l) in bytes.chunks_exact_mut(8).zip(limbs) {
             chunk.copy_from_slice(&l.to_le_bytes());
         }
@@ -225,8 +240,7 @@ impl Memory {
     ///
     /// As for [`Memory::write_limbs`]; `out` is left unchanged.
     pub fn read_limbs(&self, addr: u64, out: &mut [u64]) -> Result<(), MemError> {
-        let off = self.limb_span(addr, out.len())?;
-        let bytes = &self.bytes[off..off + 8 * out.len()];
+        let bytes = self.words(addr, out.len())?;
         for (l, chunk) in out.iter_mut().zip(bytes.chunks_exact(8)) {
             *l = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         }
