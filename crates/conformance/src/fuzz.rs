@@ -4,9 +4,10 @@
 //! [`DiffRunner`] — the pipelined [`Machine`] a block at a time, the
 //! same machine traced one instruction at a time, and the independent
 //! [`RefMachine`] — and have their **full architectural state** diffed
-//! at the end: all 32 registers, every word of the data window the
-//! program could touch, the retired-instruction count, and the exit
-//! reason; the two machine runs must also cost the same cycles.
+//! at the end: all 32 registers, the PC, every word of the data window
+//! the program could touch and the last words of data memory, the
+//! retired-instruction count, and the exit reason; the two machine runs
+//! must also cost the same cycles.
 //!
 //! Generated programs are trap-free by construction so both executors
 //! always reach the final `ebreak`:
@@ -21,8 +22,9 @@
 //!
 //! Beside single custom instructions, programs carry adjacent
 //! high/low MAC pairs on shared `rs1`/`rs2` with random register
-//! aliasing, chains of MAC pairs on one accumulator pair, and runs of
-//! `ld`/`sd` at consecutive offsets, so both the simulator's fused
+//! aliasing, chains of MAC pairs on one accumulator pair, runs of
+//! `ld`/`sd` at consecutive offsets, column ends, carry-propagation
+//! runs and runs of one ALU operation, so both the simulator's fused
 //! micro-ops and its refusals to fuse are diffed.
 //!
 //! On divergence the failing program is shrunk by delta-debugging:
@@ -36,7 +38,7 @@ use mpise_core::reduced_radix::{MADD57HU, MADD57LU};
 use mpise_sim::asm::{display_with_ext, Program};
 use mpise_sim::ext::{CustomId, IsaExtension};
 use mpise_sim::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
-use mpise_sim::machine::{Halt, RunError, RunStats, DATA_BASE};
+use mpise_sim::machine::{Halt, RunError, RunStats, DATA_BASE, DATA_SIZE};
 use mpise_sim::trace::Tracer;
 use mpise_sim::{Machine, PipelineModel, Reg, TimingConfig};
 use rand::rngs::StdRng;
@@ -45,6 +47,16 @@ use rand::{Rng, SeedableRng};
 /// Bytes of data memory a fuzz program may touch, starting at
 /// [`DATA_BASE`]. Kept small so the full window diff stays cheap.
 pub const WINDOW: u64 = 512;
+
+/// The last words of data memory, which every executor starts with
+/// (word `k` holds `EDGE_WORD + k`) and which are diffed with the
+/// [`WINDOW`]: a memory run that crosses the end of memory commits its
+/// words before the faulting one here.
+const EDGE_WORDS: u64 = 8;
+const EDGE_WORD: u64 = 0xed9e_0000_0000_0000;
+
+/// The address of the first of the [`EDGE_WORDS`].
+const EDGE_BASE: u64 = DATA_BASE + DATA_SIZE as u64 - 8 * EDGE_WORDS;
 
 /// Instruction budget per program (forward-only control flow retires at
 /// most `len` instructions; the budget only guards the injected-bug
@@ -230,12 +242,13 @@ impl std::fmt::Display for Divergence {
 /// words: on a [`Machine`] a block at a time, on a second [`Machine`]
 /// with a [`Tracer`] attached (so every instruction takes the
 /// per-instruction path), and on a fresh [`RefMachine`]. Both machines
-/// must match the reference's exit reason, registers, data window and
-/// `instret`, and each other's [`RunStats`]. The block run's cycles and
+/// must match the reference's exit reason, registers, PC, data window,
+/// last words of memory and `instret`, and each other's outcome (the
+/// same [`RunStats`], or the same trap). The block run's cycles and
 /// [`mpise_sim::timing::TimingStats`] must also equal the [`oracle`]'s
 /// over the traced run, which re-derives every instruction's timing,
 /// control instructions included, from the public
-/// [`PipelineModel::retire`].
+/// [`PipelineModel::retire`], after a trap too.
 #[derive(Debug)]
 pub struct DiffRunner {
     blocks: Machine,
@@ -286,10 +299,12 @@ impl DiffRunner {
     ) -> Option<Divergence> {
         let mut window = [0u64; (WINDOW / 8) as usize];
         window[..data.len()].copy_from_slice(data);
+        let edge: [u64; EDGE_WORDS as usize] = std::array::from_fn(|k| EDGE_WORD + k as u64);
         let program = Program::from_insts(insts.to_vec());
         self.traced.set_tracer(Some(Tracer::new(FUEL as usize)));
         let [blocks, traced] = [&mut self.blocks, &mut self.traced].map(|m| {
             m.mem.write_limbs(DATA_BASE, &window).expect("window fits");
+            m.mem.write_limbs(EDGE_BASE, &edge).expect("edge words fit");
             m.load_program(&program);
             m.reset_clock();
             for r in Reg::ALL {
@@ -303,10 +318,12 @@ impl DiffRunner {
 
         let mut reference = RefMachine::new();
         reference.load(insts);
-        for (i, &w) in data.iter().enumerate() {
-            reference
-                .store_mem(DATA_BASE + 8 * i as u64, w, 8)
-                .expect("in window");
+        let words = data
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (DATA_BASE + 8 * i as u64, w));
+        for (addr, w) in words.chain((EDGE_BASE..).step_by(8).zip(edge)) {
+            reference.store_mem(addr, w, 8).expect("in memory");
         }
         for &(r, v) in init {
             reference.write_reg(r, v);
@@ -322,29 +339,28 @@ impl DiffRunner {
                 return Some(Divergence { what });
             }
         }
-        // Same architectural outcome; the two paths must also cost the
-        // same, and what the oracle re-derives.
+        // Same architectural outcome; the two paths must also end the
+        // same way, and cost what the oracle re-derives.
         if blocks != traced {
             return Some(Divergence {
-                what: format!("run stats: sim {blocks:?} vs traced {traced:?}"),
+                what: format!("outcome: sim {blocks:?} vs traced {traced:?}"),
             });
         }
         let end_pc = self.traced.cpu.pc;
         let model = oracle(&mut self.traced, TimingConfig::default(), end_pc);
-        match blocks {
-            Ok(stats) if (stats.cycles, stats.timing) != (model.cycles(), *model.stats()) => {
-                Some(Divergence {
-                    what: format!(
-                        "timing: sim {} cycles {:?} vs oracle {} cycles {:?}",
-                        stats.cycles,
-                        stats.timing,
-                        model.cycles(),
-                        model.stats()
-                    ),
-                })
-            }
-            _ => None,
+        let sim = self.blocks.pipeline();
+        if (sim.cycles(), sim.stats()) != (model.cycles(), model.stats()) {
+            return Some(Divergence {
+                what: format!(
+                    "timing: sim {} cycles {:?} vs oracle {} cycles {:?}",
+                    sim.cycles(),
+                    sim.stats(),
+                    model.cycles(),
+                    model.stats()
+                ),
+            });
         }
+        None
     }
 }
 
@@ -380,8 +396,8 @@ pub fn oracle(m: &mut Machine, timing: TimingConfig, end_pc: u64) -> PipelineMod
 }
 
 /// The first difference between one machine run (labelled `path`) and
-/// the reference's: exit reason, a register, a word of the data window,
-/// or `instret`.
+/// the reference's: exit reason, a register, the PC, a word of the data
+/// window or of the last words of memory, or `instret`.
 fn diff_against_reference(
     path: &str,
     machine: &Machine,
@@ -410,8 +426,16 @@ fn diff_against_reference(
         }
     }
 
-    // The whole data window, word by word.
-    for addr in (DATA_BASE..DATA_BASE + WINDOW).step_by(8) {
+    if machine.cpu.pc != reference.pc {
+        return Some(format!(
+            "pc: {path} {:#x} vs ref {:#x}",
+            machine.cpu.pc, reference.pc
+        ));
+    }
+
+    // The whole data window and the edge words, word by word.
+    let edge = (EDGE_BASE..DATA_BASE + DATA_SIZE as u64).step_by(8);
+    for addr in (DATA_BASE..DATA_BASE + WINDOW).step_by(8).chain(edge) {
         let s = machine.mem.load_u64(addr).expect("window readable");
         let r = reference.load_mem(addr, 8).expect("in window");
         if s != r {
@@ -490,33 +514,40 @@ fn interesting_u64(rng: &mut StdRng) -> u64 {
     }
 }
 
+/// The register–register operations the generator draws, beside the
+/// divisions.
+const ALU: [AluOp; 16] = [
+    AluOp::Add,
+    AluOp::Sub,
+    AluOp::Sll,
+    AluOp::Sltu,
+    AluOp::Slt,
+    AluOp::Xor,
+    AluOp::Srl,
+    AluOp::Sra,
+    AluOp::Or,
+    AluOp::And,
+    AluOp::Mul,
+    AluOp::Mulhu,
+    AluOp::Mulh,
+    AluOp::Mulhsu,
+    AluOp::Addw,
+    AluOp::Subw,
+];
+
 /// Generates one deterministic trap-free program from `seed`.
 pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
     let mut rng = StdRng::seed_from_u64(seed);
     let len = rng.gen_range(4usize..=28);
     let mut ops = Vec::with_capacity(len);
-    // The inner indices of rebasing memory runs (see `mem_run`).
+    // Indices that a jump must not enter, because the instructions
+    // before them set up a base register: those of rebasing memory
+    // runs (see `mem_run`) and the store of a column end whose base is
+    // `t` (see `column_end`). A target among them is re-aimed at the
+    // range's start minus one.
     let mut rebased = Vec::new();
     let customs = ext.custom_ids();
 
-    const ALU: [AluOp; 16] = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Sll,
-        AluOp::Sltu,
-        AluOp::Slt,
-        AluOp::Xor,
-        AluOp::Srl,
-        AluOp::Sra,
-        AluOp::Or,
-        AluOp::And,
-        AluOp::Mul,
-        AluOp::Mulhu,
-        AluOp::Mulh,
-        AluOp::Mulhsu,
-        AluOp::Addw,
-        AluOp::Subw,
-    ];
     const DIV: [AluOp; 4] = [AluOp::Div, AluOp::Divu, AluOp::Rem, AluOp::Remu];
     const ALU_IMM: [AluImmOp; 9] = [
         AluImmOp::Addi,
@@ -543,7 +574,10 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
     while ops.len() < len {
         let i = ops.len();
         let kind = rng.gen_range(0u8..100);
-        let op = if kind < 30 {
+        let op = if kind < 30 && i + 2 <= len && rng.gen_range(0u8..4) == 0 {
+            ops.extend(alu_run(&mut rng, len - i));
+            continue;
+        } else if kind < 30 {
             FuzzOp::Plain(Inst::Op {
                 op: ALU[rng.gen_range(0..ALU.len())],
                 rd: dest(&mut rng),
@@ -572,7 +606,7 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
             })
         } else if kind < 75 && !customs.is_empty() {
             if let Some(pair) = ext.mac_pair().filter(|_| i + 2 <= len) {
-                match rng.gen_range(0u8..6) {
+                match rng.gen_range(0u8..8) {
                     0 | 1 => {
                         ops.extend(mac_pair(&mut rng, pair));
                         continue;
@@ -582,24 +616,22 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
                         ops.extend(mac_chain(&mut rng, pair, macs));
                         continue;
                     }
+                    3 if i + 4 <= len => {
+                        let (run, guarded) = column_end(&mut rng, customs);
+                        if guarded {
+                            rebased.push(i + 1..i + 2);
+                        }
+                        ops.extend(run.into_iter().map(FuzzOp::Plain));
+                        continue;
+                    }
+                    4 if i + 4 <= len => {
+                        ops.extend(propagation_run(&mut rng, customs, len - i));
+                        continue;
+                    }
                     _ => {}
                 }
             }
-            let id = customs[rng.gen_range(0..customs.len())];
-            let (rs3, imm) = if id == 6 {
-                // sraiadd carries a shift amount, not a third register.
-                (Reg::Zero, rng.gen_range(0u8..64))
-            } else {
-                (any_source(&mut rng), 0)
-            };
-            FuzzOp::Plain(Inst::Custom {
-                id: CustomId(id),
-                rd: dest(&mut rng),
-                rs1: any_source(&mut rng),
-                rs2: any_source(&mut rng),
-                rs3,
-                imm,
-            })
+            FuzzOp::Plain(custom(&mut rng, customs))
         } else if kind < 89 && i + 2 <= len && rng.gen_range(0u8..3) == 0 {
             let (run, rebase) = mem_run(&mut rng, kind < 82, len - i);
             if rebase {
@@ -668,6 +700,173 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
         init.push((p, DATA_BASE + 8 * rng.gen_range(0..WINDOW / 16)));
     }
     FuzzProgram { ext, init, ops }
+}
+
+/// A single custom instruction drawn from `customs`, with random
+/// registers.
+fn custom(rng: &mut StdRng, customs: &[u16]) -> Inst {
+    let id = customs[rng.gen_range(0..customs.len())];
+    let (rs3, imm) = custom_operand(rng, id);
+    Inst::Custom {
+        id: CustomId(id),
+        rd: dest(rng),
+        rs1: any_source(rng),
+        rs2: any_source(rng),
+        rs3,
+        imm,
+    }
+}
+
+/// The `rs3` and immediate of custom instruction `id`: `sraiadd`
+/// carries a shift amount, the others a third register.
+fn custom_operand(rng: &mut StdRng, id: u16) -> (Reg, u8) {
+    if id == 6 {
+        (Reg::Zero, rng.gen_range(0u8..64))
+    } else {
+        (any_source(rng), 0)
+    }
+}
+
+/// A run of 2–6 register–register instructions of one ALU operation,
+/// at most `room` long, as the limb-wise loops of the Fp kernels issue
+/// them, which the simulator runs as one micro-op (DESIGN.md §9.5).
+/// One run in three changes the operation after its second
+/// instruction, which must end the fused run there.
+fn alu_run(rng: &mut StdRng, room: usize) -> Vec<FuzzOp> {
+    let len = rng.gen_range(2..=6).min(room);
+    let op = ALU[rng.gen_range(0..ALU.len())];
+    let change = (len > 2 && rng.gen_range(0u8..3) == 0).then(|| rng.gen_range(2..len));
+    let other = loop {
+        let o = ALU[rng.gen_range(0..ALU.len())];
+        if o != op {
+            break o;
+        }
+    };
+    (0..len)
+        .map(|k| {
+            FuzzOp::Plain(Inst::Op {
+                op: if change.is_some_and(|at| k >= at) {
+                    other
+                } else {
+                    op
+                },
+                rd: dest(rng),
+                rs1: any_source(rng),
+                rs2: any_source(rng),
+            })
+        })
+        .collect()
+}
+
+/// A column end as Listing 4 issues it, `and t, l, m ; sd t, off(p) ;
+/// <custom> [; addi z, zero, 0]` off a pinned pointer `p`, which the
+/// simulator runs as one micro-op (DESIGN.md §9.5), half of them with
+/// the accumulator reset. One in four takes the store's base as `t`,
+/// which must not fuse: `and c, q, q ; sd c, off(c)`, where `c` takes
+/// a pinned pointer `q`'s value just before the store; such a column
+/// end is reported as `true`, since a jump to its store would skip
+/// setting `c`.
+fn column_end(rng: &mut StdRng, customs: &[u16]) -> (Vec<Inst>, bool) {
+    let pointer = POINTERS[rng.gen_range(0..POINTERS.len())];
+    let same = rng.gen_range(0u8..4) == 0;
+    let (t, l, m, base) = if same {
+        let c = loop {
+            let c = dest(rng);
+            if c != Reg::Zero {
+                break c;
+            }
+        };
+        (c, pointer, pointer, c)
+    } else {
+        (dest(rng), any_source(rng), any_source(rng), pointer)
+    };
+    let mut ops = vec![
+        Inst::Op {
+            op: AluOp::And,
+            rd: t,
+            rs1: l,
+            rs2: m,
+        },
+        Inst::Store {
+            op: StoreOp::Sd,
+            rs1: base,
+            rs2: t,
+            offset: aligned_offset(rng, 8),
+        },
+        custom(rng, customs),
+    ];
+    if rng.gen() {
+        ops.push(Inst::OpImm {
+            op: AluImmOp::Addi,
+            rd: dest(rng),
+            rs1: Reg::Zero,
+            imm: 0,
+        });
+    }
+    (ops, same)
+}
+
+/// A carry-propagation run as §3.2 issues it: 2–8 steps
+/// `<custom y, y, x> ; and x, x, m` down a list of limb registers, with
+/// one custom id, one immediate and one mask register `m`, at most
+/// `room` instructions long, which the simulator runs as one micro-op
+/// (DESIGN.md §9.5). Registers are drawn so that every case comes up:
+/// a clean run, and the runs that must not fuse whole: a step whose
+/// custom instruction writes `m`, and a step with another immediate or
+/// custom id.
+fn propagation_run(rng: &mut StdRng, customs: &[u16], room: usize) -> Vec<FuzzOp> {
+    let steps = rng.gen_range(2..=8).min(room / 2);
+    let case = rng.gen_range(0u8..4);
+    // The mask is rewritten only when it is not a pinned pointer.
+    let m = if case == 2 {
+        dest(rng)
+    } else {
+        any_source(rng)
+    };
+    let limbs: Vec<Reg> = (0..=steps)
+        .map(|_| loop {
+            let r = dest(rng);
+            if r != m {
+                break r;
+            }
+        })
+        .collect();
+    let id = customs[rng.gen_range(0..customs.len())];
+    let (rs3, imm) = custom_operand(rng, id);
+    let at = rng.gen_range(1..steps);
+    let mut ops = Vec::with_capacity(2 * steps);
+    for k in 0..steps {
+        let (mut id, mut rs3, mut imm, mut y) = (id, rs3, imm, limbs[k + 1]);
+        match case {
+            2 if k == at => y = m,
+            3 if k == at && id == 6 => imm = (imm + rng.gen_range(1..64)) % 64,
+            3 if k == at => {
+                id = loop {
+                    let other = customs[rng.gen_range(0..customs.len())];
+                    if other != id {
+                        break other;
+                    }
+                };
+                (rs3, imm) = custom_operand(rng, id);
+            }
+            _ => {}
+        }
+        ops.push(Inst::Custom {
+            id: CustomId(id),
+            rd: y,
+            rs1: y,
+            rs2: limbs[k],
+            rs3,
+            imm,
+        });
+        ops.push(Inst::Op {
+            op: AluOp::And,
+            rd: limbs[k],
+            rs1: limbs[k],
+            rs2: m,
+        });
+    }
+    ops.into_iter().map(FuzzOp::Plain).collect()
 }
 
 /// An adjacent high/low MAC pair on shared `rs1` and `rs2`, as the
@@ -1155,6 +1354,199 @@ mod tests {
             } else {
                 &seen[4..]
             };
+            assert!(!want.contains(&0), "{}: {seen:?}", ext.label());
+        }
+    }
+
+    #[test]
+    fn column_ends_and_propagation_and_alu_runs_cover_every_fusion_case() {
+        // A carry-propagation step: (custom id, imm, y, x, m).
+        let step = |w: &[Inst]| match *w {
+            [Inst::Custom {
+                id,
+                rd: y,
+                rs2: x,
+                imm,
+                ..
+            }, Inst::Op {
+                op: AluOp::And,
+                rd,
+                rs1,
+                rs2: m,
+            }] if (rd, rs1) == (x, x) => Some((id, imm, y, x, m)),
+            _ => None,
+        };
+        let alu = |inst: &Inst| match *inst {
+            Inst::Op { op, .. } => Some(op),
+            _ => None,
+        };
+        for ext in ExtChoice::ALL {
+            // A run of one ALU op, and an op change after two of them;
+            // a column end with and without the reset, and with the
+            // store's base as `t`; a clean propagation run, one whose
+            // second step writes the mask, and a change of id or imm.
+            let mut seen = [0u32; 8];
+            for seed in 0..300 {
+                let insts = gen_program(ext, seed).materialize();
+                for w in insts.windows(3) {
+                    if let [Some(a), Some(b), c] = [&w[0], &w[1], &w[2]].map(alu) {
+                        if a == b {
+                            seen[0] += 1;
+                            seen[1] += u32::from(c.is_some_and(|c| c != a));
+                        }
+                    }
+                }
+                for w in insts.windows(4) {
+                    if let [Inst::Op {
+                        op: AluOp::And,
+                        rd: t,
+                        ..
+                    }, Inst::Store {
+                        op: StoreOp::Sd,
+                        rs1: b,
+                        rs2,
+                        ..
+                    }, Inst::Custom { .. }, next] = *w
+                    {
+                        let reset = matches!(
+                            next,
+                            Inst::OpImm {
+                                op: AluImmOp::Addi,
+                                rs1: Reg::Zero,
+                                imm: 0,
+                                ..
+                            }
+                        );
+                        if rs2 == t {
+                            seen[if b == t { 4 } else { 3 - usize::from(reset) }] += 1;
+                        }
+                    }
+                    let (Some(s1), Some(s2)) = (step(&w[..2]), step(&w[2..])) else {
+                        continue;
+                    };
+                    let (m, same_key) = (s1.4, (s1.0, s1.1) == (s2.0, s2.1));
+                    if m != s2.4 {
+                        continue;
+                    }
+                    let written = [s1.2, s1.3, s2.2, s2.3];
+                    seen[5] += u32::from(same_key && !written.contains(&m));
+                    seen[6] += u32::from(same_key && s2.2 == m && ![s1.2, s1.3].contains(&m));
+                    seen[7] += u32::from(!same_key);
+                }
+            }
+            let want = if ext.mac_pair().is_some() {
+                &seen[..]
+            } else {
+                &seen[..2]
+            };
+            assert!(!want.contains(&0), "{}: {seen:?}", ext.label());
+        }
+    }
+
+    /// The fused memory op an edge program ends with.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum EdgeOp {
+        Loads,
+        Stores,
+        ColumnEnd,
+    }
+
+    /// The straight-line prefix of a trap-free generated program, then
+    /// a run of `ld`s or `sd`s or (on the ISE targets) a column end off
+    /// `s9`, which points among the last words of data memory, past
+    /// its end, below its start, or at a misaligned address, so the
+    /// fused op may fault at any of its words; then one more
+    /// instruction. Returns the program, the op and the index of its
+    /// first instruction.
+    fn gen_edge_program(ext: ExtChoice, seed: u64) -> (FuzzProgram, EdgeOp, usize) {
+        const BASE: Reg = Reg::S9;
+        let mut prog = gen_program(ext, seed);
+        let straight = prog
+            .ops
+            .iter()
+            .take_while(|op| matches!(op, FuzzOp::Plain(_)));
+        prog.ops.truncate(straight.count());
+        let start = prog.ops.len();
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let words = rng.gen_range(0..=EDGE_WORDS);
+        let base = match rng.gen_range(0u8..4) {
+            0 | 1 => EDGE_BASE + 8 * words,
+            2 => EDGE_BASE + 8 * words + rng.gen_range(1..8),
+            _ => DATA_BASE - 8 * rng.gen_range(1..=4),
+        };
+        prog.init.push((BASE, base));
+        let edge = match rng.gen_range(0u8..3) {
+            2 if ext.mac_pair().is_some() => EdgeOp::ColumnEnd,
+            0 | 2 => EdgeOp::Loads,
+            _ => EdgeOp::Stores,
+        };
+        let mut body = Vec::new();
+        if edge == EdgeOp::ColumnEnd {
+            (body, _) = column_end(&mut rng, ext.custom_ids());
+            let Inst::Store { rs1, offset, .. } = &mut body[1] else {
+                unreachable!("a column end stores second");
+            };
+            (*rs1, *offset) = (BASE, 0);
+        } else {
+            for k in 0..rng.gen_range(2..=8) {
+                let offset = 8 * k;
+                body.push(if edge == EdgeOp::Loads {
+                    Inst::Load {
+                        op: LoadOp::Ld,
+                        rd: dest(&mut rng),
+                        rs1: BASE,
+                        offset,
+                    }
+                } else {
+                    Inst::Store {
+                        op: StoreOp::Sd,
+                        rs1: BASE,
+                        rs2: any_source(&mut rng),
+                        offset,
+                    }
+                });
+            }
+        }
+        body.push(Inst::OpImm {
+            op: AluImmOp::Addi,
+            rd: dest(&mut rng),
+            rs1: any_source(&mut rng),
+            imm: 1,
+        });
+        prog.ops.extend(body.into_iter().map(FuzzOp::Plain));
+        (prog, edge, start)
+    }
+
+    #[test]
+    fn fused_memory_ops_that_fault_match_the_reference() {
+        use mpise_sim::machine::PROG_BASE;
+        for ext in ExtChoice::ALL {
+            let mut runner = DiffRunner::new(ext);
+            // Per op: faulted at its first instruction, faulted after
+            // committing some of its words or its `and`, ran clean.
+            let mut seen = [[0u32; 3]; 3];
+            for seed in 0..300 {
+                let (prog, edge, start) = gen_edge_program(ext, seed);
+                if let Some(d) = runner.run(&prog) {
+                    panic!("{} seed {seed}: {d}\n{}", ext.label(), prog.listing());
+                }
+                let mut reference = RefMachine::new();
+                reference.load(&prog.materialize());
+                for &(r, v) in &prog.init {
+                    reference.write_reg(r, v);
+                }
+                let outcome = match reference.run(FUEL) {
+                    RefExit::Fault(_) if reference.pc == PROG_BASE + 4 * start as u64 => 0,
+                    RefExit::Fault(_) => 1,
+                    _ => 2,
+                };
+                seen[edge as usize][outcome] += 1;
+            }
+            let [loads, stores, column_ends] = seen;
+            let mut want = [loads, stores].concat();
+            if ext.mac_pair().is_some() {
+                want.extend(&column_ends[1..]);
+            }
             assert!(!want.contains(&0), "{}: {seen:?}", ext.label());
         }
     }

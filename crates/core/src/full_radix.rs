@@ -12,7 +12,7 @@
 //! | `cadd`      | `10`   | `rd ← ((rs1 + rs2) >> 64) + rs3`           |
 
 use crate::intrinsics;
-use mpise_sim::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
+use mpise_sim::ext::{self, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
 
 /// Major opcode shared by all R4-type custom instructions of the paper
 /// (RISC-V custom-3 space).
@@ -49,6 +49,12 @@ fn exec_maddhu_maddlu(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
     )
 }
 
+/// A chain of [`exec_maddhu_maddlu`] pairs on one accumulator pair, with the pair
+/// inlined into the loop.
+fn chain_maddhu_maddlu(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
+    ext::run_chain(exec_maddhu_maddlu, regs, srcs, h, l)
+}
+
 fn r4(funct2: u8) -> CustomFormat {
     CustomFormat::R4 {
         opcode: CUSTOM3_OPCODE,
@@ -62,8 +68,9 @@ fn r4(funct2: u8) -> CustomFormat {
 /// All three instructions execute on the XMUL unit: the two MACs use its
 /// multiplier array, and `cadd` uses its wide carry network — the paper
 /// routes every custom instruction through XMUL (§3.3). `maddhu`
-/// followed by `maddlu` is registered as a pair, so the simulator runs
-/// the two halves of a MAC from one product.
+/// followed by `maddlu` is registered as a pair, with its chain
+/// executor, so the simulator runs the two halves of a MAC from one
+/// product and a chain of MACs in one call.
 ///
 /// # Examples
 ///
@@ -103,7 +110,7 @@ pub fn full_radix_ext() -> IsaExtension {
         e.define(d)
             .expect("full-radix ISE definitions are conflict-free");
     }
-    e.define_pair(MADDHU, MADDLU, exec_maddhu_maddlu);
+    e.define_pair(MADDHU, MADDLU, exec_maddhu_maddlu, chain_maddhu_maddlu);
     e
 }
 

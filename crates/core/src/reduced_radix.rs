@@ -11,7 +11,7 @@
 //! intentional — see `tests::encoding_overlap_with_full_radix_is_by_design`.
 
 use crate::intrinsics;
-use mpise_sim::ext::{CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
+use mpise_sim::ext::{self, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
 
 /// Major opcode of `sraiadd` (RISC-V custom-1 space).
 pub const CUSTOM1_OPCODE: u8 = 0b0101011;
@@ -40,6 +40,12 @@ fn exec_madd57hu_madd57lu(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64
     )
 }
 
+/// A chain of [`exec_madd57hu_madd57lu`] pairs on one accumulator pair, with the pair
+/// inlined into the loop.
+fn chain_madd57hu_madd57lu(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
+    ext::run_chain(exec_madd57hu_madd57lu, regs, srcs, h, l)
+}
+
 fn exec_sraiadd(rs1: u64, rs2: u64, _: u64, imm: u8) -> u64 {
     intrinsics::sraiadd(rs1, rs2, u32::from(imm))
 }
@@ -49,8 +55,9 @@ fn exec_sraiadd(rs1: u64, rs2: u64, _: u64, imm: u8) -> u64 {
 /// The MACs execute on XMUL; `sraiadd` is a shift-and-add and executes
 /// on the XMUL unit as well (§3.3 routes all custom instructions
 /// through the extended multiplier). `madd57hu` followed by `madd57lu`
-/// is registered as a pair, so the simulator runs the two parts of a
-/// MAC from one product.
+/// is registered as a pair, with its chain executor, so the simulator
+/// runs the two parts of a MAC from one product and a chain of MACs in
+/// one call.
 ///
 /// # Examples
 ///
@@ -101,7 +108,12 @@ pub fn reduced_radix_ext() -> IsaExtension {
         e.define(d)
             .expect("reduced-radix ISE definitions are conflict-free");
     }
-    e.define_pair(MADD57HU, MADD57LU, exec_madd57hu_madd57lu);
+    e.define_pair(
+        MADD57HU,
+        MADD57LU,
+        exec_madd57hu_madd57lu,
+        chain_madd57hu_madd57lu,
+    );
     e
 }
 

@@ -1,6 +1,6 @@
 //! Architectural CPU state and single-instruction semantics.
 
-use crate::ext::{IsaExtension, PairExec};
+use crate::ext::{ChainExec, IsaExtension, PairExec};
 use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
 use crate::reg::Reg;
@@ -166,9 +166,35 @@ macro_rules! flat_dispatch {
             /// ([`MicroOp::pair`]), with the pair's execution function.
             CustomPair(PairExec),
             /// A chain of `len` registered pairs on one accumulator
-            /// pair ([`MicroOp::mac_chain`]), whose `rs1`/`rs2` register
-            /// numbers sit at `regs[at..at + 2 * len]`.
-            MacChain { exec: PairExec, at: u32, len: u16 },
+            /// pair ([`MicroOp::mac_chain`]), with the pair's chain
+            /// executor; their `rs1`/`rs2` register numbers sit at
+            /// `regs[at..at + 2 * len]`.
+            MacChain { exec: ChainExec, at: u32, len: u16 },
+            /// A column end ([`MicroOp::column_end`]): `and t, l, m ;
+            /// sd t, off(b) ; <custom> [; addi z, zero, 0]`, with the
+            /// custom instruction's execution function and immediate,
+            /// and `z` when the accumulator reset is part of it.
+            ColumnEnd {
+                exec: fn(u64, u64, u64, u8) -> u64,
+                shamt: u8,
+                l: u8,
+                m: u8,
+                reset: Option<u8>,
+            },
+            /// `len` repetitions of `<custom y, rs1, x, rs3> ; and x,
+            /// x, m` ([`MicroOp::propagation_run`]) with one execution
+            /// function and immediate; `(y, rs1, x, rs3)` of each sit
+            /// at `regs[at + 4 * k..]`.
+            PropagationRun {
+                exec: fn(u64, u64, u64, u8) -> u64,
+                shamt: u8,
+                at: u32,
+                len: u16,
+            },
+            /// `len` register–register ALU ops of one operation
+            /// ([`MicroOp::alu_run`]); `(rd, rs1, rs2)` of each sit at
+            /// `regs[at + 3 * k..]`.
+            AluRun { op: AluOp, at: u32, len: u16 },
             /// `len` `ld`s off one base at consecutive 8-byte offsets
             /// ([`MicroOp::mem_run`]), destinations at
             /// `regs[at..at + len]`.
@@ -281,13 +307,56 @@ macro_rules! flat_dispatch {
                         next_pc = pc.wrapping_add(8);
                     }
                     Kind::MacChain { exec, at, len } => {
-                        let (mut h, mut l) = (self.reg(u.rd), self.reg(u.rd2));
-                        for s in regs[at as usize..][..2 * len as usize].chunks_exact(2) {
-                            (h, l) = exec(self.reg(s[0]), self.reg(s[1]), h, l);
-                        }
+                        let srcs = &regs[at as usize..][..2 * len as usize];
+                        let (h, l) = exec(&self.regs, srcs, self.reg(u.rd), self.reg(u.rd2));
                         self.set_reg(u.rd, h);
                         self.set_reg(u.rd2, l);
                         next_pc = pc.wrapping_add(8 * u64::from(len));
+                    }
+                    Kind::ColumnEnd {
+                        exec,
+                        shamt,
+                        l,
+                        m,
+                        reset,
+                    } => {
+                        // The store goes first, so a trap writes nothing.
+                        let limb = self.reg(l) & self.reg(m);
+                        mem.store(self.reg(u.rs3b).wrapping_add(imm), limb, 8)?;
+                        self.set_reg(u.rd2, limb);
+                        let v = exec(self.reg(u.rs1), self.reg(u.rs2), self.reg(u.rs3), shamt);
+                        self.set_reg(u.rd, v);
+                        next_pc = pc.wrapping_add(12);
+                        if let Some(z) = reset {
+                            self.set_reg(z, 0);
+                            next_pc = pc.wrapping_add(16);
+                        }
+                    }
+                    Kind::PropagationRun {
+                        exec,
+                        shamt,
+                        at,
+                        len,
+                    } => {
+                        let mask = self.reg(u.rs2);
+                        for r in regs[at as usize..][..4 * len as usize].chunks_exact(4) {
+                            let v = exec(self.reg(r[1]), self.reg(r[2]), self.reg(r[3]), shamt);
+                            self.set_reg(r[0], v);
+                            self.set_reg(r[2], self.reg(r[2]) & mask);
+                        }
+                        next_pc = pc.wrapping_add(8 * u64::from(len));
+                    }
+                    Kind::AluRun { op, at, len } => {
+                        let ops = regs[at as usize..][..3 * len as usize].chunks_exact(3);
+                        match op {
+                            $(AluOp::$alu => for r in ops {
+                                self.set_reg(
+                                    r[0],
+                                    eval_alu(AluOp::$alu, self.reg(r[1]), self.reg(r[2])),
+                                );
+                            },)+
+                        }
+                        next_pc = pc.wrapping_add(4 * u64::from(len));
                     }
                     Kind::LoadRun { at, len } => {
                         let dests = &regs[at as usize..][..len as usize];
@@ -351,8 +420,11 @@ flat_dispatch! {
 /// A fused pair ([`MicroOp::pair`]) keeps its first instruction's
 /// registers and its second one's destination and `rs3` in `rd2` and
 /// `rs3b`. A MAC chain keeps its accumulators in `rd` and `rd2`, a
-/// memory run its base and first offset in `rs1` and `imm`; their
-/// other registers are listed in the machine's `regs` table.
+/// memory run its base and first offset in `rs1` and `imm`, a
+/// propagation run its mask in `rs2`; their other registers are listed
+/// in the machine's `regs` table. A column end keeps its custom
+/// instruction's registers in `rd`..`rs3`, `t` in `rd2`, the store's
+/// base in `rs3b` and its offset in `imm`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroOp {
     kind: Kind,
@@ -364,6 +436,9 @@ pub(crate) struct MicroOp {
     rs3b: u8,
     imm: i64,
 }
+
+// Fused kinds carry their operands without growing the micro-op.
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 32);
 
 impl MicroOp {
     /// Translates `inst`, resolving a custom id against `ext`.
@@ -425,12 +500,30 @@ impl MicroOp {
         }
     }
 
+    /// A micro-op of `kind` with every register field and the immediate
+    /// zero, for a fused kind to fill in.
+    fn bare(kind: Kind) -> Self {
+        MicroOp {
+            kind,
+            rd: 0,
+            rs1: 0,
+            rs2: 0,
+            rs3: 0,
+            rd2: 0,
+            rs3b: 0,
+            imm: 0,
+        }
+    }
+
     /// The micro-op that runs a prefix of `insts`, straight-line
     /// instructions before a block's terminator, with the number of
     /// instructions it covers: a MAC chain ([`MicroOp::mac_chain`]), a
-    /// memory run ([`MicroOp::mem_run`]) or a pair
-    /// ([`MicroOp::pair`]). `None` when the first two do not fuse.
-    /// Register lists are appended to `regs`.
+    /// memory run ([`MicroOp::mem_run`]), a column end
+    /// ([`MicroOp::column_end`]), a propagation run
+    /// ([`MicroOp::propagation_run`]), an ALU run
+    /// ([`MicroOp::alu_run`]) or a pair ([`MicroOp::pair`]). `None`
+    /// when the first instructions do not fuse. Register lists are
+    /// appended to `regs`.
     pub(crate) fn fuse(
         insts: &[Inst],
         ext: &IsaExtension,
@@ -438,6 +531,9 @@ impl MicroOp {
     ) -> Option<(Self, usize)> {
         Self::mac_chain(insts, ext, regs)
             .or_else(|| Self::mem_run(insts, regs))
+            .or_else(|| Self::column_end(insts, ext))
+            .or_else(|| Self::propagation_run(insts, ext, regs))
+            .or_else(|| Self::alu_run(insts, regs))
             .or_else(|| Some((Self::pair(insts.first()?, insts.get(1)?, ext)?, 2)))
     }
 
@@ -448,8 +544,8 @@ impl MicroOp {
     /// `h ← f(rs1, rs2, h)` and its second `l ← g(rs1, rs2, l)`, `h`
     /// and `l` are distinct, neither is `x0`, and neither is any pair's
     /// `rs1` or `rs2`. Then no pair reads what another writes except
-    /// through `h` and `l`, so the micro-op keeps both in host locals
-    /// and calls the pair executor once per pair.
+    /// through `h` and `l`, so the micro-op makes one call to the
+    /// registered chain executor, which keeps both in host locals.
     fn mac_chain(insts: &[Inst], ext: &IsaExtension, regs: &mut Vec<u8>) -> Option<(Self, usize)> {
         let link = |w: &[Inst]| match *w {
             [Inst::Custom {
@@ -470,7 +566,7 @@ impl MicroOp {
             _ => None,
         };
         let (ids, h, l, ..) = link(insts.get(..2)?)?;
-        let exec = ext.pair(ids.0, ids.1)?;
+        let exec = ext.chain(ids.0, ids.1)?;
         if h == l || h == Reg::Zero || l == Reg::Zero {
             return None;
         }
@@ -487,26 +583,17 @@ impl MicroOp {
                 _ => break,
             }
         }
-        let len = (regs.len() - at) / 2;
-        if len < 2 {
-            regs.truncate(at);
-            return None;
-        }
+        let len = run_len(regs, at, 2)?;
         let op = MicroOp {
-            kind: Kind::MacChain {
+            rd: h.number(),
+            rd2: l.number(),
+            ..Self::bare(Kind::MacChain {
                 exec,
                 at: at as u32,
-                len: len as u16,
-            },
-            rd: h.number(),
-            rs1: 0,
-            rs2: 0,
-            rs3: 0,
-            rd2: l.number(),
-            rs3b: 0,
-            imm: 0,
+                len,
+            })
         };
-        Some((op, 2 * len))
+        Some((op, 2 * usize::from(len)))
     }
 
     /// Translates the longest run of two or more `ld`s, or of `sd`s, at
@@ -555,27 +642,161 @@ impl MicroOp {
                 break;
             }
         }
-        let len = regs.len() - at;
-        if len < 2 {
-            regs.truncate(at);
+        let len = run_len(regs, at, 1)?;
+        let at = at as u32;
+        let op = MicroOp {
+            rs1: base.number(),
+            imm: first.into(),
+            ..Self::bare(if load {
+                Kind::LoadRun { at, len }
+            } else {
+                Kind::StoreRun { at, len }
+            })
+        };
+        Some((op, len.into()))
+    }
+
+    /// Translates a column end at the start of `insts`, `and t, l, m ;
+    /// sd t, off(b) ; <custom> ; [addi z, zero, 0]`, with `t` not `x0`,
+    /// `b ≠ t` and a registered custom instruction, as Listing 4 ends a
+    /// column: mask and store the finished limb, shift the accumulator
+    /// down, clear its high part. Then the `sd` stores `l & m` to the
+    /// address `b` held before the `and`. The micro-op stores first, so
+    /// a trapping store writes nothing; then it writes `t`, runs the
+    /// custom instruction and the reset in program order.
+    fn column_end(insts: &[Inst], ext: &IsaExtension) -> Option<(Self, usize)> {
+        let [Inst::Op {
+            op: AluOp::And,
+            rd: t,
+            rs1: l,
+            rs2: m,
+        }, Inst::Store {
+            op: StoreOp::Sd,
+            rs1: b,
+            rs2: stored,
+            offset,
+        }, Inst::Custom {
+            id,
+            rd,
+            rs1,
+            rs2,
+            rs3,
+            imm,
+        }, ..] = *insts
+        else {
+            return None;
+        };
+        if stored != t || b == t || t == Reg::Zero {
             return None;
         }
-        let (at, len16) = (at as u32, len as u16);
-        let op = MicroOp {
-            kind: if load {
-                Kind::LoadRun { at, len: len16 }
-            } else {
-                Kind::StoreRun { at, len: len16 }
-            },
-            rd: 0,
-            rs1: base.number(),
-            rs2: 0,
-            rs3: 0,
-            rd2: 0,
-            rs3b: 0,
-            imm: first.into(),
+        let reset = match insts.get(3) {
+            Some(&Inst::OpImm {
+                op: AluImmOp::Addi,
+                rd: z,
+                rs1: Reg::Zero,
+                imm: 0,
+            }) => Some(z.number()),
+            _ => None,
         };
-        Some((op, len))
+        let r = Reg::number;
+        let op = MicroOp {
+            kind: Kind::ColumnEnd {
+                exec: ext.by_id(id)?.exec,
+                shamt: imm,
+                l: r(l),
+                m: r(m),
+                reset,
+            },
+            rd: r(rd),
+            rs1: r(rs1),
+            rs2: r(rs2),
+            rs3: r(rs3),
+            rd2: r(t),
+            rs3b: r(b),
+            imm: offset.into(),
+        };
+        Some((op, if reset.is_some() { 4 } else { 3 }))
+    }
+
+    /// Translates the longest run of two or more carry-propagation
+    /// steps at the start of `insts`, `<custom y, rs1, x, rs3> ; and x,
+    /// x, m` as §3.2 propagates with `sraiadd`/`and`, all with one
+    /// registered custom id, one immediate and one mask register `m`
+    /// that no instruction of the run writes. The micro-op reads `m`
+    /// once and runs the instructions in program order against the
+    /// register file, so any other aliasing behaves as in sequence.
+    fn propagation_run(
+        insts: &[Inst],
+        ext: &IsaExtension,
+        regs: &mut Vec<u8>,
+    ) -> Option<(Self, usize)> {
+        let step = |w: &[Inst]| match *w {
+            [Inst::Custom {
+                id,
+                rd: y,
+                rs1,
+                rs2: x,
+                rs3,
+                imm,
+            }, Inst::Op {
+                op: AluOp::And,
+                rd,
+                rs1: x1,
+                rs2: m,
+            }] if (rd, x1) == (x, x) && ![y, x].contains(&m) => {
+                Some(((id, imm, m), [y, rs1, x, rs3].map(Reg::number)))
+            }
+            _ => None,
+        };
+        let (key @ (id, imm, m), _) = step(insts.get(..2)?)?;
+        let exec = ext.by_id(id)?.exec;
+        let at = regs.len();
+        for w in insts.chunks_exact(2).take(u16::MAX.into()) {
+            match step(w) {
+                Some((k, r)) if k == key => regs.extend(r),
+                _ => break,
+            }
+        }
+        let len = run_len(regs, at, 4)?;
+        let op = MicroOp {
+            rs2: m.number(),
+            ..Self::bare(Kind::PropagationRun {
+                exec,
+                shamt: imm,
+                at: at as u32,
+                len,
+            })
+        };
+        Some((op, 2 * usize::from(len)))
+    }
+
+    /// Translates the longest run of two or more register–register ALU
+    /// instructions of one operation at the start of `insts`, such as
+    /// the limb-wise `add`s of an Fp addition. The micro-op selects the
+    /// operation once and runs the instructions in program order.
+    fn alu_run(insts: &[Inst], regs: &mut Vec<u8>) -> Option<(Self, usize)> {
+        let Inst::Op { op, .. } = *insts.first()? else {
+            return None;
+        };
+        let at = regs.len();
+        for inst in insts.iter().take(u16::MAX.into()) {
+            match *inst {
+                Inst::Op {
+                    op: o,
+                    rd,
+                    rs1,
+                    rs2,
+                } if o == op => regs.extend([rd, rs1, rs2].map(Reg::number)),
+                _ => break,
+            }
+        }
+        let len = run_len(regs, at, 3)?;
+        let op = Self::bare(Kind::AluRun {
+            op,
+            at: at as u32,
+            len,
+        });
+        Some((op, len.into()))
     }
 
     /// Translates `first` and `second`, adjacent in one straight-line
@@ -644,6 +865,18 @@ impl MicroOp {
             k => k.is_branch() && next_pc != pc.wrapping_add(4),
         }
     }
+}
+
+/// The number of `per`-register entries that a run appended to `regs`
+/// from `at` on, when it has at least two; otherwise drops them, and
+/// the run does not fuse.
+fn run_len(regs: &mut Vec<u8>, at: usize, per: usize) -> Option<u16> {
+    let len = (regs.len() - at) / per;
+    if len < 2 {
+        regs.truncate(at);
+        return None;
+    }
+    Some(len as u16)
 }
 
 /// The register value a load writes from the `raw` bytes it read:

@@ -24,11 +24,16 @@
 //! and 4), which the XMUL datapath computes from one product (§3.3).
 //! The pair's executor, `fn(rs1, rs2, rs3a, rs3b) -> (u64, u64)`,
 //! returns both results, each equal to its instruction's own
-//! executor's. The simulator runs such an adjacent pair as one step
-//! when the first result is not a source of the second, and a chain of
-//! pairs that accumulate into one `(rs3a, rs3b)` register pair as one
-//! step that calls the executor once per pair (DESIGN.md §9.5); timing
-//! and `instret` still count every instruction.
+//! executor's. The pair also names a *chain executor* ([`ChainExec`]),
+//! which runs a whole chain of such pairs on one accumulator pair:
+//! the extension writes it as [`run_chain`] over its own pair
+//! executor, so the loop is compiled with the pair inlined while the
+//! semantics stay stated once. The simulator runs an adjacent pair as
+//! one step when the first result is not a source of the second, and
+//! a chain of pairs that accumulate into one `(rs3a, rs3b)` register
+//! pair as one step that makes one call to the chain executor
+//! (DESIGN.md §9.5); timing and `instret` still count every
+//! instruction.
 //!
 //! Note that the two ISE sets may legitimately reuse the same encodings:
 //! the paper presents them as alternatives, not as a combined extension
@@ -185,14 +190,54 @@ pub struct IsaExtension {
     /// custom instruction through [`IsaExtension::by_id`], so this must
     /// not be a linear scan.
     id_index: Vec<u32>,
-    /// Registered pairs: first id, second id, pair executor.
-    pairs: Vec<(CustomId, CustomId, PairExec)>,
+    /// Registered pairs: first id, second id, pair and chain executors.
+    pairs: Vec<(CustomId, CustomId, PairExec, ChainExec)>,
 }
 
 /// A pair executor: both results `(rd1, rd2)` of two R4 instructions
 /// issued back to back on the same `rs1` and `rs2`, from those values
 /// and each instruction's `rs3` (see [`IsaExtension::define_pair`]).
 pub type PairExec = fn(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64);
+
+/// A chain executor: the accumulators `(h, l)` after a chain of pairs
+/// that each read `h` and `l` as their `rs3a` and `rs3b` and write them
+/// back, given the register file `regs` and the chain's `rs1`/`rs2`
+/// register numbers `srcs`, two per pair. Written with [`run_chain`].
+pub type ChainExec = fn(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64);
+
+/// The body of a [`ChainExec`]: folds `pair` over the `(rs1, rs2)`
+/// register numbers in `srcs`, reading their values from `regs` and
+/// threading `(h, l)` through as each pair's `rs3a` and `rs3b`. An
+/// extension passes its pair executor, so the loop is compiled with
+/// the pair inlined.
+///
+/// # Examples
+///
+/// ```
+/// use mpise_sim::ext::run_chain;
+/// fn mac(a: u64, b: u64, h: u64, l: u64) -> (u64, u64) {
+///     (h + a, l + a * b)
+/// }
+/// let mut regs = [0; 32];
+/// regs[5] = 2;
+/// regs[6] = 3;
+/// // Two MACs: x5·x6, then x6·x6.
+/// assert_eq!(run_chain(mac, &regs, &[5, 6, 6, 6], 0, 1), (5, 16));
+/// ```
+#[inline(always)]
+pub fn run_chain(
+    pair: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+    regs: &[u64; 32],
+    srcs: &[u8],
+    mut h: u64,
+    mut l: u64,
+) -> (u64, u64) {
+    for s in srcs.chunks_exact(2) {
+        let reg = |r: u8| regs[usize::from(r & 31)];
+        (h, l) = pair(reg(s[0]), reg(s[1]), h, l);
+    }
+    (h, l)
+}
 
 /// Error returned when a custom instruction definition conflicts with an
 /// already-registered one (same encoding point or same mnemonic/id).
@@ -258,15 +303,23 @@ impl IsaExtension {
     }
 
     /// Registers `exec` as the executor of `first` followed by
-    /// `second`. It must return what `first`'s and `second`'s own
-    /// executors return for the same operands.
+    /// `second`, and `chain` as the executor of a chain of such pairs.
+    /// `exec` must return what `first`'s and `second`'s own executors
+    /// return for the same operands, and `chain` what `exec` folded
+    /// over the chain returns: [`run_chain`] with `exec`.
     ///
     /// # Panics
     ///
     /// Panics if either id is not registered or is not an R4
     /// instruction (a pair executor takes no immediate), or if the pair
     /// is registered already.
-    pub fn define_pair(&mut self, first: CustomId, second: CustomId, exec: PairExec) {
+    pub fn define_pair(
+        &mut self,
+        first: CustomId,
+        second: CustomId,
+        exec: PairExec,
+        chain: ChainExec,
+    ) {
         for id in [first, second] {
             let def = self
                 .by_id(id)
@@ -274,15 +327,25 @@ impl IsaExtension {
             assert!(def.format.has_rs3(), "`{}` is not R4", def.mnemonic);
         }
         assert!(self.pair(first, second).is_none(), "pair registered twice");
-        self.pairs.push((first, second, exec));
+        self.pairs.push((first, second, exec, chain));
     }
 
     /// The executor registered for `first` followed by `second`.
     pub fn pair(&self, first: CustomId, second: CustomId) -> Option<PairExec> {
+        self.pair_entry(first, second).map(|(exec, _)| exec)
+    }
+
+    /// The chain executor registered for pairs of `first` followed by
+    /// `second`.
+    pub fn chain(&self, first: CustomId, second: CustomId) -> Option<ChainExec> {
+        self.pair_entry(first, second).map(|(_, chain)| chain)
+    }
+
+    fn pair_entry(&self, first: CustomId, second: CustomId) -> Option<(PairExec, ChainExec)> {
         self.pairs
             .iter()
-            .find(|&&(a, b, _)| (a, b) == (first, second))
-            .map(|&(_, _, exec)| exec)
+            .find(|&&(a, b, ..)| (a, b) == (first, second))
+            .map(|&(_, _, exec, chain)| (exec, chain))
     }
 
     /// All instruction definitions in registration order.
@@ -336,8 +399,8 @@ impl IsaExtension {
         for d in other.defs() {
             self.define(d.clone())?;
         }
-        for &(first, second, exec) in &other.pairs {
-            self.define_pair(first, second, exec);
+        for &(first, second, exec, chain) in &other.pairs {
+            self.define_pair(first, second, exec, chain);
         }
         Ok(())
     }
@@ -524,6 +587,9 @@ mod tests {
         fn pair(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
             (dummy(rs1, rs2, rs3a, 0), dummy(rs1, rs2, rs3b, 0))
         }
+        fn chain(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
+            run_chain(pair, regs, srcs, h, l)
+        }
         let mut a = IsaExtension::new("a");
         for (id, m, f2) in [(1u16, "x", 0u8), (2, "y", 1)] {
             a.define(CustomInstDef {
@@ -535,12 +601,14 @@ mod tests {
             })
             .unwrap();
         }
-        a.define_pair(CustomId(1), CustomId(2), pair);
+        a.define_pair(CustomId(1), CustomId(2), pair, chain);
         assert!(a.pair(CustomId(1), CustomId(2)).is_some());
+        assert!(a.chain(CustomId(1), CustomId(2)).is_some());
         assert!(a.pair(CustomId(2), CustomId(1)).is_none());
         let mut merged = IsaExtension::new("m");
         merged.merge(&a).unwrap();
         assert!(merged.pair(CustomId(1), CustomId(2)).is_some());
+        assert!(merged.chain(CustomId(1), CustomId(2)).is_some());
     }
 
     #[test]

@@ -133,11 +133,12 @@ pub struct Machine {
     /// the block starting there (the next control or system
     /// instruction, or the program's last).
     block_end: Vec<u32>,
-    /// `uops` with each MAC chain, memory run or registered pair
-    /// before a block's end replaced by one micro-op
-    /// ([`MicroOp::fuse`]): what a block executes.
+    /// `uops` with each fusable run before a block's end (a MAC
+    /// chain, memory run, column end, propagation run, ALU run or
+    /// registered pair) replaced by one micro-op ([`MicroOp::fuse`]):
+    /// what a block executes.
     fused: Vec<MicroOp>,
-    /// The register lists of the fused chains and memory runs.
+    /// The register lists of the fused chains and runs.
     fused_regs: Vec<u8>,
     /// Per instruction index: the index in `fused` of the micro-op
     /// that starts there, or [`MID_RUN`] inside a fused micro-op.
@@ -223,9 +224,11 @@ impl Machine {
     /// no per-step lookup or allocation work. The list a block executes
     /// fuses into one micro-op each chain of MAC pairs on one
     /// accumulator pair, each run of `ld`s or `sd`s at consecutive
-    /// offsets off one base, and each other adjacent pair of custom
-    /// instructions that the extension registers as a pair, such as an
-    /// ISE MAC's high and low halves (DESIGN.md §9.5).
+    /// offsets off one base, each column end, each carry-propagation
+    /// run, each run of one register–register ALU operation, and each
+    /// other adjacent pair of custom instructions that the extension
+    /// registers as a pair, such as an ISE MAC's high and low halves
+    /// (DESIGN.md §9.5).
     pub fn load_program(&mut self, program: &Program) {
         self.program = program.insts().to_vec();
         self.uops = self
@@ -288,6 +291,12 @@ impl Machine {
         self.fused.len()
     }
 
+    /// The pipeline model: its clock and counters since the last
+    /// [`Machine::reset_clock`], also after a run that trapped.
+    pub fn pipeline(&self) -> &PipelineModel {
+        &self.pipeline
+    }
+
     /// Base address of the loaded program.
     pub fn prog_base(&self) -> u64 {
         self.prog_base
@@ -307,11 +316,12 @@ impl Machine {
     ///
     /// The run goes a block at a time. The straight-line instructions
     /// up to the next control or system instruction execute in one
-    /// loop, each MAC chain, memory run and registered pair of custom
-    /// instructions as one micro-op. Their timing is then replayed
-    /// from the block's summary when its entry is clean, or retired one
-    /// instruction at a time when it is not (DESIGN.md §9.5). The terminator is retired on its
-    /// own, so branch outcomes are costed exactly. With a tracer
+    /// loop, each fused run (a MAC chain, memory run, column end,
+    /// propagation run, ALU run or registered pair) as one micro-op.
+    /// Their timing is then replayed from the block's summary when its
+    /// entry is clean, or retired one instruction at a time when it is
+    /// not (DESIGN.md §9.5). The terminator is retired on its own, so
+    /// branch outcomes are costed exactly. With a tracer
     /// attached, or fuel for less than the block, every instruction is
     /// executed and retired on its own.
     ///
@@ -717,6 +727,9 @@ mod tests {
         fn marked(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
             (hi(rs1, rs2, rs3a, 0) + MARK, lo(rs1, rs2, rs3b, 0) + MARK)
         }
+        fn chain(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
+            crate::ext::run_chain(marked, regs, srcs, h, l)
+        }
         let mut ext = IsaExtension::new("t");
         for (id, mnemonic, funct2, exec) in [
             (HI, "hi", 0, hi as fn(u64, u64, u64, u8) -> u64),
@@ -737,7 +750,7 @@ mod tests {
             })
             .unwrap();
         }
-        ext.define_pair(HI, LO, marked);
+        ext.define_pair(HI, LO, marked, chain);
         let (a1, a2, a3, a5) = (1000, 100, 10, 1);
         // (hi rd, lo rd, lo rs1, lo rs2, lo rs3, fused?)
         let cases = [
@@ -826,6 +839,9 @@ mod tests {
         fn pair(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
             (hi(rs1, rs2, rs3a, 0), lo(rs1, rs2, rs3b, 0))
         }
+        fn chain(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
+            crate::ext::run_chain(pair, regs, srcs, h, l)
+        }
         let mut ext = IsaExtension::new("mac");
         for (id, mnemonic, funct2, exec) in [
             (900, "hi", 0, hi as fn(u64, u64, u64, u8) -> u64),
@@ -845,7 +861,7 @@ mod tests {
             })
             .unwrap();
         }
-        ext.define_pair(CustomId(900), CustomId(901), pair);
+        ext.define_pair(CustomId(900), CustomId(901), pair, chain);
         ext
     }
 
@@ -927,6 +943,190 @@ mod tests {
             let (m, result) = run_both(make);
             assert_eq!(result.unwrap().instret, 7, "{what}");
             assert_eq!(m.micro_ops(), micro_ops, "{what}");
+        }
+    }
+
+    const SHADD: CustomId = CustomId(902);
+
+    /// [`mac_ext`] plus `shadd` (id 902), `rd ← rs1 + (rs2 >>ₐ imm)`,
+    /// the shape of `sraiadd`.
+    fn shadd_ext() -> IsaExtension {
+        use crate::ext::{CustomFormat, CustomInstDef, ExecUnit};
+        fn shadd(rs1: u64, rs2: u64, _: u64, imm: u8) -> u64 {
+            rs1.wrapping_add(((rs2 as i64) >> (imm & 63)) as u64)
+        }
+        let mut ext = mac_ext();
+        ext.define(CustomInstDef {
+            id: SHADD,
+            mnemonic: "shadd",
+            format: CustomFormat::RShamt {
+                opcode: 0b0101011,
+                funct3: 0b111,
+                bit31: true,
+            },
+            exec: shadd,
+            unit: ExecUnit::Xmul,
+        })
+        .unwrap();
+        ext
+    }
+
+    /// Gives every register but `x0`, `sp` and `keep` a distinct value.
+    fn scramble(m: &mut Machine, keep: &[Reg]) {
+        for (k, r) in Reg::ALL.into_iter().enumerate() {
+            if ![Reg::Zero, Reg::Sp].contains(&r) && !keep.contains(&r) {
+                m.cpu
+                    .write_reg(r, 0xd1b5_4a32_d192_ed03u64.wrapping_mul(k as u64 + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn column_ends_fuse_only_with_a_written_limb_and_another_base() {
+        let top = DATA_BASE + DATA_SIZE as u64;
+        let (l, m, h) = (Reg::A4, Reg::A3, Reg::A5);
+        // (t, store base, reset, micro-ops with the `ebreak`)
+        let cases = [
+            (Reg::A6, Reg::A0, Some(h), 2),
+            (Reg::A6, Reg::A0, None, 2),
+            (Reg::A0, Reg::A0, Some(h), 5),
+            (Reg::Zero, Reg::A0, None, 4),
+        ];
+        for (t, b, reset, micro_ops) in cases {
+            for past_end in [false, true] {
+                // `l & m` is the store's address, so `b = t` stores to it.
+                let base = if past_end { top - 8 } else { DATA_BASE + 64 };
+                let make = || {
+                    let mut a = Assembler::new();
+                    a.and(t, l, m);
+                    a.sd(t, 8, b);
+                    a.custom_shamt(SHADD, l, h, l, 57);
+                    if let Some(z) = reset {
+                        a.li(z, 0);
+                    }
+                    a.ebreak();
+                    let mut m = Machine::with_ext(shadd_ext());
+                    m.load_program(&a.finish());
+                    scramble(&mut m, &[]);
+                    m.cpu.write_reg(Reg::A3, (1 << 57) - 1);
+                    m.cpu.write_reg(Reg::A4, base | 1 << 60);
+                    m.cpu.write_reg(Reg::A0, base);
+                    m
+                };
+                let what = format!("t {t} b {b} reset {reset:?} past end {past_end}");
+                let (m, result) = run_both(make);
+                assert_eq!(m.micro_ops(), micro_ops, "{what}");
+                if past_end {
+                    let fault = MemError::OutOfBounds {
+                        addr: top,
+                        width: 8,
+                    };
+                    assert_eq!(result, Err(RunError::Trap(Trap::Memory(fault))), "{what}");
+                    assert_eq!(m.cpu.pc, PROG_BASE + 4, "{what}: the PC stays at the sd");
+                    assert_eq!(m.cpu.read_reg(Reg::A6) == base, t == Reg::A6, "{what}");
+                } else {
+                    let stored = m.mem.load_u64(base + 8).unwrap();
+                    assert_eq!(stored, if t == Reg::Zero { 0 } else { base }, "{what}");
+                    assert_eq!(m.cpu.read_reg(h) == 0, reset.is_some(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn propagation_runs_fuse_only_on_one_custom_immediate_and_mask() {
+        const LIMBS: [Reg; 5] = [Reg::T0, Reg::T1, Reg::T2, Reg::T3, Reg::T4];
+        let mask = Reg::A3;
+        // Four steps; the one that differs: (step, custom id, imm, y),
+        // and the micro-ops with the `ebreak`.
+        type Case = (&'static str, Option<(usize, CustomId, u8, Reg)>, usize);
+        let cases: [Case; 5] = [
+            ("one run", None, 2),
+            ("mask rewritten", Some((1, SHADD, 57, mask)), 6),
+            ("another imm", Some((2, SHADD, 56, LIMBS[3])), 6),
+            ("another id", Some((2, CustomId(900), 0, LIMBS[3])), 6),
+            ("x0 limb", Some((1, SHADD, 57, Reg::Zero)), 2),
+        ];
+        for (what, differ, micro_ops) in cases {
+            let make = || {
+                let mut a = Assembler::new();
+                for k in 0..4 {
+                    let (id, imm, y) = match differ {
+                        Some((at, id, imm, y)) if at == k => (id, imm, y),
+                        _ => (SHADD, 57, LIMBS[k + 1]),
+                    };
+                    if id == SHADD {
+                        a.custom_shamt(id, y, y, LIMBS[k], imm);
+                    } else {
+                        a.custom_r4(id, y, y, LIMBS[k], Reg::A7);
+                    }
+                    a.and(LIMBS[k], LIMBS[k], mask);
+                }
+                a.ebreak();
+                let mut m = Machine::with_ext(shadd_ext());
+                m.load_program(&a.finish());
+                scramble(&mut m, &[]);
+                m.cpu.write_reg(mask, (1 << 57) - 1);
+                m
+            };
+            let (m, result) = run_both(make);
+            assert_eq!(result.unwrap().instret, 9, "{what}");
+            assert_eq!(m.micro_ops(), micro_ops, "{what}");
+        }
+    }
+
+    #[test]
+    fn alu_runs_fuse_one_operation_in_program_order() {
+        // (program, micro-ops with the `ebreak`)
+        type Emit = fn(&mut Assembler);
+        let cases: [(Emit, usize); 4] = [
+            // Each add reads the one before it.
+            (
+                |a| {
+                    a.add(T[1], T[1], T[0]);
+                    a.add(T[2], T[2], T[1]);
+                    a.add(T[3], T[1], T[2]);
+                },
+                2,
+            ),
+            (
+                |a| {
+                    a.add(T[1], T[1], T[0]);
+                    a.add(T[2], T[2], T[1]);
+                    a.sub(T[3], T[1], T[2]);
+                    a.sub(T[0], T[3], T[3]);
+                },
+                3,
+            ),
+            (
+                |a| {
+                    a.xor(Reg::Zero, T[1], T[0]);
+                    a.xor(T[1], Reg::Zero, T[2]);
+                },
+                2,
+            ),
+            (
+                |a| {
+                    a.mul(T[1], T[1], T[0]);
+                    a.addi(T[2], T[1], 1);
+                    a.mul(T[3], T[2], T[1]);
+                },
+                4,
+            ),
+        ];
+        for (k, (emit, micro_ops)) in cases.into_iter().enumerate() {
+            let make = || {
+                let mut a = Assembler::new();
+                emit(&mut a);
+                a.ebreak();
+                let mut m = Machine::new();
+                m.load_program(&a.finish());
+                scramble(&mut m, &[]);
+                m
+            };
+            let (m, result) = run_both(make);
+            assert!(result.is_ok(), "case {k}");
+            assert_eq!(m.micro_ops(), micro_ops, "case {k}");
         }
     }
 
