@@ -1,10 +1,10 @@
 //! # mpise-engine — the batched CSIDH-512 key-exchange service
 //!
 //! The paper (and the crates below this one) accelerate **one**
-//! CSIDH-512 operation at a time. This crate is the serving layer the
-//! ROADMAP's north star asks for: a multi-worker **service engine**
-//! that turns the single-request primitives of `mpise-csidh` into a
-//! throughput system.
+//! CSIDH-512 operation at a time. This crate is a serving layer built
+//! around them: a multi-worker **service engine** that runs the
+//! single-request primitives of `mpise-csidh` from many clients at
+//! once.
 //!
 //! * [`Engine`] accepts [`Request::Keygen`],
 //!   [`Request::DeriveSharedSecret`] and
@@ -16,11 +16,12 @@
 //!   only on `(seed, request)`, never on scheduling, batching or
 //!   worker count (the loadgen determinism test enforces this
 //!   byte-for-byte).
-//! * Requests may carry a **deadline** and can be **cancelled**
-//!   through their [`Ticket`]; [`Engine::shutdown`] performs a
-//!   graceful drain — everything already accepted completes, nothing
-//!   is dropped, and later submissions fail with
-//!   [`EngineError::ShutDown`].
+//! * [`Engine::submit`] is the only way in: it blocks while the queue
+//!   is full, and a worker answers every request it accepts.
+//!   Dropping the returned [`Ticket`] abandons the response, not the
+//!   work. [`Engine::shutdown`] performs a graceful drain — everything
+//!   already accepted completes, nothing is dropped, and later
+//!   submissions fail with [`EngineError::ShutDown`].
 //! * Workers serve `ValidatePublicKey` traffic in batches:
 //!   consecutive validation requests are taken from the queue front
 //!   and answered by one [`mpise_csidh::batch::validate_many`] call,
@@ -44,11 +45,10 @@ pub mod stats;
 use mpise_csidh::batch::validate_many;
 use mpise_csidh::{validate, CsidhKeypair, PrivateKey, PublicKey};
 use mpise_fp::Fp;
-use queue::{Bounded, TryPushError};
+use queue::Bounded;
 use stats::StatsInner;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub use stats::EngineStats;
 
@@ -114,12 +114,6 @@ impl Outcome {
 pub enum EngineError {
     /// The engine is shut down (or shutting down); nothing was queued.
     ShutDown,
-    /// `try_submit` found the queue at capacity; nothing was queued.
-    QueueFull,
-    /// The deadline passed before a worker claimed the request.
-    DeadlineExceeded,
-    /// The ticket was cancelled before a worker claimed the request.
-    Cancelled,
     /// The engine dropped the response channel (worker panic).
     Disconnected,
     /// No worker could serve the request (a negative keygen bound);
@@ -131,9 +125,6 @@ impl std::fmt::Display for EngineError {
     fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let text = match self {
             EngineError::ShutDown => "engine is shut down",
-            EngineError::QueueFull => "submission queue is full",
-            EngineError::DeadlineExceeded => "deadline exceeded before execution",
-            EngineError::Cancelled => "request cancelled",
             EngineError::Disconnected => "engine dropped the response channel",
             EngineError::InvalidRequest => "invalid request",
         };
@@ -167,34 +158,21 @@ impl Default for EngineConfig {
 
 /// A pending request's client-side handle.
 ///
-/// Dropping the ticket abandons the response (the worker's send just
-/// fails); [`Ticket::cancel`] additionally asks the engine not to
-/// start the work if it has not begun.
+/// Dropping the ticket abandons the response only: the worker still
+/// answers the request, and its send just fails.
 pub struct Ticket {
-    id: u64,
-    rx: mpsc::Receiver<Result<Outcome, EngineError>>,
-    cancelled: Arc<AtomicBool>,
+    rx: mpsc::Receiver<Outcome>,
 }
 
 impl Ticket {
-    /// The engine-assigned request id (monotonic per engine).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Requests cancellation. Best-effort: a request already claimed
-    /// by a worker still completes (and `wait` returns its outcome).
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Blocks until the outcome (or the engine's refusal) arrives.
+    /// Blocks until the outcome arrives.
     ///
     /// # Errors
     ///
-    /// Propagates the engine-side [`EngineError`] for this request.
+    /// [`EngineError::Disconnected`] when the engine dropped the
+    /// response channel without answering (a worker panicked).
     pub fn wait(self) -> Result<Outcome, EngineError> {
-        self.rx.recv().unwrap_or(Err(EngineError::Disconnected))
+        self.rx.recv().map_err(|_| EngineError::Disconnected)
     }
 }
 
@@ -202,10 +180,8 @@ impl Ticket {
 struct Job {
     seed: u64,
     request: Request,
-    deadline: Option<Instant>,
     submitted: Instant,
-    cancelled: Arc<AtomicBool>,
-    tx: mpsc::Sender<Result<Outcome, EngineError>>,
+    tx: mpsc::Sender<Outcome>,
 }
 
 /// The multi-worker key-exchange service.
@@ -219,7 +195,7 @@ struct Job {
 ///
 /// let engine = Engine::start(EngineConfig { workers: 2, ..Default::default() }, FpFull::new);
 /// let ticket = engine
-///     .submit(7, Request::ValidatePublicKey { key: PublicKey::BASE }, None)
+///     .submit(7, Request::ValidatePublicKey { key: PublicKey::BASE })
 ///     .unwrap();
 /// assert_eq!(ticket.wait().unwrap(), Outcome::Validated(true));
 /// engine.shutdown();
@@ -228,8 +204,6 @@ pub struct Engine {
     queue: Arc<Bounded<Job>>,
     stats: Arc<StatsInner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_id: AtomicU64,
-    config: EngineConfig,
 }
 
 impl Engine {
@@ -264,100 +238,41 @@ impl Engine {
             queue,
             stats,
             workers: Mutex::new(workers),
-            next_id: AtomicU64::new(0),
-            config,
         }
     }
 
-    /// Builds the job and its ticket, or refuses a request no worker
-    /// could serve (counted in `rejected`).
-    fn make_job(
-        &self,
-        seed: u64,
-        request: Request,
-        deadline: Option<Duration>,
-    ) -> Result<(Job, Ticket), EngineError> {
-        if matches!(request, Request::Keygen { bound } if bound < 0) {
-            self.stats.rejected.inc();
-            return Err(EngineError::InvalidRequest);
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            seed,
-            request,
-            deadline: deadline.map(|d| Instant::now() + d),
-            submitted: Instant::now(),
-            cancelled: Arc::clone(&cancelled),
-            tx,
-        };
-        Ok((job, Ticket { id, rx, cancelled }))
-    }
-
-    /// Submits a request, blocking while the queue is full.
+    /// Submits a request, blocking while the queue is full. A worker
+    /// answers every request this accepts, whether or not the ticket
+    /// is still held.
     ///
     /// # Errors
     ///
     /// [`EngineError::ShutDown`] after [`Engine::shutdown`],
     /// [`EngineError::InvalidRequest`] for a negative keygen bound —
-    /// the request is not queued.
-    pub fn submit(
-        &self,
-        seed: u64,
-        request: Request,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let (job, ticket) = self.make_job(seed, request, deadline)?;
-        match self.queue.push(job) {
-            Ok(()) => {
-                self.stats.submitted.inc();
-                Ok(ticket)
-            }
-            Err(_) => {
-                self.stats.rejected.inc();
-                Err(EngineError::ShutDown)
-            }
+    /// the request is not queued, and counts in `rejected`.
+    pub fn submit(&self, seed: u64, request: Request) -> Result<Ticket, EngineError> {
+        if matches!(request, Request::Keygen { bound } if bound < 0) {
+            self.stats.rejected.inc();
+            return Err(EngineError::InvalidRequest);
         }
-    }
-
-    /// Submits without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::QueueFull`] at capacity, [`EngineError::ShutDown`]
-    /// after shutdown, [`EngineError::InvalidRequest`] for a negative
-    /// keygen bound; the request is not queued in any case.
-    pub fn try_submit(
-        &self,
-        seed: u64,
-        request: Request,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let (job, ticket) = self.make_job(seed, request, deadline)?;
-        match self.queue.try_push(job) {
-            Ok(()) => {
-                self.stats.submitted.inc();
-                Ok(ticket)
-            }
-            Err(err) => {
-                self.stats.rejected.inc();
-                Err(match err {
-                    TryPushError::Closed(_) => EngineError::ShutDown,
-                    TryPushError::Full(_) => EngineError::QueueFull,
-                })
-            }
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            seed,
+            request,
+            submitted: Instant::now(),
+            tx,
+        };
+        if self.queue.push(job).is_err() {
+            self.stats.rejected.inc();
+            return Err(EngineError::ShutDown);
         }
+        self.stats.submitted.inc();
+        Ok(Ticket { rx })
     }
 
     /// A point-in-time stats snapshot.
     pub fn stats(&self) -> EngineStats {
         self.stats.snapshot(self.queue.len())
-    }
-
-    /// The configuration the engine was started with.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// The engine's metrics registry, with the queue-depth gauge
@@ -392,11 +307,6 @@ impl Engine {
         }
     }
 
-    /// Whether [`Engine::shutdown`] has begun.
-    pub fn is_shut_down(&self) -> bool {
-        self.queue.is_closed()
-    }
-
     /// Drains the telemetry span trees merged in by exited workers.
     /// Spans are thread-local, so workers contribute their trees when
     /// they exit — call this after [`Engine::shutdown`] for the
@@ -413,32 +323,15 @@ impl Drop for Engine {
 }
 
 /// Responds to a job and records its latency and op counter.
-fn respond(stats: &StatsInner, job: &Job, result: Result<Outcome, EngineError>) {
-    match &result {
-        Ok(Outcome::Keypair { .. }) => stats.keygen.inc(),
-        Ok(Outcome::SharedSecret(_)) => stats.derive.inc(),
-        Ok(Outcome::Validated(_)) => stats.validate.inc(),
-        Err(EngineError::DeadlineExceeded) => stats.expired.inc(),
-        Err(EngineError::Cancelled) => stats.cancelled.inc(),
-        Err(_) => {}
+fn respond(stats: &StatsInner, job: &Job, outcome: Outcome) {
+    match outcome {
+        Outcome::Keypair { .. } => stats.keygen.inc(),
+        Outcome::SharedSecret(_) => stats.derive.inc(),
+        Outcome::Validated(_) => stats.validate.inc(),
     }
     stats.record_latency(job.submitted.elapsed().as_micros() as u64);
     // A dropped ticket makes the send fail; that is fine.
-    let _ = job.tx.send(result);
-}
-
-/// Pre-execution refusals (cancellation, deadline), checked when a
-/// worker claims the job.
-fn refusal(job: &Job) -> Option<EngineError> {
-    if job.cancelled.load(Ordering::Relaxed) {
-        return Some(EngineError::Cancelled);
-    }
-    if let Some(deadline) = job.deadline {
-        if Instant::now() > deadline {
-            return Some(EngineError::DeadlineExceeded);
-        }
-    }
-    None
+    let _ = job.tx.send(outcome);
 }
 
 fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, lanes: usize, worker: usize) {
@@ -447,11 +340,9 @@ fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, lanes: usi
             // Take a run of validation requests from the queue front
             // and answer them with one `validate_many` call.
             let mut batch = vec![job];
-            if lanes > 1 {
-                batch.extend(queue.drain_front_matching(lanes - 1, |j| {
-                    matches!(j.request, Request::ValidatePublicKey { .. })
-                }));
-            }
+            batch.extend(queue.drain_front_matching(lanes - 1, |j| {
+                matches!(j.request, Request::ValidatePublicKey { .. })
+            }));
             let n = batch.len() as u64;
             run_validate_batch(&f, batch, stats);
             n
@@ -470,10 +361,6 @@ fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, lanes: usi
 }
 
 fn run_single<F: Fp>(f: &F, job: Job, stats: &StatsInner) {
-    if let Some(err) = refusal(&job) {
-        respond(stats, &job, Err(err));
-        return;
-    }
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(job.seed);
@@ -491,34 +378,23 @@ fn run_single<F: Fp>(f: &F, job: Job, stats: &StatsInner) {
         } => Outcome::SharedSecret(private.shared_secret(f, &mut rng, &their_public)),
         Request::ValidatePublicKey { key } => Outcome::Validated(validate(f, &mut rng, &key)),
     };
-    respond(stats, &job, Ok(outcome));
+    respond(stats, &job, outcome);
 }
 
 fn run_validate_batch<F: Fp>(f: &F, batch: Vec<Job>, stats: &StatsInner) {
-    // Refusals answered up front; survivors share the batch.
-    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch {
-        match refusal(&job) {
-            Some(err) => respond(stats, &job, Err(err)),
-            None => live.push(job),
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let keys: Vec<PublicKey> = live
+    let keys: Vec<PublicKey> = batch
         .iter()
         .map(|j| match j.request {
             Request::ValidatePublicKey { key } => key,
             _ => unreachable!("batch contains only validation requests"),
         })
         .collect();
-    let seeds: Vec<u64> = live.iter().map(|j| j.seed).collect();
+    let seeds: Vec<u64> = batch.iter().map(|j| j.seed).collect();
     let verdicts = validate_many(f, &keys, &seeds);
     stats.batches.inc();
-    stats.batched_requests.add(live.len() as u64);
-    for (job, verdict) in live.iter().zip(verdicts) {
-        respond(stats, job, Ok(Outcome::Validated(verdict)));
+    stats.batched_requests.add(batch.len() as u64);
+    for (job, verdict) in batch.iter().zip(verdicts) {
+        respond(stats, job, Outcome::Validated(verdict));
     }
 }
 
@@ -551,8 +427,8 @@ mod tests {
         // keygen is a full group action, exercised by the release-mode
         // loadgen run instead of this debug-speed unit test.)
         let req = Request::Keygen { bound: 0 };
-        let a = engine.submit(42, req, None).unwrap().wait().unwrap();
-        let b = engine.submit(42, req, None).unwrap().wait().unwrap();
+        let a = engine.submit(42, req).unwrap().wait().unwrap();
+        let b = engine.submit(42, req).unwrap().wait().unwrap();
         assert_eq!(a, b, "same seed, same outcome");
         assert_eq!(
             a.payload_bytes(),
@@ -572,7 +448,7 @@ mod tests {
             FpFull::new,
         );
         match engine
-            .submit(1, Request::Keygen { bound: 0 }, None)
+            .submit(1, Request::Keygen { bound: 0 })
             .unwrap()
             .wait()
             .unwrap()
@@ -595,7 +471,7 @@ mod tests {
         let tickets: Vec<Ticket> = (0..12)
             .map(|i| {
                 engine
-                    .submit(i, Request::ValidatePublicKey { key: bogus_key() }, None)
+                    .submit(i, Request::ValidatePublicKey { key: bogus_key() })
                     .unwrap()
             })
             .collect();
@@ -610,33 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_is_reported() {
-        let engine = Engine::start(
-            EngineConfig {
-                workers: 1,
-                ..Default::default()
-            },
-            FpFull::new,
-        );
-        let ticket = engine
-            .submit(
-                1,
-                Request::ValidatePublicKey { key: bogus_key() },
-                Some(Duration::ZERO),
-            )
-            .unwrap();
-        // A zero deadline has passed by the time any worker claims it.
-        assert_eq!(ticket.wait(), Err(EngineError::DeadlineExceeded));
-        assert_eq!(engine.stats().expired, 1);
-        engine.shutdown();
-    }
-
-    #[test]
     fn stats_snapshot_counts_latencies() {
         let engine = Engine::start(EngineConfig::default(), FpFull::new);
         for i in 0..5 {
             let _ = engine
-                .submit(i, Request::ValidatePublicKey { key: bogus_key() }, None)
+                .submit(i, Request::ValidatePublicKey { key: bogus_key() })
                 .unwrap()
                 .wait();
         }
@@ -660,17 +514,14 @@ mod tests {
         );
         for i in 0..9 {
             let _ = engine
-                .submit(i, Request::ValidatePublicKey { key: bogus_key() }, None)
+                .submit(i, Request::ValidatePublicKey { key: bogus_key() })
                 .unwrap()
                 .wait();
         }
         engine.shutdown();
         let stats = engine.stats();
         assert_eq!(stats.worker_completed.len(), 2);
-        assert_eq!(
-            stats.worker_completed.iter().sum::<u64>(),
-            stats.completed + stats.expired + stats.cancelled
-        );
+        assert_eq!(stats.worker_completed.iter().sum::<u64>(), stats.completed);
     }
 
     #[test]
@@ -684,7 +535,7 @@ mod tests {
         );
         for i in 0..4 {
             let _ = engine
-                .submit(i, Request::ValidatePublicKey { key: bogus_key() }, None)
+                .submit(i, Request::ValidatePublicKey { key: bogus_key() })
                 .unwrap()
                 .wait();
         }

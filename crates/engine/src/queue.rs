@@ -16,15 +16,6 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a non-blocking push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryPushError<T> {
-    /// The queue was closed; the item is handed back.
-    Closed(T),
-    /// The queue was at capacity; the item is handed back.
-    Full(T),
-}
-
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
@@ -78,26 +69,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Enqueues an item without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`TryPushError::Closed`] after [`Bounded::close`],
-    /// [`TryPushError::Full`] at capacity; the item is handed back in
-    /// both cases.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        inner.items.push_back(item);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Dequeues the front item, blocking while the queue is empty and
     /// open. Returns `None` only when the queue is closed **and**
     /// fully drained — consumers see every item that was accepted.
@@ -145,11 +116,6 @@ impl<T> Bounded<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`Bounded::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue lock").closed
-    }
-
     /// Items currently queued (not yet claimed by a worker).
     pub fn len(&self) -> usize {
         self.inner.lock().expect("queue lock").items.len()
@@ -184,17 +150,9 @@ mod tests {
         q.push(1).unwrap();
         q.close();
         assert_eq!(q.push(2), Err(2));
-        assert_eq!(q.try_push(3), Err(TryPushError::Closed(3)));
         // The accepted item is still drained.
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn try_push_full() {
-        let q = Bounded::new(1);
-        q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2), Err(TryPushError::Full(2)));
     }
 
     #[test]

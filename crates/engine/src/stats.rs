@@ -19,8 +19,6 @@ pub(crate) struct StatsInner {
     pub(crate) keygen: Counter,
     pub(crate) derive: Counter,
     pub(crate) validate: Counter,
-    pub(crate) expired: Counter,
-    pub(crate) cancelled: Counter,
     pub(crate) batches: Counter,
     pub(crate) batched_requests: Counter,
     /// Jobs answered per worker, indexed by worker id.
@@ -61,16 +59,6 @@ impl StatsInner {
             keygen: completed("keygen"),
             derive: completed("derive"),
             validate: completed("validate"),
-            expired: r.counter(
-                "mpise_engine_requests_expired_total",
-                "Requests that missed their deadline",
-                &[],
-            ),
-            cancelled: r.counter(
-                "mpise_engine_requests_cancelled_total",
-                "Requests cancelled before execution",
-                &[],
-            ),
             batches: r.counter(
                 "mpise_engine_validate_batches_total",
                 "Validation batches executed (one validate_many call each)",
@@ -126,8 +114,6 @@ impl StatsInner {
             keygen,
             derive,
             validate,
-            expired: self.expired.get(),
-            cancelled: self.cancelled.get(),
             batches: self.batches.get(),
             batched_requests: self.batched_requests.get(),
             worker_completed: self.worker_completed.iter().map(Counter::get).collect(),
@@ -150,7 +136,8 @@ impl StatsInner {
 pub struct EngineStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
-    /// Submissions refused (queue closed or full on `try_submit`).
+    /// Submissions refused, none of them queued: a submit after
+    /// shutdown, or a keygen with a negative bound.
     pub rejected: u64,
     /// Requests answered with an outcome (`keygen + derive + validate`).
     pub completed: u64,
@@ -160,17 +147,14 @@ pub struct EngineStats {
     pub derive: u64,
     /// Completed public-key validations.
     pub validate: u64,
-    /// Requests that missed their deadline before a worker took them.
-    pub expired: u64,
-    /// Requests cancelled before a worker took them.
-    pub cancelled: u64,
     /// Validation batches served by one `validate_many` call
     /// (including width-1 batches).
     pub batches: u64,
     /// Validation requests served through those batches.
     pub batched_requests: u64,
-    /// Jobs answered per worker, indexed by worker id. Refusals count
-    /// too, so the entries sum to `completed + expired + cancelled`.
+    /// Jobs answered per worker, indexed by worker id. Every accepted
+    /// job is answered with an outcome, so once the workers are idle
+    /// the entries sum to `completed`.
     pub worker_completed: Vec<u64>,
     /// Requests queued but not yet claimed at snapshot time.
     pub queue_depth: usize,
@@ -216,8 +200,8 @@ impl std::fmt::Display for EngineStats {
         )?;
         writeln!(
             out,
-            "dropped:  {} rejected, {} expired, {} cancelled; queue depth {}",
-            self.rejected, self.expired, self.cancelled, self.queue_depth
+            "refused:  {} rejected; queue depth {}",
+            self.rejected, self.queue_depth
         )?;
         match self.mean_batch_width() {
             Some(w) => writeln!(

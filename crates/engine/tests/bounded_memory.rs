@@ -66,7 +66,7 @@ fn bogus_key() -> PublicKey {
 fn validate_bogus(engine: &Engine, seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let ticket = engine
-            .submit(seed, Request::ValidatePublicKey { key: bogus_key() }, None)
+            .submit(seed, Request::ValidatePublicKey { key: bogus_key() })
             .unwrap();
         assert_eq!(ticket.wait(), Ok(Outcome::Validated(false)));
     }

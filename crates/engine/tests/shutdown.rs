@@ -1,5 +1,5 @@
 //! Queue-shutdown edge cases: graceful drain, post-shutdown
-//! submissions, cancellation, idempotence, and refused requests.
+//! submissions, abandoned tickets, idempotence, and refused requests.
 
 use mpise_csidh::PublicKey;
 use mpise_engine::{Engine, EngineConfig, EngineError, Outcome, Request};
@@ -24,17 +24,11 @@ fn submit_after_shutdown_returns_error_without_panicking() {
         FpFull::new,
     );
     engine.shutdown();
-    assert!(engine.is_shut_down());
 
     let req = Request::ValidatePublicKey { key: bogus_key() };
-    assert_eq!(
-        engine.submit(1, req, None).map(|_| ()),
-        Err(EngineError::ShutDown)
-    );
-    assert_eq!(
-        engine.try_submit(2, req, None).map(|_| ()),
-        Err(EngineError::ShutDown)
-    );
+    for seed in 1..3 {
+        assert_eq!(engine.submit(seed, req).err(), Some(EngineError::ShutDown));
+    }
 
     let stats = engine.stats();
     assert_eq!(stats.submitted, 0);
@@ -60,13 +54,12 @@ fn inflight_requests_complete_during_drain() {
             Request::ValidatePublicKey {
                 key: PublicKey::BASE,
             },
-            None,
         )
         .unwrap()];
     for seed in 1..5 {
         tickets.push(
             engine
-                .submit(seed, Request::ValidatePublicKey { key: bogus_key() }, None)
+                .submit(seed, Request::ValidatePublicKey { key: bogus_key() })
                 .unwrap(),
         );
     }
@@ -91,36 +84,49 @@ fn inflight_requests_complete_during_drain() {
 }
 
 #[test]
-fn cancelled_ticket_is_refused_at_claim_time() {
+fn dropped_tickets_are_still_answered() {
     let engine = Engine::start(
         EngineConfig {
             workers: 1,
-            batch_lanes: 1,
             ..Default::default()
         },
         FpFull::new,
     );
 
-    // Occupy the worker with a slow validation, then cancel a queued
-    // request before the worker can claim it.
+    // Occupy the worker with a slow validation, then queue requests on
+    // both worker paths (a validation batch and a single keygen) and
+    // drop their tickets before the worker can claim them.
     let busy = engine
         .submit(
             0,
             Request::ValidatePublicKey {
                 key: PublicKey::BASE,
             },
-            None,
         )
         .unwrap();
-    let doomed = engine
-        .submit(1, Request::ValidatePublicKey { key: bogus_key() }, None)
-        .unwrap();
-    doomed.cancel();
+    for seed in 1..4 {
+        drop(
+            engine
+                .submit(seed, Request::ValidatePublicKey { key: bogus_key() })
+                .unwrap(),
+        );
+    }
+    drop(engine.submit(4, Request::Keygen { bound: 0 }).unwrap());
 
+    // A later request is served behind the abandoned ones.
+    let later = engine
+        .submit(5, Request::ValidatePublicKey { key: bogus_key() })
+        .unwrap();
     assert_eq!(busy.wait(), Ok(Outcome::Validated(true)));
-    assert_eq!(doomed.wait(), Err(EngineError::Cancelled));
-    assert_eq!(engine.stats().cancelled, 1);
+    assert_eq!(later.wait(), Ok(Outcome::Validated(false)));
     engine.shutdown();
+
+    // The worker answered every accepted request, abandoned or not.
+    let stats = engine.stats();
+    assert_eq!(stats.submitted, 6);
+    assert_eq!(stats.completed, 6);
+    assert_eq!((stats.validate, stats.keygen), (5, 1));
+    assert_eq!(stats.worker_completed.iter().sum::<u64>(), stats.completed);
 }
 
 #[test]
@@ -134,7 +140,8 @@ fn shutdown_is_idempotent() {
     );
     engine.shutdown();
     engine.shutdown();
-    assert!(engine.is_shut_down());
+    let req = Request::Keygen { bound: 0 };
+    assert_eq!(engine.submit(1, req).err(), Some(EngineError::ShutDown));
     // Drop runs shutdown a third time; it must not panic or hang.
 }
 
@@ -150,14 +157,13 @@ fn negative_keygen_bound_is_refused_and_workers_survive() {
         },
         FpFull::new,
     );
+    let req = Request::Keygen { bound: -1 };
     assert_eq!(
-        engine
-            .try_submit(1, Request::Keygen { bound: -1 }, None)
-            .map(|_| ()),
-        Err(EngineError::InvalidRequest)
+        engine.submit(1, req).err(),
+        Some(EngineError::InvalidRequest)
     );
     let ticket = engine
-        .submit(2, Request::ValidatePublicKey { key: bogus_key() }, None)
+        .submit(2, Request::ValidatePublicKey { key: bogus_key() })
         .unwrap();
     assert_eq!(ticket.wait(), Ok(Outcome::Validated(false)));
 

@@ -131,17 +131,20 @@ mod tests {
 
     #[test]
     fn git_commit_is_a_hash_in_a_checkout_and_unknown_outside() {
-        // In a git checkout the commit resolves to a real hash; in an
-        // export without `.git` (e.g. `git archive`) `collect` falls
+        // When HEAD resolves the commit is a real hash. In an export
+        // without `.git` (e.g. `git archive`), and in a fresh `git init`
+        // whose HEAD names a branch with no commit yet, `collect` falls
         // back to the documented "unknown".
         let collected = Provenance::collect().git_commit;
-        if find_git_dir().is_some() {
-            let commit = git_commit().expect("a checkout has a HEAD");
-            assert!(is_hash(&commit), "{commit} is not a hash");
-            assert_eq!(collected, commit);
-        } else {
-            assert_eq!(git_commit(), None);
-            assert_eq!(collected, "unknown");
+        match git_commit() {
+            Some(commit) => {
+                assert!(
+                    commit.len() == 40 && is_hash(&commit),
+                    "{commit} is not a 40-hex hash"
+                );
+                assert_eq!(collected, commit);
+            }
+            None => assert_eq!(collected, "unknown"),
         }
     }
 
@@ -154,7 +157,7 @@ mod tests {
         write("HEAD", format!("{packed}\n"));
         assert_eq!(resolve_head(&dir), Some(packed.clone()), "detached");
         write("HEAD", "ref: refs/heads/main\n".to_owned());
-        assert_eq!(resolve_head(&dir), None, "unborn branch");
+        assert_eq!(resolve_head(&dir), None, "unborn branch, no packed-refs");
         write(
             "packed-refs",
             format!("# pack-refs\n{packed} refs/heads/main\n"),
@@ -162,6 +165,8 @@ mod tests {
         assert_eq!(resolve_head(&dir), Some(packed), "packed ref");
         write("refs/heads/main", format!("{loose}\n"));
         assert_eq!(resolve_head(&dir), Some(loose), "loose ref first");
+        write("HEAD", "ref: refs/heads/gone\n".to_owned());
+        assert_eq!(resolve_head(&dir), None, "branch in neither place");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,19 +29,15 @@ fn main() {
     // records either way.
     mpise::obs::set_enabled(true);
 
-    let engine = Engine::start(
-        EngineConfig {
-            workers: 4,
-            queue_capacity: 64,
-            batch_lanes: 8,
-        },
-        FpFull::new,
-    );
+    let config = EngineConfig {
+        workers: 4,
+        queue_capacity: 64,
+        batch_lanes: 8,
+    };
+    let engine = Engine::start(config, FpFull::new);
     println!(
         "engine up: {} workers, queue capacity {}, {} batch lanes",
-        engine.config().workers,
-        engine.config().queue_capacity,
-        engine.config().batch_lanes
+        config.workers, config.queue_capacity, config.batch_lanes
     );
 
     // A peer key pair prepared client-side, so the workload includes a
@@ -53,10 +49,7 @@ fn main() {
     println!("submitting mixed workload ...");
     let mut tickets = Vec::new();
     // Key generation (small exponent bound keeps the example snappy).
-    tickets.push((
-        "keygen",
-        engine.submit(1, Request::Keygen { bound: 1 }, None),
-    ));
+    tickets.push(("keygen", engine.submit(1, Request::Keygen { bound: 1 })));
     // Shared-secret derivation against the peer's public key.
     let ours = CsidhKeypair::generate_with_bound(&field, &mut rng, 1);
     tickets.push((
@@ -67,14 +60,13 @@ fn main() {
                 private: ours.private,
                 their_public: peer.public,
             },
-            None,
         ),
     ));
     // A burst of validations: adjacent requests share one batch.
     for seed in 3..9 {
         tickets.push((
             "validate",
-            engine.submit(seed, Request::ValidatePublicKey { key: peer.public }, None),
+            engine.submit(seed, Request::ValidatePublicKey { key: peer.public }),
         ));
     }
     // One key that must be rejected (A = 1 is an ordinary curve).
@@ -85,7 +77,6 @@ fn main() {
             Request::ValidatePublicKey {
                 key: PublicKey { a: U512::ONE },
             },
-            None,
         ),
     ));
 
