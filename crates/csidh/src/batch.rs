@@ -1,19 +1,22 @@
 //! Public-key validation over a batch of independent requests.
 //!
-//! [`validate_many`] is the entry point the engine's workers use for
-//! `ValidatePublicKey` traffic. It runs [`crate::action::validate`]
-//! once per lane: a lockstep lane-parallel ladder measured no faster
-//! than this loop, and the product-tree check branches on per-lane
-//! points, so lanes would not stay in step anyway.
+//! Nothing in this workspace outside its tests calls [`validate_many`]:
+//! the engine's workers call [`crate::action::validate`] once per
+//! request. It stays because the two-clock benchmark (`perfbench/`,
+//! built as a workspace of its own) times it and re-enacts the engine's
+//! request mix with it, and perfbench changes only together with its
+//! committed measurements. ROADMAP items 1–2 then delete this module.
+//! It runs `validate` once per lane: a lockstep lane-parallel ladder
+//! measured no faster than this loop, and the product-tree check
+//! branches on per-lane points, so lanes would not stay in step anyway.
 
 use crate::action::{validate, PublicKey};
 use mpise_fp::Fp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Validates `keys[i]` with an RNG seeded by `seeds[i]`, so a request's
-/// verdict never depends on which other requests share its batch (the
-/// engine's determinism guarantee).
+/// Validates `keys[i]` with an RNG seeded by `seeds[i]`, so a key's
+/// verdict never depends on which other keys share its batch.
 ///
 /// # Panics
 ///

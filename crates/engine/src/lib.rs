@@ -1,4 +1,4 @@
-//! # mpise-engine — the batched CSIDH-512 key-exchange service
+//! # mpise-engine — the multi-worker CSIDH-512 key-exchange service
 //!
 //! The paper (and the crates below this one) accelerate **one**
 //! CSIDH-512 operation at a time. This crate is a serving layer built
@@ -9,23 +9,23 @@
 //! * [`Engine`] accepts [`Request::Keygen`],
 //!   [`Request::DeriveSharedSecret`] and
 //!   [`Request::ValidatePublicKey`] through a bounded submission
-//!   queue ([`queue::Bounded`]) and executes them on a configurable
-//!   worker pool — one field-backend instance per worker, generic
-//!   over any [`Fp`] backend.
+//!   queue (a crate-private `Bounded` channel) and executes them on a
+//!   configurable worker pool — one field-backend instance per
+//!   worker, generic over any [`Fp`] backend.
 //! * Every request carries a **deterministic seed**: outcomes depend
-//!   only on `(seed, request)`, never on scheduling, batching or
-//!   worker count (the loadgen determinism test enforces this
-//!   byte-for-byte).
+//!   only on `(seed, request)`, never on scheduling or worker count
+//!   (the loadgen determinism test enforces this byte-for-byte).
 //! * [`Engine::submit`] is the only way in: it blocks while the queue
 //!   is full, and a worker answers every request it accepts.
 //!   Dropping the returned [`Ticket`] abandons the response, not the
 //!   work. [`Engine::shutdown`] performs a graceful drain — everything
 //!   already accepted completes, nothing is dropped, and later
 //!   submissions fail with [`EngineError::ShutDown`].
-//! * Workers serve `ValidatePublicKey` traffic in batches:
-//!   consecutive validation requests are taken from the queue front
-//!   and answered by one [`mpise_csidh::batch::validate_many`] call,
-//!   which runs the product-tree check once per request.
+//! * Each worker takes one request per dequeue and answers it with
+//!   the matching `mpise-csidh` call on an RNG seeded from the
+//!   request's seed: [`mpise_csidh::validate`],
+//!   [`CsidhKeypair::generate_with_bound`] or
+//!   [`PrivateKey::shared_secret`].
 //! * Each engine records into its own `mpise-obs` registry
 //!   ([`Engine::metrics`]): per-op counters, per-worker completion
 //!   counters and a fixed-bucket latency histogram, updated with
@@ -39,13 +39,14 @@
 //!   with a multi-worker throughput gate.
 
 pub mod loadgen;
-pub mod queue;
+mod queue;
 pub mod stats;
 
-use mpise_csidh::batch::validate_many;
 use mpise_csidh::{validate, CsidhKeypair, PrivateKey, PublicKey};
 use mpise_fp::Fp;
 use queue::Bounded;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use stats::StatsInner;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -141,8 +142,9 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Bounded submission-queue capacity (back-pressure bound).
     pub queue_capacity: usize,
-    /// Maximum validation requests served per `validate_many` batch;
-    /// `1` disables batching.
+    /// Unread by the engine: each worker answers one request per
+    /// dequeue. Only the two-clock benchmark (`perfbench/`) reads it,
+    /// and ROADMAP item 2 deletes it together with perfbench's copy.
     pub batch_lanes: usize,
 }
 
@@ -213,15 +215,13 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics when `config.workers`, `config.batch_lanes` or
-    /// `config.queue_capacity` is zero.
+    /// Panics when `config.workers` or `config.queue_capacity` is zero.
     pub fn start<F, B>(config: EngineConfig, backend: B) -> Engine
     where
         F: Fp,
         B: Fn() -> F + Send + Sync + 'static,
     {
         assert!(config.workers > 0, "need at least one worker");
-        assert!(config.batch_lanes > 0, "need at least one batch lane");
         let queue = Arc::new(Bounded::new(config.queue_capacity));
         let stats = Arc::new(StatsInner::new(config.workers));
         let backend = Arc::new(backend);
@@ -230,8 +230,7 @@ impl Engine {
                 let queue = Arc::clone(&queue);
                 let stats = Arc::clone(&stats);
                 let backend = Arc::clone(&backend);
-                let lanes = config.batch_lanes;
-                std::thread::spawn(move || worker_loop(backend(), &queue, &stats, lanes, worker))
+                std::thread::spawn(move || worker_loop(backend(), &queue, &stats, worker))
             })
             .collect();
         Engine {
@@ -334,23 +333,10 @@ fn respond(stats: &StatsInner, job: &Job, outcome: Outcome) {
     let _ = job.tx.send(outcome);
 }
 
-fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, lanes: usize, worker: usize) {
+fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, worker: usize) {
     while let Some(job) = queue.pop() {
-        let answered = if matches!(job.request, Request::ValidatePublicKey { .. }) {
-            // Take a run of validation requests from the queue front
-            // and answer them with one `validate_many` call.
-            let mut batch = vec![job];
-            batch.extend(queue.drain_front_matching(lanes - 1, |j| {
-                matches!(j.request, Request::ValidatePublicKey { .. })
-            }));
-            let n = batch.len() as u64;
-            run_validate_batch(&f, batch, stats);
-            n
-        } else {
-            run_single(&f, job, stats);
-            1
-        };
-        stats.worker_completed[worker].add(answered);
+        run_single(&f, job, stats);
+        stats.worker_completed[worker].inc();
     }
     // Spans are thread-local; hand this worker's finished tree to the
     // engine before the thread exits.
@@ -361,8 +347,6 @@ fn worker_loop<F: Fp>(f: F, queue: &Bounded<Job>, stats: &StatsInner, lanes: usi
 }
 
 fn run_single<F: Fp>(f: &F, job: Job, stats: &StatsInner) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(job.seed);
     let outcome = match job.request {
         Request::Keygen { bound } => {
@@ -379,23 +363,6 @@ fn run_single<F: Fp>(f: &F, job: Job, stats: &StatsInner) {
         Request::ValidatePublicKey { key } => Outcome::Validated(validate(f, &mut rng, &key)),
     };
     respond(stats, &job, outcome);
-}
-
-fn run_validate_batch<F: Fp>(f: &F, batch: Vec<Job>, stats: &StatsInner) {
-    let keys: Vec<PublicKey> = batch
-        .iter()
-        .map(|j| match j.request {
-            Request::ValidatePublicKey { key } => key,
-            _ => unreachable!("batch contains only validation requests"),
-        })
-        .collect();
-    let seeds: Vec<u64> = batch.iter().map(|j| j.seed).collect();
-    let verdicts = validate_many(f, &keys, &seeds);
-    stats.batches.inc();
-    stats.batched_requests.add(batch.len() as u64);
-    for (job, verdict) in batch.iter().zip(verdicts) {
-        respond(stats, job, Outcome::Validated(verdict));
-    }
 }
 
 #[cfg(test)]
@@ -463,7 +430,6 @@ mod tests {
         let engine = Engine::start(
             EngineConfig {
                 workers: 1,
-                batch_lanes: 8,
                 ..Default::default()
             },
             FpFull::new,
@@ -480,8 +446,6 @@ mod tests {
         }
         let stats = engine.stats();
         assert_eq!(stats.validate, 12);
-        assert_eq!(stats.batched_requests, 12);
-        assert!(stats.batches <= 12);
         engine.shutdown();
     }
 

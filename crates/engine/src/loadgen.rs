@@ -17,8 +17,8 @@
 //!   small hosts;
 //! * **determinism** — both passes must produce byte-identical result
 //!   payloads (shared secrets, public keys, verdicts): outcomes
-//!   depend only on per-request seeds, never on worker count,
-//!   batching or scheduling.
+//!   depend only on per-request seeds, never on worker count or
+//!   scheduling.
 //!
 //! All request seeds derive from one base seed via SplitMix64, so two
 //! runs with the same options are byte-identical end to end (the
@@ -53,9 +53,6 @@ pub struct LoadgenOptions {
     pub clients: usize,
     /// Requests each client submits.
     pub requests_per_client: usize,
-    /// Engine batch lanes (same in both passes — the gate isolates
-    /// the worker count).
-    pub batch_lanes: usize,
     /// Base seed for the deterministic request mix.
     pub seed: u64,
     /// CI-sized run: smaller mix, no expensive keygen requests.
@@ -77,7 +74,6 @@ impl Default for LoadgenOptions {
             baseline_workers: 1,
             clients: 4,
             requests_per_client: 6,
-            batch_lanes: 8,
             seed: LOADGEN_SEED,
             smoke: false,
             out: None,
@@ -152,8 +148,8 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The deterministic request plan for one `(client, index)` slot:
-/// validation-heavy (so lane batching has traffic to merge), with a
-/// derivation stripe and — outside smoke mode — an occasional keygen.
+/// validation-heavy (six of eight slots), with a derivation stripe
+/// and — outside smoke mode — an occasional keygen.
 pub fn plan_request(
     base_seed: u64,
     client: usize,
@@ -218,7 +214,7 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
         EngineConfig {
             workers,
             queue_capacity: (opts.clients * opts.requests_per_client).max(16),
-            batch_lanes: opts.batch_lanes,
+            ..Default::default()
         },
         FpFull::new,
     );
@@ -377,9 +373,8 @@ pub fn run(opts: &LoadgenOptions) -> LoadReport {
     }
 }
 
-/// One pass as JSON. The latency and width fields are `null` when
-/// absent (an idle pass measured nothing; `0` would read as a
-/// measurement).
+/// One pass as JSON. The latency fields are `null` when absent (an
+/// idle pass measured nothing; `0` would read as a measurement).
 fn pass_json(pass: &PassResult) -> Value {
     let stats = &pass.stats;
     object! {
@@ -387,8 +382,6 @@ fn pass_json(pass: &PassResult) -> Value {
         "elapsed_secs": pass.elapsed_secs, "requests_per_sec": pass.requests_per_sec,
         "keygen": stats.keygen, "derive": stats.derive, "validate": stats.validate,
         "p50_us": stats.p50_us, "p99_us": stats.p99_us, "max_us": stats.max_us,
-        "batches": stats.batches, "batched_requests": stats.batched_requests,
-        "mean_batch_width": stats.mean_batch_width(),
         "worker_completed": stats.worker_completed.iter().copied().collect::<Value>(),
     }
 }
@@ -402,7 +395,7 @@ pub fn report_json(report: &LoadReport) -> Value {
         "provenance": mpise_obs::Provenance::collect().json(),
         "mode": if opts.smoke { "smoke" } else { "full" },
         "seed": opts.seed, "clients": opts.clients, "requests_per_client": opts.requests_per_client,
-        "batch_lanes": opts.batch_lanes, "host_parallelism": cores,
+        "host_parallelism": cores,
         "passes": report.passes.iter().map(pass_json).collect::<Value>(),
         "payloads": object! {
             "digest_fnv1a64": format!("{:#018x}", report.payload_digest),
@@ -439,7 +432,7 @@ fn print_summary(report: &LoadReport) {
 }
 
 const USAGE: &str = "usage: loadgen [--smoke] [--workers N] [--baseline-workers N] \
-                     [--clients N] [--requests N] [--lanes N] [--seed N] [--out PATH] \
+                     [--clients N] [--requests N] [--seed N] [--out PATH] \
                      [--metrics-out PATH] [--obs-out PATH]\n\
                      \n\
                      Runs the deterministic client mix against a 1-worker baseline\n\
@@ -466,8 +459,8 @@ pub fn parse_args(args: &[String]) -> Result<LoadgenOptions, (i32, String)> {
         let value = match flag.as_str() {
             "--smoke" => None,
             "--help" | "-h" => return Err((0, USAGE.to_owned())),
-            "--workers" | "--baseline-workers" | "--clients" | "--requests" | "--lanes"
-            | "--seed" | "--out" | "--metrics-out" | "--obs-out" => Some(
+            "--workers" | "--baseline-workers" | "--clients" | "--requests" | "--seed"
+            | "--out" | "--metrics-out" | "--obs-out" => Some(
                 iter.next()
                     .ok_or_else(|| bad(format!("{flag} requires a value")))?,
             ),
@@ -493,7 +486,6 @@ pub fn parse_args(args: &[String]) -> Result<LoadgenOptions, (i32, String)> {
             "--baseline-workers" => opts.baseline_workers = count()?,
             "--clients" => opts.clients = count()?,
             "--requests" => opts.requests_per_client = count()?,
-            "--lanes" => opts.batch_lanes = count()?,
             "--seed" => {
                 opts.seed = value
                     .parse()
@@ -593,14 +585,13 @@ mod tests {
             assert_eq!(opts.requests_per_client, 3, "{args}");
         }
         let opts = parse(
-            "--seed 9 --clients 2 --requests 5 --lanes 1 --baseline-workers 2 \
+            "--seed 9 --clients 2 --requests 5 --baseline-workers 2 \
              --out x.json --smoke",
         );
         let want = LoadgenOptions {
             seed: 9,
             clients: 2,
             requests_per_client: 5,
-            batch_lanes: 1,
             baseline_workers: 2,
             out: Some("x.json".to_owned()),
             ..LoadgenOptions::smoke()

@@ -19,8 +19,6 @@ pub(crate) struct StatsInner {
     pub(crate) keygen: Counter,
     pub(crate) derive: Counter,
     pub(crate) validate: Counter,
-    pub(crate) batches: Counter,
-    pub(crate) batched_requests: Counter,
     /// Jobs answered per worker, indexed by worker id.
     pub(crate) worker_completed: Vec<Counter>,
     pub(crate) queue_depth: Gauge,
@@ -59,16 +57,6 @@ impl StatsInner {
             keygen: completed("keygen"),
             derive: completed("derive"),
             validate: completed("validate"),
-            batches: r.counter(
-                "mpise_engine_validate_batches_total",
-                "Validation batches executed (one validate_many call each)",
-                &[],
-            ),
-            batched_requests: r.counter(
-                "mpise_engine_batched_requests_total",
-                "Validation requests served through batches",
-                &[],
-            ),
             worker_completed: (0..workers)
                 .map(|i| {
                     r.counter(
@@ -114,8 +102,6 @@ impl StatsInner {
             keygen,
             derive,
             validate,
-            batches: self.batches.get(),
-            batched_requests: self.batched_requests.get(),
             worker_completed: self.worker_completed.iter().map(Counter::get).collect(),
             queue_depth,
             p50_us: quantile(0.50),
@@ -147,11 +133,6 @@ pub struct EngineStats {
     pub derive: u64,
     /// Completed public-key validations.
     pub validate: u64,
-    /// Validation batches served by one `validate_many` call
-    /// (including width-1 batches).
-    pub batches: u64,
-    /// Validation requests served through those batches.
-    pub batched_requests: u64,
     /// Jobs answered per worker, indexed by worker id. Every accepted
     /// job is answered with an outcome, so once the workers are idle
     /// the entries sum to `completed`.
@@ -178,19 +159,6 @@ pub struct EngineStats {
     pub throughput_rps: f64,
 }
 
-impl EngineStats {
-    /// Mean lanes per validation batch; `None` on an idle engine (no
-    /// batches ran, so there is no width to report — the old `1.0`
-    /// placeholder read as a measured value).
-    pub fn mean_batch_width(&self) -> Option<f64> {
-        if self.batches == 0 {
-            None
-        } else {
-            Some(self.batched_requests as f64 / self.batches as f64)
-        }
-    }
-}
-
 impl std::fmt::Display for EngineStats {
     fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -203,14 +171,6 @@ impl std::fmt::Display for EngineStats {
             "refused:  {} rejected; queue depth {}",
             self.rejected, self.queue_depth
         )?;
-        match self.mean_batch_width() {
-            Some(w) => writeln!(
-                out,
-                "batching: {} batches over {} validations (mean width {w:.2})",
-                self.batches, self.batched_requests
-            )?,
-            None => writeln!(out, "batching: none")?,
-        }
         let ms = |v: Option<u64>| match v {
             Some(us) => format!("{:.3} ms", us as f64 / 1e3),
             None => "n/a".to_owned(),
@@ -248,27 +208,16 @@ mod tests {
 
     #[test]
     fn idle_engine_reports_no_latency_or_batch_width() {
-        // Regression: an idle engine used to report p50 = p99 = max = 0
-        // and a fabricated mean batch width of 1.0, indistinguishable
-        // from real measurements of a fast engine.
+        // Regression: an idle engine used to report p50 = p99 = max = 0,
+        // indistinguishable from real measurements of a fast engine.
         let s = StatsInner::new(2);
         let snap = s.snapshot(0);
         assert_eq!(snap.p50_us, None);
         assert_eq!(snap.p99_us, None);
         assert_eq!(snap.max_us, None);
-        assert_eq!(snap.mean_batch_width(), None);
         assert_eq!(snap.completed, 0);
         let text = snap.to_string();
-        assert!(text.contains("batching: none"));
         assert!(text.contains("p50 n/a"));
-    }
-
-    #[test]
-    fn batch_width_mean() {
-        let s = StatsInner::new(1);
-        s.batches.add(4);
-        s.batched_requests.add(10);
-        assert_eq!(s.snapshot(0).mean_batch_width(), Some(2.5));
     }
 
     #[test]

@@ -40,7 +40,6 @@ fn inflight_requests_complete_during_drain() {
     let engine = Engine::start(
         EngineConfig {
             workers: 1,
-            batch_lanes: 1,
             ..Default::default()
         },
         FpFull::new,
@@ -93,9 +92,9 @@ fn dropped_tickets_are_still_answered() {
         FpFull::new,
     );
 
-    // Occupy the worker with a slow validation, then queue requests on
-    // both worker paths (a validation batch and a single keygen) and
-    // drop their tickets before the worker can claim them.
+    // Occupy the worker with a slow validation, then queue three
+    // validations and a keygen and drop their tickets before the
+    // worker can claim them.
     let busy = engine
         .submit(
             0,

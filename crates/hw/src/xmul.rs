@@ -14,9 +14,10 @@
 //!
 //! The wide adders are ripple chains of full-adder cells: the LUT
 //! mapper prices those at one LUT per bit, modelling the dedicated
-//! carry chains an FPGA tool infers (a parallel-prefix alternative is
-//! available in [`crate::generators`] and compared in the ablation
-//! bench).
+//! carry chains an FPGA tool infers. The parallel-prefix alternative,
+//! [`crate::generators::kogge_stone_adder`], is compared with the
+//! ripple adder in the `hardware_cost` example (LUTs and depth) and in
+//! the depth tests of [`crate::depth`].
 
 use crate::generators::{barrel_shifter_right, ripple_adder};
 use crate::netlist::{Bus, Net, Netlist, ZERO};

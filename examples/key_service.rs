@@ -1,4 +1,4 @@
-//! Key service: the batched multi-worker key-exchange engine.
+//! Key service: the multi-worker key-exchange engine.
 //!
 //! ```text
 //! cargo run --release --example key_service
@@ -7,9 +7,9 @@
 //! Starts a four-worker engine over the host full-radix backend,
 //! submits a mixed workload (key generation, shared-secret derivation
 //! and public-key validation) from the client side, and prints the
-//! engine's statistics snapshot — operation counts, batching, latency
-//! percentiles and throughput. Validation requests queued together are
-//! served as one batch.
+//! engine's statistics snapshot — operation counts, latency
+//! percentiles and throughput. Each worker answers one request per
+//! dequeue.
 //!
 //! The example also turns on the `mpise-obs` span telemetry and
 //! finishes with a `/metrics`-style Prometheus dump of the engine's
@@ -32,12 +32,12 @@ fn main() {
     let config = EngineConfig {
         workers: 4,
         queue_capacity: 64,
-        batch_lanes: 8,
+        ..Default::default()
     };
     let engine = Engine::start(config, FpFull::new);
     println!(
-        "engine up: {} workers, queue capacity {}, {} batch lanes",
-        config.workers, config.queue_capacity, config.batch_lanes
+        "engine up: {} workers, queue capacity {}",
+        config.workers, config.queue_capacity
     );
 
     // A peer key pair prepared client-side, so the workload includes a
@@ -62,7 +62,7 @@ fn main() {
             },
         ),
     ));
-    // A burst of validations: adjacent requests share one batch.
+    // A burst of validations, spread over the idle workers.
     for seed in 3..9 {
         tickets.push((
             "validate",
