@@ -20,10 +20,10 @@
 //!   never produce a loop or an out-of-program jump;
 //! * only registered custom ids are emitted.
 //!
-//! Beside single custom instructions, programs carry adjacent
-//! high/low MAC pairs on shared `rs1`/`rs2` with random register
-//! aliasing, chains of MAC pairs on one accumulator pair, runs of
-//! `ld`/`sd` at consecutive offsets, column ends, carry-propagation
+//! Beside single custom instructions, programs carry runs of high/low
+//! MAC pairs on shared `rs1`/`rs2` that accumulate into one register
+//! pair, with random register aliasing, runs of `ld`/`sd` at
+//! consecutive offsets, column ends, carry-propagation
 //! runs and runs of one ALU operation, so both the simulator's fused
 //! micro-ops and its refusals to fuse are diffed.
 //!
@@ -607,13 +607,9 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
         } else if kind < 75 && !customs.is_empty() {
             if let Some(pair) = ext.mac_pair().filter(|_| i + 2 <= len) {
                 match rng.gen_range(0u8..8) {
-                    0 | 1 => {
-                        ops.extend(mac_pair(&mut rng, pair));
-                        continue;
-                    }
-                    2 if i + 4 <= len => {
-                        let macs = rng.gen_range(2..=5).min((len - i) / 2);
-                        ops.extend(mac_chain(&mut rng, pair, macs));
+                    0..=2 => {
+                        let macs = rng.gen_range(1..=5).min((len - i) / 2);
+                        ops.extend(mac_run(&mut rng, pair, macs));
                         continue;
                     }
                     3 if i + 4 <= len => {
@@ -869,45 +865,16 @@ fn propagation_run(rng: &mut StdRng, customs: &[u16], room: usize) -> Vec<FuzzOp
     ops.into_iter().map(FuzzOp::Plain).collect()
 }
 
-/// An adjacent high/low MAC pair on shared `rs1` and `rs2`, as the
-/// kernels issue it, with registers drawn so that every case of the
-/// simulator's pair fusion (DESIGN.md §9.5) comes up: a plain pair,
-/// equal destinations, `x0` destinations, and a low half that reads the
-/// high half's destination as `rs1`, `rs2` or `rs3`, which must not be
-/// fused.
-fn mac_pair(rng: &mut StdRng, (hi, lo): (CustomId, CustomId)) -> [FuzzOp; 2] {
-    let (mut rd1, mut rd2) = (dest(rng), dest(rng));
-    let (mut rs1, mut rs2) = (any_source(rng), any_source(rng));
-    let (rs3a, mut rs3b) = (any_source(rng), any_source(rng));
-    match rng.gen_range(0u8..8) {
-        0 => rd2 = rd1,
-        1 => rd1 = Reg::Zero,
-        2 => rd2 = Reg::Zero,
-        3 => rs1 = rd1,
-        4 => rs2 = rd1,
-        5 => rs3b = rd1,
-        _ => {}
-    }
-    let mac = |id, rd, rs3| {
-        FuzzOp::Plain(Inst::Custom {
-            id,
-            rd,
-            rs1,
-            rs2,
-            rs3,
-            imm: 0,
-        })
-    };
-    [mac(hi, rd1, rs3a), mac(lo, rd2, rs3b)]
-}
-
-/// A chain of `macs` MAC pairs accumulating into one `(h, l)` register
-/// pair, as the reduced-radix product-scanning columns issue them, with
-/// registers drawn so that every case of the simulator's chain fusion
-/// (DESIGN.md §9.5) comes up: a clean chain, and the chains that must
-/// not fuse whole: a pair that reads an accumulator as `rs1` or `rs2`,
-/// an `x0` accumulator, and accumulators that change mid-run.
-fn mac_chain(rng: &mut StdRng, (hi, lo): (CustomId, CustomId), macs: usize) -> Vec<FuzzOp> {
+/// A run of `macs` high/low MAC pairs on shared `rs1` and `rs2`, as
+/// the kernels issue them: a first pair that adds its own addends or
+/// the accumulators `(h, l)`, then pairs accumulating into `(h, l)`.
+/// Registers are drawn so that every case of the simulator's MAC-run
+/// fusion (DESIGN.md §9.5) comes up: a clean run, and the runs that
+/// must not fuse whole. At the head: equal destinations, an `x0`
+/// destination, and a low half that reads the high half's destination
+/// as `rs1`, `rs2` or `rs3`; after it: a pair that reads an accumulator
+/// as `rs1` or `rs2`, and accumulators that change mid-run.
+fn mac_run(rng: &mut StdRng, (hi, lo): (CustomId, CustomId), macs: usize) -> Vec<FuzzOp> {
     let accumulators = |rng: &mut StdRng| loop {
         let (h, l) = (dest(rng), dest(rng));
         if h != l && h != Reg::Zero && l != Reg::Zero {
@@ -915,40 +882,53 @@ fn mac_chain(rng: &mut StdRng, (hi, lo): (CustomId, CustomId), macs: usize) -> V
         }
     };
     let (mut h, mut l) = accumulators(rng);
-    let case = rng.gen_range(0u8..5);
+    let (mut rs1, mut rs2) = (any_source(rng), any_source(rng));
+    let (mut rs3a, mut rs3b) = if rng.gen() {
+        (any_source(rng), any_source(rng))
+    } else {
+        (h, l)
+    };
+    let case = rng.gen_range(0u8..10);
     match case {
-        1 => h = Reg::Zero,
-        2 => l = Reg::Zero,
+        0 => l = h,
+        1 => (h, rs3a) = (Reg::Zero, Reg::Zero),
+        2 => (l, rs3b) = (Reg::Zero, Reg::Zero),
+        3 => rs1 = h,
+        4 => rs2 = h,
+        5 => rs3b = h,
         _ => {}
     }
-    let at = rng.gen_range(1..macs);
+    let at = rng.gen_range(1..macs.max(2));
     let mut ops = Vec::with_capacity(2 * macs);
     for k in 0..macs {
-        if case == 4 && k == at {
-            (h, l) = accumulators(rng);
-        }
-        let source = |rng: &mut StdRng| loop {
-            let r = any_source(rng);
-            if r != h && r != l {
-                return r;
+        if k > 0 {
+            if case == 7 && k == at {
+                (h, l) = accumulators(rng);
             }
-        };
-        let (mut rs1, mut rs2) = (source(rng), source(rng));
-        if case == 3 && k == at {
-            let acc = if rng.gen() { h } else { l };
-            if rng.gen() {
-                rs1 = acc;
-            } else {
-                rs2 = acc;
+            let source = |rng: &mut StdRng| loop {
+                let r = any_source(rng);
+                if r != h && r != l {
+                    return r;
+                }
+            };
+            (rs1, rs2) = (source(rng), source(rng));
+            if case == 6 && k == at {
+                let acc = if rng.gen() { h } else { l };
+                if rng.gen() {
+                    rs1 = acc;
+                } else {
+                    rs2 = acc;
+                }
             }
+            (rs3a, rs3b) = (h, l);
         }
-        for (id, acc) in [(hi, h), (lo, l)] {
+        for (id, rd, rs3) in [(hi, h, rs3a), (lo, l, rs3b)] {
             ops.push(FuzzOp::Plain(Inst::Custom {
                 id,
-                rd: acc,
+                rd,
                 rs1,
                 rs2,
-                rs3: acc,
+                rs3,
                 imm: 0,
             }));
         }
@@ -1226,44 +1206,73 @@ mod tests {
     }
 
     #[test]
-    fn mac_pairs_cover_every_fusion_case() {
+    fn mac_runs_cover_every_fusion_case() {
+        // A registered pair on shared operands: (h, l, rs1, rs2, rs3a,
+        // rs3b).
+        let pair = |w: &[Inst], (hi, lo): (CustomId, CustomId)| match *w {
+            [Inst::Custom {
+                id: id1,
+                rd: h,
+                rs1,
+                rs2,
+                rs3: rs3a,
+                ..
+            }, Inst::Custom {
+                id: id2,
+                rd: l,
+                rs1: rs1b,
+                rs2: rs2b,
+                rs3: rs3b,
+                ..
+            }] if (id1, id2, rs1, rs2) == (hi, lo, rs1b, rs2b) => {
+                Some((h, l, rs1, rs2, rs3a, rs3b))
+            }
+            _ => None,
+        };
         for ext in [ExtChoice::FullRadix, ExtChoice::ReducedRadix] {
-            let (hi, lo) = ext.mac_pair().expect("ISE targets register a pair");
-            // fused, equal destinations, x0 destination, and the low
-            // half reading the high half's destination as rs1/rs2/rs3
-            let mut seen = [0u32; 6];
+            let macs = ext.mac_pair().expect("ISE targets register a pair");
+            // A head: fused, equal destinations, an x0 destination, and
+            // the low half reading the high half's destination as
+            // rs1/rs2/rs3. A pair accumulating after a fused head that
+            // reads other addends; after an accumulating pair: a clean
+            // chain, a source that is an accumulator, an x0
+            // accumulator, and new accumulators.
+            let mut seen = [0u32; 11];
             for seed in 0..300 {
                 let insts = gen_program(ext, seed).materialize();
                 for w in insts.windows(2) {
-                    let (
-                        Inst::Custom {
-                            id: id1,
-                            rd: rd1,
-                            rs1,
-                            rs2,
-                            ..
-                        },
-                        Inst::Custom {
-                            id: id2,
-                            rd: rd2,
-                            rs1: rs1b,
-                            rs2: rs2b,
-                            rs3: rs3b,
-                            ..
-                        },
-                    ) = (w[0], w[1])
+                    let Some((h, l, rs1, rs2, _, rs3b)) = pair(w, macs) else {
+                        continue;
+                    };
+                    let aliased = [rs1, rs2, rs3b].map(|r| r == h);
+                    seen[0] += u32::from(!aliased.contains(&true));
+                    seen[1] += u32::from(h == l);
+                    seen[2] += u32::from(h == Reg::Zero || l == Reg::Zero);
+                    for (k, a) in aliased.into_iter().enumerate() {
+                        seen[3 + k] += u32::from(a);
+                    }
+                }
+                for w in insts.windows(4) {
+                    let (Some((h, l, rs1, rs2, rs3a, rs3b)), Some((h2, l2, rs1b, rs2b, h3, l3))) =
+                        (pair(&w[..2], macs), pair(&w[2..], macs))
                     else {
                         continue;
                     };
-                    if (id1, id2, rs1, rs2) != (hi, lo, rs1b, rs2b) {
+                    if (h2, l2) != (h3, l3) {
                         continue;
                     }
-                    let aliased = [rs1b, rs2b, rs3b].map(|r| r == rd1);
-                    seen[0] += u32::from(!aliased.contains(&true));
-                    seen[1] += u32::from(rd1 == rd2);
-                    seen[2] += u32::from(rd1 == Reg::Zero || rd2 == Reg::Zero);
-                    for (k, a) in aliased.into_iter().enumerate() {
-                        seen[3 + k] += u32::from(a);
+                    let clean = h != l && h != Reg::Zero && l != Reg::Zero;
+                    let aliased = [rs1b, rs2b].iter().any(|r| [h, l].contains(r));
+                    let accumulates = (rs3a, rs3b) == (h, l);
+                    if (h, l) == (h2, l2) {
+                        let head = ![rs1, rs2, rs3b].contains(&h);
+                        seen[6] += u32::from(clean && head && !accumulates && !aliased);
+                        seen[7] += u32::from(clean && accumulates && !aliased);
+                        seen[8] += u32::from(clean && accumulates && aliased);
+                        seen[9] += u32::from(accumulates && (h == Reg::Zero || l == Reg::Zero));
+                    } else {
+                        let clean2 = h2 != l2 && h2 != Reg::Zero && l2 != Reg::Zero;
+                        seen[10] += u32::from(clean && accumulates && clean2);
                     }
                 }
             }
@@ -1272,28 +1281,7 @@ mod tests {
     }
 
     #[test]
-    fn mac_chains_and_memory_runs_cover_every_fusion_case() {
-        // A MAC on one accumulator pair: (h, l, rs1, rs2).
-        let link = |w: &[Inst], (hi, lo): (CustomId, CustomId)| match *w {
-            [Inst::Custom {
-                id: id1,
-                rd: h,
-                rs1,
-                rs2,
-                rs3: h3,
-                ..
-            }, Inst::Custom {
-                id: id2,
-                rd: l,
-                rs1: rs1b,
-                rs2: rs2b,
-                rs3: l3,
-                ..
-            }] if (id1, id2, rs1, rs2, h, l) == (hi, lo, rs1b, rs2b, h3, l3) => {
-                Some((h, l, rs1, rs2))
-            }
-            _ => None,
-        };
+    fn memory_runs_cover_every_fusion_case() {
         // An `ld` or `sd`: (is a load, base, offset, rd or rs2).
         let mem = |inst: &Inst| match *inst {
             Inst::Load {
@@ -1314,47 +1302,23 @@ mod tests {
             (a.0, a.1, a.2 + 8) == (b.0, b.1, b.2)
         };
         for ext in ExtChoice::ALL {
-            // A clean chain, a source that is an accumulator, an x0
-            // accumulator, new accumulators; a load run, a store run,
-            // and a load that overwrites its base mid-run.
-            let mut seen = [0u32; 7];
+            // A load run, a store run, and a load that overwrites its
+            // base mid-run.
+            let mut seen = [0u32; 3];
             for seed in 0..300 {
                 let insts = gen_program(ext, seed).materialize();
-                for w in insts.windows(4) {
-                    let Some(pair) = ext.mac_pair() else { break };
-                    let (Some((h, l, ..)), Some((h2, l2, rs1, rs2))) =
-                        (link(&w[..2], pair), link(&w[2..], pair))
-                    else {
-                        continue;
-                    };
-                    let clean = h != l && h != Reg::Zero && l != Reg::Zero;
-                    let aliased = [rs1, rs2].iter().any(|r| [h, l].contains(r));
-                    if (h, l) == (h2, l2) {
-                        seen[0] += u32::from(clean && !aliased);
-                        seen[1] += u32::from(clean && aliased);
-                        seen[2] += u32::from(h == Reg::Zero || l == Reg::Zero);
-                    } else {
-                        seen[3] +=
-                            u32::from(clean && h2 != l2 && h2 != Reg::Zero && l2 != Reg::Zero);
-                    }
-                }
                 for w in insts.windows(3) {
                     let [Some(a), Some(b), c] = [&w[0], &w[1], &w[2]].map(mem) else {
                         continue;
                     };
                     if next(a, b) {
-                        seen[if a.0 { 4 } else { 5 }] += 1;
+                        seen[usize::from(!a.0)] += 1;
                         let rebased = b.0 && b.3 == b.1 && c.is_some_and(|c| next(b, c));
-                        seen[6] += u32::from(rebased);
+                        seen[2] += u32::from(rebased);
                     }
                 }
             }
-            let want = if ext.mac_pair().is_some() {
-                &seen[..]
-            } else {
-                &seen[4..]
-            };
-            assert!(!want.contains(&0), "{}: {seen:?}", ext.label());
+            assert!(!seen.contains(&0), "{}: {seen:?}", ext.label());
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! `Machine::run` replays each straight-line block's timing from a
 //! summary instead of retiring its instructions one by one, and runs
-//! registered custom-instruction pairs as one micro-op. Here every
+//! MAC runs and other fused runs as one micro-op each. Here every
 //! program also runs with a tracer attached, one instruction at a time
 //! and never fused, and `mpise_conformance::fuzz::oracle` feeds the
 //! traced instruction sequence into the public `PipelineModel::retire`,

@@ -49,8 +49,8 @@ fn exec_maddhu_maddlu(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64) {
     )
 }
 
-/// A chain of [`exec_maddhu_maddlu`] pairs on one accumulator pair, with the pair
-/// inlined into the loop.
+/// The pair's chain executor: a run of [`exec_maddhu_maddlu`] pairs on one
+/// accumulator pair, with the pair inlined into the loop.
 fn chain_maddhu_maddlu(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
     ext::run_chain(exec_maddhu_maddlu, regs, srcs, h, l)
 }
@@ -110,7 +110,7 @@ pub fn full_radix_ext() -> IsaExtension {
         e.define(d)
             .expect("full-radix ISE definitions are conflict-free");
     }
-    e.define_pair(MADDHU, MADDLU, exec_maddhu_maddlu, chain_maddhu_maddlu);
+    e.define_pair(MADDHU, MADDLU, chain_maddhu_maddlu);
     e
 }
 

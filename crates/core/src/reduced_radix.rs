@@ -40,8 +40,8 @@ fn exec_madd57hu_madd57lu(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64
     )
 }
 
-/// A chain of [`exec_madd57hu_madd57lu`] pairs on one accumulator pair, with the pair
-/// inlined into the loop.
+/// The pair's chain executor: a run of [`exec_madd57hu_madd57lu`] pairs on one
+/// accumulator pair, with the pair inlined into the loop.
 fn chain_madd57hu_madd57lu(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64) {
     ext::run_chain(exec_madd57hu_madd57lu, regs, srcs, h, l)
 }
@@ -108,12 +108,7 @@ pub fn reduced_radix_ext() -> IsaExtension {
         e.define(d)
             .expect("reduced-radix ISE definitions are conflict-free");
     }
-    e.define_pair(
-        MADD57HU,
-        MADD57LU,
-        exec_madd57hu_madd57lu,
-        chain_madd57hu_madd57lu,
-    );
+    e.define_pair(MADD57HU, MADD57LU, chain_madd57hu_madd57lu);
     e
 }
 

@@ -1,6 +1,6 @@
 //! Architectural CPU state and single-instruction semantics.
 
-use crate::ext::{ChainExec, IsaExtension, PairExec};
+use crate::ext::{ChainExec, IsaExtension};
 use crate::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::mem::{MemError, Memory};
 use crate::reg::Reg;
@@ -162,14 +162,11 @@ macro_rules! flat_dispatch {
             /// A registered custom instruction, with its execution
             /// function.
             Custom(fn(u64, u64, u64, u8) -> u64),
-            /// A registered pair of adjacent custom instructions
-            /// ([`MicroOp::pair`]), with the pair's execution function.
-            CustomPair(PairExec),
-            /// A chain of `len` registered pairs on one accumulator
-            /// pair ([`MicroOp::mac_chain`]), with the pair's chain
-            /// executor; their `rs1`/`rs2` register numbers sit at
+            /// A run of `len` registered pairs on one accumulator pair
+            /// ([`MicroOp::mac_run`]), with the pair's chain executor;
+            /// their `rs1`/`rs2` register numbers sit at
             /// `regs[at..at + 2 * len]`.
-            MacChain { exec: ChainExec, at: u32, len: u16 },
+            Mac { exec: ChainExec, at: u32, len: u16 },
             /// A column end ([`MicroOp::column_end`]): `and t, l, m ;
             /// sd t, off(b) ; <custom> [; addi z, zero, 0]`, with the
             /// custom instruction's execution function and immediate,
@@ -295,20 +292,9 @@ macro_rules! flat_dispatch {
                         );
                         self.set_reg(u.rd, v);
                     }
-                    Kind::CustomPair(exec) => {
-                        let (v1, v2) = exec(
-                            self.reg(u.rs1),
-                            self.reg(u.rs2),
-                            self.reg(u.rs3),
-                            self.reg(u.rs3b),
-                        );
-                        self.set_reg(u.rd, v1);
-                        self.set_reg(u.rd2, v2);
-                        next_pc = pc.wrapping_add(8);
-                    }
-                    Kind::MacChain { exec, at, len } => {
+                    Kind::Mac { exec, at, len } => {
                         let srcs = &regs[at as usize..][..2 * len as usize];
-                        let (h, l) = exec(&self.regs, srcs, self.reg(u.rd), self.reg(u.rd2));
+                        let (h, l) = exec(&self.regs, srcs, self.reg(u.rs3), self.reg(u.rs3b));
                         self.set_reg(u.rd, h);
                         self.set_reg(u.rd2, l);
                         next_pc = pc.wrapping_add(8 * u64::from(len));
@@ -417,12 +403,10 @@ flat_dispatch! {
 /// function are all resolved, so [`Cpu::exec`] does no decoding or
 /// registry lookup.
 ///
-/// A fused pair ([`MicroOp::pair`]) keeps its first instruction's
-/// registers and its second one's destination and `rs3` in `rd2` and
-/// `rs3b`. A MAC chain keeps its accumulators in `rd` and `rd2`, a
-/// memory run its base and first offset in `rs1` and `imm`, a
-/// propagation run its mask in `rs2`; their other registers are listed
-/// in the machine's `regs` table. A column end keeps its custom
+/// A MAC run keeps its accumulators in `rd` and `rd2` and its first
+/// pair's addends in `rs3` and `rs3b`, a memory run its base and first
+/// offset in `rs1` and `imm`, a propagation run its mask in `rs2`;
+/// their other registers are listed in the machine's `regs` table. A column end keeps its custom
 /// instruction's registers in `rd`..`rs3`, `t` in `rd2`, the store's
 /// base in `rs3b` and its offset in `imm`.
 #[derive(Debug, Clone, Copy)]
@@ -517,77 +501,86 @@ impl MicroOp {
 
     /// The micro-op that runs a prefix of `insts`, straight-line
     /// instructions before a block's terminator, with the number of
-    /// instructions it covers: a MAC chain ([`MicroOp::mac_chain`]), a
+    /// instructions it covers: a MAC run ([`MicroOp::mac_run`]), a
     /// memory run ([`MicroOp::mem_run`]), a column end
     /// ([`MicroOp::column_end`]), a propagation run
-    /// ([`MicroOp::propagation_run`]), an ALU run
-    /// ([`MicroOp::alu_run`]) or a pair ([`MicroOp::pair`]). `None`
-    /// when the first instructions do not fuse. Register lists are
-    /// appended to `regs`.
+    /// ([`MicroOp::propagation_run`]) or an ALU run
+    /// ([`MicroOp::alu_run`]). `None` when the first instructions do
+    /// not fuse. Register lists are appended to `regs`.
     pub(crate) fn fuse(
         insts: &[Inst],
         ext: &IsaExtension,
         regs: &mut Vec<u8>,
     ) -> Option<(Self, usize)> {
-        Self::mac_chain(insts, ext, regs)
+        Self::mac_run(insts, ext, regs)
             .or_else(|| Self::mem_run(insts, regs))
             .or_else(|| Self::column_end(insts, ext))
             .or_else(|| Self::propagation_run(insts, ext, regs))
             .or_else(|| Self::alu_run(insts, regs))
-            .or_else(|| Some((Self::pair(insts.first()?, insts.get(1)?, ext)?, 2)))
     }
 
-    /// Translates the longest run of two or more registered pairs
-    /// ([`IsaExtension::pair`], one pair of ids) at the start of
-    /// `insts` that accumulate into one `(h, l)` register pair: each
-    /// pair reads one `rs1` and `rs2`, its first instruction is
-    /// `h ← f(rs1, rs2, h)` and its second `l ← g(rs1, rs2, l)`, `h`
-    /// and `l` are distinct, neither is `x0`, and neither is any pair's
-    /// `rs1` or `rs2`. Then no pair reads what another writes except
-    /// through `h` and `l`, so the micro-op makes one call to the
-    /// registered chain executor, which keeps both in host locals.
-    fn mac_chain(insts: &[Inst], ext: &IsaExtension, regs: &mut Vec<u8>) -> Option<(Self, usize)> {
-        let link = |w: &[Inst]| match *w {
+    /// Translates the longest run of registered pairs
+    /// ([`IsaExtension::define_pair`]) at the start of `insts` that
+    /// accumulate into one `(h, l)` register pair, as the paper's MAC
+    /// issues its high and low halves (Listings 3 and 4). The first pair
+    /// opens the run when its halves read one `rs1` and `rs2` and the
+    /// second half does not read the first one's destination `h`: it
+    /// reads its own addends `rs3`/`rs3b`, writes `h` and then `l`, so
+    /// equal and `x0` destinations behave as the two instructions in
+    /// sequence. Each later pair joins when it is `h ← f(rs1, rs2, h) ;
+    /// l ← g(rs1, rs2, l)` with the run's ids, `h ≠ l`, neither is `x0`,
+    /// and neither is its `rs1` or `rs2`. Then no pair reads what
+    /// another writes except through `h` and `l`, so the micro-op makes
+    /// one call to the registered chain executor, which keeps both in
+    /// host locals. It cannot trap.
+    fn mac_run(insts: &[Inst], ext: &IsaExtension, regs: &mut Vec<u8>) -> Option<(Self, usize)> {
+        let pair = |w: &[Inst]| match *w {
             [Inst::Custom {
                 id: id1,
                 rd: h,
                 rs1,
                 rs2,
-                rs3: h3,
+                rs3,
                 ..
             }, Inst::Custom {
                 id: id2,
                 rd: l,
                 rs1: rs1b,
                 rs2: rs2b,
-                rs3: l3,
+                rs3: rs3b,
                 ..
-            }] if (rs1, rs2, h, l) == (rs1b, rs2b, h3, l3) => Some(((id1, id2), h, l, rs1, rs2)),
+            }] if (rs1, rs2) == (rs1b, rs2b) => Some(((id1, id2), h, l, rs1, rs2, rs3, rs3b)),
             _ => None,
         };
-        let (ids, h, l, ..) = link(insts.get(..2)?)?;
+        let (ids, h, l, rs1, rs2, rs3, rs3b) = pair(insts.get(..2)?)?;
         let exec = ext.chain(ids.0, ids.1)?;
-        if h == l || h == Reg::Zero || l == Reg::Zero {
+        if [rs1, rs2, rs3b].contains(&h) {
             return None;
         }
         let at = regs.len();
-        for w in insts.chunks_exact(2).take(u16::MAX.into()) {
-            match link(w) {
-                Some((i, h2, l2, rs1, rs2))
-                    if (i, h2, l2) == (ids, h, l)
-                        && ![h, l].contains(&rs1)
-                        && ![h, l].contains(&rs2) =>
-                {
-                    regs.extend([rs1.number(), rs2.number()]);
+        regs.extend([rs1.number(), rs2.number()]);
+        if h != l && h != Reg::Zero && l != Reg::Zero {
+            for w in insts[2..].chunks_exact(2).take(usize::from(u16::MAX) - 1) {
+                match pair(w) {
+                    Some((i, h2, l2, rs1, rs2, h3, l3))
+                        if (i, h2, l2, h3, l3) == (ids, h, l, h, l)
+                            && ![h, l].contains(&rs1)
+                            && ![h, l].contains(&rs2) =>
+                    {
+                        regs.extend([rs1.number(), rs2.number()]);
+                    }
+                    _ => break,
                 }
-                _ => break,
             }
         }
-        let len = run_len(regs, at, 2)?;
+        let len = ((regs.len() - at) / 2) as u16;
+        let r = Reg::number;
         let op = MicroOp {
-            rd: h.number(),
-            rd2: l.number(),
-            ..Self::bare(Kind::MacChain {
+            rd: r(h),
+            rs3: r(rs3),
+            rd2: r(l),
+            rs3b: r(rs3b),
+            ..Self::bare(Kind::Mac {
                 exec,
                 at: at as u32,
                 len,
@@ -797,52 +790,6 @@ impl MicroOp {
             len,
         });
         Some((op, len.into()))
-    }
-
-    /// Translates `first` and `second`, adjacent in one straight-line
-    /// run, into one micro-op when `ext` registers them as a pair
-    /// ([`IsaExtension::define_pair`]), they read the same `rs1` and
-    /// `rs2`, and `second` does not read `first`'s destination. The
-    /// micro-op reads all four sources, then writes `first`'s
-    /// destination and then `second`'s, so equal destinations and
-    /// `x0` destinations behave as the two instructions in sequence,
-    /// and advances the PC by 8. It cannot trap.
-    fn pair(first: &Inst, second: &Inst, ext: &IsaExtension) -> Option<Self> {
-        let (
-            &Inst::Custom {
-                id: id1,
-                rd: rd1,
-                rs1,
-                rs2,
-                rs3: rs3a,
-                ..
-            },
-            &Inst::Custom {
-                id: id2,
-                rd: rd2,
-                rs1: rs1b,
-                rs2: rs2b,
-                rs3: rs3b,
-                ..
-            },
-        ) = (first, second)
-        else {
-            return None;
-        };
-        if (rs1, rs2) != (rs1b, rs2b) || [rs1b, rs2b, rs3b].contains(&rd1) {
-            return None;
-        }
-        let r = Reg::number;
-        Some(MicroOp {
-            kind: Kind::CustomPair(ext.pair(id1, id2)?),
-            rd: r(rd1),
-            rs1: r(rs1),
-            rs2: r(rs2),
-            rs3: r(rs3a),
-            rd2: r(rd2),
-            rs3b: r(rs3b),
-            imm: 0,
-        })
     }
 
     /// Whether the micro-op ends a straight-line run: it may transfer

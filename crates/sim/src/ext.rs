@@ -22,17 +22,15 @@
 //! instructions that programs issue back to back on the same `rs1` and
 //! `rs2`, like the high and low halves of the paper's MAC (Listings 3
 //! and 4), which the XMUL datapath computes from one product (§3.3).
-//! The pair's executor, `fn(rs1, rs2, rs3a, rs3b) -> (u64, u64)`,
-//! returns both results, each equal to its instruction's own
-//! executor's. The pair also names a *chain executor* ([`ChainExec`]),
-//! which runs a whole chain of such pairs on one accumulator pair:
-//! the extension writes it as [`run_chain`] over its own pair
-//! executor, so the loop is compiled with the pair inlined while the
-//! semantics stay stated once. The simulator runs an adjacent pair as
-//! one step when the first result is not a source of the second, and
-//! a chain of pairs that accumulate into one `(rs3a, rs3b)` register
-//! pair as one step that makes one call to the chain executor
-//! (DESIGN.md §9.5); timing and `instret` still count every
+//! The pair names one *chain executor* ([`ChainExec`]), which runs a
+//! run of such pairs on one accumulator pair: the extension writes it
+//! as [`run_chain`] over a function that returns both halves' results,
+//! so the loop is compiled with the pair inlined while the semantics
+//! stay stated once. The simulator runs an adjacent pair whose second
+//! half does not read the first one's result, together with the pairs
+//! after it that accumulate into the same two registers, as one step
+//! that makes one call to the chain executor (DESIGN.md §9.5); a lone
+//! pair is a run of one. Timing and `instret` still count every
 //! instruction.
 //!
 //! Note that the two ISE sets may legitimately reuse the same encodings:
@@ -190,26 +188,25 @@ pub struct IsaExtension {
     /// custom instruction through [`IsaExtension::by_id`], so this must
     /// not be a linear scan.
     id_index: Vec<u32>,
-    /// Registered pairs: first id, second id, pair and chain executors.
-    pairs: Vec<(CustomId, CustomId, PairExec, ChainExec)>,
+    /// Registered pairs: first id, second id, chain executor.
+    pairs: Vec<(CustomId, CustomId, ChainExec)>,
 }
 
-/// A pair executor: both results `(rd1, rd2)` of two R4 instructions
-/// issued back to back on the same `rs1` and `rs2`, from those values
-/// and each instruction's `rs3` (see [`IsaExtension::define_pair`]).
-pub type PairExec = fn(rs1: u64, rs2: u64, rs3a: u64, rs3b: u64) -> (u64, u64);
-
-/// A chain executor: the accumulators `(h, l)` after a chain of pairs
-/// that each read `h` and `l` as their `rs3a` and `rs3b` and write them
-/// back, given the register file `regs` and the chain's `rs1`/`rs2`
-/// register numbers `srcs`, two per pair. Written with [`run_chain`].
+/// A chain executor: the results `(h, l)` of a run of pairs, each two
+/// R4 instructions issued back to back on the same `rs1` and `rs2`,
+/// given the register file `regs`, the run's `rs1`/`rs2` register
+/// numbers `srcs` (two per pair) and the `h` and `l` that the first
+/// pair reads as its `rs3a` and `rs3b`; each later pair reads the
+/// results of the one before (see [`IsaExtension::define_pair`]).
+/// Written with [`run_chain`].
 pub type ChainExec = fn(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64);
 
 /// The body of a [`ChainExec`]: folds `pair` over the `(rs1, rs2)`
 /// register numbers in `srcs`, reading their values from `regs` and
 /// threading `(h, l)` through as each pair's `rs3a` and `rs3b`. An
-/// extension passes its pair executor, so the loop is compiled with
-/// the pair inlined.
+/// extension passes a function that returns both of a pair's results,
+/// `(rd1, rd2)` from `(rs1, rs2, rs3a, rs3b)`, so the loop is compiled
+/// with the pair inlined.
 ///
 /// # Examples
 ///
@@ -302,50 +299,35 @@ impl IsaExtension {
         Ok(())
     }
 
-    /// Registers `exec` as the executor of `first` followed by
-    /// `second`, and `chain` as the executor of a chain of such pairs.
-    /// `exec` must return what `first`'s and `second`'s own executors
-    /// return for the same operands, and `chain` what `exec` folded
-    /// over the chain returns: [`run_chain`] with `exec`.
+    /// Registers `first` followed by `second` as a pair, with `chain`
+    /// as the executor of a run of such pairs. On one pair, `chain`
+    /// must return what `first`'s and `second`'s own executors return
+    /// for the same operands, and on a run what they return folded over
+    /// it: [`run_chain`] over the two.
     ///
     /// # Panics
     ///
     /// Panics if either id is not registered or is not an R4
-    /// instruction (a pair executor takes no immediate), or if the pair
-    /// is registered already.
-    pub fn define_pair(
-        &mut self,
-        first: CustomId,
-        second: CustomId,
-        exec: PairExec,
-        chain: ChainExec,
-    ) {
+    /// instruction (a chain executor takes no immediate), or if the
+    /// pair is registered already.
+    pub fn define_pair(&mut self, first: CustomId, second: CustomId, chain: ChainExec) {
         for id in [first, second] {
             let def = self
                 .by_id(id)
                 .expect("a pair names registered instructions");
             assert!(def.format.has_rs3(), "`{}` is not R4", def.mnemonic);
         }
-        assert!(self.pair(first, second).is_none(), "pair registered twice");
-        self.pairs.push((first, second, exec, chain));
-    }
-
-    /// The executor registered for `first` followed by `second`.
-    pub fn pair(&self, first: CustomId, second: CustomId) -> Option<PairExec> {
-        self.pair_entry(first, second).map(|(exec, _)| exec)
+        assert!(self.chain(first, second).is_none(), "pair registered twice");
+        self.pairs.push((first, second, chain));
     }
 
     /// The chain executor registered for pairs of `first` followed by
     /// `second`.
     pub fn chain(&self, first: CustomId, second: CustomId) -> Option<ChainExec> {
-        self.pair_entry(first, second).map(|(_, chain)| chain)
-    }
-
-    fn pair_entry(&self, first: CustomId, second: CustomId) -> Option<(PairExec, ChainExec)> {
         self.pairs
             .iter()
-            .find(|&&(a, b, ..)| (a, b) == (first, second))
-            .map(|&(_, _, exec, chain)| (exec, chain))
+            .find(|&&(a, b, _)| (a, b) == (first, second))
+            .map(|&(.., chain)| chain)
     }
 
     /// All instruction definitions in registration order.
@@ -399,8 +381,8 @@ impl IsaExtension {
         for d in other.defs() {
             self.define(d.clone())?;
         }
-        for &(first, second, exec, chain) in &other.pairs {
-            self.define_pair(first, second, exec, chain);
+        for &(first, second, chain) in &other.pairs {
+            self.define_pair(first, second, chain);
         }
         Ok(())
     }
@@ -601,14 +583,15 @@ mod tests {
             })
             .unwrap();
         }
-        a.define_pair(CustomId(1), CustomId(2), pair, chain);
-        assert!(a.pair(CustomId(1), CustomId(2)).is_some());
+        a.define_pair(CustomId(1), CustomId(2), chain);
         assert!(a.chain(CustomId(1), CustomId(2)).is_some());
-        assert!(a.pair(CustomId(2), CustomId(1)).is_none());
+        assert!(a.chain(CustomId(2), CustomId(1)).is_none());
         let mut merged = IsaExtension::new("m");
         merged.merge(&a).unwrap();
-        assert!(merged.pair(CustomId(1), CustomId(2)).is_some());
-        assert!(merged.chain(CustomId(1), CustomId(2)).is_some());
+        let chain = merged.chain(CustomId(1), CustomId(2)).unwrap();
+        let mut regs = [0; 32];
+        (regs[5], regs[6]) = (3, 12);
+        assert_eq!(chain(&regs, &[5, 6], 1, 2), (3 ^ 12 ^ 1, 3 ^ 12 ^ 2));
     }
 
     #[test]

@@ -89,13 +89,7 @@ impl Memory {
         if addr & (width - 1) != 0 {
             return Err(MemError::Misaligned { addr, width });
         }
-        let end = addr
-            .checked_add(width)
-            .ok_or(MemError::OutOfBounds { addr, width })?;
-        if addr < self.base || end > self.base + self.bytes.len() as u64 {
-            return Err(MemError::OutOfBounds { addr, width });
-        }
-        Ok((addr - self.base) as usize)
+        self.span(addr, width)
     }
 
     /// Loads an unsigned value of `width` bytes (1, 2, 4 or 8).
@@ -194,17 +188,6 @@ impl Memory {
     pub(crate) fn words_mut(&mut self, addr: u64, words: usize) -> Result<&mut [u8], MemError> {
         let off = self.limb_span(addr, words)?;
         Ok(&mut self.bytes[off..off + 8 * words])
-    }
-
-    /// Copies `data` into memory starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfBounds`] when the slice does not fit.
-    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        let off = self.span(addr, data.len() as u64)?;
-        self.bytes[off..off + data.len()].copy_from_slice(data);
-        Ok(())
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -328,9 +311,12 @@ mod tests {
 
     #[test]
     fn byte_round_trip() {
-        let mut m = Memory::new(0, 8);
-        m.write_bytes(2, &[9, 8, 7]).unwrap();
-        assert_eq!(m.read_bytes(2, 3).unwrap(), &[9, 8, 7]);
-        assert!(m.write_bytes(6, &[1, 2, 3]).is_err());
+        let mut m = Memory::new(0, 16);
+        m.write_limbs(8, &[0x0706_0504_0302_0100]).unwrap();
+        assert_eq!(m.read_bytes(10, 3).unwrap(), &[2, 3, 4]);
+        assert_eq!(m.read_bytes(13, 3).unwrap(), &[5, 6, 7]);
+        let past = MemError::OutOfBounds { addr: 14, width: 3 };
+        assert_eq!(m.read_bytes(14, 3), Err(past));
+        assert!(m.read_bytes(u64::MAX, 2).is_err());
     }
 }

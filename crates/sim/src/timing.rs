@@ -404,7 +404,7 @@ impl BlockTiming {
 }
 
 /// Classifies an instruction into its timing class.
-pub fn classify(inst: &Inst, custom_unit: Option<ExecUnit>) -> InstClass {
+fn classify(inst: &Inst, custom_unit: Option<ExecUnit>) -> InstClass {
     match inst {
         Inst::Op { op, .. } if op.is_multiply() => InstClass::Mul,
         Inst::Op { op, .. } if op.is_divide() => InstClass::Div,
