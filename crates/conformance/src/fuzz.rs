@@ -23,9 +23,9 @@
 //! Beside single custom instructions, programs carry runs of high/low
 //! MAC pairs on shared `rs1`/`rs2` that accumulate into one register
 //! pair, with random register aliasing, runs of `ld`/`sd` at
-//! consecutive offsets, column ends, carry-propagation
-//! runs and runs of one ALU operation, so both the simulator's fused
-//! micro-ops and its refusals to fuse are diffed.
+//! consecutive offsets, column ends and carry-propagation runs, so
+//! both the simulator's fused micro-ops and its refusals to fuse are
+//! diffed.
 //!
 //! On divergence the failing program is shrunk by delta-debugging:
 //! chunks, then single instructions, then initial register values are
@@ -574,10 +574,7 @@ pub fn gen_program(ext: ExtChoice, seed: u64) -> FuzzProgram {
     while ops.len() < len {
         let i = ops.len();
         let kind = rng.gen_range(0u8..100);
-        let op = if kind < 30 && i + 2 <= len && rng.gen_range(0u8..4) == 0 {
-            ops.extend(alu_run(&mut rng, len - i));
-            continue;
-        } else if kind < 30 {
+        let op = if kind < 30 {
             FuzzOp::Plain(Inst::Op {
                 op: ALU[rng.gen_range(0..ALU.len())],
                 rd: dest(&mut rng),
@@ -721,37 +718,6 @@ fn custom_operand(rng: &mut StdRng, id: u16) -> (Reg, u8) {
     } else {
         (any_source(rng), 0)
     }
-}
-
-/// A run of 2–6 register–register instructions of one ALU operation,
-/// at most `room` long, as the limb-wise loops of the Fp kernels issue
-/// them, which the simulator runs as one micro-op (DESIGN.md §9.5).
-/// One run in three changes the operation after its second
-/// instruction, which must end the fused run there.
-fn alu_run(rng: &mut StdRng, room: usize) -> Vec<FuzzOp> {
-    let len = rng.gen_range(2..=6).min(room);
-    let op = ALU[rng.gen_range(0..ALU.len())];
-    let change = (len > 2 && rng.gen_range(0u8..3) == 0).then(|| rng.gen_range(2..len));
-    let other = loop {
-        let o = ALU[rng.gen_range(0..ALU.len())];
-        if o != op {
-            break o;
-        }
-    };
-    (0..len)
-        .map(|k| {
-            FuzzOp::Plain(Inst::Op {
-                op: if change.is_some_and(|at| k >= at) {
-                    other
-                } else {
-                    op
-                },
-                rd: dest(rng),
-                rs1: any_source(rng),
-                rs2: any_source(rng),
-            })
-        })
-        .collect()
 }
 
 /// A column end as Listing 4 issues it, `and t, l, m ; sd t, off(p) ;
@@ -1323,7 +1289,7 @@ mod tests {
     }
 
     #[test]
-    fn column_ends_and_propagation_and_alu_runs_cover_every_fusion_case() {
+    fn column_ends_and_propagation_runs_cover_every_fusion_case() {
         // A carry-propagation step: (custom id, imm, y, x, m).
         let step = |w: &[Inst]| match *w {
             [Inst::Custom {
@@ -1340,26 +1306,16 @@ mod tests {
             }] if (rd, rs1) == (x, x) => Some((id, imm, y, x, m)),
             _ => None,
         };
-        let alu = |inst: &Inst| match *inst {
-            Inst::Op { op, .. } => Some(op),
-            _ => None,
-        };
-        for ext in ExtChoice::ALL {
-            // A run of one ALU op, and an op change after two of them;
-            // a column end with and without the reset, and with the
+        for ext in ExtChoice::ALL
+            .into_iter()
+            .filter(|e| e.mac_pair().is_some())
+        {
+            // A column end with and without the reset, and with the
             // store's base as `t`; a clean propagation run, one whose
             // second step writes the mask, and a change of id or imm.
-            let mut seen = [0u32; 8];
+            let mut seen = [0u32; 6];
             for seed in 0..300 {
                 let insts = gen_program(ext, seed).materialize();
-                for w in insts.windows(3) {
-                    if let [Some(a), Some(b), c] = [&w[0], &w[1], &w[2]].map(alu) {
-                        if a == b {
-                            seen[0] += 1;
-                            seen[1] += u32::from(c.is_some_and(|c| c != a));
-                        }
-                    }
-                }
                 for w in insts.windows(4) {
                     if let [Inst::Op {
                         op: AluOp::And,
@@ -1382,7 +1338,7 @@ mod tests {
                             }
                         );
                         if rs2 == t {
-                            seen[if b == t { 4 } else { 3 - usize::from(reset) }] += 1;
+                            seen[if b == t { 2 } else { 1 - usize::from(reset) }] += 1;
                         }
                     }
                     let (Some(s1), Some(s2)) = (step(&w[..2]), step(&w[2..])) else {
@@ -1393,17 +1349,12 @@ mod tests {
                         continue;
                     }
                     let written = [s1.2, s1.3, s2.2, s2.3];
-                    seen[5] += u32::from(same_key && !written.contains(&m));
-                    seen[6] += u32::from(same_key && s2.2 == m && ![s1.2, s1.3].contains(&m));
-                    seen[7] += u32::from(!same_key);
+                    seen[3] += u32::from(same_key && !written.contains(&m));
+                    seen[4] += u32::from(same_key && s2.2 == m && ![s1.2, s1.3].contains(&m));
+                    seen[5] += u32::from(!same_key);
                 }
             }
-            let want = if ext.mac_pair().is_some() {
-                &seen[..]
-            } else {
-                &seen[..2]
-            };
-            assert!(!want.contains(&0), "{}: {seen:?}", ext.label());
+            assert!(!seen.contains(&0), "{}: {seen:?}", ext.label());
         }
     }
 

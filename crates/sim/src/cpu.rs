@@ -188,10 +188,6 @@ macro_rules! flat_dispatch {
                 at: u32,
                 len: u16,
             },
-            /// `len` register–register ALU ops of one operation
-            /// ([`MicroOp::alu_run`]); `(rd, rs1, rs2)` of each sit at
-            /// `regs[at + 3 * k..]`.
-            AluRun { op: AluOp, at: u32, len: u16 },
             /// `len` `ld`s off one base at consecutive 8-byte offsets
             /// ([`MicroOp::mem_run`]), destinations at
             /// `regs[at..at + len]`.
@@ -331,18 +327,6 @@ macro_rules! flat_dispatch {
                             self.set_reg(r[2], self.reg(r[2]) & mask);
                         }
                         next_pc = pc.wrapping_add(8 * u64::from(len));
-                    }
-                    Kind::AluRun { op, at, len } => {
-                        let ops = regs[at as usize..][..3 * len as usize].chunks_exact(3);
-                        match op {
-                            $(AluOp::$alu => for r in ops {
-                                self.set_reg(
-                                    r[0],
-                                    eval_alu(AluOp::$alu, self.reg(r[1]), self.reg(r[2])),
-                                );
-                            },)+
-                        }
-                        next_pc = pc.wrapping_add(4 * u64::from(len));
                     }
                     Kind::LoadRun { at, len } => {
                         let dests = &regs[at as usize..][..len as usize];
@@ -503,10 +487,10 @@ impl MicroOp {
     /// instructions before a block's terminator, with the number of
     /// instructions it covers: a MAC run ([`MicroOp::mac_run`]), a
     /// memory run ([`MicroOp::mem_run`]), a column end
-    /// ([`MicroOp::column_end`]), a propagation run
-    /// ([`MicroOp::propagation_run`]) or an ALU run
-    /// ([`MicroOp::alu_run`]). `None` when the first instructions do
-    /// not fuse. Register lists are appended to `regs`.
+    /// ([`MicroOp::column_end`]) or a propagation run
+    /// ([`MicroOp::propagation_run`]). `None` when the first
+    /// instructions do not fuse; plain instructions run one micro-op
+    /// each. Register lists are appended to `regs`.
     pub(crate) fn fuse(
         insts: &[Inst],
         ext: &IsaExtension,
@@ -516,7 +500,6 @@ impl MicroOp {
             .or_else(|| Self::mem_run(insts, regs))
             .or_else(|| Self::column_end(insts, ext))
             .or_else(|| Self::propagation_run(insts, ext, regs))
-            .or_else(|| Self::alu_run(insts, regs))
     }
 
     /// Translates the longest run of registered pairs
@@ -761,35 +744,6 @@ impl MicroOp {
             })
         };
         Some((op, 2 * usize::from(len)))
-    }
-
-    /// Translates the longest run of two or more register–register ALU
-    /// instructions of one operation at the start of `insts`, such as
-    /// the limb-wise `add`s of an Fp addition. The micro-op selects the
-    /// operation once and runs the instructions in program order.
-    fn alu_run(insts: &[Inst], regs: &mut Vec<u8>) -> Option<(Self, usize)> {
-        let Inst::Op { op, .. } = *insts.first()? else {
-            return None;
-        };
-        let at = regs.len();
-        for inst in insts.iter().take(u16::MAX.into()) {
-            match *inst {
-                Inst::Op {
-                    op: o,
-                    rd,
-                    rs1,
-                    rs2,
-                } if o == op => regs.extend([rd, rs1, rs2].map(Reg::number)),
-                _ => break,
-            }
-        }
-        let len = run_len(regs, at, 3)?;
-        let op = Self::bare(Kind::AluRun {
-            op,
-            at: at as u32,
-            len,
-        });
-        Some((op, len.into()))
     }
 
     /// Whether the micro-op ends a straight-line run: it may transfer

@@ -134,8 +134,8 @@ pub struct Machine {
     /// instruction, or the program's last).
     block_end: Vec<u32>,
     /// `uops` with each fusable run before a block's end (a MAC run,
-    /// memory run, column end, propagation run or ALU run) replaced by
-    /// one micro-op ([`MicroOp::fuse`]): what a block executes.
+    /// memory run, column end or propagation run) replaced by one
+    /// micro-op ([`MicroOp::fuse`]): what a block executes.
     fused: Vec<MicroOp>,
     /// The register lists of the fused runs.
     fused_regs: Vec<u8>,
@@ -225,9 +225,8 @@ impl Machine {
     /// of custom instructions that the extension registers as a pair,
     /// such as an ISE MAC's high and low halves, and the pairs after it
     /// that accumulate into the same two registers), each run of `ld`s
-    /// or `sd`s at consecutive offsets off one base, each column end,
-    /// each carry-propagation run and each run of one register–register
-    /// ALU operation (DESIGN.md §9.5).
+    /// or `sd`s at consecutive offsets off one base, each column end
+    /// and each carry-propagation run (DESIGN.md §9.5).
     pub fn load_program(&mut self, program: &Program) {
         self.program = program.insts().to_vec();
         self.uops = self
@@ -315,8 +314,8 @@ impl Machine {
     ///
     /// The run goes a block at a time. The straight-line instructions
     /// up to the next control or system instruction execute in one
-    /// loop, each fused run (a MAC run, memory run, column end,
-    /// propagation run or ALU run) as one micro-op.
+    /// loop, each fused run (a MAC run, memory run, column end or
+    /// propagation run) as one micro-op.
     /// Their timing is then replayed from the block's summary when its
     /// entry is clean, or retired one instruction at a time when it is
     /// not (DESIGN.md §9.5). The terminator is retired on its own, so
@@ -1024,61 +1023,6 @@ mod tests {
             let (m, result) = run_both(make);
             assert_eq!(result.unwrap().instret, 9, "{what}");
             assert_eq!(m.micro_ops(), micro_ops, "{what}");
-        }
-    }
-
-    #[test]
-    fn alu_runs_fuse_one_operation_in_program_order() {
-        // (program, micro-ops with the `ebreak`)
-        type Emit = fn(&mut Assembler);
-        let cases: [(Emit, usize); 4] = [
-            // Each add reads the one before it.
-            (
-                |a| {
-                    a.add(T[1], T[1], T[0]);
-                    a.add(T[2], T[2], T[1]);
-                    a.add(T[3], T[1], T[2]);
-                },
-                2,
-            ),
-            (
-                |a| {
-                    a.add(T[1], T[1], T[0]);
-                    a.add(T[2], T[2], T[1]);
-                    a.sub(T[3], T[1], T[2]);
-                    a.sub(T[0], T[3], T[3]);
-                },
-                3,
-            ),
-            (
-                |a| {
-                    a.xor(Reg::Zero, T[1], T[0]);
-                    a.xor(T[1], Reg::Zero, T[2]);
-                },
-                2,
-            ),
-            (
-                |a| {
-                    a.mul(T[1], T[1], T[0]);
-                    a.addi(T[2], T[1], 1);
-                    a.mul(T[3], T[2], T[1]);
-                },
-                4,
-            ),
-        ];
-        for (k, (emit, micro_ops)) in cases.into_iter().enumerate() {
-            let make = || {
-                let mut a = Assembler::new();
-                emit(&mut a);
-                a.ebreak();
-                let mut m = Machine::new();
-                m.load_program(&a.finish());
-                scramble(&mut m, &[]);
-                m
-            };
-            let (m, result) = run_both(make);
-            assert!(result.is_ok(), "case {k}");
-            assert_eq!(m.micro_ops(), micro_ops, "case {k}");
         }
     }
 

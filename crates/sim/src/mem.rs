@@ -47,9 +47,9 @@ impl std::error::Error for MemError {}
 /// ```
 /// use mpise_sim::Memory;
 /// let mut m = Memory::new(0x1000, 64);
-/// m.store_u64(0x1008, 0xdead_beef_cafe_f00d).unwrap();
+/// m.store(0x1008, 0xdead_beef_cafe_f00d, 8).unwrap();
 /// assert_eq!(m.load_u64(0x1008).unwrap(), 0xdead_beef_cafe_f00d);
-/// assert_eq!(m.load_u8(0x1008).unwrap(), 0x0d); // little-endian
+/// assert_eq!(m.load(0x1008, 1).unwrap(), 0x0d); // little-endian
 /// ```
 #[derive(Debug, Clone)]
 pub struct Memory {
@@ -137,19 +137,9 @@ impl Memory {
         Ok(())
     }
 
-    /// Loads a byte.
-    pub fn load_u8(&self, addr: u64) -> Result<u8, MemError> {
-        self.load(addr, 1).map(|v| v as u8)
-    }
-
     /// Loads a 64-bit double-word.
     pub fn load_u64(&self, addr: u64) -> Result<u64, MemError> {
         self.load(addr, 8)
-    }
-
-    /// Stores a 64-bit double-word.
-    pub fn store_u64(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
-        self.store(addr, value, 8)
     }
 
     /// The index in `bytes` of the `width` bytes starting at `addr`,
@@ -238,9 +228,9 @@ mod tests {
     #[test]
     fn little_endian_layout() {
         let mut m = Memory::new(0, 16);
-        m.store_u64(0, 0x0102_0304_0506_0708).unwrap();
-        assert_eq!(m.load_u8(0).unwrap(), 0x08);
-        assert_eq!(m.load_u8(7).unwrap(), 0x01);
+        m.store(0, 0x0102_0304_0506_0708, 8).unwrap();
+        assert_eq!(m.load(0, 1).unwrap(), 0x08);
+        assert_eq!(m.load(7, 1).unwrap(), 0x01);
         assert_eq!(m.load(0, 4).unwrap(), 0x0506_0708);
         assert_eq!(m.load(4, 4).unwrap(), 0x0102_0304);
     }
@@ -250,8 +240,8 @@ mod tests {
         let mut m = Memory::new(0x100, 8);
         assert!(m.load_u64(0x100).is_ok());
         assert!(m.load_u64(0x108).is_err());
-        assert!(m.load_u8(0xff).is_err());
-        assert!(m.store_u64(0x108, 0).is_err());
+        assert!(m.load(0xff, 1).is_err());
+        assert!(m.store(0x108, 0, 8).is_err());
     }
 
     #[test]
@@ -263,7 +253,7 @@ mod tests {
         ));
         assert!(m.load(2, 2).is_ok());
         assert!(m.load(1, 2).is_err());
-        assert!(m.load_u8(3).is_ok());
+        assert!(m.load(3, 1).is_ok());
     }
 
     #[test]
