@@ -27,7 +27,7 @@ pub enum ViolationKind {
 
 impl ViolationKind {
     /// Short human-readable label.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             ViolationKind::SecretBranch => "secret-dependent branch",
             ViolationKind::SecretAddress => "secret-dependent address",

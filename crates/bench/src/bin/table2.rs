@@ -10,7 +10,8 @@
 use mpise_bench::rule;
 use mpise_core::intrinsics::madd57lu;
 use mpise_core::related::{
-    arm_mla, avx512_vpmadd52huq, avx512_vpmadd52luq, ifma_saturates, Msa2, TABLE2,
+    arm_mla, arm_umaal, arm_umlal, avx512_vpmadd52huq, avx512_vpmadd52luq, ifma_saturates, Msa2,
+    TABLE2,
 };
 
 fn main() {
@@ -39,6 +40,13 @@ fn main() {
     let (x, y, z) = (0xdead_beefu64, 0xcafe_f00du64, 42u64);
     assert_eq!(f.eval(x, y, z), arm_mla(x, y, z));
     println!("conformance: mla == MSA2(j=0, m=2^64-1) on sample inputs  [ok]");
+    let m = u32::MAX;
+    assert_eq!(arm_umaal(m, m, m, m), (m, m));
+    println!("conformance: umaal(2^32-1, 2^32-1, 2^32-1, 2^32-1) = 2^64-1, never overflows  [ok]");
+    assert_eq!(arm_umlal(0x8000_0000, 2, 1, 0), (1, 1));
+    println!(
+        "conformance: umlal(2^31, 2, rdLo=1, rdHi=0) = 2^32+1, the product carries into rdHi  [ok]"
+    );
 
     // The saturation problem (motivates the paper's full 64-bit
     // multiplier for the reduced-radix ISE).
@@ -50,9 +58,11 @@ fn main() {
     println!(
         "saturation:  vpmadd52huq({fat:#x}, {b:#x}) = {ifma_hi:#x}, true hi52 = {true_hi:#x}  [IFMA silently wrong]"
     );
+    let true_lo52 = ((fat as u128 * b as u128) as u64) & ((1 << 52) - 1);
+    assert_eq!(avx512_vpmadd52luq(fat, b, 0), true_lo52);
+    println!("             vpmadd52luq on the same limbs is still exact: only the high half saturates  [ok]");
     let madd_lo = madd57lu(fat, b, 0);
     let true_lo57 = ((fat as u128 * b as u128) as u64) & ((1 << 57) - 1);
     assert_eq!(madd_lo, true_lo57);
     println!("             madd57lu on the same limbs is exact (full 64-bit multiplier)  [ok]");
-    let _ = avx512_vpmadd52luq(fat, b, 0);
 }

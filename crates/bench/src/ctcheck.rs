@@ -15,7 +15,7 @@
 //!    on a secret limb — which must FAIL with the offending
 //!    pc/instruction, proving the analysis actually bites.
 //!
-//! [`check`] returns `Ok` — and the binary exits 0 — only if every
+//! `check` returns `Ok` — and the binary exits 0 — only if every
 //! positive check passes *and* the negative fixture is caught; a unit
 //! test requires the same, so `cargo test` runs the gate too.
 
@@ -41,7 +41,7 @@ use rand::SeedableRng;
 /// # Errors
 ///
 /// Names every failed check, `; `-separated.
-pub fn check() -> Result<(), String> {
+pub(crate) fn check() -> Result<(), String> {
     let mut failed = Vec::new();
 
     println!("== ISA encoding lint ==");
@@ -104,7 +104,7 @@ pub fn check() -> Result<(), String> {
     }
 }
 
-/// Runs [`check`] and prints the overall verdict; returns the process
+/// Runs `check` and prints the overall verdict; returns the process
 /// exit code (0 = gate passed).
 pub fn run() -> i32 {
     let verdict = check();

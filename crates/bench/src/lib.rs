@@ -32,7 +32,7 @@ use mpise_hw::CoreCost;
 
 /// The paper's Table 4 cycle counts, row-major:
 /// `[full-ISA, full-ISE, reduced-ISA, reduced-ISE]` per operation.
-pub const PAPER_TABLE4: [(OpKind, [u64; 4]); 8] = [
+pub(crate) const PAPER_TABLE4: [(OpKind, [u64; 4]); 8] = [
     (OpKind::IntMul, [608, 371, 625, 303]),
     (OpKind::IntSqr, [440, 371, 398, 216]),
     (OpKind::MontRedc, [730, 469, 818, 389]),
@@ -45,7 +45,7 @@ pub const PAPER_TABLE4: [(OpKind, [u64; 4]); 8] = [
 
 /// The paper's group-action cycle counts (millions), same column
 /// order.
-pub const PAPER_ACTION_MCYCLES: [f64; 4] = [701.0, 502.9, 736.2, 411.1];
+pub(crate) const PAPER_ACTION_MCYCLES: [f64; 4] = [701.0, 502.9, 736.2, 411.1];
 
 /// The paper's Table 3 rows; the base core is the calibration constant
 /// the hardware model builds on.
@@ -68,7 +68,7 @@ pub const PAPER_TABLE3: [CoreCost; 3] = [
 ];
 
 /// Looks up a paper Table 4 reference value.
-pub fn paper_cycles(op: OpKind, column: usize) -> u64 {
+pub(crate) fn paper_cycles(op: OpKind, column: usize) -> u64 {
     PAPER_TABLE4
         .iter()
         .find(|(o, _)| *o == op)
@@ -77,7 +77,7 @@ pub fn paper_cycles(op: OpKind, column: usize) -> u64 {
 }
 
 /// Renders a ratio like `1.71x`.
-pub fn ratio(baseline: f64, value: f64) -> String {
+pub(crate) fn ratio(baseline: f64, value: f64) -> String {
     format!("{:.2}x", baseline / value)
 }
 

@@ -9,7 +9,7 @@
 //!    operations, executed on the Rocket pipeline model with one worker
 //!    thread per configuration
 //!    ([`mpise_fp::measure::kernel_matrix`]). Every kernel is
-//!    validated by [`mpise_fp::measure::check_kernel`] — the reference
+//!    validated by `mpise_fp::measure::check_kernel` — the reference
 //!    oracle on adversarial edges and random inputs, and constant cost
 //!    across them — before its cycle count is reported.
 //! 2. **CSIDH-512 group action** — the Table 4 bottom row, estimated as
@@ -61,7 +61,7 @@ pub struct BenchOptions {
 
 impl BenchOptions {
     /// Exponent bound of the group action, instrumented and simulated.
-    pub fn action_bound(&self) -> i8 {
+    pub(crate) fn action_bound(&self) -> i8 {
         if self.smoke {
             1
         } else {
@@ -156,7 +156,7 @@ fn bench_action<F: Fp>(f: &F, bound: i8) -> PublicKey {
 
 /// Instruments the group action on the host backend and returns its
 /// field-operation counts and resulting public key.
-pub fn instrument_action(bound: i8) -> (OpCounts, PublicKey) {
+pub(crate) fn instrument_action(bound: i8) -> (OpCounts, PublicKey) {
     let counting = CountingFp::new(FpFull::new());
     let public = bench_action(&counting, bound);
     (counting.counts(), public)
@@ -164,7 +164,7 @@ pub fn instrument_action(bound: i8) -> (OpCounts, PublicKey) {
 
 /// Estimates the action cost of every configuration from the kernel
 /// matrix and the instrumented op counts.
-pub fn estimate_actions(
+pub(crate) fn estimate_actions(
     matrix: &[(Config, Vec<OpMeasurement>)],
     counts: &OpCounts,
 ) -> Vec<ActionEstimate> {
@@ -196,7 +196,7 @@ pub fn estimate_actions(
 /// Panics when a simulated action disagrees with the host action — a
 /// simulator or kernel bug — or when the span attribution fails to
 /// reconcile with the cycle counter.
-pub fn simulate_actions(bound: i8, host_key: &PublicKey) -> Vec<ActionSim> {
+pub(crate) fn simulate_actions(bound: i8, host_key: &PublicKey) -> Vec<ActionSim> {
     let was_enabled = mpise_obs::enabled();
     mpise_obs::set_enabled(true);
     let sims = std::thread::scope(|scope| {
@@ -355,7 +355,7 @@ pub fn check_gate(
 /// # Panics
 ///
 /// Panics on any validation failure (a kernel bug).
-pub fn measure_kernels() -> Vec<(Config, Vec<OpMeasurement>)> {
+pub(crate) fn measure_kernels() -> Vec<(Config, Vec<OpMeasurement>)> {
     kernel_matrix(VALIDATION_CASES, BENCH_SEED)
         .into_iter()
         .map(|(config, cells)| {
@@ -400,7 +400,7 @@ pub fn run_pipeline(options: BenchOptions) -> BenchReport {
 
 /// The deterministic kernel-matrix section (the part the golden test
 /// compares byte-for-byte).
-pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> Value {
+pub(crate) fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> Value {
     matrix
         .iter()
         .flat_map(|(config, measurements)| {
@@ -424,7 +424,11 @@ pub fn kernels_json(matrix: &[(Config, Vec<OpMeasurement>)]) -> Value {
 }
 
 /// The deterministic action-estimate section.
-pub fn action_json(counts: &OpCounts, estimates: &[ActionEstimate], sims: &[ActionSim]) -> Value {
+pub(crate) fn action_json(
+    counts: &OpCounts,
+    estimates: &[ActionEstimate],
+    sims: &[ActionSim],
+) -> Value {
     let base = estimated_cycles(estimates, Config::ALL[0]);
     let estimated = estimates.iter().map(|e| {
         object! {
@@ -449,7 +453,7 @@ pub fn action_json(counts: &OpCounts, estimates: &[ActionEstimate], sims: &[Acti
 }
 
 /// The whole report (see DESIGN.md §9 for the schema).
-pub fn report_json(report: &BenchReport) -> Value {
+pub(crate) fn report_json(report: &BenchReport) -> Value {
     let (counts, sims) = (&report.action_counts, &report.action_sims);
     object! {
         "schema": "mpise-bench/v1", "date": utc_date_string(),

@@ -28,7 +28,7 @@ use mpise_fp::{FpFull, FpRed};
 use std::time::{Duration, Instant};
 
 /// Deterministic base seed of the gate's fuzz campaign.
-pub const DIFFTEST_SEED: u64 = 0xD1FF_7E57;
+pub(crate) const DIFFTEST_SEED: u64 = 0xD1FF_7E57;
 
 #[derive(Debug)]
 struct Options {

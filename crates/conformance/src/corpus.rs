@@ -27,7 +27,7 @@ use mpise_sim::Reg;
 
 /// One parsed corpus entry.
 #[derive(Debug, Clone)]
-pub struct CorpusEntry {
+pub(crate) struct CorpusEntry {
     /// File stem, for reporting.
     pub name: String,
     /// Extension the program targets.
@@ -60,7 +60,7 @@ fn parse_value(s: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
-pub fn parse_entry(name: &str, src: &str) -> Result<CorpusEntry, String> {
+pub(crate) fn parse_entry(name: &str, src: &str) -> Result<CorpusEntry, String> {
     let mut ext = ExtChoice::Base;
     let mut init = Vec::new();
     let mut prog_lines: Vec<&str> = Vec::new();
@@ -116,7 +116,7 @@ pub fn parse_entry(name: &str, src: &str) -> Result<CorpusEntry, String> {
 ///
 /// Returns a description when the directory is unreadable or any file
 /// is malformed — a broken corpus must fail the gate, not skip.
-pub fn load_corpus(dir: &std::path::Path) -> Result<Vec<CorpusEntry>, String> {
+pub(crate) fn load_corpus(dir: &std::path::Path) -> Result<Vec<CorpusEntry>, String> {
     let mut names: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -139,12 +139,12 @@ pub fn load_corpus(dir: &std::path::Path) -> Result<Vec<CorpusEntry>, String> {
 
 /// The committed corpus directory (`tests/corpus/` at the workspace
 /// root), resolved relative to this crate at compile time.
-pub fn default_corpus_dir() -> std::path::PathBuf {
+pub(crate) fn default_corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
 }
 
 /// Replays every entry; returns (entries replayed, failures).
-pub fn replay(entries: &[CorpusEntry]) -> (u64, Vec<String>) {
+pub(crate) fn replay(entries: &[CorpusEntry]) -> (u64, Vec<String>) {
     let mut failures = Vec::new();
     for entry in entries {
         let mut runner = DiffRunner::new(entry.ext);

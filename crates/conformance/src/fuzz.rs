@@ -3,7 +3,7 @@
 //! Programs mix RV64IM and Table 1 custom instructions, run through
 //! [`DiffRunner`] — the pipelined [`Machine`] a block at a time, the
 //! same machine traced one instruction at a time, and the independent
-//! [`RefMachine`] — and have their **full architectural state** diffed
+//! `RefMachine` — and have their **full architectural state** diffed
 //! at the end: all 32 registers, the PC, every word of the data window
 //! the program could touch and the last words of data memory, the
 //! retired-instruction count, and the exit reason; the two machine runs
@@ -46,7 +46,7 @@ use rand::{Rng, SeedableRng};
 
 /// Bytes of data memory a fuzz program may touch, starting at
 /// [`DATA_BASE`]. Kept small so the full window diff stays cheap.
-pub const WINDOW: u64 = 512;
+pub(crate) const WINDOW: u64 = 512;
 
 /// The last words of data memory, which every executor starts with
 /// (word `k` holds `EDGE_WORD + k`) and which are diffed with the
@@ -92,7 +92,7 @@ impl ExtChoice {
     }
 
     /// The `ext:` tag naming this choice in a corpus file.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             ExtChoice::Base => "none",
             ExtChoice::FullRadix => "full",
@@ -197,8 +197,8 @@ impl FuzzProgram {
         out
     }
 
-    /// The materialised program as a corpus entry (see
-    /// [`crate::corpus`]): its `ext:` tag, the nonzero initial
+    /// The materialised program as a corpus entry (a file under
+    /// `tests/corpus/`): its `ext:` tag, the nonzero initial
     /// registers, then the body as the disassembler prints it.
     pub fn listing(&self) -> String {
         let mut s = format!("ext: {}\n", self.ext.tag());
@@ -241,7 +241,7 @@ impl std::fmt::Display for Divergence {
 /// Each program runs three times from the same registers and data
 /// words: on a [`Machine`] a block at a time, on a second [`Machine`]
 /// with a [`Tracer`] attached (so every instruction takes the
-/// per-instruction path), and on a fresh [`RefMachine`]. Both machines
+/// per-instruction path), and on a fresh `RefMachine`. Both machines
 /// must match the reference's exit reason, registers, PC, data window,
 /// last words of memory and `instret`, and each other's outcome (the
 /// same [`RunStats`], or the same trap). The block run's cycles and
@@ -290,7 +290,7 @@ impl DiffRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is longer than the [`WINDOW`].
+    /// Panics if `data` is longer than the 512-byte fuzz data window.
     pub fn run_insts(
         &mut self,
         insts: &[Inst],

@@ -87,6 +87,7 @@ fn parse_exponents(s: &str) -> Result<[i8; NUM_PRIMES], String> {
         .map_err(|_| format!("expected {NUM_PRIMES} exponents, got {}", vals.len()))
 }
 
+#[cfg(test)]
 fn fmt_exponents(e: &[i8; NUM_PRIMES]) -> String {
     e.iter()
         .map(|v| v.to_string())
@@ -124,7 +125,7 @@ fn field<'a>(rec: &'a [(String, String)], key: &str) -> Result<&'a str, String> 
 }
 
 /// Parses `keygen.txt`.
-pub fn parse_keygen(src: &str) -> Result<Vec<KeygenVector>, String> {
+pub(crate) fn parse_keygen(src: &str) -> Result<Vec<KeygenVector>, String> {
     records(src)
         .iter()
         .map(|rec| {
@@ -137,7 +138,7 @@ pub fn parse_keygen(src: &str) -> Result<Vec<KeygenVector>, String> {
 }
 
 /// Parses `exchange.txt`.
-pub fn parse_exchange(src: &str) -> Result<Vec<ExchangeVector>, String> {
+pub(crate) fn parse_exchange(src: &str) -> Result<Vec<ExchangeVector>, String> {
     records(src)
         .iter()
         .map(|rec| {
@@ -153,7 +154,7 @@ pub fn parse_exchange(src: &str) -> Result<Vec<ExchangeVector>, String> {
 }
 
 /// Parses `validate.txt`.
-pub fn parse_validate(src: &str) -> Result<Vec<ValidateVector>, String> {
+pub(crate) fn parse_validate(src: &str) -> Result<Vec<ValidateVector>, String> {
     records(src)
         .iter()
         .map(|rec| {
@@ -211,7 +212,7 @@ pub fn check_keygen<F: Fp>(f: &F, v: &KeygenVector) -> Result<(), String> {
 
 /// Checks one exchange vector: both public keys and both directions of
 /// the shared secret.
-pub fn check_exchange<F: Fp>(f: &F, v: &ExchangeVector) -> Result<(), String> {
+pub(crate) fn check_exchange<F: Fp>(f: &F, v: &ExchangeVector) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(2);
     let alice = PrivateKey { exponents: v.alice };
     let bob = PrivateKey { exponents: v.bob };
@@ -236,7 +237,7 @@ pub fn check_exchange<F: Fp>(f: &F, v: &ExchangeVector) -> Result<(), String> {
 }
 
 /// Checks one validation vector.
-pub fn check_validate<F: Fp>(f: &F, v: &ValidateVector) -> Result<(), String> {
+pub(crate) fn check_validate<F: Fp>(f: &F, v: &ValidateVector) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(3);
     let got = validate(f, &mut rng, &PublicKey { a: v.a });
     if got != v.accept {
@@ -279,7 +280,8 @@ pub fn run_suite<F: Fp>(f: &F, suite: &KatSuite, label: &str) -> (u64, Vec<Strin
 /// **sparse** key (two nonzero exponents — cheap enough for the
 /// direct-simulation backend), then seeded dense keys of increasing
 /// bound.
-pub fn generation_keys() -> Vec<[i8; NUM_PRIMES]> {
+#[cfg(test)]
+pub(crate) fn generation_keys() -> Vec<[i8; NUM_PRIMES]> {
     let mut keys = Vec::new();
     let mut sparse = [0i8; NUM_PRIMES];
     sparse[0] = 1;
@@ -294,7 +296,8 @@ pub fn generation_keys() -> Vec<[i8; NUM_PRIMES]> {
 
 /// Renders the three vector files from a backend (the generator; the
 /// suite then holds every backend to these bytes).
-pub fn generate<F: Fp>(f: &F) -> (String, String, String) {
+#[cfg(test)]
+pub(crate) fn generate<F: Fp>(f: &F) -> (String, String, String) {
     let mut rng = StdRng::seed_from_u64(9);
     let keys = generation_keys();
 

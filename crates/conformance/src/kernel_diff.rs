@@ -28,7 +28,7 @@ use rand::SeedableRng;
 
 /// Outcome of the kernel + field difftest pass.
 #[derive(Debug, Clone, Default)]
-pub struct KernelDiffOutcome {
+pub(crate) struct KernelDiffOutcome {
     /// Kernel × configuration combinations exercised (must be 32).
     pub combos: u64,
     /// Total input cases diffed across both layers.
@@ -41,18 +41,13 @@ impl KernelDiffOutcome {
     /// The kernel layer's outcome: one combination per cell of a
     /// [`kernel_matrix`](mpise_fp::measure::kernel_matrix), its cases,
     /// and each failing cell's message.
-    pub fn of_matrix(matrix: &[(Config, Vec<KernelCell>)]) -> Self {
+    pub(crate) fn of_matrix(matrix: &[(Config, Vec<KernelCell>)]) -> Self {
         let cells = matrix.iter().flat_map(|(_, cells)| cells);
         KernelDiffOutcome {
             combos: cells.clone().count() as u64,
             cases: cells.clone().map(|c| c.cases as u64).sum(),
             failures: cells.filter_map(|c| c.result.clone().err()).collect(),
         }
-    }
-
-    /// Whether every comparison agreed.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
     }
 }
 
@@ -105,7 +100,7 @@ fn diff_bytes<F1: Fp, F2: Fp>(
 ///
 /// `sim_cases` bounds the (slow) simulator comparisons; host
 /// comparisons always cover the full case list.
-pub fn run_field_layer(cases: usize, sim_cases: usize, seed: u64) -> KernelDiffOutcome {
+pub(crate) fn run_field_layer(cases: usize, sim_cases: usize, seed: u64) -> KernelDiffOutcome {
     let mut outcome = KernelDiffOutcome::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let p = Csidh512::get().p;
@@ -147,7 +142,7 @@ pub fn run_field_layer(cases: usize, sim_cases: usize, seed: u64) -> KernelDiffO
 }
 
 /// Merges two outcomes (kernel layer + field layer) into one.
-pub fn merge(a: KernelDiffOutcome, b: KernelDiffOutcome) -> KernelDiffOutcome {
+pub(crate) fn merge(a: KernelDiffOutcome, b: KernelDiffOutcome) -> KernelDiffOutcome {
     KernelDiffOutcome {
         combos: a.combos + b.combos,
         cases: a.cases + b.cases,
@@ -166,7 +161,7 @@ mod tests {
         assert_eq!(out.combos, 32);
         // Per radix: 102 edge cases over the eight ops, then 3 random each.
         assert_eq!(out.cases, 4 * (102 + 8 * 3));
-        assert!(out.passed(), "{:?}", out.failures);
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 
     #[test]
@@ -176,6 +171,6 @@ mod tests {
         // p + 1, padded to 12), then one input on each SimFp.
         let inputs = (edge_residues().len() + 2).max(12) as u64;
         assert_eq!(out.cases, 5 * (inputs + 4));
-        assert!(out.passed(), "{:?}", out.failures);
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 }

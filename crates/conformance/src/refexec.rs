@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 /// # Examples
 ///
 /// ```
-/// use mpise_conformance::refexec::ref_custom;
+/// use mpise_conformance::ref_custom;
 /// use mpise_sim::ext::CustomId;
 /// // cadd: carry out of rs1+rs2, plus rs3.
 /// assert_eq!(ref_custom(CustomId(3), u64::MAX, 1, 10, 0), Some(11));
@@ -80,7 +80,7 @@ pub fn ref_custom(id: CustomId, rs1: u64, rs2: u64, rs3: u64, imm: u8) -> Option
 
 /// Why a [`RefMachine`] run stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RefExit {
+pub(crate) enum RefExit {
     /// `ebreak` retired (normal program end in this harness).
     Breakpoint,
     /// `ecall` retired.
@@ -98,7 +98,7 @@ pub enum RefExit {
 /// (`[DATA_BASE, DATA_BASE + DATA_SIZE)`); unwritten bytes read as
 /// zero, matching the zero-initialised [`mpise_sim::mem::Memory`].
 #[derive(Debug, Clone)]
-pub struct RefMachine {
+pub(crate) struct RefMachine {
     /// Register file; index = architectural number, `x0` kept at zero.
     pub regs: [u64; 32],
     /// Program counter.
@@ -110,15 +110,9 @@ pub struct RefMachine {
     prog_base: u64,
 }
 
-impl Default for RefMachine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RefMachine {
     /// An empty machine with no program loaded.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RefMachine {
             regs: [0; 32],
             pc: PROG_BASE,
@@ -130,20 +124,20 @@ impl RefMachine {
     }
 
     /// Loads a program at [`PROG_BASE`] and points the PC at it.
-    pub fn load(&mut self, insts: &[Inst]) {
+    pub(crate) fn load(&mut self, insts: &[Inst]) {
         self.program = insts.to_vec();
         self.pc = self.prog_base;
     }
 
     /// Writes a register (writes to `x0` are discarded).
-    pub fn write_reg(&mut self, r: Reg, v: u64) {
+    pub(crate) fn write_reg(&mut self, r: Reg, v: u64) {
         if r != Reg::Zero {
             self.regs[r.number() as usize] = v;
         }
     }
 
     /// Reads a register.
-    pub fn read_reg(&self, r: Reg) -> u64 {
+    pub(crate) fn read_reg(&self, r: Reg) -> u64 {
         self.regs[r.number() as usize]
     }
 
@@ -159,7 +153,7 @@ impl RefMachine {
     }
 
     /// Reads `width` little-endian bytes (zero for untouched bytes).
-    pub fn load_mem(&self, addr: u64, width: u64) -> Result<u64, String> {
+    pub(crate) fn load_mem(&self, addr: u64, width: u64) -> Result<u64, String> {
         Self::mem_ok(addr, width)?;
         let mut v = 0u64;
         for i in (0..width).rev() {
@@ -169,7 +163,7 @@ impl RefMachine {
     }
 
     /// Writes the low `width` bytes of `value`, little-endian.
-    pub fn store_mem(&mut self, addr: u64, value: u64, width: u64) -> Result<(), String> {
+    pub(crate) fn store_mem(&mut self, addr: u64, value: u64, width: u64) -> Result<(), String> {
         Self::mem_ok(addr, width)?;
         for i in 0..width {
             self.mem.insert(addr + i, (value >> (8 * i)) as u8);
@@ -178,7 +172,7 @@ impl RefMachine {
     }
 
     /// Runs until exit or `fuel` instructions, whichever first.
-    pub fn run(&mut self, mut fuel: u64) -> RefExit {
+    pub(crate) fn run(&mut self, mut fuel: u64) -> RefExit {
         loop {
             if fuel == 0 {
                 return RefExit::OutOfFuel;
@@ -306,7 +300,7 @@ impl RefMachine {
 /// text (division-by-zero → all-ones quotient / dividend remainder;
 /// signed overflow → dividend / zero; `*w` forms operate on the low 32
 /// bits and sign-extend).
-pub fn ref_alu(op: AluOp, a: u64, b: u64) -> u64 {
+pub(crate) fn ref_alu(op: AluOp, a: u64, b: u64) -> u64 {
     // Widen once; individual arms select the interpretation they need.
     let (sa, sb) = (a as i64, b as i64);
     match op {
@@ -376,7 +370,7 @@ pub fn ref_alu(op: AluOp, a: u64, b: u64) -> u64 {
 }
 
 /// Reference RV64I register–immediate semantics.
-pub fn ref_alu_imm(op: AluImmOp, a: u64, imm: i32) -> u64 {
+pub(crate) fn ref_alu_imm(op: AluImmOp, a: u64, imm: i32) -> u64 {
     let simm = i64::from(imm) as u64;
     match op {
         AluImmOp::Addi => a.wrapping_add(simm),

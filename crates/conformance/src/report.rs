@@ -22,7 +22,7 @@ use mpise_obs::{object, Provenance, Value};
 
 /// Per-mode counters and failures feeding the artifact.
 #[derive(Debug, Clone, Default)]
-pub struct GateReport {
+pub(crate) struct GateReport {
     /// Fuzz programs executed across all extension targets.
     pub fuzz_programs: u64,
     /// Extension targets fuzzed.
@@ -47,14 +47,14 @@ pub struct GateReport {
 
 impl GateReport {
     /// Whether every mode passed.
-    pub fn pass(&self) -> bool {
+    pub(crate) fn pass(&self) -> bool {
         self.fuzz_failures.is_empty()
             && self.kernel_failures.is_empty()
             && self.kat_failures.is_empty()
     }
 
     /// All failure messages, in mode order.
-    pub fn all_failures(&self) -> impl Iterator<Item = &String> {
+    pub(crate) fn all_failures(&self) -> impl Iterator<Item = &String> {
         self.fuzz_failures
             .iter()
             .chain(self.kernel_failures.iter())
@@ -62,7 +62,7 @@ impl GateReport {
     }
 
     /// The `mpise-difftest/v1` artifact.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let failures = |v: &[String]| v.iter().map(String::as_str).collect::<Value>();
         object! {
             "schema": "mpise-difftest/v1", "date": mpise_obs::time::utc_date_string(),

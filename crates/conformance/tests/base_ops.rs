@@ -2,7 +2,7 @@
 //!
 //! The fuzzer draws its ALU, load and store ops from fixed sublists, so
 //! some rows (`sllw`, the `*w` divides, `slti`, `lh`, `sh`, ...) never
-//! reach [`RefMachine`](mpise_conformance::RefMachine) through it. Here
+//! reach the reference executor through it. Here
 //! each row of [`ALU_OPS`], [`ALU_IMM_OPS`], [`LOAD_OPS`] and
 //! [`STORE_OPS`] runs as a one instruction program over the
 //! carry-boundary operands, writing `x0` and writing a real register,

@@ -16,10 +16,10 @@ use mpise_sim::ext::{self, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaE
 
 /// Major opcode shared by all R4-type custom instructions of the paper
 /// (RISC-V custom-3 space).
-pub const CUSTOM3_OPCODE: u8 = 0b1111011;
+pub(crate) const CUSTOM3_OPCODE: u8 = 0b1111011;
 
 /// funct3 used by all the paper's R4-type custom instructions.
-pub const ISE_FUNCT3: u8 = 0b111;
+pub(crate) const ISE_FUNCT3: u8 = 0b111;
 
 /// Stable id of `maddlu`.
 pub const MADDLU: CustomId = CustomId(1);

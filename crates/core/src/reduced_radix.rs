@@ -14,7 +14,7 @@ use crate::intrinsics;
 use mpise_sim::ext::{self, CustomFormat, CustomId, CustomInstDef, ExecUnit, IsaExtension};
 
 /// Major opcode of `sraiadd` (RISC-V custom-1 space).
-pub const CUSTOM1_OPCODE: u8 = 0b0101011;
+pub(crate) const CUSTOM1_OPCODE: u8 = 0b0101011;
 
 /// Stable id of `madd57lu`.
 pub const MADD57LU: CustomId = CustomId(4);

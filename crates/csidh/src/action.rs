@@ -198,7 +198,7 @@ pub fn group_action<F: Fp, R: Rng>(
 /// whose order `d` divides `p + 1` and exceeds `4√p` leaves `p + 1` as
 /// the only group order the Hasse bound allows. `p < 2^511` gives
 /// `4√p < 2^257.5`, and a `d` of 259 bits is at least `2^258`.
-pub const ACCEPT_ORDER_BITS: u32 = 259;
+pub(crate) const ACCEPT_ORDER_BITS: u32 = 259;
 
 /// Verifies that a public key is a supersingular Montgomery curve
 /// (§2's implicit requirement; the reference software ships the same

@@ -20,7 +20,7 @@
 use crate::isogeny::isogeny;
 use crate::mont::{is_infinity, normalize, rhs, xmul, Curve, Point};
 use crate::scalar;
-use crate::{PrivateKey, PublicKey};
+use crate::PublicKey;
 use mpise_fp::params::{random_residue, NUM_PRIMES, PRIMES};
 use mpise_fp::Fp;
 use mpise_mpi::ct::mask_from_bit;
@@ -39,26 +39,10 @@ pub struct CtPrivateKey {
 
 impl CtPrivateKey {
     /// Samples a key with exponents uniform in `[0, budget]`.
-    pub fn random<R: Rng>(rng: &mut R, budget: u8) -> Self {
+    #[cfg(test)]
+    pub(crate) fn random<R: Rng>(rng: &mut R, budget: u8) -> Self {
         CtPrivateKey {
             exponents: std::array::from_fn(|_| rng.gen_range(0..=budget)),
-            budget,
-        }
-    }
-
-    /// Converts a (non-negative) two-sided key for cross-checking
-    /// against the variable-time action.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any exponent is negative or exceeds `budget`.
-    pub fn from_private(key: &PrivateKey, budget: u8) -> Self {
-        CtPrivateKey {
-            exponents: std::array::from_fn(|i| {
-                let e = key.exponents[i];
-                assert!(e >= 0 && (e as u8) <= budget, "exponent out of range");
-                e as u8
-            }),
             budget,
         }
     }
@@ -191,7 +175,7 @@ pub fn group_action_ct<F: Fp, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group_action;
+    use crate::{group_action, PrivateKey};
     use mpise_fp::FpFull;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -265,13 +249,5 @@ mod tests {
         let (sa, _) = group_action_ct(&f, &mut rng, &pb, &ka);
         let (sb, _) = group_action_ct(&f, &mut rng, &pa, &kb);
         assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn from_private_rejects_negatives() {
-        let mut exponents = [0i8; NUM_PRIMES];
-        exponents[0] = -1;
-        let bad = PrivateKey { exponents };
-        assert!(std::panic::catch_unwind(|| CtPrivateKey::from_private(&bad, 5)).is_err());
     }
 }

@@ -40,7 +40,7 @@ pub fn is_infinity<F: Fp>(f: &F, p: &Point<F::Elem>) -> bool {
 }
 
 /// The doubling constants `(A + 2C : 4C)` of a curve.
-pub fn a24<F: Fp>(f: &F, e: &Curve<F::Elem>) -> (F::Elem, F::Elem) {
+pub(crate) fn a24<F: Fp>(f: &F, e: &Curve<F::Elem>) -> (F::Elem, F::Elem) {
     let c2 = f.add(&e.c, &e.c);
     let a24_plus = f.add(&e.a, &c2);
     let c24 = f.add(&c2, &c2);
@@ -48,7 +48,12 @@ pub fn a24<F: Fp>(f: &F, e: &Curve<F::Elem>) -> (F::Elem, F::Elem) {
 }
 
 /// x-only doubling: `[2]P` (4M + 2S with the precomputed `(A+2C : 4C)`).
-pub fn xdbl<F: Fp>(f: &F, p: &Point<F::Elem>, a24_plus: &F::Elem, c24: &F::Elem) -> Point<F::Elem> {
+pub(crate) fn xdbl<F: Fp>(
+    f: &F,
+    p: &Point<F::Elem>,
+    a24_plus: &F::Elem,
+    c24: &F::Elem,
+) -> Point<F::Elem> {
     let t0 = f.sub(&p.x, &p.z);
     let t1 = f.add(&p.x, &p.z);
     let t0 = f.sqr(&t0);
@@ -63,7 +68,7 @@ pub fn xdbl<F: Fp>(f: &F, p: &Point<F::Elem>, a24_plus: &F::Elem, c24: &F::Elem)
 }
 
 /// x-only differential addition: `P + Q` given `P − Q` (4M + 2S).
-pub fn xadd<F: Fp>(
+pub(crate) fn xadd<F: Fp>(
     f: &F,
     p: &Point<F::Elem>,
     q: &Point<F::Elem>,
@@ -116,7 +121,7 @@ pub fn xmul<F: Fp>(f: &F, e: &Curve<F::Elem>, p: &Point<F::Elem>, k: &U512) -> P
 /// quadratic twist: `x` is on `E_A` iff `rhs·C` is a square.
 ///
 /// For an affine coefficient (`C = 1`) this is `x³ + A·x² + x`.
-pub fn rhs<F: Fp>(f: &F, e: &Curve<F::Elem>, x: &F::Elem) -> F::Elem {
+pub(crate) fn rhs<F: Fp>(f: &F, e: &Curve<F::Elem>, x: &F::Elem) -> F::Elem {
     // C·x³ + A·x² + C·x = x·(C·(x²+1) + A·x)
     let x2 = f.sqr(x);
     let t = f.add(&x2, &f.one());
@@ -126,7 +131,7 @@ pub fn rhs<F: Fp>(f: &F, e: &Curve<F::Elem>, x: &F::Elem) -> F::Elem {
 }
 
 /// Normalizes the coefficient to affine `a = A/C` (one inversion).
-pub fn normalize<F: Fp>(f: &F, e: &Curve<F::Elem>) -> F::Elem {
+pub(crate) fn normalize<F: Fp>(f: &F, e: &Curve<F::Elem>) -> F::Elem {
     f.mul(&e.a, &f.inv(&e.c))
 }
 

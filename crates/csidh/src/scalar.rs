@@ -1,7 +1,7 @@
 //! Small helpers for the public scalars of the group action
 //! (cofactors, which are products of the small primes `ℓᵢ`).
 
-use mpise_fp::params::{NUM_PRIMES, PRIMES};
+use mpise_fp::params::PRIMES;
 use mpise_mpi::{Uint, U512};
 
 /// Multiplies a 512-bit value by a small constant.
@@ -43,14 +43,15 @@ pub fn product(included: impl Iterator<Item = usize>) -> U512 {
 }
 
 /// The full cofactor `p + 1 = 4·∏ᵢ ℓᵢ`.
-pub fn p_plus_one() -> U512 {
-    four_times_product(0..NUM_PRIMES)
+#[cfg(test)]
+pub(crate) fn p_plus_one() -> U512 {
+    four_times_product(0..PRIMES.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpise_fp::params::Csidh512;
+    use mpise_fp::params::{Csidh512, NUM_PRIMES};
 
     #[test]
     fn p_plus_one_matches_params() {

@@ -40,7 +40,7 @@
 
 pub mod loadgen;
 mod queue;
-pub mod stats;
+mod stats;
 
 use mpise_csidh::{validate, CsidhKeypair, PrivateKey, PublicKey};
 use mpise_fp::Fp;
@@ -97,7 +97,7 @@ impl Outcome {
     /// determinism digest: public keys and shared secrets serialize
     /// through the 64-byte little-endian format, verdicts as one
     /// byte, key pairs as public key then exponent vector.
-    pub fn payload_bytes(&self) -> Vec<u8> {
+    pub(crate) fn payload_bytes(&self) -> Vec<u8> {
         match self {
             Outcome::Keypair { private, public } => {
                 let mut out = public.to_bytes().to_vec();

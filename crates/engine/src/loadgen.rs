@@ -289,7 +289,7 @@ pub fn run_pass(workers: usize, opts: &LoadgenOptions, fixtures: &Fixtures) -> P
 
 /// The throughput-gate verdict.
 #[derive(Debug, Clone, Copy)]
-pub struct GateResult {
+pub(crate) struct GateResult {
     /// Baseline requests/sec.
     pub baseline_rps: f64,
     /// Multi-worker requests/sec.
@@ -311,7 +311,7 @@ pub struct GateResult {
 /// no-regression margin) when only one core can run the workers, 1.5×
 /// on two cores, and the full 2× of the acceptance criterion from
 /// three cores on.
-pub fn required_ratio(workers: usize) -> (f64, usize) {
+pub(crate) fn required_ratio(workers: usize) -> (f64, usize) {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -321,7 +321,7 @@ pub fn required_ratio(workers: usize) -> (f64, usize) {
 
 /// Everything one loadgen run produced.
 #[derive(Debug, Clone)]
-pub struct LoadReport {
+pub(crate) struct LoadReport {
     /// Options the run used.
     pub options: LoadgenOptions,
     /// Baseline pass (first), loaded pass (second).
@@ -335,7 +335,7 @@ pub struct LoadReport {
 }
 
 /// Runs the baseline and loaded passes and evaluates the gate.
-pub fn run(opts: &LoadgenOptions) -> LoadReport {
+pub(crate) fn run(opts: &LoadgenOptions) -> LoadReport {
     let fixtures = Fixtures::generate(opts.seed);
     eprintln!(
         "loadgen: baseline pass ({} worker(s), {} clients x {} requests) ...",
@@ -387,7 +387,7 @@ fn pass_json(pass: &PassResult) -> Value {
 }
 
 /// The whole report (see DESIGN.md §10 for the schema).
-pub fn report_json(report: &LoadReport) -> Value {
+pub(crate) fn report_json(report: &LoadReport) -> Value {
     let (opts, gate) = (&report.options, &report.gate);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     object! {
@@ -451,7 +451,7 @@ const USAGE: &str = "usage: loadgen [--smoke] [--workers N] [--baseline-workers 
 ///
 /// Returns the exit code and the message to print: 0 and the usage
 /// text for `--help`, 2 for a bad argument.
-pub fn parse_args(args: &[String]) -> Result<LoadgenOptions, (i32, String)> {
+pub(crate) fn parse_args(args: &[String]) -> Result<LoadgenOptions, (i32, String)> {
     let bad = |msg: String| (2, format!("loadgen: {msg}"));
     let mut flags = Vec::new();
     let mut iter = args.iter();

@@ -19,7 +19,7 @@ struct Inner<T> {
 }
 
 /// A bounded, closable MPMC queue.
-pub struct Bounded<T> {
+pub(crate) struct Bounded<T> {
     capacity: usize,
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
@@ -33,7 +33,7 @@ impl<T> Bounded<T> {
     ///
     /// Panics when `capacity` is zero (a zero-capacity queue would
     /// deadlock every producer).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         Bounded {
             capacity,
@@ -51,7 +51,7 @@ impl<T> Bounded<T> {
     /// # Errors
     ///
     /// Returns the item back when the queue is (or becomes) closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if inner.closed {
@@ -69,7 +69,7 @@ impl<T> Bounded<T> {
     /// Dequeues the front item, blocking while the queue is empty and
     /// open. Returns `None` only when the queue is closed **and**
     /// fully drained — consumers see every item that was accepted.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -86,7 +86,7 @@ impl<T> Bounded<T> {
     /// Closes the queue: every subsequent push fails, every blocked
     /// producer wakes with an error, and consumers drain what remains.
     /// Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.closed = true;
         self.not_empty.notify_all();
@@ -94,7 +94,7 @@ impl<T> Bounded<T> {
     }
 
     /// Items currently queued (not yet claimed by a worker).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("queue lock").items.len()
     }
 }

@@ -352,11 +352,6 @@ impl<F> CountingFp<F> {
         self.mul.store(0, Ordering::Relaxed);
         self.sqr.store(0, Ordering::Relaxed);
     }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
 }
 
 impl<F: Fp> Fp for CountingFp<F> {

@@ -17,7 +17,7 @@ use mpise_sim::Reg;
 /// Builds the [`TaintSpec`] for one kernel operation under the shared
 /// calling convention: `a0` result, `a1`/`a2` secret operands (`a2`
 /// only for binary ops), `a3` public constant pool, `sp` stack.
-pub fn kernel_taint_spec(op: OpKind) -> TaintSpec {
+pub(crate) fn kernel_taint_spec(op: OpKind) -> TaintSpec {
     let mut spec = TaintSpec::new();
     let out = spec.region(Secrecy::Public);
     let op1 = spec.region(Secrecy::Secret);

@@ -15,8 +15,8 @@
 //! * `a1` — first operand pointer,
 //! * `a2` — second operand pointer (binary operations only),
 //! * `a3` — constant-pool pointer (modulus digits followed by the
-//!   per-digit Montgomery constant; see [`const_pool_full`] /
-//!   [`const_pool_red`]).
+//!   per-digit Montgomery constant; see `const_pool_full` /
+//!   `const_pool_red`).
 //!
 //! [`crate::measure::call_kernel`] is the one place that sets these up
 //! (operand memory layout included); [`mac`] builds Listings 1–4 from
@@ -104,7 +104,7 @@ impl Radix {
     /// The value `Σ words[i] · 2^(digit_bits · i)` of a word array of
     /// any length (elements, double-length products), computed with
     /// the reference big-integer arithmetic alone.
-    pub fn value(self, words: &[u64]) -> RefInt {
+    pub(crate) fn value(self, words: &[u64]) -> RefInt {
         words
             .iter()
             .enumerate()
@@ -244,7 +244,7 @@ impl OpKind {
 
     /// The telemetry span name for this operation (see `mpise-obs`;
     /// static because span aggregation keys on `&'static str`).
-    pub fn span_name(&self) -> &'static str {
+    pub(crate) fn span_name(&self) -> &'static str {
         match self {
             OpKind::IntMul => "fp.int_mul",
             OpKind::IntSqr => "fp.int_sqr",
@@ -480,7 +480,7 @@ fn fp_mul(
 
 /// Builds the constant pool for full-radix kernels: the 8 digits of `p`
 /// followed by `-p^{-1} mod 2^64`.
-pub fn const_pool_full() -> Vec<u64> {
+pub(crate) fn const_pool_full() -> Vec<u64> {
     let c = crate::params::Csidh512::get();
     let mut pool = c.p.limbs().to_vec();
     pool.push(c.mont.p_inv());
@@ -489,7 +489,7 @@ pub fn const_pool_full() -> Vec<u64> {
 
 /// Builds the constant pool for reduced-radix kernels: the 9 limbs of
 /// `p` (57-bit) followed by `-p^{-1} mod 2^57`.
-pub fn const_pool_red() -> Vec<u64> {
+pub(crate) fn const_pool_red() -> Vec<u64> {
     let c = crate::params::Csidh512::get();
     let mut pool = c.mont57.modulus().limbs().to_vec();
     pool.push(c.mont57.p_inv());

@@ -80,7 +80,7 @@ const REDC_SAVED: usize = 11;
 
 /// Generates the full-radix kernel for `op` (`ise` selects the
 /// Listing 3 MAC and `cadd`).
-pub fn generate(op: OpKind, ise: bool) -> Program {
+pub(crate) fn generate(op: OpKind, ise: bool) -> Program {
     let front = move |a: &mut Assembler| match op {
         OpKind::IntMul | OpKind::FpMul => emit_int_mul_body(a, ise),
         _ => emit_int_sqr(a, ise),

@@ -61,11 +61,11 @@ pub const A: Reg = Reg::A0;
 /// Second multiplicand.
 pub const B: Reg = Reg::A1;
 /// Accumulator low word.
-pub const ACC_L: Reg = Reg::A2;
+pub(crate) const ACC_L: Reg = Reg::A2;
 /// Accumulator high word.
-pub const ACC_H: Reg = Reg::A3;
+pub(crate) const ACC_H: Reg = Reg::A3;
 /// Accumulator extra word (full-radix only).
-pub const ACC_E: Reg = Reg::A4;
+pub(crate) const ACC_E: Reg = Reg::A4;
 const Y: Reg = Reg::A5;
 const Z: Reg = Reg::A6;
 
@@ -77,35 +77,35 @@ fn snippet(emit: impl FnOnce(&mut Assembler)) -> Program {
 
 /// Listing 1: ISA-only full-radix MAC,
 /// `(e ‖ h ‖ l) ← (e ‖ h ‖ l) + a·b`.
-pub fn listing1_full_isa() -> Program {
+pub(crate) fn listing1_full_isa() -> Program {
     snippet(|a| full::mac(a, false, [ACC_L, ACC_H, ACC_E], A, B, Y, Z))
 }
 
 /// Listing 2: ISA-only reduced-radix MAC,
 /// `(h ‖ l) ← (h ‖ l) + a·b`.
-pub fn listing2_red_isa() -> Program {
+pub(crate) fn listing2_red_isa() -> Program {
     snippet(|a| red::mac(a, false, ACC_L, ACC_H, A, B, Y, Z))
 }
 
 /// Listing 3: ISE-supported full-radix MAC.
-pub fn listing3_full_ise() -> Program {
+pub(crate) fn listing3_full_ise() -> Program {
     snippet(|a| full::mac(a, true, [ACC_L, ACC_H, ACC_E], A, B, Y, Z))
 }
 
 /// Listing 4: ISE-supported reduced-radix MAC.
-pub fn listing4_red_ise() -> Program {
+pub(crate) fn listing4_red_ise() -> Program {
     snippet(|a| red::mac(a, true, ACC_L, ACC_H, A, B, Y, Z))
 }
 
 /// ISA-only carry propagation from limb `x = a0` into limb `y = a1`
 /// with mask register `m = a2`: `srai z,x,57 ; add y,y,z ; and x,x,m`.
-pub fn carry_prop_isa() -> Program {
+pub(crate) fn carry_prop_isa() -> Program {
     snippet(|a| red::propagate(a, false, &[Reg::A0, Reg::A1], Reg::A2, Z))
 }
 
 /// ISE-supported carry propagation:
 /// `sraiadd y,y,x,57 ; and x,x,m`.
-pub fn carry_prop_ise() -> Program {
+pub(crate) fn carry_prop_ise() -> Program {
     snippet(|a| red::propagate(a, true, &[Reg::A0, Reg::A1], Reg::A2, Z))
 }
 

@@ -95,7 +95,7 @@ const X_REGS: [Reg; 9] = [
 const REDC_SAVED: usize = 12;
 
 /// Generates the reduced-radix kernel for `op`.
-pub fn generate(op: OpKind, ise: bool) -> Program {
+pub(crate) fn generate(op: OpKind, ise: bool) -> Program {
     let front = move |a: &mut Assembler| match op {
         OpKind::IntMul | OpKind::FpMul => emit_int_mul_body(a, ise),
         _ => emit_int_sqr_body(a, ise),

@@ -5,10 +5,10 @@
 //!
 //! * [`params`]: the CSIDH-512 prime `p = 4·ℓ₁⋯ℓ₇₄ − 1` and its
 //!   Montgomery constants, in both radix representations;
-//! * [`backend`]: the [`backend::Fp`] trait and the two host-speed
-//!   backends ([`backend::FpFull`] on radix-2^64,
-//!   [`backend::FpRed`] on radix-2^57), plus an op-counting adapter;
-//! * [`batch`]: a lane trait with scalar default methods only, kept
+//! * the [`Fp`] trait and the two host-speed backends ([`FpFull`] on
+//!   radix-2^64, [`FpRed`] on radix-2^57), plus an op-counting adapter
+//!   ([`CountingFp`]);
+//! * [`FpBatch`]: a lane trait with scalar default methods only, kept
 //!   for the benchmark that implements it (no workspace code calls it);
 //! * [`kernels`]: generators that emit the fully unrolled RV64
 //!   assembly kernels for every Table 4 operation in all four
@@ -20,7 +20,7 @@
 //!   argument registers, constant pool per radix); executes the
 //!   kernels on the `mpise-sim` Rocket model, checks them against a
 //!   `RefInt` oracle, and reports cycle counts;
-//! * [`simfp`]: an [`backend::Fp`] backend whose add/sub/mul/sqr each
+//! * [`simfp`]: an [`Fp`] backend whose add/sub/mul/sqr each
 //!   run as a simulated kernel — used for the direct simulation of the
 //!   CSIDH group-action row, whose control code runs on the host and is
 //!   charged zero cycles.
@@ -29,8 +29,8 @@
 // lockstep; iterator rewrites of those loops obscure the digit algebra.
 #![allow(clippy::needless_range_loop)]
 
-pub mod backend;
-pub mod batch;
+mod backend;
+mod batch;
 pub mod ctspec;
 pub mod kernels;
 pub mod measure;

@@ -9,8 +9,8 @@
 //!
 //! It is the one home of the kernel-call ABI ([`kernel_machine`],
 //! [`call_kernel`]), of the kernels' test inputs and oracle
-//! ([`build_cases`], [`oracle_accepts`]), of the one kernel validator
-//! ([`check_kernel`]) and of the one function that runs it over all 32
+//! (`build_cases`, `oracle_accepts`), of the one kernel validator
+//! (`check_kernel`) and of the one function that runs it over all 32
 //! cells ([`kernel_matrix`]), which `bench` and the conformance
 //! difftest both call; the ablation kernels reuse the operand
 //! encodings.
@@ -129,7 +129,7 @@ impl KernelRunner {
     /// Panics on a wrong operand count or result length, or if the
     /// kernel traps — generated kernels are straight-line and must not
     /// fault.
-    pub fn run_into(&mut self, op: OpKind, inputs: &[&[u64]], out: &mut [u64]) -> RunStats {
+    pub(crate) fn run_into(&mut self, op: OpKind, inputs: &[&[u64]], out: &mut [u64]) -> RunStats {
         assert_eq!(inputs.len(), op.arity(), "wrong operand count for {op:?}");
         assert_eq!(out.len(), op.shape(&self.config).1, "wrong result length");
         let stats = call_kernel(&mut self.machines[op as usize], inputs, out)
@@ -156,7 +156,7 @@ pub struct OpMeasurement {
 }
 
 /// Encodes `v` (`< 2^512`) in the element word layout of `radix`.
-pub fn element_words(radix: Radix, v: &U512) -> Vec<u64> {
+pub(crate) fn element_words(radix: Radix, v: &U512) -> Vec<u64> {
     let mut words = vec![0; radix.words()];
     radix.pack(v, &mut words);
     words
@@ -164,7 +164,7 @@ pub fn element_words(radix: Radix, v: &U512) -> Vec<u64> {
 
 /// The double-length product `a · b` in the word layout of `radix` (a
 /// valid `MontRedc` input).
-pub fn product_words(radix: Radix, a: &U512, b: &U512) -> Vec<u64> {
+pub(crate) fn product_words(radix: Radix, a: &U512, b: &U512) -> Vec<u64> {
     match radix {
         Radix::Full => {
             let (lo, hi) = mpi_mul::mul_ps(a, b);
@@ -215,7 +215,7 @@ fn random_inputs(rng: &mut StdRng, op: OpKind, radix: Radix) -> Vec<Vec<u64>> {
 /// Every result must match exactly, except `MontRedc`: its kernels
 /// return any representative in `[0, 2p)`, so it is compared mod `p`
 /// with a range check.
-pub fn oracle_accepts(op: OpKind, radix: Radix, inputs: &[&[u64]], out: &[u64]) -> bool {
+pub(crate) fn oracle_accepts(op: OpKind, radix: Radix, inputs: &[&[u64]], out: &[u64]) -> bool {
     // R^{-1} mod p for R = 2^512 (full) or 2^513 (reduced), by Fermat.
     static R_INV: OnceLock<[RefInt; 2]> = OnceLock::new();
     let p = RefInt::from_limbs(Csidh512::get().p.limbs());
@@ -272,7 +272,12 @@ pub fn edge_residues() -> Vec<U512> {
 
 /// Builds the input case list for one op: every per-op adversarial
 /// edge first, then `random` valid random cases drawn from `seed`.
-pub fn build_cases(op: OpKind, radix: Radix, random: usize, seed: u64) -> Vec<Vec<Vec<u64>>> {
+pub(crate) fn build_cases(
+    op: OpKind,
+    radix: Radix,
+    random: usize,
+    seed: u64,
+) -> Vec<Vec<Vec<u64>>> {
     let p = Csidh512::get().p;
     let edges = edge_residues();
     // Every edge times the last edge (2^256 − 1), then every edge squared.
@@ -312,14 +317,14 @@ pub fn build_cases(op: OpKind, radix: Radix, random: usize, seed: u64) -> Vec<Ve
 }
 
 /// The one kernel validator: runs `op` on every case of `cases` (see
-/// [`build_cases`]) and returns its cost, which must be constant.
+/// `build_cases`) and returns its cost, which must be constant.
 ///
 /// # Errors
 ///
 /// Returns a description of the first failure: a result the
-/// [`oracle_accepts`] oracle rejects, or cycles, `instret` or
+/// `oracle_accepts` oracle rejects, or cycles, `instret` or
 /// [`TimingStats`] that differ from the first case's.
-pub fn check_kernel(
+pub(crate) fn check_kernel(
     runner: &mut KernelRunner,
     op: OpKind,
     cases: &[Vec<Vec<u64>>],
@@ -357,7 +362,7 @@ pub fn check_kernel(
 pub const VALIDATION_CASES: usize = 2;
 
 /// One cell of the kernel matrix: an operation of one configuration,
-/// run through [`check_kernel`].
+/// run through `check_kernel`.
 #[derive(Debug, Clone)]
 pub struct KernelCell {
     /// Cases run: the op's edge cases, then the random ones.
@@ -367,7 +372,7 @@ pub struct KernelCell {
 }
 
 /// The Table 4 kernel matrix: every operation of every configuration
-/// run through [`check_kernel`] on its edge cases and `random` seeded
+/// run through `check_kernel` on its edge cases and `random` seeded
 /// random cases, with one worker thread per configuration.
 ///
 /// Results come back in [`Config::ALL`] order, one cell per

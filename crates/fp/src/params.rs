@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 pub const NUM_PRIMES: usize = 74;
 
 /// Digits of a full-radix CSIDH-512 element (radix 2^64).
-pub const FULL_LIMBS: usize = 8;
+pub(crate) const FULL_LIMBS: usize = 8;
 
 /// Limbs of a reduced-radix CSIDH-512 element (radix 2^57).
 pub const RED_LIMBS: usize = 9;
@@ -32,7 +32,7 @@ pub const PRIMES: [u64; NUM_PRIMES] = [
 /// These are the canonical limbs from the CSIDH reference code; the
 /// test `prime_is_product_of_the_small_primes` re-derives them from
 /// [`PRIMES`].
-pub const P_LIMBS: [u64; FULL_LIMBS] = [
+pub(crate) const P_LIMBS: [u64; FULL_LIMBS] = [
     0x1b81b90533c6c87b,
     0xc2721bf457aca835,
     0x516730cc1f0b4f25,

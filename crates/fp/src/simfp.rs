@@ -61,11 +61,6 @@ impl SimFp {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> Config {
-        self.config
-    }
-
     /// Total simulated cycles spent in field kernels so far.
     pub fn cycles(&self) -> u64 {
         self.cycles.get()
@@ -77,7 +72,8 @@ impl SimFp {
     }
 
     /// Resets the cycle and call counters.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         self.cycles.set(0);
         self.calls.set(0);
     }

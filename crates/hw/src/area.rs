@@ -9,7 +9,7 @@
 use crate::netlist::{CellKind, Netlist};
 
 /// Gate-equivalent cost of one cell.
-pub fn cell_ge(kind: CellKind, width: u32) -> f64 {
+pub(crate) fn cell_ge(kind: CellKind, width: u32) -> f64 {
     match kind {
         CellKind::And2 | CellKind::Or2 => 1.33,
         CellKind::Xor2 | CellKind::Mux2 => 2.33,
@@ -25,7 +25,7 @@ pub fn cell_ge(kind: CellKind, width: u32) -> f64 {
 }
 
 /// Total gate-equivalent area of a netlist.
-pub fn netlist_ge(n: &Netlist) -> f64 {
+pub(crate) fn netlist_ge(n: &Netlist) -> f64 {
     n.cells().iter().map(|c| cell_ge(c.kind, c.width)).sum()
 }
 

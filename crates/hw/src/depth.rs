@@ -13,7 +13,7 @@ use crate::xmul::{base_multiplier, full_radix_xmul, reduced_radix_xmul};
 use std::collections::HashMap;
 
 /// Unit delays per cell class (normalized to one 2-input gate = 1.0).
-pub fn cell_delay(kind: CellKind, width: u32) -> f64 {
+pub(crate) fn cell_delay(kind: CellKind, width: u32) -> f64 {
     match kind {
         CellKind::And2 | CellKind::Or2 => 1.0,
         CellKind::Xor2 | CellKind::Mux2 => 1.5,
@@ -43,7 +43,7 @@ pub struct DepthReport {
 /// Flip-flop outputs restart at depth 0 (they begin a new pipeline
 /// stage); the reported critical path is the maximum depth at any
 /// flip-flop *input* or primary output.
-pub fn analyze(netlist: &Netlist) -> DepthReport {
+pub(crate) fn analyze(netlist: &Netlist) -> DepthReport {
     let mut depth: HashMap<Net, f64> = HashMap::new();
     depth.insert(ZERO, 0.0);
     depth.insert(ONE, 0.0);

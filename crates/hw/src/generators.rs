@@ -88,16 +88,7 @@ pub fn barrel_shifter_right(n: &mut Netlist, a: &[Net], sh: &[Net], arithmetic: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::{assign_bus as set_bus, bus_value};
-    use std::collections::HashMap;
-
-    fn eval(n: &Netlist, input_values: &[(Net, bool)]) -> HashMap<Net, bool> {
-        n.evaluate(input_values)
-    }
-
-    fn bus_val(bus: &[Net], vals: &HashMap<Net, bool>) -> u64 {
-        bus_value(bus, vals)
-    }
+    use crate::netlist::{assign_bus, bus_value};
 
     #[test]
     fn ripple_adder_adds() {
@@ -106,10 +97,10 @@ mod tests {
             let a = n.input_bus(8);
             let b = n.input_bus(8);
             let (s, co) = ripple_adder(&mut n, &a, &b);
-            let mut iv = set_bus(&a, x);
-            iv.extend(set_bus(&b, y));
-            let vals = eval(&n, &iv);
-            let got = bus_val(&s, &vals) | ((vals[&co] as u64) << 8);
+            let mut iv = assign_bus(&a, x);
+            iv.extend(assign_bus(&b, y));
+            let vals = n.evaluate(&iv);
+            let got = bus_value(&s, &vals) | ((vals[&co] as u64) << 8);
             assert_eq!(got, x + y, "{x}+{y}");
         }
     }
@@ -126,10 +117,10 @@ mod tests {
             let a = n.input_bus(16);
             let b = n.input_bus(16);
             let (s, co) = kogge_stone_adder(&mut n, &a, &b);
-            let mut iv = set_bus(&a, x);
-            iv.extend(set_bus(&b, y));
-            let vals = eval(&n, &iv);
-            let got = bus_val(&s, &vals) | ((vals[&co] as u64) << 16);
+            let mut iv = assign_bus(&a, x);
+            iv.extend(assign_bus(&b, y));
+            let vals = n.evaluate(&iv);
+            let got = bus_value(&s, &vals) | ((vals[&co] as u64) << 16);
             assert_eq!(got, x + y, "{x}+{y}");
         }
     }
@@ -142,12 +133,12 @@ mod tests {
             let s = n.input_bus(3);
             let out_l = barrel_shifter_right(&mut n, &a, &s, false);
             let out_a = barrel_shifter_right(&mut n, &a, &s, true);
-            let mut iv = set_bus(&a, v);
-            iv.extend(set_bus(&s, sh));
-            let vals = eval(&n, &iv);
-            assert_eq!(bus_val(&out_l, &vals), v >> sh, "logical {v}>>{sh}");
+            let mut iv = assign_bus(&a, v);
+            iv.extend(assign_bus(&s, sh));
+            let vals = n.evaluate(&iv);
+            assert_eq!(bus_value(&out_l, &vals), v >> sh, "logical {v}>>{sh}");
             let expect = ((v as i8 as i64) >> sh) as u64 & 0xff;
-            assert_eq!(bus_val(&out_a, &vals), expect, "arith {v}>>{sh}");
+            assert_eq!(bus_value(&out_a, &vals), expect, "arith {v}>>{sh}");
         }
     }
 }

@@ -18,7 +18,7 @@
 //! * [`map`]: a greedy 6-input LUT technology mapper with
 //!   carry-chain-aware adder handling, a flip-flop census, and
 //!   DSP-block inference for the multiplier array;
-//! * [`area`]: CMOS gate-equivalent weights per cell;
+//! * `area`: CMOS gate-equivalent weights per cell;
 //! * [`rocket`]: the calibrated base-core figures plus the structural
 //!   deltas, assembling Table 3.
 //!
@@ -31,7 +31,7 @@
 // lockstep; iterator rewrites of those loops obscure the digit algebra.
 #![allow(clippy::needless_range_loop)]
 
-pub mod area;
+mod area;
 pub mod depth;
 pub mod generators;
 pub mod map;

@@ -30,7 +30,7 @@ pub struct MapReport {
 
 impl MapReport {
     /// Component-wise difference (`self − base`), saturating at zero.
-    pub fn delta(&self, base: &MapReport) -> MapReport {
+    pub(crate) fn delta(&self, base: &MapReport) -> MapReport {
         MapReport {
             luts: self.luts.saturating_sub(base.luts),
             regs: self.regs.saturating_sub(base.regs),
@@ -43,7 +43,7 @@ impl MapReport {
 /// DSP blocks needed for a `w × w` multiplier: tiling with the 16-bit
 /// granularity of cascaded DSP48E1 slices (`ceil(w/16)²`), matching
 /// the 16 DSPs Vivado reports for the Rocket core's 64-bit multiplier.
-pub fn dsp_tiles(width: u32) -> usize {
+pub(crate) fn dsp_tiles(width: u32) -> usize {
     let t = width.div_ceil(16) as usize;
     t * t
 }

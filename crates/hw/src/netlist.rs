@@ -30,7 +30,7 @@ pub enum CellKind {
 
 impl CellKind {
     /// Number of logic inputs the cell consumes.
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         match self {
             CellKind::Dff => 1,
             CellKind::And2 | CellKind::Or2 | CellKind::Xor2 | CellKind::HalfAdder => 2,
@@ -63,7 +63,7 @@ pub struct Cell {
 }
 
 /// A bus is a little-endian vector of nets.
-pub type Bus = Vec<Net>;
+pub(crate) type Bus = Vec<Net>;
 
 /// A netlist under construction.
 ///
@@ -107,17 +107,17 @@ impl Netlist {
     }
 
     /// All cells.
-    pub fn cells(&self) -> &[Cell] {
+    pub(crate) fn cells(&self) -> &[Cell] {
         &self.cells
     }
 
     /// Primary inputs.
-    pub fn inputs(&self) -> &[Net] {
+    pub(crate) fn inputs(&self) -> &[Net] {
         &self.inputs
     }
 
     /// Primary outputs.
-    pub fn outputs(&self) -> &[Net] {
+    pub(crate) fn outputs(&self) -> &[Net] {
         &self.outputs
     }
 
@@ -128,7 +128,7 @@ impl Netlist {
     }
 
     /// Declares a primary input.
-    pub fn input(&mut self) -> Net {
+    pub(crate) fn input(&mut self) -> Net {
         let n = self.fresh();
         self.inputs.push(n);
         n
@@ -162,27 +162,27 @@ impl Netlist {
     }
 
     /// 2-input AND.
-    pub fn and2(&mut self, a: Net, b: Net) -> Net {
+    pub(crate) fn and2(&mut self, a: Net, b: Net) -> Net {
         self.gate(CellKind::And2, &[a, b])
     }
 
     /// 2-input OR.
-    pub fn or2(&mut self, a: Net, b: Net) -> Net {
+    pub(crate) fn or2(&mut self, a: Net, b: Net) -> Net {
         self.gate(CellKind::Or2, &[a, b])
     }
 
     /// 2-input XOR.
-    pub fn xor2(&mut self, a: Net, b: Net) -> Net {
+    pub(crate) fn xor2(&mut self, a: Net, b: Net) -> Net {
         self.gate(CellKind::Xor2, &[a, b])
     }
 
     /// 2:1 mux: `sel ? a : b`.
-    pub fn mux2(&mut self, sel: Net, a: Net, b: Net) -> Net {
+    pub(crate) fn mux2(&mut self, sel: Net, a: Net, b: Net) -> Net {
         self.gate(CellKind::Mux2, &[sel, a, b])
     }
 
     /// Half adder; returns `(sum, carry)`.
-    pub fn half_adder(&mut self, a: Net, b: Net) -> (Net, Net) {
+    pub(crate) fn half_adder(&mut self, a: Net, b: Net) -> (Net, Net) {
         let sum = self.fresh();
         let carry = self.fresh();
         self.cells.push(Cell {
@@ -195,7 +195,7 @@ impl Netlist {
     }
 
     /// Full adder; returns `(sum, carry)`.
-    pub fn full_adder(&mut self, a: Net, b: Net, cin: Net) -> (Net, Net) {
+    pub(crate) fn full_adder(&mut self, a: Net, b: Net, cin: Net) -> (Net, Net) {
         let sum = self.fresh();
         let carry = self.fresh();
         self.cells.push(Cell {
@@ -208,12 +208,12 @@ impl Netlist {
     }
 
     /// D flip-flop.
-    pub fn dff(&mut self, d: Net) -> Net {
+    pub(crate) fn dff(&mut self, d: Net) -> Net {
         self.gate(CellKind::Dff, &[d])
     }
 
     /// Registers a whole bus.
-    pub fn dff_bus(&mut self, bus: &[Net]) -> Bus {
+    pub(crate) fn dff_bus(&mut self, bus: &[Net]) -> Bus {
         bus.iter().map(|&n| self.dff(n)).collect()
     }
 
@@ -222,19 +222,19 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if the buses differ in width.
-    pub fn mux_bus(&mut self, sel: Net, a: &[Net], b: &[Net]) -> Bus {
+    pub(crate) fn mux_bus(&mut self, sel: Net, a: &[Net], b: &[Net]) -> Bus {
         assert_eq!(a.len(), b.len());
         (0..a.len()).map(|i| self.mux2(sel, a[i], b[i])).collect()
     }
 
     /// Bitwise AND of a bus with one control net (mask gating).
-    pub fn and_bus(&mut self, bus: &[Net], ctrl: Net) -> Bus {
+    pub(crate) fn and_bus(&mut self, bus: &[Net], ctrl: Net) -> Bus {
         bus.iter().map(|&n| self.and2(n, ctrl)).collect()
     }
 
     /// A DSP-mapped `width × width` unsigned multiplier macro producing
     /// a `2·width` bus.
-    pub fn dsp_mul(&mut self, a: &[Net], b: &[Net]) -> Bus {
+    pub(crate) fn dsp_mul(&mut self, a: &[Net], b: &[Net]) -> Bus {
         assert_eq!(a.len(), b.len());
         let width = a.len() as u32;
         let outputs: Bus = (0..2 * a.len()).map(|_| self.fresh()).collect();
@@ -255,13 +255,8 @@ impl Netlist {
     }
 
     /// Total cell count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Whether the netlist has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 }
 
@@ -273,13 +268,17 @@ impl Netlist {
     /// functional verification of a pipelined datapath needs.
     ///
     /// Returns the value of every computed net; look up outputs via
-    /// [`Netlist::outputs`] or [`bus_value`].
+    /// [`Netlist::outputs`].
     ///
     /// # Panics
     ///
     /// Panics if a cell input was never assigned a value (an input
     /// missing from `input_values`).
-    pub fn evaluate(&self, input_values: &[(Net, bool)]) -> std::collections::HashMap<Net, bool> {
+    #[cfg(test)]
+    pub(crate) fn evaluate(
+        &self,
+        input_values: &[(Net, bool)],
+    ) -> std::collections::HashMap<Net, bool> {
         use std::collections::HashMap;
         let mut vals: HashMap<Net, bool> = input_values.iter().copied().collect();
         vals.insert(ZERO, false);
@@ -322,8 +321,8 @@ impl Netlist {
                 }
                 CellKind::DspMul => {
                     let w = cell.width as usize;
-                    let a = bus_value_from(&cell.inputs[..w], &vals);
-                    let b = bus_value_from(&cell.inputs[w..], &vals);
+                    let a = bus_value(&cell.inputs[..w], &vals);
+                    let b = bus_value(&cell.inputs[w..], &vals);
                     let p = a as u128 * b as u128;
                     for (k, &o) in cell.outputs.iter().enumerate() {
                         vals.insert(o, (p >> k) & 1 == 1);
@@ -336,11 +335,8 @@ impl Netlist {
 }
 
 /// Packs a bus into an integer (bit `i` of the result = `bus[i]`).
-pub fn bus_value(bus: &[Net], vals: &std::collections::HashMap<Net, bool>) -> u64 {
-    bus_value_from(bus, vals)
-}
-
-fn bus_value_from(bus: &[Net], vals: &std::collections::HashMap<Net, bool>) -> u64 {
+#[cfg(test)]
+pub(crate) fn bus_value(bus: &[Net], vals: &std::collections::HashMap<Net, bool>) -> u64 {
     bus.iter()
         .enumerate()
         .map(|(i, n)| (vals[n] as u64) << i)
@@ -349,7 +345,8 @@ fn bus_value_from(bus: &[Net], vals: &std::collections::HashMap<Net, bool>) -> u
 
 /// Builds the `(net, value)` assignment that drives `bus` with the
 /// little-endian bits of `v`.
-pub fn assign_bus(bus: &[Net], v: u64) -> Vec<(Net, bool)> {
+#[cfg(test)]
+pub(crate) fn assign_bus(bus: &[Net], v: u64) -> Vec<(Net, bool)> {
     bus.iter()
         .enumerate()
         .map(|(i, &n)| (n, (v >> i) & 1 == 1))

@@ -25,7 +25,7 @@ pub struct CoreCost {
     pub regs: u64,
     /// DSP blocks.
     pub dsps: u64,
-    /// CMOS area (gate-equivalents × [`CMOS_PER_GE`], the unit scale
+    /// CMOS area (gate-equivalents × `CMOS_PER_GE`, the unit scale
     /// of the paper's "CMOS" column).
     pub cmos: u64,
 }
@@ -43,16 +43,16 @@ pub const BASE_CORE: CoreCost = CoreCost {
 /// Scale between our gate-equivalent estimate and the paper's "CMOS"
 /// unit, calibrated once (shared by both variants, so the full-radix
 /// versus reduced-radix *ratio* remains purely structural).
-pub const CMOS_PER_GE: f64 = 20.0;
+pub(crate) const CMOS_PER_GE: f64 = 20.0;
 
 /// LUTs charged for the decoder modifications (§3.3: "ISE-related
 /// modifications were made to the instruction decoder"): decode of one
 /// extra major-opcode point, the R4 rs3 read-port steering and the
 /// XMUL op-select generation.
-pub const DECODER_LUTS: u64 = 24;
+pub(crate) const DECODER_LUTS: u64 = 24;
 
 /// Flip-flops charged for the decoder/scoreboard modifications.
-pub const DECODER_REGS: u64 = 8;
+pub(crate) const DECODER_REGS: u64 = 8;
 
 /// The complete Table 3.
 #[derive(Debug, Clone)]

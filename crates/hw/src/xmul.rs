@@ -23,12 +23,12 @@ use crate::generators::{barrel_shifter_right, ripple_adder};
 use crate::netlist::{Bus, Net, Netlist, ZERO};
 
 /// Width of the register operands.
-pub const W: usize = 64;
+pub(crate) const W: usize = 64;
 
 /// Number of pipeline-control / hazard-forwarding flip-flops charged
 /// per added read port (valid bits, bypass select state for the third
 /// operand that §3.3 says "can be fetched from the forwarding path").
-pub const FORWARDING_CTRL_REGS: usize = 32;
+pub(crate) const FORWARDING_CTRL_REGS: usize = 32;
 
 /// A generated multiplier datapath with its interface buses.
 #[derive(Debug, Clone)]
@@ -79,7 +79,7 @@ fn multiplier_front(n: &mut Netlist, x: &Bus, y: &Bus, ctrl: &Bus) -> (Bus, Bus,
 ///
 /// Control bits: `0` negate x, `1` negate y, `2` negate product,
 /// `3` select high half.
-pub fn base_multiplier() -> XmulNetlist {
+pub(crate) fn base_multiplier() -> XmulNetlist {
     let mut n = Netlist::new("mul-base");
     let x_in = n.input_bus(W);
     let y_in = n.input_bus(W);
@@ -110,7 +110,7 @@ pub fn base_multiplier() -> XmulNetlist {
 /// `3` select high half, `4` main path = x zero-extended (cadd),
 /// `5` pre-add operand = y (else z), `6` pre-add enable,
 /// `7` output = cadd post-adder.
-pub fn full_radix_xmul() -> XmulNetlist {
+pub(crate) fn full_radix_xmul() -> XmulNetlist {
     let mut n = Netlist::new("xmul-full");
     let x_in = n.input_bus(W);
     let y_in = n.input_bus(W);
@@ -180,7 +180,7 @@ pub fn full_radix_xmul() -> XmulNetlist {
 /// (sraiadd), `5` mask low 57 bits (madd57lu), `6` post-add operand =
 /// x (else z), `7` post-add enable, `8` output = post-adder,
 /// `9` select high half (base ops).
-pub fn reduced_radix_xmul() -> XmulNetlist {
+pub(crate) fn reduced_radix_xmul() -> XmulNetlist {
     let mut n = Netlist::new("xmul-reduced");
     let x_in = n.input_bus(W);
     let y_in = n.input_bus(W);

@@ -24,7 +24,7 @@ pub const fn mask_from_bit(bit: u64) -> u64 {
 /// Branch-free select: returns `a` when `mask` is all-ones, `b` when
 /// `mask` is zero.
 #[inline]
-pub const fn select(mask: u64, a: u64, b: u64) -> u64 {
+pub(crate) const fn select(mask: u64, a: u64, b: u64) -> u64 {
     (a & mask) | (b & !mask)
 }
 
@@ -48,14 +48,14 @@ pub fn select_limbs(mask: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
 /// Listing 1 — RISC-V has no carry flag, so this costs two
 /// instructions per word on the base ISA.
 #[inline]
-pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+pub(crate) const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     let t = a as u128 + b as u128 + carry as u128;
     (t as u64, (t >> 64) as u64)
 }
 
 /// 64-bit subtract with borrow-in; returns `(difference, borrow_out)`.
 #[inline]
-pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+pub(crate) const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
     let t = (a as u128)
         .wrapping_sub(b as u128)
         .wrapping_sub(borrow as u128);

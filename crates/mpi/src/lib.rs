@@ -45,7 +45,7 @@ pub mod mont;
 pub mod mul;
 pub mod reduced;
 pub mod reference;
-pub mod uint;
+mod uint;
 
 pub use mont::MontCtx;
 pub use reduced::Reduced;

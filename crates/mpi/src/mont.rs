@@ -59,7 +59,7 @@ pub struct MontCtx<const L: usize> {
 
 /// Computes `-m^{-1} mod 2^64` for odd `m` by Newton iteration
 /// (5 steps double the precision from 3 to 96 bits).
-pub fn neg_inv_u64(m: u64) -> u64 {
+pub(crate) fn neg_inv_u64(m: u64) -> u64 {
     debug_assert!(m & 1 == 1, "inverse needs an odd modulus");
     // An odd m is its own inverse mod 8, so the seed is correct to 3 bits.
     let mut inv = m;
@@ -101,11 +101,6 @@ impl<const L: usize> MontCtx<L> {
         Ok(MontCtx { p, p_inv, r, r2 })
     }
 
-    /// The modulus.
-    pub fn modulus(&self) -> &Uint<L> {
-        &self.p
-    }
-
     /// `-p^{-1} mod 2^64` — the per-digit reduction constant.
     pub fn p_inv(&self) -> u64 {
         self.p_inv
@@ -117,7 +112,8 @@ impl<const L: usize> MontCtx<L> {
     }
 
     /// `R² mod p`, the to-Montgomery conversion constant.
-    pub fn r2(&self) -> &Uint<L> {
+    #[cfg(test)]
+    pub(crate) fn r2(&self) -> &Uint<L> {
         &self.r2
     }
 

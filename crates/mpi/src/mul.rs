@@ -59,7 +59,7 @@ impl Acc192 {
     /// — the per-column step of product scanning (`r_k ← l; l ← h;
     /// h ← e; e ← 0`).
     #[inline]
-    pub fn shift_out(&mut self) -> u64 {
+    pub(crate) fn shift_out(&mut self) -> u64 {
         let out = self.l;
         self.l = self.h;
         self.h = self.e;
@@ -75,7 +75,7 @@ impl Acc192 {
 ///
 /// Panics if `out.len() != a.len() + b.len()`.
 #[inline]
-pub fn mul_ps_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
+pub(crate) fn mul_ps_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
     assert_eq!(out.len(), a.len() + b.len());
     let mut acc = Acc192::ZERO;
     for k in 0..out.len() {
@@ -101,7 +101,7 @@ pub fn mul_ps_slices(a: &[u64], b: &[u64], out: &mut [u64]) {
 ///
 /// Panics if `out.len() != 2 * a.len()`.
 #[inline]
-pub fn square_ps_slices(a: &[u64], out: &mut [u64]) {
+pub(crate) fn square_ps_slices(a: &[u64], out: &mut [u64]) {
     assert_eq!(out.len(), 2 * a.len());
     let n = a.len();
     // Off-diagonal triangle Σ_{i<j} a_i·a_j, column by column: column k

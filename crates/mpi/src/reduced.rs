@@ -4,7 +4,7 @@
 //! 64-bit words. The seven spare bits per word let additions *delay*
 //! carry propagation: limb values may temporarily grow past 2^57
 //! ("lazy" form) and are brought back below 2^57 by a single
-//! propagation pass ([`Reduced::propagate`]), which in the paper costs
+//! propagation pass (`Reduced::propagate`), which in the paper costs
 //! `srai + add + and` per limb on the base ISA and `sraiadd + and` with
 //! the `sraiadd` custom instruction.
 //!
@@ -21,7 +21,7 @@ use mpise_core::{REDUCED_RADIX_BITS, REDUCED_RADIX_MASK};
 use std::fmt;
 
 /// Limb width in bits (57).
-pub const RADIX_BITS: u32 = REDUCED_RADIX_BITS;
+pub(crate) const RADIX_BITS: u32 = REDUCED_RADIX_BITS;
 /// Limb mask `2^57 − 1`.
 pub const MASK: u64 = REDUCED_RADIX_MASK;
 
@@ -142,7 +142,7 @@ impl<const N: usize> Reduced<N> {
     /// Lazy addition: limb-wise, no carry handling. The caller is
     /// responsible for the headroom bookkeeping (each addition grows
     /// limbs by at most one bit).
-    pub fn add_lazy(&self, other: &Self) -> Self {
+    pub(crate) fn add_lazy(&self, other: &Self) -> Self {
         let mut out = [0u64; N];
         for i in 0..N {
             out[i] = self.limbs[i].wrapping_add(other.limbs[i]);
@@ -153,7 +153,7 @@ impl<const N: usize> Reduced<N> {
     /// Lazy subtraction: limb-wise two's complement; limbs may go
     /// negative and are fixed up by [`Reduced::propagate`]'s arithmetic
     /// shift.
-    pub fn sub_lazy(&self, other: &Self) -> Self {
+    pub(crate) fn sub_lazy(&self, other: &Self) -> Self {
         let mut out = [0u64; N];
         for i in 0..N {
             out[i] = self.limbs[i].wrapping_sub(other.limbs[i]);
@@ -165,11 +165,11 @@ impl<const N: usize> Reduced<N> {
     /// 57 — interpreted as a *signed* quantity — move into the next
     /// limb. The top limb keeps any overflow/sign; for values in the
     /// expected range it ends canonical (or all-ones-sign for negative
-    /// values, which [`MontCtx57::reduce_once`] exploits).
+    /// values, which `MontCtx57::reduce_once` exploits).
     ///
     /// This is the `srai/add/and` chain of the paper; with the
     /// `sraiadd` ISE the per-limb cost drops from 3 to 2 instructions.
-    pub fn propagate(&self) -> Self {
+    pub(crate) fn propagate(&self) -> Self {
         let mut out = self.limbs;
         for i in 0..N - 1 {
             // sraiadd y, y, x, 57 ; and x, x, m
@@ -345,7 +345,7 @@ fn fips_sqr<const N: usize>(a: &[u64; N], p: &[u64; N], p_inv: u64) -> [u64; N] 
 
 /// Computes `-m^{-1} mod 2^57` for odd `m` by Newton iteration
 /// (5 steps double the precision from 3 to 96 bits).
-pub fn neg_inv_57(m: u64) -> u64 {
+pub(crate) fn neg_inv_57(m: u64) -> u64 {
     debug_assert!(m & 1 == 1, "inverse needs an odd modulus");
     // An odd m is its own inverse mod 8, so the seed is correct to 3 bits.
     let mut inv = m;
@@ -438,11 +438,6 @@ impl<const N: usize> MontCtx57<N> {
         &self.r
     }
 
-    /// `R² mod p`.
-    pub fn r2(&self) -> &Reduced<N> {
-        &self.r2
-    }
-
     /// Modular addition with fast reduction: result canonical in
     /// `[0, p − 1]`. Constant time.
     pub fn add(&self, a: &Reduced<N>, b: &Reduced<N>) -> Reduced<N> {
@@ -461,14 +456,15 @@ impl<const N: usize> MontCtx57<N> {
     }
 
     /// Modular negation.
-    pub fn neg(&self, a: &Reduced<N>) -> Reduced<N> {
+    #[cfg(test)]
+    pub(crate) fn neg(&self, a: &Reduced<N>) -> Reduced<N> {
         self.sub(&Reduced::ZERO, a)
     }
 
     /// Fast reduction of a canonical value in `[0, 2p − 1]` to
     /// `[0, p − 1]` — the reduced-radix realization of Algorithm 2
     /// (swap-based; the select replaces the conditional swap).
-    pub fn reduce_once(&self, a: &Reduced<N>) -> Reduced<N> {
+    pub(crate) fn reduce_once(&self, a: &Reduced<N>) -> Reduced<N> {
         debug_assert!(a.is_canonical());
         let t = a.sub_lazy(&self.p).propagate();
         // Negative iff a < p.
@@ -529,7 +525,7 @@ impl<const N: usize> MontCtx57<N> {
     /// limbs. No `2N`-limb product is ever formed. A column holds at
     /// most `2N` products below 2^114 plus a carry below 2^62, so for
     /// `N ≤ 16` it stays below 2^119. The result `(a·b + m·p)/R` is
-    /// below `2p`, and [`MontCtx57::reduce_once`] makes it canonical.
+    /// below `2p`, and `MontCtx57::reduce_once` makes it canonical.
     /// Every trip count depends on `N` only and there is no
     /// data-dependent branch.
     ///

@@ -59,12 +59,12 @@ impl RefInt {
     }
 
     /// Whether the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
     /// Number of significant bits.
-    pub fn bit_length(&self) -> usize {
+    pub(crate) fn bit_length(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(&top) => 64 * (self.limbs.len() - 1) + (64 - top.leading_zeros() as usize),
@@ -72,7 +72,7 @@ impl RefInt {
     }
 
     /// Bit `i` (0 = least significant; out-of-range bits read 0).
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         self.limbs
             .get(i / 64)
             .is_some_and(|l| (l >> (i % 64)) & 1 == 1)

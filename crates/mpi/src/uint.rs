@@ -214,7 +214,7 @@ impl<const L: usize> Uint<L> {
     }
 
     /// Bit-wise or.
-    pub fn or(&self, other: &Self) -> Self {
+    pub(crate) fn or(&self, other: &Self) -> Self {
         let mut out = [0u64; L];
         for i in 0..L {
             out[i] = self.limbs[i] | other.limbs[i];
@@ -223,7 +223,7 @@ impl<const L: usize> Uint<L> {
     }
 
     /// Bit-wise exclusive or.
-    pub fn xor(&self, other: &Self) -> Self {
+    pub(crate) fn xor(&self, other: &Self) -> Self {
         let mut out = [0u64; L];
         for i in 0..L {
             out[i] = self.limbs[i] ^ other.limbs[i];
@@ -233,7 +233,7 @@ impl<const L: usize> Uint<L> {
 
     /// Masks every limb with `mask` (0 or all-ones) — the `M ∧ P` step
     /// of Algorithm 1.
-    pub fn mask(&self, mask: u64) -> Self {
+    pub(crate) fn mask(&self, mask: u64) -> Self {
         let mut out = [0u64; L];
         for i in 0..L {
             out[i] = self.limbs[i] & mask;

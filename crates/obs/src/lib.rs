@@ -37,7 +37,7 @@
 pub mod json;
 pub mod metrics;
 pub mod prom;
-pub mod provenance;
+mod provenance;
 pub mod span;
 pub mod time;
 

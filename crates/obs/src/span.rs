@@ -152,7 +152,7 @@ impl SpanTree {
 
     /// JSON value of the forest (an object keyed by span name), as
     /// embedded in the `mpise-obs/v1` snapshot.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         fn forest(nodes: &BTreeMap<&'static str, SpanNode>) -> Value {
             Value::object(nodes.iter().map(|(name, node)| {
                 let fields = crate::object! {

@@ -4,7 +4,7 @@
 //! carried their own copy.
 
 /// Seconds since the Unix epoch.
-pub fn unix_secs() -> u64 {
+pub(crate) fn unix_secs() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .expect("clock after 1970")
@@ -27,7 +27,7 @@ fn civil_from_secs(secs: u64) -> (i64, i64, i64) {
 }
 
 /// `YYYY-MM-DD` in UTC for the given Unix timestamp.
-pub fn utc_date_string_at(secs: u64) -> String {
+pub(crate) fn utc_date_string_at(secs: u64) -> String {
     let (y, m, d) = civil_from_secs(secs);
     format!("{y:04}-{m:02}-{d:02}")
 }
@@ -38,7 +38,7 @@ pub fn utc_date_string() -> String {
 }
 
 /// RFC 3339 `YYYY-MM-DDTHH:MM:SSZ` for the given Unix timestamp.
-pub fn utc_datetime_string(secs: u64) -> String {
+pub(crate) fn utc_datetime_string(secs: u64) -> String {
     let (y, m, d) = civil_from_secs(secs);
     let rem = secs % 86_400;
     format!(

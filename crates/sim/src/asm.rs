@@ -145,7 +145,7 @@ impl From<EncodeError> for AsmError {
 /// a.addi(Reg::T0, Reg::T0, -1);
 /// a.bnez(Reg::T0, top);
 /// a.ebreak();
-/// let p = a.try_finish().unwrap();
+/// let p = a.finish();
 /// assert_eq!(p.len(), 4);
 /// ```
 #[derive(Debug, Default)]
@@ -179,35 +179,14 @@ macro_rules! i_type_methods {
     };
 }
 
-macro_rules! branch_methods {
-    ($($(#[$doc:meta])* $name:ident => $op:ident),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(&mut self, rs1: Reg, rs2: Reg, target: Label) {
-                self.push_to(Inst::Branch { op: BranchOp::$op, rs1, rs2, offset: 0 }, target);
-            }
-        )+
-    };
-}
-
 impl Assembler {
     /// Creates an empty assembler.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of instructions emitted so far.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// Whether nothing has been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
     /// Appends a raw instruction.
-    pub fn push(&mut self, inst: Inst) {
+    pub(crate) fn push(&mut self, inst: Inst) {
         self.insts.push(inst);
     }
 
@@ -239,59 +218,27 @@ impl Assembler {
         add => Add,
         /// `sub rd, rs1, rs2`
         sub => Sub,
-        /// `sll rd, rs1, rs2`
-        sll => Sll,
-        /// `slt rd, rs1, rs2`
-        slt => Slt,
         /// `sltu rd, rs1, rs2` — the carry/borrow detector of RISC-V MPI code.
         sltu => Sltu,
         /// `xor rd, rs1, rs2`
         xor => Xor,
-        /// `srl rd, rs1, rs2`
-        srl => Srl,
-        /// `sra rd, rs1, rs2`
-        sra => Sra,
         /// `or rd, rs1, rs2`
         or => Or,
         /// `and rd, rs1, rs2`
         and => And,
         /// `mul rd, rs1, rs2` — low 64 bits of the product.
         mul => Mul,
-        /// `mulh rd, rs1, rs2`
-        mulh => Mulh,
-        /// `mulhsu rd, rs1, rs2`
-        mulhsu => Mulhsu,
         /// `mulhu rd, rs1, rs2` — high 64 bits of the unsigned product.
         mulhu => Mulhu,
-        /// `div rd, rs1, rs2`
-        div => Div,
-        /// `divu rd, rs1, rs2`
-        divu => Divu,
-        /// `rem rd, rs1, rs2`
-        rem => Rem,
-        /// `remu rd, rs1, rs2`
-        remu => Remu,
-        /// `addw rd, rs1, rs2`
-        addw => Addw,
-        /// `subw rd, rs1, rs2`
-        subw => Subw,
-        /// `mulw rd, rs1, rs2`
-        mulw => Mulw,
     }
 
     i_type_methods! {
         /// `addi rd, rs1, imm`
         addi => Addi,
-        /// `slti rd, rs1, imm`
-        slti => Slti,
         /// `sltiu rd, rs1, imm`
         sltiu => Sltiu,
         /// `xori rd, rs1, imm`
         xori => Xori,
-        /// `ori rd, rs1, imm`
-        ori => Ori,
-        /// `andi rd, rs1, imm`
-        andi => Andi,
         /// `slli rd, rs1, shamt`
         slli => Slli,
         /// `srli rd, rs1, shamt`
@@ -302,23 +249,19 @@ impl Assembler {
         addiw => Addiw,
     }
 
-    branch_methods! {
-        /// `beq rs1, rs2, label`
-        beq => Beq,
-        /// `bne rs1, rs2, label`
-        bne => Bne,
-        /// `blt rs1, rs2, label`
-        blt => Blt,
-        /// `bge rs1, rs2, label`
-        bge => Bge,
-        /// `bltu rs1, rs2, label`
-        bltu => Bltu,
-        /// `bgeu rs1, rs2, label`
-        bgeu => Bgeu,
+    /// `bne rs1, rs2, label`
+    pub(crate) fn bne(&mut self, rs1: Reg, rs2: Reg, target: Label) {
+        let inst = Inst::Branch {
+            op: BranchOp::Bne,
+            rs1,
+            rs2,
+            offset: 0,
+        };
+        self.push_to(inst, target);
     }
 
     /// `lui rd, imm20`
-    pub fn lui(&mut self, rd: Reg, imm20: i32) {
+    pub(crate) fn lui(&mut self, rd: Reg, imm20: i32) {
         self.push(Inst::Lui { rd, imm20 });
     }
 
@@ -326,26 +269,6 @@ impl Assembler {
     pub fn ld(&mut self, rd: Reg, offset: i32, rs1: Reg) {
         self.push(Inst::Load {
             op: LoadOp::Ld,
-            rd,
-            rs1,
-            offset,
-        });
-    }
-
-    /// `lw rd, offset(rs1)`
-    pub fn lw(&mut self, rd: Reg, offset: i32, rs1: Reg) {
-        self.push(Inst::Load {
-            op: LoadOp::Lw,
-            rd,
-            rs1,
-            offset,
-        });
-    }
-
-    /// `lbu rd, offset(rs1)`
-    pub fn lbu(&mut self, rd: Reg, offset: i32, rs1: Reg) {
-        self.push(Inst::Load {
-            op: LoadOp::Lbu,
             rd,
             rs1,
             offset,
@@ -362,33 +285,14 @@ impl Assembler {
         });
     }
 
-    /// `sw rs2, offset(rs1)`
-    pub fn sw(&mut self, rs2: Reg, offset: i32, rs1: Reg) {
-        self.push(Inst::Store {
-            op: StoreOp::Sw,
-            rs1,
-            rs2,
-            offset,
-        });
-    }
-
-    /// `sb rs2, offset(rs1)`
-    pub fn sb(&mut self, rs2: Reg, offset: i32, rs1: Reg) {
-        self.push(Inst::Store {
-            op: StoreOp::Sb,
-            rs1,
-            rs2,
-            offset,
-        });
-    }
-
     /// `jal rd, label`
-    pub fn jal(&mut self, rd: Reg, target: Label) {
+    #[cfg(test)]
+    pub(crate) fn jal(&mut self, rd: Reg, target: Label) {
         self.push_to(Inst::Jal { rd, offset: 0 }, target);
     }
 
     /// `jalr rd, offset(rs1)`
-    pub fn jalr(&mut self, rd: Reg, offset: i32, rs1: Reg) {
+    pub(crate) fn jalr(&mut self, rd: Reg, offset: i32, rs1: Reg) {
         self.push(Inst::Jalr { rd, rs1, offset });
     }
 
@@ -398,19 +302,19 @@ impl Assembler {
     }
 
     /// `ecall`
-    pub fn ecall(&mut self) {
+    pub(crate) fn ecall(&mut self) {
         self.push(Inst::Ecall);
     }
 
     /// `fence`
-    pub fn fence(&mut self) {
+    pub(crate) fn fence(&mut self) {
         self.push(Inst::Fence);
     }
 
     // ----- pseudo-instructions -----
 
     /// `nop` (encoded as `addi x0, x0, 0`).
-    pub fn nop(&mut self) {
+    pub(crate) fn nop(&mut self) {
         self.addi(Reg::Zero, Reg::Zero, 0);
     }
 
@@ -425,17 +329,17 @@ impl Assembler {
     }
 
     /// `not rd, rs` (encoded as `xori rd, rs, -1`).
-    pub fn not(&mut self, rd: Reg, rs: Reg) {
+    pub(crate) fn not(&mut self, rd: Reg, rs: Reg) {
         self.xori(rd, rs, -1);
     }
 
     /// `seqz rd, rs` (encoded as `sltiu rd, rs, 1`).
-    pub fn seqz(&mut self, rd: Reg, rs: Reg) {
+    pub(crate) fn seqz(&mut self, rd: Reg, rs: Reg) {
         self.sltiu(rd, rs, 1);
     }
 
     /// `snez rd, rs` (encoded as `sltu rd, x0, rs`).
-    pub fn snez(&mut self, rd: Reg, rs: Reg) {
+    pub(crate) fn snez(&mut self, rd: Reg, rs: Reg) {
         self.sltu(rd, Reg::Zero, rs);
     }
 
@@ -444,13 +348,9 @@ impl Assembler {
         self.bne(rs, Reg::Zero, target);
     }
 
-    /// `beqz rs, label`
-    pub fn beqz(&mut self, rs: Reg, target: Label) {
-        self.beq(rs, Reg::Zero, target);
-    }
-
     /// `j label` (encoded as `jal x0, label`).
-    pub fn j(&mut self, target: Label) {
+    #[cfg(test)]
+    pub(crate) fn j(&mut self, target: Label) {
         self.jal(Reg::Zero, target);
     }
 
@@ -519,7 +419,7 @@ impl Assembler {
     /// # Errors
     ///
     /// [`AsmError::UnboundLabel`] if a referenced label was never bound.
-    pub fn try_finish(mut self) -> Result<Program, AsmError> {
+    pub(crate) fn try_finish(mut self) -> Result<Program, AsmError> {
         for &(at, label) in &self.fixups {
             let target = self.labels[label.0].ok_or(AsmError::UnboundLabel(label.0))?;
             match &mut self.insts[at] {
@@ -536,8 +436,7 @@ impl Assembler {
     ///
     /// # Panics
     ///
-    /// Panics on unbound labels; use [`Assembler::try_finish`] to handle
-    /// that as an error.
+    /// Panics on unbound labels.
     pub fn finish(self) -> Program {
         self.try_finish().expect("unbound label")
     }
@@ -838,7 +737,7 @@ mod tests {
         let end = a.new_label();
         let top = a.new_label();
         a.bind(top);
-        a.beq(Reg::A0, Reg::A1, end); // at 0 -> 3: offset +12
+        a.bnez(Reg::A0, end); // at 0 -> 3: offset +12
         a.addi(Reg::A0, Reg::A0, 1);
         a.bne(Reg::A0, Reg::A1, top); // at 2 -> 0: offset -8
         a.bind(end);
@@ -847,9 +746,9 @@ mod tests {
         assert_eq!(
             p.insts()[0],
             Inst::Branch {
-                op: BranchOp::Beq,
+                op: BranchOp::Bne,
                 rs1: Reg::A0,
-                rs2: Reg::A1,
+                rs2: Reg::Zero,
                 offset: 12
             }
         );
@@ -868,24 +767,24 @@ mod tests {
     fn unbound_label_is_an_error() {
         let mut a = Assembler::new();
         let l = a.new_label();
-        a.j(l);
+        a.bnez(Reg::A0, l);
         assert!(matches!(a.try_finish(), Err(AsmError::UnboundLabel(_))));
     }
 
     #[test]
     fn li_sequences() {
         // Small immediate: single addi.
-        let mut a = Assembler::new();
-        a.li(Reg::T0, 42);
-        assert_eq!(a.len(), 1);
+        let li = |imm: i64| {
+            let mut a = Assembler::new();
+            a.li(Reg::T0, imm);
+            a.finish().len()
+        };
+        assert_eq!(li(42), 1);
         // 32-bit: lui + addiw.
-        let mut a = Assembler::new();
-        a.li(Reg::T0, 0x1234_5678);
-        assert_eq!(a.len(), 2);
+        assert_eq!(li(0x1234_5678), 2);
         // Full 64-bit: bounded ladder.
-        let mut a = Assembler::new();
-        a.li(Reg::T0, 0x0123_4567_89ab_cdefu64 as i64);
-        assert!(a.len() <= 8, "li ladder too long: {}", a.len());
+        let n = li(0x0123_4567_89ab_cdefu64 as i64);
+        assert!(n <= 8, "li ladder too long: {n}");
     }
 
     #[test]

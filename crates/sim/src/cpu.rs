@@ -64,7 +64,7 @@ impl Default for Cpu {
 
 impl Cpu {
     /// Creates a CPU with all registers and the PC cleared.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Cpu {
             regs: [0; 32],
             pc: 0,
@@ -102,7 +102,13 @@ impl Cpu {
     /// # Errors
     ///
     /// Any [`Trap`] other than normal continuation.
-    pub fn step(&mut self, inst: &Inst, mem: &mut Memory, ext: &IsaExtension) -> Result<(), Trap> {
+    #[cfg(test)]
+    pub(crate) fn step(
+        &mut self,
+        inst: &Inst,
+        mem: &mut Memory,
+        ext: &IsaExtension,
+    ) -> Result<(), Trap> {
         self.exec(&MicroOp::new(inst, ext), mem, &[])
     }
 
@@ -242,10 +248,10 @@ macro_rules! flat_dispatch {
             ///
             /// # Errors
             ///
-            /// Any [`Trap`] other than normal continuation, as for
-            /// [`Cpu::step`]. A memory run whose words are not all
-            /// mapped and aligned reports its first address, for the
-            /// caller to find the faulting instruction.
+            /// Any [`Trap`] other than normal continuation. A memory
+            /// run whose words are not all mapped and aligned reports
+            /// its first address, for the caller to find the faulting
+            /// instruction.
             #[inline(always)]
             pub(crate) fn exec(
                 &mut self,
@@ -892,7 +898,7 @@ pub fn eval_alu(op: AluOp, x: u64, y: u64) -> u64 {
 
 /// Pure evaluation of a register–immediate ALU operation.
 #[inline(always)]
-pub fn eval_alu_imm(op: AluImmOp, x: u64, imm: i32) -> u64 {
+pub(crate) fn eval_alu_imm(op: AluImmOp, x: u64, imm: i32) -> u64 {
     use AluImmOp::*;
     let simm = imm as i64 as u64;
     match op {

@@ -22,7 +22,7 @@
 //! instructions that programs issue back to back on the same `rs1` and
 //! `rs2`, like the high and low halves of the paper's MAC (Listings 3
 //! and 4), which the XMUL datapath computes from one product (§3.3).
-//! The pair names one *chain executor* ([`ChainExec`]), which runs a
+//! The pair names one *chain executor* (`ChainExec`), which runs a
 //! run of such pairs on one accumulator pair: the extension writes it
 //! as [`run_chain`] over a function that returns both halves' results,
 //! so the loop is compiled with the pair inlined while the semantics
@@ -199,9 +199,9 @@ pub struct IsaExtension {
 /// pair reads as its `rs3a` and `rs3b`; each later pair reads the
 /// results of the one before (see [`IsaExtension::define_pair`]).
 /// Written with [`run_chain`].
-pub type ChainExec = fn(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64);
+pub(crate) type ChainExec = fn(regs: &[u64; 32], srcs: &[u8], h: u64, l: u64) -> (u64, u64);
 
-/// The body of a [`ChainExec`]: folds `pair` over the `(rs1, rs2)`
+/// The body of a chain executor: folds `pair` over the `(rs1, rs2)`
 /// register numbers in `srcs`, reading their values from `regs` and
 /// threading `(h, l)` through as each pair's `rs3a` and `rs3b`. An
 /// extension passes a function that returns both of a pair's results,

@@ -92,7 +92,7 @@ impl AluOp {
 
     /// Whether the operation executes on the (extended) multiplier unit,
     /// i.e. has the 2-stage pipelined-multiplier timing of the paper.
-    pub const fn is_multiply(self) -> bool {
+    pub(crate) const fn is_multiply(self) -> bool {
         matches!(
             self,
             AluOp::Mul | AluOp::Mulh | AluOp::Mulhsu | AluOp::Mulhu | AluOp::Mulw
@@ -148,7 +148,7 @@ pub enum AluImmOp {
 
 impl AluImmOp {
     /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         ALU_IMM_OPS[self as usize].1
     }
 
@@ -196,12 +196,12 @@ pub enum BranchOp {
 
 impl BranchOp {
     /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         BRANCH_OPS[self as usize].1
     }
 
     /// Evaluates the branch condition on two register values.
-    pub fn taken(self, a: u64, b: u64) -> bool {
+    pub(crate) fn taken(self, a: u64, b: u64) -> bool {
         match self {
             BranchOp::Beq => a == b,
             BranchOp::Bne => a != b,
@@ -234,7 +234,7 @@ pub enum LoadOp {
 
 impl LoadOp {
     /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         LOAD_OPS[self as usize].1
     }
 
@@ -264,7 +264,7 @@ pub enum StoreOp {
 
 impl StoreOp {
     /// The assembler mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
+    pub(crate) const fn mnemonic(self) -> &'static str {
         STORE_OPS[self as usize].1
     }
 
@@ -333,7 +333,7 @@ pub const BASE_OPCODES: [u8; 13] = [
 /// `funct7` is bits 31:25 of the word. A shift's amount sits below it
 /// (an OP-IMM shift amount also takes bit 25, which its row leaves
 /// clear); the formats without a funct7 state 0.
-pub type OpRow<Op> = (Op, &'static str, u32, u32, u32);
+pub(crate) type OpRow<Op> = (Op, &'static str, u32, u32, u32);
 
 /// R-type rows, in [`AluOp`] discriminant order.
 pub const ALU_OPS: [OpRow<AluOp>; 28] = [

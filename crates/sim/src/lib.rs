@@ -51,7 +51,7 @@ pub mod inst;
 pub mod machine;
 pub mod mem;
 pub mod profile;
-pub mod reg;
+mod reg;
 pub mod timing;
 pub mod trace;
 

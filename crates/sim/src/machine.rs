@@ -17,7 +17,7 @@ pub const DATA_BASE: u64 = 0x8000_0000;
 pub const DATA_SIZE: usize = 1 << 20;
 /// Default instruction budget before a run aborts (guards against
 /// runaway loops in tests).
-pub const DEFAULT_FUEL: u64 = 200_000_000;
+pub(crate) const DEFAULT_FUEL: u64 = 200_000_000;
 
 /// The `Machine::fused_at` entry of every instruction of a fused
 /// micro-op but its first.
@@ -295,11 +295,6 @@ impl Machine {
         &self.pipeline
     }
 
-    /// Base address of the loaded program.
-    pub fn prog_base(&self) -> u64 {
-        self.prog_base
-    }
-
     /// Sentinel address used by [`Machine::call`] as the return address:
     /// one instruction past the end of the program.
     pub fn return_sentinel(&self) -> u64 {
@@ -474,6 +469,7 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::ext::CustomId;
+    use crate::inst::LoadOp;
     use crate::mem::MemError;
 
     #[test]
@@ -579,7 +575,7 @@ mod tests {
         m.load_program(&a.finish());
 
         let s1 = m.run().unwrap();
-        m.cpu.pc = m.prog_base(); // rerun without resetting the clock
+        m.cpu.pc = PROG_BASE; // rerun without resetting the clock
         let s2 = m.run().unwrap();
 
         for s in [&s1, &s2] {
@@ -722,7 +718,11 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(blocks.cpu.regs(), single.cpu.regs());
         assert_eq!(blocks.cpu.pc, single.cpu.pc);
-        let data = |m: &Machine| m.mem.read_bytes(DATA_BASE, 256).unwrap().to_vec();
+        let data = |m: &Machine| {
+            let mut words = [0u64; 32];
+            m.mem.read_limbs(DATA_BASE, &mut words).unwrap();
+            words
+        };
         assert_eq!(data(&blocks), data(&single));
         // Also after a trap, which `RunError` carries no stats for.
         assert_eq!(blocks.pipeline.cycles(), single.pipeline.cycles());
@@ -1048,7 +1048,19 @@ mod tests {
                 |a| (0..2).for_each(|k| a.ld(Reg::T0, 8 * k as i32, [Reg::A0, Reg::A1][k])),
                 3,
             ),
-            (|a| (0..2).for_each(|k| a.lw(Reg::T0, 8 * k, Reg::A0)), 3),
+            (
+                |a| {
+                    (0..2).for_each(|k| {
+                        a.push(Inst::Load {
+                            op: LoadOp::Lw,
+                            rd: Reg::T0,
+                            rs1: Reg::A0,
+                            offset: 8 * k,
+                        })
+                    })
+                },
+                3,
+            ),
             // The run ends with the load that overwrites its base.
             (
                 |a| {

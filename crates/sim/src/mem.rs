@@ -38,7 +38,7 @@ impl std::error::Error for MemError {}
 
 /// A flat, byte-addressed, little-endian memory region.
 ///
-/// The region starts at [`Memory::base`] and spans [`Memory::len`] bytes.
+/// The region covers the `len` bytes from `base` given to [`Memory::new`].
 /// Natural alignment is enforced for multi-byte accesses, like on the
 /// Rocket core used in the paper (which takes a misaligned-access trap).
 ///
@@ -64,21 +64,6 @@ impl Memory {
             base,
             bytes: vec![0; len],
         }
-    }
-
-    /// Lowest mapped address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Size of the mapped region in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// The index of `addr` in `bytes`, for a `width`-byte access.
@@ -178,16 +163,6 @@ impl Memory {
     pub(crate) fn words_mut(&mut self, addr: u64, words: usize) -> Result<&mut [u8], MemError> {
         let off = self.limb_span(addr, words)?;
         Ok(&mut self.bytes[off..off + 8 * words])
-    }
-
-    /// Reads `len` bytes starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::OutOfBounds`] when the range is not mapped.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Result<&[u8], MemError> {
-        let off = self.span(addr, len as u64)?;
-        Ok(&self.bytes[off..off + len])
     }
 
     /// Writes an array of 64-bit limbs at `addr` (little-endian, limb 0
@@ -303,10 +278,13 @@ mod tests {
     fn byte_round_trip() {
         let mut m = Memory::new(0, 16);
         m.write_limbs(8, &[0x0706_0504_0302_0100]).unwrap();
-        assert_eq!(m.read_bytes(10, 3).unwrap(), &[2, 3, 4]);
-        assert_eq!(m.read_bytes(13, 3).unwrap(), &[5, 6, 7]);
-        let past = MemError::OutOfBounds { addr: 14, width: 3 };
-        assert_eq!(m.read_bytes(14, 3), Err(past));
-        assert!(m.read_bytes(u64::MAX, 2).is_err());
+        assert_eq!(m.load(10, 2).unwrap(), 0x0302);
+        assert_eq!(m.load(13, 1).unwrap(), 5);
+        let mut limb = [0u64];
+        m.read_limbs(8, &mut limb).unwrap();
+        assert_eq!(limb, [0x0706_0504_0302_0100]);
+        let past = MemError::OutOfBounds { addr: 16, width: 8 };
+        assert_eq!(m.read_limbs(16, &mut limb), Err(past));
+        assert!(m.read_limbs(u64::MAX - 7, &mut limb).is_err());
     }
 }

@@ -16,13 +16,13 @@ pub struct InstMix {
 
 impl InstMix {
     /// Creates an empty profile.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one retired instruction under the mnemonic the
     /// disassembler prints for it (custom mnemonics resolved via `ext`).
-    pub fn record(&mut self, inst: &Inst, ext: &IsaExtension) {
+    pub(crate) fn record(&mut self, inst: &Inst, ext: &IsaExtension) {
         let text = display_with_ext(inst, ext);
         let mnemonic = text.split(' ').next().unwrap_or_default();
         *self.counts.entry(mnemonic.to_owned()).or_insert(0) += 1;
@@ -40,7 +40,7 @@ impl InstMix {
     }
 
     /// All `(mnemonic, count)` pairs, most frequent first.
-    pub fn sorted(&self) -> Vec<(&str, u64)> {
+    pub(crate) fn sorted(&self) -> Vec<(&str, u64)> {
         let mut v: Vec<(&str, u64)> = self.counts.iter().map(|(k, &c)| (k.as_str(), c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v

@@ -64,7 +64,7 @@ impl Default for TimingConfig {
 
 /// Classification of one retired instruction, for statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstClass {
+pub(crate) enum InstClass {
     /// Single-cycle integer ALU operation (including `lui` etc.).
     Alu,
     /// Base-ISA multiply executed on the (X)MUL unit.
@@ -114,7 +114,7 @@ pub struct TimingStats {
 
 impl TimingStats {
     /// Total retired instructions.
-    pub fn instret(&self) -> u64 {
+    pub(crate) fn instret(&self) -> u64 {
         self.alu
             + self.mul
             + self.div
@@ -137,7 +137,7 @@ impl TimingStats {
     ///
     /// Panics in debug builds if `earlier` is not an earlier snapshot
     /// of the same counter stream (a counter would underflow).
-    pub fn delta(&self, earlier: &TimingStats) -> TimingStats {
+    pub(crate) fn delta(&self, earlier: &TimingStats) -> TimingStats {
         TimingStats {
             alu: self.alu - earlier.alu,
             mul: self.mul - earlier.mul,
@@ -176,10 +176,10 @@ impl std::ops::AddAssign for TimingStats {
 /// [`PipelineModel::retire`] re-derives these on every call (allocating
 /// for the source-register list); a [`crate::Machine`] instead
 /// pre-decodes its whole program into `PreDecoded` records at load time
-/// and feeds them to [`PipelineModel::retire_pre`], which keeps the
+/// and feeds them to `PipelineModel::retire_pre`, which keeps the
 /// per-instruction hot path free of allocation and lookup work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PreDecoded {
+pub(crate) struct PreDecoded {
     /// Timing class of the instruction.
     pub class: InstClass,
     /// Register numbers of the non-`x0` sources (first `nuses` entries).
@@ -194,7 +194,7 @@ pub struct PreDecoded {
 impl PreDecoded {
     /// Pre-decodes one instruction. `custom_unit` must be provided for
     /// [`Inst::Custom`] exactly as for [`PipelineModel::retire`].
-    pub fn of(inst: &Inst, custom_unit: Option<ExecUnit>) -> Self {
+    pub(crate) fn of(inst: &Inst, custom_unit: Option<ExecUnit>) -> Self {
         let mut uses = [0u8; 3];
         let mut nuses = 0u8;
         for src in inst.uses() {
@@ -241,7 +241,7 @@ impl PipelineModel {
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &TimingConfig {
+    pub(crate) fn config(&self) -> &TimingConfig {
         &self.config
     }
 
@@ -257,7 +257,7 @@ impl PipelineModel {
     }
 
     /// Resets time and register scoreboard, keeping the configuration.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.ready = [0; 32];
         self.next_issue = 0;
         self.stats = TimingStats::default();
@@ -302,7 +302,7 @@ impl PipelineModel {
     /// per-call decode/allocation work — the hot path of
     /// [`crate::Machine::run`].
     #[inline]
-    pub fn retire_pre(&mut self, pre: &PreDecoded, taken: bool) {
+    pub(crate) fn retire_pre(&mut self, pre: &PreDecoded, taken: bool) {
         let class = pre.class;
         let cfg = self.config;
 

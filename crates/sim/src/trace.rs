@@ -56,7 +56,7 @@ impl Tracer {
     }
 
     /// Records one retired instruction (called by the machine).
-    pub fn record(&mut self, pc: u64, inst: &Inst, cpu_after: &Cpu) {
+    pub(crate) fn record(&mut self, pc: u64, inst: &Inst, cpu_after: &Cpu) {
         self.total += 1;
         if self.entries.len() < self.capacity {
             let wrote = inst.def().map(|rd| (rd, cpu_after.read_reg(rd)));
@@ -101,7 +101,7 @@ impl Tracer {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
-    use crate::machine::Machine;
+    use crate::machine::{Machine, PROG_BASE};
 
     #[test]
     fn capacity_is_bounded() {
@@ -134,13 +134,13 @@ mod tests {
         // The machine no longer holds a tracer: taking again yields
         // nothing, and a re-run records nothing.
         assert!(m.take_tracer().is_none());
-        m.cpu.pc = m.prog_base();
+        m.cpu.pc = PROG_BASE;
         m.run().unwrap();
         assert!(m.take_tracer().is_none());
         // A freshly attached tracer starts from zero rather than
         // accumulating onto the old run.
         m.set_tracer(Some(Tracer::new(8)));
-        m.cpu.pc = m.prog_base();
+        m.cpu.pc = PROG_BASE;
         m.run().unwrap();
         assert_eq!(m.take_tracer().unwrap().total, 2);
     }

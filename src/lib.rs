@@ -17,8 +17,8 @@
 //!   cycle-measurement harness (`mpise-fp`);
 //! * [`csidh`] — the CSIDH-512 key exchange (`mpise-csidh`);
 //! * [`hw`] — the structural hardware cost model (`mpise-hw`);
-//! * [`engine`] — the batched multi-worker key-exchange service and
-//!   its load generator (`mpise-engine`);
+//! * [`engine`] — the multi-worker key-exchange service and its load
+//!   generator (`mpise-engine`);
 //! * [`obs`] — spans, metrics, provenance and the artifact JSON behind every
 //!   runtime crate's telemetry (`mpise-obs`);
 //! * [`conformance`] — the differential conformance subsystem: the
