@@ -55,8 +55,9 @@ pub fn fast_reduce_swap<const L: usize>(a: &Uint<L>, p: &Uint<L>) -> Uint<L> {
     t.xor(&masked) // R <- T ^ M
 }
 
-/// Modular addition `a + b mod p` for `a, b ∈ [0, p − 1]`, using the
-/// Algorithm-1 variant (`T ← A − B` replaced appropriately).
+/// Modular addition `a + b mod p` for `a, b ∈ [0, p − 1]`: the sum,
+/// taken from `[0, 2p − 2]` to `[0, p − 1]` by Algorithm 2
+/// ([`fast_reduce_swap`]).
 ///
 /// Requires `p < 2^(64·L − 1)` so the intermediate sum cannot overflow
 /// the digit count — true for CSIDH-512 (511-bit `p` in 512 bits).

@@ -31,9 +31,14 @@
 //! [`reduced::MontCtx57`] keep their double-length values in
 //! `[[_; L]; 2]` stack buffers. The `mul`/`sqr` of both contexts are
 //! integrated Montgomery multiplications, which form no double-length
-//! value at all. Every carry chain runs a trip count fixed by the limb
-//! count ([`MontCtx::redc`] describes the pending-carry scheme that
-//! makes this so).
+//! value at all, and are written so that independent products do not
+//! wait on one carry chain: [`MontCtx::mul`] is the no-carry CIOS
+//! loop, whose `a·b_i` and `m·p` chains interleave word by word with
+//! no overflow word, and [`reduced::MontCtx57::mul`] sums the `a·b`
+//! columns apart from the reduction's `m·p` terms. Every carry chain
+//! runs a trip count fixed by the limb count ([`MontCtx::redc`]
+//! describes the pending-carry scheme that makes this so for the
+//! separated reduction).
 
 // Carry-chain and multi-array arithmetic code indexes several slices in
 // lockstep; iterator rewrites of those loops obscure the digit algebra.

@@ -3,7 +3,7 @@
 //! Montgomery multiplication, which is a common choice for moduli that
 //! do not have a special form").
 
-use crate::fast::{fast_reduce_swap, mod_add};
+use crate::fast::mod_add;
 use crate::uint::Uint;
 use std::fmt;
 
@@ -161,55 +161,50 @@ impl<const L: usize> MontCtx<L> {
         Uint::from_limbs(out)
     }
 
-    /// Montgomery multiplication: `a·b·R^{-1} mod p` for residues in
-    /// `[0, p − 1]`.
+    /// Montgomery multiplication: `a·b·R^{-1} mod p` for `a < p` and
+    /// any `L`-word `b`, canonical in `[0, p − 1]`.
     ///
     /// Integrated form: the Coarsely Integrated Operand Scanning (CIOS)
-    /// loop of Koç–Acar–Kaliski. Row `i` adds `a·b_i` into an `L`-word
-    /// accumulator plus two overflow words, then adds `m·p` with
-    /// `m = t_0·p' mod 2^64` and shifts one word down, so the
-    /// multiplication and the reduction share one pass and no
-    /// `2L`-word product is ever formed. The result is below `2p`, and
-    /// one masked subtraction of `p` makes it canonical. Every loop has
-    /// a trip count fixed by `L` and there is no data-dependent branch.
+    /// loop of Koç–Acar–Kaliski, in its no-carry form. Row `i` adds
+    /// `a·b_i` and `m·p`, with `m = (t_0 + a_0·b_i)·p' mod 2^64`, to the
+    /// `L`-word accumulator `t` and shifts one word down. The two
+    /// products run as two carry chains interleaved word by word: word
+    /// `j` of `a·b_i` feeds word `j` of `m·p`, which lands in `t_{j−1}`,
+    /// and the row's top word is the sum of the two carries. Row `i + 1`
+    /// can start once `t_0` is written, long before the row's last
+    /// carry, so the two chains and the rows overlap. No overflow word
+    /// is needed: with `t < 2p` and `a < p`, the row value
+    /// `(t + a·b_i + m·p)/2^64` is at most `2p − 1`, and `2p < R`
+    /// because [`MontCtx::new`] rejects a modulus with the top bit set.
+    /// One masked subtraction of `p` makes the result canonical. Every
+    /// loop has a trip count fixed by `L` and there is no data-dependent
+    /// branch.
     ///
     /// Gives the same residue as [`MontCtx::redc`] of
     /// [`mul_ps`](crate::mul::mul_ps), the separated form that the
     /// paper's Table 4 times as two rows.
     pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        let mut tl = [0u64; L];
-        let (mut t_hi, mut t_hi2) = (0u64, 0u64); // the two overflow words
+        debug_assert!(*a < self.p, "the first operand must be below p");
+        let mut t = [0u64; L];
         for i in 0..L {
-            // t += a * b[i]
             let bi = b.limb(i);
-            let mut carry = 0u64;
-            for j in 0..L {
-                let wide = tl[j] as u128 + a.limb(j) as u128 * bi as u128 + carry as u128;
-                tl[j] = wide as u64;
-                carry = (wide >> 64) as u64;
-            }
-            let wide = t_hi as u128 + carry as u128;
-            t_hi = wide as u64;
-            t_hi2 = t_hi2.wrapping_add((wide >> 64) as u64);
-
-            // m = t[0] * p' mod 2^64; t = (t + m*p) / 2^64
-            let m = tl[0].wrapping_mul(self.p_inv);
-            let wide = tl[0] as u128 + m as u128 * self.p.limb(0) as u128;
-            let mut carry = (wide >> 64) as u64;
+            let wide = t[0] as u128 + a.limb(0) as u128 * bi as u128;
+            let mut c = (wide >> 64) as u64;
+            let m = (wide as u64).wrapping_mul(self.p_inv);
+            let mut c2 = ((wide as u64 as u128 + m as u128 * self.p.limb(0) as u128) >> 64) as u64;
             for j in 1..L {
-                let wide = tl[j] as u128 + m as u128 * self.p.limb(j) as u128 + carry as u128;
-                tl[j - 1] = wide as u64;
-                carry = (wide >> 64) as u64;
+                let wide = t[j] as u128 + a.limb(j) as u128 * bi as u128 + c as u128;
+                c = (wide >> 64) as u64;
+                let wide = wide as u64 as u128 + m as u128 * self.p.limb(j) as u128 + c2 as u128;
+                c2 = (wide >> 64) as u64;
+                t[j - 1] = wide as u64;
             }
-            let wide = t_hi as u128 + carry as u128;
-            tl[L - 1] = wide as u64;
-            t_hi = t_hi2.wrapping_add((wide >> 64) as u64);
-            t_hi2 = 0;
+            t[L - 1] = c + c2;
         }
-        // Result = t_hi·2^(64L) + tl < 2p: one conditional subtraction.
-        let r = Uint::from_limbs(tl);
+        // t < 2p: one conditional subtraction.
+        let r = Uint::from_limbs(t);
         let (sub, borrow) = r.sbb(&self.p, 0);
-        let keep_sub = crate::ct::mask_from_bit(t_hi | (1 - borrow));
+        let keep_sub = crate::ct::mask_from_bit(1 - borrow);
         let mut out = [0u64; L];
         crate::ct::select_limbs(keep_sub, sub.limbs(), r.limbs(), &mut out);
         Uint::from_limbs(out)
@@ -223,11 +218,11 @@ impl<const L: usize> MontCtx<L> {
         self.mul(a, a)
     }
 
-    /// Converts into the Montgomery domain: `a·R mod p`.
+    /// Converts into the Montgomery domain: `a·R mod p`, for any `L`-word
+    /// `a` (it is the operand of [`MontCtx::mul`] that need not be below
+    /// `p`).
     pub fn to_mont(&self, a: &Uint<L>) -> Uint<L> {
-        // Reduce a first so the precondition a < p holds for any input.
-        let a = fast_reduce_swap(a, &self.p);
-        self.mul(&a, &self.r2)
+        self.mul(&self.r2, a)
     }
 
     /// Converts out of the Montgomery domain: `a·R^{-1} mod p`.
@@ -332,7 +327,7 @@ mod tests {
         let p = p25519();
         let ctx = MontCtx::new(p).unwrap();
         let pm1 = p.wrapping_sub(&U256::ONE);
-        let m = ctx.mul(&pm1, &pm1);
+        let m = separated_mul(&ctx, &pm1, &pm1);
         assert!(m < p);
         // (p-1)*(p-1)*R^{-1} mod p -- verify against reference.
         let rp = RefInt::from_limbs(p.limbs());

@@ -280,11 +280,19 @@ fn mac_rev(mut acc: u128, x: &[u64], y: &[u64]) -> u128 {
 
 /// The column loop of [`MontCtx57::mul`]: `(a·b + m·p)/R < 2p`.
 fn fips_mul<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N], p_inv: u64) -> [u64; N] {
+    let mut buf = [[0u128; N]; 2];
+    let ab = buf.as_flattened_mut();
+    for k in 0..N {
+        ab[k] = mac_rev(0, &a[..=k], &b[..=k]);
+    }
+    for k in N..2 * N - 1 {
+        let lo = k + 1 - N;
+        ab[k] = mac_rev(0, &a[lo..], &b[lo..]);
+    }
     let mut m = [0u64; N];
     let mut acc: u128 = 0;
     for k in 0..N {
-        acc = mac_rev(acc, &a[..=k], &b[..=k]);
-        acc = mac_rev(acc, &m[..k], &p[1..=k]);
+        acc += mac_rev(ab[k], &m[..k], &p[1..=k]);
         m[k] = (acc as u64).wrapping_mul(p_inv) & MASK;
         acc += m[k] as u128 * p[0] as u128;
         debug_assert_eq!(acc as u64 & MASK, 0);
@@ -293,8 +301,7 @@ fn fips_mul<const N: usize>(a: &[u64; N], b: &[u64; N], p: &[u64; N], p_inv: u64
     let mut out = [0u64; N];
     for k in N..2 * N - 1 {
         let lo = k + 1 - N;
-        acc = mac_rev(acc, &a[lo..], &b[lo..]);
-        acc = mac_rev(acc, &m[lo..], &p[lo..]);
+        acc += mac_rev(ab[k], &m[lo..], &p[lo..]);
         out[k - N] = acc as u64 & MASK;
         acc >>= RADIX_BITS;
     }
@@ -307,17 +314,21 @@ fn fips_sqr<const N: usize>(a: &[u64; N], p: &[u64; N], p_inv: u64) -> [u64; N] 
     let mut m = [0u64; N];
     let mut acc: u128 = 0;
     for k in 0..N {
+        let (mut sq, mut mp) = (0u128, 0u128);
         for i in 0..N {
             if 2 * i < k {
-                acc += (a[i] << 1) as u128 * a[k - i] as u128;
+                sq += (a[i] << 1) as u128 * a[k - i] as u128;
             }
+        }
+        for i in 0..N {
             if i < k {
-                acc += m[i] as u128 * p[k - i] as u128;
+                mp += m[i] as u128 * p[k - i] as u128;
             }
         }
         if k % 2 == 0 {
-            acc += a[k / 2] as u128 * a[k / 2] as u128;
+            sq += a[k / 2] as u128 * a[k / 2] as u128;
         }
+        acc += sq + mp;
         m[k] = (acc as u64).wrapping_mul(p_inv) & MASK;
         acc += m[k] as u128 * p[0] as u128;
         debug_assert_eq!(acc as u64 & MASK, 0);
@@ -325,17 +336,21 @@ fn fips_sqr<const N: usize>(a: &[u64; N], p: &[u64; N], p_inv: u64) -> [u64; N] 
     }
     let mut out = [0u64; N];
     for k in N..2 * N - 1 {
+        let (mut sq, mut mp) = (0u128, 0u128);
         for i in 0..N {
             if i > k - N && 2 * i < k {
-                acc += (a[i] << 1) as u128 * a[k - i] as u128;
+                sq += (a[i] << 1) as u128 * a[k - i] as u128;
             }
+        }
+        for i in 0..N {
             if i > k - N {
-                acc += m[i] as u128 * p[k - i] as u128;
+                mp += m[i] as u128 * p[k - i] as u128;
             }
         }
         if k % 2 == 0 {
-            acc += a[k / 2] as u128 * a[k / 2] as u128;
+            sq += a[k / 2] as u128 * a[k / 2] as u128;
         }
+        acc += sq + mp;
         out[k - N] = acc as u64 & MASK;
         acc >>= RADIX_BITS;
     }
@@ -517,21 +532,24 @@ impl<const N: usize> MontCtx57<N> {
     /// Montgomery multiplication: `a·b·R^{-1} mod p` for canonical
     /// residues, canonical in `[0, p − 1]`.
     ///
-    /// Integrated form: Finely Integrated Product Scanning (FIPS). Column
-    /// `k < N` adds the terms `a_i·b_{k−i}` and `m_i·p_{k−i}` (`i < k`)
-    /// and `a_k·b_0` into one `u128`, then picks
+    /// Integrated form: Finely Integrated Product Scanning (FIPS). The
+    /// `2N − 1` column sums `Σ a_i·b_{k−i}` come first, each in its own
+    /// `u128` of a `[[u128; N]; 2]` stack buffer, since none of them
+    /// depends on the reduction. Column `k < N` then adds the terms
+    /// `m_i·p_{k−i}` (`i < k`) to its `a·b` sum and the carry, picks
     /// `m_k = acc·p' mod 2^57` so that adding `m_k·p_0` clears the low
     /// 57 bits, and shifts right by 57. Columns `k ≥ N` emit the result
-    /// limbs. No `2N`-limb product is ever formed. A column holds at
-    /// most `2N` products below 2^114 plus a carry below 2^62, so for
-    /// `N ≤ 16` it stays below 2^119. The result `(a·b + m·p)/R` is
-    /// below `2p`, and `MontCtx57::reduce_once` makes it canonical.
-    /// Every trip count depends on `N` only and there is no
-    /// data-dependent branch.
+    /// limbs. No `2N`-limb product is ever formed, and only the `m`
+    /// terms wait on the carry. A column holds at most `2N` products
+    /// below 2^114 plus a carry below 2^62, so for `N ≤ 16` it stays
+    /// below 2^119. The result `(a·b + m·p)/R` is below `2p`, and
+    /// `MontCtx57::reduce_once` makes it canonical. Every trip count
+    /// depends on `N` only and there is no data-dependent branch.
     ///
     /// Gives the same residue as [`MontCtx57::redc`] of
     /// [`mul_ps_slices_57`], the separated form of the simulated kernels.
     pub fn mul(&self, a: &Reduced<N>, b: &Reduced<N>) -> Reduced<N> {
+        debug_assert!(a.is_canonical() && b.is_canonical());
         let out = fips_mul(a.limbs(), b.limbs(), self.p.limbs(), self.p_inv);
         self.reduce_once(&Reduced::from_limbs(out))
     }
@@ -541,10 +559,14 @@ impl<const N: usize> MontCtx57<N> {
     /// `(2·a_i)·a_j` and each diagonal `a_i²` once, so the square half
     /// costs `N(N+1)/2` products (45 against 81 for CSIDH-512).
     /// `2·a_i < 2^58` keeps every column below the same 2^119 bound.
-    /// The inner loops run over all `N` limbs and test only the public
-    /// indices `i` and `k`, which measured faster than loops whose
-    /// bounds vary with `k`.
+    /// Each column sums its square terms and its `m·p` terms in two
+    /// accumulators, each filled by a loop of its own, and adds both to
+    /// the carry at the end, so the square terms never wait on the
+    /// reduction. The inner loops run
+    /// over all `N` limbs and test only the public indices `i` and `k`,
+    /// which measured faster than loops whose bounds vary with `k`.
     pub fn sqr(&self, a: &Reduced<N>) -> Reduced<N> {
+        debug_assert!(a.is_canonical());
         let out = fips_sqr(a.limbs(), self.p.limbs(), self.p_inv);
         self.reduce_once(&Reduced::from_limbs(out))
     }

@@ -51,3 +51,9 @@ pub use mpise_hw as hw;
 pub use mpise_mpi as mpi;
 pub use mpise_obs as obs;
 pub use mpise_sim as sim;
+
+// Runs the README's Rust snippet as a doc test, so the library use it
+// shows keeps compiling and the two parties keep agreeing.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
